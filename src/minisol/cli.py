@@ -364,3 +364,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,6 +10,9 @@ or expression evaluation.
 Symbolic execution forks a path wherever a branch condition evaluates to
 a symbolic tree. Constraints are discharged by a bounded enumerator over
 each symbol's declared finite domain; no external solver is involved.
+The domain product is enumerated once per exploration: every path
+carries the assignments that satisfy its condition, and a fork filters
+its parent's set by the new constraint.
 """
 
 from __future__ import annotations
@@ -58,7 +61,12 @@ class Constraint:
 
 @dataclass
 class PathState:
-    """One execution branch: state, environments, constraints, program."""
+    """One execution branch: state, environments, constraints, program.
+
+    ``models`` holds the assignments that satisfy ``condition``, in
+    enumeration order. The dicts are shared between paths and must not
+    be mutated.
+    """
     sigma: MemoryState | None
     env: Env
     fenv: Env
@@ -66,6 +74,7 @@ class PathState:
     remaining: tuple = ()
     ctx: ExecContext = field(default_factory=ExecContext)
     note: str = ""
+    models: tuple = ()
 
     def condition_key(self) -> tuple:
         return tuple(str(c) for c in self.condition)
@@ -214,26 +223,41 @@ def concretize_payload(p, assignment):
     return p
 
 
-def concretize(sigma: MemoryState, assignment) -> MemoryState:
-    blocks = tuple(replace(b, payload=concretize_payload(b.payload, assignment))
-                   for b in sigma.blocks)
-    return replace(sigma, blocks=blocks)
+def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
+    """Evaluate the symbolic payloads of ``sigma`` under ``assignment``.
+
+    Only the blocks at ``indices`` (by default every block that holds a
+    symbol) are rebuilt; all other blocks are kept as the same objects.
+    """
+    if indices is None:
+        indices = symbolic_blocks(sigma)
+    if not indices:
+        return sigma
+    blocks = list(sigma.blocks)
+    for i in indices:
+        b = blocks[i]
+        blocks[i] = replace(b, payload=concretize_payload(b.payload, assignment))
+    return replace(sigma, blocks=tuple(blocks))
 
 
-def state_has_symbols(sigma: MemoryState) -> bool:
-    def probe(p):
-        if isinstance(p, gm.BoolPayload):
-            return is_symbolic(p.bit)
-        if isinstance(p, gm.IntPayload):
-            return is_symbolic(p.value)
-        if isinstance(p, gm.StructInstance):
-            return any(probe(m) for m in p.members)
-        if isinstance(p, gm.MapNode) and p.kv is not None:
-            return probe(p.kv[0]) or probe(p.kv[1])
-        if isinstance(p, gm.Fid) and p.args:
-            return any(probe(a.payload) for a in p.args)
-        return False
-    return any(probe(b.payload) for b in sigma.blocks)
+def _payload_has_symbols(p) -> bool:
+    if isinstance(p, gm.BoolPayload):
+        return is_symbolic(p.bit)
+    if isinstance(p, gm.IntPayload):
+        return is_symbolic(p.value)
+    if isinstance(p, gm.StructInstance):
+        return any(_payload_has_symbols(m) for m in p.members)
+    if isinstance(p, gm.MapNode) and p.kv is not None:
+        return _payload_has_symbols(p.kv[0]) or _payload_has_symbols(p.kv[1])
+    if isinstance(p, gm.Fid) and p.args:
+        return any(_payload_has_symbols(a.payload) for a in p.args)
+    return False
+
+
+def symbolic_blocks(sigma: MemoryState) -> tuple:
+    """Indices of the blocks whose payload holds a symbol."""
+    return tuple(i for i, b in enumerate(sigma.blocks)
+                 if _payload_has_symbols(b.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +266,15 @@ def state_has_symbols(sigma: MemoryState) -> bool:
 def explore(K: int, initial: PathState, symbols) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    At a symbolic branch the path forks into assumed-true and
-    assumed-false children; a child whose condition has no satisfying
-    assignment over the declared domains is pruned. Results are merged
-    in path-condition lexicographic order.
+    The initial path's satisfying assignments are enumerated once. At a
+    symbolic branch the path forks into assumed-true and assumed-false
+    children, each keeping the parent assignments that satisfy its
+    branch; a child with none left is pruned. Results are merged in
+    path-condition lexicographic order.
     """
     terminals: list[PathState] = []
-    stack = [initial]
+    stack = [replace(initial, models=tuple(
+        satisfying_assignments(initial.condition, symbols)))]
     while stack:
         ps = stack.pop()
         while True:
@@ -268,14 +294,16 @@ def explore(K: int, initial: PathState, symbols) -> list[PathState]:
             if res.symbolic_cond is not None:
                 tree = res.symbolic_cond
                 for branch in (False, True):
-                    cond2 = ps.condition + (Constraint(tree, branch),)
-                    if satisfiable(cond2, symbols) is None:
+                    c = Constraint(tree, branch)
+                    models = tuple(m for m in ps.models if c.holds(m))
+                    if not models:
                         continue
                     forked = _dispatch(K, ps.sigma, None, env, ps.fenv,
                                        ps.remaining[0], ps.remaining[1:],
                                        ps.ctx, assume=branch)
                     child = replace(ps, sigma=forked.sigma, env=forked.env,
-                                    remaining=forked.remaining, condition=cond2,
+                                    remaining=forked.remaining,
+                                    condition=ps.condition + (c,), models=models,
                                     note="throw" if forked.halted else "")
                     stack.append(child)
                 break
@@ -340,17 +368,17 @@ def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
             ctx.sigma_init = sigma
         initial = PathState(sigma, env, fenv, (), work_prog, ctx)
         paths = explore(K, initial, ())
-        return _judge(paths, post, (), pre, prog, K)
+        return _judge(paths, post, pre, prog, K)
 
     sigma, env, fenv, ctx = pre(None)
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
     initial = PathState(sigma, env, fenv, base_condition, work_prog, ctx)
     paths = explore(K, initial, symbols)
-    return _judge(paths, post, symbols, pre, prog, K)
+    return _judge(paths, post, pre, prog, K)
 
 
-def _judge(paths, post, symbols, pre, original_prog, K) -> Verdict:
+def _judge(paths, post, pre, original_prog, K) -> Verdict:
     for p in paths:
         if p.note.startswith("error"):
             return Verdict("error", path=p, diagnostic=p.note, paths=tuple(paths))
@@ -359,14 +387,17 @@ def _judge(paths, post, symbols, pre, original_prog, K) -> Verdict:
                            paths=tuple(paths))
     for p in paths:
         init = p.ctx.sigma_init
-        if not symbols or (not state_has_symbols(p.sigma)
-                           and (init is None or not state_has_symbols(init))):
-            asgs = [dict()] if not symbols else [satisfiable(p.condition, symbols) or {}]
-        else:
-            asgs = list(satisfying_assignments(p.condition, symbols))
+        final_idx = symbolic_blocks(p.sigma)
+        init_idx = symbolic_blocks(init) if init is not None else ()
+        asgs = p.models if final_idx or init_idx else p.models[:1] or ({},)
         for asg in asgs:
-            final_c = concretize(p.sigma, asg)
-            init_c = concretize(init, asg) if init is not None else None
+            try:
+                final_c = concretize(p.sigma, asg, final_idx)
+                init_c = concretize(init, asg, init_idx) if init is not None else None
+            except SymEvalError as exc:
+                return Verdict("error", path=p,
+                               diagnostic=f"cannot evaluate the state under {asg}: {exc}",
+                               paths=tuple(paths))
             if not post(final_c, init_c):
                 witness = _confirm_witness(asg, pre, original_prog, post, K, p)
                 return Verdict("refuted", witness=witness, path=p,
@@ -429,17 +460,19 @@ def _validate_summary(summary, pre, symbols, condition, K, samples: int = 3) -> 
 # ---------------------------------------------------------------------------
 # Common postconditions
 
+_THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top block
+
+
 def throw_state_post(final: MemoryState, initial: MemoryState | None) -> bool:
     """Final memory is the entry snapshot plus a raised throw flag."""
     if final is None or initial is None:
         return False
-    names = gm.reserved_addresses(final.size)
-    idx = names["0xthrow"].index
+    idx = final.size - 1 - _THROW_OFFSET
     flag = final.blocks[idx].payload
     if not (isinstance(flag, gm.BoolPayload) and flag.bit is True):
         return False
     for i, (a, b) in enumerate(zip(final.blocks, initial.blocks)):
-        if i == idx:
+        if a is b or i == idx:
             continue
         if a != b:
             return False

@@ -1,18 +1,36 @@
-"""Command-line interface, exercised in process through cli_main."""
+"""Command-line interface, exercised in process through cli_main, and in a
+fresh interpreter where the module entry points or stderr are checked."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
 
 from minisol.cli import cli_main
 
 WALLET = "samples/wallet.lls"
 PRE = "samples/wallet_pre.spec"
 SPEC = "samples/no_in_time.spec"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     rc = cli_main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_module(module, *argv):
+    """Run ``python -m module argv...`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestRun:
@@ -129,6 +147,40 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["status"] == "error"
         assert "mystery" in doc["diagnostic"]
+
+    def test_symbolic_division_by_zero_is_error_verdict(self, tmp_path):
+        prog = tmp_path / "div.lls"
+        prog.write_text(
+            "contract D {\n    uint d;\n    uint r;\n    uint s = 7;\n"
+            "    function f() public { r = 10 / d; }\n}\n")
+        spec = tmp_path / "div.spec"
+        spec.write_text("entry f\nsym d : int 0..3\npost unchanged s\n")
+        proc = run_module("minisol", "verify", str(prog), "--spec", str(spec),
+                          "--json")
+        assert proc.returncode == 3
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "error"
+        assert "division by zero" in doc["diagnostic"]
+        assert "'d': 0" in doc["diagnostic"]
+        assert "Traceback" not in proc.stderr
+
+    def test_wallet_wide_domains_within_budget(self, capsys, tmp_path):
+        wide = tmp_path / "wide.spec"
+        wide.write_text(Path(SPEC).read_text(encoding="utf-8").replace("0..7", "0..31"))
+        start = time.process_time()
+        rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", str(wide), "--json")
+        elapsed = time.process_time() - start
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["paths"]) == ("verified", 1)
+        assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("module", ["minisol", "minisol.cli"])
+def test_module_entry_point_verifies_wallet(module):
+    proc = run_module(module, "verify", WALLET, "--spec", SPEC, "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "verified"
 
 
 class TestStep:

@@ -1,25 +1,33 @@
 """Engine: whole runs, stepping, path exploration, triple checking."""
 
+import itertools
+import operator
 import random
 from dataclasses import replace
 
 import pytest
 
 from minisol import memory as gm
+from minisol.binder import bind_addresses
 from minisol.engine import (
     PathState,
     SegmentSummary,
     SymbolicValue,
     concretize,
+    concretize_payload,
     explore,
     interpret,
     satisfying_assignments,
     step,
+    symbolic_blocks,
     throw_state_post,
     verify_triple,
 )
 from minisol.memory import Address, BoolPayload, IntPayload, MemoryValue
+from minisol.parser import parse_source
 from minisol.proggen import generate_program
+from minisol.runner import compile_posts, entry_program, make_pre
+from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_var
 from minisol.symbolic import SymOp, SymVar
@@ -453,3 +461,95 @@ class TestRobustness:
             out = interpret(250, sigma, env, env, None, prog,
                             ExecContext(sigma_init=sigma))
             assert out is None or out.size == 64
+
+
+# ---------------------------------------------------------------------------
+# Enumeration reuse: per-path assignment sets and partial concretization
+
+def spec_triple(source, spec_text):
+    """(pre, prog, post, spec) for a program and spec, as `verify` builds them."""
+    bound = bind_addresses(parse_source(source), 100)
+    spec = parse_spec(spec_text)
+    pre = make_pre(bound, 10000, BlockInfo(sender=Address(1)), sets=spec.sets,
+                   symbols=spec.symbols)
+    prog, _ = entry_program(bound, spec.entry)
+    return pre, prog, compile_posts(bound, spec.posts), spec
+
+
+def full_concretize(sigma, asg):
+    """Reference: rebuild every block, symbolic or not."""
+    return replace(sigma, blocks=tuple(
+        replace(b, payload=concretize_payload(b.payload, asg)) for b in sigma.blocks))
+
+
+def reference_judge(paths, post, symbols):
+    """Re-enumerate each path's condition and concretize whole states."""
+    for p in paths:
+        for asg in satisfying_assignments(p.condition, symbols):
+            init = p.ctx.sigma_init
+            if not post(full_concretize(p.sigma, asg), full_concretize(init, asg)):
+                return "refuted", asg
+    return "verified", None
+
+
+CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+       "==": operator.eq, "!=": operator.ne}
+
+
+def branchy_case(seed):
+    """An if chain over symbols a, b, c with domains of 3 to 5 values."""
+    rng = random.Random(seed)
+    domains = {s: (lo, lo + rng.randrange(2, 5))
+               for s in "abc" for lo in [rng.randrange(0, 3)]}
+    conds = []
+    for _ in range(rng.randrange(4, 8)):
+        left = rng.choice("abc")
+        right = rng.choice([s for s in "abc" if s != left] + [str(rng.randrange(0, 6))])
+        conds.append((left, rng.randrange(0, 3), rng.choice(tuple(CMP)), right))
+    body = "".join(
+        f"        if ({l}{f' + {k}' if k else ''} {op} {r}) {{ r += {1 << j}; }}\n"
+        for j, (l, k, op, r) in enumerate(conds))
+    source = ("contract Branchy {\n    uint a;\n    uint b;\n    uint c;\n"
+              "    uint r = 0;\n    uint s = 7;\n    function f() public {\n"
+              + body + "    }\n}\n")
+    # r == 0 fails on whole paths; a == lo fails on some models of a path
+    post = ("r == 0", "unchanged s", f"a == {domains['a'][0]}")[seed % 3]
+    spec = "entry f\n" + "".join(
+        f"sym {s} : int {lo}..{hi}\n" for s, (lo, hi) in domains.items()) + f"post {post}\n"
+
+    def outcomes(asg):
+        return tuple(CMP[op](asg[l] + k, asg[r] if r in asg else int(r))
+                     for l, k, op, r in conds)
+    grid = [dict(zip("abc", v)) for v in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in domains.values()))]
+    return source, spec, len({outcomes(asg) for asg in grid})
+
+
+class TestEnumerationReuse:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_models_and_verdicts_match_reenumerating_judge(self, seed):
+        source, spec_text, n_paths = branchy_case(seed)
+        pre, prog, post, spec = spec_triple(source, spec_text)
+        symbols = tuple(spec.symbols)
+        verdict = verify_triple(pre, prog, post, symbols=symbols)
+        assert len(verdict.paths) == n_paths
+        for p in verdict.paths:
+            assert p.models == tuple(satisfying_assignments(p.condition, symbols))
+        status, witness = reference_judge(verdict.paths, post, symbols)
+        assert verdict.status == status
+        assert verdict.witness == witness
+
+    def test_concretize_rebuilds_only_symbolic_blocks(self):
+        with open("samples/wallet.lls", encoding="utf-8") as fh:
+            source = fh.read()
+        with open("samples/no_in_time.spec", encoding="utf-8") as fh:
+            pre, _prog, _post, _spec = spec_triple(source, fh.read())
+        sigma = pre(None)[0]
+        asg = {"privilegeOpen": 3, "privilegeClose": 5, "now": 1}
+        out = concretize(sigma, asg)
+        indices = symbolic_blocks(sigma)
+        assert len(indices) == 3
+        assert out.blocks == full_concretize(sigma, asg).blocks
+        assert symbolic_blocks(out) == ()
+        for i, (a, b) in enumerate(zip(out.blocks, sigma.blocks)):
+            assert (a is b) == (i not in indices)
