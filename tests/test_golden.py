@@ -1,0 +1,48 @@
+"""Golden CLI transcripts: dumps, a step transcript and verify verdicts.
+
+Each case runs one ``minisol`` command in process and compares its exit
+code and its standard output byte for byte with ``tests/golden/<name>.out``.
+A golden file is exactly what the command prints, so one is regenerated
+by running the command from the repository root with its output
+redirected, for example::
+
+    PYTHONPATH=src python -m minisol run samples/adder.lls --entry add \
+        --arg a=2 --arg b=3 > tests/golden/run-adder.out
+"""
+
+from pathlib import Path
+
+import pytest
+
+from minisol.cli import cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+WALLET = ["samples/wallet.lls", "--entry", "wallet", "--spec", "samples/wallet_pre.spec",
+          "--arg", "privilegeOpen=0", "--arg", "privilegeClose=3", "--now", "4"]
+
+# name -> (argv, expected exit code)
+CASES = {
+    "run-wallet-throw": (["run", *WALLET, "--msg-value", "1000000000000000000"], 0),
+    "run-spin-gas200": (["run", "samples/spin.lls", "--entry", "spin", "--gas", "200"], 0),
+    "run-adder": (["run", "samples/adder.lls", "--entry", "add",
+                   "--arg", "a=2", "--arg", "b=3"], 0),
+    "run-clamp": (["run", "samples/clamp.lls", "--entry", "clamp", "--arg", "limit=9"], 0),
+    "run-empty": (["run", "samples/empty.lls"], 0),
+    "step-wallet-5": (["step", *WALLET, "--max-steps", "5"], 0),
+    "verify-wallet-no-in-time": (["verify", "samples/wallet.lls",
+                                  "--spec", "samples/no_in_time.spec", "--json"], 0),
+    "verify-branchy": (["verify", "tests/golden/branchy.lls",
+                        "--spec", "tests/golden/branchy.spec", "--json"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name, capsys, monkeypatch):
+    argv, expected_rc = CASES[name]
+    monkeypatch.chdir(ROOT)
+    rc = cli_main(list(argv))
+    out = capsys.readouterr().out
+    assert rc == expected_rc
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
