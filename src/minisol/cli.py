@@ -174,8 +174,7 @@ def cmd_run(ns) -> int:
         prog, leftover = entry_program(bound, entry, entry_args)
         if leftover:
             raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
-        final = interpret(ns.k, world.sigma, world.env, world.fenv, None, prog,
-                       world.ctx)
+        final = interpret(ns.k, world.sigma, world.env, world.fenv, prog, world.ctx)
     if final is None:
         print("execution failed: " + "; ".join(world.ctx.diagnostics[-3:]),
               file=sys.stderr)

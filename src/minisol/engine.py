@@ -1,18 +1,19 @@
 """Top-level interpreter, step debugger, path exploration and
 Hoare-triple checking.
 
-The interpreter drives the statement layer one dispatch at a time:
-check the environment, split the head off the remaining program, execute
-it, recurse on the tail. Two independent budgets bound a run: gas is
+All three ways of running a program are thin callers of the one dispatch
+loop, ``stmts.drive``: ``interpret`` runs it to the end, ``step`` runs
+one statement, and ``explore`` forks a path wherever the loop stops on a
+symbolic branch condition. Two independent budgets bound a run: gas is
 spent per dispatched statement, the recursion budget K per nested value
 or expression evaluation.
 
-Symbolic execution forks a path wherever a branch condition evaluates to
-a symbolic tree. Constraints are discharged by a bounded enumerator over
-each symbol's declared finite domain; no external solver is involved.
-The domain product is enumerated once per exploration: every path
-carries the assignments that satisfy its condition, and a fork filters
-its parent's set by the new constraint.
+Constraints are discharged by a bounded enumerator over each symbol's
+declared finite domain; no external solver is involved. The domain
+product is enumerated once per exploration: every path carries the
+assignments that satisfy its condition, and a fork filters its parent's
+set by the new constraint. Each forked path gets its own copy of the
+execution context.
 """
 
 from __future__ import annotations
@@ -22,9 +23,18 @@ from dataclasses import dataclass, field, replace
 
 from . import memory as gm
 from .memory import MemoryState
-from .stmts import ExecContext, env_check, exec_statement
+from .stmts import (
+    BUDGET,
+    ERROR,
+    FINISHED,
+    NO_STATE,
+    PAUSED,
+    SYMBOLIC,
+    ExecContext,
+    SummaryStep,
+    drive,
+)
 from .symbolic import SymEvalError, SymExpr, collect_symbols, is_symbolic
-from .syntax import LStatement
 from .values import Env
 
 
@@ -97,61 +107,30 @@ class SegmentSummary:
     label: str = "summary"
 
 
-@dataclass
-class _SummaryStep(LStatement):
-    summary: SegmentSummary = None
-
-
 # ---------------------------------------------------------------------------
 # Concrete whole-run execution
 
-def interpret(K: int, sigma: MemoryState | None, env: Env, fenv: Env, args,
+def interpret(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
               prog, ctx: ExecContext | None = None) -> MemoryState | None:
     """Run a typechecked program with concrete inputs.
 
-    Per step: validate the environment and state presence, split off the
-    head, execute it, continue on the tail. An invalid environment
-    returns the incoming optional state; unmatched syntax is absent. The
+    An invalid environment returns the state reached so far; a failed
+    dispatch or a symbolic branch condition makes the result absent. The
     state at entry is snapshotted as the restore point for throw.
     """
     if ctx is None:
         ctx = ExecContext(sigma_init=sigma)
     elif ctx.sigma_init is None:
         ctx.sigma_init = sigma
-    remaining = tuple(prog)
-    while True:
-        # Step 0: environment and state validity.
-        if sigma is None:
-            return None
-        if not remaining or not env_check(env, fenv):
-            return sigma
-        # Step 1: split head from tail; the dispatch costs one gas unit.
-        head, tail = remaining[0], remaining[1:]
-        env = env.spend()
-        # Step 2: execute the head statement.
-        res = _dispatch(K, sigma, args, env, fenv, head, tail, ctx)
-        if res.error is not None:
-            return None
-        if res.symbolic_cond is not None:
-            ctx.fail("symbolic branch condition reached in concrete execution")
-            return None
-        # Step 3: continue with the rewritten remainder.
-        sigma, env, remaining = res.sigma, res.env, res.remaining
-
-
-def _dispatch(K, sigma, args, env, fenv, head, tail, ctx, assume=None):
-    if isinstance(head, _SummaryStep):
-        out = head.summary.transform(sigma)
-        from .stmts import StepResult
-        if out is None:
-            ctx.fail(f"summary {head.summary.label} rejected the state")
-            return StepResult(None, env, tuple(tail), error="summary failed")
-        return StepResult(out, env, tuple(tail))
-    return exec_statement(K, sigma, args, env, fenv, head, tail, ctx, assume)
+    return drive(K, sigma, env, fenv, ctx, prog).final(ctx)
 
 
 # ---------------------------------------------------------------------------
 # Step debugger
+
+_STEP_NOTES = {FINISHED: "finished", NO_STATE: "stuck: no memory state",
+                SYMBOLIC: "stuck: symbolic branch condition"}
+
 
 def step(ps: PathState, K: int = 1000, emit=None) -> PathState:
     """Execute exactly one statement of a path.
@@ -161,22 +140,16 @@ def step(ps: PathState, K: int = 1000, emit=None) -> PathState:
     note. When ``emit`` is given the new memory dump is emitted after
     the step.
     """
-    if not ps.remaining:
-        return replace(ps, note="finished")
-    if ps.sigma is None:
-        return replace(ps, note="stuck: no memory state")
-    if not env_check(ps.env, ps.fenv):
+    run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, limit=1)
+    if run.stop == BUDGET:
         reason = "gas exhausted" if ps.env.gas <= 0 else "environment check failed"
         return replace(ps, note=f"halted: {reason}")
-    env = ps.env.spend()
-    res = _dispatch(K, ps.sigma, None, env, ps.fenv, ps.remaining[0],
-                    ps.remaining[1:], ps.ctx)
-    if res.error is not None:
-        return replace(ps, note=f"stuck: {res.error}")
-    if res.symbolic_cond is not None:
-        return replace(ps, note="stuck: symbolic branch condition")
-    out = replace(ps, sigma=res.sigma, env=res.env, remaining=res.remaining,
-                  note="throw" if res.halted else "")
+    if run.stop == ERROR:
+        return replace(ps, note=f"stuck: {run.error}")
+    if run.stop != PAUSED:
+        return replace(ps, note=_STEP_NOTES[run.stop])
+    out = replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
+                  note="throw" if run.halted else "")
     if emit is not None and out.sigma is not None:
         emit(gm.dump(out.sigma))
     return out
@@ -223,20 +196,29 @@ def concretize_payload(p, assignment):
     return p
 
 
-def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
+def concretize(sigma: MemoryState, assignment, indices=None,
+               memo: dict | None = None) -> MemoryState:
     """Evaluate the symbolic payloads of ``sigma`` under ``assignment``.
 
     Only the blocks at ``indices`` (by default every block that holds a
     symbol) are rebuilt; all other blocks are kept as the same objects.
+    ``memo`` maps ``id`` of a rebuilt block to its result, so two states
+    concretized under one assignment with the same memo share the result
+    for a block object they share.
     """
     if indices is None:
         indices = symbolic_blocks(sigma)
     if not indices:
         return sigma
+    if memo is None:
+        memo = {}
     blocks = list(sigma.blocks)
     for i in indices:
         b = blocks[i]
-        blocks[i] = replace(b, payload=concretize_payload(b.payload, assignment))
+        c = memo.get(id(b))
+        if c is None:
+            c = memo[id(b)] = replace(b, payload=concretize_payload(b.payload, assignment))
+        blocks[i] = c
     return replace(sigma, blocks=tuple(blocks))
 
 
@@ -266,54 +248,37 @@ def symbolic_blocks(sigma: MemoryState) -> tuple:
 def explore(K: int, initial: PathState, symbols) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    The initial path's satisfying assignments are enumerated once. At a
-    symbolic branch the path forks into assumed-true and assumed-false
-    children, each keeping the parent assignments that satisfy its
-    branch; a child with none left is pruned. Results are merged in
+    The initial path's satisfying assignments are enumerated once. When
+    the dispatch loop stops on a symbolic branch the path forks into
+    assumed-false and assumed-true children, each keeping the parent
+    assignments that satisfy its branch and its own copy of the context;
+    a child with no assignment left is pruned. Results are merged in
     path-condition lexicographic order.
     """
     terminals: list[PathState] = []
-    stack = [replace(initial, models=tuple(
-        satisfying_assignments(initial.condition, symbols)))]
+    # (path, branch its first dispatch assumes)
+    stack = [(replace(initial, models=tuple(
+        satisfying_assignments(initial.condition, symbols))), None)]
     while stack:
-        ps = stack.pop()
-        while True:
-            if ps.sigma is None:
-                terminals.append(replace(ps, note=ps.note or "error"))
-                break
-            if not ps.remaining:
-                terminals.append(replace(ps, note=ps.note or "completed"))
-                break
-            if not env_check(ps.env, ps.fenv):
-                kind = "exhausted" if ps.env.gas <= 0 else "completed"
-                terminals.append(replace(ps, note=kind))
-                break
-            env = ps.env.spend()
-            res = _dispatch(K, ps.sigma, None, env, ps.fenv, ps.remaining[0],
-                            ps.remaining[1:], ps.ctx)
-            if res.symbolic_cond is not None:
-                tree = res.symbolic_cond
-                for branch in (False, True):
-                    c = Constraint(tree, branch)
-                    models = tuple(m for m in ps.models if c.holds(m))
-                    if not models:
-                        continue
-                    forked = _dispatch(K, ps.sigma, None, env, ps.fenv,
-                                       ps.remaining[0], ps.remaining[1:],
-                                       ps.ctx, assume=branch)
-                    child = replace(ps, sigma=forked.sigma, env=forked.env,
-                                    remaining=forked.remaining,
-                                    condition=ps.condition + (c,), models=models,
-                                    note="throw" if forked.halted else "")
-                    stack.append(child)
-                break
-            if res.error is not None:
-                terminals.append(replace(ps, sigma=None,
-                                         note=f"error: {res.error}"))
-                break
-            ps = replace(ps, sigma=res.sigma, env=res.env,
-                         remaining=res.remaining,
-                         note="throw" if res.halted else ps.note)
+        ps, assume = stack.pop()
+        run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, assume)
+        ps = replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
+                     note="throw" if run.halted else ps.note)
+        if run.stop == SYMBOLIC:
+            for branch in (False, True):
+                c = Constraint(run.cond, branch)
+                models = tuple(m for m in ps.models if c.holds(m))
+                if models:
+                    stack.append((replace(ps, condition=ps.condition + (c,),
+                                          models=models, ctx=ps.ctx.fork()), branch))
+        elif run.stop == ERROR:
+            terminals.append(replace(ps, sigma=None, note=f"error: {run.error}"))
+        elif run.stop == BUDGET:
+            terminals.append(replace(
+                ps, note="exhausted" if ps.env.gas <= 0 else "completed"))
+        else:
+            default = "error" if ps.sigma is None else "completed"
+            terminals.append(replace(ps, note=ps.note or default))
     terminals.sort(key=lambda p: p.condition_key())
     return terminals
 
@@ -381,7 +346,8 @@ def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
 def _judge(paths, post, pre, original_prog, K) -> Verdict:
     for p in paths:
         if p.note.startswith("error"):
-            return Verdict("error", path=p, diagnostic=p.note, paths=tuple(paths))
+            return Verdict("error", path=p, paths=tuple(paths),
+                           diagnostic=p.note.partition("error: ")[2] or "no memory state")
         if p.note == "exhausted":
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
                            paths=tuple(paths))
@@ -391,9 +357,10 @@ def _judge(paths, post, pre, original_prog, K) -> Verdict:
         init_idx = symbolic_blocks(init) if init is not None else ()
         asgs = p.models if final_idx or init_idx else p.models[:1] or ({},)
         for asg in asgs:
+            memo = {}  # a block the path never wrote is concretized once
             try:
-                final_c = concretize(p.sigma, asg, final_idx)
-                init_c = concretize(init, asg, init_idx) if init is not None else None
+                final_c = concretize(p.sigma, asg, final_idx, memo)
+                init_c = concretize(init, asg, init_idx, memo) if init is not None else None
             except SymEvalError as exc:
                 return Verdict("error", path=p,
                                diagnostic=f"cannot evaluate the state under {asg}: {exc}",
@@ -411,7 +378,7 @@ def _confirm_witness(asg, pre, prog, post, K, path) -> dict:
     witness = dict(asg)
     try:
         sigma, env, fenv, ctx = pre(asg if asg else None)
-        final = interpret(K, sigma, env, fenv, None, prog, ctx)
+        final = interpret(K, sigma, env, fenv, prog, ctx)
         if final is not None and post(final, ctx.sigma_init):
             witness["_replay_mismatch"] = True
     except Exception as exc:  # replay must never mask the refutation
@@ -430,7 +397,7 @@ def _apply_summaries(prog, summaries, pre, post, symbols, condition, K, gas):
         ok = _validate_summary(summary, pre, symbols, condition, K)
         if not ok:
             return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
-        out[idx:idx + len(seg)] = [_SummaryStep(summary)]
+        out[idx:idx + len(seg)] = [SummaryStep(summary.transform, summary.label)]
     return tuple(out)
 
 
@@ -445,7 +412,7 @@ def _validate_summary(summary, pre, symbols, condition, K, samples: int = 3) -> 
     taken = 0
     for asg in satisfying_assignments(condition, symbols) if symbols else [dict()]:
         sigma, env, fenv, ctx = pre(asg if symbols else None)
-        direct = interpret(K, sigma, env, fenv, None, summary.segment, ctx)
+        direct = interpret(K, sigma, env, fenv, summary.segment, ctx)
         via = summary.transform(sigma)
         if direct is None and via is None:
             pass
@@ -477,12 +444,6 @@ def throw_state_post(final: MemoryState, initial: MemoryState | None) -> bool:
         if a != b:
             return False
     return True
-
-
-def block_equals_post(addr: gm.Address, payload) -> "callable":
-    def post(final: MemoryState, initial: MemoryState | None) -> bool:
-        return final is not None and final.blocks[addr.index].payload == payload
-    return post
 
 
 def unchanged_post(addr: gm.Address):

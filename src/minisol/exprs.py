@@ -3,11 +3,12 @@
 Expressions evaluate in two positions: the l-position yields a memory
 address, the r-position a memory value. Only array and mapping constants
 and the four reference forms are addressable; everything else is banned
-on the left. Operator evaluation is centralized in ``eval_bop`` and
-``eval_uop``: fixed-width integer arithmetic wraps (two's complement
-when signed), division and modulo by zero are absent, and both operands
-are always evaluated (no short circuit). When an operand is symbolic the
-result is a symbolic tree of the same kind.
+on the left. ``eval_bop`` and ``eval_uop`` check operand types and
+widths, then apply the operator table of the symbolic module, the same
+one that evaluates symbolic trees: fixed-width integer arithmetic wraps
+(two's complement when signed), division and modulo by zero are absent,
+and both operands are always evaluated (no short circuit). When an
+operand is symbolic the result is a symbolic tree of the same kind.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .memory import (
     StructInstance,
     StructTypeInfo,
 )
-from .symbolic import SymOp, is_symbolic, to_symexpr, trunc_div, trunc_mod, wrap_int
+from .symbolic import SymEvalError, SymOp, apply_op, is_symbolic, to_symexpr
 from .syntax import (
     Ebop,
     Econ,
@@ -43,7 +44,6 @@ from .syntax import (
     payload_matches_type,
 )
 from .values import (
-    BlockInfo,
     Env,
     _concrete_indices,
     eval_value,
@@ -52,19 +52,19 @@ from .values import (
 )
 
 
-def eval_lvalue(K: int, e: LExpr, sigma: MemoryState, binfo: BlockInfo,
+def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
                 env: Env) -> Address | None:
     if K <= 0:
         return None
     if isinstance(e, Econst):
         v = e.value
         if isinstance(v, Varray):
-            indices = _concrete_indices(K - 1, v.indices, sigma, binfo, env)
+            indices = _concrete_indices(K - 1, v.indices, sigma, env)
             if indices is None:
                 return None
             return locate_array_element(v.arr_type, v.base, indices, sigma, env)
         if isinstance(v, Vmap):
-            return resolve_map_path(K - 1, v, sigma, binfo, env)
+            return resolve_map_path(K - 1, v, sigma, env)
         return None
     if isinstance(e, (Evar, Efun, Econ, Epar)):
         return e.addr
@@ -72,48 +72,48 @@ def eval_lvalue(K: int, e: LExpr, sigma: MemoryState, binfo: BlockInfo,
     return None
 
 
-def eval_rvalue(K: int, e: LExpr, sigma: MemoryState, binfo: BlockInfo,
+def eval_rvalue(K: int, e: LExpr, sigma: MemoryState,
                 env: Env) -> MemoryValue | None:
     if K <= 0:
         return None
     if isinstance(e, Econst):
-        return eval_value(K - 1, e.value, sigma, binfo, env)
+        return eval_value(K - 1, e.value, sigma, env)
     if isinstance(e, Estruct):
-        return eval_str(K - 1, e, sigma, binfo, env)
+        return eval_str(K - 1, e, sigma, env)
     if isinstance(e, (Evar, Econ, Epar)):
         if e.addr is None:
             return None
-        return gm.read(sigma, e.addr, "chck", env, binfo)
+        return gm.read(sigma, e.addr, "chck", env)
     if isinstance(e, Efun):
         if e.addr is None:
             return None
-        block = gm.read(sigma, e.addr, "chck", env, binfo)
+        block = gm.read(sigma, e.addr, "chck", env)
         if block is None or not isinstance(block.payload, FunctionInfo):
             return None
         lam = block.payload.ret_addr
         if lam is None:
             return None
-        return gm.read(sigma, lam, "chck", env, binfo)
+        return gm.read(sigma, lam, "chck", env)
     if isinstance(e, Ebop):
-        left = eval_rvalue(K - 1, e.left, sigma, binfo, env)
-        right = eval_rvalue(K - 1, e.right, sigma, binfo, env)
+        left = eval_rvalue(K - 1, e.left, sigma, env)
+        right = eval_rvalue(K - 1, e.right, sigma, env)
         return eval_bop(e.op, left, right)
     if isinstance(e, Euop):
-        operand = eval_rvalue(K - 1, e.operand, sigma, binfo, env)
+        operand = eval_rvalue(K - 1, e.operand, sigma, env)
         return eval_uop(e.op, operand)
     if isinstance(e, Emodifier):
         return None
     return None
 
 
-def eval_str(K: int, e: Estruct, sigma: MemoryState, binfo: BlockInfo,
+def eval_str(K: int, e: Estruct, sigma: MemoryState,
              env: Env) -> MemoryValue | None:
     """Build a struct instance: per-field type match, then evaluation.
 
     Fields evaluate left to right and any failure fails the whole
     construction.
     """
-    ty_block = gm.read(sigma, e.type_addr, "chck", env, binfo)
+    ty_block = gm.read(sigma, e.type_addr, "chck", env)
     if ty_block is None or not isinstance(ty_block.payload, StructTypeInfo):
         return None
     members = ty_block.payload.members
@@ -121,7 +121,7 @@ def eval_str(K: int, e: Estruct, sigma: MemoryState, binfo: BlockInfo,
         return None
     out = []
     for v, (_name, mt) in zip(e.values, members):
-        mv = eval_value(K - 1, v, sigma, binfo, env)
+        mv = eval_value(K - 1, v, sigma, env)
         if mv is None or not payload_matches_type(mv.payload, mt):
             return None
         out.append(mv.payload)
@@ -129,15 +129,11 @@ def eval_str(K: int, e: Estruct, sigma: MemoryState, binfo: BlockInfo,
 
 
 # ---------------------------------------------------------------------------
-# Operators
+# Operators: type guards here, semantics in the table of the symbolic module
 
-_CMP = {"<", ">", "<=", ">=", "==", "!="}
 _ARITH = {"+", "-", "*", "/", "%"}
-_LOGIC = {"&&", "||"}
-
-
-def _sym_any(*vals) -> bool:
-    return any(is_symbolic(v) for v in vals)
+_CMP = {"<", ">", "<=", ">=", "==", "!="}
+_BOOL_OPS = {"&&", "||", "==", "!="}
 
 
 def eval_bop(op: str, lhs: MemoryValue | None,
@@ -145,93 +141,48 @@ def eval_bop(op: str, lhs: MemoryValue | None,
     if lhs is None or rhs is None:
         return None
     lp, rp = lhs.payload, rhs.payload
-
+    width, signed = 0, False
     if isinstance(lp, IntPayload) and isinstance(rp, IntPayload):
         if lp.width != rp.width or lp.signed != rp.signed:
             return None
-        a, b = lp.value, rp.value
-        if a is None or b is None:
-            return None
         if op in _ARITH:
-            if _sym_any(a, b):
-                tree = SymOp(op, (to_symexpr(a), to_symexpr(b)), lp.width, lp.signed)
-                return replace(lhs, payload=IntPayload(tree, lp.width, lp.signed))
-            if op == "+":
-                r = a + b
-            elif op == "-":
-                r = a - b
-            elif op == "*":
-                r = a * b
-            elif op == "/":
-                if b == 0:
-                    return None
-                r = trunc_div(a, b)
-            else:
-                if b == 0:
-                    return None
-                r = trunc_mod(a, b)
-            return replace(lhs, payload=IntPayload(wrap_int(r, lp.width, lp.signed),
-                                                   lp.width, lp.signed))
-        if op in _CMP:
-            if _sym_any(a, b):
-                tree = SymOp(op, (to_symexpr(a), to_symexpr(b)))
-                return replace(lhs, payload=BoolPayload(tree))
-            if op == "<":
-                r = a < b
-            elif op == ">":
-                r = a > b
-            elif op == "<=":
-                r = a <= b
-            elif op == ">=":
-                r = a >= b
-            elif op == "==":
-                r = a == b
-            else:
-                r = a != b
-            return replace(lhs, payload=BoolPayload(r))
-        return None
-
-    if isinstance(lp, BoolPayload) and isinstance(rp, BoolPayload):
-        a, b = lp.bit, rp.bit
-        if a is None or b is None:
+            width, signed = lp.width, lp.signed
+        elif op not in _CMP:
             return None
-        if op in _LOGIC or op in ("==", "!="):
-            if _sym_any(a, b):
-                tree = SymOp(op, (to_symexpr(a), to_symexpr(b)))
-                return replace(lhs, payload=BoolPayload(tree))
-            if op == "&&":
-                r = a and b
-            elif op == "||":
-                r = a or b
-            elif op == "==":
-                r = a == b
-            else:
-                r = a != b
-            return replace(lhs, payload=BoolPayload(bool(r)))
+        a, b = lp.value, rp.value
+    elif isinstance(lp, BoolPayload) and isinstance(rp, BoolPayload):
+        if op not in _BOOL_OPS:
+            return None
+        a, b = lp.bit, rp.bit
+    else:
         return None
-
-    return None
+    if a is None or b is None:
+        return None
+    if is_symbolic(a) or is_symbolic(b):
+        r = SymOp(op, (to_symexpr(a), to_symexpr(b)), width, signed)
+    else:
+        try:
+            r = apply_op(op, (a, b), width, signed)
+        except SymEvalError:
+            return None
+    return replace(lhs, payload=IntPayload(r, width, signed) if op in _ARITH
+                   else BoolPayload(r))
 
 
 def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
     if v is None:
         return None
     p = v.payload
-    if op == "!":
-        if not isinstance(p, BoolPayload) or p.bit is None:
-            return None
-        if is_symbolic(p.bit):
-            return replace(v, payload=BoolPayload(SymOp("!", (to_symexpr(p.bit),))))
-        return replace(v, payload=BoolPayload(not p.bit))
-    if op == "neg":
-        if not isinstance(p, IntPayload) or not p.signed or p.value is None:
-            return None
-        if is_symbolic(p.value):
-            tree = SymOp("neg", (to_symexpr(p.value),), p.width, p.signed)
-            return replace(v, payload=IntPayload(tree, p.width, p.signed))
-        return replace(v, payload=IntPayload(wrap_int(-p.value, p.width, p.signed),
-                                             p.width, p.signed))
-    return None
+    if op == "!" and isinstance(p, BoolPayload):
+        x, width, signed = p.bit, 0, False
+    elif op == "neg" and isinstance(p, IntPayload) and p.signed:
+        x, width, signed = p.value, p.width, p.signed
+    else:
+        return None
+    if x is None:
+        return None
+    r = SymOp(op, (x,), width, signed) if is_symbolic(x) else apply_op(op, (x,), width, signed)
+    return replace(v, payload=BoolPayload(r) if op == "!" else IntPayload(r, width, signed))
 
 
 def extract(v: MemoryValue | None, kind: str):

@@ -259,7 +259,7 @@ def _validated(block: MemoryValue, env) -> bool:
 
 
 def read(sigma: MemoryState, addr: Address, mode: str = "dir",
-         env=None, binfo=None) -> MemoryValue | None:
+         env=None) -> MemoryValue | None:
     if not _in_range(sigma, addr):
         return None
     block = sigma.blocks[addr.index]
@@ -271,7 +271,7 @@ def read(sigma: MemoryState, addr: Address, mode: str = "dir",
 
 
 def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "dir",
-          env=None, binfo=None) -> MemoryState | None:
+          env=None) -> MemoryState | None:
     if not _in_range(sigma, addr):
         return None
     if mode == "chck":

@@ -285,7 +285,7 @@ def check_simulation(corpus, make_state, k: int = 200,
         sigma, env, fenv = make_state(idx)
         rel = relational_eval(sigma, env, fenv, prog)
         ctx = ExecContext(sigma_init=sigma)
-        exe = run_exe(k, sigma, env, fenv, None, prog, ctx)
+        exe = run_exe(k, sigma, env, fenv, prog, ctx)
         rel_final = rel[0] if rel is not None else None
         if rel_final is None and exe is None:
             continue
@@ -314,8 +314,7 @@ def _first_divergent_step(trace: RelTrace, prog, sigma, env, fenv, k,
 
     for i, (_stmt, rel_sigma) in enumerate(trace.steps):
         bounded = replace(env, gas=i + 1)
-        exe_sigma = run_exe(k, sigma, bounded, fenv, None, prog,
-                            ExecContext(sigma_init=sigma))
+        exe_sigma = run_exe(k, sigma, bounded, fenv, prog, ExecContext(sigma_init=sigma))
         if exe_sigma is None or _payloads(exe_sigma) != _payloads(rel_sigma):
             return i
     return len(trace.steps)

@@ -82,10 +82,10 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
 
     registry = {s.name: tuple(s.inherits) for s in bound.decls
                 if isinstance(s, Contract)}
-    ctx = ExecContext(binfo=binfo, registry=registry)
+    ctx = ExecContext(registry=registry)
 
     setup_env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    sigma = interpret(SETUP_K, sigma, setup_env, setup_env, None, bound.decls, ctx)
+    sigma = interpret(SETUP_K, sigma, setup_env, setup_env, bound.decls, ctx)
     if sigma is None:
         raise RunnerError("declarations failed to execute: "
                           + "; ".join(ctx.diagnostics[-3:]))
@@ -131,7 +131,7 @@ def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
     ltype = _target_type(bound, lowered)
     stmt = Assign(lowered, _literal_expr(ltype, raw))
     env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    out = interpret(SETUP_K, sigma, env, env, None, (stmt,), ctx)
+    out = interpret(SETUP_K, sigma, env, env, (stmt,), ctx)
     if out is None:
         raise RunnerError(f"seed write to {lvalue_text!r} failed: "
                           + "; ".join(ctx.diagnostics[-2:]))
@@ -165,7 +165,7 @@ def make_pre(bound: BoundProgram, gas: int, binfo: BlockInfo,
 
 def compile_posts(bound: BoundProgram, posts) -> "callable":
     """Conjoin post lines into one predicate over (final, initial)."""
-    from .engine import throw_state_post
+    from .engine import throw_state_post, unchanged_post
 
     checks = []
     for p in posts:
@@ -191,12 +191,7 @@ def compile_posts(bound: BoundProgram, posts) -> "callable":
         elif p.kind == "unchanged":
             if p.name not in bound.bindings:
                 raise RunnerError(f"post names unknown block {p.name!r}")
-            addr = bound.bindings[p.name]
-
-            def unchanged(final, initial, addr=addr):
-                return (final is not None and initial is not None
-                        and final.blocks[addr.index] == initial.blocks[addr.index])
-            checks.append(unchanged)
+            checks.append(unchanged_post(bound.bindings[p.name]))
         else:
             raise RunnerError(f"unknown post kind {p.kind!r}")
     if not checks:

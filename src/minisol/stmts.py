@@ -1,14 +1,13 @@
-"""Statement-layer semantics: execute statement lists over memory states.
+"""Statement-layer semantics: the one dispatch loop over statement lists.
 
 Execution is head-of-list: each dispatched statement costs one unit of
 gas, transforms the state, and may rewrite the remaining statement list
 (branches prepend the chosen arm, loops re-enqueue themselves, calls
-unfold the stored body). The environment check guards every step; when
-it fails the incoming state is returned as the result.
-
-``exec_statement`` performs exactly one dispatch and is shared by the
-batch runner here and by the stepping and path-forking drivers in the
-engine module.
+unfold the stored body). ``drive`` is the only loop: it checks the
+environment, spends gas, dispatches the head through ``exec_statement``
+and reports why it stopped (see ``Run``). The concrete interpreter, the
+step debugger and the path-forking explorer in the engine module, and
+modifier evaluation here, are thin callers of it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .memory import (
     StructTypeInfo,
     Undef,
 )
-from .symbolic import SymExpr
+from .exprs import eval_lvalue, eval_rvalue, extract
+from .symbolic import SymExpr, is_symbolic
 from .syntax import (
     Assign,
     Contract,
@@ -56,18 +56,17 @@ from .syntax import (
     Vmap,
     array_dims,
 )
-from .values import BlockInfo, Env  # noqa: F401  (Env re-exported)
+from .values import Env  # noqa: F401  (Env re-exported)
 
 __all__ = [
-    "ExecContext", "StepResult", "LayoutInfo", "array_layout", "elem_offset",
-    "env_check", "init_array", "init_var", "exec_statement", "exec_stmts",
+    "ExecContext", "StepResult", "Run", "SummaryStep", "LayoutInfo", "array_layout",
+    "elem_offset", "env_check", "init_array", "init_var", "exec_statement", "drive",
 ]
 
 
 @dataclass
 class ExecContext:
     """Ambient execution context threaded through a run."""
-    binfo: BlockInfo = field(default_factory=BlockInfo)
     sigma_init: MemoryState | None = None  # snapshot restored by throw
     registry: dict = field(default_factory=dict)  # contract name -> inheritance
     diagnostics: list = field(default_factory=list)
@@ -75,6 +74,10 @@ class ExecContext:
     def fail(self, msg: str):
         self.diagnostics.append(msg)
         return None
+
+    def fork(self) -> "ExecContext":
+        """A copy for a forked path: it shares no mutable state."""
+        return ExecContext(self.sigma_init, dict(self.registry), list(self.diagnostics))
 
 
 def env_check(env: Env, fenv: Env) -> bool:
@@ -148,14 +151,13 @@ def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
     return MemoryState(tuple(blocks), sigma.symbol_table, sigma.alloc_floor)
 
 
-def init_var(sigma: MemoryState, env: Env, binfo: BlockInfo, access,
-             ltype, addr: Address, K: int | None = None) -> MemoryState | None:
+def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
+             K: int | None = None) -> MemoryState | None:
     """First write of a declared block: default value, declared access."""
     if addr is None or not 0 <= addr.index < sigma.size:
         return None
     if sigma.blocks[addr.index].occupancy == gm.OCCUPY:
         return None
-    acc = access or gm.PUBLIC
     if isinstance(ltype, Tarray):
         dims, _final = array_dims(ltype)
         layout = array_layout(dims)
@@ -164,15 +166,9 @@ def init_var(sigma: MemoryState, env: Env, binfo: BlockInfo, access,
             return None
         return init_array(K if K is not None else 2 * layout.array_size + 2,
                           sig, addr, ltype, env)
-    if isinstance(ltype, Tmap):
-        head = MapNode(init=addr, kv=None, key_type=ltype.key,
-                       value_type=ltype.value, next=None)
-        value = MemoryValue(head, domain=env.domain, level=env.level,
-                            access=acc, occupancy=gm.OCCUPY)
-        return gm.write(sigma, addr, value, "dir")
-    value = MemoryValue(Undef(), domain=env.domain, level=env.level,
-                        access=acc, occupancy=gm.OCCUPY)
-    return gm.write(sigma, addr, value, "dir")
+    payload = (MapNode(init=addr, kv=None, key_type=ltype.key, value_type=ltype.value,
+                       next=None) if isinstance(ltype, Tmap) else Undef())
+    return _write_payload(sigma, addr, payload, env, access or gm.PUBLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +189,21 @@ def _fail(env, rest, msg, ctx) -> StepResult:
     return StepResult(None, env, tuple(rest), error=msg)
 
 
-def _eval_r(K, e, sigma, ctx, env):
-    from .exprs import eval_rvalue
-    return eval_rvalue(K, e, sigma, ctx.binfo, env)
+@dataclass
+class SummaryStep(LStatement):
+    """A proven program segment replaced by its state transformer."""
+    transform: object = None  # Callable[[MemoryState], MemoryState | None]
+    label: str = "summary"
 
 
-def _eval_l(K, e, sigma, ctx, env):
-    from .exprs import eval_lvalue
-    return eval_lvalue(K, e, sigma, ctx.binfo, env)
-
-
-def _cond_bit(K, e, sigma, ctx, env):
-    from .exprs import eval_rvalue, extract
-    return extract(eval_rvalue(K, e, sigma, ctx.binfo, env), "bool")
-
-
-def exec_statement(K: int, sigma: MemoryState, args, env: Env, fenv: Env,
-                   head: LStatement, rest, ctx: ExecContext,
+def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
+                   ctx: ExecContext, head: LStatement, rest,
                    assume: bool | None = None) -> StepResult:
-    """Dispatch one statement. Gas must already be spent by the caller."""
+    """Dispatch one statement. Gas must already be spent by the caller.
+
+    ``assume`` decides a symbolic branch or loop condition; without it
+    such a condition is returned as ``symbolic_cond``.
+    """
     rest = tuple(rest)
 
     if isinstance(head, Snil):
@@ -244,8 +236,7 @@ def exec_statement(K: int, sigma: MemoryState, args, env: Env, fenv: Env,
         decl = head.decl
         if decl.addr is None:
             return _fail(env, rest, "declaration without an address", ctx)
-        sig = init_var(sigma, env, ctx.binfo, head.access, decl.ltype,
-                       decl.addr, K=K)
+        sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
         if sig is None:
             return _fail(env, rest, f"cannot initialize block {decl.addr}", ctx)
         return StepResult(sig, env, rest)
@@ -261,79 +252,63 @@ def exec_statement(K: int, sigma: MemoryState, args, env: Env, fenv: Env,
         return _exec_call(K, sigma, env, fenv, head, rest, ctx)
 
     if isinstance(head, If):
-        bit = _cond_bit(K, head.cond, sigma, ctx, env)
-        if bit is None:
-            return _fail(env, rest, "branch condition failed to evaluate", ctx)
-        if isinstance(bit, SymExpr):
-            if assume is None:
-                return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
-            bit = assume
-        chosen = head.then if bit else head.orelse
-        return StepResult(sigma, env, tuple(chosen) + rest)
+        return _branch(K, sigma, env, ctx, head, rest, assume, "branch",
+                       tuple(head.then), tuple(head.orelse))
 
     if isinstance(head, LoopWhile):
-        bit = _cond_bit(K, head.cond, sigma, ctx, env)
-        if bit is None:
-            return _fail(env, rest, "loop condition failed to evaluate", ctx)
-        if isinstance(bit, SymExpr):
-            if assume is None:
-                return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
-            bit = assume
-        if bit:
-            return StepResult(sigma, env, tuple(head.body) + (head,) + rest)
-        return StepResult(sigma, env, rest)
+        return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
+                       tuple(head.body) + (head,))
 
     if isinstance(head, LoopFor):
-        bit = _cond_bit(K, head.cond, sigma, ctx, env)
-        if bit is None:
-            return _fail(env, rest, "loop condition failed to evaluate", ctx)
-        if isinstance(bit, SymExpr):
-            if assume is None:
-                return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
-            bit = assume
-        if bit:
-            unrolled = []
-            if head.init is not None:
-                unrolled.append(head.init)
-            unrolled.extend(head.body)
-            if head.post is not None:
-                unrolled.append(head.post)
-            return StepResult(sigma, env, tuple(unrolled) + (head,) + rest)
-        return StepResult(sigma, env, rest)
+        init = (head.init,) if head.init is not None else ()
+        post = (head.post,) if head.post is not None else ()
+        return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
+                       init + tuple(head.body) + post + (head,))
 
-    if isinstance(head, Modifier):
-        return _exec_modifier_decl(K, sigma, env, fenv, head, rest, ctx)
-
-    if isinstance(head, Fun):
+    if isinstance(head, (Fun, Modifier)):
         return _exec_fun_decl(K, sigma, env, fenv, head, rest, ctx)
 
     if isinstance(head, Assign):
         return _exec_assign(K, sigma, env, fenv, head, rest, ctx)
 
-    if isinstance(head, Return):
-        value = _eval_r(K, head.value, sigma, ctx, env)
-        if value is None:
-            return _fail(env, rest, "return value failed to evaluate", ctx)
-        sig = _write_returns(sigma, env, ctx, (value,))
+    if isinstance(head, (Return, Returns)):
+        exprs = (head.value,) if isinstance(head, Return) else head.values
+        values = []
+        for e in exprs:
+            v = eval_rvalue(K, e, sigma, env)
+            if v is None:
+                return _fail(env, rest, "return value failed to evaluate", ctx)
+            values.append(v)
+        sig = _write_returns(sigma, env, tuple(values))
         if sig is None:
             return _fail(env, rest, "return slot is not writable", ctx)
         env2 = replace(env, domain=fenv.domain)
         return StepResult(sig, env2, rest)
 
-    if isinstance(head, Returns):
-        values = []
-        for e in head.values:
-            v = _eval_r(K, e, sigma, ctx, env)
-            if v is None:
-                return _fail(env, rest, "returned value failed to evaluate", ctx)
-            values.append(v)
-        sig = _write_returns(sigma, env, ctx, tuple(values))
-        if sig is None:
-            return _fail(env, rest, "return slots are not writable", ctx)
-        env2 = replace(env, domain=fenv.domain)
-        return StepResult(sig, env2, rest)
+    if isinstance(head, SummaryStep):
+        out = head.transform(sigma)
+        if out is None:
+            return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
+        return StepResult(out, env, rest)
 
     return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
+
+
+def _branch(K, sigma, env, ctx, head, rest, assume, what, taken,
+            skipped=()) -> StepResult:
+    """Decide the condition of an If or a loop and prepend the chosen arm.
+
+    A symbolic condition leaves the statement in place and is returned
+    as ``symbolic_cond``, unless ``assume`` decides it.
+    """
+    bit = extract(eval_rvalue(K, head.cond, sigma, env), "bool")
+    if bit is None:
+        return _fail(env, rest, f"{what} condition failed to evaluate", ctx)
+    if isinstance(bit, SymExpr):
+        if assume is None:
+            return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
+        bit = assume
+    return StepResult(sigma, env, (taken if bit else skipped) + rest)
 
 
 def _current_ret_addr(sigma: MemoryState, env: Env) -> Address | None:
@@ -347,7 +322,7 @@ def _current_ret_addr(sigma: MemoryState, env: Env) -> Address | None:
     return None
 
 
-def _write_returns(sigma, env, ctx, values) -> MemoryState | None:
+def _write_returns(sigma, env, values) -> MemoryState | None:
     lam = _current_ret_addr(sigma, env)
     if lam is None:
         # Top-level return: nothing to store, the domain switch still halts.
@@ -355,7 +330,7 @@ def _write_returns(sigma, env, ctx, values) -> MemoryState | None:
     sig = sigma
     for i, v in enumerate(values):
         target = Address(lam.index + i)
-        sig = gm.write(sig, target, v, "chck", env, ctx.binfo)
+        sig = gm.write(sig, target, v, "chck", env)
         if sig is None:
             return None
     return sig
@@ -369,14 +344,14 @@ def _exec_call(K, sigma, env, fenv, head: FunCall, rest, ctx) -> StepResult:
             return _fail(env, rest, "call target has no address", ctx)
         target = callee.addr
     else:
-        cv = _eval_r(K, callee, sigma, ctx, env)
+        cv = eval_rvalue(K, callee, sigma, env)
         if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
             return _fail(env, rest, "call target is not a function value", ctx)
         fid = cv.payload
         target = fid.fun
     arg_values = []
     for a in head.args:
-        v = _eval_r(K, a, sigma, ctx, env)
+        v = eval_rvalue(K, a, sigma, env)
         if v is None:
             return _fail(env, rest, "call argument failed to evaluate", ctx)
         arg_values.append(v)
@@ -388,8 +363,7 @@ def _exec_call(K, sigma, env, fenv, head: FunCall, rest, ctx) -> StepResult:
 
 def _enter_call(K, sigma, env, fenv, target: Address, fid, arg_values,
                 rest, ctx) -> StepResult:
-    from .exprs import extract
-    block = gm.read(sigma, target, "chck", env, ctx.binfo)
+    block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
         return _fail(env, rest, f"no function stored at {target}", ctx)
     info = block.payload
@@ -415,26 +389,6 @@ def _enter_call(K, sigma, env, fenv, target: Address, fid, arg_values,
     return StepResult(sig, env2, tuple(body) + rest)
 
 
-def _exec_modifier_decl(K, sigma, env, fenv, head: Modifier, rest, ctx) -> StepResult:
-    sig = sigma
-    for p in head.params:
-        sig = init_var(sig, env, ctx.binfo, None, p.ltype, p.addr, K=K)
-        if sig is None:
-            return _fail(env, rest, "modifier parameter block not free", ctx)
-    if head.ret_addr is not None:
-        sig = _init_return_slots(sig, env, head.ret_addr, (Tbool(),))
-        if sig is None:
-            return _fail(env, rest, "modifier return slot not available", ctx)
-    body = tuple(head.body)
-    if not body or not isinstance(body[-1], FunStop):
-        body = body + (FunStop(),)
-    info = FunctionInfo((Tbool(),), tuple(head.params), head.ret_addr, body)
-    sig = _write_payload(sig, head.name, info, env)
-    if sig is None:
-        return _fail(env, rest, "modifier block out of range", ctx)
-    return StepResult(sig, env, rest)
-
-
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
     count = max(1, len(returns))
     sig = sigma
@@ -449,40 +403,44 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, fenv, head: Fun, rest, ctx) -> StepResult:
-    if head.modifiers:
-        names = gm.reserved_addresses(sigma.size)
-        flag_idx = names["0xmodifier"].index
-        env_cur = env
+def _exec_fun_decl(K, sigma, env, fenv, head: Fun | Modifier, rest, ctx) -> StepResult:
+    """Store a function, or a modifier (a function returning one bool).
+
+    A function's modifiers run first, from the same state: each may set
+    only the modifier flag, and a false flag skips the declaration.
+    """
+    is_fun = isinstance(head, Fun)
+    what = "function" if is_fun else "modifier"
+    if is_fun and head.modifiers:
+        flag_idx = gm.reserved_addresses(sigma.size)["0xmodifier"].index
         for call in head.modifiers:
-            after, env_cur = _run(K, sigma, None, env_cur, fenv, (call,), ctx)
+            run = drive(K, sigma, env, fenv, ctx, (call,))
+            after, env = run.final(ctx), run.env
             if after is None:
-                return _fail(env_cur, rest, "modifier evaluation failed", ctx)
+                return _fail(env, rest, "modifier evaluation failed", ctx)
             verdict = _modif_check(sigma, after, flag_idx)
             if verdict is None:
-                return _fail(env_cur, rest,
-                             "modifier touched memory outside its flag", ctx)
+                return _fail(env, rest, "modifier touched memory outside its flag", ctx)
             if verdict is False:
                 # Checks came back false: the guarded function is skipped.
-                return StepResult(sigma, env_cur, rest)
-        env = env_cur
+                return StepResult(sigma, env, rest)
+    returns = tuple(head.returns) if is_fun else (Tbool(),)
     sig = sigma
     for p in head.params:
-        sig = init_var(sig, env, ctx.binfo, None, p.ltype, p.addr, K=K)
+        sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
         if sig is None:
-            return _fail(env, rest, "parameter block not free", ctx)
+            return _fail(env, rest, f"{what} parameter block not free", ctx)
     if head.ret_addr is not None:
-        sig = _init_return_slots(sig, env, head.ret_addr, head.returns)
+        sig = _init_return_slots(sig, env, head.ret_addr, returns)
         if sig is None:
-            return _fail(env, rest, "return slots not available", ctx)
+            return _fail(env, rest, f"{what} return slots not available", ctx)
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
-    info = FunctionInfo(tuple(head.returns), tuple(head.params),
-                        head.ret_addr, body)
+    info = FunctionInfo(returns, tuple(head.params), head.ret_addr, body)
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
-        return _fail(env, rest, "function block out of range", ctx)
+        return _fail(env, rest, f"{what} block out of range", ctx)
     return StepResult(sig, env, rest)
 
 
@@ -503,7 +461,7 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
 
 
 def _exec_assign(K, sigma, env, fenv, head: Assign, rest, ctx) -> StepResult:
-    rhs = _eval_r(K, head.rhs, sigma, ctx, env)
+    rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
     if isinstance(rhs.payload, Fid) and rhs.payload.fun is not None:
@@ -511,49 +469,49 @@ def _exec_assign(K, sigma, env, fenv, head: Assign, rest, ctx) -> StepResult:
         fid = rhs.payload
         return _enter_call(K, sigma, env, fenv, fid.fun, fid,
                            tuple(fid.args or ()), rest, ctx)
-    addr = _eval_l(K, head.lhs, sigma, ctx, env)
+    addr = eval_lvalue(K, head.lhs, sigma, env)
     if addr is None:
-        if isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap):
-            sig = _map_insert(K, sigma, head.lhs.value, rhs, env, ctx)
-            if sig is None:
-                return _fail(env, rest, "mapping insert failed", ctx)
-            return StepResult(sig, env, rest)
-        return _fail(env, rest, "assignment target has no address", ctx)
+        if not (isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap)):
+            return _fail(env, rest, "assignment target has no address", ctx)
+        keys = []
+        for e in head.lhs.value.keys:
+            kv = eval_rvalue(K, e, sigma, env)
+            if kv is None:
+                return _fail(env, rest, "mapping key failed to evaluate", ctx)
+            p = kv.payload
+            tree = (p.bit if isinstance(p, BoolPayload)
+                    else p.value if isinstance(p, gm.IntPayload) else None)
+            if is_symbolic(tree):
+                # Chains key on concrete payloads only.
+                return _fail(env, rest, f"mapping key {tree} is symbolic; "
+                             "symbolic mapping keys are unsupported", ctx)
+            keys.append(p)
+        sig = _map_insert(sigma, head.lhs.value, keys, rhs, env)
+        if sig is None:
+            return _fail(env, rest, "mapping insert failed", ctx)
+        return StepResult(sig, env, rest)
     target = gm.read(sigma, addr, "dir")
     if target is not None and isinstance(target.payload, MapNode):
         node = target.payload
         if node.kv is None:
             return _fail(env, rest, "cannot assign into a mapping head", ctx)
         grafted = replace(target, payload=replace(node, kv=(node.kv[0], rhs.payload)))
-        sig = gm.write(sigma, addr, grafted, "chck", env, ctx.binfo)
+        sig = gm.write(sigma, addr, grafted, "chck", env)
     else:
-        sig = gm.write(sigma, addr, rhs, "chck", env, ctx.binfo)
+        sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:
         return _fail(env, rest, f"validated write to {addr} failed", ctx)
     return StepResult(sig, env, rest)
 
 
-def _map_insert(K, sigma, vmap: Vmap, value: MemoryValue, env: Env,
-                ctx: ExecContext) -> MemoryState | None:
+def _map_insert(sigma, vmap: Vmap, key_payloads, value: MemoryValue,
+                env: Env) -> MemoryState | None:
     """Create the chain entry for a missing key (insert-only mappings)."""
-    from .symbolic import is_symbolic
-
-    key_payloads = []
-    for e in vmap.keys:
-        kv = _eval_r(K, e, sigma, ctx, env)
-        if kv is None:
-            return None
-        key_payloads.append(kv.payload)
     kt, vt = vmap.key_type, vmap.value_type
     sig = sigma
     base = vmap.base
     for i, key in enumerate(key_payloads):
-        # Chains key on concrete payloads only.
-        if isinstance(key, BoolPayload) and is_symbolic(key.bit):
-            return None
-        if isinstance(key, gm.IntPayload) and is_symbolic(key.value):
-            return None
-        head_block = gm.read(sig, base, "chck", env, ctx.binfo)
+        head_block = gm.read(sig, base, "chck", env)
         if head_block is None or not isinstance(head_block.payload, MapNode):
             return None
         last = i + 1 == len(key_payloads)
@@ -577,7 +535,7 @@ def _map_insert(K, sigma, vmap: Vmap, value: MemoryValue, env: Env,
                 node = blk.payload
                 sig = gm.write(sig, found,
                                replace(blk, payload=replace(node, kv=(key, value.payload))),
-                               "chck", env, ctx.binfo)
+                               "chck", env)
                 return sig
             blk = gm.read(sig, found, "dir")
             entry = blk.payload.kv[1]
@@ -624,37 +582,63 @@ def _map_insert(K, sigma, vmap: Vmap, value: MemoryValue, env: Env,
 
 
 # ---------------------------------------------------------------------------
-# Batch runner
+# The dispatch loop
 
-def _run(K, sigma, args, env: Env, fenv: Env, prog, ctx: ExecContext):
-    """Run to completion; returns (optional state, final environment)."""
+# Why ``drive`` stopped. After ERROR and SYMBOLIC the run holds the state
+# before the failing dispatch, with that statement still at the head.
+FINISHED = "finished"   # no statement left
+NO_STATE = "no state"   # the memory state is absent
+BUDGET = "budget"       # the environment check failed: gas spent or body done
+ERROR = "error"
+SYMBOLIC = "symbolic"   # a branch condition is a symbolic tree
+PAUSED = "paused"       # the requested number of dispatches ran
+
+
+@dataclass
+class Run:
+    stop: str
+    sigma: MemoryState | None
+    env: Env
+    remaining: tuple
+    error: str | None = None
+    cond: SymExpr | None = None  # the condition when stopped on SYMBOLIC
+    halted: bool = False         # the last dispatch was a throw
+
+    def final(self, ctx: ExecContext) -> MemoryState | None:
+        """The result of a concrete run: absent after a failed dispatch, a
+        symbolic branch condition or a lost state."""
+        if self.stop == SYMBOLIC:
+            ctx.fail("symbolic branch condition reached in concrete execution")
+        return self.sigma if self.stop in (FINISHED, BUDGET) else None
+
+
+def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
+          ctx: ExecContext, prog, assume: bool | None = None,
+          limit: int | None = None) -> Run:
+    """Run ``prog`` until it stops; at most ``limit`` dispatches if given.
+
+    Per dispatch: check the state and the environment, spend one unit of
+    gas, execute the head, continue on the rewritten remainder.
+    ``assume`` decides a symbolic condition of the first dispatch only.
+    """
     remaining = tuple(prog)
+    halted = False
     while True:
-        if sigma is None:
-            return None, env
+        if limit == 0:
+            return Run(PAUSED, sigma, env, remaining, halted=halted)
         if not remaining:
-            return sigma, env
+            return Run(FINISHED, sigma, env, remaining, halted=halted)
+        if sigma is None:
+            return Run(NO_STATE, sigma, env, remaining, halted=halted)
         if not env_check(env, fenv):
-            return sigma, env
-        env = env.spend()
-        res = exec_statement(K, sigma, args, env, fenv, remaining[0],
-                             remaining[1:], ctx)
+            return Run(BUDGET, sigma, env, remaining, halted=halted)
+        res = exec_statement(K, sigma, env.spend(), fenv, ctx, remaining[0],
+                             remaining[1:], assume)
         if res.error is not None:
-            return None, res.env
+            return Run(ERROR, sigma, env, remaining, error=res.error)
         if res.symbolic_cond is not None:
-            ctx.fail("symbolic branch condition in concrete execution")
-            return None, res.env
-        sigma, env, remaining = res.sigma, res.env, res.remaining
-
-
-def exec_stmts(K: int, sigma: MemoryState | None, args, env: Env, fenv: Env,
-        prog, ctx: ExecContext | None = None) -> MemoryState | None:
-    """Execute a typechecked statement list; absent on any failure."""
-    if sigma is None:
-        return None
-    if ctx is None:
-        ctx = ExecContext(sigma_init=sigma)
-    elif ctx.sigma_init is None:
-        ctx.sigma_init = sigma
-    final, _env = _run(K, sigma, args, env, fenv, prog, ctx)
-    return final
+            return Run(SYMBOLIC, sigma, env, remaining, cond=res.symbolic_cond)
+        sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
+        assume = None
+        if limit is not None:
+            limit -= 1

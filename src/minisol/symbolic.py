@@ -6,13 +6,17 @@ operator evaluators when an operand is symbolic and are discharged by the
 bounded enumerator in the engine, which evaluates them under concrete
 assignments drawn from each symbol's declared finite domain.
 
-Arithmetic nodes record the fixed width and signedness of their operands
-so that evaluating a tree under an assignment reproduces the concrete
-evaluator bit for bit (wraparound included).
+Arithmetic nodes record the fixed width and signedness of their operands.
+Both evaluating a tree under an assignment and the concrete operator
+evaluators in the expression layer go through the one operator table,
+``OPS`` with ``apply_op``, which holds the wraparound and the
+division-by-zero rule, so symbolic and concrete results agree by
+construction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -59,11 +63,8 @@ class SymOp(SymExpr):
     signed: bool = False
 
     def eval(self, assignment):
-        vals = [a.eval(assignment) for a in self.args]
-        out = _apply(self.op, vals)
-        if self.width and isinstance(out, int) and not isinstance(out, bool):
-            out = wrap_int(out, self.width, self.signed)
-        return out
+        return apply_op(self.op, [a.eval(assignment) for a in self.args],
+                        self.width, self.signed)
 
     def __str__(self):
         if len(self.args) == 1:
@@ -90,45 +91,43 @@ def trunc_mod(a: int, b: int) -> int:
     return a - trunc_div(a, b) * b
 
 
-def _apply(op, vals):
+def _div(a, b):
+    if b == 0:
+        raise SymEvalError("division by zero")
+    return trunc_div(a, b)
+
+
+def _mod(a, b):
+    if b == 0:
+        raise SymEvalError("modulo by zero")
+    return trunc_mod(a, b)
+
+
+# The one operator table: concrete evaluation in the expression layer and
+# SymOp.eval both go through apply_op.
+OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
+    "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+    "&&": lambda a, b: bool(a) and bool(b), "||": lambda a, b: bool(a) or bool(b),
+    "!": operator.not_, "neg": operator.neg,
+}
+
+
+def apply_op(op: str, vals, width: int = 0, signed: bool = False):
+    """Apply ``op`` to concrete operands; a nonzero width wraps the result.
+
+    Raises SymEvalError for an unknown operator, mistyped operands and
+    division or modulo by zero.
+    """
+    fn = OPS.get(op)
+    if fn is None:
+        raise SymEvalError(f"unknown operator {op!r}")
     try:
-        if op == "+":
-            return vals[0] + vals[1]
-        if op == "-":
-            return vals[0] - vals[1]
-        if op == "*":
-            return vals[0] * vals[1]
-        if op == "/":
-            if vals[1] == 0:
-                raise SymEvalError("division by zero")
-            return trunc_div(vals[0], vals[1])
-        if op == "%":
-            if vals[1] == 0:
-                raise SymEvalError("modulo by zero")
-            return trunc_mod(vals[0], vals[1])
-        if op == "<":
-            return vals[0] < vals[1]
-        if op == ">":
-            return vals[0] > vals[1]
-        if op == "<=":
-            return vals[0] <= vals[1]
-        if op == ">=":
-            return vals[0] >= vals[1]
-        if op == "==":
-            return vals[0] == vals[1]
-        if op == "!=":
-            return vals[0] != vals[1]
-        if op == "&&":
-            return bool(vals[0]) and bool(vals[1])
-        if op == "||":
-            return bool(vals[0]) or bool(vals[1])
-        if op == "!":
-            return not vals[0]
-        if op == "neg":
-            return -vals[0]
+        out = fn(*vals)
     except TypeError as exc:
         raise SymEvalError(str(exc)) from exc
-    raise SymEvalError(f"unknown operator {op!r}")
+    return wrap_int(out, width, signed) if width else out
 
 
 def is_symbolic(x) -> bool:

@@ -71,7 +71,7 @@ def initial_env(gas: int, domain: Address, level: int = TOP_LEVEL) -> Env:
     return Env(gas=gas, gas_limit=gas, level=level, domain=domain)
 
 
-def eval_value(K: int, v: LValue, sigma: MemoryState, binfo: BlockInfo,
+def eval_value(K: int, v: LValue, sigma: MemoryState,
                env: Env) -> MemoryValue | None:
     if K <= 0:
         return None
@@ -81,21 +81,21 @@ def eval_value(K: int, v: LValue, sigma: MemoryState, binfo: BlockInfo,
         return mvalue(IntPayload(wrap_int(v.value, v.width, v.signed),
                                  v.width, v.signed), env)
     if isinstance(v, Varray):
-        indices = _concrete_indices(K - 1, v.indices, sigma, binfo, env)
+        indices = _concrete_indices(K - 1, v.indices, sigma, env)
         if indices is None:
             return None
         addr = locate_array_element(v.arr_type, v.base, indices, sigma, env)
         if addr is None:
             return None
-        return gm.read(sigma, addr, "chck", env, binfo)
+        return gm.read(sigma, addr, "chck", env)
     if isinstance(v, Vmap):
-        node_addr = resolve_map_path(K - 1, v, sigma, binfo, env)
+        node_addr = resolve_map_path(K - 1, v, sigma, env)
         if node_addr is None:
             return None
-        node = gm.read(sigma, node_addr, "chck", env, binfo)
+        node = gm.read(sigma, node_addr, "chck", env)
         return map_entry_value(node)
     if isinstance(v, Vstruct):
-        block = gm.read(sigma, v.inst_addr, "chck", env, binfo)
+        block = gm.read(sigma, v.inst_addr, "chck", env)
         if block is None or not isinstance(block.payload, StructInstance):
             return None
         inst = block.payload
@@ -107,27 +107,27 @@ def eval_value(K: int, v: LValue, sigma: MemoryState, binfo: BlockInfo,
         if v.args is not None:
             args = []
             for a in v.args:
-                av = _eval_expr_r(K - 1, a, sigma, binfo, env)
+                av = _eval_expr_r(K - 1, a, sigma, env)
                 if av is None:
                     return None
                 args.append(av)
             args = tuple(args)
-        return resolve_field(v.inst_addr, v.members, args, sigma, env, binfo,
+        return resolve_field(v.inst_addr, v.members, args, sigma, env,
                              expected_type=v.type_addr)
     return None
 
 
-def _eval_expr_r(K, e, sigma, binfo, env):
+def _eval_expr_r(K, e, sigma, env):
     # Index, key and argument positions hold full expressions; the
     # expression layer lives above this one, so reach up lazily.
     from .exprs import eval_rvalue
-    return eval_rvalue(K, e, sigma, binfo, env)
+    return eval_rvalue(K, e, sigma, env)
 
 
-def _concrete_indices(K, index_exprs, sigma, binfo, env):
+def _concrete_indices(K, index_exprs, sigma, env):
     out = []
     for e in index_exprs:
-        mv = _eval_expr_r(K, e, sigma, binfo, env)
+        mv = _eval_expr_r(K, e, sigma, env)
         if mv is None or not isinstance(mv.payload, IntPayload):
             return None
         val = mv.payload.value
@@ -174,7 +174,7 @@ def locate_map_node(key_payload, base: Address, sigma: MemoryState,
     return None
 
 
-def resolve_map_path(K: int, v: Vmap, sigma: MemoryState, binfo: BlockInfo,
+def resolve_map_path(K: int, v: Vmap, sigma: MemoryState,
                      env: Env) -> Address | None:
     """Resolve a (possibly nested) mapping access to its entry node."""
     if K <= 0:
@@ -182,7 +182,7 @@ def resolve_map_path(K: int, v: Vmap, sigma: MemoryState, binfo: BlockInfo,
     base = v.base
     addr = None
     for i, key_expr in enumerate(v.keys):
-        kv = _eval_expr_r(K - 1, key_expr, sigma, binfo, env)
+        kv = _eval_expr_r(K - 1, key_expr, sigma, env)
         if kv is None:
             return None
         addr = locate_map_node(kv.payload, base, sigma, env)
@@ -206,10 +206,10 @@ def map_entry_value(node: MemoryValue | None) -> MemoryValue | None:
     return replace(node, payload=node.payload.kv[1])
 
 
-def resolve_instance(sigma: MemoryState, env: Env, binfo: BlockInfo,
-              head: Address) -> tuple[Address, Address] | None:
+def resolve_instance(sigma: MemoryState, env: Env,
+                     head: Address) -> tuple[Address, Address] | None:
     """Base information of a struct value: instance and type addresses."""
-    block = gm.read(sigma, head, "chck", env, binfo)
+    block = gm.read(sigma, head, "chck", env)
     if block is None or not isinstance(block.payload, StructInstance):
         return None
     if block.payload.type_addr is None:
@@ -217,10 +217,10 @@ def resolve_instance(sigma: MemoryState, env: Env, binfo: BlockInfo,
     return head, block.payload.type_addr
 
 
-def walk_members(sigma: MemoryState, members, env: Env, binfo: BlockInfo,
-              a_init: Address, a_type: Address):
+def walk_members(sigma: MemoryState, members, env: Env,
+                 a_init: Address, a_type: Address):
     """Walk a member path; returns (owner address, member payload)."""
-    inst_block = gm.read(sigma, a_init, "chck", env, binfo)
+    inst_block = gm.read(sigma, a_init, "chck", env)
     if inst_block is None or not isinstance(inst_block.payload, StructInstance):
         return None
     inst = inst_block.payload
@@ -228,7 +228,7 @@ def walk_members(sigma: MemoryState, members, env: Env, binfo: BlockInfo,
     cur_type = a_type
     payload = None
     for i, name in enumerate(members):
-        ty_block = gm.read(sigma, cur_type, "chck", env, binfo)
+        ty_block = gm.read(sigma, cur_type, "chck", env)
         if ty_block is None or not isinstance(ty_block.payload, StructTypeInfo):
             return None
         names = [n for n, _t in ty_block.payload.members]
@@ -251,17 +251,16 @@ def bind_receiver(receiver: Address, fid: Fid, args) -> Fid:
 
 
 def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
-                  binfo: BlockInfo, expected_type: Address | None = None
-                  ) -> MemoryValue | None:
+                  expected_type: Address | None = None) -> MemoryValue | None:
     if not members:
         return None
-    based = resolve_instance(sigma, env, binfo, head)
+    based = resolve_instance(sigma, env, head)
     if based is None:
         return None
     a_init, a_type = based
     if expected_type is not None and a_type != expected_type:
         return None
-    found = walk_members(sigma, members, env, binfo, a_init, a_type)
+    found = walk_members(sigma, members, env, a_init, a_type)
     if found is None:
         return None
     receiver, payload = found

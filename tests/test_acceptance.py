@@ -40,7 +40,7 @@ from minisol.proggen import ProgramGen, generate_program
 from minisol.runner import build_world, compile_posts, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ExecContext, exec_stmts, init_array, init_var
+from minisol.stmts import ExecContext, init_array, init_var
 from minisol.syntax import (
     Assign,
     Ebop,
@@ -267,16 +267,16 @@ def test_criterion_03_if_false():
         s_prime = tuple(gen.stmt_list(3, rng.randint(1, 3)))
 
         sigma, env = world(mem=64, gas=5000)
-        seeded = exec_stmts(400, sigma, None, env, env, setup)
+        seeded = interpret(400, sigma, env, env, setup)
         assert seeded is not None
 
         gas = 600
         whole = interpret(400, seeded, initial_env(gas, env.domain),
-                       initial_env(gas, env.domain), None,
+                       initial_env(gas, env.domain),
                        [If(Econst(Vbool(False)), s, s_prime)],
                        ExecContext(sigma_init=seeded))
         alone = interpret(400, seeded, initial_env(gas - 1, env.domain),
-                       initial_env(gas - 1, env.domain), None, list(s_prime),
+                       initial_env(gas - 1, env.domain), list(s_prime),
                        ExecContext(sigma_init=seeded))
         if whole is None or alone is None:
             assert whole is None and alone is None, f"case {case}"
@@ -293,9 +293,9 @@ def test_criterion_04_determinism():
     for case in range(200):
         prog = generate_program(rng.randrange(1 << 30), length=6)
         sigma, env = world(mem=64, gas=2000)
-        first = interpret(300, sigma, env, env, None, prog,
+        first = interpret(300, sigma, env, env, prog,
                        ExecContext(sigma_init=sigma))
-        second = interpret(300, sigma, env, env, None, prog,
+        second = interpret(300, sigma, env, env, prog,
                         ExecContext(sigma_init=sigma))
         if first is None:
             assert second is None, f"case {case}"
@@ -445,17 +445,16 @@ def test_criterion_08_type_safety():
         prog = generate_program(rng.randrange(1 << 30), length=5)
         sigma, env = world(mem=64, gas=1500)
         ctx = ExecContext(sigma_init=sigma)
-        out = interpret(300, sigma, env, env, None, prog, ctx)
+        out = interpret(300, sigma, env, env, prog, ctx)
         assert out is None or isinstance(out, MemoryState)
         if out is None:
             assert ctx.diagnostics  # the absence is classified
 
     # well-typed expressions preserve their checked result kind
     sigma, env = world(mem=64)
-    binfo = BlockInfo()
     gen = ProgramGen(random.Random(77))
     decls = gen.declarations()
-    seeded = exec_stmts(400, sigma, None, env, env, decls)
+    seeded = interpret(400, sigma, env, env, decls)
     tctx = TypeContext()
     typecheck_stmt(decls, tctx)
     checked_values = 0
@@ -465,7 +464,7 @@ def test_criterion_08_type_safety():
             (_, t1) = typecheck_expr(expr, tctx)
         except LTypeError:
             continue
-        out = eval_rvalue(200, expr, seeded, binfo, env)
+        out = eval_rvalue(200, expr, seeded, env)
         if out is not None:
             assert payload_matches_type(out.payload, t1), (expr, t1)
             checked_values += 1
@@ -482,7 +481,7 @@ def test_criterion_09_modifier_isolation():
 
     def build(modifier_body):
         sigma, env = world()
-        sigma = init_var(sigma, env, BlockInfo(), "public", Tuint(), X)
+        sigma = init_var(sigma, env, "public", Tuint(), X)
         prog = [
             Modifier(MOD, (), tuple(modifier_body), MLAM),
             Fun(FUN, (FunCall(Efun(MOD, Tfid(MOD)), ()),), (), (),
@@ -494,7 +493,7 @@ def test_criterion_09_modifier_isolation():
     # pure check: raise the flag, touch nothing else; function runs
     prog, sigma, env = build(
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True)))])
-    out = interpret(300, sigma, env, env, None, prog, ExecContext(sigma_init=sigma))
+    out = interpret(300, sigma, env, env, prog, ExecContext(sigma_init=sigma))
     assert out is not None
     assert out.blocks[X.index].payload == IntPayload(1)
 
@@ -503,7 +502,7 @@ def test_criterion_09_modifier_isolation():
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True))),
          Assign(Evar(X, Tuint()), Econst(Vint(9)))])
     ctx = ExecContext(sigma_init=sigma)
-    out = interpret(300, sigma, env, env, None, prog, ctx)
+    out = interpret(300, sigma, env, env, prog, ctx)
     assert out is None
     assert any("modifier" in d for d in ctx.diagnostics)
 
@@ -516,25 +515,24 @@ def test_criterion_10_mapping_semantics():
     from minisol.syntax import Tmap
 
     sigma, env = world()
-    binfo = BlockInfo()
     M = Address(5)
 
     # one-dimensional write-then-read through l- and r-positions
-    sigma1 = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tuint()), M)
+    sigma1 = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), M)
     entry = Econst(Vmap(M, (Econst(Vint(10)),), Tuint(), Tuint(), None))
-    out = exec_stmts(300, sigma1, None, env, env, [Assign(entry, Econst(Vint(42)))])
+    out = interpret(300, sigma1, env, env, [Assign(entry, Econst(Vint(42)))])
     assert out is not None
-    assert eval_rvalue(50, entry, out, binfo, env).payload == IntPayload(42)
+    assert eval_rvalue(50, entry, out, env).payload == IntPayload(42)
 
     # two-dimensional mapping: nested chain structure
     N = Address(6)
     inner_t = Tmap(Tuint(), Tuint())
-    sigma2 = init_var(out, env, binfo, None, Tmap(Tuint(), inner_t), N)
+    sigma2 = init_var(out, env, None, Tmap(Tuint(), inner_t), N)
     nested = Econst(Vmap(N, (Econst(Vint(1)), Econst(Vint(2))),
                          Tuint(), inner_t, None))
-    out2 = exec_stmts(300, sigma2, None, env, env, [Assign(nested, Econst(Vint(99)))])
+    out2 = interpret(300, sigma2, env, env, [Assign(nested, Econst(Vint(99)))])
     assert out2 is not None
-    assert eval_rvalue(50, nested, out2, binfo, env).payload == IntPayload(99)
+    assert eval_rvalue(50, nested, out2, env).payload == IntPayload(99)
 
     # structural shape: outer entry holds the head of an inner chain
     # whose entry carries the stored value
@@ -550,6 +548,6 @@ def test_criterion_10_mapping_semantics():
     assert inner_entry.kv == (IntPayload(2), IntPayload(99))
 
     # updating the nested key grafts in place, preserving the chains
-    out3 = exec_stmts(300, out2, None, env, env, [Assign(nested, Econst(Vint(7)))])
-    assert eval_rvalue(50, nested, out3, binfo, env).payload == IntPayload(7)
+    out3 = interpret(300, out2, env, env, [Assign(nested, Econst(Vint(7)))])
+    assert eval_rvalue(50, nested, out3, env).payload == IntPayload(7)
     assert out3.blocks[N.index].payload == outer_head

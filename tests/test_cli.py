@@ -164,6 +164,18 @@ class TestVerify:
         assert "'d': 0" in doc["diagnostic"]
         assert "Traceback" not in proc.stderr
 
+    def test_symbolic_mapping_key_is_named_error(self, capsys, tmp_path):
+        prog = tmp_path / "symkey.lls"
+        prog.write_text(
+            "contract M {\n    mapping(uint => uint) m;\n    uint k;\n"
+            "    function f() public { m[k] = 5; }\n}\n")
+        spec = tmp_path / "symkey.spec"
+        spec.write_text("entry f\nsym k : int 0..3\npost throw-state\n")
+        rc, out, _ = run_cli(capsys, "verify", str(prog), "--spec", str(spec))
+        assert rc == 3
+        assert out.strip() == ("error: mapping key k is symbolic; "
+                               "symbolic mapping keys are unsupported")
+
     def test_wallet_wide_domains_within_budget(self, capsys, tmp_path):
         wide = tmp_path / "wide.spec"
         wide.write_text(Path(SPEC).read_text(encoding="utf-8").replace("0..7", "0..31"))

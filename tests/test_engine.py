@@ -42,6 +42,7 @@ from minisol.syntax import (
     Tbool,
     Throw,
     Tuint,
+    Var,
     Vbool,
     Vint,
 )
@@ -60,20 +61,19 @@ def declared_world(gas=1000, mem=100):
     sigma = fresh_memory(mem)
     names = gm.reserved_addresses(mem)
     env = initial_env(gas, names["0xglobal"])
-    binfo = BlockInfo()
-    sigma = init_var(sigma, env, binfo, "public", Tuint(), X)
-    sigma = init_var(sigma, env, binfo, "public", Tbool(), B)
+    sigma = init_var(sigma, env, "public", Tuint(), X)
+    sigma = init_var(sigma, env, "public", Tbool(), B)
     return sigma, env, names
 
 
 class TestInterpret:
     def test_empty_program_returns_state(self):
         sigma, env, _ = declared_world()
-        assert interpret(100, sigma, env, env, None, []) is sigma
+        assert interpret(100, sigma, env, env, []) is sigma
 
     def test_absent_state_propagates(self):
         _, env, _ = declared_world()
-        assert interpret(100, None, env, env, None, [Snil()]) is None
+        assert interpret(100, None, env, env, [Snil()]) is None
 
     @pytest.mark.parametrize("g", [1, 10, 1000])
     def test_spin_halts_after_exactly_g_statements(self, g):
@@ -81,7 +81,7 @@ class TestInterpret:
         # one unit of gas per executed statement.
         sigma, _, names = declared_world()
         env = initial_env(g, names["0xglobal"])
-        out = interpret(1000, sigma, env, env, None,
+        out = interpret(1000, sigma, env, env,
                      [LoopWhile(Econst(Vbool(True)), (Snil(),))])
         assert out.blocks == sigma.blocks
         # dispatch count equals the gas budget: with g+1 the state is
@@ -90,14 +90,14 @@ class TestInterpret:
         counter = [Assign(Evar(X, Tuint()),
                           Ebop("+", Evar(X, Tuint()), Econst(Vint(1))))] * (g + 2)
         seeded = poke(sigma, X, IntPayload(0))
-        out2 = interpret(1000, seeded, env, env, None, counter)
+        out2 = interpret(1000, seeded, env, env, counter)
         assert out2.blocks[X.index].payload == IntPayload(g)
 
     def test_symbolic_branch_in_concrete_run_is_absent(self):
         sigma, env, _ = declared_world()
         sigma = poke(sigma, B, BoolPayload(SymVar("b")))
         ctx = ExecContext(sigma_init=sigma)
-        out = interpret(100, sigma, env, env, None,
+        out = interpret(100, sigma, env, env,
                      [If(Evar(B, Tbool()), (Snil(),), (Snil(),))], ctx)
         assert out is None
         assert ctx.diagnostics
@@ -188,6 +188,29 @@ class TestExplore:
         # true/true and false are feasible; true/false contradicts
         assert len(paths) == 2
 
+    def test_forked_paths_keep_their_own_diagnostics(self):
+        sigma, env, ctx = sym_bool_world()
+        prog = (If(Evar(B, Tbool()),
+                   (Assign(Evar(None, Tuint()), Econst(Vint(1))),),
+                   (Var(None, Evar(None, Tuint())),)),)
+        paths = explore(100, PathState(sigma, env, env, (), prog, ctx),
+                        [SymbolicValue("b", "bool")])
+        by_branch = {p.condition[0].expected: p for p in paths}
+        assert by_branch[True].note == "error: assignment target has no address"
+        assert by_branch[True].ctx.diagnostics == ["assignment target has no address"]
+        assert by_branch[False].note == "error: declaration without an address"
+        assert by_branch[False].ctx.diagnostics == ["declaration without an address"]
+        assert ctx.diagnostics == []
+
+    def test_judge_concretizes_a_shared_block_once(self):
+        sigma, _env, _ctx = sym_bool_world()
+        written = poke(sigma, X, IntPayload(3))
+        memo = {}
+        final = concretize(written, {"b": True}, None, memo)
+        initial = concretize(sigma, {"b": True}, None, memo)
+        assert final.blocks[B.index] is initial.blocks[B.index]
+        assert final.blocks[B.index].payload == BoolPayload(True)
+
     def test_partition_of_finite_domains(self):
         # Union of path conditions covers the declared domain exactly once.
         sigma, env, names = declared_world()
@@ -231,7 +254,7 @@ class TestExplore:
         for p in paths:
             for asg in satisfying_assignments(p.condition, symbols):
                 concrete0 = poke(sigma, X, IntPayload(asg["n"]))
-                replay = interpret(100, concrete0, env, env, None, prog,
+                replay = interpret(100, concrete0, env, env, prog,
                                 ExecContext(sigma_init=concrete0))
                 assert replay.blocks == concretize(p.sigma, asg).blocks
 
@@ -243,9 +266,9 @@ class TestDeterminism:
             prog = generate_program(rng.randrange(1 << 30), length=5)
             sigma = fresh_memory(64)
             env = initial_env(500, sigma.addr_of("0xglobal"))
-            a = interpret(200, sigma, env, env, None, prog,
+            a = interpret(200, sigma, env, env, prog,
                        ExecContext(sigma_init=sigma))
-            b = interpret(200, sigma, env, env, None, prog,
+            b = interpret(200, sigma, env, env, prog,
                        ExecContext(sigma_init=sigma))
             if a is None:
                 assert b is None
@@ -302,7 +325,7 @@ class TestVerifyTriple:
         # the witness reproduces the violation concretely
         pre_b, prog_b, post_b = triple_world(plant_bug=True)
         sigma, env, fenv, ctx = pre_b(verdict.witness)
-        final = interpret(100, sigma, env, fenv, None, prog_b, ctx)
+        final = interpret(100, sigma, env, fenv, prog_b, ctx)
         assert not post_b(final, ctx.sigma_init)
 
     def test_concolic_mode_single_path(self):
@@ -403,8 +426,7 @@ class TestSymbolicLoops:
         sigma = poke(sigma, X, IntPayload(0))
         bound = Address(2)
         from minisol.stmts import init_var
-        from minisol.values import BlockInfo
-        sigma = init_var(sigma, initial_env(10, names["0xglobal"]), BlockInfo(),
+        sigma = init_var(sigma, initial_env(10, names["0xglobal"]),
                          "public", Tuint(), bound)
         sigma = poke(sigma, bound, IntPayload(SymVar("n")))
         ctx = ExecContext(sigma_init=sigma)
@@ -458,7 +480,7 @@ class TestRobustness:
             typecheck_stmt(prog, TypeContext())
             sigma = fresh_memory(64)
             env = initial_env(800, sigma.addr_of("0xglobal"))
-            out = interpret(250, sigma, env, env, None, prog,
+            out = interpret(250, sigma, env, env, prog,
                             ExecContext(sigma_init=sigma))
             assert out is None or out.size == 64
 

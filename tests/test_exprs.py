@@ -44,76 +44,76 @@ def bv(b):
 
 
 class TestLValues:
-    def test_reference_forms_return_their_address(self, sigma, env, binfo):
+    def test_reference_forms_return_their_address(self, sigma, env):
         a = Address(12)
         for e in (Evar(a, Tuint()), Efun(a, Tuint()), Econ(a), Epar(a)):
-            assert eval_lvalue(10, e, sigma, binfo, env) == a
+            assert eval_lvalue(10, e, sigma, env) == a
 
-    def test_reference_without_address_absent(self, sigma, env, binfo):
-        assert eval_lvalue(10, Evar(None, Tuint()), sigma, binfo, env) is None
+    def test_reference_without_address_absent(self, sigma, env):
+        assert eval_lvalue(10, Evar(None, Tuint()), sigma, env) is None
 
-    def test_plain_constant_banned_on_left(self, sigma, env, binfo):
-        assert eval_lvalue(10, Econst(Vbool(True)), sigma, binfo, env) is None
-        assert eval_lvalue(10, Econst(Vint(3)), sigma, binfo, env) is None
+    def test_plain_constant_banned_on_left(self, sigma, env):
+        assert eval_lvalue(10, Econst(Vbool(True)), sigma, env) is None
+        assert eval_lvalue(10, Econst(Vint(3)), sigma, env) is None
 
-    def test_operator_forms_banned_on_left(self, sigma, env, binfo):
+    def test_operator_forms_banned_on_left(self, sigma, env):
         e = Ebop("+", Econst(Vint(1)), Econst(Vint(2)))
-        assert eval_lvalue(10, e, sigma, binfo, env) is None
-        assert eval_lvalue(10, Emodifier(), sigma, binfo, env) is None
+        assert eval_lvalue(10, e, sigma, env) is None
+        assert eval_lvalue(10, Emodifier(), sigma, env) is None
 
-    def test_array_constant_resolves_to_element(self, sigma, env, binfo):
+    def test_array_constant_resolves_to_element(self, sigma, env):
         e = Econst(Varray(ARR_T, (Econst(Vint(0)), Econst(Vint(1)),
                                   Econst(Vint(1))), Address(0)))
-        assert eval_lvalue(10, e, sigma, binfo, env) == Address(6)
+        assert eval_lvalue(10, e, sigma, env) == Address(6)
 
-    def test_map_constant_resolves_to_node(self, sigma, env, binfo):
+    def test_map_constant_resolves_to_node(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
         e = Econst(Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint(), None))
-        assert eval_lvalue(10, e, seeded, binfo, env) == Address(1)
+        assert eval_lvalue(10, e, seeded, env) == Address(1)
 
 
 class TestRValues:
-    def test_constant(self, sigma, env, binfo):
-        out = eval_rvalue(10, Econst(Vint(5)), sigma, binfo, env)
+    def test_constant(self, sigma, env):
+        out = eval_rvalue(10, Econst(Vint(5)), sigma, env)
         assert out.payload == IntPayload(5)
 
-    def test_variable_reads_through_validation(self, sigma, env, binfo):
+    def test_variable_reads_through_validation(self, sigma, env):
         a = Address(7)
         seeded = gm.write(sigma, a, MemoryValue(IntPayload(9), domain=env.domain),
                           "dir")
-        out = eval_rvalue(10, Evar(a, Tuint()), seeded, binfo, env)
+        out = eval_rvalue(10, Evar(a, Tuint()), seeded, env)
         assert out.payload == IntPayload(9)
-        assert eval_rvalue(10, Evar(Address(8), Tuint()), seeded, binfo, env) is None
+        assert eval_rvalue(10, Evar(Address(8), Tuint()), seeded, env) is None
 
-    def test_efun_reads_return_slot(self, sigma, env, binfo):
+    def test_efun_reads_return_slot(self, sigma, env):
         fun, lam = Address(20), Address(21)
         info = FunctionInfo((Tuint(),), (), lam, (Snil(),))
         seeded = gm.write(sigma, fun, MemoryValue(info, domain=env.domain), "dir")
         seeded = gm.write(seeded, lam, MemoryValue(IntPayload(123),
                                                    domain=env.domain), "dir")
-        out = eval_rvalue(10, Efun(fun, Tuint()), seeded, binfo, env)
+        out = eval_rvalue(10, Efun(fun, Tuint()), seeded, env)
         assert out.payload == IntPayload(123)
 
-    def test_comparison_small_grid_oracle(self, sigma, env, binfo):
+    def test_comparison_small_grid_oracle(self, sigma, env):
         # Exhaustive small operand grid against native comparison.
         for a in range(-3, 4):
             for b in range(-3, 4):
                 e = Ebop("<", Econst(Vint(a, 64, True)), Econst(Vint(b, 64, True)))
-                out = eval_rvalue(10, e, sigma, binfo, env)
+                out = eval_rvalue(10, e, sigma, env)
                 assert out.payload.bit is (a < b)
 
-    def test_k_budget_bounds_nesting(self, sigma, env, binfo):
+    def test_k_budget_bounds_nesting(self, sigma, env):
         e = Econst(Vint(1))
         for _ in range(30):
             e = Ebop("+", e, Econst(Vint(1)))
-        assert eval_rvalue(5, e, sigma, binfo, env) is None
-        assert eval_rvalue(100, e, sigma, binfo, env).payload.value == 31
+        assert eval_rvalue(5, e, sigma, env) is None
+        assert eval_rvalue(100, e, sigma, env).payload.value == 31
 
-    def test_operand_failure_propagates(self, sigma, env, binfo):
+    def test_operand_failure_propagates(self, sigma, env):
         bad = Evar(Address(33), Tuint())  # free block
         for e in (Ebop("+", bad, Econst(Vint(1))),
                   Ebop("+", Econst(Vint(1)), bad)):
-            assert eval_rvalue(10, e, sigma, binfo, env) is None
+            assert eval_rvalue(10, e, sigma, env) is None
 
 
 U64 = 2 ** 64
@@ -208,7 +208,7 @@ class TestExtract:
 
 
 class TestCoherence:
-    def test_lr_coherence_on_random_references(self, binfo):
+    def test_lr_coherence_on_random_references(self):
         # Wherever both positions resolve, the right value equals the
         # validated read at the left address (mapping entries compare
         # through their stored value).
@@ -236,11 +236,11 @@ class TestCoherence:
                                               Tuint(), Tuint(), None)))
         checked = 0
         for e in candidates:
-            a = eval_lvalue(50, e, sigma, binfo, env)
-            r = eval_rvalue(50, e, sigma, binfo, env)
+            a = eval_lvalue(50, e, sigma, env)
+            r = eval_rvalue(50, e, sigma, env)
             if a is None or r is None:
                 continue
-            direct = gm.read(sigma, a, "chck", env, binfo)
+            direct = gm.read(sigma, a, "chck", env)
             if isinstance(direct.payload, gm.MapNode):
                 assert r.payload == direct.payload.kv[1]
             else:
@@ -248,18 +248,18 @@ class TestCoherence:
             checked += 1
         assert checked > 30
 
-    def test_determinism(self, sigma, env, binfo):
+    def test_determinism(self, sigma, env):
         e = Ebop("*", Ebop("+", Econst(Vint(3)), Econst(Vint(4))), Econst(Vint(5)))
-        runs = {str(eval_rvalue(20, e, sigma, binfo, env).payload) for _ in range(10)}
+        runs = {str(eval_rvalue(20, e, sigma, env).payload) for _ in range(10)}
         assert len(runs) == 1
 
 
 class TestAbsentReferences:
-    def test_rvalue_of_unaddressed_reference_absent(self, sigma, env, binfo):
-        assert eval_rvalue(10, Evar(None, Tuint()), sigma, binfo, env) is None
-        assert eval_rvalue(10, Efun(None, Tuint()), sigma, binfo, env) is None
-        assert eval_rvalue(10, Econ(None), sigma, binfo, env) is None
+    def test_rvalue_of_unaddressed_reference_absent(self, sigma, env):
+        assert eval_rvalue(10, Evar(None, Tuint()), sigma, env) is None
+        assert eval_rvalue(10, Efun(None, Tuint()), sigma, env) is None
+        assert eval_rvalue(10, Econ(None), sigma, env) is None
 
-    def test_modifier_expression_absent_both_positions(self, sigma, env, binfo):
-        assert eval_rvalue(10, Emodifier(), sigma, binfo, env) is None
-        assert eval_lvalue(10, Emodifier(), sigma, binfo, env) is None
+    def test_modifier_expression_absent_both_positions(self, sigma, env):
+        assert eval_rvalue(10, Emodifier(), sigma, env) is None
+        assert eval_lvalue(10, Emodifier(), sigma, env) is None

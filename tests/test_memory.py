@@ -59,11 +59,11 @@ class TestReadWrite:
         out = gm.write(sigma, Address(3), value, "dir")
         assert gm.read(out, Address(3), "dir") == value
 
-    def test_chck_read_of_free_block_absent(self, sigma, env, binfo):
-        assert gm.read(sigma, Address(5), "chck", env, binfo) is None
+    def test_chck_read_of_free_block_absent(self, sigma, env):
+        assert gm.read(sigma, Address(5), "chck", env) is None
 
-    def test_chck_read_of_stdlib_struct(self, sigma, names, env, binfo):
-        block = gm.read(sigma, names["0xaddress"], "chck", env, binfo)
+    def test_chck_read_of_stdlib_struct(self, sigma, names, env):
+        block = gm.read(sigma, names["0xaddress"], "chck", env)
         assert isinstance(block.payload, StructTypeInfo)
 
     def test_out_of_range_absent(self, sigma):
@@ -75,15 +75,15 @@ class TestReadWrite:
         assert sigma.blocks[0].occupancy == gm.FREE
         assert out.blocks[0].payload == IntPayload(1)
 
-    def test_chck_write_to_free_block_absent(self, sigma, env, binfo):
-        assert gm.write(sigma, Address(0), mv(IntPayload(1)), "chck", env, binfo) is None
+    def test_chck_write_to_free_block_absent(self, sigma, env):
+        assert gm.write(sigma, Address(0), mv(IntPayload(1)), "chck", env) is None
 
     # Enumerate access x domain against the validation predicate: a chck
     # access succeeds exactly when the block is occupied and either
     # public or owned by the caller's domain.
     @pytest.mark.parametrize("access", ["public", "private", "internal"])
     @pytest.mark.parametrize("same_domain", [True, False])
-    def test_validation_predicate_enumeration(self, sigma, access, same_domain, binfo):
+    def test_validation_predicate_enumeration(self, sigma, access, same_domain):
         owner = Address(50)
         caller = Address(50) if same_domain else Address(51)
         env = initial_env(10, caller)
@@ -94,9 +94,9 @@ class TestReadWrite:
         assert read_ok is expected
         assert write_ok is expected
 
-    def test_chck_success_implies_dir_same_value(self, sigma, env, binfo):
+    def test_chck_success_implies_dir_same_value(self, sigma, env):
         seeded = gm.write(sigma, Address(4), mv(IntPayload(9)), "dir")
-        via_chck = gm.read(seeded, Address(4), "chck", env, binfo)
+        via_chck = gm.read(seeded, Address(4), "chck", env)
         assert via_chck == gm.read(seeded, Address(4), "dir")
 
     def test_chck_write_preserves_block_ownership(self, sigma):
@@ -198,11 +198,11 @@ class TestAllocate:
 
 
 class TestFreeMem:
-    def test_free_then_chck_read_absent(self, sigma, env, binfo):
+    def test_free_then_chck_read_absent(self, sigma, env):
         seeded = gm.write(sigma, Address(4),
                           mv(IntPayload(9), env.domain), "dir")
         out = gm.free_mem(seeded, Address(4))
-        assert gm.read(out, Address(4), "chck", env, binfo) is None
+        assert gm.read(out, Address(4), "chck", env) is None
         assert isinstance(out.blocks[4].payload, Undef)
 
     def test_free_of_free_block_absent(self, sigma):

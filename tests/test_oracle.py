@@ -48,7 +48,7 @@ class TestRelationalEval:
         final, _trace = rel
         # shared ground truth: a direct write through the raw store
         assert final.blocks[X.index].payload == IntPayload(5, 64, False)
-        exe = interpret(100, sigma, env, env, None, prog,
+        exe = interpret(100, sigma, env, env, prog,
                      ExecContext(sigma_init=sigma))
         assert [b.payload for b in exe.blocks] == [b.payload for b in final.blocks]
 
@@ -107,7 +107,7 @@ class TestCheckSimulation:
 
     def test_broken_executable_if_detected_at_the_if_step(self):
         # Mutation fixture: an interpreter whose If takes the wrong arm.
-        def broken_interpret(K, sigma, env, fenv, args, prog, ctx=None):
+        def broken_interpret(K, sigma, env, fenv, prog, ctx=None):
             def flip(stmts):
                 out = []
                 for s in stmts:
@@ -117,7 +117,7 @@ class TestCheckSimulation:
                     else:
                         out.append(s)
                 return out
-            return interpret(K, sigma, env, fenv, args, flip(list(prog)), ctx)
+            return interpret(K, sigma, env, fenv, flip(list(prog)), ctx)
 
         prog = [Var("public", Evar(X, Tuint())),
                 Assign(Evar(X, Tuint()), Econst(Vint(0))),
@@ -151,7 +151,7 @@ class TestGasAgreement:
             sigma, _env, _f = world()
             env = initial_env(gas, sigma.addr_of("0xglobal"))
             rel = relational_eval(sigma, env, env, body)
-            exe = interpret(200, sigma, env, env, None, body,
+            exe = interpret(200, sigma, env, env, body,
                           ExecContext(sigma_init=sigma))
             assert rel is not None and exe is not None
             assert [b.payload for b in rel[0].blocks] == \

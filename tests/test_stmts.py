@@ -18,7 +18,8 @@ from minisol.memory import (
     StructTypeInfo,
     Undef,
 )
-from minisol.stmts import ExecContext, env_check, exec_stmts, init_array, init_var
+from minisol.engine import interpret
+from minisol.stmts import ExecContext, env_check, init_array, init_var
 from minisol.syntax import (
     Assign,
     Contract,
@@ -188,42 +189,42 @@ class TestInitArray:
 
 
 class TestInitVar:
-    def test_scalar_declaration(self, sigma, env, binfo):
-        out = init_var(sigma, env, binfo, "public", Tuint(), Address(4))
+    def test_scalar_declaration(self, sigma, env):
+        out = init_var(sigma, env, "public", Tuint(), Address(4))
         block = out.blocks[4]
         assert block.occupancy == gm.OCCUPY
         assert isinstance(block.payload, Undef)
         assert block.access == "public"
         assert block.domain == env.domain
 
-    def test_occupied_block_absent(self, sigma, env, binfo):
-        once = init_var(sigma, env, binfo, None, Tuint(), Address(4))
-        assert init_var(once, env, binfo, None, Tuint(), Address(4)) is None
+    def test_occupied_block_absent(self, sigma, env):
+        once = init_var(sigma, env, None, Tuint(), Address(4))
+        assert init_var(once, env, None, Tuint(), Address(4)) is None
 
-    def test_array_declaration_runs_tree_init(self, sigma, env, binfo):
+    def test_array_declaration_runs_tree_init(self, sigma, env):
         t = Tarray(2, Tarray(2, Tuint()))
-        out = init_var(sigma, env, binfo, "public", t, Address(0), K=100)
+        out = init_var(sigma, env, "public", t, Address(0), K=100)
         headers = {i for i in range(6) if isinstance(out.blocks[i].payload, ArrayGroup)}
         assert headers == {0, 3}
 
-    def test_mapping_declaration_creates_head(self, sigma, env, binfo):
-        out = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tbool()), Address(9))
+    def test_mapping_declaration_creates_head(self, sigma, env):
+        out = init_var(sigma, env, None, Tmap(Tuint(), Tbool()), Address(9))
         head = out.blocks[9].payload
         assert isinstance(head, MapNode)
         assert head.kv is None and head.next is None
 
 
-def run(prog, sigma, env, fenv=None, K=200, ctx=None, args=None):
-    return exec_stmts(K, sigma, args, env, fenv or env, prog, ctx)
+def run(prog, sigma, env, fenv=None, K=200, ctx=None):
+    return interpret(K, sigma, env, fenv or env, prog, ctx)
 
 
 X = Address(0)
 Y = Address(1)
 
 
-def declared(sigma, env, binfo):
-    out = init_var(sigma, env, binfo, "public", Tuint(), X)
-    return init_var(out, env, binfo, "public", Tuint(), Y)
+def declared(sigma, env):
+    out = init_var(sigma, env, "public", Tuint(), X)
+    return init_var(out, env, "public", Tuint(), Y)
 
 
 class TestBasicStatements:
@@ -231,8 +232,8 @@ class TestBasicStatements:
         out = run([Snil()], sigma, env)
         assert out.blocks == sigma.blocks
 
-    def test_assign_read_after_write_matches_direct_write(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_assign_read_after_write_matches_direct_write(self, sigma, env):
+        seeded = declared(sigma, env)
         out = run([Assign(Evar(X, Tuint()), Econst(Vint(5)))], seeded, env)
         oracle = gm.write(seeded, X,
                           replace(seeded.blocks[X.index], payload=IntPayload(5)),
@@ -253,16 +254,16 @@ class TestBasicStatements:
         out = run([StructDecl(Address(8), (("a", Tuint()),))], sigma, env)
         assert isinstance(out.blocks[8].payload, StructTypeInfo)
 
-    def test_if_false_executes_else_arm(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_if_false_executes_else_arm(self, sigma, env):
+        seeded = declared(sigma, env)
         prog = [If(Econst(Vbool(False)),
                    (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                    (Assign(Evar(X, Tuint()), Econst(Vint(2))),))]
         out = run(prog, seeded, env)
         assert out.blocks[X.index].payload == IntPayload(2)
 
-    def test_if_false_equals_else_alone_gas_adjusted(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_if_false_equals_else_alone_gas_adjusted(self, sigma, env):
+        seeded = declared(sigma, env)
         s_then = (Assign(Evar(X, Tuint()), Econst(Vint(1))),)
         s_else = (Assign(Evar(X, Tuint()), Econst(Vint(2))),
                   Assign(Evar(Y, Tuint()), Econst(Vint(3))))
@@ -271,8 +272,8 @@ class TestBasicStatements:
         alone = run(list(s_else), seeded, replace(env, gas=49))
         assert whole.blocks == alone.blocks
 
-    def test_throw_restores_snapshot_plus_flag(self, sigma, env, binfo, names):
-        seeded = declared(sigma, env, binfo)
+    def test_throw_restores_snapshot_plus_flag(self, sigma, env, names):
+        seeded = declared(sigma, env)
         prog = [Assign(Evar(X, Tuint()), Econst(Vint(9))), Throw(),
                 Assign(Evar(Y, Tuint()), Econst(Vint(1)))]
         out = run(prog, seeded, env)
@@ -282,8 +283,8 @@ class TestBasicStatements:
             if i != flag_idx:
                 assert a == b
 
-    def test_throw_is_canonical_regardless_of_prior_writes(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_throw_is_canonical_regardless_of_prior_writes(self, sigma, env):
+        seeded = declared(sigma, env)
         variant1 = [Assign(Evar(X, Tuint()), Econst(Vint(1))), Throw()]
         variant2 = [Assign(Evar(X, Tuint()), Econst(Vint(7))),
                     Assign(Evar(Y, Tuint()), Econst(Vint(8))), Throw()]
@@ -304,15 +305,15 @@ class TestBasicStatements:
 
 
 class TestLoops:
-    def test_while_false_skips_body(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_while_false_skips_body(self, sigma, env):
+        seeded = declared(sigma, env)
         prog = [LoopWhile(Econst(Vbool(False)),
                           (Assign(Evar(X, Tuint()), Econst(Vint(1))),))]
         out = run(prog, seeded, env)
         assert isinstance(out.blocks[X.index].payload, Undef)
 
-    def test_counted_loop_unrolling_equivalence(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_counted_loop_unrolling_equivalence(self, sigma, env):
+        seeded = declared(sigma, env)
         seeded = run([Assign(Evar(X, Tuint()), Econst(Vint(0)))], seeded, env)
         n = 4
         body = (Assign(Evar(X, Tuint()),
@@ -324,11 +325,11 @@ class TestLoops:
         assert out_loop.blocks == out_unrolled.blocks
         assert out_loop.blocks[X.index].payload == IntPayload(n)
 
-    def test_for_loop_reruns_carried_init_each_iteration(self, sigma, env, binfo):
+    def test_for_loop_reruns_carried_init_each_iteration(self, sigma, env):
         # When the loop statement itself carries an init step, that step
         # re-executes on every iteration (the frontend desugars C-style
         # loops by hoisting the init out instead).
-        seeded = declared(sigma, env, binfo)
+        seeded = declared(sigma, env)
         seeded = run([Assign(Evar(X, Tuint()), Econst(Vint(0))),
                       Assign(Evar(Y, Tuint()), Econst(Vint(0)))], seeded, env)
         loop = [LoopFor(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
@@ -341,8 +342,8 @@ class TestLoops:
         assert out.blocks[X.index].payload == IntPayload(2)
         assert out.blocks[Y.index].payload == IntPayload(20)
 
-    def test_for_loop_runs_post_each_iteration(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_for_loop_runs_post_each_iteration(self, sigma, env):
+        seeded = declared(sigma, env)
         seeded = run([Assign(Evar(X, Tuint()), Econst(Vint(0))),
                       Assign(Evar(Y, Tuint()), Econst(Vint(0)))], seeded, env)
         loop = [LoopFor(Ebop("<", Evar(X, Tuint()), Econst(Vint(3))),
@@ -372,15 +373,15 @@ def fun_decl(body, returns=(Tuint(),), params=(), modifiers=()):
 
 
 class TestFunctions:
-    def test_declaration_stores_body_with_funstop(self, sigma, env, binfo):
+    def test_declaration_stores_body_with_funstop(self, sigma, env):
         out = run([fun_decl([Snil()])], sigma, env)
         info = out.blocks[FUN.index].payload
         assert isinstance(info, FunctionInfo)
         assert isinstance(info.body[-1], FunStop)
         assert out.blocks[LAM.index].occupancy == gm.OCCUPY
 
-    def test_call_unfolds_body_and_binds_parameters(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_call_unfolds_body_and_binds_parameters(self, sigma, env):
+        seeded = declared(sigma, env)
         f = fun_decl([Assign(Evar(X, Tuint()), Evar(PAR, Tuint()))],
                      params=(Evar(PAR, Tuint()),))
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), (Econst(Vint(77)),))]
@@ -388,7 +389,7 @@ class TestFunctions:
         assert out.blocks[X.index].payload == IntPayload(77)
         assert out.blocks[PAR.index].payload == IntPayload(77)
 
-    def test_call_arity_mismatch_fails(self, sigma, env, binfo):
+    def test_call_arity_mismatch_fails(self, sigma, env):
         f = fun_decl([Snil()], params=(Evar(PAR, Tuint()),))
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), ())]
         assert run(prog, sigma, env) is None
@@ -396,8 +397,8 @@ class TestFunctions:
     def test_call_to_free_block_fails(self, sigma, env):
         assert run([FunCall(Efun(FUN, Tfid(FUN)), ())], sigma, env) is None
 
-    def test_return_writes_slot_and_halts_rest(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_return_writes_slot_and_halts_rest(self, sigma, env):
+        seeded = declared(sigma, env)
         f = fun_decl([Return(Econst(Vint(5))),
                       Assign(Evar(X, Tuint()), Econst(Vint(1)))])
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), ())]
@@ -405,7 +406,7 @@ class TestFunctions:
         assert out.blocks[LAM.index].payload == IntPayload(5)
         assert isinstance(out.blocks[X.index].payload, Undef)  # never ran
 
-    def test_returns_writes_consecutive_slots(self, sigma, env, binfo):
+    def test_returns_writes_consecutive_slots(self, sigma, env):
         f = Fun(FUN, (), (), (Tuint(), Tuint()),
                 (Returns((Econst(Vint(1)), Econst(Vint(2)))),), LAM)
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), ())]
@@ -413,8 +414,8 @@ class TestFunctions:
         assert out.blocks[LAM.index].payload == IntPayload(1)
         assert out.blocks[LAM.index + 1].payload == IntPayload(2)
 
-    def test_funstop_restores_environment_for_continuation(self, sigma, env, binfo):
-        seeded = declared(sigma, env, binfo)
+    def test_funstop_restores_environment_for_continuation(self, sigma, env):
+        seeded = declared(sigma, env)
         f = fun_decl([Snil()])
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), ()),
                 Assign(Evar(X, Tuint()), Econst(Vint(3)))]
@@ -435,8 +436,8 @@ def flag_assign(names, value=True):
 
 
 class TestModifiers:
-    def test_pure_check_modifier_allows_execution(self, sigma, env, binfo, names):
-        seeded = declared(sigma, env, binfo)
+    def test_pure_check_modifier_allows_execution(self, sigma, env, names):
+        seeded = declared(sigma, env)
         prog = [modifier_decl([flag_assign(names)]),
                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
                          modifiers=(FunCall(Efun(MOD, Tfid(MOD)), ()),)),
@@ -445,8 +446,8 @@ class TestModifiers:
         assert out is not None
         assert out.blocks[X.index].payload == IntPayload(1)
 
-    def test_memory_touching_modifier_discards_execution(self, sigma, env, binfo, names):
-        seeded = declared(sigma, env, binfo)
+    def test_memory_touching_modifier_discards_execution(self, sigma, env, names):
+        seeded = declared(sigma, env)
         prog = [modifier_decl([flag_assign(names),
                                Assign(Evar(Y, Tuint()), Econst(Vint(9)))]),
                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
@@ -454,8 +455,8 @@ class TestModifiers:
                 FunCall(Efun(FUN, Tfid(FUN)), ())]
         assert run(prog, seeded, env) is None
 
-    def test_false_flag_skips_function_storage(self, sigma, env, binfo, names):
-        seeded = declared(sigma, env, binfo)
+    def test_false_flag_skips_function_storage(self, sigma, env, names):
+        seeded = declared(sigma, env)
         prog = [modifier_decl([flag_assign(names, False)]),
                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
                          modifiers=(FunCall(Efun(MOD, Tfid(MOD)), ()),))]
@@ -464,7 +465,7 @@ class TestModifiers:
         assert not isinstance(out.blocks[FUN.index].payload, FunctionInfo)
         assert isinstance(out.blocks[X.index].payload, Undef)
 
-    def test_isolation_check_sees_every_other_block(self, sigma, env, binfo, names):
+    def test_isolation_check_sees_every_other_block(self, sigma, env, names):
         # sanity for the comparison itself: flag write alone passes
         from minisol.stmts import _modif_check
         flag_idx = names["0xmodifier"].index
@@ -479,35 +480,35 @@ class TestModifiers:
 
 
 class TestMappingStatements:
-    def test_insert_then_read_round_trip(self, sigma, env, binfo):
+    def test_insert_then_read_round_trip(self, sigma, env):
         m = Address(5)
-        seeded = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tuint()), m)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
         lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint(), None))
         out = run([Assign(lhs, Econst(Vint(42)))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
-        got = eval_rvalue(20, lhs, out, binfo, env)
+        got = eval_rvalue(20, lhs, out, env)
         assert got.payload == IntPayload(42)
 
-    def test_update_existing_key_grafts_value(self, sigma, env, binfo):
+    def test_update_existing_key_grafts_value(self, sigma, env):
         m = Address(5)
-        seeded = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tuint()), m)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
         lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint(), None))
         out = run([Assign(lhs, Econst(Vint(1))), Assign(lhs, Econst(Vint(2)))],
                   seeded, env)
         from minisol.exprs import eval_rvalue
-        assert eval_rvalue(20, lhs, out, binfo, env).payload == IntPayload(2)
+        assert eval_rvalue(20, lhs, out, env).payload == IntPayload(2)
 
-    def test_two_keys_round_trip_nested(self, sigma, env, binfo):
+    def test_two_keys_round_trip_nested(self, sigma, env):
         m = Address(5)
         t = Tmap(Tuint(), Tmap(Tuint(), Tuint()))
-        seeded = init_var(sigma, env, binfo, None, t, m)
+        seeded = init_var(sigma, env, None, t, m)
         lhs = Econst(Vmap(m, (Econst(Vint(1)), Econst(Vint(2))),
                           Tuint(), Tmap(Tuint(), Tuint()), None))
         out = run([Assign(lhs, Econst(Vint(99)))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
-        assert eval_rvalue(30, lhs, out, binfo, env).payload == IntPayload(99)
+        assert eval_rvalue(30, lhs, out, env).payload == IntPayload(99)
 
 
 class TestGasAccounting:
@@ -529,22 +530,22 @@ class TestGasAccounting:
 
 
 class TestSymbolicMappingKeys:
-    def test_insert_under_symbolic_key_is_absent(self, sigma, env, binfo):
+    def test_insert_under_symbolic_key_is_absent(self, sigma, env):
         from minisol.symbolic import SymVar
         m, k = Address(5), Address(6)
-        seeded = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tuint()), m)
-        seeded = init_var(seeded, env, binfo, None, Tuint(), k)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
+        seeded = init_var(seeded, env, None, Tuint(), k)
         seeded = gm.write(seeded, k,
                           replace(seeded.blocks[k.index],
                                   payload=IntPayload(SymVar("k"))), "dir")
         lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint(), None))
         assert run([Assign(lhs, Econst(Vint(1)))], seeded, env) is None
 
-    def test_symbolic_value_under_concrete_key_is_stored(self, sigma, env, binfo):
+    def test_symbolic_value_under_concrete_key_is_stored(self, sigma, env):
         from minisol.symbolic import SymVar
         m, v = Address(5), Address(6)
-        seeded = init_var(sigma, env, binfo, None, Tmap(Tuint(), Tuint()), m)
-        seeded = init_var(seeded, env, binfo, None, Tuint(), v)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
+        seeded = init_var(seeded, env, None, Tuint(), v)
         seeded = gm.write(seeded, v,
                           replace(seeded.blocks[v.index],
                                   payload=IntPayload(SymVar("x"))), "dir")
@@ -552,5 +553,5 @@ class TestSymbolicMappingKeys:
         out = run([Assign(lhs, Evar(v, Tuint()))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
-        got = eval_rvalue(30, lhs, out, binfo, env)
+        got = eval_rvalue(30, lhs, out, env)
         assert got.payload == IntPayload(SymVar("x"))

@@ -38,32 +38,32 @@ from minisol.values import BlockInfo
 
 
 class TestConstants:
-    def test_bool_tagged_with_env(self, sigma, env, binfo):
-        out = eval_value(10, Vbool(True), sigma, binfo, env)
+    def test_bool_tagged_with_env(self, sigma, env):
+        out = eval_value(10, Vbool(True), sigma, env)
         assert out.payload == BoolPayload(True)
         assert out.domain == env.domain
         assert out.level == env.level
 
-    def test_int_keeps_width_sign(self, sigma, env, binfo):
-        out = eval_value(10, Vint(0, 64, False), sigma, binfo, env)
+    def test_int_keeps_width_sign(self, sigma, env):
+        out = eval_value(10, Vint(0, 64, False), sigma, env)
         assert out.payload == IntPayload(0, 64, False)
 
-    def test_constant_mapping_property(self, sigma, env, binfo):
+    def test_constant_mapping_property(self, sigma, env):
         # Every generated constant evaluates to a payload carrying
         # exactly its native value.
         rng = random.Random(11)
         for _ in range(200):
             if rng.random() < 0.5:
                 bit = bool(rng.getrandbits(1))
-                out = eval_value(5, Vbool(bit), sigma, binfo, env)
+                out = eval_value(5, Vbool(bit), sigma, env)
                 assert out.payload.bit is bit
             else:
                 n = rng.randint(-(2 ** 63), 2 ** 63 - 1)
-                out = eval_value(5, Vint(n, 64, True), sigma, binfo, env)
+                out = eval_value(5, Vint(n, 64, True), sigma, env)
                 assert out.payload.value == n
 
-    def test_budget_exhaustion_absent(self, sigma, env, binfo):
-        assert eval_value(0, Vbool(True), sigma, binfo, env) is None
+    def test_budget_exhaustion_absent(self, sigma, env):
+        assert eval_value(0, Vbool(True), sigma, env) is None
 
 
 ARR_T = Tarray(2, Tarray(3, Tarray(2, Tuint())))
@@ -75,7 +75,7 @@ def seeded_array(sigma, env, base=Address(0)):
 
 
 class TestArrayValues:
-    def test_worked_indexing_case(self, sigma, env, binfo):
+    def test_worked_indexing_case(self, sigma, env):
         # a[2][3][2] with path [0, 1, 1] lands six blocks past the base.
         addr = locate_array_element(ARR_T, Address(0), [0, 1, 1], sigma, env)
         assert addr == Address(6)
@@ -89,7 +89,7 @@ class TestArrayValues:
         assert locate_array_element(ARR_T, Address(0), [0, 3, 0], sigma, env) is None
         assert locate_array_element(ARR_T, Address(0), [2, 0, 0], sigma, env) is None
 
-    def test_varray_eval_reads_element(self, sigma, env, binfo):
+    def test_varray_eval_reads_element(self, sigma, env):
         seeded = seeded_array(sigma, env)
         elem = Address(6)
         seeded = gm.write(seeded, elem,
@@ -97,7 +97,7 @@ class TestArrayValues:
                                       level=env.level), "dir")
         v = Varray(ARR_T, (Econst(Vint(0)), Econst(Vint(1)), Econst(Vint(1))),
                    Address(0))
-        out = eval_value(20, v, seeded, binfo, env)
+        out = eval_value(20, v, seeded, env)
         assert out.payload == IntPayload(42)
 
     def test_result_stays_inside_allocation(self, sigma, env):
@@ -108,7 +108,7 @@ class TestArrayValues:
                     a = locate_array_element(ARR_T, Address(0), [i, j, k], sigma, env)
                     assert 0 <= a.index < 20
 
-    def test_variable_index_path(self, sigma, env, binfo):
+    def test_variable_index_path(self, sigma, env):
         seeded = seeded_array(sigma, env)
         iaddr = Address(30)
         seeded = gm.write(seeded, iaddr,
@@ -116,7 +116,7 @@ class TestArrayValues:
                                       level=env.level), "dir")
         v = Varray(ARR_T, (Econst(Vint(0)), Evar(iaddr, Tuint()), Econst(Vint(1))),
                    Address(0))
-        out = eval_value(20, v, seeded, binfo, env)
+        out = eval_value(20, v, seeded, env)
         assert out is not None  # resolved through the variable index
 
 
@@ -163,13 +163,13 @@ class TestMappingValues:
                           MemoryValue(head, domain=env.domain), "dir")
         assert locate_map_node(IntPayload(1), Address(0), seeded, env) is None
 
-    def test_vmap_eval_unwraps_entry_value(self, sigma, env, binfo):
+    def test_vmap_eval_unwraps_entry_value(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
         v = Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint(), None)
-        out = eval_value(20, v, seeded, binfo, env)
+        out = eval_value(20, v, seeded, env)
         assert out.payload == IntPayload(100)
 
-    def test_nested_chain_resolution(self, sigma, env, binfo):
+    def test_nested_chain_resolution(self, sigma, env):
         # outer chain: key 1 -> inner head at block 10
         inner_base = Address(10)
         seeded = build_chain(sigma, env, inner_base, [(7, 77)])
@@ -191,20 +191,20 @@ class TestMappingValues:
                                                   next=Address(5))), "dir")
         v = Vmap(Address(0), (Econst(Vint(1)), Econst(Vint(7))),
                  Tuint(), Tuint(), None)
-        node_addr = resolve_map_path(20, v, seeded, binfo, env)
+        node_addr = resolve_map_path(20, v, seeded, env)
         assert node_addr == Address(11)  # first entry of the inner chain
-        out = eval_value(20, v, seeded, binfo, env)
+        out = eval_value(20, v, seeded, env)
         assert out.payload == IntPayload(77)
 
 
 class TestReadOnly:
-    def test_value_evaluation_never_writes(self, sigma, env, binfo):
+    def test_value_evaluation_never_writes(self, sigma, env):
         seeded = seeded_array(sigma, env)
         before = seeded.blocks
         for v in (Vbool(True), Vint(7),
                   Varray(ARR_T, (Econst(Vint(1)), Econst(Vint(2)),
                                  Econst(Vint(1))), Address(0))):
-            eval_value(30, v, seeded, binfo, env)
+            eval_value(30, v, seeded, env)
         assert seeded.blocks == before
 
 
@@ -214,14 +214,14 @@ class TestFieldAccess:
         binfo = BlockInfo(sender=Address(1), msg_value=19)
         sigma = write_message(sigma, binfo)
         v = Vfield(Tuint(), names["0xmsg"], names["msg"], ("value",), None)
-        out = eval_value(20, v, sigma, binfo, env)
+        out = eval_value(20, v, sigma, env)
         assert out.payload == IntPayload(19)
 
     def test_single_member_returned_unchanged(self, names, env):
         sigma = fresh_memory(100)
         binfo = BlockInfo(sender=Address(3))
         sigma = write_message(sigma, binfo)
-        out = resolve_field(names["msg"], ("sender",), None, sigma, env, binfo)
+        out = resolve_field(names["msg"], ("sender",), None, sigma, env)
         assert isinstance(out.payload, StructInstance)
         assert out.payload.type_addr == names["0xaddress"]
 
@@ -232,7 +232,7 @@ class TestFieldAccess:
         binfo = BlockInfo(sender=Address(3))
         sigma = write_message(sigma, binfo)
         args = (MemoryValue(IntPayload(5)),)
-        out = resolve_field(names["msg"], ("sender", "send"), args, sigma, env, binfo)
+        out = resolve_field(names["msg"], ("sender", "send"), args, sigma, env)
         assert isinstance(out.payload, Fid)
         assert out.payload.fun == names["0xsend"]
         assert out.payload.receiver == names["msg"]
@@ -240,16 +240,16 @@ class TestFieldAccess:
 
     def test_unknown_member_absent(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
-        assert resolve_field(names["msg"], ("nope",), None, sigma, env, binfo) is None
+        assert resolve_field(names["msg"], ("nope",), None, sigma, env) is None
 
     def test_type_address_mismatch_absent(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
-        out = resolve_field(names["msg"], ("value",), None, sigma, env, binfo,
+        out = resolve_field(names["msg"], ("value",), None, sigma, env,
                             expected_type=names["0xaddress"])
         assert out is None
 
     def test_vstruct_reads_instance(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
         v = Vstruct(names["0xmsg"], names["msg"])
-        out = eval_value(10, v, sigma, binfo, env)
+        out = eval_value(10, v, sigma, env)
         assert isinstance(out.payload, StructInstance)
