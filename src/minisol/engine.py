@@ -140,7 +140,7 @@ def step(ps: PathState, K: int = 1000, emit=None) -> PathState:
     note. When ``emit`` is given the new memory dump is emitted after
     the step.
     """
-    run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, limit=1)
+    run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, once=True)
     if run.stop == BUDGET:
         reason = "gas exhausted" if ps.env.gas <= 0 else "environment check failed"
         return replace(ps, note=f"halted: {reason}")

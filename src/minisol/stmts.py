@@ -591,7 +591,7 @@ NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # the environment check failed: gas spent or body done
 ERROR = "error"
 SYMBOLIC = "symbolic"   # a branch condition is a symbolic tree
-PAUSED = "paused"       # the requested number of dispatches ran
+PAUSED = "paused"       # the one dispatch asked for ran
 
 
 @dataclass
@@ -614,8 +614,8 @@ class Run:
 
 def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
           ctx: ExecContext, prog, assume: bool | None = None,
-          limit: int | None = None) -> Run:
-    """Run ``prog`` until it stops; at most ``limit`` dispatches if given.
+          once: bool = False) -> Run:
+    """Run ``prog`` until it stops, or for one dispatch if ``once``.
 
     Per dispatch: check the state and the environment, spend one unit of
     gas, execute the head, continue on the rewritten remainder.
@@ -624,8 +624,6 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
     remaining = tuple(prog)
     halted = False
     while True:
-        if limit == 0:
-            return Run(PAUSED, sigma, env, remaining, halted=halted)
         if not remaining:
             return Run(FINISHED, sigma, env, remaining, halted=halted)
         if sigma is None:
@@ -639,6 +637,6 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
         if res.symbolic_cond is not None:
             return Run(SYMBOLIC, sigma, env, remaining, cond=res.symbolic_cond)
         sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
+        if once:
+            return Run(PAUSED, sigma, env, remaining, halted=halted)
         assume = None
-        if limit is not None:
-            limit -= 1

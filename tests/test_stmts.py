@@ -49,7 +49,7 @@ from minisol.syntax import (
     Vint,
     Vmap,
 )
-from minisol.values import BlockInfo, Env, initial_env
+from minisol.values import Env, initial_env
 
 
 class TestEnvCheck:
