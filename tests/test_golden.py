@@ -1,4 +1,4 @@
-"""Golden CLI transcripts: dumps, a step transcript and verify verdicts.
+"""Golden CLI transcripts: dumps, a step transcript, verify verdicts and ASTs.
 
 Each case runs one ``minisol`` command in process and compares its exit
 code and its standard output byte for byte with ``tests/golden/<name>.out``.
@@ -35,6 +35,8 @@ CASES = {
                                   "--spec", "samples/no_in_time.spec", "--json"], 0),
     "verify-branchy": (["verify", "tests/golden/branchy.lls",
                         "--spec", "tests/golden/branchy.spec", "--json"], 1),
+    "emit-ast-wallet": (["emit-ast", "samples/wallet.lls"], 0),
+    "emit-ast-branchy": (["emit-ast", "tests/golden/branchy.lls"], 0),
 }
 
 

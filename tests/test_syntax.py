@@ -279,6 +279,11 @@ class TestInterchange:
         data = json.loads(json.dumps(program_to_data(bound.decls)))
         assert program_from_data(data) == bound.decls
 
+    def test_runtime_only_statement_is_not_serializable(self):
+        from minisol.stmts import SummaryStep
+        with pytest.raises(TypeError):
+            program_to_data([SummaryStep(lambda sigma: sigma)])
+
 
 def test_array_dims_helper():
     t = Tarray(2, Tarray(3, Tarray(2, Tuint())))
