@@ -108,9 +108,7 @@ class BoundProgram:
     bindings: dict
     floor: int
     mem_size: int
-    type_ctx: TypeContext
     functions: dict            # name -> FunRecord
-    global_types: dict         # name -> LType
     binder: "Binder" = field(repr=False, default=None)
 
     def entry_call(self, name: str, args=()):
@@ -479,14 +477,11 @@ def bind_addresses(sp: SourceProgram, mem_size: int = gm.DEFAULT_MEMORY_SIZE) ->
     ctx.vars[binder.reserved["0xmodifier"]] = Tbool()
     typecheck_stmt(decls, ctx)
 
-    sp.bindings = dict(binder.bindings)
     return BoundProgram(
         decls=decls,
         bindings=dict(binder.bindings),
         floor=binder.cursor,
         mem_size=mem_size,
-        type_ctx=ctx,
         functions=dict(binder.functions),
-        global_types={n: t for n, (a, t) in binder.globals.items()},
         binder=binder,
     )

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import memory as gm
 from .binder import BindError, bind_addresses
-from .engine import PathState, SymbolicValue, step, verify_triple
+from .engine import PathState, step, verify_triple
 from .engine import interpret
 from .memory import MemoryConfigError
 from .parser import ParseError, parse_source
@@ -31,7 +30,7 @@ from .runner import (
     entry_program,
     make_pre,
 )
-from .specfile import SpecError, parse_spec, parse_literal
+from .specfile import SpecError, SpecFile, parse_literal, parse_spec, parse_symbol_decl
 from .syntax import LTypeError, program_to_data
 from .values import BlockInfo
 
@@ -39,8 +38,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
-
-_SYM_FLAG = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*):(int|bool)(?::(-?\d+)\.\.(-?\d+))?$")
 
 
 def _common_flags(p: argparse.ArgumentParser, needs_file: bool = True):
@@ -108,7 +105,7 @@ def _load(path: str, mem_size: int):
     return bind_addresses(parse_source(text), mem_size)
 
 
-def _split_args(pairs, bound, entry_params):
+def _split_args(pairs, entry_params):
     """Partition --arg values into entry arguments and global writes."""
     entry_args = {}
     global_writes = []
@@ -130,20 +127,28 @@ def _binfo(ns) -> BlockInfo:
                      msg_value=ns.msg_value, gas_price=0)
 
 
-def _symbols_from_flags(flags):
-    out = []
-    for flag in flags:
-        m = _SYM_FLAG.match(flag)
-        if not m:
-            raise SpecError(f"bad --symbolic flag {flag!r}")
-        name, kind, lo, hi = m.groups()
-        if kind == "bool":
-            out.append(SymbolicValue(name, "bool"))
-        else:
-            if lo is None:
-                raise SpecError(f"--symbolic {name}: integer symbols need lo..hi")
-            out.append(SymbolicValue(name, "int", lo=int(lo), hi=int(hi)))
-    return out
+def _prepare(ns):
+    """Load the program and the spec, and build the entry call.
+
+    Returns (bound, spec, prog, global_writes); ``prog`` is None when
+    neither --entry nor the spec names an entry.
+    """
+    bound = _load(ns.file, ns.mem_size)
+    spec = SpecFile()
+    if ns.spec:
+        with open(ns.spec, encoding="utf-8") as fh:
+            spec = parse_spec(fh.read())
+    entry = ns.entry or spec.entry
+    if entry is None:
+        return bound, spec, None, []
+    rec = bound.functions.get(entry)
+    if rec is None:
+        raise RunnerError(f"no function named {entry!r}")
+    entry_args, global_writes = _split_args(ns.arg, rec.params)
+    prog, leftover = entry_program(bound, entry, entry_args)
+    if leftover:
+        raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
+    return bound, spec, prog, global_writes
 
 
 def _emit_dump(ns, sigma) -> None:
@@ -156,24 +161,11 @@ def _emit_dump(ns, sigma) -> None:
 
 
 def cmd_run(ns) -> int:
-    bound = _load(ns.file, ns.mem_size)
-    spec = parse_spec(open(ns.spec, encoding="utf-8").read()) if ns.spec else None
-    entry = ns.entry or (spec.entry if spec else None)
-    binfo = _binfo(ns)
-    sets = spec.sets if spec else []
-    if entry is None:
-        world = build_world(bound, ns.gas, binfo, sets=sets)
-        final = world.sigma
-    else:
-        rec = bound.functions.get(entry)
-        if rec is None:
-            raise RunnerError(f"no function named {entry!r}")
-        entry_args, global_writes = _split_args(ns.arg, bound, rec.params)
-        world = build_world(bound, ns.gas, binfo, sets=sets,
-                            arg_writes=global_writes)
-        prog, leftover = entry_program(bound, entry, entry_args)
-        if leftover:
-            raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
+    bound, spec, prog, global_writes = _prepare(ns)
+    world = build_world(bound, ns.gas, _binfo(ns), sets=spec.sets,
+                        arg_writes=global_writes)
+    final = world.sigma
+    if prog is not None:
         final = interpret(ns.k, world.sigma, world.env, world.fenv, prog, world.ctx)
     if final is None:
         print("execution failed: " + "; ".join(world.ctx.diagnostics[-3:]),
@@ -189,21 +181,12 @@ def cmd_run(ns) -> int:
 
 
 def cmd_step(ns) -> int:
-    bound = _load(ns.file, ns.mem_size)
-    spec = parse_spec(open(ns.spec, encoding="utf-8").read()) if ns.spec else None
-    entry = ns.entry or (spec.entry if spec else None)
-    if entry is None:
+    bound, spec, prog, global_writes = _prepare(ns)
+    if prog is None:
         print("step needs --entry", file=sys.stderr)
         return EXIT_USAGE
-    rec = bound.functions.get(entry)
-    if rec is None:
-        raise RunnerError(f"no function named {entry!r}")
-    entry_args, global_writes = _split_args(ns.arg, bound, rec.params)
-    world = build_world(bound, ns.gas, _binfo(ns),
-                        sets=spec.sets if spec else [], arg_writes=global_writes)
-    prog, leftover = entry_program(bound, entry, entry_args)
-    if leftover:
-        raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
+    world = build_world(bound, ns.gas, _binfo(ns), sets=spec.sets,
+                        arg_writes=global_writes)
     world.ctx.sigma_init = world.sigma
     ps = PathState(world.sigma, world.env, world.fenv, (), tuple(prog), world.ctx)
     interactive = sys.stdin.isatty() and ns.max_steps is None
@@ -229,35 +212,30 @@ def cmd_step(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    bound = _load(ns.file, ns.mem_size)
     if not ns.spec:
         print("verify needs --spec", file=sys.stderr)
         return EXIT_USAGE
-    spec = parse_spec(open(ns.spec, encoding="utf-8").read())
-    entry = ns.entry or spec.entry
-    if entry is None:
+    bound, spec, prog, global_writes = _prepare(ns)
+    if prog is None:
         print("verify needs an entry (spec `entry` line or --entry)", file=sys.stderr)
         return EXIT_USAGE
-    rec = bound.functions.get(entry)
-    if rec is None:
-        raise RunnerError(f"no function named {entry!r}")
-    symbols = list(spec.symbols) + _symbols_from_flags(ns.symbolic)
-    entry_args, global_writes = _split_args(ns.arg, bound, rec.params)
+    symbols = list(spec.symbols)
+    for flag in ns.symbolic:
+        name, _, rest = flag.partition(":")
+        try:
+            symbols.append(parse_symbol_decl(name, rest.replace(":", " "), symbols))
+        except SpecError as exc:
+            raise SpecError(f"--symbolic {flag}: {exc}") from exc
     concolic = None
     if ns.mode == "concolic":
         sym_names = {s.name for s in symbols}
         concolic = {n: v for n, v in global_writes if n in sym_names}
         global_writes = [(n, v) for n, v in global_writes if n not in sym_names]
-    binfo = _binfo(ns)
-    pre = make_pre(bound, ns.gas, binfo, sets=spec.sets,
+    pre = make_pre(bound, ns.gas, _binfo(ns), sets=spec.sets,
                    arg_writes=global_writes, symbols=symbols)
-    prog, leftover = entry_program(bound, entry, entry_args)
-    if leftover:
-        raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
     post = compile_posts(bound, spec.posts)
     verdict = verify_triple(pre, prog, post, mode=ns.mode, symbols=symbols,
-                            require=spec.requires, K=ns.k, gas=ns.gas,
-                            concolic=concolic)
+                            require=spec.requires, K=ns.k, concolic=concolic)
     payload = {
         "status": verdict.status,
         "paths": len(verdict.paths),
@@ -308,11 +286,18 @@ def cmd_oracle(ns) -> int:
         from .stdlib import fresh_memory
         from .syntax import program_from_data
         from .values import initial_env
-        with open(ns.ast, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        prog = program_from_data(doc["program"] if isinstance(doc, dict) else doc)
-        mem_size = doc.get("mem_size", gm.DEFAULT_MEMORY_SIZE) \
-            if isinstance(doc, dict) else gm.DEFAULT_MEMORY_SIZE
+        try:
+            with open(ns.ast, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                doc = {"program": doc}
+            prog = program_from_data(doc["program"])
+            mem_size = doc.get("mem_size", gm.DEFAULT_MEMORY_SIZE)
+            if not isinstance(mem_size, int):
+                raise ValueError(f"mem_size {mem_size!r} is not an integer")
+        except (ValueError, KeyError, TypeError) as exc:
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise RunnerError(f"{ns.ast}: malformed AST document: {what}") from exc
 
         def make_state(_idx):
             sigma = fresh_memory(mem_size)

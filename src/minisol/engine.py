@@ -287,8 +287,8 @@ def explore(K: int, initial: PathState, symbols) -> list[PathState]:
 # Hoare-triple verification
 
 def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
-                  require=(), K: int = 1000, gas: int = 10000,
-                  concolic: dict | None = None, summaries=()) -> Verdict:
+                  require=(), K: int = 1000, concolic: dict | None = None,
+                  summaries=()) -> Verdict:
     """Check {pre} prog {post} by running every feasible path.
 
     ``pre`` builds the initial world: called with an assignment it must
@@ -315,8 +315,8 @@ def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
 
     work_prog = tuple(prog)
     if mode == "selective":
-        work_prog = _apply_summaries(work_prog, summaries, pre, post, symbols,
-                                     base_condition, K, gas)
+        work_prog = _apply_summaries(work_prog, summaries, pre, symbols,
+                                     base_condition, K)
         if isinstance(work_prog, Verdict):
             return work_prog
 
@@ -386,7 +386,7 @@ def _confirm_witness(asg, pre, prog, post, K, path) -> dict:
     return witness
 
 
-def _apply_summaries(prog, summaries, pre, post, symbols, condition, K, gas):
+def _apply_summaries(prog, summaries, pre, symbols, condition, K):
     """Substitute each summary for its segment after differential validation."""
     out = list(prog)
     for summary in summaries:

@@ -265,7 +265,7 @@ def _payloads(sigma: MemoryState):
 
 
 def check_simulation(corpus, make_state, k: int = 200,
-                     executable=None, strict: bool = False) -> SimulationReport:
+                     executable=None) -> SimulationReport:
     """Differential run of the relational and executable semantics.
 
     ``make_state`` builds the seeded initial state and environments for
@@ -294,9 +294,7 @@ def check_simulation(corpus, make_state, k: int = 200,
                 idx, f"one side absent: relational={rel_final is not None}, "
                      f"executable={exe is not None}"))
             continue
-        same = (_payloads(rel_final) == _payloads(exe) if not strict
-                else rel_final.blocks == exe.blocks)
-        if not same:
+        if _payloads(rel_final) != _payloads(exe):
             step_no = _first_divergent_step(rel[1], prog, sigma, env, fenv,
                                             k, run_exe)
             report.divergences.append(Divergence(

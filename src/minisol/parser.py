@@ -270,8 +270,6 @@ class SContract:
 @dataclass
 class SourceProgram:
     contracts: list = field(default_factory=list)
-    bindings: dict = field(default_factory=dict)  # filled by the binder
-    diagnostics: list = field(default_factory=list)
 
 
 _INT_TYPE_RE = re.compile(r"^(u?)int(\d*)$")

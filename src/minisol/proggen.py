@@ -150,9 +150,3 @@ def generate_program(seed: int, length: int = 6, **kwargs) -> list:
     prog = gen.program(length)
     typecheck_stmt(prog, TypeContext())
     return prog
-
-
-def generate_statements(seed: int, length: int = 3, **kwargs) -> list:
-    """A statement list over the standard variable pool (no declarations)."""
-    gen = ProgramGen(random.Random(seed), **kwargs)
-    return gen.stmt_list(gen.max_depth, length)

@@ -60,7 +60,12 @@ def parse_literal(text: str):
         raise SpecError(f"expected an integer or boolean literal, got {text!r}")
 
 
-def parse_symbol_decl(name: str, rest: str) -> SymbolicValue:
+def parse_symbol_decl(name: str, rest: str, declared) -> SymbolicValue:
+    """One symbol declaration; ``declared`` lists the symbols seen so far."""
+    if not name.isidentifier():
+        raise SpecError(f"bad symbol name {name!r}")
+    if any(s.name == name for s in declared):
+        raise SpecError(f"symbol {name!r} declared twice")
     rest = rest.strip()
     if rest == "bool":
         return SymbolicValue(name, "bool")
@@ -116,7 +121,7 @@ def parse_spec(text: str) -> SpecFile:
                 name, colon, kind = rest.partition(":")
                 if not colon:
                     raise SpecError("sym needs the form: sym <name> : <kind>")
-                spec.symbols.append(parse_symbol_decl(name.strip(), kind))
+                spec.symbols.append(parse_symbol_decl(name.strip(), kind, spec.symbols))
             elif head == "require":
                 spec.requires.append(surface_to_symexpr(parse_expr_text(rest)))
             elif head == "post":

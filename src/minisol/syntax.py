@@ -7,13 +7,13 @@ mixed-width or mixed-signedness arithmetic, non-boolean branch
 conditions, struct arity and field type mismatches. Programs are flat
 statement lists; the next statement to execute is always the head of the
 remaining list, and ``normalize_seq`` flattens any nested sequencing
-into that form.
+into that form. The JSON interchange format is one table, ``FORMAT``,
+walked by ``program_to_data`` and ``program_from_data``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .memory import (
     Address,
@@ -688,264 +688,107 @@ def payload_matches_type(payload, t: LType) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interchange format (stable field names, used by --emit-ast and reload)
+# Interchange format (stable field names, used by emit-ast and oracle --ast)
+#
+# FORMAT is the one definition of the JSON form of a program. For each node
+# class it gives the ``kind`` tag and, for each JSON field in order, the code
+# of the value. A field holds the attribute of the same name, except that
+# "type" holds ``ltype``. A code is JSON (stored as is), Address (the block
+# index), a node category (LType, LValue, LExpr or LStatement: a nested node
+# of that category), a tuple of codes (a fixed-length JSON list, such as a
+# (name, address) pair) or a one-element list [code] (a JSON list of items so
+# coded). None is null under every code. A kind is unique within its
+# category only: "var" is an Evar where an expression is expected and a Var
+# where a statement is.
 
-def type_to_data(t: LType):
-    if isinstance(t, Tbool):
-        return {"kind": "bool"}
-    if isinstance(t, Tint):
-        return {"kind": "int", "width": t.width, "signed": t.signed}
-    if isinstance(t, Tarray):
-        return {"kind": "array", "length": t.length, "element": type_to_data(t.element)}
-    if isinstance(t, Tmap):
-        return {"kind": "map", "key": type_to_data(t.key), "value": type_to_data(t.value)}
-    if isinstance(t, Tfid):
-        return {"kind": "fid", "fun": _addr_to_data(t.fun)}
-    if isinstance(t, Tstruct):
-        return {"kind": "struct", "type_addr": t.type_addr.index}
-    if isinstance(t, Teaddr):
-        return {"kind": "eaddr", "addr": _addr_to_data(t.addr)}
-    if isinstance(t, Tunit):
-        return {"kind": "unit"}
-    raise TypeError(f"cannot serialize type {type(t).__name__}")
+JSON = "json"
+_ATTRIBUTE = {"type": "ltype"}
 
+FORMAT = {
+    Tbool: ("bool", {}),
+    Tint: ("int", {"width": JSON, "signed": JSON}),
+    Tarray: ("array", {"length": JSON, "element": LType}),
+    Tmap: ("map", {"key": LType, "value": LType}),
+    Tfid: ("fid", {"fun": Address}),
+    Tstruct: ("struct", {"type_addr": Address}),
+    Teaddr: ("eaddr", {"addr": Address}),
+    Tunit: ("unit", {}),
+    Vbool: ("vbool", {"bit": JSON}),
+    Vint: ("vint", {"value": JSON, "width": JSON, "signed": JSON}),
+    Varray: ("varray", {"arr_type": LType, "indices": [LExpr], "base": Address}),
+    Vmap: ("vmap", {"base": Address, "keys": [LExpr], "key_type": LType,
+                    "value_type": LType, "next": Address}),
+    Vstruct: ("vstruct", {"type_addr": Address, "inst_addr": Address}),
+    Vfield: ("vfield", {"result_type": LType, "type_addr": Address, "inst_addr": Address,
+                        "members": [JSON], "args": [LExpr]}),
+    Econst: ("const", {"value": LValue}),
+    Evar: ("var", {"addr": Address, "type": LType}),
+    Efun: ("fun", {"addr": Address, "type": LType}),
+    Econ: ("con", {"addr": Address}),
+    Epar: ("par", {"addr": Address}),
+    Estruct: ("struct", {"type_addr": Address, "values": [LValue]}),
+    Ebop: ("bop", {"op": JSON, "left": LExpr, "right": LExpr}),
+    Euop: ("uop", {"op": JSON, "operand": LExpr}),
+    Emodifier: ("modifier", {}),
+    Contract: ("contract", {"name": Address, "inherits": [Address],
+                            "members": [(JSON, Address)]}),
+    Modifier: ("modifier", {"name": Address, "params": [LExpr], "body": [LStatement],
+                            "ret_addr": Address}),
+    Var: ("var", {"access": JSON, "decl": LExpr}),
+    StructDecl: ("structdecl", {"type_addr": Address, "members": [(JSON, LType)]}),
+    Assign: ("assign", {"lhs": LExpr, "rhs": LExpr}),
+    Return: ("return", {"value": LExpr}),
+    Returns: ("returns", {"values": [LExpr]}),
+    Throw: ("throw", {}),
+    Snil: ("snil", {}),
+    FunStop: ("funstop", {}),
+    Fun: ("fun", {"name": Address, "modifiers": [LStatement], "params": [LExpr],
+                  "returns": [LType], "body": [LStatement], "ret_addr": Address}),
+    LoopFor: ("for", {"cond": LExpr, "init": LStatement, "body": [LStatement],
+                      "post": LStatement}),
+    LoopWhile: ("while", {"cond": LExpr, "body": [LStatement]}),
+    FunCall: ("call", {"callee": LExpr, "args": [LExpr]}),
+    If: ("if", {"cond": LExpr, "then": [LStatement], "orelse": [LStatement]}),
+}
 
-def type_from_data(d) -> LType:
-    k = d["kind"]
-    if k == "bool":
-        return Tbool()
-    if k == "int":
-        return Tint(d["width"], d["signed"])
-    if k == "array":
-        return Tarray(d["length"], type_from_data(d["element"]))
-    if k == "map":
-        return Tmap(type_from_data(d["key"]), type_from_data(d["value"]))
-    if k == "fid":
-        return Tfid(_addr_from_data(d["fun"]))
-    if k == "struct":
-        return Tstruct(Address(d["type_addr"]))
-    if k == "eaddr":
-        return Teaddr(_addr_from_data(d["addr"]))
-    if k == "unit":
-        return Tunit()
-    raise ValueError(f"unknown type kind {k!r}")
-
-
-def _addr_to_data(a: Address | None):
-    return None if a is None else a.index
-
-
-def _addr_from_data(d) -> Address | None:
-    return None if d is None else Address(d)
-
-
-def value_to_data(v: LValue):
-    if isinstance(v, Vbool):
-        return {"kind": "vbool", "bit": v.bit}
-    if isinstance(v, Vint):
-        return {"kind": "vint", "value": v.value, "width": v.width, "signed": v.signed}
-    if isinstance(v, Varray):
-        return {"kind": "varray", "arr_type": type_to_data(v.arr_type),
-                "indices": [expr_to_data(i) for i in v.indices],
-                "base": v.base.index}
-    if isinstance(v, Vmap):
-        return {"kind": "vmap", "base": v.base.index,
-                "keys": [expr_to_data(k) for k in v.keys],
-                "key_type": type_to_data(v.key_type),
-                "value_type": type_to_data(v.value_type),
-                "next": _addr_to_data(v.next)}
-    if isinstance(v, Vstruct):
-        return {"kind": "vstruct", "type_addr": v.type_addr.index,
-                "inst_addr": v.inst_addr.index}
-    if isinstance(v, Vfield):
-        return {"kind": "vfield", "result_type": type_to_data(v.result_type),
-                "type_addr": v.type_addr.index, "inst_addr": v.inst_addr.index,
-                "members": list(v.members),
-                "args": None if v.args is None else [expr_to_data(a) for a in v.args]}
-    raise TypeError(f"cannot serialize value {type(v).__name__}")
+_KINDS = {(category, kind): cls for cls, (kind, _) in FORMAT.items()
+          for category in (LType, LValue, LExpr, LStatement) if issubclass(cls, category)}
 
 
-def value_from_data(d) -> LValue:
-    k = d["kind"]
-    if k == "vbool":
-        return Vbool(d["bit"])
-    if k == "vint":
-        return Vint(d["value"], d["width"], d["signed"])
-    if k == "varray":
-        return Varray(type_from_data(d["arr_type"]),
-                      tuple(expr_from_data(i) for i in d["indices"]),
-                      Address(d["base"]))
-    if k == "vmap":
-        return Vmap(Address(d["base"]),
-                    tuple(expr_from_data(x) for x in d["keys"]),
-                    type_from_data(d["key_type"]), type_from_data(d["value_type"]),
-                    _addr_from_data(d["next"]))
-    if k == "vstruct":
-        return Vstruct(Address(d["type_addr"]), Address(d["inst_addr"]))
-    if k == "vfield":
-        args = d["args"]
-        return Vfield(type_from_data(d["result_type"]), Address(d["type_addr"]),
-                      Address(d["inst_addr"]), tuple(d["members"]),
-                      None if args is None else tuple(expr_from_data(a) for a in args))
-    raise ValueError(f"unknown value kind {k!r}")
+def _encode(code, x):
+    if x is None or code is JSON:
+        return x
+    if isinstance(code, list):
+        return [_encode(code[0], item) for item in x]
+    if isinstance(code, tuple):
+        return [_encode(c, item) for c, item in zip(code, x, strict=True)]
+    if code is Address:
+        return x.index
+    if not isinstance(x, code) or type(x) not in FORMAT:
+        raise TypeError(f"cannot serialize {type(x).__name__} as {code.__name__}")
+    kind, fields = FORMAT[type(x)]
+    return {"kind": kind, **{f: _encode(c, getattr(x, _ATTRIBUTE.get(f, f)))
+                             for f, c in fields.items()}}
 
 
-def expr_to_data(e: LExpr):
-    if isinstance(e, Econst):
-        return {"kind": "const", "value": value_to_data(e.value)}
-    if isinstance(e, Evar):
-        return {"kind": "var", "addr": _addr_to_data(e.addr), "type": type_to_data(e.ltype)}
-    if isinstance(e, Efun):
-        return {"kind": "fun", "addr": _addr_to_data(e.addr), "type": type_to_data(e.ltype)}
-    if isinstance(e, Econ):
-        return {"kind": "con", "addr": _addr_to_data(e.addr)}
-    if isinstance(e, Epar):
-        return {"kind": "par", "addr": _addr_to_data(e.addr)}
-    if isinstance(e, Estruct):
-        return {"kind": "struct", "type_addr": e.type_addr.index,
-                "values": [value_to_data(v) for v in e.values]}
-    if isinstance(e, Ebop):
-        return {"kind": "bop", "op": e.op, "left": expr_to_data(e.left),
-                "right": expr_to_data(e.right)}
-    if isinstance(e, Euop):
-        return {"kind": "uop", "op": e.op, "operand": expr_to_data(e.operand)}
-    if isinstance(e, Emodifier):
-        return {"kind": "modifier"}
-    raise TypeError(f"cannot serialize expression {type(e).__name__}")
-
-
-def expr_from_data(d) -> LExpr:
-    k = d["kind"]
-    if k == "const":
-        return Econst(value_from_data(d["value"]))
-    if k == "var":
-        return Evar(_addr_from_data(d["addr"]), type_from_data(d["type"]))
-    if k == "fun":
-        return Efun(_addr_from_data(d["addr"]), type_from_data(d["type"]))
-    if k == "con":
-        return Econ(_addr_from_data(d["addr"]))
-    if k == "par":
-        return Epar(_addr_from_data(d["addr"]))
-    if k == "struct":
-        return Estruct(Address(d["type_addr"]),
-                       tuple(value_from_data(v) for v in d["values"]))
-    if k == "bop":
-        return Ebop(d["op"], expr_from_data(d["left"]), expr_from_data(d["right"]))
-    if k == "uop":
-        return Euop(d["op"], expr_from_data(d["operand"]))
-    if k == "modifier":
-        return Emodifier()
-    raise ValueError(f"unknown expression kind {k!r}")
-
-
-def stmt_to_data(s: LStatement):
-    if isinstance(s, Contract):
-        return {"kind": "contract", "name": s.name.index,
-                "inherits": [a.index for a in s.inherits],
-                "members": [[n, a.index] for n, a in s.members]}
-    if isinstance(s, Modifier):
-        return {"kind": "modifier", "name": s.name.index,
-                "params": [expr_to_data(p) for p in s.params],
-                "body": [stmt_to_data(b) for b in s.body],
-                "ret_addr": _addr_to_data(s.ret_addr)}
-    if isinstance(s, Var):
-        return {"kind": "var", "access": s.access, "decl": expr_to_data(s.decl)}
-    if isinstance(s, StructDecl):
-        return {"kind": "structdecl", "type_addr": s.type_addr.index,
-                "members": [[n, type_to_data(t)] for n, t in s.members]}
-    if isinstance(s, Assign):
-        return {"kind": "assign", "lhs": expr_to_data(s.lhs), "rhs": expr_to_data(s.rhs)}
-    if isinstance(s, Return):
-        return {"kind": "return", "value": expr_to_data(s.value)}
-    if isinstance(s, Returns):
-        return {"kind": "returns", "values": [expr_to_data(e) for e in s.values]}
-    if isinstance(s, Throw):
-        return {"kind": "throw"}
-    if isinstance(s, Snil):
-        return {"kind": "snil"}
-    if isinstance(s, FunStop):
-        return {"kind": "funstop"}
-    if isinstance(s, Fun):
-        return {"kind": "fun", "name": s.name.index,
-                "modifiers": [stmt_to_data(m) for m in s.modifiers],
-                "params": [expr_to_data(p) for p in s.params],
-                "returns": [type_to_data(t) for t in s.returns],
-                "body": [stmt_to_data(b) for b in s.body],
-                "ret_addr": _addr_to_data(s.ret_addr)}
-    if isinstance(s, LoopFor):
-        return {"kind": "for", "cond": expr_to_data(s.cond),
-                "init": None if s.init is None else stmt_to_data(s.init),
-                "body": [stmt_to_data(b) for b in s.body],
-                "post": None if s.post is None else stmt_to_data(s.post)}
-    if isinstance(s, LoopWhile):
-        return {"kind": "while", "cond": expr_to_data(s.cond),
-                "body": [stmt_to_data(b) for b in s.body]}
-    if isinstance(s, FunCall):
-        return {"kind": "call", "callee": expr_to_data(s.callee),
-                "args": [expr_to_data(a) for a in s.args]}
-    if isinstance(s, If):
-        return {"kind": "if", "cond": expr_to_data(s.cond),
-                "then": [stmt_to_data(b) for b in s.then],
-                "orelse": [stmt_to_data(b) for b in s.orelse]}
-    raise TypeError(f"cannot serialize statement {type(s).__name__}")
-
-
-def stmt_from_data(d) -> LStatement:
-    k = d["kind"]
-    if k == "contract":
-        return Contract(Address(d["name"]),
-                        tuple(Address(a) for a in d["inherits"]),
-                        tuple((n, Address(a)) for n, a in d["members"]))
-    if k == "modifier":
-        return Modifier(Address(d["name"]),
-                        tuple(expr_from_data(p) for p in d["params"]),
-                        tuple(stmt_from_data(b) for b in d["body"]),
-                        _addr_from_data(d["ret_addr"]))
-    if k == "var":
-        return Var(d["access"], expr_from_data(d["decl"]))
-    if k == "structdecl":
-        return StructDecl(Address(d["type_addr"]),
-                          tuple((n, type_from_data(t)) for n, t in d["members"]))
-    if k == "assign":
-        return Assign(expr_from_data(d["lhs"]), expr_from_data(d["rhs"]))
-    if k == "return":
-        return Return(expr_from_data(d["value"]))
-    if k == "returns":
-        return Returns(tuple(expr_from_data(e) for e in d["values"]))
-    if k == "throw":
-        return Throw()
-    if k == "snil":
-        return Snil()
-    if k == "funstop":
-        return FunStop()
-    if k == "fun":
-        return Fun(Address(d["name"]),
-                   tuple(stmt_from_data(m) for m in d["modifiers"]),
-                   tuple(expr_from_data(p) for p in d["params"]),
-                   tuple(type_from_data(t) for t in d["returns"]),
-                   tuple(stmt_from_data(b) for b in d["body"]),
-                   _addr_from_data(d["ret_addr"]))
-    if k == "for":
-        return LoopFor(expr_from_data(d["cond"]),
-                       None if d["init"] is None else stmt_from_data(d["init"]),
-                       tuple(stmt_from_data(b) for b in d["body"]),
-                       None if d["post"] is None else stmt_from_data(d["post"]))
-    if k == "while":
-        return LoopWhile(expr_from_data(d["cond"]),
-                         tuple(stmt_from_data(b) for b in d["body"]))
-    if k == "call":
-        return FunCall(expr_from_data(d["callee"]),
-                       tuple(expr_from_data(a) for a in d["args"]))
-    if k == "if":
-        return If(expr_from_data(d["cond"]),
-                  tuple(stmt_from_data(b) for b in d["then"]),
-                  tuple(stmt_from_data(b) for b in d["orelse"]))
-    raise ValueError(f"unknown statement kind {k!r}")
+def _decode(code, d):
+    if d is None or code is JSON:
+        return d
+    if isinstance(code, list):
+        return tuple(_decode(code[0], item) for item in d)
+    if isinstance(code, tuple):
+        return tuple(_decode(c, item) for c, item in zip(code, d, strict=True))
+    if code is Address:
+        return Address(d)
+    cls = _KINDS.get((code, d["kind"]))
+    if cls is None:
+        raise ValueError(f"unknown {code.__name__[1:].lower()} kind {d['kind']!r}")
+    return cls(**{_ATTRIBUTE.get(f, f): _decode(c, d[f]) for f, c in FORMAT[cls][1].items()})
 
 
 def program_to_data(stmts) -> list:
-    return [stmt_to_data(s) for s in stmts]
+    return [_encode(LStatement, s) for s in stmts]
 
 
 def program_from_data(items) -> list[LStatement]:
-    return [stmt_from_data(d) for d in items]
+    return [_decode(LStatement, d) for d in items]

@@ -246,10 +246,6 @@ def walk_members(sigma: MemoryState, members, env: Env,
     return receiver, payload
 
 
-def bind_receiver(receiver: Address, fid: Fid, args) -> Fid:
-    return replace(fid, receiver=receiver, args=args)
-
-
 def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
                   expected_type: Address | None = None) -> MemoryValue | None:
     if not members:
@@ -265,6 +261,6 @@ def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
         return None
     receiver, payload = found
     if isinstance(payload, Fid):
-        payload = bind_receiver(receiver, payload, args)
+        payload = replace(payload, receiver=receiver, args=args)
     block = gm.read(sigma, a_init, "dir")
     return replace(block, payload=payload)

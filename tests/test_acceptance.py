@@ -333,7 +333,7 @@ def test_criterion_06_wallet():
 
     # static symbolic run: (now < open or now > close) forces the throw
     verdict = verify_triple(pre, prog, post, mode="static", symbols=symbols,
-                            require=spec.requires, K=1000, gas=10_000)
+                            require=spec.requires, K=1000)
     assert verdict.status == "verified", verdict.diagnostic
     assert len(verdict.paths) >= 1
     assert all(p.note == "throw" for p in verdict.paths)
@@ -342,8 +342,7 @@ def test_criterion_06_wallet():
     # branch copies privilegeOpen/privilegeClose into open/close
     concolic = {"privilegeOpen": 0, "privilegeClose": 3, "now": 4}
     verdict2 = verify_triple(pre, prog, post, mode="concolic", symbols=symbols,
-                             require=spec.requires, K=1000, gas=10_000,
-                             concolic=concolic)
+                             require=spec.requires, K=1000, concolic=concolic)
     assert verdict2.status == "verified", verdict2.diagnostic
     assert len(verdict2.paths) == 1
     assert verdict2.paths[0].note == "throw"

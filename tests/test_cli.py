@@ -134,6 +134,26 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)["status"] == "verified"
 
+    @pytest.mark.parametrize("sym_lines, flags, message", [
+        ("", ["limit:int:5..1"], "empty range for symbol 'limit'"),
+        ("", ["limit:int"], "needs a finite range"),
+        ("", ["9x:int:0..3"], "bad symbol name '9x'"),
+        ("sym limit : int 0..9\nsym limit : int 0..3\n", [], "symbol 'limit' declared twice"),
+        ("sym limit : int 0..9\n", ["limit:int:0..3"], "symbol 'limit' declared twice"),
+    ], ids=["empty-range", "int-without-range", "bad-name", "two-sym-lines", "line-and-flag"])
+    def test_bad_symbol_declaration_is_one_error_line(self, capsys, tmp_path,
+                                                      sym_lines, flags, message):
+        spec = tmp_path / "sym.spec"
+        spec.write_text("entry clamp\n" + sym_lines + "post limit == 5\n")
+        argv = ["verify", "samples/clamp.lls", "--spec", str(spec)]
+        for flag in flags:
+            argv += ["--symbolic", flag]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_require_naming_undeclared_symbol_is_error(self, capsys, tmp_path):
         spec = tmp_path / "bad.spec"
         spec.write_text(
@@ -303,6 +323,22 @@ class TestOracleAstInput:
         rc, out, _ = run_cli(capsys, "oracle", "--ast", str(path), "--json")
         assert rc == 0
         assert json.loads(out) == {"total": 1, "divergences": []}
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ('{"program": [{"kind": "nope"}]}', "unknown statement kind 'nope'"),
+        ('{"program": [{"kind": "while", "body": []}]}', "missing field 'cond'"),
+        ('{"mem_size": "x", "program": []}', "mem_size 'x' is not an integer"),
+    ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size"])
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, "oracle", "--ast", str(path))
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(f"error: {path}: malformed AST document: ")
+        assert err.count("\n") == 1
+        assert message in err
 
     def test_out_of_subset_document_reported(self, capsys, tmp_path):
         from minisol.binder import bind_addresses

@@ -279,6 +279,19 @@ class TestInterchange:
         data = json.loads(json.dumps(program_to_data(bound.decls)))
         assert program_from_data(data) == bound.decls
 
+    def test_every_node_class_has_one_format_entry(self):
+        import inspect
+        from minisol import syntax
+        categories = (syntax.LType, syntax.LValue, syntax.LExpr, syntax.LStatement)
+        nodes = [cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
+                 if cls.__module__ == syntax.__name__ and issubclass(cls, categories)
+                 and cls not in categories]
+        assert sorted(syntax.FORMAT, key=str) == sorted(nodes, key=str)
+        # a kind names one class per category, so decoding is unambiguous
+        tags = [(category, kind) for cls, (kind, _) in syntax.FORMAT.items()
+                for category in categories if issubclass(cls, category)]
+        assert len(tags) == len(set(tags)) == len(nodes)
+
     def test_runtime_only_statement_is_not_serializable(self):
         from minisol.stmts import SummaryStep
         with pytest.raises(TypeError):
