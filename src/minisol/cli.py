@@ -140,7 +140,7 @@ def _prepare(ns):
             spec = parse_spec(fh.read())
     entry = ns.entry or spec.entry
     if entry is None:
-        return bound, spec, None, []
+        return bound, spec, None, _split_args(ns.arg, ())[1]
     rec = bound.functions.get(entry)
     if rec is None:
         raise RunnerError(f"no function named {entry!r}")

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 from . import memory as gm
-from .memory import MemoryState
+from .memory import MemoryState, MemoryValue
 from .stmts import (
     BUDGET,
     ERROR,
@@ -187,11 +187,13 @@ def concretize_payload(p, assignment):
             concretize_payload(m, assignment) for m in p.members))
     if isinstance(p, gm.MapNode) and p.kv is not None:
         k, v = p.kv
-        return replace(p, kv=(concretize_payload(k, assignment),
-                              concretize_payload(v, assignment)))
+        return gm.MapNode(p.init, (concretize_payload(k, assignment),
+                                   concretize_payload(v, assignment)),
+                          p.key_type, p.value_type, p.next)
     if isinstance(p, gm.Fid) and p.args:
-        return replace(p, args=tuple(
-            replace(a, payload=concretize_payload(a.payload, assignment))
+        return gm.Fid(p.fun, p.receiver, tuple(
+            MemoryValue(concretize_payload(a.payload, assignment),
+                        a.domain, a.level, a.access, a.occupancy)
             for a in p.args))
     return p
 
@@ -212,14 +214,16 @@ def concretize(sigma: MemoryState, assignment, indices=None,
         return sigma
     if memo is None:
         memo = {}
-    blocks = list(sigma.blocks)
+    blocks = sigma.blocks
+    rebuilt = []
     for i in indices:
         b = blocks[i]
         c = memo.get(id(b))
         if c is None:
-            c = memo[id(b)] = replace(b, payload=concretize_payload(b.payload, assignment))
-        blocks[i] = c
-    return replace(sigma, blocks=tuple(blocks))
+            c = memo[id(b)] = MemoryValue(concretize_payload(b.payload, assignment),
+                                          b.domain, b.level, b.access, b.occupancy)
+        rebuilt.append((i, c))
+    return MemoryState(blocks.update(rebuilt), sigma.symbol_table, sigma.alloc_floor)
 
 
 def _payload_has_symbols(p) -> bool:
@@ -438,12 +442,7 @@ def throw_state_post(final: MemoryState, initial: MemoryState | None) -> bool:
     flag = final.blocks[idx].payload
     if not (isinstance(flag, gm.BoolPayload) and flag.bit is True):
         return False
-    for i, (a, b) in enumerate(zip(final.blocks, initial.blocks)):
-        if a is b or i == idx:
-            continue
-        if a != b:
-            return False
-    return True
+    return all(i == idx for i in final.blocks.diff(initial.blocks))
 
 
 def unchanged_post(addr: gm.Address):

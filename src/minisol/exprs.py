@@ -13,8 +13,6 @@ operand is symbolic the result is a symbolic tree of the same kind.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import memory as gm
 from .memory import (
     Address,
@@ -165,8 +163,8 @@ def eval_bop(op: str, lhs: MemoryValue | None,
             r = apply_op(op, (a, b), width, signed)
         except SymEvalError:
             return None
-    return replace(lhs, payload=IntPayload(r, width, signed) if op in _ARITH
-                   else BoolPayload(r))
+    return MemoryValue(IntPayload(r, width, signed) if op in _ARITH else BoolPayload(r),
+                       lhs.domain, lhs.level, lhs.access, lhs.occupancy)
 
 
 def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
@@ -182,7 +180,8 @@ def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
     if x is None:
         return None
     r = SymOp(op, (x,), width, signed) if is_symbolic(x) else apply_op(op, (x,), width, signed)
-    return replace(v, payload=BoolPayload(r) if op == "!" else IntPayload(r, width, signed))
+    return MemoryValue(BoolPayload(r) if op == "!" else IntPayload(r, width, signed),
+                       v.domain, v.level, v.access, v.occupancy)
 
 
 def extract(v: MemoryValue | None, kind: str):

@@ -2,7 +2,15 @@
 
 The store is a fixed-size sequence of tagged memory values with value
 semantics: every operation returns a fresh state and never mutates one
-observed elsewhere. Blocks are read and written either directly ("dir")
+observed elsewhere. The sequence is a ``BlockVector``, a persistent
+vector in the style of Bagwell's "Ideal Hash Trees" and Clojure's
+``PersistentVector``: a spine tuple of ``CHUNK``-wide leaf tuples. A
+write copies one leaf and the spine, and the new state shares every
+other leaf with the old one, so a write costs the same at any memory
+size. Whole-state comparisons skip the leaves two states share, and a
+fresh store fills its free space with one shared free block.
+
+Blocks are read and written either directly ("dir")
 or after validation ("chck"). The validation predicate is deliberately
 centralized here so it can be swapped: a chck access succeeds iff the
 block is occupied and either the block is public or the caller's domain
@@ -23,9 +31,10 @@ and relied on by golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain, islice
 
-from .symbolic import SymExpr, is_symbolic
+from .symbolic import is_symbolic
 
 DEFAULT_MEMORY_SIZE = 100
 
@@ -176,15 +185,111 @@ def is_reserved(addr: Address, size: int) -> bool:
     return size - RESERVED_BLOCKS <= addr.index < size
 
 
+# ---------------------------------------------------------------------------
+# Block vector
+
+CHUNK = 64  # leaf width, a power of two: an index splits into leaf and slot by shift and mask
+_SHIFT = CHUNK.bit_length() - 1
+_MASK = CHUNK - 1
+
+
+class BlockVector:
+    """Persistent sequence of memory values: a spine tuple of leaf tuples.
+
+    Every leaf but the last holds exactly ``CHUNK`` values. ``set`` and
+    ``update`` return a new vector that shares each leaf they leave
+    untouched. ``len``, integer indexing and iteration behave as on a
+    tuple, a slice is a tuple, and ``==`` skips the leaves two vectors
+    share.
+    """
+
+    __slots__ = ("leaves", "size")
+
+    def __init__(self, leaves: tuple, size: int):
+        self.leaves = leaves
+        self.size = size
+
+    @classmethod
+    def of(cls, values) -> BlockVector:
+        values = tuple(values)
+        return cls(tuple(values[i:i + CHUNK] for i in range(0, len(values), CHUNK)),
+                   len(values))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return chain.from_iterable(self.leaves)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self.size)
+            if step > 0:
+                return tuple(islice(self, start, max(start, stop), step))
+            return tuple(self)[i]
+        if i < 0:
+            i += self.size
+            if i < 0:
+                raise IndexError("block index out of range")
+        return self.leaves[i >> _SHIFT][i & _MASK]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockVector):
+            return NotImplemented
+        return self.size == other.size and all(
+            a is b or a == b for a, b in zip(self.leaves, other.leaves))
+
+    def __repr__(self) -> str:
+        return f"BlockVector({tuple(self)!r})"
+
+    def set(self, i: int, value) -> BlockVector:
+        """This vector with block ``0 <= i < len`` replaced: one leaf and the spine are copied."""
+        j, k = i >> _SHIFT, i & _MASK
+        leaves = self.leaves
+        leaf = leaves[j]
+        return BlockVector(leaves[:j] + (leaf[:k] + (value,) + leaf[k + 1:],) + leaves[j + 1:],
+                           self.size)
+
+    def update(self, items) -> BlockVector:
+        """This vector with each ``(i, value)`` of ``items`` applied in order,
+        ``0 <= i < len``. Each touched leaf is copied once."""
+        touched = {}
+        for i, value in items:
+            j = i >> _SHIFT
+            leaf = touched.get(j)
+            if leaf is None:
+                leaf = touched[j] = list(self.leaves[j])
+            leaf[i & _MASK] = value
+        leaves = list(self.leaves)
+        for j, leaf in touched.items():
+            leaves[j] = tuple(leaf)
+        return BlockVector(tuple(leaves), self.size)
+
+    def diff(self, other: BlockVector):
+        """Ascending indices at which the two vectors hold unequal blocks,
+        over their common length; shared and equal leaves are skipped."""
+        for j, (la, lb) in enumerate(zip(self.leaves, other.leaves)):
+            if la is lb or la == lb:
+                continue
+            base = j << _SHIFT
+            for k, (a, b) in enumerate(zip(la, lb)):
+                if a is not b and a != b:
+                    yield base + k
+
+
 @dataclass(frozen=True)
 class MemoryState:
-    blocks: tuple = ()
+    blocks: BlockVector = ()  # any other sequence of blocks is coerced
     symbol_table: dict = field(default_factory=dict)
     alloc_floor: int = 0  # allocate() never hands out blocks below this index
 
+    def __post_init__(self):
+        if not isinstance(self.blocks, BlockVector):
+            object.__setattr__(self, "blocks", BlockVector.of(self.blocks))
+
     @property
     def size(self) -> int:
-        return len(self.blocks)
+        return self.blocks.size
 
     def addr_of(self, name: str) -> Address:
         return self.symbol_table[name]
@@ -209,7 +314,7 @@ def init_mem(size: int, stdlib=()) -> MemoryState:
         )
     names = reserved_addresses(size)
     gdom = names["0xglobal"]
-    blocks = [free_value(gdom) for _ in range(size)]
+    blocks = [free_value(gdom)] * size  # one shared free block
 
     def put(addr: Address, payload: Payload, access: str = PUBLIC):
         blocks[addr.index] = MemoryValue(payload, domain=gdom, level=0,
@@ -241,8 +346,7 @@ def init_mem(size: int, stdlib=()) -> MemoryState:
                 f"unsupported statement in standard library: {type(stmt).__name__}"
             )
 
-    table = dict(names)
-    return MemoryState(blocks=tuple(blocks), symbol_table=table)
+    return MemoryState(BlockVector.of(blocks), dict(names))
 
 
 def _in_range(sigma: MemoryState, addr: Address) -> bool:
@@ -280,11 +384,12 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
             return None
         # A validated write updates the contents but keeps the block's
         # declared ownership so access control is stable across writers.
-        value = replace(value, domain=old.domain, access=old.access)
+        value = MemoryValue(value.payload, old.domain, value.level, old.access,
+                            value.occupancy)
     elif mode != "dir":
         raise ValueError(f"unknown access mode {mode!r}")
-    blocks = sigma.blocks[:addr.index] + (value,) + sigma.blocks[addr.index + 1:]
-    return replace(sigma, blocks=blocks)
+    return MemoryState(sigma.blocks.set(addr.index, value), sigma.symbol_table,
+                       sigma.alloc_floor)
 
 
 def address_offset(op: str, offset: int, addr: Address,
@@ -310,8 +415,9 @@ def allocate(sigma: MemoryState, n: int) -> tuple[Address, MemoryState] | None:
     if n <= 0:
         return None
     run = 0
-    for i in range(sigma.alloc_floor, sigma.size):
-        if sigma.blocks[i].occupancy == FREE:
+    floor = sigma.alloc_floor
+    for i, block in enumerate(islice(sigma.blocks, floor, None), floor):
+        if block.occupancy == FREE:
             run += 1
             if run == n:
                 base = i - n + 1
@@ -325,17 +431,16 @@ def allocate_at(sigma: MemoryState, base: Address, n: int) -> MemoryState | None
     """Reserve n contiguous blocks at a fixed base (named array storage)."""
     if n <= 0 or not _in_range(sigma, base) or base.index + n > sigma.size:
         return None
-    for i in range(base.index, base.index + n):
-        if sigma.blocks[i].occupancy != FREE:
-            return None
+    if any(b.occupancy != FREE for b in sigma.blocks[base.index:base.index + n]):
+        return None
     return _mark_occupied(sigma, base.index, n)
 
 
 def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
-    blocks = list(sigma.blocks)
-    for i in range(base, base + n):
-        blocks[i] = replace(blocks[i], payload=Undef(), occupancy=OCCUPY)
-    return replace(sigma, blocks=tuple(blocks))
+    blocks = sigma.blocks
+    occupied = ((i, MemoryValue(Undef(), b.domain, b.level, b.access, OCCUPY))
+                for i, b in enumerate(blocks[base:base + n], base))
+    return MemoryState(blocks.update(occupied), sigma.symbol_table, sigma.alloc_floor)
 
 
 def free_mem(sigma: MemoryState, addr: Address) -> MemoryState | None:

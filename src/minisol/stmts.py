@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import memory as gm
-from .layout import LayoutInfo, array_layout, elem_offset
+from .layout import array_layout
 from .memory import (
     Address,
     BoolPayload,
@@ -59,8 +59,8 @@ from .syntax import (
 from .values import Env  # noqa: F401  (Env re-exported)
 
 __all__ = [
-    "ExecContext", "StepResult", "Run", "SummaryStep", "LayoutInfo", "array_layout",
-    "elem_offset", "env_check", "init_array", "init_var", "exec_statement", "drive",
+    "ExecContext", "StepResult", "Run", "SummaryStep", "array_layout",
+    "env_check", "init_array", "init_var", "exec_statement", "drive",
 ]
 
 
@@ -141,14 +141,14 @@ def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
         return None
     layout = array_layout(dims)
     total = layout.array_size
-    if base.index + total > sigma.size:
+    if not 0 <= base.index <= sigma.size - total:
         return None
     if K < total:
         return None
     run = _group_run(tuple(dims), env.domain, env.level)
-    blocks = list(sigma.blocks)
-    blocks[base.index:base.index + total] = run * dims[0]
-    return MemoryState(tuple(blocks), sigma.symbol_table, sigma.alloc_floor)
+    blocks = sigma.blocks.update(zip(range(base.index, base.index + total), run * dims[0],
+                                     strict=True))
+    return MemoryState(blocks, sigma.symbol_table, sigma.alloc_floor)
 
 
 def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
@@ -449,11 +449,8 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
     flag false. None: some other block was modified."""
     if before.size != after.size:
         return None
-    for i, (a, b) in enumerate(zip(before.blocks, after.blocks)):
-        if i == flag_idx:
-            continue
-        if a != b:
-            return None
+    if any(i != flag_idx for i in before.blocks.diff(after.blocks)):
+        return None
     flag = after.blocks[flag_idx].payload
     if isinstance(flag, BoolPayload) and flag.bit is True:
         return True

@@ -49,7 +49,7 @@ class Env:
     domain: Address
 
     def spend(self, n: int = 1) -> "Env":
-        return replace(self, gas=self.gas - n)
+        return Env(self.gas - n, self.gas_limit, self.level, self.domain)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,19 @@ class TestEntryArguments:
         assert rc == 0
         assert out.strip().splitlines()[99].split("\t")[4] == "bool:true"
 
+    def test_global_write_via_arg_without_entry(self, capsys):
+        # with no entry to run, an --arg still seeds the global it names
+        rc, out, _ = run_cli(capsys, "run", WALLET, "--arg", "now=5")
+        assert rc == 0
+        assert out.strip().splitlines()[0].split("\t")[4] == "int:u64:5"
+
+    def test_unknown_global_without_entry_fails(self, capsys):
+        rc, out, err = run_cli(capsys, "run", WALLET, "--arg", "zz=5")
+        assert rc == 3
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestSelectiveModeCli:
     def test_selective_without_summaries_matches_static(self, capsys):

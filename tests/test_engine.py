@@ -23,7 +23,7 @@ from minisol.engine import (
     throw_state_post,
     verify_triple,
 )
-from minisol.memory import Address, BoolPayload, IntPayload, MemoryValue
+from minisol.memory import Address, BoolPayload, IntPayload, MemoryState, MemoryValue
 from minisol.parser import parse_source
 from minisol.proggen import generate_program
 from minisol.runner import compile_posts, entry_program, make_pre
@@ -416,6 +416,54 @@ class TestThrowStatePost:
 
         verdict = verify_triple(pre, (Snil(),), throw_state_post)
         assert verdict.status == "refuted"
+
+
+def unshared(sigma):
+    """The same state rebuilt from a plain tuple: it shares no leaf with ``sigma``."""
+    return MemoryState(tuple(sigma.blocks), sigma.symbol_table, sigma.alloc_floor)
+
+
+def state_pairs(a, b):
+    """``(a, b)`` as computed, and with either or both sides rebuilt unshared."""
+    return [(a, b), (unshared(a), b), (a, unshared(b)), (unshared(a), unshared(b))]
+
+
+class TestWholeStateComparisons:
+    """Comparisons skip the leaves two states share; rebuilding a state so that
+    it shares none must not change any answer."""
+
+    # 100 blocks are a full leaf (0..63) and a partial last leaf (64..99)
+    # that also holds the reserved blocks.
+    @pytest.mark.parametrize("extra, expected", [
+        (None, True),                   # only the throw flag is raised
+        (5, False),                     # another change in the first leaf
+        (70, False),                    # another change in the partial last leaf
+        ("same", True),                 # a rewrite with an equal, new block
+    ])
+    def test_throw_state_post(self, extra, expected):
+        sigma, _env, names = declared_world()
+        final = poke(sigma, names["0xthrow"], BoolPayload(True))
+        if extra == "same":
+            final = gm.write(final, X, replace(final.blocks[X.index]), "dir")
+        elif extra is not None:
+            final = poke(final, Address(extra), IntPayload(7))
+        for f, i in state_pairs(final, sigma):
+            assert throw_state_post(f, i) is expected
+
+    def test_throw_state_post_needs_the_flag(self):
+        sigma, _env, _names = declared_world()
+        for f, i in state_pairs(sigma, sigma):
+            assert throw_state_post(f, i) is False
+
+    @pytest.mark.parametrize("mem, index", [(100, 0), (100, 70), (100, 88), (65, 64)])
+    def test_state_equality(self, mem, index):
+        sigma = fresh_memory(mem)
+        assert all(a == b for a, b in state_pairs(sigma, sigma))
+        changed = poke(sigma, Address(index), IntPayload(7))
+        assert all(a != b for a, b in state_pairs(changed, sigma))
+        restored = poke(changed, Address(index), sigma.blocks[index].payload)
+        assert all(a == b for a, b in state_pairs(restored, sigma))
+        assert fresh_memory(mem) != fresh_memory(mem + 1)
 
 
 class TestSymbolicLoops:

@@ -15,7 +15,9 @@ from minisol.memory import (
     Undef,
 )
 from minisol.stdlib import fresh_memory, standard_library
-from minisol.values import initial_env
+from minisol.stmts import _group_run, init_array
+from minisol.syntax import Tarray, Tuint, array_dims
+from minisol.values import TOP_LEVEL, initial_env
 
 
 def mv(payload, domain=Address(0), access="public"):
@@ -248,3 +250,166 @@ class TestStdlibLoading:
         bad = [Fun(Address(500), (), None, (Tbool(),), (FunStop(),), Address(501))]
         with pytest.raises(MemoryConfigError):
             gm.init_mem(100, bad)
+
+
+# ---------------------------------------------------------------------------
+# Model test: the block vector against a flat list of blocks
+
+MODEL_SIZES = (11, 64, 65, 100, 1000)
+MODEL_ARRAYS = (
+    Tarray(3, Tuint()),
+    Tarray(2, Tarray(3, Tuint())),
+    Tarray(2, Tarray(3, Tarray(2, Tuint()))),
+    Tarray(70, Tuint()),  # wider than one leaf
+)
+
+
+def _model_ops(size):
+    index = st.one_of(st.integers(-1, size),  # -1 and size are out of range
+                      st.sampled_from([0, 63, 64, size - 1]))
+    domain = st.sampled_from([0, 1, size - 1 - gm.RESERVED_LAYOUT.index("0xglobal")])
+    value = st.builds(lambda v, d, a: mv(IntPayload(v), Address(d), a),
+                      st.integers(-3, 3), domain, st.sampled_from(gm.ACCESS_KINDS))
+    return st.one_of(
+        st.tuples(st.just("dir"), index, value),
+        st.tuples(st.just("chck"), index, value, domain),
+        st.tuples(st.just("allocate"), st.integers(0, 70)),
+        st.tuples(st.just("allocate_at"), index, st.integers(0, 70)),
+        st.tuples(st.just("free"), index),
+        st.tuples(st.just("init_array"), index, st.sampled_from(MODEL_ARRAYS), domain),
+    )
+
+
+def _occupied(b):
+    return MemoryValue(Undef(), b.domain, b.level, b.access, gm.OCCUPY)
+
+
+def _model_step(model, op):
+    """Apply ``op`` to the flat list ``model`` in place.
+
+    Returns the indices it may change, or None where the store refuses.
+    """
+    size = len(model)
+    kind, *args = op
+    if kind in ("dir", "chck"):
+        i, value = args[0], args[1]
+        if not 0 <= i < size:
+            return None
+        if kind == "chck":
+            old = model[i]
+            visible = old.access == gm.PUBLIC or old.domain == Address(args[2])
+            if old.occupancy != gm.OCCUPY or not visible:
+                return None
+            value = MemoryValue(value.payload, old.domain, value.level, old.access,
+                                value.occupancy)
+        model[i] = value
+        return range(i, i + 1)
+    if kind == "allocate":
+        n = args[0]
+        base = next((b for b in range(size - n + 1)
+                     if all(m.occupancy == gm.FREE for m in model[b:b + n])), None)
+        if n <= 0 or base is None:
+            return None
+    elif kind == "allocate_at":
+        base, n = args
+        if (n <= 0 or not 0 <= base < size or base + n > size
+                or any(m.occupancy != gm.FREE for m in model[base:base + n])):
+            return None
+    elif kind == "free":
+        i = args[0]
+        if (not 0 <= i < size or gm.is_reserved(Address(i), size)
+                or model[i].occupancy != gm.OCCUPY):
+            return None
+        model[i] = gm.free_value(model[i].domain)
+        return range(i, i + 1)
+    else:  # init_array: the run the statement layer lays down, spliced in
+        base, arr_type, dom = args
+        dims, _final = array_dims(arr_type)
+        run = _group_run(tuple(dims), Address(dom), TOP_LEVEL) * dims[0]
+        if base < 0 or base + len(run) > size:
+            return None
+        model[base:base + len(run)] = run
+        return range(base, base + len(run))
+    model[base:base + n] = [_occupied(b) for b in model[base:base + n]]
+    return range(base, base + n)
+
+
+def _store_step(sigma, op):
+    kind, *args = op
+    if kind in ("dir", "chck"):
+        env = initial_env(10, Address(args[2])) if kind == "chck" else None
+        return gm.write(sigma, Address(args[0]), args[1], kind, env)
+    if kind == "allocate":
+        got = gm.allocate(sigma, args[0])
+        return None if got is None else got[1]
+    if kind == "allocate_at":
+        return gm.allocate_at(sigma, Address(args[0]), args[1])
+    if kind == "free":
+        return gm.free_mem(sigma, Address(args[0]))
+    base, arr_type, dom = args
+    return init_array(10_000, sigma, Address(base), arr_type,
+                      initial_env(10, Address(dom)))
+
+
+def _flat_dump(model):
+    return "\n".join(f"{i}\t{b.occupancy}\t{b.access}\t{b.domain.index}\t"
+                     f"{gm.render_payload(b.payload)}" for i, b in enumerate(model))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_vector_matches_flat_model(data):
+    size = data.draw(st.sampled_from(MODEL_SIZES))
+    sigma = fresh_memory(size)
+    model = list(sigma.blocks)
+    for op in data.draw(st.lists(_model_ops(size), max_size=25)):
+        touched = _model_step(model, op)
+        out = _store_step(sigma, op)
+        assert (out is None) == (touched is None), op
+        if out is None:
+            continue
+        assert tuple(out.blocks) == tuple(model), op
+        leaves = out.blocks.leaves
+        assert [len(leaf) for leaf in leaves[:-1]] == [gm.CHUNK] * (len(leaves) - 1)
+        assert sum(map(len, leaves)) == len(out.blocks) == size
+        # structural sharing: a leaf the operation did not touch is the old object
+        hit = {i // gm.CHUNK for i in touched}
+        for j, (old, new) in enumerate(zip(sigma.blocks.leaves, leaves)):
+            if j not in hit:
+                assert new is old, (op, j)
+        sigma = out
+    assert gm.dump(sigma) == _flat_dump(model)
+
+
+class TestBlockVector:
+    def test_sequence_protocol_matches_tuple(self):
+        values = tuple(mv(IntPayload(i)) for i in range(150))
+        vec = gm.BlockVector.of(values)
+        assert len(vec) == 150
+        assert tuple(vec) == values
+        assert vec[0] == values[0] and vec[149] == values[149] and vec[-1] == values[-1]
+        for s in (slice(60, 70), slice(None, 5), slice(140, None), slice(None, None, -7),
+                  slice(10, 3), slice(-5, None)):
+            assert vec[s] == values[s], s
+        with pytest.raises(IndexError):
+            vec[150]
+        with pytest.raises(IndexError):
+            vec[-151]
+
+    def test_plain_tuple_is_coerced(self, sigma):
+        rebuilt = gm.MemoryState(tuple(sigma.blocks), sigma.symbol_table, sigma.alloc_floor)
+        assert isinstance(rebuilt.blocks, gm.BlockVector)
+        assert rebuilt == sigma
+        assert rebuilt.blocks.leaves == sigma.blocks.leaves
+
+    def test_write_shares_every_other_leaf(self):
+        sigma = fresh_memory(1000)
+        out = gm.write(sigma, Address(130), mv(IntPayload(1)), "dir")
+        for j, (old, new) in enumerate(zip(sigma.blocks.leaves, out.blocks.leaves)):
+            assert (new is old) == (j != 130 // gm.CHUNK)
+
+    def test_fresh_memory_shares_one_free_block(self):
+        sigma = fresh_memory(1000)
+        free = [b for b in sigma.blocks if b.occupancy == gm.FREE]
+        assert len(free) > 900
+        assert all(b is free[0] for b in free)

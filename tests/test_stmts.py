@@ -4,6 +4,8 @@ control flow, calls, modifiers, throw."""
 import math
 from dataclasses import replace
 
+import pytest
+
 from minisol import memory as gm
 from minisol.layout import array_layout, elem_offset
 from minisol.memory import (
@@ -14,6 +16,7 @@ from minisol.memory import (
     FunctionInfo,
     IntPayload,
     MapNode,
+    MemoryState,
     MemoryValue,
     StructTypeInfo,
     Undef,
@@ -149,6 +152,12 @@ class TestInitArray:
         assert out.blocks[0].payload == ArrayGroup(2, 10)
         assert out.blocks[1].payload == ArrayGroup(3, 3)
         assert out.blocks[10].payload == ArrayGroup(2, 10)
+
+    def test_run_outside_memory_absent(self, sigma, env):
+        t = Tarray(3, Tuint())
+        assert init_array(50, sigma, Address(-1), t, env) is None
+        assert init_array(50, sigma, Address(sigma.size - 2), t, env) is None
+        assert init_array(50, sigma, Address(sigma.size - 3), t, env).size == sigma.size
 
     def test_one_dim_all_leaves(self, sigma, env):
         t = Tarray(3, Tuint())
@@ -477,6 +486,32 @@ class TestModifiers:
                            MemoryValue(IntPayload(1), domain=env.domain), "dir")
         assert _modif_check(sigma, touched, flag_idx) is None
         assert _modif_check(sigma, sigma, flag_idx) is False
+
+    @pytest.mark.parametrize("extra, expected", [
+        ("flag", True),        # the flag alone is raised
+        (None, False),         # nothing changed
+        (3, None),             # a change in the first, full leaf
+        (80, None),            # a change in the partial last leaf
+        ("flag+80", None),     # the flag and another block of its leaf
+    ])
+    def test_isolation_check_ignores_leaf_sharing(self, sigma, names, extra, expected):
+        # the answer is the same when either state is rebuilt with no leaf shared
+        from minisol.stmts import _modif_check
+        flag = names["0xmodifier"]
+        after = sigma
+        if extra in ("flag", "flag+80"):
+            after = gm.write(after, flag, replace(sigma.blocks[flag.index],
+                                                  payload=BoolPayload(True)), "dir")
+        if extra in (3, 80, "flag+80"):
+            i = 80 if extra == "flag+80" else extra
+            after = gm.write(after, Address(i), MemoryValue(IntPayload(1)), "dir")
+
+        def unshared(s):
+            return MemoryState(tuple(s.blocks), s.symbol_table, s.alloc_floor)
+
+        for b, a in [(sigma, after), (unshared(sigma), after), (sigma, unshared(after)),
+                     (unshared(sigma), unshared(after))]:
+            assert _modif_check(b, a, flag.index) is expected
 
 
 class TestMappingStatements:
