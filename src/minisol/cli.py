@@ -2,13 +2,18 @@
 
     minisol run FILE --entry NAME [--arg N=V]... [--spec FILE] ...
     minisol step FILE --entry NAME [--max-steps N] ...
-    minisol verify FILE --spec FILE [--mode static|concolic|selective] ...
+    minisol verify FILE --spec FILE [--mode static|concolic] ...
     minisol typecheck FILE
     minisol emit-ast FILE [--dump FILE]
     minisol oracle [--count N] [--seed N]
 
+``verify`` explores every assignment of the declared symbols that
+satisfies the spec's ``require`` lines; ``--mode concolic`` instead pins
+the symbols to their ``--arg`` values and runs that one concrete path.
+
 Exit codes: 0 success/verified, 1 refuted, 2 usage, 3 parse, type or
-internal failure.
+internal failure. With ``--json`` a failed ``run`` still prints one
+record, ``{"status": "error", "diagnostic": ...}``.
 """
 
 from __future__ import annotations
@@ -74,8 +79,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a Hoare triple from a spec file")
     _common_flags(ver)
-    ver.add_argument("--mode", choices=("static", "concolic", "selective"),
-                     default="static")
+    ver.add_argument("--mode", choices=("static", "concolic"), default="static")
     ver.add_argument("--symbolic", action="append", default=[],
                      metavar="NAME:kind[:lo..hi]",
                      help="declare a symbolic input (alternative to sym lines)")
@@ -168,8 +172,10 @@ def cmd_run(ns) -> int:
     if prog is not None:
         final = interpret(ns.k, world.sigma, world.env, world.fenv, prog, world.ctx)
     if final is None:
-        print("execution failed: " + "; ".join(world.ctx.diagnostics[-3:]),
-              file=sys.stderr)
+        diagnostic = "; ".join(world.ctx.diagnostics[-3:])
+        print("execution failed: " + diagnostic, file=sys.stderr)
+        if ns.json:
+            print(json.dumps({"status": "error", "diagnostic": diagnostic}))
         return EXIT_FAILURE
     if ns.json:
         print(json.dumps({"status": "ok", "dump": gm.dump(final)}))
@@ -234,7 +240,7 @@ def cmd_verify(ns) -> int:
     pre = make_pre(bound, ns.gas, _binfo(ns), sets=spec.sets,
                    arg_writes=global_writes, symbols=symbols)
     post = compile_posts(bound, spec.posts)
-    verdict = verify_triple(pre, prog, post, mode=ns.mode, symbols=symbols,
+    verdict = verify_triple(pre, prog, post, symbols=symbols,
                             require=spec.requires, K=ns.k, concolic=concolic)
     payload = {
         "status": verdict.status,

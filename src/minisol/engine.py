@@ -9,10 +9,13 @@ spent per dispatched statement, the recursion budget K per nested value
 or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
-declared finite domain; no external solver is involved. The domain
-product is enumerated once per exploration: every path carries the
-assignments that satisfy its condition, and a fork filters its parent's
-set by the new constraint. Each forked path gets its own copy of the
+declared finite domain; no external solver is involved. ``verify_triple``
+is the one verification route: it computes the initial path's models
+once, either the domain product filtered by the precondition or a single
+pinned concolic assignment, and every path carries the models that
+satisfy its condition; a fork filters its parent's set by the new
+constraint. A segment summary is reused only after the same route has
+proven it against its segment. Each forked path gets its own copy of the
 execution context.
 """
 
@@ -31,7 +34,7 @@ from .stmts import (
     PAUSED,
     SYMBOLIC,
     ExecContext,
-    SummaryStep,
+    SegmentSummary,  # noqa: F401  (re-exported)
     drive,
 )
 from .symbolic import SymEvalError, SymExpr, collect_symbols, is_symbolic
@@ -97,14 +100,6 @@ class Verdict:
     path: PathState | None = None
     diagnostic: str = ""
     paths: tuple = ()
-
-
-@dataclass
-class SegmentSummary:
-    """A proven program segment replaced by its state transformer."""
-    segment: tuple
-    transform: object  # Callable[[MemoryState], MemoryState | None]
-    label: str = "summary"
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +244,17 @@ def symbolic_blocks(sigma: MemoryState) -> tuple:
 # ---------------------------------------------------------------------------
 # Path exploration
 
-def explore(K: int, initial: PathState, symbols) -> list[PathState]:
+def explore(K: int, initial: PathState) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    The initial path's satisfying assignments are enumerated once. When
-    the dispatch loop stops on a symbolic branch the path forks into
+    When the dispatch loop stops on a symbolic branch the path forks into
     assumed-false and assumed-true children, each keeping the parent
-    assignments that satisfy its branch and its own copy of the context;
-    a child with no assignment left is pruned. Results are merged in
-    path-condition lexicographic order.
+    models (starting from ``initial.models``) that satisfy its branch,
+    and its own copy of the context; a child with no model left is
+    pruned. Results are merged in path-condition lexicographic order.
     """
     terminals: list[PathState] = []
-    # (path, branch its first dispatch assumes)
-    stack = [(replace(initial, models=tuple(
-        satisfying_assignments(initial.condition, symbols))), None)]
+    stack = [(initial, None)]  # (path, branch its first dispatch assumes)
     while stack:
         ps, assume = stack.pop()
         run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, assume)
@@ -290,9 +282,8 @@ def explore(K: int, initial: PathState, symbols) -> list[PathState]:
 # ---------------------------------------------------------------------------
 # Hoare-triple verification
 
-def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
-                  require=(), K: int = 1000, concolic: dict | None = None,
-                  summaries=()) -> Verdict:
+def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
+                  concolic: dict | None = None, summaries=()) -> Verdict:
     """Check {pre} prog {post} by running every feasible path.
 
     ``pre`` builds the initial world: called with an assignment it must
@@ -301,9 +292,12 @@ def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
     the declared symbols. ``post`` is a predicate over (final state,
     initial state). ``require`` lists constraint trees assumed true.
 
-    Modes: static explores all symbol assignments, concolic pins the
-    provided concrete assignment, selective first substitutes validated
-    segment summaries for their statements.
+    The models are every assignment of ``symbols`` that satisfies
+    ``require``, explored from ``pre(None)``; a ``concolic`` assignment
+    pins them to itself and the world to ``pre(concolic)``. Each of
+    ``summaries`` is spliced into the program in place of its segment
+    once a nested verification proves, for every model, that the
+    segment ends in the state the summary's transform gives.
     """
     symbols = tuple(symbols)
     known = {s.name for s in symbols}
@@ -316,35 +310,50 @@ def verify_triple(pre, prog, post, mode: str = "static", symbols=(),
     base_condition = tuple(Constraint(r, True) for r in require)
     if symbols and satisfiable(base_condition, symbols) is None:
         return Verdict("verified", diagnostic="vacuous: precondition unsatisfiable")
-
-    work_prog = tuple(prog)
-    if mode == "selective":
-        work_prog = _apply_summaries(work_prog, summaries, pre, symbols,
-                                     base_condition, K)
-        if isinstance(work_prog, Verdict):
-            return work_prog
-
-    if mode == "concolic":
-        if concolic is None:
-            concolic = {}
+    if concolic is None:
+        models = tuple(satisfying_assignments(base_condition, symbols))
+    else:
         missing = [s.name for s in symbols if s.name not in concolic]
         if missing:
             return Verdict("error", diagnostic=f"concolic values missing: {missing}")
         if not all(c.holds(concolic) for c in base_condition):
             return Verdict("error", diagnostic="concolic assignment violates the precondition")
-        sigma, env, fenv, ctx = pre(concolic)
-        if ctx.sigma_init is None:
-            ctx.sigma_init = sigma
-        initial = PathState(sigma, env, fenv, (), work_prog, ctx)
-        paths = explore(K, initial, ())
-        return _judge(paths, post, pre, prog, K)
+        models = (concolic,)
 
-    sigma, env, fenv, ctx = pre(None)
+    work_prog = tuple(prog)
+    for summary in summaries:
+        seg = tuple(summary.segment)
+        idx = _find_segment(work_prog, seg)
+        if idx is None:
+            return Verdict("error", diagnostic=f"summary segment not found: {summary.label}")
+        proof = verify_triple(pre, seg, _agrees_with(summary.transform), symbols,
+                              require, K, concolic)
+        if proof.status != "verified":
+            return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
+        work_prog = work_prog[:idx] + (summary,) + work_prog[idx + len(seg):]
+
+    sigma, env, fenv, ctx = pre(concolic)
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
-    initial = PathState(sigma, env, fenv, base_condition, work_prog, ctx)
-    paths = explore(K, initial, symbols)
+    paths = explore(K, PathState(sigma, env, fenv, base_condition, work_prog, ctx,
+                                 models=models))
     return _judge(paths, post, pre, prog, K)
+
+
+def _agrees_with(transform):
+    """The post of a summary's proof: the segment ends where ``transform``
+    takes the initial state."""
+    def post(final: MemoryState, initial: MemoryState) -> bool:
+        via = transform(initial)
+        return via is not None and final.blocks == via.blocks
+    return post
+
+
+def _find_segment(prog, seg):
+    for i in range(len(prog) - len(seg) + 1):
+        if prog[i:i + len(seg)] == seg:
+            return i
+    return None
 
 
 def _judge(paths, post, pre, original_prog, K) -> Verdict:
@@ -370,14 +379,14 @@ def _judge(paths, post, pre, original_prog, K) -> Verdict:
                                diagnostic=f"cannot evaluate the state under {asg}: {exc}",
                                paths=tuple(paths))
             if not post(final_c, init_c):
-                witness = _confirm_witness(asg, pre, original_prog, post, K, p)
+                witness = _confirm_witness(asg, pre, original_prog, post, K)
                 return Verdict("refuted", witness=witness, path=p,
                                diagnostic=f"postcondition fails under {asg}",
                                paths=tuple(paths))
     return Verdict("verified", paths=tuple(paths))
 
 
-def _confirm_witness(asg, pre, prog, post, K, path) -> dict:
+def _confirm_witness(asg, pre, prog, post, K) -> dict:
     """Replay the witness concretely; annotate if the replay disagrees."""
     witness = dict(asg)
     try:
@@ -388,44 +397,6 @@ def _confirm_witness(asg, pre, prog, post, K, path) -> dict:
     except Exception as exc:  # replay must never mask the refutation
         witness["_replay_error"] = str(exc)
     return witness
-
-
-def _apply_summaries(prog, summaries, pre, symbols, condition, K):
-    """Substitute each summary for its segment after differential validation."""
-    out = list(prog)
-    for summary in summaries:
-        seg = tuple(summary.segment)
-        idx = _find_segment(out, seg)
-        if idx is None:
-            return Verdict("error", diagnostic=f"summary segment not found: {summary.label}")
-        ok = _validate_summary(summary, pre, symbols, condition, K)
-        if not ok:
-            return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
-        out[idx:idx + len(seg)] = [SummaryStep(summary.transform, summary.label)]
-    return tuple(out)
-
-
-def _find_segment(prog, seg):
-    for i in range(len(prog) - len(seg) + 1):
-        if tuple(prog[i:i + len(seg)]) == seg:
-            return i
-    return None
-
-
-def _validate_summary(summary, pre, symbols, condition, K, samples: int = 3) -> bool:
-    taken = 0
-    for asg in satisfying_assignments(condition, symbols) if symbols else [dict()]:
-        sigma, env, fenv, ctx = pre(asg if symbols else None)
-        direct = interpret(K, sigma, env, fenv, summary.segment, ctx)
-        via = summary.transform(sigma)
-        if direct is None and via is None:
-            pass
-        elif direct is None or via is None or direct.blocks != via.blocks:
-            return False
-        taken += 1
-        if taken >= samples:
-            break
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -510,9 +510,14 @@ def render_payload(p: Payload) -> str:
 
 
 def dump(sigma: MemoryState) -> str:
+    # Blocks are shared objects (all free space is one), so each distinct
+    # block is rendered once; ``sigma`` keeps every id in the memo alive.
+    rendered = {}
     lines = []
     for i, b in enumerate(sigma.blocks):
-        lines.append(
-            f"{i}\t{b.occupancy}\t{b.access}\t{b.domain.index}\t{render_payload(b.payload)}"
-        )
+        text = rendered.get(id(b))
+        if text is None:
+            text = rendered[id(b)] = (f"{b.occupancy}\t{b.access}\t{b.domain.index}"
+                                      f"\t{render_payload(b.payload)}")
+        lines.append(f"{i}\t{text}")
     return "\n".join(lines)

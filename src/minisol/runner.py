@@ -51,7 +51,7 @@ def _literal_expr(ltype, raw):
     raise RunnerError(f"cannot build a literal of type {type(ltype).__name__}")
 
 
-def _target_type(bound: BoundProgram, lowered):
+def _target_type(lowered):
     from .syntax import Evar
     if isinstance(lowered, Evar):
         return lowered.ltype
@@ -128,7 +128,7 @@ def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
         lowered = bound.binder.lower_expr(parse_expr_text(lvalue_text))
     except BindError as exc:
         raise RunnerError(f"cannot resolve {lvalue_text!r}: {exc}") from exc
-    ltype = _target_type(bound, lowered)
+    ltype = _target_type(lowered)
     stmt = Assign(lowered, _literal_expr(ltype, raw))
     env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
     out = interpret(SETUP_K, sigma, env, env, (stmt,), ctx)

@@ -59,7 +59,7 @@ from .syntax import (
 from .values import Env  # noqa: F401  (Env re-exported)
 
 __all__ = [
-    "ExecContext", "StepResult", "Run", "SummaryStep", "array_layout",
+    "ExecContext", "StepResult", "Run", "SegmentSummary", "array_layout",
     "env_check", "init_array", "init_var", "exec_statement", "drive",
 ]
 
@@ -190,9 +190,15 @@ def _fail(env, rest, msg, ctx) -> StepResult:
 
 
 @dataclass
-class SummaryStep(LStatement):
-    """A proven program segment replaced by its state transformer."""
-    transform: object = None  # Callable[[MemoryState], MemoryState | None]
+class SegmentSummary(LStatement):
+    """A program segment summarized by its state transformer.
+
+    ``engine.verify_triple`` splices a summary into the program in place
+    of ``segment`` once it has proven the two agree; dispatching it
+    applies ``transform`` to the state.
+    """
+    segment: tuple
+    transform: object  # Callable[[MemoryState], MemoryState | None]
     label: str = "summary"
 
 
@@ -249,7 +255,7 @@ def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
         return StepResult(sig, env, rest)
 
     if isinstance(head, FunCall):
-        return _exec_call(K, sigma, env, fenv, head, rest, ctx)
+        return _exec_call(K, sigma, env, head, rest, ctx)
 
     if isinstance(head, If):
         return _branch(K, sigma, env, ctx, head, rest, assume, "branch",
@@ -269,7 +275,7 @@ def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
         return _exec_fun_decl(K, sigma, env, fenv, head, rest, ctx)
 
     if isinstance(head, Assign):
-        return _exec_assign(K, sigma, env, fenv, head, rest, ctx)
+        return _exec_assign(K, sigma, env, head, rest, ctx)
 
     if isinstance(head, (Return, Returns)):
         exprs = (head.value,) if isinstance(head, Return) else head.values
@@ -285,7 +291,7 @@ def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
         env2 = replace(env, domain=fenv.domain)
         return StepResult(sig, env2, rest)
 
-    if isinstance(head, SummaryStep):
+    if isinstance(head, SegmentSummary):
         out = head.transform(sigma)
         if out is None:
             return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
@@ -336,7 +342,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, fenv, head: FunCall, rest, ctx) -> StepResult:
+def _exec_call(K, sigma, env, head: FunCall, rest, ctx) -> StepResult:
     callee = head.callee
     fid = None
     if isinstance(callee, Efun):
@@ -357,12 +363,11 @@ def _exec_call(K, sigma, env, fenv, head: FunCall, rest, ctx) -> StepResult:
         arg_values.append(v)
     if fid is not None and fid.args:
         arg_values = list(fid.args) + arg_values
-    return _enter_call(K, sigma, env, fenv, target, fid, tuple(arg_values),
-                       rest, ctx)
+    return _enter_call(sigma, env, target, fid, tuple(arg_values), rest, ctx)
 
 
-def _enter_call(K, sigma, env, fenv, target: Address, fid, arg_values,
-                rest, ctx) -> StepResult:
+def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
+                ctx) -> StepResult:
     block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
         return _fail(env, rest, f"no function stored at {target}", ctx)
@@ -457,15 +462,15 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
     return False
 
 
-def _exec_assign(K, sigma, env, fenv, head: Assign, rest, ctx) -> StepResult:
+def _exec_assign(K, sigma, env, head: Assign, rest, ctx) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
     if isinstance(rhs.payload, Fid) and rhs.payload.fun is not None:
         # Function pointer produced by a field access: run it as a call.
         fid = rhs.payload
-        return _enter_call(K, sigma, env, fenv, fid.fun, fid,
-                           tuple(fid.args or ()), rest, ctx)
+        return _enter_call(sigma, env, fid.fun, fid, tuple(fid.args or ()),
+                           rest, ctx)
     addr = eval_lvalue(K, head.lhs, sigma, env)
     if addr is None:
         if not (isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap)):

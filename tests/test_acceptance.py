@@ -332,7 +332,7 @@ def test_criterion_06_wallet():
     post = compile_posts(bound, spec.posts)
 
     # static symbolic run: (now < open or now > close) forces the throw
-    verdict = verify_triple(pre, prog, post, mode="static", symbols=symbols,
+    verdict = verify_triple(pre, prog, post, symbols=symbols,
                             require=spec.requires, K=1000)
     assert verdict.status == "verified", verdict.diagnostic
     assert len(verdict.paths) >= 1
@@ -341,7 +341,7 @@ def test_criterion_06_wallet():
     # concolic run with (open, close, now) = (0, 3, 4): the privilege
     # branch copies privilegeOpen/privilegeClose into open/close
     concolic = {"privilegeOpen": 0, "privilegeClose": 3, "now": 4}
-    verdict2 = verify_triple(pre, prog, post, mode="concolic", symbols=symbols,
+    verdict2 = verify_triple(pre, prog, post, symbols=symbols,
                              require=spec.requires, K=1000, concolic=concolic)
     assert verdict2.status == "verified", verdict2.diagnostic
     assert len(verdict2.paths) == 1

@@ -184,6 +184,21 @@ class TestVerify:
         assert "'d': 0" in doc["diagnostic"]
         assert "Traceback" not in proc.stderr
 
+    def test_failed_run_json_is_one_error_record(self, capsys, tmp_path):
+        prog = tmp_path / "div.lls"
+        prog.write_text(
+            "contract D {\n    uint d;\n    uint r;\n"
+            "    function f() public { r = 10 / d; }\n}\n")
+        rc, out, err = run_cli(capsys, "run", str(prog), "--entry", "f",
+                               "--arg", "d=0", "--json")
+        assert rc == 3
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc == {"status": "error",
+                       "diagnostic": "assignment right side failed to evaluate"}
+        assert err == "execution failed: assignment right side failed to evaluate\n"
+
     def test_symbolic_mapping_key_is_named_error(self, capsys, tmp_path):
         prog = tmp_path / "symkey.lls"
         prog.write_text(
@@ -317,11 +332,12 @@ class TestEntryArguments:
 
 
 class TestSelectiveModeCli:
-    def test_selective_without_summaries_matches_static(self, capsys):
+    def test_selective_mode_is_a_usage_error(self, capsys):
+        # segment summaries are a library feature; the CLI has no alias
         rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", SPEC,
                              "--mode", "selective", "--json")
-        assert rc == 0
-        assert json.loads(out)["status"] == "verified"
+        assert rc == 2
+        assert out == ""
 
 
 class TestOracleAstInput:

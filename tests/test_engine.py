@@ -13,6 +13,7 @@ from minisol.engine import (
     PathState,
     SegmentSummary,
     SymbolicValue,
+    assignments,
     concretize,
     concretize_payload,
     explore,
@@ -172,8 +173,8 @@ class TestExplore:
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                    (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx),
-                        [SymbolicValue("b", "bool")])
+        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+            assignments([SymbolicValue("b", "bool")]))))
         assert len(paths) == 2
         values = sorted(p.sigma.blocks[X.index].payload.value for p in paths)
         assert values == [1, 2]
@@ -183,8 +184,8 @@ class TestExplore:
         inner = (If(Evar(B, Tbool()), (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                     (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
         prog = (If(Evar(B, Tbool()), inner, (Snil(),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx),
-                        [SymbolicValue("b", "bool")])
+        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+            assignments([SymbolicValue("b", "bool")]))))
         # true/true and false are feasible; true/false contradicts
         assert len(paths) == 2
 
@@ -193,8 +194,8 @@ class TestExplore:
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(None, Tuint()), Econst(Vint(1))),),
                    (Var(None, Evar(None, Tuint())),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx),
-                        [SymbolicValue("b", "bool")])
+        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+            assignments([SymbolicValue("b", "bool")]))))
         by_branch = {p.condition[0].expected: p for p in paths}
         assert by_branch[True].note == "error: assignment target has no address"
         assert by_branch[True].ctx.diagnostics == ["assignment target has no address"]
@@ -221,7 +222,8 @@ class TestExplore:
                    (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(6))),
                        (Snil(),), (Snil(),)),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx), symbols)
+        paths = explore(100, PathState(sigma, env, env, (), prog, ctx,
+                                       models=tuple(assignments(symbols))))
         assert len(paths) == 3
         cover = {}
         for p in paths:
@@ -235,7 +237,7 @@ class TestExplore:
         tight = initial_env(3, names["0xglobal"])
         prog = (LoopWhile(Econst(Vbool(True)), (Snil(),)),)
         paths = explore(100, PathState(sigma, tight, tight, (), prog,
-                                       ExecContext(sigma_init=sigma)), ())
+                                       ExecContext(sigma_init=sigma), models=({},)))
         assert [p.note for p in paths] == ["exhausted"]
 
     def test_path_soundness_witness_replay(self):
@@ -249,7 +251,8 @@ class TestExplore:
                            Ebop("+", Evar(X, Tuint()), Econst(Vint(10)))),),
                    (Snil(),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma0, env, env, (), prog, ctx), symbols)
+        paths = explore(100, PathState(sigma0, env, env, (), prog, ctx,
+                                       models=tuple(assignments(symbols))))
         assert len(paths) == 2
         for p in paths:
             for asg in satisfying_assignments(p.condition, symbols):
@@ -330,7 +333,7 @@ class TestVerifyTriple:
 
     def test_concolic_mode_single_path(self):
         pre, prog, post = triple_world(plant_bug=False)
-        verdict = verify_triple(pre, prog, post, mode="concolic",
+        verdict = verify_triple(pre, prog, post,
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
                                 concolic={"n": 3})
         assert verdict.status == "verified"
@@ -338,7 +341,7 @@ class TestVerifyTriple:
 
     def test_concolic_missing_value_is_error(self):
         pre, prog, post = triple_world(plant_bug=False)
-        verdict = verify_triple(pre, prog, post, mode="concolic",
+        verdict = verify_triple(pre, prog, post,
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
                                 concolic={})
         assert verdict.status == "error"
@@ -372,7 +375,7 @@ class TestVerifyTriple:
         summary = SegmentSummary(segment=segment,
                                  transform=lambda s: poke(s, X, IntPayload(5)),
                                  label="reset")
-        verdict = verify_triple(pre, prog, post, mode="selective",
+        verdict = verify_triple(pre, prog, post,
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
                                 summaries=[summary])
         assert verdict.status == "verified"
@@ -390,11 +393,45 @@ class TestVerifyTriple:
                                  transform=lambda s: poke(s, X, IntPayload(99)),
                                  label="bogus")
         verdict = verify_triple(pre, segment, lambda f, i: True,
-                                mode="selective",
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
                                 summaries=[summary])
         assert verdict.status == "error"
         assert "validation" in verdict.diagnostic
+
+    def test_summary_is_proven_for_every_model(self):
+        # x := x % 3 agrees with x := x * 1 only for n in 0..2, so a
+        # summary checked on the first few models would verify x < 3.
+        pre, _prog, _post = triple_world(plant_bug=False)
+        x = Evar(X, Tuint())
+        segment = (Assign(x, Ebop("*", x, Econst(Vint(1)))),)
+
+        def mod3(sigma):
+            env = initial_env(10, sigma.addr_of("0xglobal"))
+            return interpret(100, sigma, env, env,
+                             (Assign(x, Ebop("%", x, Econst(Vint(3)))),),
+                             ExecContext(sigma_init=sigma))
+
+        def post(final, initial):
+            return final.blocks[X.index].payload.value < 3
+
+        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
+        static = verify_triple(pre, segment, post, symbols=symbols)
+        assert (static.status, static.witness) == ("refuted", {"n": 3})
+        verdict = verify_triple(pre, segment, post, symbols=symbols,
+                                summaries=[SegmentSummary(segment, mod3, "mod3")])
+        assert verdict.status == "error"
+        assert verdict.diagnostic == "summary failed validation: mod3"
+
+    def test_concolic_refutation_reports_the_pinned_witness(self):
+        # x <= 5 fails for every n in 6..9; a static run would name n = 6
+        pre, _prog, post = triple_world(plant_bug=False)
+        verdict = verify_triple(pre, (Snil(),), post,
+                                symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
+                                concolic={"n": 8})
+        assert verdict.status == "refuted"
+        assert len(verdict.paths) == 1
+        assert verdict.witness == {"n": 8}
+        assert verdict.diagnostic == "postcondition fails under {'n': 8}"
 
 
 class TestThrowStatePost:
@@ -482,7 +519,8 @@ class TestSymbolicLoops:
                           (Assign(Evar(X, Tuint()),
                                   Ebop("+", Evar(X, Tuint()), Econst(Vint(1)))),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=3)]
-        paths = explore(200, PathState(sigma, env, env, (), prog, ctx), symbols)
+        paths = explore(200, PathState(sigma, env, env, (), prog, ctx,
+                                       models=tuple(satisfying_assignments((), symbols))))
         assert len(paths) == 4
         seen = set()
         for p in paths:

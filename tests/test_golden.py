@@ -35,6 +35,9 @@ CASES = {
                                   "--spec", "samples/no_in_time.spec", "--json"], 0),
     "verify-branchy": (["verify", "tests/golden/branchy.lls",
                         "--spec", "tests/golden/branchy.spec", "--json"], 1),
+    "verify-branchy-concolic": (["verify", "tests/golden/branchy.lls",
+                                 "--spec", "tests/golden/branchy.spec", "--mode", "concolic",
+                                 "--arg", "a=0", "--arg", "b=1", "--arg", "c=3", "--json"], 1),
     "emit-ast-wallet": (["emit-ast", "samples/wallet.lls"], 0),
     "emit-ast-branchy": (["emit-ast", "tests/golden/branchy.lls"], 0),
 }

@@ -1,0 +1,61 @@
+"""Source hygiene: every function in ``src/minisol`` reads each of its
+parameters.
+
+A parameter that is threaded through but never read costs every caller
+an argument and hides which inputs a function really depends on. A name
+starting with ``_`` marks a parameter that a callback interface fixes and
+the function deliberately ignores.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "minisol"
+
+# (file, function, parameter) -> why it is kept although never read
+ALLOWED = {
+    ("symbolic.py", "SymExpr.eval", "assignment"):
+        "abstract method: the interface every symbolic node implements",
+    ("symbolic.py", "SymConst.eval", "assignment"):
+        "a constant implements SymExpr.eval and needs no assignment",
+    ("runner.py", "eq_check", "initial"):
+        "post(final, initial) callback: an `equals` post reads only the final state",
+    ("runner.py", "<lambda>", "initial"):
+        "post(final, initial) callback: the default post reads only the final state",
+    ("values.py", "locate_array_element", "env"):
+        "public signature that the acceptance suite calls with an environment",
+}
+
+
+def unread_parameters():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for child in node.body:
+                    owner[child] = node.name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            if fn in owner:
+                name = f"{owner[fn]}.{name}"
+            for p in params:
+                if p not in read and p not in ("self", "cls") and not p.startswith("_"):
+                    found.add((path.name, name, p))
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert sorted(unread - ALLOWED.keys()) == []
+    # an entry whose parameter is read again, or is gone, must leave the list
+    assert sorted(ALLOWED.keys() - unread) == []

@@ -293,9 +293,9 @@ class TestInterchange:
         assert len(tags) == len(set(tags)) == len(nodes)
 
     def test_runtime_only_statement_is_not_serializable(self):
-        from minisol.stmts import SummaryStep
+        from minisol.stmts import SegmentSummary
         with pytest.raises(TypeError):
-            program_to_data([SummaryStep(lambda sigma: sigma)])
+            program_to_data([SegmentSummary((), lambda sigma: sigma)])
 
 
 def test_array_dims_helper():
