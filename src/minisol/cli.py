@@ -12,8 +12,8 @@ satisfies the spec's ``require`` lines; ``--mode concolic`` instead pins
 the symbols to their ``--arg`` values and runs that one concrete path.
 
 Exit codes: 0 success/verified, 1 refuted, 2 usage, 3 parse, type or
-internal failure. With ``--json`` a failed ``run`` still prints one
-record, ``{"status": "error", "diagnostic": ...}``.
+internal failure. With ``--json`` a command that fails this way still
+prints one record, ``{"status": "error", "diagnostic": ...}``.
 """
 
 from __future__ import annotations
@@ -179,9 +179,7 @@ def cmd_run(ns) -> int:
         return EXIT_FAILURE
     if ns.json:
         print(json.dumps({"status": "ok", "dump": gm.dump(final)}))
-        if ns.dump:
-            _emit_dump(ns, final)
-    else:
+    if ns.dump or not ns.json:
         _emit_dump(ns, final)
     return EXIT_OK
 
@@ -349,6 +347,8 @@ def cli_main(argv=None) -> int:
     except (ParseError, BindError, LTypeError, SpecError, RunnerError,
             MemoryConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(ns, "json", False):
+            print(json.dumps({"status": "error", "diagnostic": str(exc)}))
         return EXIT_FAILURE
 
 

@@ -294,10 +294,11 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
 
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
-    pins them to itself and the world to ``pre(concolic)``. Each of
-    ``summaries`` is spliced into the program in place of its segment
-    once a nested verification proves, for every model, that the
-    segment ends in the state the summary's transform gives.
+    pins them to itself and the world to ``pre(concolic)``. A summary
+    of ``summaries`` replaces its segment, which must start the program,
+    once a nested verification proves, for every model, that the segment
+    run from the entry state ends in the state the summary's transform
+    gives; a segment anywhere else is an ``error`` verdict.
     """
     symbols = tuple(symbols)
     known = {s.name for s in symbols}
@@ -323,14 +324,14 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     work_prog = tuple(prog)
     for summary in summaries:
         seg = tuple(summary.segment)
-        idx = _find_segment(work_prog, seg)
-        if idx is None:
-            return Verdict("error", diagnostic=f"summary segment not found: {summary.label}")
+        if work_prog[:len(seg)] != seg:
+            return Verdict("error", diagnostic="summary segment does not start the "
+                                               f"program: {summary.label}")
         proof = verify_triple(pre, seg, _agrees_with(summary.transform), symbols,
                               require, K, concolic)
         if proof.status != "verified":
             return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
-        work_prog = work_prog[:idx] + (summary,) + work_prog[idx + len(seg):]
+        work_prog = (summary,) + work_prog[len(seg):]
 
     sigma, env, fenv, ctx = pre(concolic)
     if ctx.sigma_init is None:
@@ -347,13 +348,6 @@ def _agrees_with(transform):
         via = transform(initial)
         return via is not None and final.blocks == via.blocks
     return post
-
-
-def _find_segment(prog, seg):
-    for i in range(len(prog) - len(seg) + 1):
-        if prog[i:i + len(seg)] == seg:
-            return i
-    return None
 
 
 def _judge(paths, post, pre, original_prog, K) -> Verdict:

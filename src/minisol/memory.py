@@ -10,11 +10,14 @@ other leaf with the old one, so a write costs the same at any memory
 size. Whole-state comparisons skip the leaves two states share, and a
 fresh store fills its free space with one shared free block.
 
-Blocks are read and written either directly ("dir")
-or after validation ("chck"). The validation predicate is deliberately
-centralized here so it can be swapped: a chck access succeeds iff the
-block is occupied and either the block is public or the caller's domain
-matches the block's domain tag.
+Blocks are read and written either directly ("dir") or after validation
+("chck"). The validation predicate lives only in this module: a chck
+access succeeds iff the block is occupied and either the block is public
+or the caller's domain matches the block's domain tag. ``read`` and
+``write`` are the one access path of every evaluation, so each does its
+bounds check, leaf lookup and validation in its own frame, without
+calling a helper. A chck write keeps the block's domain and access, and
+stores the value object itself when it already carries them.
 
 The top of the address space is reserved for built-in blocks: the two
 flag blocks (throw, modifier), the standard-library struct type blocks,
@@ -244,11 +247,12 @@ class BlockVector:
 
     def set(self, i: int, value) -> BlockVector:
         """This vector with block ``0 <= i < len`` replaced: one leaf and the spine are copied."""
-        j, k = i >> _SHIFT, i & _MASK
-        leaves = self.leaves
-        leaf = leaves[j]
-        return BlockVector(leaves[:j] + (leaf[:k] + (value,) + leaf[k + 1:],) + leaves[j + 1:],
-                           self.size)
+        j = i >> _SHIFT
+        leaves = list(self.leaves)
+        leaf = list(leaves[j])
+        leaf[i & _MASK] = value
+        leaves[j] = tuple(leaf)
+        return BlockVector(tuple(leaves), self.size)
 
     def update(self, items) -> BlockVector:
         """This vector with each ``(i, value)`` of ``items`` applied in order,
@@ -349,47 +353,43 @@ def init_mem(size: int, stdlib=()) -> MemoryState:
     return MemoryState(BlockVector.of(blocks), dict(names))
 
 
-def _in_range(sigma: MemoryState, addr: Address) -> bool:
-    return 0 <= addr.index < sigma.size
-
-
-def _validated(block: MemoryValue, env) -> bool:
-    # Central chck predicate: occupied, and public or same-domain.
-    if block.occupancy != OCCUPY:
-        return False
-    if block.access == PUBLIC:
-        return True
-    return env is not None and env.domain == block.domain
-
-
 def read(sigma: MemoryState, addr: Address, mode: str = "dir",
          env=None) -> MemoryValue | None:
-    if not _in_range(sigma, addr):
+    i = addr.index
+    blocks = sigma.blocks
+    if not 0 <= i < blocks.size:
         return None
-    block = sigma.blocks[addr.index]
+    block = blocks.leaves[i >> _SHIFT][i & _MASK]
     if mode == "dir":
         return block
     if mode == "chck":
-        return block if _validated(block, env) else None
+        if block.occupancy == OCCUPY and (
+                block.access == PUBLIC or env is not None and env.domain == block.domain):
+            return block
+        return None
     raise ValueError(f"unknown access mode {mode!r}")
 
 
 def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "dir",
           env=None) -> MemoryState | None:
-    if not _in_range(sigma, addr):
+    i = addr.index
+    blocks = sigma.blocks
+    if not 0 <= i < blocks.size:
         return None
     if mode == "chck":
-        old = sigma.blocks[addr.index]
-        if not _validated(old, env):
+        old = blocks.leaves[i >> _SHIFT][i & _MASK]
+        if old.occupancy != OCCUPY or not (
+                old.access == PUBLIC or env is not None and env.domain == old.domain):
             return None
-        # A validated write updates the contents but keeps the block's
-        # declared ownership so access control is stable across writers.
-        value = MemoryValue(value.payload, old.domain, value.level, old.access,
-                            value.occupancy)
+        # Keep the block's declared ownership, so access control is stable
+        # across writers.
+        if old.access != value.access or not (
+                old.domain is value.domain or old.domain == value.domain):
+            value = MemoryValue(value.payload, old.domain, value.level, old.access,
+                                value.occupancy)
     elif mode != "dir":
         raise ValueError(f"unknown access mode {mode!r}")
-    return MemoryState(sigma.blocks.set(addr.index, value), sigma.symbol_table,
-                       sigma.alloc_floor)
+    return MemoryState(blocks.set(i, value), sigma.symbol_table, sigma.alloc_floor)
 
 
 def address_offset(op: str, offset: int, addr: Address,
@@ -429,7 +429,7 @@ def allocate(sigma: MemoryState, n: int) -> tuple[Address, MemoryState] | None:
 
 def allocate_at(sigma: MemoryState, base: Address, n: int) -> MemoryState | None:
     """Reserve n contiguous blocks at a fixed base (named array storage)."""
-    if n <= 0 or not _in_range(sigma, base) or base.index + n > sigma.size:
+    if n <= 0 or not 0 <= base.index <= sigma.size - n:
         return None
     if any(b.occupancy != FREE for b in sigma.blocks[base.index:base.index + n]):
         return None
@@ -444,9 +444,7 @@ def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
 
 
 def free_mem(sigma: MemoryState, addr: Address) -> MemoryState | None:
-    if not _in_range(sigma, addr):
-        return None
-    if is_reserved(addr, sigma.size):
+    if not 0 <= addr.index < sigma.size or is_reserved(addr, sigma.size):
         return None
     block = sigma.blocks[addr.index]
     if block.occupancy != OCCUPY:

@@ -8,6 +8,10 @@ environment, spends gas, dispatches the head through ``exec_statement``
 and reports why it stopped (see ``Run``). The concrete interpreter, the
 step debugger and the path-forking explorer in the engine module, and
 modifier evaluation here, are thin callers of it.
+
+``exec_statement`` is the one per-dispatch entry point. It looks the
+head's exact type up in ``_RULES``, one rule per statement class, and
+every rule takes its arguments unchanged.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ def env_check(env: Env, fenv: Env) -> bool:
 
     A domain that has been switched back to the super-environment's
     while the level still differs marks a finished function body.
+    ``drive`` makes this check inline.
     """
     if env.gas <= 0:
         return False
@@ -186,7 +191,7 @@ class StepResult:
 
 def _fail(env, rest, msg, ctx) -> StepResult:
     ctx.fail(msg)
-    return StepResult(None, env, tuple(rest), error=msg)
+    return StepResult(None, env, rest, error=msg)
 
 
 @dataclass
@@ -203,106 +208,108 @@ class SegmentSummary(LStatement):
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
-                   ctx: ExecContext, head: LStatement, rest,
+                   ctx: ExecContext, head: LStatement, rest: tuple,
                    assume: bool | None = None) -> StepResult:
-    """Dispatch one statement. Gas must already be spent by the caller.
+    """Dispatch one statement by the rule ``_RULES`` holds for its exact
+    type; every rule takes these arguments. Gas must already be spent.
 
     ``assume`` decides a symbolic branch or loop condition; without it
     such a condition is returned as ``symbolic_cond``.
     """
-    rest = tuple(rest)
+    rule = _RULES.get(type(head))
+    if rule is None:
+        return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
+    return rule(K, sigma, env, fenv, ctx, head, rest, assume)
 
-    if isinstance(head, Snil):
+
+def _exec_snil(_K, sigma, env, _fenv, _ctx, _head, rest, _assume) -> StepResult:
+    return StepResult(sigma, env, rest)
+
+
+def _exec_throw(_K, sigma, env, _fenv, ctx, _head, _rest, _assume) -> StepResult:
+    base = ctx.sigma_init if ctx.sigma_init is not None else sigma
+    names = gm.reserved_addresses(base.size)
+    flag = MemoryValue(BoolPayload(True), names["0xglobal"], 0, gm.PUBLIC, gm.OCCUPY)
+    thrown = gm.write(base, names["0xthrow"], flag, "dir")
+    return StepResult(thrown, env, (), halted=True)
+
+
+def _exec_fun_stop(_K, sigma, env, fenv, _ctx, _head, rest, _assume) -> StepResult:
+    return StepResult(sigma, Env(env.gas, env.gas_limit, fenv.level, fenv.domain), rest)
+
+
+def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+    declared = tuple(head.inherits)
+    expected = tuple(ctx.registry.get(head.name, declared))
+    if declared != expected:
         return StepResult(sigma, env, rest)
+    info = ContractInfo(head.name, tuple(head.members), declared)
+    sig = _write_payload(sigma, head.name, info, env)
+    if sig is None:
+        return _fail(env, rest, f"contract block {head.name} out of range", ctx)
+    return StepResult(sig, env, rest)
 
-    if isinstance(head, Throw):
-        base = ctx.sigma_init if ctx.sigma_init is not None else sigma
-        names = gm.reserved_addresses(base.size)
-        flag = MemoryValue(BoolPayload(True), domain=names["0xglobal"],
-                           level=0, access=gm.PUBLIC, occupancy=gm.OCCUPY)
-        thrown = gm.write(base, names["0xthrow"], flag, "dir")
-        return StepResult(thrown, env, (), halted=True)
 
-    if isinstance(head, FunStop):
-        env2 = replace(env, level=fenv.level, domain=fenv.domain)
-        return StepResult(sigma, env2, rest)
+def _exec_var(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+    decl = head.decl
+    if decl.addr is None:
+        return _fail(env, rest, "declaration without an address", ctx)
+    sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
+    if sig is None:
+        return _fail(env, rest, f"cannot initialize block {decl.addr}", ctx)
+    return StepResult(sig, env, rest)
 
-    if isinstance(head, Contract):
-        declared = tuple(head.inherits)
-        expected = tuple(ctx.registry.get(head.name, declared))
-        if declared != expected:
-            return StepResult(sigma, env, rest)
-        info = ContractInfo(head.name, tuple(head.members), declared)
-        sig = _write_payload(sigma, head.name, info, env)
-        if sig is None:
-            return _fail(env, rest, f"contract block {head.name} out of range", ctx)
-        return StepResult(sig, env, rest)
 
-    if isinstance(head, Var):
-        decl = head.decl
-        if decl.addr is None:
-            return _fail(env, rest, "declaration without an address", ctx)
-        sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
-        if sig is None:
-            return _fail(env, rest, f"cannot initialize block {decl.addr}", ctx)
-        return StepResult(sig, env, rest)
+def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+    info = StructTypeInfo(head.type_addr, tuple(head.members))
+    sig = _write_payload(sigma, head.type_addr, info, env)
+    if sig is None:
+        return _fail(env, rest, f"struct block {head.type_addr} out of range", ctx)
+    return StepResult(sig, env, rest)
 
-    if isinstance(head, StructDecl):
-        info = StructTypeInfo(head.type_addr, tuple(head.members))
-        sig = _write_payload(sigma, head.type_addr, info, env)
-        if sig is None:
-            return _fail(env, rest, f"struct block {head.type_addr} out of range", ctx)
-        return StepResult(sig, env, rest)
 
-    if isinstance(head, FunCall):
-        return _exec_call(K, sigma, env, head, rest, ctx)
+def _exec_if(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
+    return _branch(K, sigma, env, ctx, head, rest, assume, "branch",
+                   (*head.then, *rest), (*head.orelse, *rest))
 
-    if isinstance(head, If):
-        return _branch(K, sigma, env, ctx, head, rest, assume, "branch",
-                       tuple(head.then), tuple(head.orelse))
 
-    if isinstance(head, LoopWhile):
-        return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
-                       tuple(head.body) + (head,))
+def _exec_while(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
+    return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
+                   (*head.body, head, *rest), rest)
 
-    if isinstance(head, LoopFor):
-        init = (head.init,) if head.init is not None else ()
-        post = (head.post,) if head.post is not None else ()
-        return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
-                       init + tuple(head.body) + post + (head,))
 
-    if isinstance(head, (Fun, Modifier)):
-        return _exec_fun_decl(K, sigma, env, fenv, head, rest, ctx)
+def _exec_for(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
+    init = (head.init,) if head.init is not None else ()
+    post = (head.post,) if head.post is not None else ()
+    return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
+                   (*init, *head.body, *post, head, *rest), rest)
 
-    if isinstance(head, Assign):
-        return _exec_assign(K, sigma, env, head, rest, ctx)
 
-    if isinstance(head, (Return, Returns)):
-        exprs = (head.value,) if isinstance(head, Return) else head.values
-        values = []
-        for e in exprs:
-            v = eval_rvalue(K, e, sigma, env)
-            if v is None:
-                return _fail(env, rest, "return value failed to evaluate", ctx)
-            values.append(v)
-        sig = _write_returns(sigma, env, tuple(values))
-        if sig is None:
-            return _fail(env, rest, "return slot is not writable", ctx)
-        env2 = replace(env, domain=fenv.domain)
-        return StepResult(sig, env2, rest)
+def _exec_return(K, sigma, env, fenv, ctx, head, rest, _assume) -> StepResult:
+    exprs = (head.value,) if isinstance(head, Return) else head.values
+    values = []
+    for e in exprs:
+        v = eval_rvalue(K, e, sigma, env)
+        if v is None:
+            return _fail(env, rest, "return value failed to evaluate", ctx)
+        values.append(v)
+    sig = _write_returns(sigma, env, tuple(values))
+    if sig is None:
+        return _fail(env, rest, "return slot is not writable", ctx)
+    return StepResult(sig, Env(env.gas, env.gas_limit, env.level, fenv.domain), rest)
 
-    if isinstance(head, SegmentSummary):
-        out = head.transform(sigma)
-        if out is None:
-            return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
-        return StepResult(out, env, rest)
 
-    return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
+def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+    out = head.transform(sigma)
+    if out is None:
+        return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
+    return StepResult(out, env, rest)
 
 
 def _branch(K, sigma, env, ctx, head, rest, assume, what, taken,
-            skipped=()) -> StepResult:
-    """Decide the condition of an If or a loop and prepend the chosen arm.
+            skipped) -> StepResult:
+    """Decide the condition of an If or a loop and continue with the
+    remainder ``taken`` or ``skipped`` that it chooses.
 
     A symbolic condition leaves the statement in place and is returned
     as ``symbolic_cond``, unless ``assume`` decides it.
@@ -314,35 +321,26 @@ def _branch(K, sigma, env, ctx, head, rest, assume, what, taken,
         if assume is None:
             return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
         bit = assume
-    return StepResult(sigma, env, (taken if bit else skipped) + rest)
-
-
-def _current_ret_addr(sigma: MemoryState, env: Env) -> Address | None:
-    # The executing function is identified by the environment's domain;
-    # its stored declaration carries the return-slot base.
-    if not 0 <= env.domain.index < sigma.size:
-        return None
-    block = sigma.blocks[env.domain.index]
-    if isinstance(block.payload, FunctionInfo):
-        return block.payload.ret_addr
-    return None
+    return StepResult(sigma, env, taken if bit else skipped)
 
 
 def _write_returns(sigma, env, values) -> MemoryState | None:
-    lam = _current_ret_addr(sigma, env)
-    if lam is None:
-        # Top-level return: nothing to store, the domain switch still halts.
+    """Store ``values`` in the return slots of the executing function,
+    the one the environment's domain names. A top-level return stores
+    nothing; its domain switch still halts."""
+    i = env.domain.index
+    info = sigma.blocks[i].payload if 0 <= i < sigma.size else None
+    if not isinstance(info, FunctionInfo) or info.ret_addr is None:
         return sigma
     sig = sigma
-    for i, v in enumerate(values):
-        target = Address(lam.index + i)
-        sig = gm.write(sig, target, v, "chck", env)
+    for k, v in enumerate(values):
+        sig = gm.write(sig, Address(info.ret_addr.index + k), v, "chck", env)
         if sig is None:
             return None
     return sig
 
 
-def _exec_call(K, sigma, env, head: FunCall, rest, ctx) -> StepResult:
+def _exec_call(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
     callee = head.callee
     fid = None
     if isinstance(callee, Efun):
@@ -390,8 +388,7 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
                 return _fail(env, rest, "parameter block out of range", ctx)
             sig = gm.write(sig, p.addr, replace(target_block, payload=v.payload,
                                                 occupancy=gm.OCCUPY), "dir")
-    env2 = replace(env, level=0, domain=target)
-    return StepResult(sig, env2, tuple(body) + rest)
+    return StepResult(sig, Env(env.gas, env.gas_limit, 0, target), body + rest)
 
 
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
@@ -408,7 +405,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, fenv, head: Fun | Modifier, rest, ctx) -> StepResult:
+def _exec_fun_decl(K, sigma, env, fenv, ctx, head, rest, _assume) -> StepResult:
     """Store a function, or a modifier (a function returning one bool).
 
     A function's modifiers run first, from the same state: each may set
@@ -457,12 +454,10 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
     if any(i != flag_idx for i in before.blocks.diff(after.blocks)):
         return None
     flag = after.blocks[flag_idx].payload
-    if isinstance(flag, BoolPayload) and flag.bit is True:
-        return True
-    return False
+    return isinstance(flag, BoolPayload) and flag.bit is True
 
 
-def _exec_assign(K, sigma, env, head: Assign, rest, ctx) -> StepResult:
+def _exec_assign(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
@@ -583,6 +578,16 @@ def _map_insert(sigma, vmap: Vmap, key_payloads, value: MemoryValue,
     return sig
 
 
+# One rule per statement class, keyed by exact type.
+_RULES = {
+    Snil: _exec_snil, Throw: _exec_throw, FunStop: _exec_fun_stop,
+    Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
+    FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while, LoopFor: _exec_for,
+    Fun: _exec_fun_decl, Modifier: _exec_fun_decl, Assign: _exec_assign,
+    Return: _exec_return, Returns: _exec_return, SegmentSummary: _exec_summary,
+}
+
+
 # ---------------------------------------------------------------------------
 # The dispatch loop
 
@@ -630,10 +635,11 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
             return Run(FINISHED, sigma, env, remaining, halted=halted)
         if sigma is None:
             return Run(NO_STATE, sigma, env, remaining, halted=halted)
-        if not env_check(env, fenv):
+        gas = env.gas  # the env_check test, inline
+        if gas <= 0 or env.level != fenv.level and env.domain.index == fenv.domain.index:
             return Run(BUDGET, sigma, env, remaining, halted=halted)
-        res = exec_statement(K, sigma, env.spend(), fenv, ctx, remaining[0],
-                             remaining[1:], assume)
+        res = exec_statement(K, sigma, Env(gas - 1, env.gas_limit, env.level, env.domain),
+                             fenv, ctx, remaining[0], remaining[1:], assume)
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
         if res.symbolic_cond is not None:

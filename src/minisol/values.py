@@ -1,9 +1,10 @@
 """Value-layer semantics: turn language values into memory values.
 
 ``eval_value`` is the single entry point. Constants wrap directly into
-tagged memory values; arrays, mappings, structs and field accesses
-resolve through the store. Value evaluation is read only: no operation
-here ever produces a new memory state.
+tagged memory values, and the memory value of an integer literal is
+built once per domain and level, in a bounded cache. Arrays, mappings,
+structs and field accesses resolve through the store. Value evaluation
+is read only: no operation here ever produces a new memory state.
 
 A recursion budget K bounds every recursive evaluation; an exhausted
 budget yields an absent result rather than a crash.
@@ -12,6 +13,7 @@ budget yields an absent result rather than a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from . import memory as gm
 from .layout import array_layout, elem_offset
@@ -48,9 +50,6 @@ class Env:
     level: int
     domain: Address
 
-    def spend(self, n: int = 1) -> "Env":
-        return Env(self.gas - n, self.gas_limit, self.level, self.domain)
-
 
 @dataclass(frozen=True)
 class BlockInfo:
@@ -75,11 +74,10 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
                env: Env) -> MemoryValue | None:
     if K <= 0:
         return None
+    if isinstance(v, Vint):
+        return _int_literal(v.value, v.width, v.signed, env.domain, env.level)
     if isinstance(v, Vbool):
         return mvalue(BoolPayload(v.bit), env)
-    if isinstance(v, Vint):
-        return mvalue(IntPayload(wrap_int(v.value, v.width, v.signed),
-                                 v.width, v.signed), env)
     if isinstance(v, Varray):
         indices = _concrete_indices(K - 1, v.indices, sigma, env)
         if indices is None:
@@ -115,6 +113,13 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
         return resolve_field(v.inst_addr, v.members, args, sigma, env,
                              expected_type=v.type_addr)
     return None
+
+
+@lru_cache(maxsize=1024)
+def _int_literal(value: int, width: int, signed: bool, domain: Address,
+                 level: int) -> MemoryValue:
+    return MemoryValue(IntPayload(wrap_int(value, width, signed), width, signed),
+                       domain, level)
 
 
 def _eval_expr_r(K, e, sigma, env):
@@ -199,9 +204,7 @@ def resolve_map_path(K: int, v: Vmap, sigma: MemoryState,
 
 def map_entry_value(node: MemoryValue | None) -> MemoryValue | None:
     """Unwrap the stored value out of a mapping entry node."""
-    if node is None or not isinstance(node.payload, MapNode):
-        return None
-    if node.payload.kv is None:
+    if node is None or not isinstance(node.payload, MapNode) or node.payload.kv is None:
         return None
     return replace(node, payload=node.payload.kv[1])
 
@@ -210,9 +213,8 @@ def resolve_instance(sigma: MemoryState, env: Env,
                      head: Address) -> tuple[Address, Address] | None:
     """Base information of a struct value: instance and type addresses."""
     block = gm.read(sigma, head, "chck", env)
-    if block is None or not isinstance(block.payload, StructInstance):
-        return None
-    if block.payload.type_addr is None:
+    if block is None or not isinstance(block.payload, StructInstance) \
+            or block.payload.type_addr is None:
         return None
     return head, block.payload.type_addr
 

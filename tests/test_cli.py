@@ -199,6 +199,15 @@ class TestVerify:
                        "diagnostic": "assignment right side failed to evaluate"}
         assert err == "execution failed: assignment right side failed to evaluate\n"
 
+    def test_caught_error_under_json_is_one_error_record(self, capsys):
+        rc, out, err = run_cli(capsys, "run", WALLET, "--entry", "nosuch", "--json")
+        assert rc == 3
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"status": "error",
+                                        "diagnostic": "no function named 'nosuch'"}
+        assert err == "error: no function named 'nosuch'\n"
+
     def test_symbolic_mapping_key_is_named_error(self, capsys, tmp_path):
         prog = tmp_path / "symkey.lls"
         prog.write_text(

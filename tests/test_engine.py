@@ -422,6 +422,30 @@ class TestVerifyTriple:
         assert verdict.status == "error"
         assert verdict.diagnostic == "summary failed validation: mod3"
 
+    def test_summary_is_not_spliced_after_other_statements(self):
+        # For n in 0..2 the summary x := x % 3 of x := x * 1 holds at the
+        # entry state, but after x := 7 the segment leaves x = 7.
+        pre, _prog, _post = triple_world(plant_bug=False)
+        x = Evar(X, Tuint())
+        segment = (Assign(x, Ebop("*", x, Econst(Vint(1)))),)
+        prog = (Assign(x, Econst(Vint(7))),) + segment
+
+        def mod3(sigma):
+            env = initial_env(10, sigma.addr_of("0xglobal"))
+            return interpret(100, sigma, env, env,
+                             (Assign(x, Ebop("%", x, Econst(Vint(3)))),),
+                             ExecContext(sigma_init=sigma))
+
+        def post(final, initial):
+            return final.blocks[X.index].payload.value < 3
+
+        symbols = [SymbolicValue("n", "int", lo=0, hi=2)]
+        assert verify_triple(pre, prog, post, symbols=symbols).status == "refuted"
+        verdict = verify_triple(pre, prog, post, symbols=symbols,
+                                summaries=[SegmentSummary(segment, mod3, "mod3")])
+        assert verdict.status in ("refuted", "error")
+        assert verdict.diagnostic == "summary segment does not start the program: mod3"
+
     def test_concolic_refutation_reports_the_pinned_witness(self):
         # x <= 5 fails for every n in 6..9; a static run would name n = 6
         pre, _prog, post = triple_world(plant_bug=False)

@@ -263,3 +263,15 @@ class TestAbsentReferences:
     def test_modifier_expression_absent_both_positions(self, sigma, env):
         assert eval_rvalue(10, Emodifier(), sigma, env) is None
         assert eval_lvalue(10, Emodifier(), sigma, env) is None
+
+
+def test_every_expression_class_has_a_rule_or_is_named_absent():
+    import inspect
+    from minisol import exprs, syntax
+    absent = {Emodifier}  # has no value in either position
+    classes = {cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
+               if cls.__module__ == syntax.__name__ and issubclass(cls, syntax.LExpr)
+               and cls is not syntax.LExpr}
+    assert set(exprs._RULES) == classes - absent
+    assert all(len(inspect.signature(rule).parameters) == 4
+               for rule in exprs._RULES.values())

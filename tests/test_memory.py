@@ -109,6 +109,24 @@ class TestReadWrite:
         assert out.blocks[4].domain == owner
         assert out.blocks[4].payload == IntPayload(1)
 
+    @pytest.mark.parametrize("domain, access", [
+        (Address(51), "public"), (Address(50), "private"), (Address(51), "internal")])
+    def test_chck_write_retags_a_value_with_other_tags(self, sigma, domain, access):
+        owner = initial_env(10, Address(50))
+        seeded = gm.write(sigma, Address(4), mv(IntPayload(9), Address(50), "public"), "dir")
+        value = MemoryValue(IntPayload(1), domain, 3, access, gm.OCCUPY)
+        stored = gm.write(seeded, Address(4), value, "chck", owner).blocks[4]
+        assert stored == MemoryValue(IntPayload(1), Address(50), 3, "public", gm.OCCUPY)
+
+    @pytest.mark.parametrize("same_object", [True, False])
+    def test_chck_write_stores_a_value_with_the_block_tags_as_it_is(self, sigma,
+                                                                     same_object):
+        owner = initial_env(10, Address(50))
+        seeded = gm.write(sigma, Address(4), mv(IntPayload(9), Address(50), "private"), "dir")
+        domain = seeded.blocks[4].domain if same_object else Address(50)
+        value = MemoryValue(IntPayload(1), domain, 3, "private", gm.OCCUPY)
+        assert gm.write(seeded, Address(4), value, "chck", owner).blocks[4] is value
+
     def test_throw_flag_write(self, sigma, names):
         out = gm.write(sigma, names["0xthrow"], mv(BoolPayload(True)), "dir")
         assert out.blocks[names["0xthrow"].index].payload == BoolPayload(True)

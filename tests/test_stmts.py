@@ -22,7 +22,7 @@ from minisol.memory import (
     Undef,
 )
 from minisol.engine import interpret
-from minisol.stmts import ExecContext, env_check, init_array, init_var
+from minisol.stmts import BUDGET, ExecContext, drive, env_check, init_array, init_var
 from minisol.syntax import (
     Assign,
     Contract,
@@ -73,6 +73,29 @@ class TestEnvCheck:
         env = Env(5, 10, 0, Address(3))
         fenv = Env(5, 10, 1, names["0xglobal"])
         assert env_check(env, fenv) is True
+
+    @pytest.mark.parametrize("env, fenv", [
+        ((0, 1, None), (5, 1, None)), ((5, 1, None), (5, 1, None)),
+        ((5, 0, None), (5, 1, None)), ((5, 0, 3), (5, 1, None))])
+    def test_drive_stops_on_budget_exactly_when_the_check_fails(self, sigma, names, env,
+                                                                 fenv):
+        def make(gas, level, domain):
+            return Env(gas, 10, level, names["0xglobal"] if domain is None else Address(domain))
+        env, fenv = make(*env), make(*fenv)
+        run = drive(10, sigma, env, fenv, ExecContext(), (Snil(),), once=True)
+        assert (run.stop == BUDGET) is not env_check(env, fenv)
+
+
+def test_every_statement_class_has_one_rule():
+    import inspect
+    from minisol import stmts, syntax
+    classes = [cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
+               if cls.__module__ == syntax.__name__ and issubclass(cls, syntax.LStatement)
+               and cls is not syntax.LStatement]
+    assert sorted(stmts._RULES, key=str) == sorted(classes + [stmts.SegmentSummary], key=str)
+    # every rule takes exec_statement's arguments
+    assert all(len(inspect.signature(rule).parameters) == 8
+               for rule in stmts._RULES.values())
 
 
 def formula_array_size(dims):

@@ -48,6 +48,14 @@ class TestConstants:
         out = eval_value(10, Vint(0, 64, False), sigma, env)
         assert out.payload == IntPayload(0, 64, False)
 
+    def test_int_literal_is_wrapped_tagged_and_built_once(self, sigma, env):
+        out = eval_value(10, Vint(300, 8, False), sigma, env)
+        assert out == gm.MemoryValue(IntPayload(44, 8, False), env.domain, env.level)
+        assert eval_value(10, Vint(300, 8, False), sigma, env) is out
+        other = replace(env, domain=Address(3), level=0)
+        assert eval_value(10, Vint(300, 8, False), sigma, other) == gm.MemoryValue(
+            IntPayload(44, 8, False), Address(3), 0)
+
     def test_constant_mapping_property(self, sigma, env):
         # Every generated constant evaluates to a payload carrying
         # exactly its native value.
