@@ -9,20 +9,23 @@ spent per dispatched statement, the recursion budget K per nested value
 or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
-declared finite domain; no external solver is involved. ``verify_triple``
-is the one verification route: it computes the initial path's models
-once, either the domain product filtered by the precondition or a single
-pinned concolic assignment, and every path carries the models that
-satisfy its condition; a fork filters its parent's set by the new
-constraint. A segment summary is reused only after the same route has
-proven it against its segment. Each forked path gets its own copy of the
-execution context.
+declared finite domain; no external solver is involved. A path's
+``Models`` are searched only on demand, and a branch that the path
+condition already decides is followed or pruned with no search.
+``verify_triple`` is the one verification route. Its judge asks the
+``Post`` for each path's obligation on the symbolic states (``True``,
+``False`` or a residual expression evaluated per model); a plain
+callable post, or a path whose symbolic payloads hold a ``/`` or ``%``,
+is judged by concretizing both states under each model. A proven
+segment summary is spliced in and spends its segment's gas. Each forked
+path gets its own copy of the execution context.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import memory as gm
 from .memory import MemoryState, MemoryValue
@@ -37,7 +40,8 @@ from .stmts import (
     SegmentSummary,  # noqa: F401  (re-exported)
     drive,
 )
-from .symbolic import SymEvalError, SymExpr, collect_symbols, is_symbolic
+from .symbolic import (SymConst, SymEvalError, SymExpr, SymOp, collect_symbols, is_symbolic,
+                       subtrees)
 from .values import Env
 
 
@@ -76,9 +80,9 @@ class Constraint:
 class PathState:
     """One execution branch: state, environments, constraints, program.
 
-    ``models`` holds the assignments that satisfy ``condition``, in
-    enumeration order. The dicts are shared between paths and must not
-    be mutated.
+    ``models`` holds the assignments that satisfy ``condition``: a
+    ``Models`` value, or a tuple of them for ``explore`` to start from.
+    The dicts are shared between paths and must not be mutated.
     """
     sigma: MemoryState | None
     env: Env
@@ -87,10 +91,7 @@ class PathState:
     remaining: tuple = ()
     ctx: ExecContext = field(default_factory=ExecContext)
     note: str = ""
-    models: tuple = ()
-
-    def condition_key(self) -> tuple:
-        return tuple(str(c) for c in self.condition)
+    models: Models | tuple = ()
 
 
 @dataclass
@@ -172,25 +173,103 @@ def satisfiable(condition, symbols) -> dict | None:
     return None
 
 
-def concretize_payload(p, assignment):
+class Models:
+    """The models of a path condition in ``itertools.product`` order, found
+    only when asked for: ``models`` as given, the product of ``symbols``
+    filtered by ``condition``, or for a child its ``parent``'s models that
+    satisfy ``constraint``. A child's ``witness`` (first model) is its
+    parent's when that satisfies the constraint; otherwise it filters its
+    parent's models, which the parent splits once for both children of a
+    fork. A set equals the tuple of its models.
+    """
+
+    def __init__(self, models=None, symbols=(), condition=(), parent=None,
+                 constraint=None):
+        if models is not None:
+            self.all = tuple(models)
+        self._symbols, self._condition = symbols, condition
+        self._parent, self._constraint, self._split = parent, constraint, None
+
+    @cached_property
+    def witness(self) -> dict | None:
+        parent = self._parent
+        if "all" not in vars(self):
+            if parent is None:
+                return satisfiable(self._condition, self._symbols)
+            if parent.witness is not None and self._constraint.holds(parent.witness):
+                return parent.witness
+        return next(iter(self.all), None)
+
+    @cached_property
+    def all(self):
+        if self._parent is None:
+            return tuple(satisfying_assignments(self._condition, self._symbols))
+        return self._parent._partition(self._constraint)
+
+    def _partition(self, c: Constraint) -> list:
+        """The models that satisfy ``c``. The split by ``c.expr`` is kept for
+        the other child; a model under which it fails is on neither side."""
+        if self._split is None or self._split[0] is not c.expr:
+            self._split = (c.expr, [], [])
+            for m in self.all:
+                try:
+                    self._split[1 + bool(c.expr.eval(m))].append(m)
+                except SymEvalError:
+                    pass
+        return self._split[1 + c.expected]
+
+    def __iter__(self):
+        return iter(self.all)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Models, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+# ---------------------------------------------------------------------------
+# Symbolic payloads
+
+def _walk(p):
+    """Yield each symbolic expression in payload ``p``, depth first, taking
+    back the value to put in its place; return ``p`` rebuilt with those
+    values. Iterating lists the expressions; ``concretize_payload`` sends
+    their values."""
     if isinstance(p, gm.BoolPayload) and is_symbolic(p.bit):
-        return gm.BoolPayload(bool(p.bit.eval(assignment)))
+        return gm.BoolPayload(bool((yield p.bit)))
     if isinstance(p, gm.IntPayload) and is_symbolic(p.value):
-        return gm.IntPayload(p.value.eval(assignment), p.width, p.signed)
+        return gm.IntPayload((yield p.value), p.width, p.signed)
     if isinstance(p, gm.StructInstance):
-        return gm.StructInstance(p.type_addr, tuple(
-            concretize_payload(m, assignment) for m in p.members))
+        members = []
+        for m in p.members:
+            members.append((yield from _walk(m)))
+        return gm.StructInstance(p.type_addr, tuple(members))
     if isinstance(p, gm.MapNode) and p.kv is not None:
-        k, v = p.kv
-        return gm.MapNode(p.init, (concretize_payload(k, assignment),
-                                   concretize_payload(v, assignment)),
-                          p.key_type, p.value_type, p.next)
+        return replace(p, kv=((yield from _walk(p.kv[0])), (yield from _walk(p.kv[1]))))
     if isinstance(p, gm.Fid) and p.args:
-        return gm.Fid(p.fun, p.receiver, tuple(
-            MemoryValue(concretize_payload(a.payload, assignment),
-                        a.domain, a.level, a.access, a.occupancy)
-            for a in p.args))
+        args = []
+        for a in p.args:
+            args.append(replace(a, payload=(yield from _walk(a.payload))))
+        return replace(p, args=tuple(args))
     return p
+
+
+def _has_symbols(p) -> bool:
+    return next(_walk(p), None) is not None
+
+
+def concretize_payload(p, assignment):
+    walk = _walk(p)
+    try:
+        e = next(walk)
+        while True:
+            e = walk.send(e.eval(assignment))
+    except StopIteration as done:
+        return done.value
+
+
+def _concretize_block(b: MemoryValue, assignment) -> MemoryValue:
+    return replace(b, payload=concretize_payload(b.payload, assignment))
 
 
 def concretize(sigma: MemoryState, assignment, indices=None,
@@ -215,30 +294,21 @@ def concretize(sigma: MemoryState, assignment, indices=None,
         b = blocks[i]
         c = memo.get(id(b))
         if c is None:
-            c = memo[id(b)] = MemoryValue(concretize_payload(b.payload, assignment),
-                                          b.domain, b.level, b.access, b.occupancy)
+            c = memo[id(b)] = _concretize_block(b, assignment)
         rebuilt.append((i, c))
     return MemoryState(blocks.update(rebuilt), sigma.symbol_table, sigma.alloc_floor)
 
 
-def _payload_has_symbols(p) -> bool:
-    if isinstance(p, gm.BoolPayload):
-        return is_symbolic(p.bit)
-    if isinstance(p, gm.IntPayload):
-        return is_symbolic(p.value)
-    if isinstance(p, gm.StructInstance):
-        return any(_payload_has_symbols(m) for m in p.members)
-    if isinstance(p, gm.MapNode) and p.kv is not None:
-        return _payload_has_symbols(p.kv[0]) or _payload_has_symbols(p.kv[1])
-    if isinstance(p, gm.Fid) and p.args:
-        return any(_payload_has_symbols(a.payload) for a in p.args)
-    return False
-
-
 def symbolic_blocks(sigma: MemoryState) -> tuple:
     """Indices of the blocks whose payload holds a symbol."""
-    return tuple(i for i, b in enumerate(sigma.blocks)
-                 if _payload_has_symbols(b.payload))
+    return tuple(i for i, b in enumerate(sigma.blocks) if _has_symbols(b.payload))
+
+
+def _may_fail(sigma: MemoryState, indices) -> bool:
+    """Whether a payload among the blocks at ``indices`` holds a ``/`` or
+    ``%``, which fails to evaluate where its divisor is zero."""
+    return any(isinstance(n, SymOp) and n.op in ("/", "%") for i in indices
+               for e in _walk(sigma.blocks[i].payload) for n in subtrees(e))
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +320,27 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     When the dispatch loop stops on a symbolic branch the path forks into
     assumed-false and assumed-true children, each keeping the parent
     models (starting from ``initial.models``) that satisfy its branch,
-    and its own copy of the context; a child with no model left is
-    pruned. Results are merged in path-condition lexicographic order.
+    and its own copy of the context; a child with no model left, or whose
+    branch the path condition contradicts, is pruned. Results are merged
+    in path-condition lexicographic order.
     """
     terminals: list[PathState] = []
-    stack = [(initial, None)]  # (path, branch its first dispatch assumes)
+    models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
+    stack = [(replace(initial, models=models), None)]  # (path, branch its first dispatch assumes)
     while stack:
         ps, assume = stack.pop()
         run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, assume)
         ps = replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
                      note="throw" if run.halted else ps.note)
         if run.stop == SYMBOLIC:
+            known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
             for branch in (False, True):
                 c = Constraint(run.cond, branch)
-                models = tuple(m for m in ps.models if c.holds(m))
-                if models:
-                    stack.append((replace(ps, condition=ps.condition + (c,),
-                                          models=models, ctx=ps.ctx.fork()), branch))
+                models = Models(parent=ps.models, constraint=c) if known is None else ps.models
+                if known is (not branch) or models.witness is None:
+                    continue
+                stack.append((replace(ps, condition=ps.condition + (c,),
+                                      models=models, ctx=ps.ctx.fork()), branch))
         elif run.stop == ERROR:
             terminals.append(replace(ps, sigma=None, note=f"error: {run.error}"))
         elif run.stop == BUDGET:
@@ -275,7 +349,7 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         else:
             default = "error" if ps.sigma is None else "completed"
             terminals.append(replace(ps, note=ps.note or default))
-    terminals.sort(key=lambda p: p.condition_key())
+    terminals.sort(key=lambda p: [str(c) for c in p.condition])
     return terminals
 
 
@@ -289,8 +363,9 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     ``pre`` builds the initial world: called with an assignment it must
     produce a concrete (sigma, env, fenv, ctx) tuple; called with None
     it produces the same world with symbolic payloads standing in for
-    the declared symbols. ``post`` is a predicate over (final state,
-    initial state). ``require`` lists constraint trees assumed true.
+    the declared symbols. ``post`` is a ``Post`` or any predicate over
+    (final state, initial state). ``require`` lists constraint trees
+    assumed true.
 
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
@@ -298,7 +373,8 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     of ``summaries`` replaces its segment, which must start the program,
     once a nested verification proves, for every model, that the segment
     run from the entry state ends in the state the summary's transform
-    gives; a segment anywhere else is an ``error`` verdict.
+    gives and spends the same gas on every path, which the spliced
+    summary then spends; any other summary is an ``error`` verdict.
     """
     symbols = tuple(symbols)
     known = {s.name for s in symbols}
@@ -309,18 +385,18 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
         return Verdict("error",
                        diagnostic=f"precondition names undeclared symbols: {sorted(unknown)}")
     base_condition = tuple(Constraint(r, True) for r in require)
-    if symbols and satisfiable(base_condition, symbols) is None:
+    models = Models(symbols=symbols, condition=base_condition)
+    if symbols and models.witness is None:
         return Verdict("verified", diagnostic="vacuous: precondition unsatisfiable")
-    if concolic is None:
-        models = tuple(satisfying_assignments(base_condition, symbols))
-    else:
+    if concolic is not None:
         missing = [s.name for s in symbols if s.name not in concolic]
         if missing:
             return Verdict("error", diagnostic=f"concolic values missing: {missing}")
         if not all(c.holds(concolic) for c in base_condition):
             return Verdict("error", diagnostic="concolic assignment violates the precondition")
-        models = (concolic,)
+        models = Models((concolic,))
 
+    sigma, env, fenv, ctx = pre(concolic)
     work_prog = tuple(prog)
     for summary in summaries:
         seg = tuple(summary.segment)
@@ -329,16 +405,16 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
                                                f"program: {summary.label}")
         proof = verify_triple(pre, seg, _agrees_with(summary.transform), symbols,
                               require, K, concolic)
-        if proof.status != "verified":
+        spent = {env.gas - p.env.gas for p in proof.paths}
+        if proof.status != "verified" or len(spent) != 1:
             return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
-        work_prog = (summary,) + work_prog[len(seg):]
+        work_prog = (replace(summary, gas=spent.pop()),) + work_prog[len(seg):]
 
-    sigma, env, fenv, ctx = pre(concolic)
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
     paths = explore(K, PathState(sigma, env, fenv, base_condition, work_prog, ctx,
                                  models=models))
-    return _judge(paths, post, pre, prog, K)
+    return _judge(paths, post, ctx.sigma_init, pre, prog, K)
 
 
 def _agrees_with(transform):
@@ -350,34 +426,45 @@ def _agrees_with(transform):
     return post
 
 
-def _judge(paths, post, pre, original_prog, K) -> Verdict:
+def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
+    paths = tuple(paths)
     for p in paths:
         if p.note.startswith("error"):
-            return Verdict("error", path=p, paths=tuple(paths),
+            return Verdict("error", path=p, paths=paths,
                            diagnostic=p.note.partition("error: ")[2] or "no memory state")
         if p.note == "exhausted":
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
-                           paths=tuple(paths))
+                           paths=paths)
+    obligation = getattr(post, "obligation", None)
+    if obligation is not None and _may_fail(init, range(init.size)):
+        obligation = None
     for p in paths:
-        init = p.ctx.sigma_init
-        final_idx = symbolic_blocks(p.sigma)
-        init_idx = symbolic_blocks(init) if init is not None else ()
-        asgs = p.models if final_idx or init_idx else p.models[:1] or ({},)
-        for asg in asgs:
-            memo = {}  # a block the path never wrote is concretized once
+        final = p.sigma
+        if obligation is not None and not _may_fail(final, final.blocks.diff(init.blocks)):
+            goal = obligation(final, init)
+        else:  # concretize both states under each model
+            goal, indices = None, (symbolic_blocks(final), symbolic_blocks(init))
+        if goal is True:
+            continue
+        first_only = goal is False or goal is None and not any(indices)
+        for asg in (p.models.witness or {},) if first_only else p.models:
             try:
-                final_c = concretize(p.sigma, asg, final_idx, memo)
-                init_c = concretize(init, asg, init_idx, memo) if init is not None else None
+                if goal is None:
+                    memo = {}  # a block both states share is concretized once
+                    holds = post(concretize(final, asg, indices[0], memo),
+                                 concretize(init, asg, indices[1], memo))
+                else:
+                    holds = goal is not False and goal.eval(asg)
             except SymEvalError as exc:
                 return Verdict("error", path=p,
                                diagnostic=f"cannot evaluate the state under {asg}: {exc}",
-                               paths=tuple(paths))
-            if not post(final_c, init_c):
+                               paths=paths)
+            if not holds:
                 witness = _confirm_witness(asg, pre, original_prog, post, K)
                 return Verdict("refuted", witness=witness, path=p,
                                diagnostic=f"postcondition fails under {asg}",
-                               paths=tuple(paths))
-    return Verdict("verified", paths=tuple(paths))
+                               paths=paths)
+    return Verdict("verified", paths=paths)
 
 
 def _confirm_witness(asg, pre, prog, post, K) -> dict:
@@ -394,25 +481,81 @@ def _confirm_witness(asg, pre, prog, post, K) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Common postconditions
+# Postconditions as obligations
+
+class Post:
+    """A postcondition over (final, initial) states, written once as rules.
+
+    A rule maps the two states to ``True``, ``False`` or a residual
+    ``SymExpr`` that must hold under every model of the path, and
+    ``obligation`` conjoins the rules. On concrete states every rule gives
+    a constant; calling the post asks whether the obligation is ``True``.
+    """
+
+    def __init__(self, *rules):
+        self.rules = rules
+
+    def obligation(self, final: MemoryState | None, initial: MemoryState | None):
+        return final is not None and _conjoin(rule(final, initial) for rule in self.rules)
+
+    def __call__(self, final: MemoryState | None, initial: MemoryState | None) -> bool:
+        return self.obligation(final, initial) is True
+
+
+def _conjoin(goals):
+    residual = True
+    for goal in goals:
+        if goal is False:
+            return False
+        if goal is not True:
+            residual = goal if residual is True else SymOp("&&", (residual, goal))
+    return residual
+
+
+@dataclass(frozen=True)
+class _SameBlock(SymExpr):
+    """Residual: two blocks that differ in symbolic payloads are equal."""
+    a: MemoryValue
+    b: MemoryValue
+
+    def eval(self, assignment):
+        return _concretize_block(self.a, assignment) == _concretize_block(self.b, assignment)
+
+
+def _same_block(a: MemoryValue, b: MemoryValue):
+    if a is b or a == b:
+        return True
+    return _SameBlock(a, b) if _has_symbols(a.payload) or _has_symbols(b.payload) else False
+
 
 _THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top block
 
 
-def throw_state_post(final: MemoryState, initial: MemoryState | None) -> bool:
+def throw_state(final: MemoryState, initial: MemoryState | None):
     """Final memory is the entry snapshot plus a raised throw flag."""
-    if final is None or initial is None:
+    if initial is None:
         return False
     idx = final.size - 1 - _THROW_OFFSET
-    flag = final.blocks[idx].payload
-    if not (isinstance(flag, gm.BoolPayload) and flag.bit is True):
+    return _conjoin(itertools.chain((equals(idx, True, final, initial),), (
+        _same_block(final.blocks[i], initial.blocks[i])
+        for i in final.blocks.diff(initial.blocks) if i != idx)))
+
+
+def unchanged(index: int, final: MemoryState, initial: MemoryState | None):
+    """The block at ``index`` is the one the entry state holds."""
+    return initial is not None and _same_block(final.blocks[index], initial.blocks[index])
+
+
+def equals(index: int, expected, final: MemoryState, _initial):
+    """The block at ``index`` holds the literal ``expected``."""
+    payload = final.blocks[index].payload
+    if isinstance(payload, gm.BoolPayload):
+        value, expected = payload.bit, bool(expected)
+    elif isinstance(payload, gm.IntPayload):
+        value = payload.value
+    else:
         return False
-    return all(i == idx for i in final.blocks.diff(initial.blocks))
+    return SymOp("==", (value, SymConst(expected))) if is_symbolic(value) else value == expected
 
 
-def unchanged_post(addr: gm.Address):
-    def post(final: MemoryState, initial: MemoryState | None) -> bool:
-        if final is None or initial is None:
-            return False
-        return final.blocks[addr.index] == initial.blocks[addr.index]
-    return post
+throw_state_post = Post(throw_state)

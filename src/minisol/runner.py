@@ -10,10 +10,11 @@ user-facing gas limit measures the entry program alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import memory as gm
 from .binder import BindError, BoundProgram
-from .engine import interpret
+from .engine import Post, equals, interpret, throw_state, unchanged
 from .memory import BoolPayload, IntPayload, MemoryState
 from .parser import parse_expr_text
 from .stdlib import fresh_memory, write_message
@@ -163,40 +164,18 @@ def make_pre(bound: BoundProgram, gas: int, binfo: BlockInfo,
     return pre
 
 
-def compile_posts(bound: BoundProgram, posts) -> "callable":
-    """Conjoin post lines into one predicate over (final, initial)."""
-    from .engine import throw_state_post, unchanged_post
-
-    checks = []
+def compile_posts(bound: BoundProgram, posts) -> Post:
+    """Conjoin post lines into one ``Post`` over (final, initial)."""
+    rules = []
     for p in posts:
         if p.kind == "throw-state":
-            checks.append(throw_state_post)
-        elif p.kind == "equals":
-            if p.name not in bound.bindings:
-                raise RunnerError(f"post names unknown block {p.name!r}")
-            addr = bound.bindings[p.name]
-            expected = p.value
-
-            def eq_check(final, initial, addr=addr, expected=expected):
-                if final is None:
-                    return False
-                payload = final.blocks[addr.index].payload
-                if isinstance(payload, BoolPayload):
-                    return payload.bit is (expected if isinstance(expected, bool)
-                                           else bool(expected))
-                if isinstance(payload, IntPayload):
-                    return payload.value == expected
-                return False
-            checks.append(eq_check)
-        elif p.kind == "unchanged":
-            if p.name not in bound.bindings:
-                raise RunnerError(f"post names unknown block {p.name!r}")
-            checks.append(unchanged_post(bound.bindings[p.name]))
-        else:
+            rules.append(throw_state)
+            continue
+        if p.kind not in ("equals", "unchanged"):
             raise RunnerError(f"unknown post kind {p.kind!r}")
-    if not checks:
-        checks.append(lambda final, initial: final is not None)
-
-    def post(final, initial):
-        return all(c(final, initial) for c in checks)
-    return post
+        if p.name not in bound.bindings:
+            raise RunnerError(f"post names unknown block {p.name!r}")
+        index = bound.bindings[p.name].index
+        rules.append(partial(equals, index, p.value) if p.kind == "equals"
+                     else partial(unchanged, index))
+    return Post(*rules)

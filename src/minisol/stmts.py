@@ -200,11 +200,13 @@ class SegmentSummary(LStatement):
 
     ``engine.verify_triple`` splices a summary into the program in place
     of ``segment`` once it has proven the two agree; dispatching it
-    applies ``transform`` to the state.
+    applies ``transform`` to the state and spends ``gas``, the gas the
+    segment spends.
     """
     segment: tuple
     transform: object  # Callable[[MemoryState], MemoryState | None]
     label: str = "summary"
+    gas: int = 1
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
@@ -303,7 +305,8 @@ def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult
     out = head.transform(sigma)
     if out is None:
         return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
-    return StepResult(out, env, rest)
+    spent = Env(env.gas - (head.gas - 1), env.gas_limit, env.level, env.domain)  # 1 is paid
+    return StepResult(out, spent, rest)
 
 
 def _branch(K, sigma, env, ctx, head, rest, assume, what, taken,

@@ -141,12 +141,13 @@ def to_symexpr(x) -> SymExpr:
     return SymConst(x)
 
 
-def collect_symbols(e: SymExpr) -> set[str]:
-    if isinstance(e, SymVar):
-        return {e.name}
+def subtrees(e: SymExpr):
+    """``e`` and every tree below it, depth first."""
+    yield e
     if isinstance(e, SymOp):
-        out: set[str] = set()
         for a in e.args:
-            out |= collect_symbols(a)
-        return out
-    return set()
+            yield from subtrees(a)
+
+
+def collect_symbols(e: SymExpr) -> set[str]:
+    return {n.name for n in subtrees(e) if isinstance(n, SymVar)}

@@ -231,6 +231,30 @@ class TestVerify:
         assert (doc["status"], doc["paths"]) == ("verified", 1)
         assert elapsed < 5.0
 
+    def test_wallet_verify_concretizes_no_state(self, capsys, monkeypatch):
+        # The one throw path's obligation is decided on the symbolic states.
+        from minisol import engine
+
+        calls = []
+        real = engine.concretize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(engine, "concretize", counting)
+        rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", SPEC, "--json")
+        assert (rc, json.loads(out)["status"]) == (0, "verified")
+        assert calls == []
+
+    def test_wallet_wide_domains_verify_within_a_quarter_second(self, capsys, tmp_path):
+        wide = tmp_path / "wide.spec"
+        wide.write_text(Path(SPEC).read_text(encoding="utf-8").replace("0..7", "0..31"))
+        start = time.process_time()
+        rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", str(wide), "--json")
+        elapsed = time.process_time() - start
+        assert (rc, json.loads(out)["status"]) == (0, "verified")
+        assert elapsed <= 0.25
+
 
 @pytest.mark.parametrize("module", ["minisol", "minisol.cli"])
 def test_module_entry_point_verifies_wallet(module):

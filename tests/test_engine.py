@@ -4,24 +4,30 @@ import itertools
 import operator
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from minisol import memory as gm
 from minisol.binder import bind_addresses
 from minisol.engine import (
+    Constraint,
+    Models,
     PathState,
+    Post,
     SegmentSummary,
     SymbolicValue,
     assignments,
     concretize,
     concretize_payload,
+    equals,
     explore,
     interpret,
     satisfying_assignments,
     step,
     symbolic_blocks,
     throw_state_post,
+    unchanged,
     verify_triple,
 )
 from minisol.memory import Address, BoolPayload, IntPayload, MemoryState, MemoryValue
@@ -31,7 +37,7 @@ from minisol.runner import compile_posts, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_var
-from minisol.symbolic import SymOp, SymVar
+from minisol.symbolic import SymConst, SymOp, SymVar
 from minisol.syntax import (
     Assign,
     Ebop,
@@ -231,6 +237,20 @@ class TestExplore:
                 key = asg["n"]
                 cover[key] = cover.get(key, 0) + 1
         assert cover == {n: 1 for n in range(8)}
+
+    def test_branch_the_path_condition_decides_needs_no_search(self, monkeypatch):
+        sigma, env, ctx = sym_bool_world()
+        prog = (If(Evar(B, Tbool()), (Snil(),), (Throw(),)),)
+        condition = (Constraint(SymVar("b"), True),)
+        models = Models(symbols=[SymbolicValue("b", "bool")], condition=condition)
+        assert models.witness == {"b": True}
+
+        def no_search(*_args):
+            raise AssertionError("searched the domain product")
+        monkeypatch.setattr("minisol.engine.satisfying_assignments", no_search)
+        paths = explore(100, PathState(sigma, env, env, condition, prog, ctx, models=models))
+        assert [p.note for p in paths] == ["completed"]
+        assert paths[0].models is models
 
     def test_gas_exhaustion_yields_exhausted_path(self):
         sigma, env, names = declared_world()
@@ -445,6 +465,40 @@ class TestVerifyTriple:
                                 summaries=[SegmentSummary(segment, mod3, "mod3")])
         assert verdict.status in ("refuted", "error")
         assert verdict.diagnostic == "summary segment does not start the program: mod3"
+
+    def test_summary_spends_the_gas_of_its_segment(self):
+        # Gas 3 runs out before x := 4; a summary of the first three
+        # assignments that cost one unit would let x := 4 run.
+        def pre(assignment):
+            sigma, _env, names = declared_world()
+            env = initial_env(3, names["0xglobal"])
+            value = IntPayload(SymVar("n")) if assignment is None \
+                else IntPayload(assignment["n"])
+            return poke(sigma, X, value), env, env, ExecContext()
+
+        x = Evar(X, Tuint())
+        prog = tuple(Assign(x, Econst(Vint(k))) for k in (1, 2, 3, 4))
+        summary = SegmentSummary(prog[:3], lambda s: poke(s, X, IntPayload(3)), "x := 3")
+
+        def post(final, initial):
+            return final.blocks[X.index].payload == IntPayload(4)
+
+        symbols = [SymbolicValue("n", "int", lo=0, hi=2)]
+        assert verify_triple(pre, prog, post, symbols=symbols).status == "exhausted"
+        verdict = verify_triple(pre, prog, post, symbols=symbols, summaries=[summary])
+        assert verdict.status == "exhausted"
+
+    def test_summary_whose_paths_spend_unequal_gas_is_error(self):
+        pre, _prog, _post = triple_world(plant_bug=False)
+        x = Evar(X, Tuint())
+        five = Assign(x, Econst(Vint(5)))
+        segment = (If(Ebop(">", x, Econst(Vint(0))), (five, five), (five,)),)
+        summary = SegmentSummary(segment, lambda s: poke(s, X, IntPayload(5)), "five")
+        verdict = verify_triple(pre, segment, lambda f, i: True,
+                                symbols=[SymbolicValue("n", "int", lo=0, hi=3)],
+                                summaries=[summary])
+        assert verdict.status == "error"
+        assert verdict.diagnostic == "summary failed validation: five"
 
     def test_concolic_refutation_reports_the_pinned_witness(self):
         # x <= 5 fails for every n in 6..9; a static run would name n = 6
@@ -685,3 +739,107 @@ class TestEnumerationReuse:
         assert symbolic_blocks(out) == ()
         for i, (a, b) in enumerate(zip(out.blocks, sigma.blocks)):
             assert (a is b) == (i not in indices)
+
+
+# ---------------------------------------------------------------------------
+# Obligations: the judge decides on symbolic states what concretizing decides
+
+DIVISION = ("contract D {\n    uint d;\n    uint r;\n    uint s = 7;\n"
+            "    function f() public { r = 10 / d; }\n}\n")
+
+# Writes symbolic values, so posts leave residuals on the symbolic states.
+SYMBOLIC_WRITES = """\
+contract E {
+    uint a;
+    uint b;
+    uint r;
+    bool t;
+    function f() public {
+        if (a < b) { r = a + b; t = a == 1; } else { a = a * 1; }
+        if (b == 2) { throw; }
+    }
+}
+"""
+
+
+def obligation_case(seed):
+    """(source, spec text) of a branchy, wallet, division or symbolic-write
+    program with one or two posts drawn from every kind."""
+    rng = random.Random(seed)
+    kind = seed % 4
+    if kind == 0:
+        source, spec, _ = branchy_case(seed)
+        head = spec.rpartition("post ")[0]
+        pool = ["throw-state", "r == 0", f"r == {rng.randrange(0, 8)}",
+                f"a == {rng.randrange(0, 4)}", "unchanged s", "unchanged r", "s == 7"]
+    elif kind == 1:
+        with open("samples/wallet.lls", encoding="utf-8") as fh:
+            source = fh.read()
+        with open("samples/no_in_time.spec", encoding="utf-8") as fh:
+            head = fh.read().replace("0..7", "0..3").rpartition("post ")[0]
+        pool = ["throw-state", "unchanged privilegeOpen", "unchanged subscription",
+                f"privilegeOpen == {rng.randrange(0, 4)}", f"now == {rng.randrange(0, 4)}"]
+    elif kind == 2:
+        source = DIVISION
+        head = f"entry f\nsym d : int {rng.randrange(0, 2)}..3\n"
+        pool = ["throw-state", "unchanged s", "unchanged r", "r == 5", "s == 7"]
+    else:
+        source = SYMBOLIC_WRITES
+        head = f"entry f\nsym a : int 0..3\nsym b : int {rng.randrange(0, 3)}..3\n"
+        pool = ["throw-state", "unchanged a", "unchanged r", f"r == {rng.randrange(1, 6)}",
+                "t == true", "t == false", f"a == {rng.randrange(0, 4)}"]
+    posts = rng.sample(pool, rng.randrange(1, 3))
+    return source, head + "".join(f"post {p}\n" for p in posts)
+
+
+class TestObligations:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_obligation_judge_matches_concretizing_judge(self, seed):
+        source, spec_text = obligation_case(seed)
+        pre, prog, post, spec = spec_triple(source, spec_text)
+        assert post.obligation
+        verdicts = [verify_triple(pre, prog, judged, symbols=spec.symbols,
+                                  require=spec.requires)
+                    for judged in (post, lambda f, i: post(f, i))]
+        fast, slow = [(v.status, len(v.paths), v.witness, v.diagnostic) for v in verdicts]
+        assert fast == slow
+
+    def test_division_by_zero_stays_an_error_naming_the_assignment(self):
+        pre, prog, post, spec = spec_triple(DIVISION, "entry f\nsym d : int 0..3\n"
+                                                      "post unchanged s\n")
+        verdict = verify_triple(pre, prog, post, symbols=spec.symbols)
+        assert verdict.status == "error"
+        assert verdict.diagnostic == ("cannot evaluate the state under {'d': 0}: "
+                                      "division by zero")
+
+    def test_division_in_the_initial_state_is_concretized(self):
+        # Snil leaves x unchanged, but x = 10 / n fails to evaluate at n = 0.
+        def pre(_assignment):
+            sigma, env, _ = declared_world()
+            value = IntPayload(SymOp("/", (SymConst(10), SymVar("n")), 64))
+            return poke(sigma, X, value), env, env, ExecContext()
+
+        verdict = verify_triple(pre, (Snil(),), Post(partial(unchanged, X.index)),
+                                symbols=[SymbolicValue("n", "int", lo=0, hi=2)])
+        assert verdict.status == "error"
+        assert verdict.diagnostic == ("cannot evaluate the state under {'n': 0}: "
+                                      "division by zero")
+
+    def test_equals_on_a_symbolic_bool(self):
+        sigma, _env, _names = declared_world()
+        final = poke(sigma, B, BoolPayload(SymVar("b")))
+        for expected in (True, False, 0, 1):
+            goal = equals(B.index, expected, final, sigma)
+            assert [goal.eval({"b": b}) for b in (False, True)] == [not expected, bool(expected)]
+
+    def test_obligations_on_symbolic_states(self):
+        sigma, _env, names = declared_world()
+        initial = poke(poke(sigma, X, IntPayload(SymVar("n"))), B, BoolPayload(SymVar("b")))
+        final = poke(initial, names["0xthrow"], BoolPayload(True))
+        post = compile_posts(bind_addresses(parse_source("contract C { uint x; }"), 100), [])
+        assert post.obligation(final, initial) is True
+        assert throw_state_post.obligation(final, initial) is True
+        assert throw_state_post.obligation(initial, initial) is False
+        moved = poke(final, X, IntPayload(SymOp("+", (SymVar("n"), SymVar("n")), 64)))
+        residual = throw_state_post.obligation(moved, initial)
+        assert [residual.eval({"n": n}) for n in (0, 1)] == [True, False]

@@ -18,10 +18,6 @@ ALLOWED = {
         "abstract method: the interface every symbolic node implements",
     ("symbolic.py", "SymConst.eval", "assignment"):
         "a constant implements SymExpr.eval and needs no assignment",
-    ("runner.py", "eq_check", "initial"):
-        "post(final, initial) callback: an `equals` post reads only the final state",
-    ("runner.py", "<lambda>", "initial"):
-        "post(final, initial) callback: the default post reads only the final state",
     ("values.py", "locate_array_element", "env"):
         "public signature that the acceptance suite calls with an environment",
 }
