@@ -230,6 +230,8 @@ class Binder:
 
     def lower_expr(self, e):
         if isinstance(e, ENum):
+            if abs(e.value) >= 2**64:
+                raise BindError(f"integer literal {e.value} does not fit in uint64", e.pos)
             return Econst(Vint(e.value, 64, signed=e.value < 0))
         if isinstance(e, EBool):
             return Econst(Vbool(e.value))

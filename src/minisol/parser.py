@@ -13,14 +13,18 @@ README for the full reference):
     modifier   := "modifier" NAME "(" params? ")" block
     stmt       := vardecl | if | while | for | throw | return | call/assign | ";"
 
-Operators by increasing precedence: ``||``, ``&&``, comparisons,
-additive, multiplicative, unary ``!``/``-``, postfix index/member/call.
+Binary operators are parsed by precedence climbing over ``_BINARY``:
+``||``, then ``&&``, then the non-associative comparisons, then additive,
+then multiplicative. Unary ``!``/``-`` and postfix index/member/call bind
+tighter still.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -36,45 +40,55 @@ KEYWORDS = {
     "throw", "return", "true", "false", "mapping",
 }
 
+# ``skip`` takes a run of whitespace and closed comments; ``open`` is a
+# ``/*`` that no ``*/`` closes, and ``bad`` any other character.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
+    (?P<skip>(?:\s+|//[^\n]*|/\*.*?\*/)+)
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<open>/\*)
   | (?P<op>\|\||&&|=>|<=|>=|==|!=|\+=|-=|\*=|/=|[-+*/%<>=!.,;:(){}\[\]])
+  | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # num | ident | keyword | op | eof
     text: str
     line: int
     col: int
+    key: str | None  # the text of an op or keyword token, else None
+
+
+_new_token = tuple.__new__  # builds a Token without a Python-level __new__
 
 
 def lex(text: str) -> list[Token]:
+    """Tokens of ``text``, ending in one ``eof`` token."""
     tokens: list[Token] = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        tok = m.group(0)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "ident" and tok in KEYWORDS:
-                kind = "keyword"
-            tokens.append(Token(kind, tok, line, col))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        tok = m.group()
+        if kind == "skip":
+            last = tok.rfind("\n")
+            if last >= 0:
+                line += tok.count("\n")
+                line_start = m.start() + last + 1
+            continue
+        col = m.start() - line_start + 1
+        key = None
+        if kind == "op":
+            key = tok
+        elif kind == "ident":
+            if tok in KEYWORDS:
+                kind, key = "keyword", tok
+        elif kind == "open":
+            raise ParseError("unterminated comment", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        tokens.append(_new_token(Token, (kind, tok, line, col, key)))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1, None))
     return tokens
 
 
@@ -274,57 +288,85 @@ class SourceProgram:
 
 _INT_TYPE_RE = re.compile(r"^(u?)int(\d*)$")
 
+# Binary operators by precedence, loosest first. Comparisons do not
+# associate: ``a < b < c`` stops after ``a < b``.
+_BINARY = {"||": 1, "&&": 2,
+           "<": 3, ">": 3, "<=": 3, ">=": 3, "==": 3, "!=": 3,
+           "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+_COMPARE = 3
+_TIGHTEST = 5
 
-def looks_like_type(tok: Token, next_tok: Token) -> bool:
-    if tok.kind == "keyword" and tok.text in ("mapping",):
-        return True
-    if tok.kind != "ident":
-        return False
-    if _INT_TYPE_RE.match(tok.text) or tok.text in ("bool", "address"):
-        return True
-    # A user struct type in a declaration: "Name ident" or "Name[".
-    return next_tok.kind == "ident" or next_tok.text == "["
+_ACCESS = ("public", "private", "internal")
+_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
+
+# The most parentheses, brackets, argument lists and prefix operators an
+# operand may sit inside, and the most nodes from the root of an expression
+# tree to a leaf. It keeps the parser, the binder, the type checker and
+# evaluation within Python's default recursion limit.
+MAX_NESTING = 100
+_TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
+
+
+def _names_builtin_type(name: str) -> bool:
+    return name in ("bool", "address") or _INT_TYPE_RE.match(name) is not None
+
+
+def _check_depth(root: SExpr) -> None:
+    """Reject a tree deeper than MAX_NESTING at its leftmost node that is
+    too deep, walking it level by level without recursion."""
+    queue = deque([(root, 1)])
+    while queue:
+        node, depth = queue.popleft()
+        if depth > MAX_NESTING:
+            raise ParseError(_TOO_DEEP, *node.pos)
+        for value in vars(node).values():
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, SExpr):
+                    queue.append((child, depth + 1))
 
 
 class Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # A second eof lets ``peek(1)`` look past the end unclamped.
+        self.tokens = tokens + tokens[-1:]
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        self.i += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "keyword")
+    def at(self, key: str) -> bool:
+        return self.tokens[self.i].key == key
 
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+    def accept(self, key: str) -> bool:
+        if self.tokens[self.i].key == key:
+            self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
+    def expect(self, key: str) -> Token:
+        tok = self.tokens[self.i]
+        if tok.key != key:
+            raise ParseError(f"expected {key!r}, found {tok.text!r}", tok.line, tok.col)
+        self.i += 1
+        return tok
 
-    def ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
+    def ident(self, what: str) -> str:
+        tok = self.tokens[self.i]
         if tok.kind != "ident":
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
+        self.i += 1
+        return tok.text
 
     def err(self, msg: str):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         raise ParseError(msg, tok.line, tok.col)
 
     # -- program ------------------------------------------------------------
@@ -337,12 +379,12 @@ class Parser:
 
     def contract(self) -> SContract:
         tok = self.expect("contract")
-        name = self.ident("contract name").text
+        name = self.ident("contract name")
         inherits = []
         if self.accept("is"):
-            inherits.append(self.ident("base contract").text)
+            inherits.append(self.ident("base contract"))
             while self.accept(","):
-                inherits.append(self.ident("base contract").text)
+                inherits.append(self.ident("base contract"))
         self.expect("{")
         members: list = []
         while not self.accept("}"):
@@ -350,65 +392,57 @@ class Parser:
         return SContract(name, inherits, members, (tok.line, tok.col))
 
     def member(self):
-        tok = self.peek()
-        if self.at("struct"):
+        tok, nxt = self.peek(), self.peek(1)
+        if tok.key == "struct":
             return self.struct_decl()
-        if self.at("modifier"):
+        if tok.key == "modifier":
             return self.modifier_decl()
-        if self.at("function"):
+        if tok.key == "function":
             return self.fun_decl()
-        if looks_like_type(tok, self.peek(1)) or tok.text == "mapping":
+        # A user struct type in a declaration: "Name ident" or "Name[".
+        if tok.key == "mapping" or tok.kind == "ident" and (
+                _names_builtin_type(tok.text) or nxt.kind == "ident" or nxt.key == "["):
             return self.var_decl()
         self.err(f"expected a contract member, found {tok.text!r}")
 
     def struct_decl(self) -> SStructDecl:
         tok = self.expect("struct")
-        name = self.ident("struct name").text
+        name = self.ident("struct name")
         self.expect("{")
         fields = []
         while not self.accept("}"):
-            ftype = self.type_ref()
-            fname = self.ident("field name").text
+            fields.append((self.type_ref(), self.ident("field name")))
             self.expect(";")
-            fields.append((ftype, fname))
         return SStructDecl(name, fields, (tok.line, tok.col))
 
     def modifier_decl(self) -> SModifierDecl:
         tok = self.expect("modifier")
-        name = self.ident("modifier name").text
+        name = self.ident("modifier name")
         params = self.param_list()
-        body = self.block()
-        return SModifierDecl(name, params, body, (tok.line, tok.col))
+        return SModifierDecl(name, params, self.block(), (tok.line, tok.col))
 
     def fun_decl(self) -> SFunDecl:
         tok = self.expect("function")
-        name = self.ident("function name").text
+        name = self.ident("function name")
         params = self.param_list()
         access = None
         modifiers = []
         returns = []
         while True:
-            if self.peek().text in ("public", "private", "internal"):
+            head, nxt = self.peek(), self.peek(1)
+            if head.key in _ACCESS:
                 access = self.next().text
-            elif self.at("returns"):
+            elif head.key == "returns":
                 self.next()
                 self.expect("(")
                 returns.append(self.type_ref())
                 while self.accept(","):
                     returns.append(self.type_ref())
                 self.expect(")")
-            elif self.peek().kind == "ident" and self.peek(1).text in ("(", "{",) \
-                    or (self.peek().kind == "ident" and self.peek(1).kind == "ident"):
+            elif head.kind == "ident" and (nxt.key in ("(", "{") or nxt.kind == "ident"):
                 # modifier invocation, optionally with arguments
-                mname = self.next().text
-                margs = []
-                if self.accept("("):
-                    if not self.at(")"):
-                        margs.append(self.expr())
-                        while self.accept(","):
-                            margs.append(self.expr())
-                    self.expect(")")
-                modifiers.append((mname, margs))
+                self.next()
+                modifiers.append((head.text, self.expr_list(")") if self.accept("(") else []))
             else:
                 break
         body = self.block()
@@ -418,26 +452,20 @@ class Parser:
     def param_list(self):
         self.expect("(")
         params = []
-        if not self.at(")"):
+        if not self.accept(")"):
             while True:
-                ptype = self.type_ref()
-                pname = self.ident("parameter name").text
-                params.append((ptype, pname))
+                params.append((self.type_ref(), self.ident("parameter name")))
                 if not self.accept(","):
                     break
-        self.expect(")")
+            self.expect(")")
         return params
 
     def var_decl(self) -> SVarDecl:
         tok = self.peek()
         vtype = self.type_ref()
-        access = None
-        if self.peek().text in ("public", "private", "internal"):
-            access = self.next().text
-        name = self.ident("variable name").text
-        init = None
-        if self.accept("="):
-            init = self.expr()
+        access = self.next().text if self.peek().key in _ACCESS else None
+        name = self.ident("variable name")
+        init = self.expr() if self.accept("=") else None
         self.expect(";")
         return SVarDecl(vtype, access, name, init, (tok.line, tok.col))
 
@@ -451,16 +479,12 @@ class Parser:
             self.expect(")")
             base: SType = TMapping(key, value, (tok.line, tok.col))
         else:
-            name = self.ident("type name").text
-            base = TName(name, (tok.line, tok.col))
+            base = TName(self.ident("type name"), (tok.line, tok.col))
         sizes = []
-        while self.at("["):
-            self.next()
-            size_tok = self.peek()
-            if size_tok.kind != "num":
+        while self.accept("["):
+            if self.peek().kind != "num":
                 self.err("array types need a constant dimension length")
-            self.next()
-            sizes.append(int(size_tok.text))
+            sizes.append(int(self.next().text))
             self.expect("]")
         if sizes:
             return TArrayOf(base, sizes, (tok.line, tok.col))
@@ -476,78 +500,58 @@ class Parser:
         return out
 
     def stmt(self) -> SStmt:
-        tok = self.peek()
-        if self.accept(";"):
-            return SSkip((tok.line, tok.col))
-        if self.at("if"):
-            return self.if_stmt()
-        if self.at("while"):
+        tok, nxt = self.peek(), self.peek(1)
+        key, pos = tok.key, (tok.line, tok.col)
+        if key == ";":
             self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            body = self.block()
-            return SWhile(cond, body, (tok.line, tok.col))
-        if self.at("for"):
+            return SSkip(pos)
+        if key == "if":
+            return self.if_stmt()
+        if key == "while":
+            self.next()
+            cond = self.paren_expr()
+            return SWhile(cond, self.block(), pos)
+        if key == "for":
             return self.for_stmt()
-        if self.at("throw"):
+        if key == "throw":
             self.next()
             self.expect(";")
-            return SThrow((tok.line, tok.col))
-        if self.at("return"):
+            return SThrow(pos)
+        if key == "return":
             self.next()
             values = []
             if not self.at(";"):
                 paren = self.accept("(")
-                values.append(self.expr())
-                while self.accept(","):
-                    values.append(self.expr())
+                values = self.exprs()
                 if paren:
                     self.expect(")")
             self.expect(";")
-            return SReturn(values, (tok.line, tok.col))
-        if looks_like_type(tok, self.peek(1)) and self.peek(1).text != "(" \
-                and not self._starts_expression_stmt():
+            return SReturn(values, pos)
+        # A declaration starts with a type then a name, so "name = ..." and
+        # "name[...]" are statements on an existing variable.
+        if nxt.key != "(" and (key == "mapping" or tok.kind == "ident"
+                               and _names_builtin_type(tok.text)) \
+                or tok.kind == "ident" and nxt.kind == "ident":
             return self.var_decl()
         return self.simple_stmt(require_semi=True)
 
-    def _starts_expression_stmt(self) -> bool:
-        # "name = ..." or "name[...]" could be an assignment to an existing
-        # variable rather than a declaration; a declaration always has two
-        # identifiers in a row (type then name) or a type keyword.
-        tok, nxt = self.peek(), self.peek(1)
-        if tok.kind != "ident":
-            return False
-        if _INT_TYPE_RE.match(tok.text) or tok.text in ("bool", "address", "mapping"):
-            return False
-        return nxt.kind != "ident"
-
     def if_stmt(self) -> SIf:
         tok = self.expect("if")
-        self.expect("(")
-        cond = self.expr()
-        self.expect(")")
+        cond = self.paren_expr()
         then = self.block()
         orelse: list = []
         if self.accept("else"):
-            if self.at("if"):
-                orelse = [self.if_stmt()]
-            else:
-                orelse = self.block()
+            orelse = [self.if_stmt()] if self.at("if") else self.block()
         return SIf(cond, then, orelse, (tok.line, tok.col))
 
     def for_stmt(self) -> SFor:
         tok = self.expect("for")
         self.expect("(")
-        init = None
-        if not self.at(";"):
-            init = self.simple_stmt(require_semi=False)
+        init = None if self.at(";") else self.simple_stmt(require_semi=False)
         self.expect(";")
         cond = self.expr()
         self.expect(";")
-        post = None
-        if not self.at(")"):
-            post = self.simple_stmt(require_semi=False)
+        post = None if self.at(")") else self.simple_stmt(require_semi=False)
         self.expect(")")
         body = self.block()
         return SFor(init, cond, post, body, (tok.line, tok.col))
@@ -555,7 +559,7 @@ class Parser:
     def simple_stmt(self, require_semi: bool) -> SStmt:
         tok = self.peek()
         target = self.expr()
-        if self.peek().text in ("=", "+=", "-=", "*=", "/="):
+        if self.peek().key in _ASSIGN_OPS:
             op = self.next().text
             value = self.expr()
             if require_semi:
@@ -569,95 +573,93 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self) -> SExpr:
-        return self.or_expr()
-
-    def or_expr(self) -> SExpr:
-        node = self.and_expr()
-        while self.at("||"):
-            tok = self.next()
-            node = EBin("||", node, self.and_expr(), (tok.line, tok.col))
+    def paren_expr(self) -> SExpr:
+        self.expect("(")
+        node = self.expr()
+        self.expect(")")
         return node
 
-    def and_expr(self) -> SExpr:
-        node = self.cmp_expr()
-        while self.at("&&"):
-            tok = self.next()
-            node = EBin("&&", node, self.cmp_expr(), (tok.line, tok.col))
-        return node
+    def exprs(self) -> list:
+        out = [self.expr()]
+        while self.accept(","):
+            out.append(self.expr())
+        return out
 
-    def cmp_expr(self) -> SExpr:
-        node = self.add_expr()
-        if self.peek().text in ("<", ">", "<=", ">=", "==", "!="):
-            tok = self.next()
-            node = EBin(tok.text, node, self.add_expr(), (tok.line, tok.col))
-        return node
+    def expr_list(self, close: str) -> list:
+        """Comma-separated expressions up to and including ``close``."""
+        if self.accept(close):
+            return []
+        out = self.exprs()
+        self.expect(close)
+        return out
 
-    def add_expr(self) -> SExpr:
-        node = self.mul_expr()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            tok = self.next()
-            node = EBin(tok.text, node, self.mul_expr(), (tok.line, tok.col))
-        return node
-
-    def mul_expr(self) -> SExpr:
+    def expr(self, min_prec: int = 1) -> SExpr:
+        """An operand followed by binary operators of precedence
+        ``min_prec`` or tighter, grouped to the left."""
+        start = self.i
         node = self.unary()
-        while self.peek().text in ("*", "/", "%") and self.peek().kind == "op":
-            tok = self.next()
-            node = EBin(tok.text, node, self.unary(), (tok.line, tok.col))
+        tokens = self.tokens
+        top = _TIGHTEST
+        while True:
+            tok = tokens[self.i]
+            prec = _BINARY.get(tok.key, 0)
+            if not min_prec <= prec <= top:
+                break
+            self.i += 1
+            node = EBin(tok.text, node, self.expr(prec + 1), (tok.line, tok.col))
+            top = prec - 1 if prec == _COMPARE else prec
+        # A tree has no more nodes than tokens, so only a long statement-level
+        # expression can be too deep.
+        if self.i - start > MAX_NESTING and self.depth == 0 and min_prec == 1:
+            _check_depth(node)
         return node
 
     def unary(self) -> SExpr:
-        tok = self.peek()
-        if self.accept("!"):
-            return EUn("!", self.unary(), (tok.line, tok.col))
-        if self.accept("-"):
+        """An operand: prefix ``!``/``-``, then a primary, then postfix
+        index, member access and call."""
+        tok = self.tokens[self.i]
+        key, pos = tok.key, (tok.line, tok.col)
+        if self.depth > MAX_NESTING:
+            self.err(_TOO_DEEP)
+        self.depth += 1
+        if key == "!" or key == "-":
+            self.i += 1
             inner = self.unary()
+            self.depth -= 1
+            if key == "!":
+                return EUn("!", inner, pos)
             if isinstance(inner, ENum):
-                return ENum(-inner.value, (tok.line, tok.col))
-            return EUn("neg", inner, (tok.line, tok.col))
-        return self.postfix()
-
-    def postfix(self) -> SExpr:
-        node = self.primary()
-        while True:
-            tok = self.peek()
-            if self.accept("["):
-                index = self.expr()
-                self.expect("]")
-                node = EIndex(node, index, (tok.line, tok.col))
-            elif self.accept("."):
-                name = self.ident("member name").text
-                node = EMember(node, name, (tok.line, tok.col))
-            elif self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.expr())
-                    while self.accept(","):
-                        args.append(self.expr())
-                self.expect(")")
-                node = ECall(node, args, (tok.line, tok.col))
-            else:
-                return node
-
-    def primary(self) -> SExpr:
-        tok = self.peek()
+                return ENum(-inner.value, pos)
+            return EUn("neg", inner, pos)
+        self.i += 1
         if tok.kind == "num":
-            self.next()
-            return ENum(int(tok.text), (tok.line, tok.col))
-        if self.accept("true"):
-            return EBool(True, (tok.line, tok.col))
-        if self.accept("false"):
-            return EBool(False, (tok.line, tok.col))
-        if tok.kind == "ident":
-            self.next()
-            return EId(tok.text, (tok.line, tok.col))
-        if self.accept("("):
+            node = ENum(int(tok.text), pos)
+        elif tok.kind == "ident":
+            node = EId(tok.text, pos)
+        elif key == "(":
             node = self.expr()
             self.expect(")")
-            return node
-        self.err(f"unexpected token {tok.text!r}")
+        elif key == "true" or key == "false":
+            node = EBool(key == "true", pos)
+        else:
+            raise ParseError(f"unexpected token {tok.text!r}", *pos)
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.i]
+            key = tok.key
+            if key == "[":
+                self.i += 1
+                node = EIndex(node, self.expr(), (tok.line, tok.col))
+                self.expect("]")
+            elif key == ".":
+                self.i += 1
+                node = EMember(node, self.ident("member name"), (tok.line, tok.col))
+            elif key == "(":
+                self.i += 1
+                node = ECall(node, self.expr_list(")"), (tok.line, tok.col))
+            else:
+                self.depth -= 1
+                return node
 
 
 def parse_source(text: str) -> SourceProgram:

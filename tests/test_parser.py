@@ -1,11 +1,18 @@
 """Surface parser and binder."""
 
+import itertools
 import json
 
 import pytest
 
 from minisol.binder import BindError, bind_addresses
+from minisol.cli import cli_main
 from minisol.parser import (
+    MAX_NESTING,
+    EBin,
+    EId,
+    ENum,
+    EUn,
     ParseError,
     SAssign,
     SCallStmt,
@@ -13,6 +20,7 @@ from minisol.parser import (
     SIf,
     SThrow,
     SVarDecl,
+    lex,
     parse_expr_text,
     parse_source,
 )
@@ -99,6 +107,122 @@ class TestParse:
         """
         fn = parse_source(src).contracts[0].members[1]
         assert fn.modifiers == [("only", [])]
+
+
+def shape(e) -> str:
+    """A surface expression with its grouping made explicit."""
+    if isinstance(e, EBin):
+        return f"({shape(e.left)} {e.op} {shape(e.right)})"
+    if isinstance(e, EUn):
+        return f"({e.op} {shape(e.operand)})"
+    if isinstance(e, ENum):
+        return str(e.value)
+    return e.name
+
+
+# One operator per precedence level, loosest first.
+LEVELS = ["||", "&&", "<", "+", "*"]
+
+
+class TestPinnedSyntax:
+    def test_token_positions_across_comments_tabs_and_crlf(self):
+        src = "contract C {\r\n\tuint x; // note\r\n  /* two\r\n\tlines */ x =\t1;\n}"
+        assert [(t.kind, t.text, t.line, t.col) for t in lex(src)] == [
+            ("keyword", "contract", 1, 1), ("ident", "C", 1, 10), ("op", "{", 1, 12),
+            ("ident", "uint", 2, 2), ("ident", "x", 2, 7), ("op", ";", 2, 8),
+            ("ident", "x", 4, 11), ("op", "=", 4, 13), ("num", "1", 4, 15),
+            ("op", ";", 4, 16), ("op", "}", 5, 1), ("eof", "", 5, 2),
+        ]
+
+    @pytest.mark.parametrize("lo,hi", list(itertools.combinations(LEVELS, 2)))
+    def test_each_pair_of_levels_groups_by_precedence(self, lo, hi):
+        assert shape(parse_expr_text(f"a {lo} b {hi} c")) == f"(a {lo} (b {hi} c))"
+        assert shape(parse_expr_text(f"a {hi} b {lo} c")) == f"((a {hi} b) {lo} c)"
+
+    @pytest.mark.parametrize("ops", [("||", "||"), ("&&", "&&"), ("+", "-"),
+                                     ("-", "+"), ("*", "/"), ("/", "%")])
+    def test_left_associativity(self, ops):
+        one, two = ops
+        assert shape(parse_expr_text(f"a {one} b {two} c")) == f"((a {one} b) {two} c)"
+
+    def test_comparisons_and_unary_operands(self):
+        assert shape(parse_expr_text("a + 1 <= b * 2 && !c || d != e % 3")) == \
+            "((((a + 1) <= (b * 2)) && (! c)) || (d != (e % 3)))"
+        assert shape(parse_expr_text("-(a) - - - 2")) == "((neg a) - 2)"
+
+    def test_negative_literal_folds_with_positions(self):
+        assert parse_expr_text("a - -3") == EBin(
+            "-", EId("a", (1, 1)), ENum(-3, (1, 5)), (1, 3))
+
+    @pytest.mark.parametrize("text,col", [("a < b < c", 7), ("a == b < c", 8)])
+    def test_comparisons_do_not_associate(self, text, col):
+        with pytest.raises(ParseError) as err:
+            parse_expr_text(text)
+        assert str(err.value) == f"trailing input '<' (line 1, column {col})"
+        src = "contract A { uint x; function f() public {\n  x = " + text + ";\n} }"
+        with pytest.raises(ParseError) as err:
+            parse_source(src)
+        assert str(err.value) == f"expected ';', found '<' (line 2, column {col + 6})"
+        assert (err.value.line, err.value.col) == (2, col + 6)
+
+
+def assigning(expr: str) -> str:
+    return "contract A { uint x; function f() public {\n  x = " + expr + "; } }"
+
+
+class TestLimits:
+    def test_nesting_limit_counts_parentheses(self):
+        deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+        assert parse_source(assigning(deepest))
+        with pytest.raises(ParseError) as err:
+            parse_source(assigning("(" + deepest + ")"))
+        assert str(err.value) == (f"expression nested more than {MAX_NESTING} levels deep "
+                                  f"(line 2, column {6 + MAX_NESTING + 2})")
+
+    def test_nesting_limit_counts_tree_depth(self):
+        # n terms grouped to the left make a tree n nodes deep.
+        deepest = " + ".join(["1"] * MAX_NESTING)
+        assert parse_expr_text(deepest)
+        with pytest.raises(ParseError) as err:
+            parse_expr_text(deepest + " + 1")
+        assert (err.value.line, err.value.col) == (1, 1)
+        assert "nested more than" in str(err.value)
+
+    def test_deepest_expression_runs(self, tmp_path, capsys):
+        # "1 + (" n times: n additions, n + 1 nodes deep.
+        n = MAX_NESTING - 1
+        path = tmp_path / "deep.lls"
+        path.write_text(assigning("1 + (" * n + "1" + ")" * n), encoding="utf-8")
+        assert cli_main(["run", str(path), "--entry", "f"]) == 0
+        assert f"int:u64:{n + 1}\n" in capsys.readouterr().out
+        assert cli_main(["emit-ast", str(path)]) == 0
+
+    def test_too_deep_expression_is_one_error_record(self, tmp_path, capsys):
+        path = tmp_path / "deep.lls"
+        path.write_text(assigning("(" * 120 + "1" + ")" * 120), encoding="utf-8")
+        assert cli_main(["run", str(path), "--entry", "f", "--json"]) == 3
+        captured = capsys.readouterr()
+        msg = f"expression nested more than {MAX_NESTING} levels deep (line 2, column 108)"
+        assert captured.err == f"error: {msg}\n"
+        assert json.loads(captured.out) == {"status": "error", "diagnostic": msg}
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(ParseError) as err:
+            parse_source("contract A {\n  uint x; /* no end\n}\n")
+        assert str(err.value) == "unterminated comment (line 2, column 11)"
+
+    @pytest.mark.parametrize("literal", ["18446744073709551616", "-18446744073709551616",
+                                         "99999999999999999999999"])
+    def test_integer_literal_must_fit_in_uint64(self, literal):
+        src = "contract A {\n  uint y = " + literal + ";\n}"
+        with pytest.raises(BindError) as err:
+            bind_addresses(parse_source(src), 64)
+        assert str(err.value) == (f"integer literal {literal} does not fit in uint64 "
+                                  "(line 2, column 12)")
+
+    def test_largest_integer_literal_is_accepted(self):
+        src = "contract A { uint y = 18446744073709551615; }"
+        assert bind_addresses(parse_source(src), 64).bindings["y"]
 
 
 class TestBinder:
