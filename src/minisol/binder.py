@@ -232,6 +232,8 @@ class Binder:
         if isinstance(e, ENum):
             if abs(e.value) >= 2**64:
                 raise BindError(f"integer literal {e.value} does not fit in uint64", e.pos)
+            if e.value < -2**63:  # a negative literal is an int64
+                raise BindError(f"integer literal {e.value} does not fit in int64", e.pos)
             return Econst(Vint(e.value, 64, signed=e.value < 0))
         if isinstance(e, EBool):
             return Econst(Vbool(e.value))

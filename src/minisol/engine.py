@@ -72,8 +72,14 @@ class Constraint:
         except SymEvalError:
             return False
 
-    def __str__(self):
+    @cached_property
+    def text(self) -> str:
+        """The rendering, computed once and shared by every path whose
+        condition holds this constraint; paths are sorted by it."""
         return f"{self.expr}={'T' if self.expected else 'F'}"
+
+    def __str__(self):
+        return self.text
 
 
 @dataclass
@@ -317,39 +323,43 @@ def _may_fail(sigma: MemoryState, indices) -> bool:
 def explore(K: int, initial: PathState) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    When the dispatch loop stops on a symbolic branch the path forks into
-    assumed-false and assumed-true children, each keeping the parent
-    models (starting from ``initial.models``) that satisfy its branch,
-    and its own copy of the context; a child with no model left, or whose
-    branch the path condition contradicts, is pruned. Results are merged
-    in path-condition lexicographic order.
+    The dispatch loop stops on a symbolic branch after dispatching it and
+    hands back both continuations. The path forks there into a
+    condition-false child, which goes on from the skipped remainder, and a
+    condition-true child, which goes on from the taken one, so no child
+    dispatches the branch again. Each child keeps the parent models
+    (starting from ``initial.models``) that satisfy its side of the
+    branch, and its own copy of the context; a child with no model left,
+    or whose side the path condition contradicts, is pruned. Results are
+    merged in path-condition lexicographic order.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
-    stack = [(replace(initial, models=models), None)]  # (path, branch its first dispatch assumes)
+    stack = [PathState(initial.sigma, initial.env, initial.fenv, initial.condition,
+                       initial.remaining, initial.ctx, initial.note, models)]
     while stack:
-        ps, assume = stack.pop()
-        run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, assume)
-        ps = replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
-                     note="throw" if run.halted else ps.note)
+        ps = stack.pop()
+        run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining)
+        sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
-            for branch in (False, True):
+            for branch, remaining in ((False, run.skipped), (True, run.remaining)):
                 c = Constraint(run.cond, branch)
                 models = Models(parent=ps.models, constraint=c) if known is None else ps.models
                 if known is (not branch) or models.witness is None:
                     continue
-                stack.append((replace(ps, condition=ps.condition + (c,),
-                                      models=models, ctx=ps.ctx.fork()), branch))
-        elif run.stop == ERROR:
-            terminals.append(replace(ps, sigma=None, note=f"error: {run.error}"))
+                stack.append(PathState(sigma, run.env, ps.fenv, ps.condition + (c,), remaining,
+                                       ps.ctx.fork(), note, models))
+            continue
+        if run.stop == ERROR:
+            sigma, note = None, f"error: {run.error}"
         elif run.stop == BUDGET:
-            terminals.append(replace(
-                ps, note="exhausted" if ps.env.gas <= 0 else "completed"))
+            note = "exhausted" if run.env.gas <= 0 else "completed"
         else:
-            default = "error" if ps.sigma is None else "completed"
-            terminals.append(replace(ps, note=ps.note or default))
-    terminals.sort(key=lambda p: [str(c) for c in p.condition])
+            note = note or ("error" if sigma is None else "completed")
+        terminals.append(PathState(sigma, run.env, ps.fenv, ps.condition, run.remaining,
+                                   ps.ctx, note, ps.models))
+    terminals.sort(key=lambda p: [c.text for c in p.condition])
     return terminals
 
 

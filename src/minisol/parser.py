@@ -300,11 +300,13 @@ _ACCESS = ("public", "private", "internal")
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
 
 # The most parentheses, brackets, argument lists and prefix operators an
-# operand may sit inside, and the most nodes from the root of an expression
-# tree to a leaf. It keeps the parser, the binder, the type checker and
+# operand may sit inside, the most nodes from the root of an expression
+# tree to a leaf, and the most if, while and for statements a statement
+# may sit inside. It keeps the parser, the binder, the type checker and
 # evaluation within Python's default recursion limit.
 MAX_NESTING = 100
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
+_TOO_DEEP_STMT = f"statements nested more than {MAX_NESTING} levels deep"
 
 
 def _names_builtin_type(name: str) -> bool:
@@ -330,7 +332,8 @@ class Parser:
         # A second eof lets ``peek(1)`` look past the end unclamped.
         self.tokens = tokens + tokens[-1:]
         self.i = 0
-        self.depth = 0
+        self.depth = 0  # operands open around the current one
+        self.nest = 0   # if/while/for statements open around the current one
 
     # -- token plumbing -----------------------------------------------------
 
@@ -505,26 +508,33 @@ class Parser:
         if key == ";":
             self.next()
             return SSkip(pos)
-        if key == "if":
-            return self.if_stmt()
-        if key == "while":
-            self.next()
-            cond = self.paren_expr()
-            return SWhile(cond, self.block(), pos)
-        if key == "for":
-            return self.for_stmt()
+        if key in ("if", "while", "for"):
+            if self.nest == MAX_NESTING:
+                raise ParseError(_TOO_DEEP_STMT, *pos)
+            self.nest += 1
+            if key == "if":
+                node = self.if_stmt()
+            elif key == "for":
+                node = self.for_stmt()
+            else:
+                self.next()
+                node = SWhile(self.paren_expr(), self.block(), pos)
+            self.nest -= 1
+            return node
         if key == "throw":
             self.next()
             self.expect(";")
             return SThrow(pos)
         if key == "return":
             self.next()
-            values = []
-            if not self.at(";"):
-                paren = self.accept("(")
+            start, values = self.i, []
+            if self.accept("("):
                 values = self.exprs()
-                if paren:
-                    self.expect(")")
+                self.expect(")")
+                if len(values) == 1 and not self.at(";"):
+                    self.i, values = start, []  # "(1 + 2) * 3": they group an operand
+            if not values and not self.at(";"):
+                values = self.exprs()
             self.expect(";")
             return SReturn(values, pos)
         # A declaration starts with a type then a name, so "name = ..." and
@@ -541,7 +551,7 @@ class Parser:
         then = self.block()
         orelse: list = []
         if self.accept("else"):
-            orelse = [self.if_stmt()] if self.at("if") else self.block()
+            orelse = [self.stmt()] if self.at("if") else self.block()
         return SIf(cond, then, orelse, (tok.line, tok.col))
 
     def for_stmt(self) -> SFor:

@@ -186,6 +186,7 @@ class StepResult:
     remaining: tuple
     error: str | None = None
     symbolic_cond: SymExpr | None = None  # branch condition needs a fork
+    skipped: tuple = ()                   # with it: the remainder where it fails
     halted: bool = False                  # throw-style termination
 
 
@@ -210,25 +211,21 @@ class SegmentSummary(LStatement):
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
-                   ctx: ExecContext, head: LStatement, rest: tuple,
-                   assume: bool | None = None) -> StepResult:
+                   ctx: ExecContext, head: LStatement, rest: tuple) -> StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
     type; every rule takes these arguments. Gas must already be spent.
-
-    ``assume`` decides a symbolic branch or loop condition; without it
-    such a condition is returned as ``symbolic_cond``.
     """
     rule = _RULES.get(type(head))
     if rule is None:
         return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
-    return rule(K, sigma, env, fenv, ctx, head, rest, assume)
+    return rule(K, sigma, env, fenv, ctx, head, rest)
 
 
-def _exec_snil(_K, sigma, env, _fenv, _ctx, _head, rest, _assume) -> StepResult:
+def _exec_snil(_K, sigma, env, _fenv, _ctx, _head, rest) -> StepResult:
     return StepResult(sigma, env, rest)
 
 
-def _exec_throw(_K, sigma, env, _fenv, ctx, _head, _rest, _assume) -> StepResult:
+def _exec_throw(_K, sigma, env, _fenv, ctx, _head, _rest) -> StepResult:
     base = ctx.sigma_init if ctx.sigma_init is not None else sigma
     names = gm.reserved_addresses(base.size)
     flag = MemoryValue(BoolPayload(True), names["0xglobal"], 0, gm.PUBLIC, gm.OCCUPY)
@@ -236,11 +233,11 @@ def _exec_throw(_K, sigma, env, _fenv, ctx, _head, _rest, _assume) -> StepResult
     return StepResult(thrown, env, (), halted=True)
 
 
-def _exec_fun_stop(_K, sigma, env, fenv, _ctx, _head, rest, _assume) -> StepResult:
+def _exec_fun_stop(_K, sigma, env, fenv, _ctx, _head, rest) -> StepResult:
     return StepResult(sigma, Env(env.gas, env.gas_limit, fenv.level, fenv.domain), rest)
 
 
-def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     declared = tuple(head.inherits)
     expected = tuple(ctx.registry.get(head.name, declared))
     if declared != expected:
@@ -252,7 +249,7 @@ def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResul
     return StepResult(sig, env, rest)
 
 
-def _exec_var(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_var(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     decl = head.decl
     if decl.addr is None:
         return _fail(env, rest, "declaration without an address", ctx)
@@ -262,7 +259,7 @@ def _exec_var(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
     return StepResult(sig, env, rest)
 
 
-def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
@@ -270,24 +267,23 @@ def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepRe
     return StepResult(sig, env, rest)
 
 
-def _exec_if(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
-    return _branch(K, sigma, env, ctx, head, rest, assume, "branch",
+def _exec_if(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+    return _branch(K, sigma, env, ctx, head, rest, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
-    return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
-                   (*head.body, head, *rest), rest)
+def _exec_while(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+    return _branch(K, sigma, env, ctx, head, rest, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_for(K, sigma, env, _fenv, ctx, head, rest, assume) -> StepResult:
+def _exec_for(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     init = (head.init,) if head.init is not None else ()
     post = (head.post,) if head.post is not None else ()
-    return _branch(K, sigma, env, ctx, head, rest, assume, "loop",
+    return _branch(K, sigma, env, ctx, head, rest, "loop",
                    (*init, *head.body, *post, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_return(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
     exprs = (head.value,) if isinstance(head, Return) else head.values
     values = []
     for e in exprs:
@@ -301,7 +297,7 @@ def _exec_return(K, sigma, env, fenv, ctx, head, rest, _assume) -> StepResult:
     return StepResult(sig, Env(env.gas, env.gas_limit, env.level, fenv.domain), rest)
 
 
-def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     out = head.transform(sigma)
     if out is None:
         return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
@@ -309,21 +305,20 @@ def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult
     return StepResult(out, spent, rest)
 
 
-def _branch(K, sigma, env, ctx, head, rest, assume, what, taken,
-            skipped) -> StepResult:
+def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
     """Decide the condition of an If or a loop and continue with the
     remainder ``taken`` or ``skipped`` that it chooses.
 
-    A symbolic condition leaves the statement in place and is returned
-    as ``symbolic_cond``, unless ``assume`` decides it.
+    A symbolic condition decides neither: it is returned as
+    ``symbolic_cond`` with ``taken`` as the remainder and ``skipped``
+    beside it, so a fork continues each side without dispatching the
+    statement again.
     """
     bit = extract(eval_rvalue(K, head.cond, sigma, env), "bool")
     if bit is None:
         return _fail(env, rest, f"{what} condition failed to evaluate", ctx)
     if isinstance(bit, SymExpr):
-        if assume is None:
-            return StepResult(sigma, env, (head,) + rest, symbolic_cond=bit)
-        bit = assume
+        return StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped)
     return StepResult(sigma, env, taken if bit else skipped)
 
 
@@ -343,7 +338,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_call(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     callee = head.callee
     fid = None
     if isinstance(callee, Efun):
@@ -408,7 +403,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_fun_decl(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
     """Store a function, or a modifier (a function returning one bool).
 
     A function's modifiers run first, from the same state: each may set
@@ -460,7 +455,7 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
     return isinstance(flag, BoolPayload) and flag.bit is True
 
 
-def _exec_assign(K, sigma, env, _fenv, ctx, head, rest, _assume) -> StepResult:
+def _exec_assign(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
@@ -594,8 +589,11 @@ _RULES = {
 # ---------------------------------------------------------------------------
 # The dispatch loop
 
-# Why ``drive`` stopped. After ERROR and SYMBOLIC the run holds the state
-# before the failing dispatch, with that statement still at the head.
+# Why ``drive`` stopped. After ERROR the run holds the state before the
+# failing dispatch, with that statement still at the head. After SYMBOLIC
+# it holds the state after the branch's dispatch, its gas spent:
+# ``remaining`` continues where the condition holds, ``skipped`` where it
+# fails.
 FINISHED = "finished"   # no statement left
 NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # the environment check failed: gas spent or body done
@@ -612,6 +610,7 @@ class Run:
     remaining: tuple
     error: str | None = None
     cond: SymExpr | None = None  # the condition when stopped on SYMBOLIC
+    skipped: tuple = ()          # with it: the remainder where it fails
     halted: bool = False         # the last dispatch was a throw
 
     def final(self, ctx: ExecContext) -> MemoryState | None:
@@ -623,13 +622,11 @@ class Run:
 
 
 def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
-          ctx: ExecContext, prog, assume: bool | None = None,
-          once: bool = False) -> Run:
+          ctx: ExecContext, prog, once: bool = False) -> Run:
     """Run ``prog`` until it stops, or for one dispatch if ``once``.
 
     Per dispatch: check the state and the environment, spend one unit of
     gas, execute the head, continue on the rewritten remainder.
-    ``assume`` decides a symbolic condition of the first dispatch only.
     """
     remaining = tuple(prog)
     halted = False
@@ -642,12 +639,12 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
         if gas <= 0 or env.level != fenv.level and env.domain.index == fenv.domain.index:
             return Run(BUDGET, sigma, env, remaining, halted=halted)
         res = exec_statement(K, sigma, Env(gas - 1, env.gas_limit, env.level, env.domain),
-                             fenv, ctx, remaining[0], remaining[1:], assume)
+                             fenv, ctx, remaining[0], remaining[1:])
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
         if res.symbolic_cond is not None:
-            return Run(SYMBOLIC, sigma, env, remaining, cond=res.symbolic_cond)
+            return Run(SYMBOLIC, res.sigma, res.env, res.remaining, cond=res.symbolic_cond,
+                       skipped=res.skipped)
         sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
         if once:
             return Run(PAUSED, sigma, env, remaining, halted=halted)
-        assume = None

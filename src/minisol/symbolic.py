@@ -9,9 +9,10 @@ assignments drawn from each symbol's declared finite domain.
 Arithmetic nodes record the fixed width and signedness of their operands.
 Both evaluating a tree under an assignment and the concrete operator
 evaluators in the expression layer go through the one operator table,
-``OPS`` with ``apply_op``, which holds the wraparound and the
-division-by-zero rule, so symbolic and concrete results agree by
-construction.
+``OPS``, which holds the division-by-zero rule, with the wraparound and
+error rules of ``apply_op``, so symbolic and concrete results agree by
+construction. ``SymOp.eval`` applies those rules inline, because fork
+filtering evaluates each branch condition once per model.
 """
 
 from __future__ import annotations
@@ -63,8 +64,19 @@ class SymOp(SymExpr):
     signed: bool = False
 
     def eval(self, assignment):
-        return apply_op(self.op, [a.eval(assignment) for a in self.args],
-                        self.width, self.signed)
+        # apply_op's rules without its list: a node has one or two operands.
+        fn = OPS.get(self.op)
+        if fn is None:
+            raise SymEvalError(f"unknown operator {self.op!r}")
+        args = self.args
+        a = args[0].eval(assignment)
+        unary = len(args) == 1
+        b = None if unary else args[1].eval(assignment)
+        try:
+            out = fn(a) if unary else fn(a, b)
+        except TypeError as exc:
+            raise SymEvalError(str(exc)) from exc
+        return wrap_int(out, self.width, self.signed) if self.width else out
 
     def __str__(self):
         if len(self.args) == 1:
@@ -103,8 +115,8 @@ def _mod(a, b):
     return trunc_mod(a, b)
 
 
-# The one operator table: concrete evaluation in the expression layer and
-# SymOp.eval both go through apply_op.
+# The one operator table: concrete evaluation in the expression layer goes
+# through apply_op, and SymOp.eval applies the same rules inline.
 OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
     "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,

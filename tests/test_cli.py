@@ -208,6 +208,19 @@ class TestVerify:
                                         "diagnostic": "no function named 'nosuch'"}
         assert err == "error: no function named 'nosuch'\n"
 
+    def test_negative_literal_must_fit_in_int64(self, capsys, tmp_path):
+        prog = tmp_path / "neg.lls"
+        prog.write_text("contract N {\n    int z = -18446744073709551615;\n}\n")
+        rc, out, err = run_cli(capsys, "run", str(prog), "--json")
+        msg = "integer literal -18446744073709551615 does not fit in int64 (line 2, column 13)"
+        assert rc == 3
+        assert json.loads(out) == {"status": "error", "diagnostic": msg}
+        assert err == f"error: {msg}\n"
+        prog.write_text("contract N {\n    int z = -9223372036854775808;\n}\n")
+        rc, out, _err = run_cli(capsys, "run", str(prog))
+        assert rc == 0
+        assert "2\toccupy\tpublic\t90\tint:i64:-9223372036854775808\n" in out
+
     def test_symbolic_mapping_key_is_named_error(self, capsys, tmp_path):
         prog = tmp_path / "symkey.lls"
         prog.write_text(

@@ -5,6 +5,7 @@ import operator
 import random
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -843,3 +844,83 @@ class TestObligations:
         moved = poke(final, X, IntPayload(SymOp("+", (SymVar("n"), SymVar("n")), 64)))
         residual = throw_state_post.obligation(moved, initial)
         assert [residual.eval({"n": n}) for n in (0, 1)] == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# Forking: the paths of a symbolic if, while and for, pinned by a golden.
+# ``tests/golden/explore-<case>.out`` is ``render_paths`` of the case's paths.
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+FORK_WHILE = """\
+contract Loop {
+    uint n;
+    uint i = 0;
+    uint r = 0;
+    function f() public {
+        while (i < n) { i += 1; r += 2; }
+        r += 1;
+    }
+}
+"""
+
+FORK_FOR = """\
+contract Loop {
+    uint n;
+    uint i;
+    uint r = 0;
+    function f() public {
+        for (i = 1; i <= n; i += 1) { r += i; }
+    }
+}
+"""
+
+
+def explore_source(source, symbols, gas):
+    """Every path of the entry ``f`` with ``n`` symbolic over ``symbols``."""
+    bound = bind_addresses(parse_source(source), 48)
+    spec = parse_spec("entry f\n" + symbols)
+    pre = make_pre(bound, gas, BlockInfo(sender=Address(1)), symbols=spec.symbols)
+    prog, _ = entry_program(bound, spec.entry)
+    sigma, env, fenv, ctx = pre(None)
+    ctx.sigma_init = sigma
+    return explore(1000, PathState(sigma, env, fenv, (), tuple(prog), ctx, models=tuple(
+        satisfying_assignments((), spec.symbols))))
+
+
+def fork_last_gas_unit():
+    """A symbolic if dispatched with the last unit of gas."""
+    sigma, _env, names = declared_world()
+    sigma = poke(sigma, X, IntPayload(SymVar("n")))
+    env = initial_env(1, names["0xglobal"])
+    prog = (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
+               (Assign(Evar(X, Tuint()), Econst(Vint(7))),), ()),)
+    return explore(100, PathState(sigma, env, env, (), prog, ExecContext(sigma_init=sigma),
+                                  models=tuple(assignments([SymbolicValue("n", hi=3)]))))
+
+
+def render_paths(paths) -> str:
+    """Condition texts, note, gas left, what remains and the occupied blocks."""
+    lines = []
+    for p in paths:
+        lines.append(" ".join(str(c) for c in p.condition))
+        lines.append(f"  note={p.note!r} gas={p.env.gas} "
+                     f"remaining={[type(s).__name__ for s in p.remaining]}")
+        dump = gm.dump(p.sigma).splitlines() if p.sigma is not None else ["no state"]
+        lines += ("  " + line for line in dump if "\tfree\t" not in line)
+    return "\n".join(lines) + "\n"
+
+
+# At gas 14 and 9 the loop condition forks with the last unit of gas, on
+# the paths that reach a fifth and a third test of it.
+FORK_CASES = {
+    "if-last-gas-unit": fork_last_gas_unit,
+    "while": partial(explore_source, FORK_WHILE, "sym n : int 0..5\n", 14),
+    "for": partial(explore_source, FORK_FOR, "sym n : int 0..3\n", 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORK_CASES))
+def test_fork_paths_match_golden(name):
+    text = render_paths(FORK_CASES[name]())
+    assert text == (GOLDEN / f"explore-{name}.out").read_text(encoding="utf-8")

@@ -18,6 +18,7 @@ from minisol.parser import (
     SCallStmt,
     SFunDecl,
     SIf,
+    SReturn,
     SThrow,
     SVarDecl,
     lex,
@@ -206,6 +207,33 @@ class TestLimits:
         assert captured.err == f"error: {msg}\n"
         assert json.loads(captured.out) == {"status": "error", "diagnostic": msg}
 
+    def test_statement_nesting_limit(self, tmp_path, capsys):
+        def nested(n):
+            return ("contract A {\n  uint x = 0;\n  function f() public {\n"
+                    + "if (x == 0) {\n" * n + "x = 1;\n" + "}\n" * n + "  }\n}\n")
+        path = tmp_path / "nested.lls"
+        path.write_text(nested(MAX_NESTING), encoding="utf-8")
+        assert cli_main(["run", str(path), "--entry", "f"]) == 0
+        assert "\tint:u64:1\n" in capsys.readouterr().out
+        with pytest.raises(ParseError) as err:
+            parse_source(nested(MAX_NESTING + 1))
+        assert (err.value.line, err.value.col) == (4 + MAX_NESTING, 1)
+        path.write_text(nested(400), encoding="utf-8")
+        assert cli_main(["run", str(path), "--entry", "f", "--json"]) == 3
+        captured = capsys.readouterr()
+        msg = (f"statements nested more than {MAX_NESTING} levels deep "
+               f"(line {4 + MAX_NESTING}, column 1)")
+        assert captured.err == f"error: {msg}\n"
+        assert json.loads(captured.out) == {"status": "error", "diagnostic": msg}
+
+    def test_else_if_counts_as_nested(self):
+        chain = "if (x == 0) { x = 1; }" + " else if (x == 0) { x = 1; }" * MAX_NESTING
+        with pytest.raises(ParseError) as err:
+            parse_source("contract A { uint x; function f() public {\n" + chain + "\n} }")
+        assert "statements nested more than" in str(err.value)
+        assert parse_source("contract A { uint x; function f() public {\n"
+                            + chain.rpartition(" else")[0] + "\n} }")
+
     def test_unterminated_block_comment(self):
         with pytest.raises(ParseError) as err:
             parse_source("contract A {\n  uint x; /* no end\n}\n")
@@ -367,6 +395,23 @@ class TestMoreSurfaceForms:
         from minisol.syntax import Returns
         assert isinstance(fn.body[0], Returns)
         assert len(fn.body[0].values) == 2
+
+    @pytest.mark.parametrize("text, shapes", [
+        ("(1 + 2) * 3", ["((1 + 2) * 3)"]), ("(a, b)", ["a", "b"]), ("(a)", ["a"]),
+        ("(a) + (b)", ["(a + b)"]), ("a, (b)", ["a", "b"])])
+    def test_return_parentheses(self, text, shapes):
+        src = "contract C { function f() public {\n return " + text + ";\n} }"
+        ret = parse_source(src).contracts[0].members[0].body[0]
+        assert isinstance(ret, SReturn)
+        assert [shape(v) for v in ret.values] == shapes
+
+    @pytest.mark.parametrize("text, message", [
+        ("(a, b) * 3", "expected ';', found '*' (line 2, column 16)"),
+        ("()", "unexpected token ')' (line 2, column 10)")])
+    def test_return_parentheses_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_source("contract C { function f() public {\n return " + text + ";\n} }")
+        assert str(err.value) == message
 
     def test_for_without_init_and_post(self):
         src = """

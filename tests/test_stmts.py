@@ -94,7 +94,7 @@ def test_every_statement_class_has_one_rule():
                and cls is not syntax.LStatement]
     assert sorted(stmts._RULES, key=str) == sorted(classes + [stmts.SegmentSummary], key=str)
     # every rule takes exec_statement's arguments
-    assert all(len(inspect.signature(rule).parameters) == 8
+    assert all(len(inspect.signature(rule).parameters) == 7
                for rule in stmts._RULES.values())
 
 
