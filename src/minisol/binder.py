@@ -87,8 +87,8 @@ from .syntax import (
 
 
 class BindError(Exception):
-    def __init__(self, msg: str, pos=(0, 0)):
-        super().__init__(f"{msg} (line {pos[0]}, column {pos[1]})")
+    def __init__(self, msg: str, pos=None):
+        super().__init__(msg if pos is None else f"{msg} (line {pos[0]}, column {pos[1]})")
         self.pos = pos
 
 
@@ -147,7 +147,7 @@ class Binder:
 
     # -- address allocation --------------------------------------------------
 
-    def _claim(self, name: str, blocks: int, pos=(0, 0)) -> Address:
+    def _claim(self, name: str, blocks: int, pos=None) -> Address:
         base = self.cursor
         if base + blocks > self.mem_size - gm.RESERVED_BLOCKS:
             raise BindError("address space exhausted; raise --mem-size", pos)
@@ -166,7 +166,7 @@ class Binder:
 
     # -- types ---------------------------------------------------------------
 
-    def resolve_type(self, t, pos=(0, 0)):
+    def resolve_type(self, t, pos=None):
         if isinstance(t, TName):
             m = _INT_TYPE_RE.match(t.name)
             if m:
@@ -198,7 +198,7 @@ class Binder:
 
     # -- name lookup -----------------------------------------------------------
 
-    def lookup(self, name: str, pos=(0, 0)):
+    def lookup(self, name: str, pos=None):
         """Resolve a name to (address, type); locals shadow globals."""
         if name in self.locals:
             return self.locals[name]
@@ -253,7 +253,7 @@ class Binder:
         if isinstance(e, ECall):
             raise BindError("calls cannot appear inside expressions; "
                             "call as a statement or assign the call result", e.pos)
-        raise BindError(f"cannot lower expression {type(e).__name__}", (0, 0))
+        raise BindError(f"cannot lower expression {type(e).__name__}", getattr(e, "pos", None))
 
     def _index_chain(self, e: EIndex):
         indices = []
@@ -341,7 +341,7 @@ class Binder:
             if len(s.values) == 1:
                 return [Return(self.lower_expr(s.values[0]))]
             return [Returns(tuple(self.lower_expr(v) for v in s.values))]
-        raise BindError(f"cannot lower statement {type(s).__name__}", getattr(s, "pos", (0, 0)))
+        raise BindError(f"cannot lower statement {type(s).__name__}", getattr(s, "pos", None))
 
     def _lower_local_decl(self, s: SVarDecl) -> list:
         ltype = self.resolve_type(s.vtype, s.pos)
@@ -382,7 +382,7 @@ class Binder:
     def bind_program(self, sp: SourceProgram) -> list:
         decls: list = []
         now_addr = self._claim("now", 1)
-        self._bind_unique(self.globals, "now", (now_addr, Tint(64, False)), (0, 0))
+        self._bind_unique(self.globals, "now", (now_addr, Tint(64, False)), None)
         decls.append(Var("public", Evar(now_addr, Tint(64, False))))
         for c in sp.contracts:
             decls.extend(self._bind_contract(c))
@@ -422,7 +422,7 @@ class Binder:
             elif isinstance(m, SFunDecl):
                 fun_stmts.append(self._bind_callable(m, member_index, modifier=False))
             else:
-                raise BindError("unsupported contract member", getattr(m, "pos", (0, 0)))
+                raise BindError("unsupported contract member", getattr(m, "pos", None))
 
         contract_stmt = Contract(caddr, tuple(inherits), tuple(member_index))
         return [contract_stmt] + body_stmts + fun_stmts

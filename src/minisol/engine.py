@@ -13,11 +13,11 @@ declared finite domain; no external solver is involved. A path's
 ``Models`` are searched only on demand, and a branch that the path
 condition already decides is followed or pruned with no search.
 ``verify_triple`` is the one verification route. Its judge asks the
-``Post`` for each path's obligation on the symbolic states (``True``,
-``False`` or a residual expression evaluated per model); a plain
-callable post, or a path whose symbolic payloads hold a ``/`` or ``%``,
-is judged by concretizing both states under each model. A proven
-segment summary is spliced in and spends its segment's gas. Each forked
+``Post`` for each path's obligation on the symbolic states: ``True``,
+``False`` or a residual expression evaluated per model. A plain callable
+post is wrapped in a one-rule ``Post`` whose residual concretizes both
+states under each model and calls it; a path whose symbolic payloads
+hold a ``/`` or ``%`` gets that residual over the ``Post``. Each forked
 path gets its own copy of the execution context.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import memory as gm
 from .memory import MemoryState, MemoryValue
@@ -37,7 +37,6 @@ from .stmts import (
     PAUSED,
     SYMBOLIC,
     ExecContext,
-    SegmentSummary,  # noqa: F401  (re-exported)
     drive,
 )
 from .symbolic import (SymConst, SymEvalError, SymExpr, SymOp, collect_symbols, is_symbolic,
@@ -367,24 +366,19 @@ def explore(K: int, initial: PathState) -> list[PathState]:
 # Hoare-triple verification
 
 def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
-                  concolic: dict | None = None, summaries=()) -> Verdict:
+                  concolic: dict | None = None) -> Verdict:
     """Check {pre} prog {post} by running every feasible path.
 
     ``pre`` builds the initial world: called with an assignment it must
     produce a concrete (sigma, env, fenv, ctx) tuple; called with None
     it produces the same world with symbolic payloads standing in for
     the declared symbols. ``post`` is a ``Post`` or any predicate over
-    (final state, initial state). ``require`` lists constraint trees
-    assumed true.
+    (final state, initial state), which is wrapped in a one-rule
+    ``Post``. ``require`` lists constraint trees assumed true.
 
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
-    pins them to itself and the world to ``pre(concolic)``. A summary
-    of ``summaries`` replaces its segment, which must start the program,
-    once a nested verification proves, for every model, that the segment
-    run from the entry state ends in the state the summary's transform
-    gives and spends the same gas on every path, which the spliced
-    summary then spends; any other summary is an ``error`` verdict.
+    pins them to itself and the world to ``pre(concolic)``.
     """
     symbols = tuple(symbols)
     known = {s.name for s in symbols}
@@ -407,33 +401,13 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
         models = Models((concolic,))
 
     sigma, env, fenv, ctx = pre(concolic)
-    work_prog = tuple(prog)
-    for summary in summaries:
-        seg = tuple(summary.segment)
-        if work_prog[:len(seg)] != seg:
-            return Verdict("error", diagnostic="summary segment does not start the "
-                                               f"program: {summary.label}")
-        proof = verify_triple(pre, seg, _agrees_with(summary.transform), symbols,
-                              require, K, concolic)
-        spent = {env.gas - p.env.gas for p in proof.paths}
-        if proof.status != "verified" or len(spent) != 1:
-            return Verdict("error", diagnostic=f"summary failed validation: {summary.label}")
-        work_prog = (replace(summary, gas=spent.pop()),) + work_prog[len(seg):]
-
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
-    paths = explore(K, PathState(sigma, env, fenv, base_condition, work_prog, ctx,
+    paths = explore(K, PathState(sigma, env, fenv, base_condition, tuple(prog), ctx,
                                  models=models))
+    if not isinstance(post, Post):
+        post = Post(partial(_concretized, post))
     return _judge(paths, post, ctx.sigma_init, pre, prog, K)
-
-
-def _agrees_with(transform):
-    """The post of a summary's proof: the segment ends where ``transform``
-    takes the initial state."""
-    def post(final: MemoryState, initial: MemoryState) -> bool:
-        via = transform(initial)
-        return via is not None and final.blocks == via.blocks
-    return post
 
 
 def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
@@ -445,26 +419,18 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
         if p.note == "exhausted":
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
                            paths=paths)
-    obligation = getattr(post, "obligation", None)
-    if obligation is not None and _may_fail(init, range(init.size)):
-        obligation = None
+    init_may_fail = _may_fail(init, range(init.size))
     for p in paths:
         final = p.sigma
-        if obligation is not None and not _may_fail(final, final.blocks.diff(init.blocks)):
-            goal = obligation(final, init)
-        else:  # concretize both states under each model
-            goal, indices = None, (symbolic_blocks(final), symbolic_blocks(init))
+        if init_may_fail or _may_fail(final, final.blocks.diff(init.blocks)):
+            goal = _concretized(post, final, init)
+        else:
+            goal = post.obligation(final, init)
         if goal is True:
             continue
-        first_only = goal is False or goal is None and not any(indices)
-        for asg in (p.models.witness or {},) if first_only else p.models:
+        for asg in (p.models.witness or {},) if goal is False else p.models:
             try:
-                if goal is None:
-                    memo = {}  # a block both states share is concretized once
-                    holds = post(concretize(final, asg, indices[0], memo),
-                                 concretize(init, asg, indices[1], memo))
-                else:
-                    holds = goal is not False and goal.eval(asg)
+                holds = goal is not False and goal.eval(asg)
             except SymEvalError as exc:
                 return Verdict("error", path=p,
                                diagnostic=f"cannot evaluate the state under {asg}: {exc}",
@@ -536,6 +502,31 @@ def _same_block(a: MemoryValue, b: MemoryValue):
     if a is b or a == b:
         return True
     return _SameBlock(a, b) if _has_symbols(a.payload) or _has_symbols(b.payload) else False
+
+
+@dataclass(frozen=True)
+class _Concretized(SymExpr):
+    """Residual: ``post`` holds on both states concretized under the model.
+    The blocks at ``indices`` are rebuilt, and a block both states share
+    is concretized once."""
+    post: object
+    final: MemoryState
+    initial: MemoryState
+    indices: tuple
+
+    def eval(self, assignment):
+        memo = {}
+        return self.post(concretize(self.final, assignment, self.indices[0], memo),
+                         concretize(self.initial, assignment, self.indices[1], memo))
+
+
+def _concretized(post, final: MemoryState, initial: MemoryState):
+    """``post`` on the two states: its bool when neither holds a symbol,
+    otherwise the residual that concretizes them under each model."""
+    indices = (symbolic_blocks(final), symbolic_blocks(initial))
+    if any(indices):
+        return _Concretized(post, final, initial, indices)
+    return bool(post(final, initial))
 
 
 _THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top block

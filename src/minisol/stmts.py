@@ -63,7 +63,7 @@ from .syntax import (
 from .values import Env  # noqa: F401  (Env re-exported)
 
 __all__ = [
-    "ExecContext", "StepResult", "Run", "SegmentSummary", "array_layout",
+    "ExecContext", "StepResult", "Run", "array_layout",
     "env_check", "init_array", "init_var", "exec_statement", "drive",
 ]
 
@@ -195,21 +195,6 @@ def _fail(env, rest, msg, ctx) -> StepResult:
     return StepResult(None, env, rest, error=msg)
 
 
-@dataclass
-class SegmentSummary(LStatement):
-    """A program segment summarized by its state transformer.
-
-    ``engine.verify_triple`` splices a summary into the program in place
-    of ``segment`` once it has proven the two agree; dispatching it
-    applies ``transform`` to the state and spends ``gas``, the gas the
-    segment spends.
-    """
-    segment: tuple
-    transform: object  # Callable[[MemoryState], MemoryState | None]
-    label: str = "summary"
-    gas: int = 1
-
-
 def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
                    ctx: ExecContext, head: LStatement, rest: tuple) -> StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
@@ -295,14 +280,6 @@ def _exec_return(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
     if sig is None:
         return _fail(env, rest, "return slot is not writable", ctx)
     return StepResult(sig, Env(env.gas, env.gas_limit, env.level, fenv.domain), rest)
-
-
-def _exec_summary(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
-    out = head.transform(sigma)
-    if out is None:
-        return _fail(env, rest, f"summary {head.label} rejected the state", ctx)
-    spent = Env(env.gas - (head.gas - 1), env.gas_limit, env.level, env.domain)  # 1 is paid
-    return StepResult(out, spent, rest)
 
 
 def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
@@ -582,7 +559,7 @@ _RULES = {
     Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
     FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while, LoopFor: _exec_for,
     Fun: _exec_fun_decl, Modifier: _exec_fun_decl, Assign: _exec_assign,
-    Return: _exec_return, Returns: _exec_return, SegmentSummary: _exec_summary,
+    Return: _exec_return, Returns: _exec_return,
 }
 
 

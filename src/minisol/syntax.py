@@ -57,10 +57,6 @@ def Tuint(width: int = 64) -> Tint:
     return Tint(width, signed=False)
 
 
-def Tsint(width: int = 64) -> Tint:
-    return Tint(width, signed=True)
-
-
 @dataclass(frozen=True)
 class Tarray(LType):
     length: int

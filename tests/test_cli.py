@@ -369,6 +369,13 @@ class TestEntryArguments:
         assert rc == 0
         assert out.strip().splitlines()[0].split("\t")[4] == "int:u64:5"
 
+    def test_exhausted_address_space_names_no_fake_position(self, capsys):
+        # the implicit `now` global has no source position to report
+        rc, out, err = run_cli(capsys, "run", "samples/adder.lls", "--mem-size", "0")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == ["error: address space exhausted; raise --mem-size"]
+
     def test_unknown_global_without_entry_fails(self, capsys):
         rc, out, err = run_cli(capsys, "run", WALLET, "--arg", "zz=5")
         assert rc == 3
@@ -379,7 +386,7 @@ class TestEntryArguments:
 
 class TestSelectiveModeCli:
     def test_selective_mode_is_a_usage_error(self, capsys):
-        # segment summaries are a library feature; the CLI has no alias
+        # the old selective mode is gone and the CLI keeps no alias for it
         rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", SPEC,
                              "--mode", "selective", "--json")
         assert rc == 2

@@ -16,7 +16,6 @@ from minisol.engine import (
     Models,
     PathState,
     Post,
-    SegmentSummary,
     SymbolicValue,
     assignments,
     concretize,
@@ -38,7 +37,7 @@ from minisol.runner import compile_posts, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_var
-from minisol.symbolic import SymConst, SymOp, SymVar
+from minisol.symbolic import SymConst, SymOp, SymVar, is_symbolic
 from minisol.syntax import (
     Assign,
     Ebop,
@@ -376,131 +375,6 @@ class TestVerifyTriple:
                                                       __import__("minisol.symbolic", fromlist=["SymConst"]).SymConst(5)))])
         assert verdict.status == "verified"
 
-    def test_selective_mode_summary_substitution(self):
-        # Replace a straight-line reset segment with its proven state
-        # transformer; the remaining branch still explores both arms.
-        def pre(assignment):
-            sigma, env, _ = declared_world()
-            value = IntPayload(SymVar("n")) if assignment is None \
-                else IntPayload(assignment["n"])
-            sigma = poke(sigma, X, value)
-            return sigma, env, env, ExecContext()
-
-        segment = (Assign(Evar(X, Tuint()), Econst(Vint(5))),)
-        prog = segment + (If(Ebop(">", Evar(X, Tuint()), Econst(Vint(5))),
-                             (Throw(),), (Snil(),)),)
-
-        def post(final, initial):
-            return final.blocks[X.index].payload == IntPayload(5)
-
-        summary = SegmentSummary(segment=segment,
-                                 transform=lambda s: poke(s, X, IntPayload(5)),
-                                 label="reset")
-        verdict = verify_triple(pre, prog, post,
-                                symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
-                                summaries=[summary])
-        assert verdict.status == "verified"
-
-    def test_selective_mode_rejects_wrong_summary(self):
-        def pre(assignment):
-            sigma, env, _ = declared_world()
-            value = IntPayload(SymVar("n")) if assignment is None \
-                else IntPayload(assignment["n"])
-            sigma = poke(sigma, X, value)
-            return sigma, env, env, ExecContext()
-
-        segment = (Assign(Evar(X, Tuint()), Econst(Vint(5))),)
-        summary = SegmentSummary(segment=segment,
-                                 transform=lambda s: poke(s, X, IntPayload(99)),
-                                 label="bogus")
-        verdict = verify_triple(pre, segment, lambda f, i: True,
-                                symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
-                                summaries=[summary])
-        assert verdict.status == "error"
-        assert "validation" in verdict.diagnostic
-
-    def test_summary_is_proven_for_every_model(self):
-        # x := x % 3 agrees with x := x * 1 only for n in 0..2, so a
-        # summary checked on the first few models would verify x < 3.
-        pre, _prog, _post = triple_world(plant_bug=False)
-        x = Evar(X, Tuint())
-        segment = (Assign(x, Ebop("*", x, Econst(Vint(1)))),)
-
-        def mod3(sigma):
-            env = initial_env(10, sigma.addr_of("0xglobal"))
-            return interpret(100, sigma, env, env,
-                             (Assign(x, Ebop("%", x, Econst(Vint(3)))),),
-                             ExecContext(sigma_init=sigma))
-
-        def post(final, initial):
-            return final.blocks[X.index].payload.value < 3
-
-        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
-        static = verify_triple(pre, segment, post, symbols=symbols)
-        assert (static.status, static.witness) == ("refuted", {"n": 3})
-        verdict = verify_triple(pre, segment, post, symbols=symbols,
-                                summaries=[SegmentSummary(segment, mod3, "mod3")])
-        assert verdict.status == "error"
-        assert verdict.diagnostic == "summary failed validation: mod3"
-
-    def test_summary_is_not_spliced_after_other_statements(self):
-        # For n in 0..2 the summary x := x % 3 of x := x * 1 holds at the
-        # entry state, but after x := 7 the segment leaves x = 7.
-        pre, _prog, _post = triple_world(plant_bug=False)
-        x = Evar(X, Tuint())
-        segment = (Assign(x, Ebop("*", x, Econst(Vint(1)))),)
-        prog = (Assign(x, Econst(Vint(7))),) + segment
-
-        def mod3(sigma):
-            env = initial_env(10, sigma.addr_of("0xglobal"))
-            return interpret(100, sigma, env, env,
-                             (Assign(x, Ebop("%", x, Econst(Vint(3)))),),
-                             ExecContext(sigma_init=sigma))
-
-        def post(final, initial):
-            return final.blocks[X.index].payload.value < 3
-
-        symbols = [SymbolicValue("n", "int", lo=0, hi=2)]
-        assert verify_triple(pre, prog, post, symbols=symbols).status == "refuted"
-        verdict = verify_triple(pre, prog, post, symbols=symbols,
-                                summaries=[SegmentSummary(segment, mod3, "mod3")])
-        assert verdict.status in ("refuted", "error")
-        assert verdict.diagnostic == "summary segment does not start the program: mod3"
-
-    def test_summary_spends_the_gas_of_its_segment(self):
-        # Gas 3 runs out before x := 4; a summary of the first three
-        # assignments that cost one unit would let x := 4 run.
-        def pre(assignment):
-            sigma, _env, names = declared_world()
-            env = initial_env(3, names["0xglobal"])
-            value = IntPayload(SymVar("n")) if assignment is None \
-                else IntPayload(assignment["n"])
-            return poke(sigma, X, value), env, env, ExecContext()
-
-        x = Evar(X, Tuint())
-        prog = tuple(Assign(x, Econst(Vint(k))) for k in (1, 2, 3, 4))
-        summary = SegmentSummary(prog[:3], lambda s: poke(s, X, IntPayload(3)), "x := 3")
-
-        def post(final, initial):
-            return final.blocks[X.index].payload == IntPayload(4)
-
-        symbols = [SymbolicValue("n", "int", lo=0, hi=2)]
-        assert verify_triple(pre, prog, post, symbols=symbols).status == "exhausted"
-        verdict = verify_triple(pre, prog, post, symbols=symbols, summaries=[summary])
-        assert verdict.status == "exhausted"
-
-    def test_summary_whose_paths_spend_unequal_gas_is_error(self):
-        pre, _prog, _post = triple_world(plant_bug=False)
-        x = Evar(X, Tuint())
-        five = Assign(x, Econst(Vint(5)))
-        segment = (If(Ebop(">", x, Econst(Vint(0))), (five, five), (five,)),)
-        summary = SegmentSummary(segment, lambda s: poke(s, X, IntPayload(5)), "five")
-        verdict = verify_triple(pre, segment, lambda f, i: True,
-                                symbols=[SymbolicValue("n", "int", lo=0, hi=3)],
-                                summaries=[summary])
-        assert verdict.status == "error"
-        assert verdict.diagnostic == "summary failed validation: five"
-
     def test_concolic_refutation_reports_the_pinned_witness(self):
         # x <= 5 fails for every n in 6..9; a static run would name n = 6
         pre, _prog, post = triple_world(plant_bug=False)
@@ -804,6 +678,49 @@ class TestObligations:
                     for judged in (post, lambda f, i: post(f, i))]
         fast, slow = [(v.status, len(v.paths), v.witness, v.diagnostic) for v in verdicts]
         assert fast == slow
+
+    @staticmethod
+    def at_most_five(final, _initial):
+        """x <= 5 as the one rule of a ``Post``."""
+        v = final.blocks[X.index].payload.value
+        return SymOp("<=", (v, SymConst(5))) if is_symbolic(v) else v <= 5
+
+    @pytest.mark.parametrize("start", [3, 8])
+    def test_plain_post_is_called_once_on_concrete_states(self, start):
+        # The symbol n is declared but the world never holds it.
+        def pre(_assignment):
+            sigma, env, _ = declared_world()
+            return poke(sigma, X, IntPayload(start)), env, env, ExecContext()
+
+        seen = []
+
+        def plain(final, initial):
+            seen.append(final.blocks[X.index].payload.value)
+            return final.blocks[X.index].payload.value <= 5
+
+        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
+        verdicts = [verify_triple(pre, (Snil(),), post, symbols=symbols)
+                    for post in (plain, Post(self.at_most_five))]
+        status = "verified" if start <= 5 else "refuted"
+        assert [(v.status, len(v.paths)) for v in verdicts] == [(status, 1)] * 2
+        assert verdicts[0].witness == verdicts[1].witness
+        # one judging call on the one path; a refutation also replays it
+        assert seen == [start] * (1 if start <= 5 else 2)
+
+    def test_plain_post_is_called_once_per_model_until_it_fails(self):
+        pre, prog, _post = triple_world(plant_bug=True)
+        seen = []
+
+        def plain(final, initial):
+            seen.append(final.blocks[X.index].payload.value)
+            return final.blocks[X.index].payload.value <= 5
+
+        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
+        verdicts = [verify_triple(pre, prog, post, symbols=symbols)
+                    for post in (plain, Post(self.at_most_five))]
+        assert [(v.status, v.witness) for v in verdicts] == [("refuted", {"n": 6})] * 2
+        # the x <= 6 path is judged first, under n = 0..6; then n = 6 is replayed
+        assert seen == [0, 1, 2, 3, 4, 5, 6, 6]
 
     def test_division_by_zero_stays_an_error_naming_the_assignment(self):
         pre, prog, post, spec = spec_triple(DIVISION, "entry f\nsym d : int 0..3\n"

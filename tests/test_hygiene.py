@@ -1,5 +1,6 @@
 """Source hygiene: every function in ``src/minisol`` reads each of its
-parameters.
+parameters, and every top-level function and class is named somewhere
+outside its own definition.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
@@ -8,9 +9,11 @@ the function deliberately ignores.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "minisol"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "minisol"
 
 # (file, function, parameter) -> why it is kept although never read
 ALLOWED = {
@@ -55,3 +58,36 @@ def test_every_parameter_is_read():
     assert sorted(unread - ALLOWED.keys()) == []
     # an entry whose parameter is read again, or is gone, must leave the list
     assert sorted(ALLOWED.keys() - unread) == []
+
+
+def _names(node):
+    """Every name ``node`` mentions: loads, attributes, import aliases and
+    the dotted parts of string constants (the benchmark tracer names the
+    functions it wraps by string)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rpartition(".")[2]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from n.value.split(".")
+
+
+def unnamed_definitions():
+    mentions = Counter()
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        mentions.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = sum(1 for name in _names(node) if name == node.name)
+                if mentions[node.name] == own:
+                    found.add((path.name, node.name))
+    return found
+
+
+def test_every_definition_is_named_elsewhere():
+    assert sorted(unnamed_definitions()) == []

@@ -293,9 +293,13 @@ class TestInterchange:
         assert len(tags) == len(set(tags)) == len(nodes)
 
     def test_runtime_only_statement_is_not_serializable(self):
-        from minisol.stmts import SegmentSummary
+        from minisol.syntax import LStatement
+
+        class RuntimeOnly(LStatement):
+            pass
+
         with pytest.raises(TypeError):
-            program_to_data([SegmentSummary((), lambda sigma: sigma)])
+            program_to_data([RuntimeOnly()])
 
 
 def test_array_dims_helper():
