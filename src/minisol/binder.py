@@ -89,6 +89,7 @@ from .syntax import (
 class BindError(Exception):
     def __init__(self, msg: str, pos=None):
         super().__init__(msg if pos is None else f"{msg} (line {pos[0]}, column {pos[1]})")
+        self.msg = msg
         self.pos = pos
 
 

@@ -133,13 +133,12 @@ _STEP_NOTES = {FINISHED: "finished", NO_STATE: "stuck: no memory state",
                 SYMBOLIC: "stuck: symbolic branch condition"}
 
 
-def step(ps: PathState, K: int = 1000, emit=None) -> PathState:
+def step(ps: PathState, K: int = 1000) -> PathState:
     """Execute exactly one statement of a path.
 
     Stuck situations (invalid environment, failed dispatch, symbolic
     branch) leave the remaining program in place and set a diagnostic
-    note. When ``emit`` is given the new memory dump is emitted after
-    the step.
+    note.
     """
     run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, once=True)
     if run.stop == BUDGET:
@@ -149,11 +148,8 @@ def step(ps: PathState, K: int = 1000, emit=None) -> PathState:
         return replace(ps, note=f"stuck: {run.error}")
     if run.stop != PAUSED:
         return replace(ps, note=_STEP_NOTES[run.stop])
-    out = replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
-                  note="throw" if run.halted else "")
-    if emit is not None and out.sigma is not None:
-        emit(gm.dump(out.sigma))
-    return out
+    return replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
+                   note="throw" if run.halted else "")
 
 
 # ---------------------------------------------------------------------------

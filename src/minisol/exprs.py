@@ -2,9 +2,9 @@
 
 Expressions evaluate in two positions: the l-position yields a memory
 address, the r-position a memory value. Only array and mapping constants
-and the four reference forms are addressable; everything else is banned
+and the two reference forms are addressable; everything else is banned
 on the left. ``eval_rvalue`` looks the exact type of an expression up in
-``_RULES``, one rule per class with a value, and nested evaluations go
+``_RULES``, one rule per expression class, and nested evaluations go
 back through ``eval_rvalue``. ``eval_bop`` and ``eval_uop`` check operand
 types and widths, then apply the operator table of the symbolic module,
 the same one that evaluates symbolic trees: fixed-width integer
@@ -24,17 +24,14 @@ from .memory import (
     IntPayload,
     MemoryState,
     MemoryValue,
-    StatementBody,
     StructInstance,
     StructTypeInfo,
 )
 from .symbolic import SymEvalError, SymExpr, SymOp, apply_op, is_symbolic, to_symexpr
 from .syntax import (
     Ebop,
-    Econ,
     Econst,
     Efun,
-    Epar,
     Estruct,
     Euop,
     Evar,
@@ -56,7 +53,7 @@ def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
                 env: Env) -> Address | None:
     if K <= 0:
         return None
-    if isinstance(e, (Evar, Efun, Econ, Epar)):
+    if isinstance(e, (Evar, Efun)):
         return e.addr
     if isinstance(e, Econst):
         v = e.value
@@ -67,16 +64,14 @@ def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
             return locate_array_element(v.arr_type, v.base, indices, sigma, env)
         if isinstance(v, Vmap):
             return resolve_map_path(K - 1, v, sigma, env)
-    # Other constants, Estruct, Ebop, Euop and the modifier expression are
-    # never addresses.
+    # Other constants, Estruct, Ebop and Euop are never addresses.
     return None
 
 
 def eval_rvalue(K: int, e: LExpr, sigma: MemoryState,
                 env: Env) -> MemoryValue | None:
     """The value of ``e``, by the rule that ``_RULES`` holds for its exact
-    type; absent when K is spent or ``e`` has no value (the modifier
-    expression)."""
+    type; absent when K is spent or ``e`` is not an expression."""
     if K <= 0:
         return None
     rule = _RULES.get(type(e))
@@ -87,7 +82,7 @@ def _eval_const(K, e: Econst, sigma, env):
     return eval_value(K - 1, e.value, sigma, env)
 
 
-def _eval_ref(_K, e: Evar | Econ | Epar, sigma, env):
+def _eval_ref(_K, e: Evar, sigma, env):
     if e.addr is None:
         return None
     return gm.read(sigma, e.addr, "chck", env)
@@ -139,8 +134,8 @@ def eval_str(K: int, e: Estruct, sigma: MemoryState,
 
 
 _RULES = {
-    Econst: _eval_const, Estruct: eval_str, Evar: _eval_ref, Econ: _eval_ref,
-    Epar: _eval_ref, Efun: _eval_fun, Ebop: _eval_bop, Euop: _eval_uop,
+    Econst: _eval_const, Estruct: eval_str, Evar: _eval_ref, Efun: _eval_fun,
+    Ebop: _eval_bop, Euop: _eval_uop,
 }
 
 
@@ -202,19 +197,3 @@ def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
     return MemoryValue(BoolPayload(r) if op == "!" else IntPayload(r, width, signed),
                        v.domain, v.level, v.access, v.occupancy)
 
-
-def extract(v: MemoryValue | None, kind: str):
-    """Pull a native payload out of a memory value.
-
-    kind "bool" returns the bit (possibly a symbolic tree), kind "stmts"
-    the statement list of a stored body. Absent input or a wrong payload
-    kind is absent.
-    """
-    if v is None:
-        return None
-    p = v.payload
-    if kind == "bool":
-        return p.bit if isinstance(p, BoolPayload) else None
-    if kind == "stmts":
-        return tuple(p.body) if isinstance(p, (FunctionInfo, StatementBody)) else None
-    raise ValueError(f"unknown extract kind {kind!r}")

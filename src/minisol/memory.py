@@ -22,7 +22,7 @@ stores the value object itself when it already carries them.
 The top of the address space is reserved for built-in blocks: the two
 flag blocks (throw, modifier), the standard-library struct type blocks,
 the message instance, and the built-in no-op functions with their return
-slots. ``free_mem`` refuses to release reserved blocks.
+slots.
 
 Dump format (one line per block, tab separated):
 
@@ -130,11 +130,6 @@ class FunctionInfo(Payload):
 
 
 @dataclass(frozen=True)
-class StatementBody(Payload):
-    body: tuple = ()
-
-
-@dataclass(frozen=True)
 class ArrayGroup(Payload):
     """Header block marking one group of a multidimensional array."""
     dim: int = 0
@@ -182,10 +177,6 @@ RESERVED_BLOCKS = len(RESERVED_LAYOUT)
 
 def reserved_addresses(size: int = DEFAULT_MEMORY_SIZE) -> dict[str, Address]:
     return {name: Address(size - 1 - i) for i, name in enumerate(RESERVED_LAYOUT)}
-
-
-def is_reserved(addr: Address, size: int) -> bool:
-    return size - RESERVED_BLOCKS <= addr.index < size
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +293,10 @@ class MemoryState:
 # ---------------------------------------------------------------------------
 # Operations
 
-def init_mem(size: int, stdlib=()) -> MemoryState:
-    """Build a fresh memory space and load the standard library into it.
-
-    The library is a statement list; struct declarations land in their
-    reserved struct-type blocks, function declarations become stored
-    function bodies with initialized return slots, and variable
-    declarations become occupied default blocks. The two flag blocks are
-    always initialized to false.
+def init_mem(size: int) -> MemoryState:
+    """Build a fresh memory space: the two flag blocks false, the global
+    scope block set, every other block free. The standard library module
+    stores its declarations in the remaining reserved blocks.
     """
     if size < RESERVED_BLOCKS + 1:
         raise MemoryConfigError(
@@ -319,37 +306,10 @@ def init_mem(size: int, stdlib=()) -> MemoryState:
     names = reserved_addresses(size)
     gdom = names["0xglobal"]
     blocks = [free_value(gdom)] * size  # one shared free block
-
-    def put(addr: Address, payload: Payload, access: str = PUBLIC):
-        blocks[addr.index] = MemoryValue(payload, domain=gdom, level=0,
-                                         access=access, occupancy=OCCUPY)
-
-    put(names["0xthrow"], BoolPayload(False))
-    put(names["0xmodifier"], BoolPayload(False))
-    put(names["0xglobal"], Undef())
-
-    from . import syntax  # deferred: the statement classes live one layer up
-
-    for stmt in stdlib:
-        if isinstance(stmt, syntax.StructDecl):
-            put(stmt.type_addr, StructTypeInfo(stmt.type_addr, tuple(stmt.members)))
-        elif isinstance(stmt, syntax.Fun):
-            if stmt.name.index >= size or (stmt.ret_addr and stmt.ret_addr.index >= size):
-                raise MemoryConfigError(f"library function {stmt.name} does not fit")
-            put(stmt.name, FunctionInfo(tuple(stmt.returns), stmt.params,
-                                        stmt.ret_addr, tuple(stmt.body)))
-            if stmt.ret_addr is not None:
-                put(stmt.ret_addr, Undef())
-        elif isinstance(stmt, syntax.Var):
-            decl = stmt.decl
-            if decl.addr is None:
-                raise MemoryConfigError("library variable without an address")
-            put(decl.addr, Undef(), access=stmt.access or PUBLIC)
-        else:
-            raise MemoryConfigError(
-                f"unsupported statement in standard library: {type(stmt).__name__}"
-            )
-
+    for name, payload in (("0xthrow", BoolPayload(False)), ("0xmodifier", BoolPayload(False)),
+                          ("0xglobal", Undef())):
+        blocks[names[name].index] = MemoryValue(payload, domain=gdom, level=0,
+                                                access=PUBLIC, occupancy=OCCUPY)
     return MemoryState(BlockVector.of(blocks), dict(names))
 
 
@@ -392,14 +352,9 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
     return MemoryState(blocks.set(i, value), sigma.symbol_table, sigma.alloc_floor)
 
 
-def address_offset(op: str, offset: int, addr: Address,
+def address_offset(offset: int, addr: Address,
                    size: int = DEFAULT_MEMORY_SIZE) -> Address | None:
-    if op == "+":
-        idx = addr.index + offset
-    elif op == "-":
-        idx = addr.index - offset
-    else:
-        raise ValueError(f"unknown offset op {op!r}")
+    idx = addr.index + offset
     if 0 <= idx < size:
         return Address(idx)
     return None
@@ -441,15 +396,6 @@ def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
     occupied = ((i, MemoryValue(Undef(), b.domain, b.level, b.access, OCCUPY))
                 for i, b in enumerate(blocks[base:base + n], base))
     return MemoryState(blocks.update(occupied), sigma.symbol_table, sigma.alloc_floor)
-
-
-def free_mem(sigma: MemoryState, addr: Address) -> MemoryState | None:
-    if not 0 <= addr.index < sigma.size or is_reserved(addr, sigma.size):
-        return None
-    block = sigma.blocks[addr.index]
-    if block.occupancy != OCCUPY:
-        return None
-    return write(sigma, addr, free_value(block.domain), "dir")
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +446,6 @@ def render_payload(p: Payload) -> str:
         ret = p.ret_addr.index if p.ret_addr else "-"
         npar = len(p.params) if p.params is not None else "*"
         return f"function:returns={len(p.returns)}:params={npar}:ret@{ret}:body={len(p.body)}"
-    if isinstance(p, StatementBody):
-        return f"stmts:{len(p.body)}"
     if isinstance(p, ArrayGroup):
         return f"array-group:dim={p.dim}:group={p.group}"
     return f"<{type(p).__name__}>"

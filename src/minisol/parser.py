@@ -30,6 +30,7 @@ from typing import NamedTuple
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{msg} (line {line}, column {col})")
+        self.msg = msg
         self.line = line
         self.col = col
 

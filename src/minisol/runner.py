@@ -16,11 +16,11 @@ from . import memory as gm
 from .binder import BindError, BoundProgram
 from .engine import Post, equals, interpret, throw_state, unchanged
 from .memory import BoolPayload, IntPayload, MemoryState
-from .parser import parse_expr_text
+from .parser import ParseError, parse_expr_text
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import Contract, Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap
+from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -81,9 +81,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
                     symbol_table={**sigma.symbol_table, **bound.bindings})
     sigma = write_message(sigma, binfo)
 
-    registry = {s.name: tuple(s.inherits) for s in bound.decls
-                if isinstance(s, Contract)}
-    ctx = ExecContext(registry=registry)
+    ctx = ExecContext()
 
     setup_env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
     sigma = interpret(SETUP_K, sigma, setup_env, setup_env, bound.decls, ctx)
@@ -127,8 +125,9 @@ def _poke(sigma, addr, payload):
 def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
     try:
         lowered = bound.binder.lower_expr(parse_expr_text(lvalue_text))
-    except BindError as exc:
-        raise RunnerError(f"cannot resolve {lvalue_text!r}: {exc}") from exc
+    except (BindError, ParseError) as exc:
+        # The position is one inside the target's own text, not the program's.
+        raise RunnerError(f"cannot resolve {lvalue_text!r}: {exc.msg}") from exc
     ltype = _target_type(lowered)
     stmt = Assign(lowered, _literal_expr(ltype, raw))
     env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))

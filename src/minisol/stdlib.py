@@ -9,13 +9,16 @@ built-in functions send and transfer with their return slots.
 from __future__ import annotations
 
 from .memory import (
+    FunctionInfo,
     IntPayload,
     MemoryState,
     MemoryValue,
     StructInstance,
+    StructTypeInfo,
     Fid,
     PUBLIC,
     OCCUPY,
+    Undef,
     reserved_addresses,
 )
 from . import memory as gm
@@ -24,7 +27,7 @@ from .values import BlockInfo
 
 
 def standard_library(size: int = gm.DEFAULT_MEMORY_SIZE):
-    """Statement list handed to init_mem."""
+    """The library's declarations: its struct types and built-in functions."""
     names = reserved_addresses(size)
     addr_t = names["0xaddress"]
     msg_t = names["0xmsg"]
@@ -49,7 +52,24 @@ def standard_library(size: int = gm.DEFAULT_MEMORY_SIZE):
 
 
 def fresh_memory(size: int = gm.DEFAULT_MEMORY_SIZE) -> MemoryState:
-    return gm.init_mem(size, standard_library(size))
+    """A fresh memory space with the library's struct types, functions and
+    their return slots stored in its reserved blocks."""
+    sigma = gm.init_mem(size)
+    gdom = sigma.addr_of("0xglobal")
+
+    def occupied(addr, payload):
+        return addr.index, MemoryValue(payload, domain=gdom, level=0, access=PUBLIC,
+                                       occupancy=OCCUPY)
+
+    writes = []
+    for decl in standard_library(size):
+        if isinstance(decl, StructDecl):
+            writes.append(occupied(decl.type_addr, StructTypeInfo(decl.type_addr, decl.members)))
+        else:
+            writes += [occupied(decl.name, FunctionInfo(decl.returns, decl.params,
+                                                        decl.ret_addr, decl.body)),
+                       occupied(decl.ret_addr, Undef())]
+    return MemoryState(sigma.blocks.update(writes), sigma.symbol_table)
 
 
 def sender_instance(binfo: BlockInfo, size: int) -> StructInstance:

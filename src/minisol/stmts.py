@@ -33,7 +33,7 @@ from .memory import (
     StructTypeInfo,
     Undef,
 )
-from .exprs import eval_lvalue, eval_rvalue, extract
+from .exprs import eval_lvalue, eval_rvalue
 from .symbolic import SymExpr, is_symbolic
 from .syntax import (
     Assign,
@@ -64,7 +64,7 @@ from .values import Env  # noqa: F401  (Env re-exported)
 
 __all__ = [
     "ExecContext", "StepResult", "Run", "array_layout",
-    "env_check", "init_array", "init_var", "exec_statement", "drive",
+    "init_array", "init_var", "exec_statement", "drive",
 ]
 
 
@@ -72,7 +72,6 @@ __all__ = [
 class ExecContext:
     """Ambient execution context threaded through a run."""
     sigma_init: MemoryState | None = None  # snapshot restored by throw
-    registry: dict = field(default_factory=dict)  # contract name -> inheritance
     diagnostics: list = field(default_factory=list)
 
     def fail(self, msg: str):
@@ -81,19 +80,7 @@ class ExecContext:
 
     def fork(self) -> "ExecContext":
         """A copy for a forked path: it shares no mutable state."""
-        return ExecContext(self.sigma_init, dict(self.registry), list(self.diagnostics))
-
-
-def env_check(env: Env, fenv: Env) -> bool:
-    """Gas remains and the level/domain pair is still coherent.
-
-    A domain that has been switched back to the super-environment's
-    while the level still differs marks a finished function body.
-    ``drive`` makes this check inline.
-    """
-    if env.gas <= 0:
-        return False
-    return not (env.domain == fenv.domain and env.level != fenv.level)
+        return ExecContext(self.sigma_init, list(self.diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +210,7 @@ def _exec_fun_stop(_K, sigma, env, fenv, _ctx, _head, rest) -> StepResult:
 
 
 def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
-    declared = tuple(head.inherits)
-    expected = tuple(ctx.registry.get(head.name, declared))
-    if declared != expected:
-        return StepResult(sigma, env, rest)
-    info = ContractInfo(head.name, tuple(head.members), declared)
+    info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
         return _fail(env, rest, f"contract block {head.name} out of range", ctx)
@@ -291,7 +274,8 @@ def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
     beside it, so a fork continues each side without dispatching the
     statement again.
     """
-    bit = extract(eval_rvalue(K, head.cond, sigma, env), "bool")
+    v = eval_rvalue(K, head.cond, sigma, env)
+    bit = v.payload.bit if v is not None and isinstance(v.payload, BoolPayload) else None
     if bit is None:
         return _fail(env, rest, f"{what} condition failed to evaluate", ctx)
     if isinstance(bit, SymExpr):
@@ -345,9 +329,6 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
     if block is None or not isinstance(block.payload, FunctionInfo):
         return _fail(env, rest, f"no function stored at {target}", ctx)
     info = block.payload
-    body = extract(block, "stmts")
-    if body is None:
-        return _fail(env, rest, f"function at {target} has no body", ctx)
     sig = sigma
     if info.params is not None:
         if fid is not None and fid.receiver is not None:
@@ -363,7 +344,7 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
                 return _fail(env, rest, "parameter block out of range", ctx)
             sig = gm.write(sig, p.addr, replace(target_block, payload=v.payload,
                                                 occupancy=gm.OCCUPY), "dir")
-    return StepResult(sig, Env(env.gas, env.gas_limit, 0, target), body + rest)
+    return StepResult(sig, Env(env.gas, env.gas_limit, 0, target), info.body + rest)
 
 
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
@@ -612,7 +593,10 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
             return Run(FINISHED, sigma, env, remaining, halted=halted)
         if sigma is None:
             return Run(NO_STATE, sigma, env, remaining, halted=halted)
-        gas = env.gas  # the env_check test, inline
+        # Stop when gas is spent, or when the domain is back at the
+        # super-environment's while the level still differs: that marks a
+        # finished function body.
+        gas = env.gas
         if gas <= 0 or env.level != fenv.level and env.domain.index == fenv.domain.index:
             return Run(BUDGET, sigma, env, remaining, halted=halted)
         res = exec_statement(K, sigma, Env(gas - 1, env.gas_limit, env.level, env.domain),

@@ -6,8 +6,7 @@ type) and rejects trees the runtime would otherwise have to re-check:
 mixed-width or mixed-signedness arithmetic, non-boolean branch
 conditions, struct arity and field type mismatches. Programs are flat
 statement lists; the next statement to execute is always the head of the
-remaining list, and ``normalize_seq`` flattens any nested sequencing
-into that form. The JSON interchange format is one table, ``FORMAT``,
+remaining list. The JSON interchange format is one table, ``FORMAT``,
 walked by ``program_to_data`` and ``program_from_data``.
 """
 
@@ -79,16 +78,6 @@ class Tstruct(LType):
     type_addr: Address
 
 
-@dataclass(frozen=True)
-class Teaddr(LType):
-    addr: Address | None = None
-
-
-@dataclass(frozen=True)
-class Tunit(LType):
-    pass
-
-
 def array_dims(t: LType) -> tuple[tuple[int, ...], LType]:
     """Peel a nested array type into its dimension vector and base type."""
     dims: list[int] = []
@@ -100,7 +89,7 @@ def array_dims(t: LType) -> tuple[tuple[int, ...], LType]:
 
 def is_normal_type(t: LType) -> bool:
     """Normal types terminate array nesting: no arrays or mappings inside."""
-    return isinstance(t, (Tbool, Tint, Tfid, Tstruct, Teaddr, Tunit))
+    return isinstance(t, (Tbool, Tint, Tfid, Tstruct))
 
 
 def type_text(t: LType) -> str:
@@ -117,10 +106,6 @@ def type_text(t: LType) -> str:
         return f"fid({t.fun.index if t.fun else '-'})"
     if isinstance(t, Tstruct):
         return f"struct@{t.type_addr.index}"
-    if isinstance(t, Teaddr):
-        return f"eaddr({t.addr.index if t.addr else '-'})"
-    if isinstance(t, Tunit):
-        return "unit"
     return f"<{type(t).__name__}>"
 
 
@@ -208,18 +193,6 @@ class Efun(LExpr):
 
 
 @dataclass
-class Econ(LExpr):
-    addr: Address | None
-    tpair: tuple | None = _tpair_field()
-
-
-@dataclass
-class Epar(LExpr):
-    addr: Address | None
-    tpair: tuple | None = _tpair_field()
-
-
-@dataclass
 class Estruct(LExpr):
     type_addr: Address
     values: tuple = ()
@@ -238,11 +211,6 @@ class Ebop(LExpr):
 class Euop(LExpr):
     op: str
     operand: LExpr = None
-    tpair: tuple | None = _tpair_field()
-
-
-@dataclass
-class Emodifier(LExpr):
     tpair: tuple | None = _tpair_field()
 
 
@@ -349,48 +317,6 @@ class If(LStatement):
 
 
 # ---------------------------------------------------------------------------
-# Sequence normalization
-
-def normalize_seq(raw) -> list[LStatement]:
-    """Flatten arbitrarily nested statement sequences into one list.
-
-    Bodies inside branching and looping statements are normalized in
-    place as well. Order preserving and idempotent.
-    """
-    out: list[LStatement] = []
-    _flatten(raw, out)
-    return [_normalize_stmt(s) for s in out]
-
-
-def _flatten(node, out: list):
-    if node is None:
-        return
-    if isinstance(node, (list, tuple)):
-        for item in node:
-            _flatten(item, out)
-        return
-    if isinstance(node, LStatement):
-        out.append(node)
-        return
-    raise TypeError(f"not a statement: {type(node).__name__}")
-
-
-def _normalize_stmt(s: LStatement) -> LStatement:
-    if isinstance(s, If):
-        return If(s.cond, tuple(normalize_seq(s.then)), tuple(normalize_seq(s.orelse)))
-    if isinstance(s, LoopWhile):
-        return LoopWhile(s.cond, tuple(normalize_seq(s.body)))
-    if isinstance(s, LoopFor):
-        return LoopFor(s.cond, s.init, tuple(normalize_seq(s.body)), s.post)
-    if isinstance(s, Fun):
-        return Fun(s.name, s.modifiers, s.params, s.returns,
-                   tuple(normalize_seq(s.body)), s.ret_addr)
-    if isinstance(s, Modifier):
-        return Modifier(s.name, s.params, tuple(normalize_seq(s.body)), s.ret_addr)
-    return s
-
-
-# ---------------------------------------------------------------------------
 # Typing context and checker
 
 @dataclass
@@ -440,8 +366,6 @@ def _check_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
         return (t, t)
     if isinstance(e, (Evar, Efun)):
         return (e.ltype, e.ltype)
-    if isinstance(e, (Econ, Epar)):
-        return (Tunit(), Tunit())
     if isinstance(e, Estruct):
         members = ctx.struct_members(e.type_addr)
         _require(len(e.values) == len(members),
@@ -484,8 +408,6 @@ def _check_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
             _require(_int_kind(t) and t.signed, "negation needs a signed integer")
             return (t, t)
         raise LTypeError(f"unknown unary operator {e.op!r}")
-    if isinstance(e, Emodifier):
-        raise LTypeError("modifier expressions cannot appear in executable positions")
     raise LTypeError(f"unknown expression {type(e).__name__}")
 
 
@@ -660,7 +582,7 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
 
 
 def _is_lvalue_expr(e: LExpr) -> bool:
-    if isinstance(e, (Evar, Econ, Epar)):
+    if isinstance(e, Evar):
         return True
     return isinstance(e, Econst) and isinstance(e.value, (Varray, Vmap))
 
@@ -707,8 +629,6 @@ FORMAT = {
     Tmap: ("map", {"key": LType, "value": LType}),
     Tfid: ("fid", {"fun": Address}),
     Tstruct: ("struct", {"type_addr": Address}),
-    Teaddr: ("eaddr", {"addr": Address}),
-    Tunit: ("unit", {}),
     Vbool: ("vbool", {"bit": JSON}),
     Vint: ("vint", {"value": JSON, "width": JSON, "signed": JSON}),
     Varray: ("varray", {"arr_type": LType, "indices": [LExpr], "base": Address}),
@@ -720,12 +640,9 @@ FORMAT = {
     Econst: ("const", {"value": LValue}),
     Evar: ("var", {"addr": Address, "type": LType}),
     Efun: ("fun", {"addr": Address, "type": LType}),
-    Econ: ("con", {"addr": Address}),
-    Epar: ("par", {"addr": Address}),
     Estruct: ("struct", {"type_addr": Address, "values": [LValue]}),
     Ebop: ("bop", {"op": JSON, "left": LExpr, "right": LExpr}),
     Euop: ("uop", {"op": JSON, "operand": LExpr}),
-    Emodifier: ("modifier", {}),
     Contract: ("contract", {"name": Address, "inherits": [Address],
                             "members": [(JSON, Address)]}),
     Modifier: ("modifier", {"name": Address, "params": [LExpr], "body": [LStatement],

@@ -155,7 +155,7 @@ def locate_array_element(arr_type, base: Address, indices, sigma: MemoryState,
             return None
     layout = array_layout(dims)
     off = elem_offset(indices, layout.group_sizes)
-    return gm.address_offset("+", off, base, sigma.size)
+    return gm.address_offset(off, base, sigma.size)
 
 
 def locate_map_node(key_payload, base: Address, sigma: MemoryState,

@@ -383,6 +383,17 @@ class TestEntryArguments:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("target, message", [
+        ("zz", "unknown identifier 'zz'"),
+        ("a[", "unexpected token ''"),
+    ], ids=["bind-error", "parse-error"])
+    def test_unresolvable_target_names_no_position(self, capsys, target, message):
+        # a position inside the target's own text would read as one in the program
+        rc, out, err = run_cli(capsys, "run", WALLET, "--arg", f"{target}=5")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: cannot resolve {target!r}: {message}"]
+
 
 class TestSelectiveModeCli:
     def test_selective_mode_is_a_usage_error(self, capsys):
@@ -391,6 +402,15 @@ class TestSelectiveModeCli:
                              "--mode", "selective", "--json")
         assert rc == 2
         assert out == ""
+
+
+def _assign_to(lhs: str) -> str:
+    return f'{{"program": [{{"kind": "assign", "lhs": {lhs}, "rhs": null}}]}}'
+
+
+def _declare_as(ltype: str) -> str:
+    decl = f'{{"kind": "var", "addr": 0, "type": {ltype}}}'
+    return f'{{"program": [{{"kind": "var", "access": null, "decl": {decl}}}]}}'
 
 
 class TestOracleAstInput:
@@ -411,7 +431,14 @@ class TestOracleAstInput:
         ('{"program": [{"kind": "nope"}]}', "unknown statement kind 'nope'"),
         ('{"program": [{"kind": "while", "body": []}]}', "missing field 'cond'"),
         ('{"mem_size": "x", "program": []}', "mem_size 'x' is not an integer"),
-    ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size"])
+        # kinds of syntax forms that no binder output holds
+        (_assign_to('{"kind": "con", "addr": 0}'), "unknown expr kind 'con'"),
+        (_assign_to('{"kind": "par", "addr": 0}'), "unknown expr kind 'par'"),
+        (_assign_to('{"kind": "modifier"}'), "unknown expr kind 'modifier'"),
+        (_declare_as('{"kind": "eaddr", "addr": null}'), "unknown type kind 'eaddr'"),
+        (_declare_as('{"kind": "unit"}'), "unknown type kind 'unit'"),
+    ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size",
+            "con", "par", "modifier-expr", "eaddr", "unit"])
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -421,6 +448,9 @@ class TestOracleAstInput:
         assert err.startswith(f"error: {path}: malformed AST document: ")
         assert err.count("\n") == 1
         assert message in err
+        rc, out, _ = run_cli(capsys, "oracle", "--ast", str(path), "--json")
+        assert rc == 3
+        assert [json.loads(line)["status"] for line in out.splitlines()] == ["error"]
 
     def test_out_of_subset_document_reported(self, capsys, tmp_path):
         from minisol.binder import bind_addresses

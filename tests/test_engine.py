@@ -124,9 +124,8 @@ class TestStep:
         ps = PathState(sigma, env, env, (),
                        (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
                        ExecContext(sigma_init=sigma))
-        dumps = []
-        out = step(ps, emit=dumps.append)
-        line = dumps[0].splitlines()[X.index]
+        out = step(ps)
+        line = gm.dump(out.sigma).splitlines()[X.index]
         assert line.split("\t")[4] == "int:u64:5"
         assert gm.read(out.sigma, X, "dir").payload == IntPayload(5)
 

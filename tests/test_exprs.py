@@ -1,4 +1,4 @@
-"""Expression layer: l/r evaluation, operators, extraction."""
+"""Expression layer: l/r evaluation and operators."""
 
 import random
 
@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minisol import memory as gm
-from minisol.exprs import eval_bop, eval_lvalue, eval_rvalue, eval_uop, extract
+from minisol.exprs import eval_bop, eval_lvalue, eval_rvalue, eval_uop
 from minisol.memory import (
     Address,
     BoolPayload,
     FunctionInfo,
     IntPayload,
     MemoryValue,
-    StatementBody,
 )
 from minisol.stdlib import fresh_memory
 from minisol.syntax import (
     Ebop,
-    Econ,
     Econst,
     Efun,
-    Emodifier,
-    Epar,
     Evar,
     Snil,
     Tuint,
@@ -46,7 +42,7 @@ def bv(b):
 class TestLValues:
     def test_reference_forms_return_their_address(self, sigma, env):
         a = Address(12)
-        for e in (Evar(a, Tuint()), Efun(a, Tuint()), Econ(a), Epar(a)):
+        for e in (Evar(a, Tuint()), Efun(a, Tuint())):
             assert eval_lvalue(10, e, sigma, env) == a
 
     def test_reference_without_address_absent(self, sigma, env):
@@ -59,7 +55,6 @@ class TestLValues:
     def test_operator_forms_banned_on_left(self, sigma, env):
         e = Ebop("+", Econst(Vint(1)), Econst(Vint(2)))
         assert eval_lvalue(10, e, sigma, env) is None
-        assert eval_lvalue(10, Emodifier(), sigma, env) is None
 
     def test_array_constant_resolves_to_element(self, sigma, env):
         e = Econst(Varray(ARR_T, (Econst(Vint(0)), Econst(Vint(1)),
@@ -191,22 +186,6 @@ class TestUnaryOps:
         assert out.payload.value == -(2 ** 63)
 
 
-class TestExtract:
-    def test_bool_kind(self):
-        assert extract(bv(True), "bool") is True
-        assert extract(bv(False), "bool") is False
-
-    def test_wrong_kind_absent(self):
-        assert extract(iv(1), "bool") is None
-        assert extract(bv(True), "stmts") is None
-        assert extract(None, "bool") is None
-
-    def test_statement_bodies(self):
-        body = (Snil(), Snil())
-        assert extract(MemoryValue(FunctionInfo((), (), None, body)), "stmts") == body
-        assert extract(MemoryValue(StatementBody(body)), "stmts") == body
-
-
 class TestCoherence:
     def test_lr_coherence_on_random_references(self):
         # Wherever both positions resolve, the right value equals the
@@ -258,20 +237,14 @@ class TestAbsentReferences:
     def test_rvalue_of_unaddressed_reference_absent(self, sigma, env):
         assert eval_rvalue(10, Evar(None, Tuint()), sigma, env) is None
         assert eval_rvalue(10, Efun(None, Tuint()), sigma, env) is None
-        assert eval_rvalue(10, Econ(None), sigma, env) is None
-
-    def test_modifier_expression_absent_both_positions(self, sigma, env):
-        assert eval_rvalue(10, Emodifier(), sigma, env) is None
-        assert eval_lvalue(10, Emodifier(), sigma, env) is None
 
 
 def test_every_expression_class_has_a_rule_or_is_named_absent():
     import inspect
     from minisol import exprs, syntax
-    absent = {Emodifier}  # has no value in either position
     classes = {cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
                if cls.__module__ == syntax.__name__ and issubclass(cls, syntax.LExpr)
                and cls is not syntax.LExpr}
-    assert set(exprs._RULES) == classes - absent
+    assert set(exprs._RULES) == classes
     assert all(len(inspect.signature(rule).parameters) == 4
                for rule in exprs._RULES.values())

@@ -14,7 +14,7 @@ from minisol.memory import (
     StructTypeInfo,
     Undef,
 )
-from minisol.stdlib import fresh_memory, standard_library
+from minisol.stdlib import fresh_memory
 from minisol.stmts import _group_run, init_array
 from minisol.syntax import Tarray, Tuint, array_dims
 from minisol.values import TOP_LEVEL, initial_env
@@ -48,11 +48,13 @@ class TestInitMem:
 
     def test_too_small_size_is_config_error(self):
         with pytest.raises(MemoryConfigError):
-            gm.init_mem(gm.RESERVED_BLOCKS, standard_library(gm.RESERVED_BLOCKS))
+            gm.init_mem(gm.RESERVED_BLOCKS)
 
     def test_empty_stdlib_leaves_user_blocks_free(self):
-        sigma = gm.init_mem(100, [])
+        sigma = gm.init_mem(100)
         assert all(b.occupancy == gm.FREE for b in sigma.blocks[:90])
+        # only the two flags and the global block: the library is not stored
+        assert sum(b.occupancy == gm.OCCUPY for b in sigma.blocks) == 3
 
 
 class TestReadWrite:
@@ -145,16 +147,16 @@ def test_frame_property(a, b, value):
 
 class TestAddressOffset:
     def test_worked_offset_example(self):
-        assert gm.address_offset("+", 6, Address(0), 100) == Address(6)
+        assert gm.address_offset(6, Address(0), 100) == Address(6)
 
     def test_identity(self):
-        assert gm.address_offset("+", 0, Address(42), 100) == Address(42)
+        assert gm.address_offset(0, Address(42), 100) == Address(42)
 
     def test_underflow_absent(self):
-        assert gm.address_offset("-", 1, Address(0), 100) is None
+        assert gm.address_offset(-1, Address(0), 100) is None
 
     def test_overflow_absent(self):
-        assert gm.address_offset("+", 1, Address(99), 100) is None
+        assert gm.address_offset(1, Address(99), 100) is None
 
 
 def brute_force_first_fit(sigma, n):
@@ -183,7 +185,7 @@ class TestAllocate:
 
     def test_first_fit_prefers_lowest_index_after_free(self, sigma):
         _, s1 = gm.allocate(sigma, 5)
-        s2 = gm.free_mem(s1, Address(2))
+        s2 = gm.write(s1, Address(2), gm.free_value(), "dir")
         expected = brute_force_first_fit(s2, 1)
         got, _ = gm.allocate(s2, 1)
         assert got.index == expected == 2
@@ -200,9 +202,7 @@ class TestAllocate:
             _, sigma = got
         # poke a few holes deterministically
         for idx in range(0, 40, 7):
-            out = gm.free_mem(sigma, Address(idx))
-            if out is not None:
-                sigma = out
+            sigma = gm.write(sigma, Address(idx), gm.free_value(), "dir")
         expected = brute_force_first_fit(sigma, want)
         got = gm.allocate(sigma, want)
         if expected is None:
@@ -215,22 +215,6 @@ class TestAllocate:
         raised = dataclasses.replace(sigma, alloc_floor=10)
         base, _ = gm.allocate(raised, 3)
         assert base.index == 10
-
-
-class TestFreeMem:
-    def test_free_then_chck_read_absent(self, sigma, env):
-        seeded = gm.write(sigma, Address(4),
-                          mv(IntPayload(9), env.domain), "dir")
-        out = gm.free_mem(seeded, Address(4))
-        assert gm.read(out, Address(4), "chck", env) is None
-        assert isinstance(out.blocks[4].payload, Undef)
-
-    def test_free_of_free_block_absent(self, sigma):
-        assert gm.free_mem(sigma, Address(4)) is None
-
-    def test_free_of_reserved_block_absent(self, sigma, names):
-        for name in ("0xmodifier", "0xthrow", "0xaddress", "0xmsg"):
-            assert gm.free_mem(sigma, names[name]) is None
 
 
 class TestDump:
@@ -249,25 +233,6 @@ class TestDump:
         assert gm.render_payload(BoolPayload(None)) == "bool:?"
         assert gm.render_payload(IntPayload(19, 64, True)) == "int:i64:19"
         assert gm.render_payload(IntPayload(7, 64, False)) == "int:u64:7"
-
-
-class TestStdlibLoading:
-    def test_library_variable_declaration_occupies_block(self):
-        from minisol.syntax import Evar, Tuint, Var
-        lib = standard_library(100) + [Var("public", Evar(Address(80), Tuint()))]
-        sigma = gm.init_mem(100, lib)
-        assert sigma.blocks[80].occupancy == gm.OCCUPY
-
-    def test_unsupported_library_statement_is_config_error(self):
-        from minisol.syntax import Snil
-        with pytest.raises(MemoryConfigError):
-            gm.init_mem(100, standard_library(100) + [Snil()])
-
-    def test_oversized_library_function_is_config_error(self):
-        from minisol.syntax import Fun, FunStop, Tbool
-        bad = [Fun(Address(500), (), None, (Tbool(),), (FunStop(),), Address(501))]
-        with pytest.raises(MemoryConfigError):
-            gm.init_mem(100, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +258,7 @@ def _model_ops(size):
         st.tuples(st.just("chck"), index, value, domain),
         st.tuples(st.just("allocate"), st.integers(0, 70)),
         st.tuples(st.just("allocate_at"), index, st.integers(0, 70)),
-        st.tuples(st.just("free"), index),
+        st.tuples(st.just("dir"), index, st.builds(gm.free_value, domain.map(Address))),
         st.tuples(st.just("init_array"), index, st.sampled_from(MODEL_ARRAYS), domain),
     )
 
@@ -333,13 +298,6 @@ def _model_step(model, op):
         if (n <= 0 or not 0 <= base < size or base + n > size
                 or any(m.occupancy != gm.FREE for m in model[base:base + n])):
             return None
-    elif kind == "free":
-        i = args[0]
-        if (not 0 <= i < size or gm.is_reserved(Address(i), size)
-                or model[i].occupancy != gm.OCCUPY):
-            return None
-        model[i] = gm.free_value(model[i].domain)
-        return range(i, i + 1)
     else:  # init_array: the run the statement layer lays down, spliced in
         base, arr_type, dom = args
         dims, _final = array_dims(arr_type)
@@ -362,8 +320,6 @@ def _store_step(sigma, op):
         return None if got is None else got[1]
     if kind == "allocate_at":
         return gm.allocate_at(sigma, Address(args[0]), args[1])
-    if kind == "free":
-        return gm.free_mem(sigma, Address(args[0]))
     base, arr_type, dom = args
     return init_array(10_000, sigma, Address(base), arr_type,
                       initial_env(10, Address(dom)))

@@ -1,4 +1,4 @@
-"""Statement layer: environment checks, array math, declarations,
+"""Statement layer: the environment check, array math, declarations,
 control flow, calls, modifiers, throw."""
 
 import math
@@ -22,7 +22,7 @@ from minisol.memory import (
     Undef,
 )
 from minisol.engine import interpret
-from minisol.stmts import BUDGET, ExecContext, drive, env_check, init_array, init_var
+from minisol.stmts import BUDGET, ERROR, PAUSED, ExecContext, drive, init_array, init_var
 from minisol.syntax import (
     Assign,
     Contract,
@@ -56,34 +56,20 @@ from minisol.values import Env, initial_env
 
 
 class TestEnvCheck:
-    def test_gas_zero_fails(self, names):
-        env = Env(0, 10, 1, names["0xglobal"])
-        assert env_check(env, env) is False
-
-    def test_same_domain_same_level_passes(self, names):
-        env = Env(5, 10, 1, names["0xglobal"])
-        assert env_check(env, env) is True
-
-    def test_same_domain_different_level_fails(self, names):
-        env = Env(5, 10, 0, names["0xglobal"])
-        fenv = Env(5, 10, 1, names["0xglobal"])
-        assert env_check(env, fenv) is False
-
-    def test_different_domain_any_level_passes(self, names):
-        env = Env(5, 10, 0, Address(3))
-        fenv = Env(5, 10, 1, names["0xglobal"])
-        assert env_check(env, fenv) is True
-
     @pytest.mark.parametrize("env, fenv", [
         ((0, 1, None), (5, 1, None)), ((5, 1, None), (5, 1, None)),
         ((5, 0, None), (5, 1, None)), ((5, 0, 3), (5, 1, None))])
     def test_drive_stops_on_budget_exactly_when_the_check_fails(self, sigma, names, env,
                                                                  fenv):
+        # (gas, level, domain) of env: gas spent, or back in fenv's domain at
+        # another level (a finished function body); any other env dispatches
+        expected = {(0, 1, None): BUDGET, (5, 0, None): BUDGET}.get(env, PAUSED)
+
         def make(gas, level, domain):
             return Env(gas, 10, level, names["0xglobal"] if domain is None else Address(domain))
         env, fenv = make(*env), make(*fenv)
         run = drive(10, sigma, env, fenv, ExecContext(), (Snil(),), once=True)
-        assert (run.stop == BUDGET) is not env_check(env, fenv)
+        assert run.stop == expected
 
 
 def test_every_statement_class_has_one_rule():
@@ -329,11 +315,15 @@ class TestBasicStatements:
         assert isinstance(info, ContractInfo)
         assert info.members == (("open", Address(4)),)
 
-    def test_contract_inheritance_mismatch_leaves_state(self, sigma, env):
-        c = Contract(Address(3), (Address(9),), ())
-        ctx = ExecContext(sigma_init=sigma, registry={Address(3): ()})
-        out = run([c], sigma, env, ctx=ctx)
-        assert out.blocks == sigma.blocks
+
+@pytest.mark.parametrize("cond", [Econst(Vint(1)), Evar(None, Tbool())], ids=["int", "absent"])
+def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
+    for head, what in ((If(cond, (Throw(),)), "branch"), (LoopWhile(cond, (Throw(),)), "loop")):
+        ctx = ExecContext(sigma_init=sigma)
+        r = drive(10, sigma, env, env, ctx, (head, Snil()))
+        assert r.stop == ERROR
+        assert r.error == ctx.diagnostics[-1] == f"{what} condition failed to evaluate"
+        assert r.sigma is sigma and r.remaining == (head, Snil())
 
 
 class TestLoops:

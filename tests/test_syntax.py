@@ -1,4 +1,4 @@
-"""Typed AST: static checking, sequence normalization, interchange."""
+"""Typed AST: static checking, flat statement lists, interchange."""
 
 import random
 
@@ -9,7 +9,6 @@ from minisol.syntax import (
     Assign,
     Ebop,
     Econst,
-    Emodifier,
     Estruct,
     Euop,
     Evar,
@@ -17,6 +16,7 @@ from minisol.syntax import (
     FunCall,
     If,
     LoopWhile,
+    LStatement,
     LTypeError,
     Modifier,
     Return,
@@ -38,7 +38,6 @@ from minisol.syntax import (
     Vmap,
     Vstruct,
     array_dims,
-    normalize_seq,
     program_from_data,
     program_to_data,
     typecheck_expr,
@@ -83,10 +82,6 @@ class TestExprTyping:
             typecheck_expr(Euop("neg", Econst(Vint(1, 64, False))), TypeContext())
         ok = typecheck_expr(Euop("neg", Econst(Vint(1, 64, True))), TypeContext())
         assert ok[1] == Tint(64, True)
-
-    def test_modifier_expression_never_typechecks(self):
-        with pytest.raises(LTypeError):
-            typecheck_expr(Emodifier(), TypeContext())
 
     def test_type_pair_cached_on_node(self):
         e = Ebop("+", Econst(Vint(1)), Econst(Vint(2)))
@@ -212,25 +207,7 @@ class TestStmtTyping:
 
 
 class TestNormalizeSeq:
-    def test_nested_pairs_flatten(self):
-        a, b, c = Snil(), Throw(), Snil()
-        assert normalize_seq([a, [b, c]]) == [a, b, c]
-
-    def test_already_flat_unchanged(self):
-        prog = [Snil(), Throw()]
-        assert normalize_seq(prog) == prog
-
-    def test_idempotent(self):
-        prog = [Snil(), [Throw(), [Snil()]],
-                If(Econst(Vbool(True)), (Snil(), (Throw(),)), ())]
-        once = normalize_seq(prog)
-        assert normalize_seq(once) == once
-
-    def test_flattens_inside_branches(self):
-        s = If(Econst(Vbool(True)), (Snil(), (Throw(),)), ((Snil(),),))
-        out = normalize_seq([s])[0]
-        assert out.then == (Snil(), Throw())
-        assert out.orelse == (Snil(),)
+    """The binder emits flat statement lists: every item is a statement."""
 
     def test_wallet_body_statement_order(self):
         # Hand count of the source body: 8 local declarations, 9 branch
@@ -241,13 +218,12 @@ class TestNormalizeSeq:
         source = open("samples/wallet.lls", encoding="utf-8").read()
         bound = bind_addresses(parse_source(source), 100)
         fun = next(s for s in bound.decls if isinstance(s, Fun))
-        flat = normalize_seq(list(fun.body))
-        kinds = [type(s).__name__ for s in flat]
+        kinds = [type(s).__name__ for s in fun.body]
         assert kinds.count("Var") == 8
         assert kinds.count("If") == 9
         assert kinds.count("Assign") == 3
-        assert len(flat) == 20
-        assert flat == normalize_seq(flat)
+        assert len(fun.body) == 20
+        assert all(isinstance(s, LStatement) for s in fun.body)
 
 
 class TestInterchange:
