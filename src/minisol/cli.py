@@ -170,7 +170,7 @@ def cmd_run(ns) -> int:
                         arg_writes=global_writes)
     final = world.sigma
     if prog is not None:
-        final = interpret(ns.k, world.sigma, world.env, world.fenv, prog, world.ctx)
+        final = interpret(ns.k, world.sigma, world.env, prog, world.ctx)
     if final is None:
         diagnostic = "; ".join(world.ctx.diagnostics[-3:])
         print("execution failed: " + diagnostic, file=sys.stderr)
@@ -192,7 +192,7 @@ def cmd_step(ns) -> int:
     world = build_world(bound, ns.gas, _binfo(ns), sets=spec.sets,
                         arg_writes=global_writes)
     world.ctx.sigma_init = world.sigma
-    ps = PathState(world.sigma, world.env, world.fenv, (), tuple(prog), world.ctx)
+    ps = PathState(world.sigma, world.env, (), tuple(prog), world.ctx)
     interactive = sys.stdin.isatty() and ns.max_steps is None
     count = 0
     while ps.remaining and ps.sigma is not None:
@@ -305,8 +305,7 @@ def cmd_oracle(ns) -> int:
 
         def make_state(_idx):
             sigma = fresh_memory(mem_size)
-            env = initial_env(2000, sigma.addr_of("0xglobal"))
-            return sigma, env, env
+            return sigma, initial_env(2000, sigma.addr_of("0xglobal"))
 
         report = check_simulation([prog], make_state)
     else:

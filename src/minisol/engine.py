@@ -83,7 +83,7 @@ class Constraint:
 
 @dataclass
 class PathState:
-    """One execution branch: state, environments, constraints, program.
+    """One execution branch: state, environment, constraints, program.
 
     ``models`` holds the assignments that satisfy ``condition``: a
     ``Models`` value, or a tuple of them for ``explore`` to start from.
@@ -91,7 +91,6 @@ class PathState:
     """
     sigma: MemoryState | None
     env: Env
-    fenv: Env
     condition: tuple = ()
     remaining: tuple = ()
     ctx: ExecContext = field(default_factory=ExecContext)
@@ -111,39 +110,35 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # Concrete whole-run execution
 
-def interpret(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
-              prog, ctx: ExecContext | None = None) -> MemoryState | None:
+def interpret(K: int, sigma: MemoryState | None, env: Env, prog,
+              ctx: ExecContext | None = None) -> MemoryState | None:
     """Run a typechecked program with concrete inputs.
 
-    An invalid environment returns the state reached so far; a failed
-    dispatch or a symbolic branch condition makes the result absent. The
-    state at entry is snapshotted as the restore point for throw.
+    Spent gas returns the state reached so far; a failed dispatch or a
+    symbolic branch condition makes the result absent. The state at entry
+    is snapshotted as the restore point for throw.
     """
     if ctx is None:
         ctx = ExecContext(sigma_init=sigma)
     elif ctx.sigma_init is None:
         ctx.sigma_init = sigma
-    return drive(K, sigma, env, fenv, ctx, prog).final(ctx)
+    return drive(K, sigma, env, ctx, prog).final(ctx)
 
 
 # ---------------------------------------------------------------------------
 # Step debugger
 
 _STEP_NOTES = {FINISHED: "finished", NO_STATE: "stuck: no memory state",
-                SYMBOLIC: "stuck: symbolic branch condition"}
+               BUDGET: "halted: gas exhausted", SYMBOLIC: "stuck: symbolic branch condition"}
 
 
 def step(ps: PathState, K: int = 1000) -> PathState:
     """Execute exactly one statement of a path.
 
-    Stuck situations (invalid environment, failed dispatch, symbolic
-    branch) leave the remaining program in place and set a diagnostic
-    note.
+    Stuck situations (spent gas, failed dispatch, symbolic branch) leave
+    the remaining program in place and set a diagnostic note.
     """
-    run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining, once=True)
-    if run.stop == BUDGET:
-        reason = "gas exhausted" if ps.env.gas <= 0 else "environment check failed"
-        return replace(ps, note=f"halted: {reason}")
+    run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining, once=True)
     if run.stop == ERROR:
         return replace(ps, note=f"stuck: {run.error}")
     if run.stop != PAUSED:
@@ -330,11 +325,11 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
-    stack = [PathState(initial.sigma, initial.env, initial.fenv, initial.condition,
-                       initial.remaining, initial.ctx, initial.note, models)]
+    stack = [PathState(initial.sigma, initial.env, initial.condition, initial.remaining,
+                       initial.ctx, initial.note, models)]
     while stack:
         ps = stack.pop()
-        run = drive(K, ps.sigma, ps.env, ps.fenv, ps.ctx, ps.remaining)
+        run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining)
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
@@ -343,17 +338,17 @@ def explore(K: int, initial: PathState) -> list[PathState]:
                 models = Models(parent=ps.models, constraint=c) if known is None else ps.models
                 if known is (not branch) or models.witness is None:
                     continue
-                stack.append(PathState(sigma, run.env, ps.fenv, ps.condition + (c,), remaining,
+                stack.append(PathState(sigma, run.env, ps.condition + (c,), remaining,
                                        ps.ctx.fork(), note, models))
             continue
         if run.stop == ERROR:
             sigma, note = None, f"error: {run.error}"
         elif run.stop == BUDGET:
-            note = "exhausted" if run.env.gas <= 0 else "completed"
+            note = "exhausted"
         else:
             note = note or ("error" if sigma is None else "completed")
-        terminals.append(PathState(sigma, run.env, ps.fenv, ps.condition, run.remaining,
-                                   ps.ctx, note, ps.models))
+        terminals.append(PathState(sigma, run.env, ps.condition, run.remaining, ps.ctx, note,
+                                   ps.models))
     terminals.sort(key=lambda p: [c.text for c in p.condition])
     return terminals
 
@@ -366,7 +361,7 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     """Check {pre} prog {post} by running every feasible path.
 
     ``pre`` builds the initial world: called with an assignment it must
-    produce a concrete (sigma, env, fenv, ctx) tuple; called with None
+    produce a concrete (sigma, env, ctx) tuple; called with None
     it produces the same world with symbolic payloads standing in for
     the declared symbols. ``post`` is a ``Post`` or any predicate over
     (final state, initial state), which is wrapped in a one-rule
@@ -396,11 +391,10 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
             return Verdict("error", diagnostic="concolic assignment violates the precondition")
         models = Models((concolic,))
 
-    sigma, env, fenv, ctx = pre(concolic)
+    sigma, env, ctx = pre(concolic)
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
-    paths = explore(K, PathState(sigma, env, fenv, base_condition, tuple(prog), ctx,
-                                 models=models))
+    paths = explore(K, PathState(sigma, env, base_condition, tuple(prog), ctx, models=models))
     if not isinstance(post, Post):
         post = Post(partial(_concretized, post))
     return _judge(paths, post, ctx.sigma_init, pre, prog, K)
@@ -443,8 +437,8 @@ def _confirm_witness(asg, pre, prog, post, K) -> dict:
     """Replay the witness concretely; annotate if the replay disagrees."""
     witness = dict(asg)
     try:
-        sigma, env, fenv, ctx = pre(asg if asg else None)
-        final = interpret(K, sigma, env, fenv, prog, ctx)
+        sigma, env, ctx = pre(asg if asg else None)
+        final = interpret(K, sigma, env, prog, ctx)
         if final is not None and post(final, ctx.sigma_init):
             witness["_replay_mismatch"] = True
     except Exception as exc:  # replay must never mask the refutation

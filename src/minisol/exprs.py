@@ -178,7 +178,7 @@ def eval_bop(op: str, lhs: MemoryValue | None,
         except SymEvalError:
             return None
     return MemoryValue(IntPayload(r, width, signed) if arith else BoolPayload(r),
-                       lhs.domain, lhs.level, lhs.access, lhs.occupancy)
+                       lhs.domain, lhs.access, lhs.occupancy)
 
 
 def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
@@ -195,5 +195,5 @@ def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
         return None
     r = SymOp(op, (x,), width, signed) if is_symbolic(x) else apply_op(op, (x,), width, signed)
     return MemoryValue(BoolPayload(r) if op == "!" else IntPayload(r, width, signed),
-                       v.domain, v.level, v.access, v.occupancy)
+                       v.domain, v.access, v.occupancy)
 

@@ -140,20 +140,19 @@ class ArrayGroup(Payload):
 class MemoryValue:
     payload: Payload
     domain: Address = Address(0)
-    level: int = 0
     access: str = PUBLIC
     occupancy: str = OCCUPY
 
 
 def free_value(domain: Address = Address(0)) -> MemoryValue:
-    return MemoryValue(Undef(), domain=domain, level=0, access=PUBLIC, occupancy=FREE)
+    return MemoryValue(Undef(), domain=domain, access=PUBLIC, occupancy=FREE)
 
 
 def mvalue(payload: Payload, env=None, access: str = PUBLIC) -> MemoryValue:
-    """Tag a payload with the evaluating environment's domain and level."""
+    """Tag a payload with the evaluating environment's domain."""
     if env is None:
         return MemoryValue(payload, access=access)
-    return MemoryValue(payload, domain=env.domain, level=env.level, access=access)
+    return MemoryValue(payload, domain=env.domain, access=access)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +307,8 @@ def init_mem(size: int) -> MemoryState:
     blocks = [free_value(gdom)] * size  # one shared free block
     for name, payload in (("0xthrow", BoolPayload(False)), ("0xmodifier", BoolPayload(False)),
                           ("0xglobal", Undef())):
-        blocks[names[name].index] = MemoryValue(payload, domain=gdom, level=0,
-                                                access=PUBLIC, occupancy=OCCUPY)
+        blocks[names[name].index] = MemoryValue(payload, domain=gdom, access=PUBLIC,
+                                                occupancy=OCCUPY)
     return MemoryState(BlockVector.of(blocks), dict(names))
 
 
@@ -345,8 +344,7 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
         # across writers.
         if old.access != value.access or not (
                 old.domain is value.domain or old.domain == value.domain):
-            value = MemoryValue(value.payload, old.domain, value.level, old.access,
-                                value.occupancy)
+            value = MemoryValue(value.payload, old.domain, old.access, value.occupancy)
     elif mode != "dir":
         raise ValueError(f"unknown access mode {mode!r}")
     return MemoryState(blocks.set(i, value), sigma.symbol_table, sigma.alloc_floor)
@@ -393,7 +391,7 @@ def allocate_at(sigma: MemoryState, base: Address, n: int) -> MemoryState | None
 
 def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
     blocks = sigma.blocks
-    occupied = ((i, MemoryValue(Undef(), b.domain, b.level, b.access, OCCUPY))
+    occupied = ((i, MemoryValue(Undef(), b.domain, b.access, OCCUPY))
                 for i, b in enumerate(blocks[base:base + n], base))
     return MemoryState(blocks.update(occupied), sigma.symbol_table, sigma.alloc_floor)
 

@@ -140,10 +140,6 @@ def _apply_bop(op, a, b):
     return None
 
 
-def _env_ok(env: Env, fenv: Env) -> bool:
-    return env.gas > 0 and not (env.domain == fenv.domain and env.level != fenv.level)
-
-
 CORE_KINDS = (Var, Assign, If, LoopWhile, Snil, Throw, Return)
 
 
@@ -159,7 +155,7 @@ def in_core_subset(prog) -> bool:
     return all(stmt_ok(s) for s in prog)
 
 
-def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
+def relational_eval(sigma: MemoryState, env: Env, prog
                     ) -> tuple[MemoryState, RelTrace] | None:
     """Small-step derivation; absent on the same failures as the
     executable semantics."""
@@ -169,7 +165,7 @@ def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
     while True:
         if not remaining:
             return sigma, trace
-        if not _env_ok(env, fenv):
+        if env.gas <= 0:
             return sigma, trace
         env = replace(env, gas=env.gas - 1)
         head = remaining.pop(0)
@@ -184,8 +180,7 @@ def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
                 return None
             if sigma.blocks[decl.addr.index].occupancy == gm.OCCUPY:
                 return None
-            fresh = MemoryValue(Undef(), domain=env.domain, level=env.level,
-                                access=head.access or gm.PUBLIC,
+            fresh = MemoryValue(Undef(), domain=env.domain, access=head.access or gm.PUBLIC,
                                 occupancy=gm.OCCUPY)
             sigma = gm.write(sigma, decl.addr, fresh, "dir")
             trace.append(head, sigma)
@@ -198,7 +193,7 @@ def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
             if not isinstance(head.lhs, Evar) or head.lhs.addr is None:
                 return None
             out = gm.write(sigma, head.lhs.addr,
-                           MemoryValue(value, domain=env.domain, level=env.level),
+                           MemoryValue(value, domain=env.domain),
                            "chck", env)
             if out is None:
                 return None
@@ -225,8 +220,7 @@ def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
 
         if isinstance(head, Throw):
             names = gm.reserved_addresses(snapshot.size)
-            raised = MemoryValue(BoolPayload(True),
-                                 domain=names["0xglobal"], level=0,
+            raised = MemoryValue(BoolPayload(True), domain=names["0xglobal"],
                                  access=gm.PUBLIC, occupancy=gm.OCCUPY)
             sigma = gm.write(snapshot, names["0xthrow"], raised, "dir")
             trace.append(head, sigma)
@@ -236,7 +230,6 @@ def relational_eval(sigma: MemoryState, env: Env, fenv: Env, prog
             value = _rval(head.value, sigma, env)
             if value is None:
                 return None
-            env = replace(env, domain=fenv.domain)
             trace.append(head, sigma)
             continue
 
@@ -268,7 +261,7 @@ def check_simulation(corpus, make_state, k: int = 200,
                      executable=None) -> SimulationReport:
     """Differential run of the relational and executable semantics.
 
-    ``make_state`` builds the seeded initial state and environments for
+    ``make_state`` builds the seeded initial state and environment for
     one corpus item. Final optional states must agree; disagreement is
     localized to the first differing trace step. ``executable`` may
     inject a replacement interpreter (used by the mutation fixtures).
@@ -282,10 +275,10 @@ def check_simulation(corpus, make_state, k: int = 200,
         if not in_core_subset(prog):
             report.divergences.append(Divergence(idx, "program outside core subset"))
             continue
-        sigma, env, fenv = make_state(idx)
-        rel = relational_eval(sigma, env, fenv, prog)
+        sigma, env = make_state(idx)
+        rel = relational_eval(sigma, env, prog)
         ctx = ExecContext(sigma_init=sigma)
-        exe = run_exe(k, sigma, env, fenv, prog, ctx)
+        exe = run_exe(k, sigma, env, prog, ctx)
         rel_final = rel[0] if rel is not None else None
         if rel_final is None and exe is None:
             continue
@@ -295,15 +288,13 @@ def check_simulation(corpus, make_state, k: int = 200,
                      f"executable={exe is not None}"))
             continue
         if _payloads(rel_final) != _payloads(exe):
-            step_no = _first_divergent_step(rel[1], prog, sigma, env, fenv,
-                                            k, run_exe)
+            step_no = _first_divergent_step(rel[1], prog, sigma, env, k, run_exe)
             report.divergences.append(Divergence(
                 idx, "final states differ", step_no))
     return report
 
 
-def _first_divergent_step(trace: RelTrace, prog, sigma, env, fenv, k,
-                          run_exe) -> int:
+def _first_divergent_step(trace: RelTrace, prog, sigma, env, k, run_exe) -> int:
     """Localize a divergence to the first dispatched statement whose
     post-state differs (0-based). Gas bounds dispatched statements
     exactly, so running the executable with gas i yields its state after
@@ -312,7 +303,7 @@ def _first_divergent_step(trace: RelTrace, prog, sigma, env, fenv, k,
 
     for i, (_stmt, rel_sigma) in enumerate(trace.steps):
         bounded = replace(env, gas=i + 1)
-        exe_sigma = run_exe(k, sigma, bounded, fenv, prog, ExecContext(sigma_init=sigma))
+        exe_sigma = run_exe(k, sigma, bounded, prog, ExecContext(sigma_init=sigma))
         if exe_sigma is None or _payloads(exe_sigma) != _payloads(rel_sigma):
             return i
     return len(trace.steps)
@@ -338,7 +329,6 @@ def run_report(count: int = 100, seed: int = 20240601, mem_size: int = 64,
 
     def make_state(_idx):
         sigma = fresh_memory(mem_size)
-        env = initial_env(gas, sigma.addr_of("0xglobal"))
-        return sigma, env, env
+        return sigma, initial_env(gas, sigma.addr_of("0xglobal"))
 
     return check_simulation(corpus, make_state, k=k)

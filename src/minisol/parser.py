@@ -93,6 +93,11 @@ def lex(text: str) -> list[Token]:
     return tokens
 
 
+def _found(tok: Token) -> str:
+    """The token an error stopped at, as its message names it."""
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
+
+
 # ---------------------------------------------------------------------------
 # Surface tree
 
@@ -358,14 +363,14 @@ class Parser:
     def expect(self, key: str) -> Token:
         tok = self.tokens[self.i]
         if tok.key != key:
-            raise ParseError(f"expected {key!r}, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected {key!r}, found {_found(tok)}", tok.line, tok.col)
         self.i += 1
         return tok
 
     def ident(self, what: str) -> str:
         tok = self.tokens[self.i]
         if tok.kind != "ident":
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"expected {what}, found {_found(tok)}", tok.line, tok.col)
         self.i += 1
         return tok.text
 
@@ -407,7 +412,7 @@ class Parser:
         if tok.key == "mapping" or tok.kind == "ident" and (
                 _names_builtin_type(tok.text) or nxt.kind == "ident" or nxt.key == "["):
             return self.var_decl()
-        self.err(f"expected a contract member, found {tok.text!r}")
+        self.err(f"expected a contract member, found {_found(tok)}")
 
     def struct_decl(self) -> SStructDecl:
         tok = self.expect("struct")
@@ -653,7 +658,8 @@ class Parser:
         elif key == "true" or key == "false":
             node = EBool(key == "true", pos)
         else:
-            raise ParseError(f"unexpected token {tok.text!r}", *pos)
+            raise ParseError("unexpected end of input" if tok.kind == "eof"
+                             else f"unexpected token {tok.text!r}", *pos)
         tokens = self.tokens
         while True:
             tok = tokens[self.i]

@@ -20,7 +20,7 @@ from .parser import ParseError, parse_expr_text
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap
+from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap, type_text
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -35,7 +35,6 @@ class RunnerError(Exception):
 class World:
     sigma: MemoryState
     env: object
-    fenv: object
     ctx: ExecContext
     bound: BoundProgram = field(repr=False, default=None)
 
@@ -48,6 +47,9 @@ def _literal_expr(ltype, raw):
     if isinstance(ltype, Tint):
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise RunnerError(f"expected an integer, got {raw!r}")
+        lo = -(1 << (ltype.width - 1)) if ltype.signed else 0
+        if not lo <= raw < lo + (1 << ltype.width):
+            raise RunnerError(f"integer {raw} does not fit in {type_text(ltype)}")
         return Econst(Vint(raw, ltype.width, ltype.signed))
     raise RunnerError(f"cannot build a literal of type {type(ltype).__name__}")
 
@@ -84,7 +86,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
     ctx = ExecContext()
 
     setup_env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    sigma = interpret(SETUP_K, sigma, setup_env, setup_env, bound.decls, ctx)
+    sigma = interpret(SETUP_K, sigma, setup_env, bound.decls, ctx)
     if sigma is None:
         raise RunnerError("declarations failed to execute: "
                           + "; ".join(ctx.diagnostics[-3:]))
@@ -112,7 +114,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
 
     ctx.sigma_init = None  # the entry run snapshots on entry
     env = initial_env(gas, sigma.addr_of("0xglobal"))
-    return World(sigma, env, env, ctx, bound)
+    return World(sigma, env, ctx, bound)
 
 
 def _poke(sigma, addr, payload):
@@ -131,7 +133,7 @@ def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
     ltype = _target_type(lowered)
     stmt = Assign(lowered, _literal_expr(ltype, raw))
     env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    out = interpret(SETUP_K, sigma, env, env, (stmt,), ctx)
+    out = interpret(SETUP_K, sigma, env, (stmt,), ctx)
     if out is None:
         raise RunnerError(f"seed write to {lvalue_text!r} failed: "
                           + "; ".join(ctx.diagnostics[-2:]))
@@ -159,7 +161,7 @@ def make_pre(bound: BoundProgram, gas: int, binfo: BlockInfo,
         world = build_world(bound, gas, binfo, sets=sets,
                             arg_writes=arg_writes, symbols=symbols,
                             assignment=assignment)
-        return world.sigma, world.env, world.fenv, world.ctx
+        return world.sigma, world.env, world.ctx
     return pre
 
 

@@ -58,8 +58,7 @@ def fresh_memory(size: int = gm.DEFAULT_MEMORY_SIZE) -> MemoryState:
     gdom = sigma.addr_of("0xglobal")
 
     def occupied(addr, payload):
-        return addr.index, MemoryValue(payload, domain=gdom, level=0, access=PUBLIC,
-                                       occupancy=OCCUPY)
+        return addr.index, MemoryValue(payload, domain=gdom, access=PUBLIC, occupancy=OCCUPY)
 
     writes = []
     for decl in standard_library(size):
@@ -91,6 +90,5 @@ def write_message(sigma: MemoryState, binfo: BlockInfo) -> MemoryState:
         IntPayload(binfo.msg_value, 64, False),
         IntPayload(binfo.gas_price, 64, False),
     ))
-    value = MemoryValue(msg, domain=names["0xglobal"], level=0,
-                        access=PUBLIC, occupancy=OCCUPY)
+    value = MemoryValue(msg, domain=names["0xglobal"], access=PUBLIC, occupancy=OCCUPY)
     return gm.write(sigma, names["msg"], value, "dir")

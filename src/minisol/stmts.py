@@ -3,11 +3,14 @@
 Execution is head-of-list: each dispatched statement costs one unit of
 gas, transforms the state, and may rewrite the remaining statement list
 (branches prepend the chosen arm, loops re-enqueue themselves, calls
-unfold the stored body). ``drive`` is the only loop: it checks the
-environment, spends gas, dispatches the head through ``exec_statement``
-and reports why it stopped (see ``Run``). The concrete interpreter, the
-step debugger and the path-forking explorer in the engine module, and
-modifier evaluation here, are thin callers of it.
+unfold the stored body). A call carries its own return frame: the body
+is followed by a ``FunStop`` naming the caller's domain, which restores
+that domain when dispatched, and a ``return`` drops the rest of the body
+through that ``FunStop``. ``drive`` is the only loop: it spends gas,
+dispatches the head through ``exec_statement`` and reports why it
+stopped (see ``Run``). The concrete interpreter, the step debugger and
+the path-forking explorer in the engine module, and modifier evaluation
+here, are thin callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
@@ -87,25 +90,23 @@ class ExecContext:
 # Variable and array initialization
 
 def _write_payload(sigma, addr, payload, env, access=gm.PUBLIC):
-    value = MemoryValue(payload, domain=env.domain, level=env.level,
-                        access=access, occupancy=gm.OCCUPY)
+    value = MemoryValue(payload, domain=env.domain, access=access, occupancy=gm.OCCUPY)
     return gm.write(sigma, addr, value, "dir")
 
 
 @lru_cache(maxsize=None)
-def _leaf_template(domain, level):
-    return MemoryValue(Undef(), domain=domain, level=level,
-                       access=gm.PUBLIC, occupancy=gm.OCCUPY)
+def _leaf_template(domain):
+    return MemoryValue(Undef(), domain=domain, access=gm.PUBLIC, occupancy=gm.OCCUPY)
 
 
 @lru_cache(maxsize=None)
-def _header_template(dim, group, domain, level):
-    return MemoryValue(gm.ArrayGroup(dim, group), domain=domain, level=level,
-                       access=gm.PUBLIC, occupancy=gm.OCCUPY)
+def _header_template(dim, group, domain):
+    return MemoryValue(gm.ArrayGroup(dim, group), domain=domain, access=gm.PUBLIC,
+                       occupancy=gm.OCCUPY)
 
 
 @lru_cache(maxsize=None)
-def _group_run(suffix: tuple, domain, level) -> tuple:
+def _group_run(suffix: tuple, domain) -> tuple:
     """Blocks of one group whose own dimension sizes are ``suffix``.
 
     A final-dimension group is a single default leaf; any other group is
@@ -114,10 +115,10 @@ def _group_run(suffix: tuple, domain, level) -> tuple:
     dimension suffix, so they are shared across arrays and calls.
     """
     if len(suffix) == 1:
-        return (_leaf_template(domain, level),)
+        return (_leaf_template(domain),)
     group_size = array_layout(suffix).group_sizes[0]
-    header = _header_template(suffix[0], group_size, domain, level)
-    return (header,) + _group_run(suffix[1:], domain, level) * suffix[1]
+    header = _header_template(suffix[0], group_size, domain)
+    return (header,) + _group_run(suffix[1:], domain) * suffix[1]
 
 
 def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
@@ -137,7 +138,7 @@ def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
         return None
     if K < total:
         return None
-    run = _group_run(tuple(dims), env.domain, env.level)
+    run = _group_run(tuple(dims), env.domain)
     blocks = sigma.blocks.update(zip(range(base.index, base.index + total), run * dims[0],
                                      strict=True))
     return MemoryState(blocks, sigma.symbol_table, sigma.alloc_floor)
@@ -182,34 +183,39 @@ def _fail(env, rest, msg, ctx) -> StepResult:
     return StepResult(None, env, rest, error=msg)
 
 
-def exec_statement(K: int, sigma: MemoryState, env: Env, fenv: Env,
-                   ctx: ExecContext, head: LStatement, rest: tuple) -> StepResult:
+def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
+                   head: LStatement, rest: tuple) -> StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
     type; every rule takes these arguments. Gas must already be spent.
     """
     rule = _RULES.get(type(head))
     if rule is None:
         return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
-    return rule(K, sigma, env, fenv, ctx, head, rest)
+    return rule(K, sigma, env, ctx, head, rest)
 
 
-def _exec_snil(_K, sigma, env, _fenv, _ctx, _head, rest) -> StepResult:
+def _exec_snil(_K, sigma, env, _ctx, _head, rest) -> StepResult:
     return StepResult(sigma, env, rest)
 
 
-def _exec_throw(_K, sigma, env, _fenv, ctx, _head, _rest) -> StepResult:
+def _exec_throw(_K, sigma, env, ctx, _head, _rest) -> StepResult:
     base = ctx.sigma_init if ctx.sigma_init is not None else sigma
     names = gm.reserved_addresses(base.size)
-    flag = MemoryValue(BoolPayload(True), names["0xglobal"], 0, gm.PUBLIC, gm.OCCUPY)
+    flag = MemoryValue(BoolPayload(True), names["0xglobal"], gm.PUBLIC, gm.OCCUPY)
     thrown = gm.write(base, names["0xthrow"], flag, "dir")
     return StepResult(thrown, env, (), halted=True)
 
 
-def _exec_fun_stop(_K, sigma, env, fenv, _ctx, _head, rest) -> StepResult:
-    return StepResult(sigma, Env(env.gas, env.gas_limit, fenv.level, fenv.domain), rest)
+def _exec_fun_stop(_K, sigma, env, _ctx, head, rest) -> StepResult:
+    return StepResult(sigma, _frame_end(env, head), rest)
 
 
-def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _frame_end(env, stop: FunStop) -> Env:
+    """The environment after a frame ends: back in its caller's domain."""
+    return env if stop.caller is None else Env(env.gas, stop.caller)
+
+
+def _exec_contract(_K, sigma, env, ctx, head, rest) -> StepResult:
     info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
@@ -217,7 +223,7 @@ def _exec_contract(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     return StepResult(sig, env, rest)
 
 
-def _exec_var(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_var(K, sigma, env, ctx, head, rest) -> StepResult:
     decl = head.decl
     if decl.addr is None:
         return _fail(env, rest, "declaration without an address", ctx)
@@ -227,7 +233,7 @@ def _exec_var(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     return StepResult(sig, env, rest)
 
 
-def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_struct_decl(_K, sigma, env, ctx, head, rest) -> StepResult:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
@@ -235,23 +241,26 @@ def _exec_struct_decl(_K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
     return StepResult(sig, env, rest)
 
 
-def _exec_if(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_if(K, sigma, env, ctx, head, rest) -> StepResult:
     return _branch(K, sigma, env, ctx, head, rest, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_while(K, sigma, env, ctx, head, rest) -> StepResult:
     return _branch(K, sigma, env, ctx, head, rest, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_for(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_for(K, sigma, env, ctx, head, rest) -> StepResult:
     init = (head.init,) if head.init is not None else ()
     post = (head.post,) if head.post is not None else ()
     return _branch(K, sigma, env, ctx, head, rest, "loop",
                    (*init, *head.body, *post, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
+def _exec_return(K, sigma, env, ctx, head, rest) -> StepResult:
+    """Write the returned values, then end the frame: drop the rest of the
+    body through its ``FunStop`` and continue in the caller's domain. A
+    return outside any call has no ``FunStop`` after it and continues."""
     exprs = (head.value,) if isinstance(head, Return) else head.values
     values = []
     for e in exprs:
@@ -262,7 +271,10 @@ def _exec_return(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
     sig = _write_returns(sigma, env, tuple(values))
     if sig is None:
         return _fail(env, rest, "return slot is not writable", ctx)
-    return StepResult(sig, Env(env.gas, env.gas_limit, env.level, fenv.domain), rest)
+    for i, stmt in enumerate(rest):
+        if type(stmt) is FunStop:
+            return StepResult(sig, _frame_end(env, stmt), rest[i + 1:])
+    return StepResult(sig, env, rest)
 
 
 def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
@@ -286,7 +298,7 @@ def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
 def _write_returns(sigma, env, values) -> MemoryState | None:
     """Store ``values`` in the return slots of the executing function,
     the one the environment's domain names. A top-level return stores
-    nothing; its domain switch still halts."""
+    nothing."""
     i = env.domain.index
     info = sigma.blocks[i].payload if 0 <= i < sigma.size else None
     if not isinstance(info, FunctionInfo) or info.ret_addr is None:
@@ -299,7 +311,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_call(K, sigma, env, ctx, head, rest) -> StepResult:
     callee = head.callee
     fid = None
     if isinstance(callee, Efun):
@@ -325,6 +337,8 @@ def _exec_call(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
 
 def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
                 ctx) -> StepResult:
+    """Bind the arguments and continue with the stored body, whose trailing
+    ``FunStop`` becomes one that returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
         return _fail(env, rest, f"no function stored at {target}", ctx)
@@ -344,7 +358,8 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
                 return _fail(env, rest, "parameter block out of range", ctx)
             sig = gm.write(sig, p.addr, replace(target_block, payload=v.payload,
                                                 occupancy=gm.OCCUPY), "dir")
-    return StepResult(sig, Env(env.gas, env.gas_limit, 0, target), info.body + rest)
+    return StepResult(sig, Env(env.gas, target),
+                      (*info.body[:-1], FunStop(caller=env.domain), *rest))
 
 
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
@@ -361,7 +376,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
+def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
     """Store a function, or a modifier (a function returning one bool).
 
     A function's modifiers run first, from the same state: each may set
@@ -372,7 +387,7 @@ def _exec_fun_decl(K, sigma, env, fenv, ctx, head, rest) -> StepResult:
     if is_fun and head.modifiers:
         flag_idx = gm.reserved_addresses(sigma.size)["0xmodifier"].index
         for call in head.modifiers:
-            run = drive(K, sigma, env, fenv, ctx, (call,))
+            run = drive(K, sigma, env, ctx, (call,))
             after, env = run.final(ctx), run.env
             if after is None:
                 return _fail(env, rest, "modifier evaluation failed", ctx)
@@ -413,7 +428,7 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
     return isinstance(flag, BoolPayload) and flag.bit is True
 
 
-def _exec_assign(K, sigma, env, _fenv, ctx, head, rest) -> StepResult:
+def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
@@ -554,7 +569,7 @@ _RULES = {
 # fails.
 FINISHED = "finished"   # no statement left
 NO_STATE = "no state"   # the memory state is absent
-BUDGET = "budget"       # the environment check failed: gas spent or body done
+BUDGET = "budget"       # gas spent
 ERROR = "error"
 SYMBOLIC = "symbolic"   # a branch condition is a symbolic tree
 PAUSED = "paused"       # the one dispatch asked for ran
@@ -579,12 +594,12 @@ class Run:
         return self.sigma if self.stop in (FINISHED, BUDGET) else None
 
 
-def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
-          ctx: ExecContext, prog, once: bool = False) -> Run:
+def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
+          once: bool = False) -> Run:
     """Run ``prog`` until it stops, or for one dispatch if ``once``.
 
-    Per dispatch: check the state and the environment, spend one unit of
-    gas, execute the head, continue on the rewritten remainder.
+    Per dispatch: check the state and the gas, spend one unit of gas,
+    execute the head, continue on the rewritten remainder.
     """
     remaining = tuple(prog)
     halted = False
@@ -593,14 +608,11 @@ def drive(K: int, sigma: MemoryState | None, env: Env, fenv: Env,
             return Run(FINISHED, sigma, env, remaining, halted=halted)
         if sigma is None:
             return Run(NO_STATE, sigma, env, remaining, halted=halted)
-        # Stop when gas is spent, or when the domain is back at the
-        # super-environment's while the level still differs: that marks a
-        # finished function body.
-        gas = env.gas
-        if gas <= 0 or env.level != fenv.level and env.domain.index == fenv.domain.index:
+        if env.gas <= 0:
             return Run(BUDGET, sigma, env, remaining, halted=halted)
-        res = exec_statement(K, sigma, Env(gas - 1, env.gas_limit, env.level, env.domain),
-                             fenv, ctx, remaining[0], remaining[1:])
+        # head by keyword: perfbench's tracer reads the statement kind from it
+        res = exec_statement(K, sigma, Env(env.gas - 1, env.domain), ctx,
+                             head=remaining[0], rest=remaining[1:])
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
         if res.symbolic_cond is not None:

@@ -276,7 +276,9 @@ class Snil(LStatement):
 
 @dataclass
 class FunStop(LStatement):
-    pass
+    """End of a function body. A call's copy names the caller's domain,
+    which dispatching it restores."""
+    caller: Address | None = None
 
 
 @dataclass

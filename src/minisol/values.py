@@ -2,7 +2,7 @@
 
 ``eval_value`` is the single entry point. Constants wrap directly into
 tagged memory values, and the memory value of an integer literal is
-built once per domain and level, in a bounded cache. Arrays, mappings,
+built once per domain, in a bounded cache. Arrays, mappings,
 structs and field accesses resolve through the store. Value evaluation
 is read only: no operation here ever produces a new memory state.
 
@@ -45,9 +45,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class Env:
+    """Gas left, and the domain of the executing function or global scope."""
     gas: int
-    gas_limit: int
-    level: int
     domain: Address
 
 
@@ -60,14 +59,8 @@ class BlockInfo:
     gas_price: int = 0
 
 
-# Top-level environments run at a nonzero execution level; calls drop the
-# level to zero so a return's domain switch is caught by the environment
-# check.
-TOP_LEVEL = 1
-
-
-def initial_env(gas: int, domain: Address, level: int = TOP_LEVEL) -> Env:
-    return Env(gas=gas, gas_limit=gas, level=level, domain=domain)
+def initial_env(gas: int, domain: Address) -> Env:
+    return Env(gas, domain)
 
 
 def eval_value(K: int, v: LValue, sigma: MemoryState,
@@ -75,7 +68,7 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
     if K <= 0:
         return None
     if isinstance(v, Vint):
-        return _int_literal(v.value, v.width, v.signed, env.domain, env.level)
+        return _int_literal(v.value, v.width, v.signed, env.domain)
     if isinstance(v, Vbool):
         return mvalue(BoolPayload(v.bit), env)
     if isinstance(v, Varray):
@@ -116,10 +109,8 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
 
 
 @lru_cache(maxsize=1024)
-def _int_literal(value: int, width: int, signed: bool, domain: Address,
-                 level: int) -> MemoryValue:
-    return MemoryValue(IntPayload(wrap_int(value, width, signed), width, signed),
-                       domain, level)
+def _int_literal(value: int, width: int, signed: bool, domain: Address) -> MemoryValue:
+    return MemoryValue(IntPayload(wrap_int(value, width, signed), width, signed), domain)
 
 
 def _eval_expr_r(K, e, sigma, env):

@@ -267,16 +267,14 @@ def test_criterion_03_if_false():
         s_prime = tuple(gen.stmt_list(3, rng.randint(1, 3)))
 
         sigma, env = world(mem=64, gas=5000)
-        seeded = interpret(400, sigma, env, env, setup)
+        seeded = interpret(400, sigma, env, setup)
         assert seeded is not None
 
         gas = 600
         whole = interpret(400, seeded, initial_env(gas, env.domain),
-                       initial_env(gas, env.domain),
                        [If(Econst(Vbool(False)), s, s_prime)],
                        ExecContext(sigma_init=seeded))
-        alone = interpret(400, seeded, initial_env(gas - 1, env.domain),
-                       initial_env(gas - 1, env.domain), list(s_prime),
+        alone = interpret(400, seeded, initial_env(gas - 1, env.domain), list(s_prime),
                        ExecContext(sigma_init=seeded))
         if whole is None or alone is None:
             assert whole is None and alone is None, f"case {case}"
@@ -293,9 +291,9 @@ def test_criterion_04_determinism():
     for case in range(200):
         prog = generate_program(rng.randrange(1 << 30), length=6)
         sigma, env = world(mem=64, gas=2000)
-        first = interpret(300, sigma, env, env, prog,
+        first = interpret(300, sigma, env, prog,
                        ExecContext(sigma_init=sigma))
-        second = interpret(300, sigma, env, env, prog,
+        second = interpret(300, sigma, env, prog,
                         ExecContext(sigma_init=sigma))
         if first is None:
             assert second is None, f"case {case}"
@@ -352,7 +350,7 @@ def test_criterion_06_wallet():
                          arg_writes=[("privilegeOpen", 0),
                                      ("privilegeClose", 3), ("now", 4)])
     world_.ctx.sigma_init = world_.sigma
-    ps = PathState(world_.sigma, world_.env, world_.fenv, (), tuple(prog),
+    ps = PathState(world_.sigma, world_.env, (), tuple(prog),
                    world_.ctx)
     start = time.perf_counter()
     steps = 0
@@ -373,7 +371,7 @@ def test_criterion_07_gas_termination():
     for g in (1, 10, 1000):
         sigma, _ = world()
         env = initial_env(g, sigma.addr_of("0xglobal"))
-        ps = PathState(sigma, env, env, (),
+        ps = PathState(sigma, env, (),
                        (LoopWhile(Econst(Vbool(True)), (Snil(),)),),
                        ExecContext(sigma_init=sigma))
         dispatched = 0
@@ -444,7 +442,7 @@ def test_criterion_08_type_safety():
         prog = generate_program(rng.randrange(1 << 30), length=5)
         sigma, env = world(mem=64, gas=1500)
         ctx = ExecContext(sigma_init=sigma)
-        out = interpret(300, sigma, env, env, prog, ctx)
+        out = interpret(300, sigma, env, prog, ctx)
         assert out is None or isinstance(out, MemoryState)
         if out is None:
             assert ctx.diagnostics  # the absence is classified
@@ -453,7 +451,7 @@ def test_criterion_08_type_safety():
     sigma, env = world(mem=64)
     gen = ProgramGen(random.Random(77))
     decls = gen.declarations()
-    seeded = interpret(400, sigma, env, env, decls)
+    seeded = interpret(400, sigma, env, decls)
     tctx = TypeContext()
     typecheck_stmt(decls, tctx)
     checked_values = 0
@@ -492,7 +490,7 @@ def test_criterion_09_modifier_isolation():
     # pure check: raise the flag, touch nothing else; function runs
     prog, sigma, env = build(
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True)))])
-    out = interpret(300, sigma, env, env, prog, ExecContext(sigma_init=sigma))
+    out = interpret(300, sigma, env, prog, ExecContext(sigma_init=sigma))
     assert out is not None
     assert out.blocks[X.index].payload == IntPayload(1)
 
@@ -501,7 +499,7 @@ def test_criterion_09_modifier_isolation():
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True))),
          Assign(Evar(X, Tuint()), Econst(Vint(9)))])
     ctx = ExecContext(sigma_init=sigma)
-    out = interpret(300, sigma, env, env, prog, ctx)
+    out = interpret(300, sigma, env, prog, ctx)
     assert out is None
     assert any("modifier" in d for d in ctx.diagnostics)
 
@@ -519,7 +517,7 @@ def test_criterion_10_mapping_semantics():
     # one-dimensional write-then-read through l- and r-positions
     sigma1 = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), M)
     entry = Econst(Vmap(M, (Econst(Vint(10)),), Tuint(), Tuint(), None))
-    out = interpret(300, sigma1, env, env, [Assign(entry, Econst(Vint(42)))])
+    out = interpret(300, sigma1, env, [Assign(entry, Econst(Vint(42)))])
     assert out is not None
     assert eval_rvalue(50, entry, out, env).payload == IntPayload(42)
 
@@ -529,7 +527,7 @@ def test_criterion_10_mapping_semantics():
     sigma2 = init_var(out, env, None, Tmap(Tuint(), inner_t), N)
     nested = Econst(Vmap(N, (Econst(Vint(1)), Econst(Vint(2))),
                          Tuint(), inner_t, None))
-    out2 = interpret(300, sigma2, env, env, [Assign(nested, Econst(Vint(99)))])
+    out2 = interpret(300, sigma2, env, [Assign(nested, Econst(Vint(99)))])
     assert out2 is not None
     assert eval_rvalue(50, nested, out2, env).payload == IntPayload(99)
 
@@ -547,6 +545,6 @@ def test_criterion_10_mapping_semantics():
     assert inner_entry.kv == (IntPayload(2), IntPayload(99))
 
     # updating the nested key grafts in place, preserving the chains
-    out3 = interpret(300, out2, env, env, [Assign(nested, Econst(Vint(7)))])
+    out3 = interpret(300, out2, env, [Assign(nested, Econst(Vint(7)))])
     assert eval_rvalue(50, nested, out3, env).payload == IntPayload(7)
     assert out3.blocks[N.index].payload == outer_head

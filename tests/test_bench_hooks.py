@@ -1,7 +1,8 @@
 """The benchmark's tracer still finds and counts minisol's layer functions.
 
 ``perfbench/tracer.py`` wraps functions by module and name and reads the
-statement kind from ``exec_statement``'s sixth positional argument. A
+statement kind from ``exec_statement``'s ``head``, which the dispatch
+loop passes by keyword. A
 refactor that renames, moves or re-signatures any of them breaks the
 benchmark's per-layer report; this test runs one ``run`` and one
 ``verify`` job under the tracer, as the benchmark does, to catch that.

@@ -354,6 +354,48 @@ class TestEntryArguments:
                                 "--arg", "b=2", "--arg", "zz=3")
         assert rc == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--entry", "add", "--arg", "a=99999999999999999999999", "--arg", "b=2"],
+         "integer 99999999999999999999999 does not fit in uint64"),
+        (["--entry", "add", "--arg", "a=-1", "--arg", "b=2"],
+         "integer -1 does not fit in uint64"),
+        (["--arg", "out=-1"], "integer -1 does not fit in uint64"),
+    ], ids=["oversized-parameter", "negative-parameter", "negative-global"])
+    def test_integer_outside_the_target_type_is_an_error(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "run", "samples/adder.lls", *argv)
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_set_line_outside_the_target_type_is_an_error(self, capsys, tmp_path):
+        spec = tmp_path / "wrap.spec"
+        spec.write_text("set out = 18446744073709551616\n")
+        rc, out, err = run_cli(capsys, "run", "samples/adder.lls", "--spec", str(spec))
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: integer 18446744073709551616 does not fit in uint64"]
+
+    @pytest.mark.parametrize("values, accepted", [
+        (("255", "-128"), True), (("0", "127"), True),
+        (("256", "0"), False), (("-1", "0"), False),
+        (("0", "128"), False), (("0", "-129"), False),
+    ])
+    def test_small_targets_accept_exactly_their_range(self, capsys, tmp_path, values,
+                                                       accepted):
+        src = tmp_path / "small.lls"
+        src.write_text("contract S {\n    uint8 u;\n    int8 i;\n"
+                       "    function f(uint8 a, int8 b) public { u = a; i = b; }\n}\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f",
+                               "--arg", f"a={values[0]}", "--arg", f"b={values[1]}")
+        if accepted:
+            assert rc == 0
+            payloads = [line.split("\t")[4] for line in out.splitlines()[2:4]]  # u, i
+            assert payloads == [f"int:u8:{values[0]}", f"int:i8:{values[1]}"]
+        else:
+            assert rc == 3
+            assert "does not fit in " in err
+
     def test_global_write_via_arg(self, capsys):
         # an --arg naming a global (not a parameter) seeds that block
         rc, out, _ = run_cli(
@@ -385,7 +427,7 @@ class TestEntryArguments:
 
     @pytest.mark.parametrize("target, message", [
         ("zz", "unknown identifier 'zz'"),
-        ("a[", "unexpected token ''"),
+        ("a[", "unexpected end of input"),
     ], ids=["bind-error", "parse-error"])
     def test_unresolvable_target_names_no_position(self, capsys, target, message):
         # a position inside the target's own text would read as one in the program

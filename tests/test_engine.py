@@ -42,11 +42,15 @@ from minisol.syntax import (
     Assign,
     Ebop,
     Econst,
+    Efun,
     Evar,
+    Fun,
+    FunCall,
     If,
     LoopWhile,
     Snil,
     Tbool,
+    Tfid,
     Throw,
     Tuint,
     Var,
@@ -76,11 +80,11 @@ def declared_world(gas=1000, mem=100):
 class TestInterpret:
     def test_empty_program_returns_state(self):
         sigma, env, _ = declared_world()
-        assert interpret(100, sigma, env, env, []) is sigma
+        assert interpret(100, sigma, env, []) is sigma
 
     def test_absent_state_propagates(self):
         _, env, _ = declared_world()
-        assert interpret(100, None, env, env, [Snil()]) is None
+        assert interpret(100, None, env, [Snil()]) is None
 
     @pytest.mark.parametrize("g", [1, 10, 1000])
     def test_spin_halts_after_exactly_g_statements(self, g):
@@ -88,7 +92,7 @@ class TestInterpret:
         # one unit of gas per executed statement.
         sigma, _, names = declared_world()
         env = initial_env(g, names["0xglobal"])
-        out = interpret(1000, sigma, env, env,
+        out = interpret(1000, sigma, env,
                      [LoopWhile(Econst(Vbool(True)), (Snil(),))])
         assert out.blocks == sigma.blocks
         # dispatch count equals the gas budget: with g+1 the state is
@@ -97,14 +101,14 @@ class TestInterpret:
         counter = [Assign(Evar(X, Tuint()),
                           Ebop("+", Evar(X, Tuint()), Econst(Vint(1))))] * (g + 2)
         seeded = poke(sigma, X, IntPayload(0))
-        out2 = interpret(1000, seeded, env, env, counter)
+        out2 = interpret(1000, seeded, env, counter)
         assert out2.blocks[X.index].payload == IntPayload(g)
 
     def test_symbolic_branch_in_concrete_run_is_absent(self):
         sigma, env, _ = declared_world()
         sigma = poke(sigma, B, BoolPayload(SymVar("b")))
         ctx = ExecContext(sigma_init=sigma)
-        out = interpret(100, sigma, env, env,
+        out = interpret(100, sigma, env,
                      [If(Evar(B, Tbool()), (Snil(),), (Snil(),))], ctx)
         assert out is None
         assert ctx.diagnostics
@@ -113,7 +117,7 @@ class TestInterpret:
 class TestStep:
     def test_step_over_snil_costs_one_gas(self):
         sigma, env, _ = declared_world(gas=10)
-        ps = PathState(sigma, env, env, (), (Snil(),), ExecContext(sigma_init=sigma))
+        ps = PathState(sigma, env, (), (Snil(),), ExecContext(sigma_init=sigma))
         out = step(ps)
         assert out.env.gas == 9
         assert out.sigma.blocks == sigma.blocks
@@ -121,7 +125,7 @@ class TestStep:
 
     def test_step_over_assign_dump_shows_written_block(self):
         sigma, env, _ = declared_world()
-        ps = PathState(sigma, env, env, (),
+        ps = PathState(sigma, env, (),
                        (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
                        ExecContext(sigma_init=sigma))
         out = step(ps)
@@ -131,9 +135,9 @@ class TestStep:
 
     def test_finished_and_stuck_notes(self):
         sigma, env, _ = declared_world()
-        done = PathState(sigma, env, env, (), (), ExecContext())
+        done = PathState(sigma, env, (), (), ExecContext())
         assert step(done).note == "finished"
-        bad = PathState(sigma, env, env, (),
+        bad = PathState(sigma, env, (),
                         (Assign(Evar(Address(50), Tuint()), Econst(Vint(1))),),
                         ExecContext())
         out = step(bad)
@@ -141,9 +145,10 @@ class TestStep:
         assert out.remaining == bad.remaining  # preserved for inspection
 
     def test_returned_body_halts_via_env_check(self):
-        # After a return the domain is switched; stepping the leftover
-        # body statements halts instead of executing them.
-        from minisol.syntax import Return
+        # A return writes its slot and ends its frame: the body statements
+        # left before the frame's FunStop are dropped, not executed, and the
+        # caller's domain is restored.
+        from minisol.syntax import FunStop, Return
 
         sigma, env, names = declared_world()
         fun, lam = Address(40), Address(41)
@@ -152,16 +157,18 @@ class TestStep:
                          + (MemoryValue(gm.Undef(), domain=env.domain,
                                         occupancy=gm.OCCUPY),)
                          + sigma2.blocks[lam.index + 1:])
-        inner_env = replace(env, level=0, domain=fun)
-        ps = PathState(sigma2, inner_env, env, (),
+        inner_env = replace(env, domain=fun)
+        ps = PathState(sigma2, inner_env, (),
                        (Return(Econst(Vint(1))),
-                        Assign(Evar(X, Tuint()), Econst(Vint(9)))),
+                        Assign(Evar(X, Tuint()), Econst(Vint(9))),
+                        FunStop(caller=env.domain)),
                        ExecContext(sigma_init=sigma2))
         after_return = step(ps)
         assert after_return.env.domain == env.domain
+        assert after_return.remaining == ()
         assert after_return.sigma.blocks[lam.index].payload == IntPayload(1)
         halted = step(after_return)
-        assert halted.note.startswith("halted")
+        assert halted.note == "finished"
         assert halted.sigma.blocks[X.index].payload != IntPayload(9)
 
 
@@ -178,7 +185,7 @@ class TestExplore:
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                    (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         assert len(paths) == 2
         values = sorted(p.sigma.blocks[X.index].payload.value for p in paths)
@@ -189,7 +196,7 @@ class TestExplore:
         inner = (If(Evar(B, Tbool()), (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                     (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
         prog = (If(Evar(B, Tbool()), inner, (Snil(),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         # true/true and false are feasible; true/false contradicts
         assert len(paths) == 2
@@ -199,7 +206,7 @@ class TestExplore:
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(None, Tuint()), Econst(Vint(1))),),
                    (Var(None, Evar(None, Tuint())),)),)
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         by_branch = {p.condition[0].expected: p for p in paths}
         assert by_branch[True].note == "error: assignment target has no address"
@@ -227,7 +234,7 @@ class TestExplore:
                    (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(6))),
                        (Snil(),), (Snil(),)),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma, env, env, (), prog, ctx,
+        paths = explore(100, PathState(sigma, env, (), prog, ctx,
                                        models=tuple(assignments(symbols))))
         assert len(paths) == 3
         cover = {}
@@ -247,7 +254,7 @@ class TestExplore:
         def no_search(*_args):
             raise AssertionError("searched the domain product")
         monkeypatch.setattr("minisol.engine.satisfying_assignments", no_search)
-        paths = explore(100, PathState(sigma, env, env, condition, prog, ctx, models=models))
+        paths = explore(100, PathState(sigma, env, condition, prog, ctx, models=models))
         assert [p.note for p in paths] == ["completed"]
         assert paths[0].models is models
 
@@ -255,7 +262,7 @@ class TestExplore:
         sigma, env, names = declared_world()
         tight = initial_env(3, names["0xglobal"])
         prog = (LoopWhile(Econst(Vbool(True)), (Snil(),)),)
-        paths = explore(100, PathState(sigma, tight, tight, (), prog,
+        paths = explore(100, PathState(sigma, tight, (), prog,
                                        ExecContext(sigma_init=sigma), models=({},)))
         assert [p.note for p in paths] == ["exhausted"]
 
@@ -270,13 +277,13 @@ class TestExplore:
                            Ebop("+", Evar(X, Tuint()), Econst(Vint(10)))),),
                    (Snil(),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma0, env, env, (), prog, ctx,
+        paths = explore(100, PathState(sigma0, env, (), prog, ctx,
                                        models=tuple(assignments(symbols))))
         assert len(paths) == 2
         for p in paths:
             for asg in satisfying_assignments(p.condition, symbols):
                 concrete0 = poke(sigma, X, IntPayload(asg["n"]))
-                replay = interpret(100, concrete0, env, env, prog,
+                replay = interpret(100, concrete0, env, prog,
                                 ExecContext(sigma_init=concrete0))
                 assert replay.blocks == concretize(p.sigma, asg).blocks
 
@@ -288,9 +295,9 @@ class TestDeterminism:
             prog = generate_program(rng.randrange(1 << 30), length=5)
             sigma = fresh_memory(64)
             env = initial_env(500, sigma.addr_of("0xglobal"))
-            a = interpret(200, sigma, env, env, prog,
+            a = interpret(200, sigma, env, prog,
                        ExecContext(sigma_init=sigma))
-            b = interpret(200, sigma, env, env, prog,
+            b = interpret(200, sigma, env, prog,
                        ExecContext(sigma_init=sigma))
             if a is None:
                 assert b is None
@@ -308,7 +315,7 @@ def triple_world(plant_bug: bool):
         value = IntPayload(SymVar("n")) if assignment is None \
             else IntPayload(assignment["n"])
         sigma = poke(sigma, X, value)
-        return sigma, env, env, ExecContext()
+        return sigma, env, ExecContext()
 
     prog = (If(Ebop(">", Evar(X, Tuint()), Econst(Vint(bound))),
                (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
@@ -325,7 +332,7 @@ class TestVerifyTriple:
     def test_snil_preserves_state_verified(self):
         def pre(_asg):
             sigma, env, _ = declared_world()
-            return sigma, env, env, ExecContext()
+            return sigma, env, ExecContext()
 
         verdict = verify_triple(pre, (Snil(),),
                                 lambda final, init: final.blocks == init.blocks)
@@ -346,8 +353,8 @@ class TestVerifyTriple:
         assert verdict.witness == {"n": 6}
         # the witness reproduces the violation concretely
         pre_b, prog_b, post_b = triple_world(plant_bug=True)
-        sigma, env, fenv, ctx = pre_b(verdict.witness)
-        final = interpret(100, sigma, env, fenv, prog_b, ctx)
+        sigma, env, ctx = pre_b(verdict.witness)
+        final = interpret(100, sigma, env, prog_b, ctx)
         assert not post_b(final, ctx.sigma_init)
 
     def test_concolic_mode_single_path(self):
@@ -392,7 +399,7 @@ class TestThrowStatePost:
         ctx = ExecContext()
 
         def pre(_asg):
-            return sigma, env, env, ctx
+            return sigma, env, ctx
 
         verdict = verify_triple(pre, (Throw(),), throw_state_post)
         assert verdict.status == "verified"
@@ -401,7 +408,7 @@ class TestThrowStatePost:
         sigma, env, _ = declared_world()
 
         def pre(_asg):
-            return sigma, env, env, ExecContext()
+            return sigma, env, ExecContext()
 
         verdict = verify_triple(pre, (Snil(),), throw_state_post)
         assert verdict.status == "refuted"
@@ -471,7 +478,7 @@ class TestSymbolicLoops:
                           (Assign(Evar(X, Tuint()),
                                   Ebop("+", Evar(X, Tuint()), Econst(Vint(1)))),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=3)]
-        paths = explore(200, PathState(sigma, env, env, (), prog, ctx,
+        paths = explore(200, PathState(sigma, env, (), prog, ctx,
                                        models=tuple(satisfying_assignments((), symbols))))
         assert len(paths) == 4
         seen = set()
@@ -486,7 +493,7 @@ class TestSymbolicLoops:
     def test_undeclared_symbol_in_require_is_error(self):
         def pre(_asg):
             sigma, env, _ = declared_world()
-            return sigma, env, env, ExecContext()
+            return sigma, env, ExecContext()
 
         verdict = verify_triple(pre, (Snil(),), lambda f, i: True,
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=1)],
@@ -518,7 +525,7 @@ class TestRobustness:
             typecheck_stmt(prog, TypeContext())
             sigma = fresh_memory(64)
             env = initial_env(800, sigma.addr_of("0xglobal"))
-            out = interpret(250, sigma, env, env, prog,
+            out = interpret(250, sigma, env, prog,
                             ExecContext(sigma_init=sigma))
             assert out is None or out.size == 64
 
@@ -689,7 +696,7 @@ class TestObligations:
         # The symbol n is declared but the world never holds it.
         def pre(_assignment):
             sigma, env, _ = declared_world()
-            return poke(sigma, X, IntPayload(start)), env, env, ExecContext()
+            return poke(sigma, X, IntPayload(start)), env, ExecContext()
 
         seen = []
 
@@ -729,12 +736,25 @@ class TestObligations:
         assert verdict.diagnostic == ("cannot evaluate the state under {'d': 0}: "
                                       "division by zero")
 
+    def test_writing_the_held_value_in_a_call_leaves_the_block_unchanged(self):
+        # x = 5 over 5 inside a function stores a block equal to the entry one
+        fun, lam = Address(40), Address(41)
+
+        def pre(_assignment):
+            sigma, env, _ = declared_world()
+            return poke(sigma, X, IntPayload(5)), env, ExecContext()
+
+        prog = (Fun(fun, (), (), (), (Assign(Evar(X, Tuint()), Econst(Vint(5))),), lam),
+                FunCall(Efun(fun, Tfid(fun)), ()))
+        verdict = verify_triple(pre, prog, Post(partial(unchanged, X.index)))
+        assert verdict.status == "verified"
+
     def test_division_in_the_initial_state_is_concretized(self):
         # Snil leaves x unchanged, but x = 10 / n fails to evaluate at n = 0.
         def pre(_assignment):
             sigma, env, _ = declared_world()
             value = IntPayload(SymOp("/", (SymConst(10), SymVar("n")), 64))
-            return poke(sigma, X, value), env, env, ExecContext()
+            return poke(sigma, X, value), env, ExecContext()
 
         verdict = verify_triple(pre, (Snil(),), Post(partial(unchanged, X.index)),
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=2)])
@@ -798,9 +818,9 @@ def explore_source(source, symbols, gas):
     spec = parse_spec("entry f\n" + symbols)
     pre = make_pre(bound, gas, BlockInfo(sender=Address(1)), symbols=spec.symbols)
     prog, _ = entry_program(bound, spec.entry)
-    sigma, env, fenv, ctx = pre(None)
+    sigma, env, ctx = pre(None)
     ctx.sigma_init = sigma
-    return explore(1000, PathState(sigma, env, fenv, (), tuple(prog), ctx, models=tuple(
+    return explore(1000, PathState(sigma, env, (), tuple(prog), ctx, models=tuple(
         satisfying_assignments((), spec.symbols))))
 
 
@@ -811,7 +831,7 @@ def fork_last_gas_unit():
     env = initial_env(1, names["0xglobal"])
     prog = (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
                (Assign(Evar(X, Tuint()), Econst(Vint(7))),), ()),)
-    return explore(100, PathState(sigma, env, env, (), prog, ExecContext(sigma_init=sigma),
+    return explore(100, PathState(sigma, env, (), prog, ExecContext(sigma_init=sigma),
                                   models=tuple(assignments([SymbolicValue("n", hi=3)]))))
 
 

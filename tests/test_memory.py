@@ -17,12 +17,11 @@ from minisol.memory import (
 from minisol.stdlib import fresh_memory
 from minisol.stmts import _group_run, init_array
 from minisol.syntax import Tarray, Tuint, array_dims
-from minisol.values import TOP_LEVEL, initial_env
+from minisol.values import initial_env
 
 
 def mv(payload, domain=Address(0), access="public"):
-    return MemoryValue(payload, domain=domain, level=0, access=access,
-                       occupancy=gm.OCCUPY)
+    return MemoryValue(payload, domain=domain, access=access, occupancy=gm.OCCUPY)
 
 
 class TestInitMem:
@@ -116,9 +115,9 @@ class TestReadWrite:
     def test_chck_write_retags_a_value_with_other_tags(self, sigma, domain, access):
         owner = initial_env(10, Address(50))
         seeded = gm.write(sigma, Address(4), mv(IntPayload(9), Address(50), "public"), "dir")
-        value = MemoryValue(IntPayload(1), domain, 3, access, gm.OCCUPY)
+        value = MemoryValue(IntPayload(1), domain, access, gm.OCCUPY)
         stored = gm.write(seeded, Address(4), value, "chck", owner).blocks[4]
-        assert stored == MemoryValue(IntPayload(1), Address(50), 3, "public", gm.OCCUPY)
+        assert stored == MemoryValue(IntPayload(1), Address(50), "public", gm.OCCUPY)
 
     @pytest.mark.parametrize("same_object", [True, False])
     def test_chck_write_stores_a_value_with_the_block_tags_as_it_is(self, sigma,
@@ -126,7 +125,7 @@ class TestReadWrite:
         owner = initial_env(10, Address(50))
         seeded = gm.write(sigma, Address(4), mv(IntPayload(9), Address(50), "private"), "dir")
         domain = seeded.blocks[4].domain if same_object else Address(50)
-        value = MemoryValue(IntPayload(1), domain, 3, "private", gm.OCCUPY)
+        value = MemoryValue(IntPayload(1), domain, "private", gm.OCCUPY)
         assert gm.write(seeded, Address(4), value, "chck", owner).blocks[4] is value
 
     def test_throw_flag_write(self, sigma, names):
@@ -264,7 +263,7 @@ def _model_ops(size):
 
 
 def _occupied(b):
-    return MemoryValue(Undef(), b.domain, b.level, b.access, gm.OCCUPY)
+    return MemoryValue(Undef(), b.domain, b.access, gm.OCCUPY)
 
 
 def _model_step(model, op):
@@ -283,8 +282,7 @@ def _model_step(model, op):
             visible = old.access == gm.PUBLIC or old.domain == Address(args[2])
             if old.occupancy != gm.OCCUPY or not visible:
                 return None
-            value = MemoryValue(value.payload, old.domain, value.level, old.access,
-                                value.occupancy)
+            value = MemoryValue(value.payload, old.domain, old.access, value.occupancy)
         model[i] = value
         return range(i, i + 1)
     if kind == "allocate":
@@ -301,7 +299,7 @@ def _model_step(model, op):
     else:  # init_array: the run the statement layer lays down, spliced in
         base, arr_type, dom = args
         dims, _final = array_dims(arr_type)
-        run = _group_run(tuple(dims), Address(dom), TOP_LEVEL) * dims[0]
+        run = _group_run(tuple(dims), Address(dom)) * dims[0]
         if base < 0 or base + len(run) > size:
             return None
         model[base:base + len(run)] = run

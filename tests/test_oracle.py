@@ -35,55 +35,55 @@ X = Address(0)
 def world(gas=500, size=64):
     sigma = fresh_memory(size)
     env = initial_env(gas, sigma.addr_of("0xglobal"))
-    return sigma, env, env
+    return sigma, env
 
 
 class TestRelationalEval:
     def test_assign_agrees_with_direct_write_oracle(self):
-        sigma, env, _fenv = world()
+        sigma, env = world()
         prog = [Var("public", Evar(X, Tuint())),
                 Assign(Evar(X, Tuint()), Econst(Vint(5)))]
-        rel = relational_eval(sigma, env, env, prog)
+        rel = relational_eval(sigma, env, prog)
         assert rel is not None
         final, _trace = rel
         # shared ground truth: a direct write through the raw store
         assert final.blocks[X.index].payload == IntPayload(5, 64, False)
-        exe = interpret(100, sigma, env, env, prog,
+        exe = interpret(100, sigma, env, prog,
                      ExecContext(sigma_init=sigma))
         assert [b.payload for b in exe.blocks] == [b.payload for b in final.blocks]
 
     def test_skip_single_entry_trace(self):
-        sigma, env, _fenv = world()
-        final, trace = relational_eval(sigma, env, env, [Snil()])
+        sigma, env = world()
+        final, trace = relational_eval(sigma, env, [Snil()])
         assert final.blocks == sigma.blocks
         assert len(trace.steps) == 1
         assert isinstance(trace.steps[0][0], Snil)
 
     def test_if_false_trace_shows_else_steps(self):
-        sigma, env, _fenv = world()
+        sigma, env = world()
         prog = [Var("public", Evar(X, Tuint())),
                 If(Econst(Vbool(False)),
                    (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                    (Assign(Evar(X, Tuint()), Econst(Vint(2))), Snil()))]
-        final, trace = relational_eval(sigma, env, env, prog)
+        final, trace = relational_eval(sigma, env, prog)
         assert final.blocks[X.index].payload == IntPayload(2, 64, False)
         kinds = [type(s).__name__ for s, _sig in trace.steps]
         assert kinds == ["Var", "If", "Assign", "Snil"]
 
     def test_throw_restores_snapshot(self):
-        sigma, env, _fenv = world()
+        sigma, env = world()
         names = gm.reserved_addresses(sigma.size)
         prog = [Var("public", Evar(X, Tuint())),
                 Assign(Evar(X, Tuint()), Econst(Vint(9))),
                 Throw()]
-        final, _ = relational_eval(sigma, env, env, prog)
+        final, _ = relational_eval(sigma, env, prog)
         assert final.blocks[X.index] == sigma.blocks[X.index]
         assert final.blocks[names["0xthrow"].index].payload == BoolPayload(True)
 
     def test_failure_cases_absent(self):
-        sigma, env, _fenv = world()
+        sigma, env = world()
         # assignment into an undeclared block
-        assert relational_eval(sigma, env, env,
+        assert relational_eval(sigma, env,
                                [Assign(Evar(X, Tuint()), Econst(Vint(1)))]) is None
 
 
@@ -107,7 +107,7 @@ class TestCheckSimulation:
 
     def test_broken_executable_if_detected_at_the_if_step(self):
         # Mutation fixture: an interpreter whose If takes the wrong arm.
-        def broken_interpret(K, sigma, env, fenv, prog, ctx=None):
+        def broken_interpret(K, sigma, env, prog, ctx=None):
             def flip(stmts):
                 out = []
                 for s in stmts:
@@ -117,7 +117,7 @@ class TestCheckSimulation:
                     else:
                         out.append(s)
                 return out
-            return interpret(K, sigma, env, fenv, flip(list(prog)), ctx)
+            return interpret(K, sigma, env, flip(list(prog)), ctx)
 
         prog = [Var("public", Evar(X, Tuint())),
                 Assign(Evar(X, Tuint()), Econst(Vint(0))),
@@ -148,10 +148,10 @@ class TestGasAgreement:
                            (Assign(Evar(X, Tuint()),
                                    Ebop_("+", Evar(X, Tuint()), Econst(Vint(1)))),))]
         for gas in (1, 2, 3, 7, 20):
-            sigma, _env, _f = world()
+            sigma, _env = world()
             env = initial_env(gas, sigma.addr_of("0xglobal"))
-            rel = relational_eval(sigma, env, env, body)
-            exe = interpret(200, sigma, env, env, body,
+            rel = relational_eval(sigma, env, body)
+            exe = interpret(200, sigma, env, body,
                           ExecContext(sigma_init=sigma))
             assert rel is not None and exe is not None
             assert [b.payload for b in rel[0].blocks] == \

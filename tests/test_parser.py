@@ -74,6 +74,18 @@ class TestParse:
             parse_source(src)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_source, "contract C {\n uint a = ", "unexpected end of input (line 2, column 11)"),
+        (parse_source, "contract C {\n uint a;",
+         "expected a contract member, found end of input (line 2, column 9)"),
+        (parse_expr_text, "a[", "unexpected end of input (line 1, column 3)"),
+        (parse_expr_text, "f(a", "expected ')', found end of input (line 1, column 4)"),
+    ], ids=["program-expression", "program-member", "expression", "expression-close"])
+    def test_truncated_input_names_the_end_of_input(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse_source("contract C { uint § x; }")

@@ -22,7 +22,8 @@ from minisol.memory import (
     Undef,
 )
 from minisol.engine import interpret
-from minisol.stmts import BUDGET, ERROR, PAUSED, ExecContext, drive, init_array, init_var
+from minisol.stmts import (BUDGET, ERROR, FINISHED, PAUSED, ExecContext, drive, init_array,
+                           init_var)
 from minisol.syntax import (
     Assign,
     Contract,
@@ -56,19 +57,12 @@ from minisol.values import Env, initial_env
 
 
 class TestEnvCheck:
-    @pytest.mark.parametrize("env, fenv", [
-        ((0, 1, None), (5, 1, None)), ((5, 1, None), (5, 1, None)),
-        ((5, 0, None), (5, 1, None)), ((5, 0, 3), (5, 1, None))])
-    def test_drive_stops_on_budget_exactly_when_the_check_fails(self, sigma, names, env,
-                                                                 fenv):
-        # (gas, level, domain) of env: gas spent, or back in fenv's domain at
-        # another level (a finished function body); any other env dispatches
-        expected = {(0, 1, None): BUDGET, (5, 0, None): BUDGET}.get(env, PAUSED)
-
-        def make(gas, level, domain):
-            return Env(gas, 10, level, names["0xglobal"] if domain is None else Address(domain))
-        env, fenv = make(*env), make(*fenv)
-        run = drive(10, sigma, env, fenv, ExecContext(), (Snil(),), once=True)
+    @pytest.mark.parametrize("gas, expected", [(0, BUDGET), (5, PAUSED)])
+    def test_drive_stops_on_budget_exactly_when_the_check_fails(self, sigma, names, gas,
+                                                                 expected):
+        # the check is the gas: spent gas stops, any other gas dispatches
+        env = Env(gas, names["0xglobal"])
+        run = drive(10, sigma, env, ExecContext(), (Snil(),), once=True)
         assert run.stop == expected
 
 
@@ -80,7 +74,7 @@ def test_every_statement_class_has_one_rule():
                and cls is not syntax.LStatement]
     assert sorted(stmts._RULES, key=str) == sorted(classes, key=str)
     # every rule takes exec_statement's arguments
-    assert all(len(inspect.signature(rule).parameters) == 7
+    assert all(len(inspect.signature(rule).parameters) == 6
                for rule in stmts._RULES.values())
 
 
@@ -232,8 +226,8 @@ class TestInitVar:
         assert head.kv is None and head.next is None
 
 
-def run(prog, sigma, env, fenv=None, K=200, ctx=None):
-    return interpret(K, sigma, env, fenv or env, prog, ctx)
+def run(prog, sigma, env, K=200, ctx=None):
+    return interpret(K, sigma, env, prog, ctx)
 
 
 X = Address(0)
@@ -320,7 +314,7 @@ class TestBasicStatements:
 def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
     for head, what in ((If(cond, (Throw(),)), "branch"), (LoopWhile(cond, (Throw(),)), "loop")):
         ctx = ExecContext(sigma_init=sigma)
-        r = drive(10, sigma, env, env, ctx, (head, Snil()))
+        r = drive(10, sigma, env, ctx, (head, Snil()))
         assert r.stop == ERROR
         assert r.error == ctx.diagnostics[-1] == f"{what} condition failed to evaluate"
         assert r.sigma is sigma and r.remaining == (head, Snil())
@@ -394,6 +388,18 @@ def fun_decl(body, returns=(Tuint(),), params=(), modifiers=()):
                tuple(body), LAM)
 
 
+INNER = Address(13)
+INNER_LAM = Address(14)
+
+
+def inner_decl(body):
+    return Fun(INNER, (), (), (Tuint(),), tuple(body), INNER_LAM)
+
+
+def call(fun):
+    return FunCall(Efun(fun, Tfid(fun)), ())
+
+
 class TestFunctions:
     def test_declaration_stores_body_with_funstop(self, sigma, env):
         out = run([fun_decl([Snil()])], sigma, env)
@@ -443,6 +449,36 @@ class TestFunctions:
                 Assign(Evar(X, Tuint()), Econst(Vint(3)))]
         out = run(prog, seeded, env)
         assert out.blocks[X.index].payload == IntPayload(3)
+
+
+    def test_return_in_a_nested_call_ends_only_the_callee(self, sigma, env):
+        seeded = declared(sigma, env)
+        prog = [inner_decl([Return(Econst(Vint(7)))]),
+                fun_decl([call(INNER), Assign(Evar(X, Tuint()), Econst(Vint(1)))]),
+                call(FUN)]
+        out = run(prog, seeded, env)
+        assert out.blocks[INNER_LAM.index].payload == IntPayload(7)
+        assert out.blocks[X.index].payload == IntPayload(1)  # the caller went on
+
+    def test_return_after_a_nested_call_fills_the_callers_slot(self, sigma, env):
+        seeded = declared(sigma, env)
+        prog = [inner_decl([Assign(Evar(Y, Tuint()), Econst(Vint(1)))]),
+                fun_decl([call(INNER), Return(Econst(Vint(3)))]),
+                call(FUN)]
+        done = drive(200, seeded, env, ExecContext(sigma_init=seeded), prog)
+        assert done.stop == FINISHED
+        assert done.sigma.blocks[Y.index].payload == IntPayload(1)
+        assert done.sigma.blocks[LAM.index].payload == IntPayload(3)
+        assert done.env.domain == env.domain
+
+    def test_return_inside_a_loop_ends_the_frame(self, sigma, env):
+        seeded = declared(sigma, env)
+        prog = [inner_decl([LoopWhile(Econst(Vbool(True)), (Return(Econst(Vint(4))),))]),
+                fun_decl([call(INNER), Assign(Evar(X, Tuint()), Econst(Vint(2)))]),
+                call(FUN)]
+        out = run(prog, seeded, env)
+        assert out.blocks[INNER_LAM.index].payload == IntPayload(4)
+        assert out.blocks[X.index].payload == IntPayload(2)
 
 
 MOD = Address(20)

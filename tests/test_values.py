@@ -42,7 +42,6 @@ class TestConstants:
         out = eval_value(10, Vbool(True), sigma, env)
         assert out.payload == BoolPayload(True)
         assert out.domain == env.domain
-        assert out.level == env.level
 
     def test_int_keeps_width_sign(self, sigma, env):
         out = eval_value(10, Vint(0, 64, False), sigma, env)
@@ -50,11 +49,11 @@ class TestConstants:
 
     def test_int_literal_is_wrapped_tagged_and_built_once(self, sigma, env):
         out = eval_value(10, Vint(300, 8, False), sigma, env)
-        assert out == gm.MemoryValue(IntPayload(44, 8, False), env.domain, env.level)
+        assert out == gm.MemoryValue(IntPayload(44, 8, False), env.domain)
         assert eval_value(10, Vint(300, 8, False), sigma, env) is out
-        other = replace(env, domain=Address(3), level=0)
+        other = replace(env, domain=Address(3))
         assert eval_value(10, Vint(300, 8, False), sigma, other) == gm.MemoryValue(
-            IntPayload(44, 8, False), Address(3), 0)
+            IntPayload(44, 8, False), Address(3))
 
     def test_constant_mapping_property(self, sigma, env):
         # Every generated constant evaluates to a payload carrying
@@ -101,8 +100,7 @@ class TestArrayValues:
         seeded = seeded_array(sigma, env)
         elem = Address(6)
         seeded = gm.write(seeded, elem,
-                          MemoryValue(IntPayload(42), domain=env.domain,
-                                      level=env.level), "dir")
+                          MemoryValue(IntPayload(42), domain=env.domain), "dir")
         v = Varray(ARR_T, (Econst(Vint(0)), Econst(Vint(1)), Econst(Vint(1))),
                    Address(0))
         out = eval_value(20, v, seeded, env)
@@ -120,8 +118,7 @@ class TestArrayValues:
         seeded = seeded_array(sigma, env)
         iaddr = Address(30)
         seeded = gm.write(seeded, iaddr,
-                          MemoryValue(IntPayload(1), domain=env.domain,
-                                      level=env.level), "dir")
+                          MemoryValue(IntPayload(1), domain=env.domain), "dir")
         v = Varray(ARR_T, (Econst(Vint(0)), Evar(iaddr, Tuint()), Econst(Vint(1))),
                    Address(0))
         out = eval_value(20, v, seeded, env)
@@ -132,14 +129,14 @@ def build_chain(sigma, env, base=Address(0), entries=()):
     """Manually build a mapping chain: head plus one node per entry."""
     head = MapNode(init=base, kv=None, key_type=Tuint(), value_type=Tuint())
     sigma = gm.write(sigma, base,
-                     MemoryValue(head, domain=env.domain, level=env.level), "dir")
+                     MemoryValue(head, domain=env.domain), "dir")
     prev = base
     for i, (k, v) in enumerate(entries):
         addr = Address(base.index + 1 + i)
         node = MapNode(init=base, kv=(IntPayload(k), IntPayload(v)),
                        key_type=Tuint(), value_type=Tuint())
         sigma = gm.write(sigma, addr,
-                         MemoryValue(node, domain=env.domain, level=env.level), "dir")
+                         MemoryValue(node, domain=env.domain), "dir")
         prev_block = gm.read(sigma, prev, "dir")
         sigma = gm.write(sigma, prev,
                          replace(prev_block,
