@@ -82,6 +82,8 @@ from .syntax import (
     Vmap,
     Vstruct,
     array_dims,
+    int_fits,
+    type_text,
     typecheck_stmt,
 )
 
@@ -231,11 +233,8 @@ class Binder:
 
     def lower_expr(self, e):
         if isinstance(e, ENum):
-            if abs(e.value) >= 2**64:
-                raise BindError(f"integer literal {e.value} does not fit in uint64", e.pos)
-            if e.value < -2**63:  # a negative literal is an int64
-                raise BindError(f"integer literal {e.value} does not fit in int64", e.pos)
-            return Econst(Vint(e.value, 64, signed=e.value < 0))
+            # Unless its target types it, a literal is a uint64, or an int64 if negative.
+            return _literal(e, Tint(64, signed=e.value < 0))
         if isinstance(e, EBool):
             return Econst(Vbool(e.value))
         if isinstance(e, EId):
@@ -353,11 +352,23 @@ class Binder:
         decl = Var(s.access, Evar(addr, ltype))
         if s.init is None:
             return [decl]
-        return [decl, Assign(Evar(addr, ltype), self.lower_expr(s.init))]
+        return [decl, self._lower_init(addr, ltype, s.init)]
+
+    def _lower_init(self, addr: Address, ltype, init) -> Assign:
+        target = Evar(addr, ltype)
+        return Assign(target, self._lower_value(init, target))
+
+    def _lower_value(self, e, target):
+        """The value assigned to ``target``: a bare integer literal, optionally
+        negated, takes the target's integer type."""
+        t = _assigned_type(target)
+        if isinstance(e, ENum) and isinstance(t, Tint):
+            return _literal(e, t)
+        return self.lower_expr(e)
 
     def _lower_assign(self, s: SAssign):
         target = self.lower_expr(s.target)
-        value = self.lower_expr(s.value)
+        value = self._lower_value(s.value, target)
         if s.op != "=":
             value = Ebop(s.op[0], self.lower_expr(s.target), value)
         return Assign(target, value)
@@ -417,7 +428,7 @@ class Binder:
                 member_index.append((m.name, addr))
                 body_stmts.append(Var(m.access, Evar(addr, ltype)))
                 if m.init is not None:
-                    body_stmts.append(Assign(Evar(addr, ltype), self.lower_expr(m.init)))
+                    body_stmts.append(self._lower_init(addr, ltype, m.init))
             elif isinstance(m, SModifierDecl):
                 fun_stmts.append(self._bind_callable(m, member_index, modifier=True))
             elif isinstance(m, SFunDecl):
@@ -464,6 +475,29 @@ class Binder:
         finally:
             self.locals = {}
             self.scope_name = ""
+
+
+def _literal(e: ENum, t: Tint) -> Econst:
+    if not int_fits(e.value, t):
+        raise BindError(f"integer literal {e.value} does not fit in {type_text(t)}", e.pos)
+    return Econst(Vint(e.value, t.width, t.signed))
+
+
+def _assigned_type(target):
+    """The type of the block an assignable target (a variable, an array
+    element or a mapping entry) names, where its form gives one."""
+    if isinstance(target, Evar):
+        return target.ltype
+    v = target.value if isinstance(target, Econst) else None
+    if isinstance(v, Varray):
+        dims, base = array_dims(v.arr_type)
+        return base if len(v.indices) == len(dims) else None
+    if isinstance(v, Vmap):
+        t = v.value_type
+        for _ in v.keys[1:]:
+            t = t.value if isinstance(t, Tmap) else None
+        return t
+    return None
 
 
 def bind_addresses(sp: SourceProgram, mem_size: int = gm.DEFAULT_MEMORY_SIZE) -> BoundProgram:

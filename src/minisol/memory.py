@@ -19,6 +19,16 @@ bounds check, leaf lookup and validation in its own frame, without
 calling a helper. A chck write keeps the block's domain and access, and
 stores the value object itself when it already carries them.
 
+``MemoryState``, ``MemoryValue``, ``IntPayload`` and ``BoolPayload`` are
+built on every dispatch, so they are slotted dataclasses without
+``frozen``: a frozen dataclass pays for ``object.__setattr__`` on every
+field. They still compare and hash by value, but their immutability is a
+rule rather than a language guarantee. Two tests enforce it: the AST
+check in ``tests/test_hygiene.py`` rejects any store to their fields
+outside their own class bodies and any ``setattr`` call, and the
+property test in ``tests/test_agreement.py`` checks that forked paths
+agree with concrete runs.
+
 The top of the address space is reserved for built-in blocks: the two
 flag blocks (throw, modifier), the standard-library struct type blocks,
 the message instance, and the built-in no-op functions with their return
@@ -68,18 +78,20 @@ class Address:
 class Payload:
     """Base class of the tagged payload union stored in a block."""
 
+    __slots__ = ()
+
 
 @dataclass(frozen=True)
 class Undef(Payload):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolPayload(Payload):
     bit: object = None  # bool, SymExpr or None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntPayload(Payload):
     value: object = None  # int, SymExpr or None
     width: int = 64
@@ -136,7 +148,7 @@ class ArrayGroup(Payload):
     group: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MemoryValue:
     payload: Payload
     domain: Address = Address(0)
@@ -271,7 +283,7 @@ class BlockVector:
                     yield base + k
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MemoryState:
     blocks: BlockVector = ()  # any other sequence of blocks is coerced
     symbol_table: dict = field(default_factory=dict)
@@ -279,7 +291,7 @@ class MemoryState:
 
     def __post_init__(self):
         if not isinstance(self.blocks, BlockVector):
-            object.__setattr__(self, "blocks", BlockVector.of(self.blocks))
+            self.blocks = BlockVector.of(self.blocks)
 
     @property
     def size(self) -> int:

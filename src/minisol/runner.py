@@ -20,7 +20,7 @@ from .parser import ParseError, parse_expr_text
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap, type_text
+from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap, int_fits, type_text
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -47,8 +47,7 @@ def _literal_expr(ltype, raw):
     if isinstance(ltype, Tint):
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise RunnerError(f"expected an integer, got {raw!r}")
-        lo = -(1 << (ltype.width - 1)) if ltype.signed else 0
-        if not lo <= raw < lo + (1 << ltype.width):
+        if not int_fits(raw, ltype):
             raise RunnerError(f"integer {raw} does not fit in {type_text(ltype)}")
         return Econst(Vint(raw, ltype.width, ltype.signed))
     raise RunnerError(f"cannot build a literal of type {type(ltype).__name__}")

@@ -167,7 +167,7 @@ def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
 # ---------------------------------------------------------------------------
 # Single-statement dispatch
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     sigma: MemoryState | None
     env: Env
@@ -356,8 +356,8 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
             target_block = gm.read(sig, p.addr, "dir")
             if target_block is None:
                 return _fail(env, rest, "parameter block out of range", ctx)
-            sig = gm.write(sig, p.addr, replace(target_block, payload=v.payload,
-                                                occupancy=gm.OCCUPY), "dir")
+            sig = gm.write(sig, p.addr, MemoryValue(v.payload, target_block.domain,
+                                                    target_block.access, gm.OCCUPY), "dir")
     return StepResult(sig, Env(env.gas, target),
                       (*info.body[:-1], FunStop(caller=env.domain), *rest))
 
@@ -458,15 +458,16 @@ def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
         if sig is None:
             return _fail(env, rest, "mapping insert failed", ctx)
         return StepResult(sig, env, rest)
-    target = gm.read(sigma, addr, "dir")
+    i = addr.index
+    target = sigma.blocks[i] if 0 <= i < sigma.size else None
     if target is not None and isinstance(target.payload, MapNode):
+        # Assigning to a mapping entry replaces the value it holds.
         node = target.payload
         if node.kv is None:
             return _fail(env, rest, "cannot assign into a mapping head", ctx)
-        grafted = replace(target, payload=replace(node, kv=(node.kv[0], rhs.payload)))
-        sig = gm.write(sigma, addr, grafted, "chck", env)
-    else:
-        sig = gm.write(sigma, addr, rhs, "chck", env)
+        rhs = MemoryValue(replace(node, kv=(node.kv[0], rhs.payload)), target.domain,
+                          target.access, target.occupancy)
+    sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:
         return _fail(env, rest, f"validated write to {addr} failed", ctx)
     return StepResult(sig, env, rest)

@@ -56,6 +56,12 @@ def Tuint(width: int = 64) -> Tint:
     return Tint(width, signed=False)
 
 
+def int_fits(value: int, t: Tint) -> bool:
+    """Whether ``value`` is in the range of the fixed-width type ``t``."""
+    lo = -(1 << (t.width - 1)) if t.signed else 0
+    return lo <= value < lo + (1 << t.width)
+
+
 @dataclass(frozen=True)
 class Tarray(LType):
     length: int

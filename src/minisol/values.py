@@ -43,7 +43,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Env:
     """Gas left, and the domain of the executing function or global scope."""
     gas: int

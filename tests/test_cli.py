@@ -221,6 +221,21 @@ class TestVerify:
         assert rc == 0
         assert "2\toccupy\tpublic\t90\tint:i64:-9223372036854775808\n" in out
 
+    def test_literal_takes_the_integer_type_of_its_target(self, capsys, tmp_path):
+        prog = tmp_path / "u8.lls"
+        prog.write_text("contract S { uint8 u; function f() public { u = 5; u += 1; } }\n")
+        rc, out, _err = run_cli(capsys, "run", str(prog), "--entry", "f")
+        assert rc == 0
+        assert "2\toccupy\tpublic\t90\tint:u8:6\n" in out
+
+    def test_literal_out_of_its_target_range_is_positioned_error(self, capsys, tmp_path):
+        prog = tmp_path / "u8.lls"
+        prog.write_text("contract S {\n    uint8 u = 300;\n}\n")
+        rc, out, err = run_cli(capsys, "run", str(prog))
+        assert rc == 3
+        assert out == ""
+        assert err == "error: integer literal 300 does not fit in uint8 (line 2, column 15)\n"
+
     def test_symbolic_mapping_key_is_named_error(self, capsys, tmp_path):
         prog = tmp_path / "symkey.lls"
         prog.write_text(

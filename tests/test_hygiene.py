@@ -1,17 +1,26 @@
 """Source hygiene: every function in ``src/minisol`` reads each of its
-parameters, and every top-level function and class is named by the
-program or the benchmark somewhere outside its own definition.
+parameters, every top-level function and class is named by the program
+or the benchmark somewhere outside its own definition, and no code
+mutates a value of the slotted, non-frozen value classes.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
 starting with ``_`` marks a parameter that a callback interface fixes and
 the function deliberately ignores. A definition that only tests or an
-``__all__`` list name is code that no command reaches.
+``__all__`` list name is code that no command reaches. The value classes
+built on every dispatch are declared without ``frozen`` for speed, so
+their immutability is a rule that this file and the symbolic-vs-concrete
+property test (``test_agreement.py``) enforce.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from minisol.memory import BoolPayload, IntPayload, MemoryState, MemoryValue
+from minisol.stmts import StepResult
+from minisol.values import Env
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "minisol"
@@ -99,3 +108,55 @@ def unnamed_definitions():
 
 def test_every_definition_is_named_elsewhere():
     assert sorted(unnamed_definitions()) == []
+
+
+# Values shared between states and paths, declared as slotted dataclasses
+# without ``frozen``: nothing may store to their fields once built.
+VALUE_CLASSES = (BoolPayload, IntPayload, MemoryValue, MemoryState, Env, StepResult)
+VALUE_FIELDS = {f.name for cls in VALUE_CLASSES for f in fields(cls)}
+_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def value_stores(source: str, filename: str = "<source>") -> list:
+    """(file, line, what) for each store to or deletion of an attribute
+    named like a value-class field outside those classes' own bodies, and
+    for each ``setattr``/``__setattr__`` call anywhere."""
+    found = []
+    owners = {cls.__name__ for cls in VALUE_CLASSES}
+
+    def visit(node, inside_owner):
+        if isinstance(node, ast.ClassDef):
+            inside_owner = node.name in owners
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and node.attr in VALUE_FIELDS and not inside_owner:
+            found.append((filename, node.lineno, f"store to .{node.attr}"))
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) \
+                else None
+            if name in _SETTERS:
+                found.append((filename, node.lineno, f"{name} call"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_owner)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_value_classes_are_never_mutated():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in value_stores(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_immutability_check_flags_planted_stores():
+    assert value_stores("sigma.blocks = sigma.blocks.set(0, b)\n") == [
+        ("<source>", 1, "store to .blocks")]
+    assert value_stores('object.__setattr__(v, "payload", p)\n') == [
+        ("<source>", 1, "__setattr__ call")]
+    assert value_stores("env.gas -= 1\nres.halted: bool = True\nsetattr(p, 'bit', 1)\n") == [
+        ("<source>", 1, "store to .gas"), ("<source>", 2, "store to .halted"),
+        ("<source>", 3, "setattr call")]
+    # A class initializes its own fields; other stores are not value fields.
+    assert value_stores("class MemoryState:\n    def f(self):\n        self.blocks = ()\n"
+                        "ctx.sigma_init = sigma\n") == []
