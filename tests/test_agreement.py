@@ -25,6 +25,7 @@ from minisol.engine import (
     concretize,
     equals,
     explore,
+    interpret,
     verify_triple,
 )
 from minisol.proggen import ProgramGen, generate_program
@@ -45,8 +46,8 @@ def cases(draw):
     prog = generate_program(draw(st.integers(0, 1 << 30)), draw(st.integers(1, 8)),
                             allow_div=False)
     sigma = fresh_memory(64)
-    declared = drive(K, sigma, initial_env(N_DECLS, sigma.addr_of("0xglobal")),
-                     ExecContext(sigma_init=sigma), prog[:N_DECLS]).final(ExecContext())
+    declared = interpret(K, sigma, initial_env(N_DECLS, sigma.addr_of("0xglobal")),
+                         prog[:N_DECLS])
     syms = [(a, SymbolicValue(f"s{a.index}", "int", 64, True, -2, 2))
             for a in draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))]
     bool_block = draw(st.sampled_from([None, *BOOLS]))

@@ -120,7 +120,8 @@ _SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
 def value_stores(source: str, filename: str = "<source>") -> list:
     """(file, line, what) for each store to or deletion of an attribute
     named like a value-class field outside those classes' own bodies, and
-    for each ``setattr``/``__setattr__`` call anywhere."""
+    for each ``setattr``/``delattr`` call anywhere, ``object.__setattr__``
+    included."""
     found = []
     owners = {cls.__name__ for cls in VALUE_CLASSES}
 
