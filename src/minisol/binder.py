@@ -243,7 +243,12 @@ class Binder:
             addr, t = self.lookup(e.name, e.pos)
             return Evar(addr, t)
         if isinstance(e, EBin):
-            return Ebop(e.op, self.lower_expr(e.left), self.lower_expr(e.right))
+            # A bare integer literal beside an assignable operand takes its type.
+            if isinstance(e.left, ENum):
+                right = self.lower_expr(e.right)
+                return Ebop(e.op, self._lower_value(e.left, right), right)
+            left = self.lower_expr(e.left)
+            return Ebop(e.op, left, self._lower_value(e.right, left))
         if isinstance(e, EUn):
             return Euop(e.op, self.lower_expr(e.operand))
         if isinstance(e, EIndex):
@@ -359,9 +364,9 @@ class Binder:
         return Assign(target, self._lower_value(init, target))
 
     def _lower_value(self, e, target):
-        """The value assigned to ``target``: a bare integer literal, optionally
-        negated, takes the target's integer type."""
-        t = _assigned_type(target)
+        """The value assigned to ``target``, or the operand beside it: a bare
+        integer literal, optionally negated, takes the target's integer type."""
+        t = assigned_type(target)
         if isinstance(e, ENum) and isinstance(t, Tint):
             return _literal(e, t)
         return self.lower_expr(e)
@@ -483,7 +488,7 @@ def _literal(e: ENum, t: Tint) -> Econst:
     return Econst(Vint(e.value, t.width, t.signed))
 
 
-def _assigned_type(target):
+def assigned_type(target):
     """The type of the block an assignable target (a variable, an array
     element or a mapping entry) names, where its form gives one."""
     if isinstance(target, Evar):

@@ -2,8 +2,9 @@
 
 Expressions evaluate in two positions: the l-position yields a memory
 address, the r-position a memory value. Only array and mapping constants
-and the two reference forms are addressable; everything else is banned
-on the left. ``eval_rvalue`` looks the exact type of an expression up in
+(resolved by ``values.value_address``, the resolver their reads use) and
+the two reference forms are addressable; everything else is banned on
+the left. ``eval_rvalue`` looks the exact type of an expression up in
 ``_RULES``, one rule per expression class, and nested evaluations go
 back through ``eval_rvalue``. ``eval_bop`` and ``eval_uop`` check operand
 types and widths, then apply the operator table of the symbolic module,
@@ -36,17 +37,9 @@ from .syntax import (
     Euop,
     Evar,
     LExpr,
-    Varray,
-    Vmap,
     payload_matches_type,
 )
-from .values import (
-    Env,
-    _concrete_indices,
-    eval_value,
-    locate_array_element,
-    resolve_map_path,
-)
+from .values import Env, eval_value, value_address
 
 
 def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
@@ -56,15 +49,8 @@ def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
     if isinstance(e, (Evar, Efun)):
         return e.addr
     if isinstance(e, Econst):
-        v = e.value
-        if isinstance(v, Varray):
-            indices = _concrete_indices(K - 1, v.indices, sigma, env)
-            if indices is None:
-                return None
-            return locate_array_element(v.arr_type, v.base, indices, sigma, env)
-        if isinstance(v, Vmap):
-            return resolve_map_path(K - 1, v, sigma, env)
-    # Other constants, Estruct, Ebop and Euop are never addresses.
+        return value_address(K, e.value, sigma, env)
+    # Estruct, Ebop and Euop are never addresses.
     return None
 
 

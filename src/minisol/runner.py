@@ -13,14 +13,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import memory as gm
-from .binder import BindError, BoundProgram
+from .binder import BindError, BoundProgram, assigned_type
 from .engine import Post, equals, interpret, throw_state, unchanged
 from .memory import BoolPayload, IntPayload, MemoryState
 from .parser import ParseError, parse_expr_text
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import Econst, Tbool, Tint, Tmap, Vbool, Vint, Vmap, int_fits, type_text
+from .syntax import Econst, Tbool, Tint, Vbool, Vint, int_fits, type_text
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -51,21 +51,6 @@ def _literal_expr(ltype, raw):
             raise RunnerError(f"integer {raw} does not fit in {type_text(ltype)}")
         return Econst(Vint(raw, ltype.width, ltype.signed))
     raise RunnerError(f"cannot build a literal of type {type(ltype).__name__}")
-
-
-def _target_type(lowered):
-    from .syntax import Evar
-    if isinstance(lowered, Evar):
-        return lowered.ltype
-    if isinstance(lowered, Econst) and isinstance(lowered.value, Vmap):
-        v = lowered.value
-        t = v.value_type
-        for _ in range(len(v.keys) - 1):
-            if not isinstance(t, Tmap):
-                raise RunnerError("over-indexed mapping in seed write")
-            t = t.value
-        return t
-    raise RunnerError("seed writes support plain variables and mapping entries")
 
 
 def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
@@ -129,7 +114,10 @@ def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
     except (BindError, ParseError) as exc:
         # The position is one inside the target's own text, not the program's.
         raise RunnerError(f"cannot resolve {lvalue_text!r}: {exc.msg}") from exc
-    ltype = _target_type(lowered)
+    ltype = assigned_type(lowered)
+    if not isinstance(ltype, (Tbool, Tint)):
+        raise RunnerError(f"cannot seed {lvalue_text!r}: a seed write needs a bool or "
+                          "integer variable, a fully indexed array element or a mapping entry")
     stmt = Assign(lowered, _literal_expr(ltype, raw))
     env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
     out = interpret(SETUP_K, sigma, env, (stmt,), ctx)

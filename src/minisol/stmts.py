@@ -14,7 +14,10 @@ here, are thin callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged.
+every rule takes its arguments unchanged. An assignment resolves its
+target through the value layer's resolvers; a mapping entry target is
+stored by ``_map_store``, which walks each chain once and links a
+missing key at the chain's tail.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .syntax import (
     Vmap,
     array_dims,
 )
-from .values import Env  # noqa: F401  (Env re-exported)
+from .values import Env, locate_map_node
 
 __all__ = [
     "ExecContext", "StepResult", "Run", "array_layout",
@@ -437,117 +440,82 @@ def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
         fid = rhs.payload
         return _enter_call(sigma, env, fid.fun, fid, tuple(fid.args or ()),
                            rest, ctx)
+    if isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap):
+        return _map_store(K, sigma, env, ctx, head.lhs.value, rhs, rest)
     addr = eval_lvalue(K, head.lhs, sigma, env)
     if addr is None:
-        if not (isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap)):
-            return _fail(env, rest, "assignment target has no address", ctx)
-        keys = []
-        for e in head.lhs.value.keys:
-            kv = eval_rvalue(K, e, sigma, env)
-            if kv is None:
-                return _fail(env, rest, "mapping key failed to evaluate", ctx)
-            p = kv.payload
-            tree = (p.bit if isinstance(p, BoolPayload)
-                    else p.value if isinstance(p, gm.IntPayload) else None)
-            if is_symbolic(tree):
-                # Chains key on concrete payloads only.
-                return _fail(env, rest, f"mapping key {tree} is symbolic; "
-                             "symbolic mapping keys are unsupported", ctx)
-            keys.append(p)
-        sig = _map_insert(sigma, head.lhs.value, keys, rhs, env)
-        if sig is None:
-            return _fail(env, rest, "mapping insert failed", ctx)
-        return StepResult(sig, env, rest)
-    i = addr.index
-    target = sigma.blocks[i] if 0 <= i < sigma.size else None
-    if target is not None and isinstance(target.payload, MapNode):
-        # Assigning to a mapping entry replaces the value it holds.
-        node = target.payload
-        if node.kv is None:
-            return _fail(env, rest, "cannot assign into a mapping head", ctx)
-        rhs = MemoryValue(replace(node, kv=(node.kv[0], rhs.payload)), target.domain,
-                          target.access, target.occupancy)
+        return _fail(env, rest, "assignment target has no address", ctx)
+    if 0 <= addr.index < sigma.size and isinstance(sigma.blocks[addr.index].payload,
+                                                    MapNode):
+        return _fail(env, rest, "cannot assign into a mapping head", ctx)
     sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:
         return _fail(env, rest, f"validated write to {addr} failed", ctx)
     return StepResult(sig, env, rest)
 
 
-def _map_insert(sigma, vmap: Vmap, key_payloads, value: MemoryValue,
-                env: Env) -> MemoryState | None:
-    """Create the chain entry for a missing key (insert-only mappings)."""
-    kt, vt = vmap.key_type, vmap.value_type
-    sig = sigma
-    base = vmap.base
-    for i, key in enumerate(key_payloads):
-        head_block = gm.read(sig, base, "chck", env)
-        if head_block is None or not isinstance(head_block.payload, MapNode):
-            return None
-        last = i + 1 == len(key_payloads)
-        node_addr = None
-        found = None
-        cur = base
-        for _ in range(sig.size + 1):
-            blk = gm.read(sig, cur, "dir")
-            if blk is None or not isinstance(blk.payload, MapNode):
-                return None
-            if blk.payload.kv is not None and blk.payload.kv[0] == key:
-                found = cur
-                break
-            if blk.payload.next is None:
-                node_addr = cur  # chain tail
-                break
-            cur = blk.payload.next
+def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
+    """Store ``rhs`` under the keys of ``vmap`` (insert-only mappings).
+
+    The keys evaluate once, then each chain is walked once: a found entry
+    is overwritten in place, and a missing key gets a fresh node linked
+    at the tail of its chain and tagged like that tail. Under a non-last
+    key the fresh node holds a fresh inner head.
+    """
+    keys = []
+    for e in vmap.keys:
+        kv = eval_rvalue(K, e, sigma, env)
+        if kv is None:
+            return _fail(env, rest, "mapping key failed to evaluate", ctx)
+        p = kv.payload
+        tree = (p.bit if isinstance(p, BoolPayload)
+                else p.value if isinstance(p, gm.IntPayload) else None)
+        if is_symbolic(tree):
+            # Chains key on concrete payloads only.
+            return _fail(env, rest, f"mapping key {tree} is symbolic; "
+                         "symbolic mapping keys are unsupported", ctx)
+        keys.append(p)
+    sig, base, kt, vt = sigma, vmap.base, vmap.key_type, vmap.value_type
+    for i, key in enumerate(keys):
+        last = i + 1 == len(keys)
+        found, tail = locate_map_node(key, base, sig, env)
         if found is not None:
+            block = sig.blocks[found.index]
+            node = block.payload
             if last:
-                blk = gm.read(sig, found, "dir")
-                node = blk.payload
-                sig = gm.write(sig, found,
-                               replace(blk, payload=replace(node, kv=(key, value.payload))),
-                               "chck", env)
-                return sig
-            blk = gm.read(sig, found, "dir")
-            entry = blk.payload.kv[1]
-            if not isinstance(entry, MapNode):
-                return None
-            base = entry.init
-            if isinstance(vt, Tmap):
-                kt, vt = vt.key, vt.value
-            continue
-        # Key missing: allocate a fresh node, link it at the tail.
-        alloc = gm.allocate(sig, 1)
-        if alloc is None:
-            return None
-        new_addr, sig = alloc
-        if last:
-            entry_payload = value.payload
+                entry = replace(block, payload=replace(node, kv=(node.kv[0], rhs.payload)))
+                sig = gm.write(sig, found, entry, "chck", env)
+                if sig is None:
+                    return _fail(env, rest, f"validated write to {found} failed", ctx)
+                return StepResult(sig, env, rest)
+            inner = node.kv[1]
         else:
-            inner = gm.allocate(sig, 1)
-            if inner is None:
-                return None
-            inner_addr, sig = inner
-            if not isinstance(vt, Tmap):
-                return None
-            inner_head = MapNode(init=inner_addr, kv=None, key_type=vt.key,
-                                 value_type=vt.value, next=None)
-            sig = gm.write(sig, inner_addr,
-                           replace(head_block, payload=inner_head), "dir")
-            entry_payload = MapNode(init=inner_addr, kv=None, key_type=vt.key,
-                                    value_type=vt.value, next=None)
-        node = MapNode(init=base, kv=(key, entry_payload), key_type=kt,
-                       value_type=vt, next=None)
-        sig = gm.write(sig, new_addr, replace(head_block, payload=node), "dir")
-        tail_block = gm.read(sig, node_addr, "dir")
-        sig = gm.write(sig, node_addr,
-                       replace(tail_block, payload=replace(tail_block.payload,
-                                                           next=new_addr)), "dir")
-        if sig is None:
-            return None
-        if last:
-            return sig
-        base = entry_payload.init
-        kt, vt = vt.key, vt.value
-    return sig
+            if tail is None or not (last or isinstance(vt, Tmap)):
+                return _fail(env, rest, "mapping insert failed", ctx)
+            alloc = gm.allocate(sig, 1)
+            if alloc is None:
+                return _fail(env, rest, "mapping insert failed", ctx)
+            node_addr, sig = alloc
+            tail_block = sig.blocks[tail.index]
+            if last:
+                inner = rhs.payload
+            else:
+                alloc = gm.allocate(sig, 1)
+                if alloc is None:
+                    return _fail(env, rest, "mapping insert failed", ctx)
+                inner_addr, sig = alloc
+                inner = MapNode(init=inner_addr, key_type=vt.key, value_type=vt.value)
+                sig = gm.write(sig, inner_addr, replace(tail_block, payload=inner), "dir")
+            node = MapNode(init=base, kv=(key, inner), key_type=kt, value_type=vt)
+            sig = gm.write(sig, node_addr, replace(tail_block, payload=node), "dir")
+            sig = gm.write(sig, tail, replace(tail_block, payload=replace(
+                tail_block.payload, next=node_addr)), "dir")
+            if last:
+                return StepResult(sig, env, rest)
+        if not isinstance(inner, MapNode) or not isinstance(vt, Tmap):
+            return _fail(env, rest, "mapping insert failed", ctx)
+        base, kt, vt = inner.init, vt.key, vt.value
+    return _fail(env, rest, "mapping insert failed", ctx)
 
 
 # One rule per statement class, keyed by exact type.

@@ -3,8 +3,18 @@
 ``eval_value`` is the single entry point. Constants wrap directly into
 tagged memory values, and the memory value of an integer literal is
 built once per domain, in a bounded cache. Arrays, mappings,
-structs and field accesses resolve through the store. Value evaluation
-is read only: no operation here ever produces a new memory state.
+structs and field accesses resolve through the store:
+
+- ``value_address`` is the one resolver of array-element and
+  mapping-entry addresses, for reads here and for writes in the
+  expression and statement layers;
+- ``locate_map_node`` is the one walk over a mapping chain; a miss
+  reports the chain's tail, where the statement layer links a new entry;
+- ``resolve_field`` reads the instance block once and walks the member
+  path over the struct type blocks.
+
+Value evaluation is read only: no operation here ever produces a new
+memory state.
 
 A recursion budget K bounds every recursive evaluation; an exhausted
 budget yields an absent result rather than a crash.
@@ -71,20 +81,10 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
         return _int_literal(v.value, v.width, v.signed, env.domain)
     if isinstance(v, Vbool):
         return mvalue(BoolPayload(v.bit), env)
-    if isinstance(v, Varray):
-        indices = _concrete_indices(K - 1, v.indices, sigma, env)
-        if indices is None:
-            return None
-        addr = locate_array_element(v.arr_type, v.base, indices, sigma, env)
-        if addr is None:
-            return None
-        return gm.read(sigma, addr, "chck", env)
-    if isinstance(v, Vmap):
-        node_addr = resolve_map_path(K - 1, v, sigma, env)
-        if node_addr is None:
-            return None
-        node = gm.read(sigma, node_addr, "chck", env)
-        return map_entry_value(node)
+    if isinstance(v, (Varray, Vmap)):
+        addr = value_address(K, v, sigma, env)
+        block = None if addr is None else gm.read(sigma, addr, "chck", env)
+        return map_entry_value(block) if isinstance(v, Vmap) else block
     if isinstance(v, Vstruct):
         block = gm.read(sigma, v.inst_addr, "chck", env)
         if block is None or not isinstance(block.payload, StructInstance):
@@ -133,6 +133,21 @@ def _concrete_indices(K, index_exprs, sigma, env):
     return out
 
 
+def value_address(K: int, v: LValue, sigma: MemoryState,
+                  env: Env) -> Address | None:
+    """Address of a fully indexed array element or of a mapping entry
+    node; absent for any other value, or when an index or key fails to
+    evaluate, overflows or misses."""
+    if isinstance(v, Varray):
+        indices = _concrete_indices(K - 1, v.indices, sigma, env)
+        if indices is None:
+            return None
+        return locate_array_element(v.arr_type, v.base, indices, sigma, env)
+    if isinstance(v, Vmap):
+        return resolve_map_path(K - 1, v, sigma, env)
+    return None
+
+
 def locate_array_element(arr_type, base: Address, indices, sigma: MemoryState,
                          env: Env) -> Address | None:
     """Address of a fully indexed array element, absent on overflow."""
@@ -149,25 +164,26 @@ def locate_array_element(arr_type, base: Address, indices, sigma: MemoryState,
     return gm.address_offset(off, base, sigma.size)
 
 
-def locate_map_node(key_payload, base: Address, sigma: MemoryState,
-                    env: Env) -> Address | None:
-    """Walk one mapping chain for a key; absent if missing or broken.
+def locate_map_node(key_payload, base: Address, sigma: MemoryState, env: Env):
+    """Walk one mapping chain for a key: ``(entry address, None)`` when it
+    is found, ``(None, tail address)`` when it is missing, and
+    ``(None, None)`` when the chain is broken.
 
     Keys compare by payload equality only. The walk is bounded by the
-    memory size, so a corrupted cyclic chain terminates as absent.
+    memory size, so a corrupted cyclic chain terminates as broken.
     """
     cur = base
     for _ in range(sigma.size + 1):
         block = gm.read(sigma, cur, "chck", env)
         if block is None or not isinstance(block.payload, MapNode):
-            return None
+            return None, None
         node = block.payload
         if node.kv is not None and node.kv[0] == key_payload:
-            return cur
+            return cur, None
         if node.next is None:
-            return None
+            return None, cur
         cur = node.next
-    return None
+    return None, None
 
 
 def resolve_map_path(K: int, v: Vmap, sigma: MemoryState,
@@ -181,7 +197,7 @@ def resolve_map_path(K: int, v: Vmap, sigma: MemoryState,
         kv = _eval_expr_r(K - 1, key_expr, sigma, env)
         if kv is None:
             return None
-        addr = locate_map_node(kv.payload, base, sigma, env)
+        addr, _tail = locate_map_node(kv.payload, base, sigma, env)
         if addr is None:
             return None
         if i + 1 < len(v.keys):
@@ -200,60 +216,30 @@ def map_entry_value(node: MemoryValue | None) -> MemoryValue | None:
     return replace(node, payload=node.payload.kv[1])
 
 
-def resolve_instance(sigma: MemoryState, env: Env,
-                     head: Address) -> tuple[Address, Address] | None:
-    """Base information of a struct value: instance and type addresses."""
+def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
+                  expected_type: Address | None = None) -> MemoryValue | None:
+    """The member that ``members`` names, a path through the struct
+    instance at ``head`` and the instances embedded in it, tagged like
+    the instance block. A function member comes back with ``head`` as
+    its receiver and ``args`` bound. Absent when the instance is not
+    readable, its type is not ``expected_type`` (when given), or the path
+    leaves the declared members."""
     block = gm.read(sigma, head, "chck", env)
-    if block is None or not isinstance(block.payload, StructInstance) \
-            or block.payload.type_addr is None:
+    if not members or block is None or not isinstance(block.payload, StructInstance):
         return None
-    return head, block.payload.type_addr
-
-
-def walk_members(sigma: MemoryState, members, env: Env,
-                 a_init: Address, a_type: Address):
-    """Walk a member path; returns (owner address, member payload)."""
-    inst_block = gm.read(sigma, a_init, "chck", env)
-    if inst_block is None or not isinstance(inst_block.payload, StructInstance):
+    payload = block.payload
+    if expected_type is not None and payload.type_addr != expected_type:
         return None
-    inst = inst_block.payload
-    receiver = a_init
-    cur_type = a_type
-    payload = None
-    for i, name in enumerate(members):
-        ty_block = gm.read(sigma, cur_type, "chck", env)
+    for name in members:
+        if not isinstance(payload, StructInstance) or payload.type_addr is None:
+            return None
+        ty_block = gm.read(sigma, payload.type_addr, "chck", env)
         if ty_block is None or not isinstance(ty_block.payload, StructTypeInfo):
             return None
         names = [n for n, _t in ty_block.payload.members]
-        if name not in names or len(inst.members) != len(names):
+        if name not in names or len(payload.members) != len(names):
             return None
-        idx = names.index(name)
-        payload = inst.members[idx]
-        if i + 1 < len(members):
-            if not isinstance(payload, StructInstance) or payload.type_addr is None:
-                return None
-            inst = payload
-            cur_type = inst.type_addr
-            # Nested member values are embedded, so the closest addressable
-            # owner remains the instance block itself.
-    return receiver, payload
-
-
-def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
-                  expected_type: Address | None = None) -> MemoryValue | None:
-    if not members:
-        return None
-    based = resolve_instance(sigma, env, head)
-    if based is None:
-        return None
-    a_init, a_type = based
-    if expected_type is not None and a_type != expected_type:
-        return None
-    found = walk_members(sigma, members, env, a_init, a_type)
-    if found is None:
-        return None
-    receiver, payload = found
+        payload = payload.members[names.index(name)]
     if isinstance(payload, Fid):
-        payload = replace(payload, receiver=receiver, args=args)
-    block = gm.read(sigma, a_init, "dir")
+        payload = replace(payload, receiver=head, args=args)
     return replace(block, payload=payload)

@@ -411,6 +411,46 @@ class TestEntryArguments:
             assert rc == 3
             assert "does not fit in " in err
 
+    def test_array_element_seed_write(self, capsys, tmp_path):
+        src = tmp_path / "arr.lls"
+        src.write_text("contract S { uint[3] a; }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--arg", "a[1]=5")
+        assert rc == 0
+        assert out.splitlines()[3].split("\t")[4] == "int:u64:5"  # a[1]
+
+    @pytest.mark.parametrize("target", ["m[1][2]", "a", "msg.value"],
+                             ids=["over-indexed-mapping", "whole-array", "field"])
+    def test_seed_target_without_a_type_names_the_accepted_forms(self, capsys, tmp_path,
+                                                                 target):
+        src = tmp_path / "arr.lls"
+        src.write_text("contract S { uint[3] a; mapping(uint => uint) m; }\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--arg", f"{target}=5")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: cannot seed {target!r}: a seed write needs a bool or integer "
+            "variable, a fully indexed array element or a mapping entry"]
+
+    @pytest.mark.parametrize("ltype, dumped", [("uint8", "int:u8:3"), ("uint", "int:u64:3")])
+    def test_literal_operand_takes_the_other_operands_type(self, capsys, tmp_path, ltype,
+                                                           dumped):
+        src = tmp_path / "lit.lls"
+        src.write_text(f"contract S {{ {ltype} u = 1; function f() public "
+                       "{ u = u + 1; if (u < 5) { u += 1; } } }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 0
+        assert out.splitlines()[2].split("\t")[4] == dumped  # u
+
+    def test_literal_operand_outside_the_other_operands_type_is_an_error(self, capsys,
+                                                                         tmp_path):
+        src = tmp_path / "lit.lls"
+        src.write_text("contract S { uint8 u = 1; function f() public { u = u + 300; } }\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: integer literal 300 does not fit in uint8 (line 1, column 57)"]
+
     def test_global_write_via_arg(self, capsys):
         # an --arg naming a global (not a parameter) seeds that block
         rc, out, _ = run_cli(

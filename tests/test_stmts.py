@@ -594,6 +594,63 @@ class TestMappingStatements:
         from minisol.exprs import eval_rvalue
         assert eval_rvalue(30, lhs, out, env).payload == IntPayload(99)
 
+    def test_insert_into_a_cyclic_chain_fails(self, sigma, env):
+        m = Address(5)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
+        head = seeded.blocks[m.index]
+        seeded = gm.write(seeded, m, replace(head, payload=replace(head.payload, next=m)))
+        lhs = Econst(Vmap(m, (Econst(Vint(1)),), Tuint(), Tuint(), None))
+        ctx = ExecContext()
+        assert run([Assign(lhs, Econst(Vint(1)))], seeded, env, ctx=ctx) is None
+        assert ctx.diagnostics == ["mapping insert failed"]
+
+    def test_insert_evaluates_each_key_once(self, sigma, env, monkeypatch):
+        from minisol import exprs, stmts
+        m, k = Address(5), Address(6)
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
+        seeded = init_var(seeded, env, None, Tuint(), k)
+        seeded = gm.write(seeded, k, replace(seeded.blocks[k.index], payload=IntPayload(3)))
+        calls = []
+        original = exprs.eval_rvalue
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+        monkeypatch.setattr(exprs, "eval_rvalue", counted)
+        monkeypatch.setattr(stmts, "eval_rvalue", counted)
+        lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint(), None))
+        assert run([Assign(lhs, Econst(Vint(1)))], seeded, env) is not None
+        assert len(calls) == 2  # the right side and the key
+
+    def test_inner_and_outer_keys_are_linked_at_their_chain_tails(self, sigma, env):
+        from minisol.exprs import eval_rvalue
+        m = Address(5)
+        inner_t = Tmap(Tuint(), Tuint())
+        seeded = init_var(sigma, env, None, Tmap(Tuint(), inner_t), m)
+
+        def entry(a, b):
+            return Econst(Vmap(m, (Econst(Vint(a)), Econst(Vint(b))), Tuint(), inner_t,
+                               None))
+        # (1, 2) creates outer key 1; (1, 3) finds it and misses inside it;
+        # (4, 5) adds a second outer key.
+        writes = [(1, 2, 12), (1, 3, 13), (4, 5, 45)]
+        out = run([Assign(entry(a, b), Econst(Vint(v))) for a, b, v in writes],
+                  seeded, env)
+        assert out is not None
+        for a, b, v in writes:
+            assert eval_rvalue(30, entry(a, b), out, env).payload == IntPayload(v)
+
+        def chain(base):
+            nodes, cur = [], out.blocks[base.index].payload.next
+            while cur is not None:
+                nodes.append(out.blocks[cur.index].payload)
+                cur = nodes[-1].next
+            return nodes
+        outer = chain(m)
+        assert [n.kv[0] for n in outer] == [IntPayload(1), IntPayload(4)]
+        assert [n.kv[0] for n in chain(outer[0].kv[1].init)] == [IntPayload(2), IntPayload(3)]
+        assert [n.kv[0] for n in chain(outer[1].kv[1].init)] == [IntPayload(5)]
+
 
 class TestGasAccounting:
     def test_each_statement_costs_one(self, sigma, names):

@@ -153,12 +153,12 @@ class TestMappingValues:
         # independent linear scan over the chain we just built
         expected = {k: Address(1 + i) for i, (k, v) in enumerate(entries)}
         for k, _v in entries:
-            got = locate_map_node(IntPayload(k), Address(0), seeded, env)
+            got = locate_map_node(IntPayload(k), Address(0), seeded, env)[0]
             assert got == expected[k]
 
     def test_missing_key_absent(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
-        assert locate_map_node(IntPayload(99), Address(0), seeded, env) is None
+        assert locate_map_node(IntPayload(99), Address(0), seeded, env)[0] is None
 
     def test_cycle_bounded(self, sigma, env):
         # head pointing at itself must terminate as absent
@@ -166,7 +166,7 @@ class TestMappingValues:
                        value_type=Tuint(), next=Address(0))
         seeded = gm.write(sigma, Address(0),
                           MemoryValue(head, domain=env.domain), "dir")
-        assert locate_map_node(IntPayload(1), Address(0), seeded, env) is None
+        assert locate_map_node(IntPayload(1), Address(0), seeded, env) == (None, None)
 
     def test_vmap_eval_unwraps_entry_value(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
@@ -252,6 +252,16 @@ class TestFieldAccess:
         out = resolve_field(names["msg"], ("value",), None, sigma, env,
                             expected_type=names["0xaddress"])
         assert out is None
+
+    def test_private_instance_of_another_domain_absent(self, names, env, binfo):
+        sigma = write_message(fresh_memory(100), binfo)
+        block = sigma.blocks[names["msg"].index]
+        sigma = gm.write(sigma, names["msg"],
+                         replace(block, access=gm.PRIVATE, domain=Address(3)), "dir")
+        assert resolve_field(names["msg"], ("value",), None, sigma, env) is None
+        owner = replace(env, domain=Address(3))
+        assert resolve_field(names["msg"], ("value",), None, sigma, owner).payload == \
+            IntPayload(binfo.msg_value)
 
     def test_vstruct_reads_instance(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
