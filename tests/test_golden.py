@@ -52,3 +52,33 @@ def test_golden_transcript(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == expected_rc
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# Usage transcripts: help texts and argument errors, which argparse prints
+# before any command runs. A golden holds both streams, as
+# ``--- stdout\n<stdout>--- stderr\n<stderr>``, printed at COLUMNS=80.
+# name -> (argv, expected exit code)
+USAGE_CASES = {
+    "usage-help": (["-h"], 0),
+    **{f"usage-help-{cmd}": ([cmd, "-h"], 0)
+       for cmd in ("run", "step", "verify", "typecheck", "emit-ast", "oracle")},
+    "usage-no-arguments": ([], 2),
+    "usage-unknown-command": (["frobnicate", "samples/empty.lls"], 2),
+    "usage-unknown-flag": (["run", "samples/empty.lls", "--frob", "1"], 2),
+    "usage-missing-file": (["run"], 2),
+    "usage-bad-gas": (["run", "samples/empty.lls", "--gas", "lots"], 2),
+    "usage-bad-mode": (["verify", "samples/wallet.lls", "--spec", "samples/no_in_time.spec",
+                        "--mode", "fast"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_transcript(name, capsys, monkeypatch):
+    argv, expected_rc = USAGE_CASES[name]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    rc = cli_main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == expected_rc
+    assert (f"--- stdout\n{captured.out}--- stderr\n{captured.err}"
+            == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"))
