@@ -49,6 +49,7 @@ from .parser import (
 )
 from .stdlib import standard_library
 from .syntax import (
+    ARITH_OPS,
     Assign,
     Contract,
     Ebop,
@@ -243,7 +244,8 @@ class Binder:
             addr, t = self.lookup(e.name, e.pos)
             return Evar(addr, t)
         if isinstance(e, EBin):
-            # A bare integer literal beside an assignable operand takes its type.
+            # A bare integer literal beside an assignable operand, or beside
+            # arithmetic over one, takes its type.
             if isinstance(e.left, ENum):
                 right = self.lower_expr(e.right)
                 return Ebop(e.op, self._lower_value(e.left, right), right)
@@ -366,7 +368,7 @@ class Binder:
     def _lower_value(self, e, target):
         """The value assigned to ``target``, or the operand beside it: a bare
         integer literal, optionally negated, takes the target's integer type."""
-        t = assigned_type(target)
+        t = operand_type(target)
         if isinstance(e, ENum) and isinstance(t, Tint):
             return _literal(e, t)
         return self.lower_expr(e)
@@ -503,6 +505,16 @@ def assigned_type(target):
             t = t.value if isinstance(t, Tmap) else None
         return t
     return None
+
+
+def operand_type(e):
+    """The type of an assignable ``e``, or of arithmetic over an assignable
+    operand, where its form gives one."""
+    if isinstance(e, Ebop) and e.op in ARITH_OPS:
+        return operand_type(e.left) or operand_type(e.right)
+    if isinstance(e, Euop) and e.op == "neg":
+        return operand_type(e.operand)
+    return assigned_type(e)
 
 
 def bind_addresses(sp: SourceProgram, mem_size: int = gm.DEFAULT_MEMORY_SIZE) -> BoundProgram:

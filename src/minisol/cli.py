@@ -11,6 +11,10 @@
 satisfies the spec's ``require`` lines; ``--mode concolic`` instead pins
 the symbols to their ``--arg`` values and runs that one concrete path.
 
+A command builds only its own argument parser. The parser of every
+command is built only to print the top-level help or a usage error that
+names no single command, so each text reads the same either way.
+
 Exit codes: 0 success/verified, 1 refuted, 2 usage, 3 parse, type or
 internal failure. With ``--json`` a command that fails this way still
 prints one record, ``{"status": "error", "diagnostic": ...}``.
@@ -45,9 +49,8 @@ EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
 
-def _common_flags(p: argparse.ArgumentParser, needs_file: bool = True):
-    if needs_file:
-        p.add_argument("file", help="source program (.lls)")
+def _common_flags(p: argparse.ArgumentParser):
+    p.add_argument("file", help="source program (.lls)")
     p.add_argument("--gas", type=int, default=10000,
                    help="statement budget for the entry program (default 10000)")
     p.add_argument("--k", type=int, default=1000, dest="k",
@@ -66,41 +69,37 @@ def _common_flags(p: argparse.ArgumentParser, needs_file: bool = True):
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="minisol")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _step_flags(p: argparse.ArgumentParser):
+    _common_flags(p)
+    p.add_argument("--max-steps", type=int, default=None)
 
-    run = sub.add_parser("run", help="concrete execution, prints the final dump")
-    _common_flags(run)
 
-    stp = sub.add_parser("step", help="single-step execution with dumps")
-    _common_flags(stp)
-    stp.add_argument("--max-steps", type=int, default=None)
+def _verify_flags(p: argparse.ArgumentParser):
+    _common_flags(p)
+    p.add_argument("--mode", choices=("static", "concolic"), default="static")
+    p.add_argument("--symbolic", action="append", default=[],
+                   metavar="NAME:kind[:lo..hi]",
+                   help="declare a symbolic input (alternative to sym lines)")
 
-    ver = sub.add_parser("verify", help="check a Hoare triple from a spec file")
-    _common_flags(ver)
-    ver.add_argument("--mode", choices=("static", "concolic"), default="static")
-    ver.add_argument("--symbolic", action="append", default=[],
-                     metavar="NAME:kind[:lo..hi]",
-                     help="declare a symbolic input (alternative to sym lines)")
 
-    tyc = sub.add_parser("typecheck", help="parse, bind and typecheck only")
-    tyc.add_argument("file")
-    tyc.add_argument("--mem-size", type=int, default=gm.DEFAULT_MEMORY_SIZE)
-    tyc.add_argument("--json", action="store_true")
+def _typecheck_flags(p: argparse.ArgumentParser):
+    p.add_argument("file")
+    p.add_argument("--mem-size", type=int, default=gm.DEFAULT_MEMORY_SIZE)
+    p.add_argument("--json", action="store_true")
 
-    ast = sub.add_parser("emit-ast", help="emit the typed program as JSON")
-    ast.add_argument("file")
-    ast.add_argument("--mem-size", type=int, default=gm.DEFAULT_MEMORY_SIZE)
-    ast.add_argument("--dump", default=None, metavar="FILE")
 
-    orc = sub.add_parser("oracle", help="differential relational/executable report")
-    orc.add_argument("--count", type=int, default=100)
-    orc.add_argument("--seed", type=int, default=20240601)
-    orc.add_argument("--ast", default=None, metavar="FILE",
-                     help="check one emitted AST document instead of the random corpus")
-    orc.add_argument("--json", action="store_true")
-    return ap
+def _emit_ast_flags(p: argparse.ArgumentParser):
+    p.add_argument("file")
+    p.add_argument("--mem-size", type=int, default=gm.DEFAULT_MEMORY_SIZE)
+    p.add_argument("--dump", default=None, metavar="FILE")
+
+
+def _oracle_flags(p: argparse.ArgumentParser):
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=20240601)
+    p.add_argument("--ast", default=None, metavar="FILE",
+                   help="check one emitted AST document instead of the random corpus")
+    p.add_argument("--json", action="store_true")
 
 
 def _load(path: str, mem_size: int):
@@ -325,24 +324,53 @@ def cmd_oracle(ns) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
+# name -> (help text, flag adder, handler), in the order help lists them
 _COMMANDS = {
-    "run": cmd_run,
-    "step": cmd_step,
-    "verify": cmd_verify,
-    "typecheck": cmd_typecheck,
-    "emit-ast": cmd_emit_ast,
-    "oracle": cmd_oracle,
+    "run": ("concrete execution, prints the final dump", _common_flags, cmd_run),
+    "step": ("single-step execution with dumps", _step_flags, cmd_step),
+    "verify": ("check a Hoare triple from a spec file", _verify_flags, cmd_verify),
+    "typecheck": ("parse, bind and typecheck only", _typecheck_flags, cmd_typecheck),
+    "emit-ast": ("emit the typed program as JSON", _emit_ast_flags, cmd_emit_ast),
+    "oracle": ("differential relational/executable report", _oracle_flags, cmd_oracle),
 }
 
 
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as subparsers of ``minisol``."""
+    ap = argparse.ArgumentParser(prog="minisol")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _handler) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
+    return ap
+
+
+def parse_command_line(argv) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command it names, alone.
+
+    The command's flag adder builds it, as it builds the command's
+    subparser in ``build_arg_parser``, so it parses the same way. The full
+    parser is built only when ``argv`` names no command or leaves arguments
+    unrecognized: its help text and its ``minisol: error: unrecognized
+    arguments`` are the ones to print.
+    """
+    if argv and argv[0] in _COMMANDS:
+        ap = argparse.ArgumentParser(prog=f"minisol {argv[0]}")
+        _COMMANDS[argv[0]][1](ap)
+        ns, extras = ap.parse_known_args(argv[1:])
+        if not extras:
+            ns.command = argv[0]
+            return ns
+    return build_arg_parser().parse_args(argv)
+
+
 def cli_main(argv=None) -> int:
-    ap = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = ap.parse_args(argv)
+        ns = parse_command_line(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else EXIT_OK
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][2](ns)
     except (ParseError, BindError, LTypeError, SpecError, RunnerError,
             MemoryConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

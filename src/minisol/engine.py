@@ -71,14 +71,8 @@ class Constraint:
         except SymEvalError:
             return False
 
-    @cached_property
-    def text(self) -> str:
-        """The rendering, computed once and shared by every path whose
-        condition holds this constraint; paths are sorted by it."""
-        return f"{self.expr}={'T' if self.expected else 'F'}"
-
     def __str__(self):
-        return self.text
+        return f"{self.expr}={'T' if self.expected else 'F'}"
 
 
 @dataclass
@@ -320,8 +314,10 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     dispatches the branch again. Each child keeps the parent models
     (starting from ``initial.models``) that satisfy its side of the
     branch, and its own copy of the context; a child with no model left,
-    or whose side the path condition contradicts, is pruned. Results are
-    merged in path-condition lexicographic order.
+    or whose side the path condition contradicts, is pruned. The false
+    child is pushed last, so it is explored first, and the terminals come
+    out in path-condition order: two of them share a prefix of constraints
+    and then differ at a sibling pair, ``E=F`` before ``E=T``.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
@@ -333,7 +329,7 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
-            for branch, remaining in ((False, run.skipped), (True, run.remaining)):
+            for branch, remaining in ((True, run.remaining), (False, run.skipped)):
                 c = Constraint(run.cond, branch)
                 models = Models(parent=ps.models, constraint=c) if known is None else ps.models
                 if known is (not branch) or models.witness is None:
@@ -349,7 +345,6 @@ def explore(K: int, initial: PathState) -> list[PathState]:
             note = note or ("error" if sigma is None else "completed")
         terminals.append(PathState(sigma, run.env, ps.condition, run.remaining, ps.ctx, note,
                                    ps.models))
-    terminals.sort(key=lambda p: [c.text for c in p.condition])
     return terminals
 
 

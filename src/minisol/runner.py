@@ -40,17 +40,16 @@ class World:
 
 
 def _literal_expr(ltype, raw):
+    """A literal of ``ltype``, a ``Tbool`` or a ``Tint``, holding ``raw``."""
     if isinstance(ltype, Tbool):
         if not isinstance(raw, bool):
             raise RunnerError(f"expected a boolean for a bool block, got {raw!r}")
         return Econst(Vbool(raw))
-    if isinstance(ltype, Tint):
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise RunnerError(f"expected an integer, got {raw!r}")
-        if not int_fits(raw, ltype):
-            raise RunnerError(f"integer {raw} does not fit in {type_text(ltype)}")
-        return Econst(Vint(raw, ltype.width, ltype.signed))
-    raise RunnerError(f"cannot build a literal of type {type(ltype).__name__}")
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise RunnerError(f"expected an integer, got {raw!r}")
+    if not int_fits(raw, ltype):
+        raise RunnerError(f"integer {raw} does not fit in {type_text(ltype)}")
+    return Econst(Vint(raw, ltype.width, ltype.signed))
 
 
 def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
@@ -135,6 +134,11 @@ def entry_program(bound: BoundProgram, entry: str, arg_map=None):
     args = []
     arg_map = dict(arg_map or {})
     for pname, ptype, _addr in rec.params:
+        if not isinstance(ptype, (Tbool, Tint)):
+            struct_names = {a: n for n, a in bound.binder.structs.items()}
+            raise RunnerError(f"entry argument {pname!r} has type "
+                              f"{type_text(ptype, struct_names)}: an entry argument "
+                              "must be a bool or an integer")
         if pname not in arg_map:
             raise RunnerError(f"missing argument {pname!r} for entry {entry!r}")
         args.append(_literal_expr(ptype, arg_map.pop(pname)))

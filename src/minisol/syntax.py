@@ -98,19 +98,24 @@ def is_normal_type(t: LType) -> bool:
     return isinstance(t, (Tbool, Tint, Tfid, Tstruct))
 
 
-def type_text(t: LType) -> str:
+def type_text(t: LType, struct_names=None) -> str:
+    """``t`` as text; ``struct_names`` maps a struct's type address to the
+    name it is declared with, and a struct without one reads ``struct@N``."""
     if isinstance(t, Tbool):
         return "bool"
     if isinstance(t, Tint):
         return f"{'int' if t.signed else 'uint'}{t.width}"
     if isinstance(t, Tarray):
         dims, base = array_dims(t)
-        return type_text(base) + "".join(f"[{d}]" for d in dims)
+        return type_text(base, struct_names) + "".join(f"[{d}]" for d in dims)
     if isinstance(t, Tmap):
-        return f"mapping({type_text(t.key)}=>{type_text(t.value)})"
+        return (f"mapping({type_text(t.key, struct_names)}=>"
+                f"{type_text(t.value, struct_names)})")
     if isinstance(t, Tfid):
         return f"fid({t.fun.index if t.fun else '-'})"
     if isinstance(t, Tstruct):
+        if struct_names and t.type_addr in struct_names:
+            return struct_names[t.type_addr]
         return f"struct@{t.type_addr.index}"
     return f"<{type(t).__name__}>"
 

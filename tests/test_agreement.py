@@ -5,7 +5,7 @@ integer blocks and one boolean block take symbolic payloads over tiny
 domains, and ``explore`` runs the body. For every path and every model
 of it, the concretized terminal state is the state the concrete dispatch
 loop reaches on the world that model describes, and both stop for the
-same reason. Programs draw no division: a symbolic divisor has no
+same reason. The paths come out in path-condition order. Programs draw no division: a symbolic divisor has no
 ``d != 0`` fork yet.
 """
 
@@ -84,6 +84,10 @@ def test_paths_agree_with_concrete_runs(case):
     sigma, env, ctx = pre(None)
     paths = explore(K, PathState(sigma, env, (), body, ctx,
                                  models=tuple(assignments(symbols))))
+
+    # Paths come out in path-condition order, with no sort.
+    texts = [[str(c) for c in p.condition] for p in paths]
+    assert texts == sorted(texts)
 
     # The paths' models partition the domain product.
     seen = sorted(key(m, symbols) for p in paths for m in p.models)

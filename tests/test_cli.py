@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through cli_main, and in a
 fresh interpreter where the module entry points or stderr are checked."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from minisol.cli import cli_main
+from minisol.cli import build_arg_parser, cli_main, parse_command_line
 
 WALLET = "samples/wallet.lls"
 PRE = "samples/wallet_pre.spec"
@@ -369,6 +370,21 @@ class TestEntryArguments:
                                 "--arg", "b=2", "--arg", "zz=3")
         assert rc == 3
 
+    @pytest.mark.parametrize("params, ptype", [
+        ("address a", "address"), ("P[2] a", "P[2]"),
+        ("mapping(uint => P) a", "mapping(uint64=>P)")])
+    def test_entry_argument_of_another_type_names_parameter_and_type(self, capsys, tmp_path,
+                                                                     params, ptype):
+        src = tmp_path / "param.lls"
+        src.write_text("contract S { struct P { uint v; } uint r; "
+                       f"function f({params}) public {{ r = 1; }} }}\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f", "--arg", "a=5")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: entry argument 'a' has type {ptype}: an entry argument must be "
+            "a bool or an integer"]
+
     @pytest.mark.parametrize("argv, message", [
         (["--entry", "add", "--arg", "a=99999999999999999999999", "--arg", "b=2"],
          "integer 99999999999999999999999 does not fit in uint64"),
@@ -441,6 +457,26 @@ class TestEntryArguments:
         assert rc == 0
         assert out.splitlines()[2].split("\t")[4] == dumped  # u
 
+    @pytest.mark.parametrize("ltype, dumped", [("int", "int:i64:-2"), ("int8", "int:i8:-2")])
+    def test_literal_beside_arithmetic_takes_its_type(self, capsys, tmp_path, ltype, dumped):
+        src = tmp_path / "lit.lls"
+        src.write_text(f"contract S {{ {ltype} x = 3; uint r; function f() public "
+                       "{ if (x - 1 < 0) { r = 1; } else { r = 2; } x = -x + 1; } }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 0
+        lines = out.splitlines()
+        assert [lines[2].split("\t")[4], lines[3].split("\t")[4]] == [dumped, "int:u64:2"]
+
+    def test_literal_beside_arithmetic_outside_its_type_is_an_error(self, capsys, tmp_path):
+        src = tmp_path / "lit.lls"
+        src.write_text("contract S { uint8 u = 3; function f() public "
+                       "{ if (u * 2 < 300) { u = 0; } } }\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: integer literal 300 does not fit in uint8 (line 1, column 61)"]
+
     def test_literal_operand_outside_the_other_operands_type_is_an_error(self, capsys,
                                                                          tmp_path):
         src = tmp_path / "lit.lls"
@@ -499,6 +535,32 @@ class TestSelectiveModeCli:
                              "--mode", "selective", "--json")
         assert rc == 2
         assert out == ""
+
+
+class TestArgumentParsing:
+    def test_a_command_builds_only_its_own_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        rc, _out, _err = run_cli(capsys, "run", "samples/empty.lls")
+        assert rc == 0
+        assert built == ["minisol run"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", WALLET, "--entry", "wallet", "--arg", "a=1", "--arg", "b=2", "--gas", "7"],
+        ["step", WALLET, "--max-steps", "3", "--json"],
+        ["verify", WALLET, "--spec", SPEC, "--mode", "concolic", "--symbolic", "x:uint:0..3"],
+        ["typecheck", WALLET, "--mem-size", "50"],
+        ["emit-ast", WALLET, "--dump", "out.json"],
+        ["oracle", "--count", "3", "--seed", "9"],
+    ])
+    def test_command_parser_parses_as_the_full_parser(self, argv):
+        assert parse_command_line(argv) == build_arg_parser().parse_args(argv)
 
 
 def _assign_to(lhs: str) -> str:
