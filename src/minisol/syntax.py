@@ -114,9 +114,7 @@ def type_text(t: LType, struct_names=None) -> str:
     if isinstance(t, Tfid):
         return f"fid({t.fun.index if t.fun else '-'})"
     if isinstance(t, Tstruct):
-        if struct_names and t.type_addr in struct_names:
-            return struct_names[t.type_addr]
-        return f"struct@{t.type_addr.index}"
+        return (struct_names or {}).get(t.type_addr, f"struct@{t.type_addr.index}")
     return f"<{type(t).__name__}>"
 
 
