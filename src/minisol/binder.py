@@ -60,10 +60,8 @@ from .syntax import (
     Fun,
     FunCall,
     If,
-    LoopFor,
     LoopWhile,
     Modifier,
-    Return,
     Returns,
     Snil,
     StructDecl,
@@ -200,6 +198,10 @@ class Binder:
             return array_layout(dims).array_size
         return 1
 
+    def struct_names(self) -> dict:
+        """The declared name of each struct type address, ``address`` included."""
+        return {a: n for n, a in self.structs.items()}
+
     # -- name lookup -----------------------------------------------------------
 
     def lookup(self, name: str, pos=None):
@@ -258,8 +260,8 @@ class Binder:
         if isinstance(e, EMember):
             return self._lower_member(e)
         if isinstance(e, ECall):
-            raise BindError("calls cannot appear inside expressions; "
-                            "call as a statement or assign the call result", e.pos)
+            raise BindError("a call is a statement of its own and cannot appear "
+                            "inside an expression", e.pos)
         raise BindError(f"cannot lower expression {type(e).__name__}", getattr(e, "pos", None))
 
     def _index_chain(self, e: EIndex):
@@ -332,21 +334,14 @@ class Binder:
         if isinstance(s, SWhile):
             return [LoopWhile(self.lower_expr(s.cond), tuple(self.lower_body(s.body)))]
         if isinstance(s, SFor):
-            out = []
-            if s.init is not None:
-                out.extend(self.lower_stmt(s.init))
-            post = None
-            if s.post is not None:
-                lowered_post = self.lower_stmt(s.post)
-                if len(lowered_post) != 1:
-                    raise BindError("loop post step must be a single statement", s.pos)
-                post = lowered_post[0]
-            out.append(LoopFor(self.lower_expr(s.cond), None,
-                               tuple(self.lower_body(s.body)), post))
-            return out
+            # for (init; cond; post) body  ==>  init; while (cond) { body; post }
+            init = self.lower_stmt(s.init) if s.init is not None else []
+            post = self.lower_stmt(s.post) if s.post is not None else []
+            if len(post) > 1:
+                raise BindError("loop post step must be a single statement", s.pos)
+            return [*init, LoopWhile(self.lower_expr(s.cond),
+                                     (*self.lower_body(s.body), *post))]
         if isinstance(s, SReturn):
-            if len(s.values) == 1:
-                return [Return(self.lower_expr(s.values[0]))]
             return [Returns(tuple(self.lower_expr(v) for v in s.values))]
         raise BindError(f"cannot lower statement {type(s).__name__}", getattr(s, "pos", None))
 
@@ -523,7 +518,7 @@ def bind_addresses(sp: SourceProgram, mem_size: int = gm.DEFAULT_MEMORY_SIZE) ->
     binder = Binder(mem_size)
     decls = binder.bind_program(sp)
 
-    ctx = TypeContext()
+    ctx = TypeContext(struct_names=binder.struct_names())
     for stmt in standard_library(mem_size):
         if isinstance(stmt, StructDecl):
             ctx.structs[stmt.type_addr] = tuple(stmt.members)

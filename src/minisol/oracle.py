@@ -26,7 +26,7 @@ from .syntax import (
     Evar,
     If,
     LoopWhile,
-    Return,
+    Returns,
     Snil,
     Throw,
     Var,
@@ -140,7 +140,7 @@ def _apply_bop(op, a, b):
     return None
 
 
-CORE_KINDS = (Var, Assign, If, LoopWhile, Snil, Throw, Return)
+CORE_KINDS = (Var, Assign, If, LoopWhile, Snil, Throw, Returns)
 
 
 def in_core_subset(prog) -> bool:
@@ -226,9 +226,8 @@ def relational_eval(sigma: MemoryState, env: Env, prog
             trace.append(head, sigma)
             return sigma, trace
 
-        if isinstance(head, Return):
-            value = _rval(head.value, sigma, env)
-            if value is None:
+        if isinstance(head, Returns):
+            if any(_rval(e, sigma, env) is None for e in head.values):
                 return None
             trace.append(head, sigma)
             continue

@@ -21,7 +21,7 @@ from .syntax import (
     Evar,
     If,
     LoopWhile,
-    Return,
+    Returns,
     Snil,
     Tbool,
     Throw,
@@ -141,7 +141,7 @@ class ProgramGen:
     def program(self, length: int = 6) -> list:
         stmts = self.declarations() + self.stmt_list(self.max_depth, length)
         if self.allow_return and self.rng.random() < 0.15:
-            stmts.append(Return(self.int_expr(2)))
+            stmts.append(Returns((self.int_expr(2),)))
         return stmts
 
 

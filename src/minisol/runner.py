@@ -9,7 +9,7 @@ user-facing gas limit measures the entry program alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import memory as gm
@@ -36,7 +36,6 @@ class World:
     sigma: MemoryState
     env: object
     ctx: ExecContext
-    bound: BoundProgram = field(repr=False, default=None)
 
 
 def _literal_expr(ltype, raw):
@@ -97,7 +96,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
 
     ctx.sigma_init = None  # the entry run snapshots on entry
     env = initial_env(gas, sigma.addr_of("0xglobal"))
-    return World(sigma, env, ctx, bound)
+    return World(sigma, env, ctx)
 
 
 def _poke(sigma, addr, payload):
@@ -135,10 +134,9 @@ def entry_program(bound: BoundProgram, entry: str, arg_map=None):
     arg_map = dict(arg_map or {})
     for pname, ptype, _addr in rec.params:
         if not isinstance(ptype, (Tbool, Tint)):
-            struct_names = {a: n for n, a in bound.binder.structs.items()}
             raise RunnerError(f"entry argument {pname!r} has type "
-                              f"{type_text(ptype, struct_names)}: an entry argument "
-                              "must be a bool or an integer")
+                              f"{type_text(ptype, bound.binder.struct_names())}: "
+                              "an entry argument must be a bool or an integer")
         if pname not in arg_map:
             raise RunnerError(f"missing argument {pname!r} for entry {entry!r}")
         args.append(_literal_expr(ptype, arg_map.pop(pname)))

@@ -3,14 +3,17 @@
 Execution is head-of-list: each dispatched statement costs one unit of
 gas, transforms the state, and may rewrite the remaining statement list
 (branches prepend the chosen arm, loops re-enqueue themselves, calls
-unfold the stored body). A call carries its own return frame: the body
-is followed by a ``FunStop`` naming the caller's domain, which restores
-that domain when dispatched, and a ``return`` drops the rest of the body
-through that ``FunStop``. ``drive`` is the only loop: it spends gas,
-dispatches the head through ``exec_statement`` and reports why it
-stopped (see ``Run``). The concrete interpreter, the step debugger and
-the path-forking explorer in the engine module, and modifier evaluation
-here, are thin callers of it.
+unfold the stored body). Each construct has one rule: ``LoopWhile`` is
+the only loop statement (a source ``for`` arrives as its init step and a
+while whose body ends with the post step), ``Returns`` the only return,
+and ``FunCall`` the only statement that calls; an assignment never does.
+A call carries its own return frame: the body is followed by a ``FunStop``
+naming the caller's domain, which restores that domain when dispatched,
+and a ``Returns`` drops the rest of the body through that ``FunStop``.
+``drive`` is the only dispatch loop: it spends gas, dispatches the head
+through ``exec_statement`` and reports why it stopped (see ``Run``). The
+concrete interpreter, the step debugger and the path-forking explorer in
+the engine module, and modifier evaluation here, are thin callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
@@ -50,11 +53,9 @@ from .syntax import (
     FunCall,
     FunStop,
     If,
-    LoopFor,
     LoopWhile,
     LStatement,
     Modifier,
-    Return,
     Returns,
     Snil,
     StructDecl,
@@ -253,20 +254,12 @@ def _exec_while(K, sigma, env, ctx, head, rest) -> StepResult:
     return _branch(K, sigma, env, ctx, head, rest, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_for(K, sigma, env, ctx, head, rest) -> StepResult:
-    init = (head.init,) if head.init is not None else ()
-    post = (head.post,) if head.post is not None else ()
-    return _branch(K, sigma, env, ctx, head, rest, "loop",
-                   (*init, *head.body, *post, head, *rest), rest)
-
-
 def _exec_return(K, sigma, env, ctx, head, rest) -> StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
-    exprs = (head.value,) if isinstance(head, Return) else head.values
     values = []
-    for e in exprs:
+    for e in head.values:
         v = eval_rvalue(K, e, sigma, env)
         if v is None:
             return _fail(env, rest, "return value failed to evaluate", ctx)
@@ -316,7 +309,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
 
 def _exec_call(K, sigma, env, ctx, head, rest) -> StepResult:
     callee = head.callee
-    fid = None
+    arg_values = []
     if isinstance(callee, Efun):
         if callee.addr is None:
             return _fail(env, rest, "call target has no address", ctx)
@@ -325,21 +318,17 @@ def _exec_call(K, sigma, env, ctx, head, rest) -> StepResult:
         cv = eval_rvalue(K, callee, sigma, env)
         if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
             return _fail(env, rest, "call target is not a function value", ctx)
-        fid = cv.payload
-        target = fid.fun
-    arg_values = []
+        target = cv.payload.fun
+        arg_values.extend(cv.payload.args or ())  # arguments bound by the field access
     for a in head.args:
         v = eval_rvalue(K, a, sigma, env)
         if v is None:
             return _fail(env, rest, "call argument failed to evaluate", ctx)
         arg_values.append(v)
-    if fid is not None and fid.args:
-        arg_values = list(fid.args) + arg_values
-    return _enter_call(sigma, env, target, fid, tuple(arg_values), rest, ctx)
+    return _enter_call(sigma, env, target, arg_values, rest, ctx)
 
 
-def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
-                ctx) -> StepResult:
+def _enter_call(sigma, env, target: Address, arg_values, rest, ctx) -> StepResult:
     """Bind the arguments and continue with the stored body, whose trailing
     ``FunStop`` becomes one that returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
@@ -348,10 +337,6 @@ def _enter_call(sigma, env, target: Address, fid, arg_values, rest,
     info = block.payload
     sig = sigma
     if info.params is not None:
-        if fid is not None and fid.receiver is not None:
-            receiver = gm.read(sigma, fid.receiver, "dir")
-            if receiver is not None and len(info.params) == len(arg_values) + 1:
-                arg_values = (receiver,) + tuple(arg_values)
         if len(info.params) != len(arg_values):
             return _fail(env, rest,
                          f"call arity {len(arg_values)} != {len(info.params)}", ctx)
@@ -435,11 +420,6 @@ def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
-    if isinstance(rhs.payload, Fid) and rhs.payload.fun is not None:
-        # Function pointer produced by a field access: run it as a call.
-        fid = rhs.payload
-        return _enter_call(sigma, env, fid.fun, fid, tuple(fid.args or ()),
-                           rest, ctx)
     if isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap):
         return _map_store(K, sigma, env, ctx, head.lhs.value, rhs, rest)
     addr = eval_lvalue(K, head.lhs, sigma, env)
@@ -522,9 +502,9 @@ def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepRe
 _RULES = {
     Snil: _exec_snil, Throw: _exec_throw, FunStop: _exec_fun_stop,
     Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
-    FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while, LoopFor: _exec_for,
+    FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while,
     Fun: _exec_fun_decl, Modifier: _exec_fun_decl, Assign: _exec_assign,
-    Return: _exec_return, Returns: _exec_return,
+    Returns: _exec_return,
 }
 
 

@@ -6,8 +6,12 @@ type) and rejects trees the runtime would otherwise have to re-check:
 mixed-width or mixed-signedness arithmetic, non-boolean branch
 conditions, struct arity and field type mismatches. Programs are flat
 statement lists; the next statement to execute is always the head of the
-remaining list. The JSON interchange format is one table, ``FORMAT``,
-walked by ``program_to_data`` and ``program_from_data``.
+remaining list. Each construct has one statement form: a loop is a
+``LoopWhile`` (the binder lowers a ``for`` to its init step and a while
+whose body ends with the post step), every ``return`` is a ``Returns``,
+and only a ``FunCall`` calls a function. The JSON interchange format is
+one table, ``FORMAT``, walked by ``program_to_data`` and
+``program_from_data``.
 """
 
 from __future__ import annotations
@@ -264,11 +268,6 @@ class Assign(LStatement):
 
 
 @dataclass
-class Return(LStatement):
-    value: LExpr
-
-
-@dataclass
 class Returns(LStatement):
     values: tuple = ()
 
@@ -301,14 +300,6 @@ class Fun(LStatement):
 
 
 @dataclass
-class LoopFor(LStatement):
-    cond: LExpr
-    init: LStatement = None
-    body: tuple = ()
-    post: LStatement = None
-
-
-@dataclass
 class LoopWhile(LStatement):
     cond: LExpr
     body: tuple = ()
@@ -336,16 +327,17 @@ class TypeContext:
     structs: dict = field(default_factory=dict)    # Address -> member descriptor tuple
     functions: dict = field(default_factory=dict)  # Address -> (param types, return types)
     contracts: dict = field(default_factory=dict)  # Address -> inheritance tuple
+    struct_names: dict = field(default_factory=dict)  # Address -> declared name
     _fun_returns: list = field(default_factory=list)
-
-    def copy(self) -> "TypeContext":
-        return TypeContext(dict(self.vars), dict(self.structs),
-                           dict(self.functions), dict(self.contracts))
 
     def struct_members(self, addr: Address):
         if addr not in self.structs:
             raise LTypeError(f"unknown struct type at {addr}")
         return self.structs[addr]
+
+    def text(self, t: LType) -> str:
+        """``t`` as the messages of this checker render it."""
+        return type_text(t, self.struct_names)
 
 
 def _require(cond: bool, msg: str):
@@ -383,27 +375,28 @@ def _check_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
                  f"struct literal arity {len(e.values)} != {len(members)}")
         for v, (name, mt) in zip(e.values, members):
             vt = _value_type(v, ctx)
-            _require(_types_equal(vt, mt),
-                     f"struct field {name}: {type_text(vt)} != {type_text(mt)}")
+            if not _types_equal(vt, mt):
+                raise LTypeError(f"struct field {name}: {ctx.text(vt)} != {ctx.text(mt)}")
         t = Tstruct(e.type_addr)
         return (t, t)
     if isinstance(e, Ebop):
         (_, lt) = typecheck_expr(e.left, ctx)
         (_, rt) = typecheck_expr(e.right, ctx)
         if e.op in ARITH_OPS:
-            _require(_int_kind(lt) and lt == rt,
-                     f"arithmetic {e.op} needs one shared integer type, "
-                     f"got {type_text(lt)} and {type_text(rt)}")
+            if not (_int_kind(lt) and lt == rt):
+                raise LTypeError(f"arithmetic {e.op} needs one shared integer type, "
+                                 f"got {ctx.text(lt)} and {ctx.text(rt)}")
             return (lt, lt)
         if e.op in CMP_OPS:
-            _require(lt == rt, f"comparison {e.op} over unequal types "
-                               f"{type_text(lt)} and {type_text(rt)}")
+            if lt != rt:
+                raise LTypeError(f"comparison {e.op} over unequal types "
+                                 f"{ctx.text(lt)} and {ctx.text(rt)}")
             if e.op in ("==", "!="):
-                _require(_int_kind(lt) or isinstance(lt, Tbool),
-                         f"equality needs integers or booleans, got {type_text(lt)}")
-            else:
-                _require(_int_kind(lt),
-                         f"ordered comparison needs integers, got {type_text(lt)}")
+                if not (_int_kind(lt) or isinstance(lt, Tbool)):
+                    raise LTypeError("equality needs integers or booleans, "
+                                     f"got {ctx.text(lt)}")
+            elif not _int_kind(lt):
+                raise LTypeError(f"ordered comparison needs integers, got {ctx.text(lt)}")
             return (lt, Tbool())
         if e.op in LOGIC_OPS:
             _require(isinstance(lt, Tbool) and isinstance(rt, Tbool),
@@ -442,8 +435,8 @@ def _value_type(v: LValue, ctx: TypeContext) -> LType:
         kt, vt = v.key_type, v.value_type
         for i, k in enumerate(v.keys):
             (_, at) = typecheck_expr(k, ctx)
-            _require(_types_equal(at, kt),
-                     f"mapping key {i}: {type_text(at)} != {type_text(kt)}")
+            if not _types_equal(at, kt):
+                raise LTypeError(f"mapping key {i}: {ctx.text(at)} != {ctx.text(kt)}")
             if i + 1 < len(v.keys):
                 _require(isinstance(vt, Tmap),
                          "too many keys for the mapping's nesting depth")
@@ -458,7 +451,8 @@ def _value_type(v: LValue, ctx: TypeContext) -> LType:
         for i, name in enumerate(v.members):
             members = ctx.struct_members(cur)
             found = dict(members)
-            _require(name in found, f"unknown member {name!r} of struct@{cur.index}")
+            if name not in found:
+                raise LTypeError(f"unknown member {name!r} of {ctx.text(Tstruct(cur))}")
             mt = found[name]
             if i + 1 < len(v.members):
                 _require(isinstance(mt, Tstruct),
@@ -466,9 +460,9 @@ def _value_type(v: LValue, ctx: TypeContext) -> LType:
                 cur = mt.type_addr
         if v.args is not None:
             _require(isinstance(mt, Tfid), "call arguments on a non-function member")
-        _require(_types_equal(mt, v.result_type),
-                 f"field access result {type_text(v.result_type)} != "
-                 f"member type {type_text(mt)}")
+        if not _types_equal(mt, v.result_type):
+            raise LTypeError(f"field access result {ctx.text(v.result_type)} != "
+                             f"member type {ctx.text(mt)}")
         return v.result_type
     raise LTypeError(f"unknown value {type(v).__name__}")
 
@@ -505,19 +499,8 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
         (_, rt) = typecheck_expr(s.rhs, ctx)
         _require(_is_lvalue_expr(s.lhs), "left side is not assignable")
         (_, lt) = typecheck_expr(s.lhs, ctx)
-        if isinstance(rt, Tfid):
-            # Field-access call in value position: the call runs for its
-            # effect and the left side is left untouched.
-            return
-        _require(_types_equal(lt, rt),
-                 f"assignment type mismatch: {type_text(lt)} != {type_text(rt)}")
-        return
-    if isinstance(s, Return):
-        (_, t) = typecheck_expr(s.value, ctx)
-        if ctx._fun_returns:
-            rets = ctx._fun_returns[-1]
-            _require(len(rets) == 1 and _types_equal(t, rets[0]),
-                     "return value does not match the declared return type")
+        if not _types_equal(lt, rt):
+            raise LTypeError(f"assignment type mismatch: {ctx.text(lt)} != {ctx.text(rt)}")
         return
     if isinstance(s, Returns):
         ts = [typecheck_expr(e, ctx)[1] for e in s.values]
@@ -539,15 +522,6 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
         (_, ct) = typecheck_expr(s.cond, ctx)
         _require(isinstance(ct, Tbool), "loop condition must be boolean")
         typecheck_stmt(s.body, ctx)
-        return
-    if isinstance(s, LoopFor):
-        (_, ct) = typecheck_expr(s.cond, ctx)
-        _require(isinstance(ct, Tbool), "loop condition must be boolean")
-        if s.init is not None:
-            _check_stmt(s.init, ctx)
-        typecheck_stmt(s.body, ctx)
-        if s.post is not None:
-            _check_stmt(s.post, ctx)
         return
     if isinstance(s, Modifier):
         ctx.functions[s.name] = ((), (Tbool(),))
@@ -661,15 +635,12 @@ FORMAT = {
     Var: ("var", {"access": JSON, "decl": LExpr}),
     StructDecl: ("structdecl", {"type_addr": Address, "members": [(JSON, LType)]}),
     Assign: ("assign", {"lhs": LExpr, "rhs": LExpr}),
-    Return: ("return", {"value": LExpr}),
     Returns: ("returns", {"values": [LExpr]}),
     Throw: ("throw", {}),
     Snil: ("snil", {}),
     FunStop: ("funstop", {}),
     Fun: ("fun", {"name": Address, "modifiers": [LStatement], "params": [LExpr],
                   "returns": [LType], "body": [LStatement], "ret_addr": Address}),
-    LoopFor: ("for", {"cond": LExpr, "init": LStatement, "body": [LStatement],
-                      "post": LStatement}),
     LoopWhile: ("while", {"cond": LExpr, "body": [LStatement]}),
     FunCall: ("call", {"callee": LExpr, "args": [LExpr]}),
     If: ("if", {"cond": LExpr, "then": [LStatement], "orelse": [LStatement]}),

@@ -341,6 +341,80 @@ class TestTypecheckAndAst:
         assert doc["bindings"]["wallet"] == bound.bindings["wallet"].index
 
 
+    def test_type_error_names_struct_types(self, capsys, tmp_path):
+        src = tmp_path / "s.lls"
+        src.write_text("contract S { uint r; address b; function f() public { r = b; } }")
+        rc, out, err = run_cli(capsys, "typecheck", str(src))
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == ["error: assignment type mismatch: uint64 != address"]
+
+    def test_assigning_a_member_function_is_a_type_error(self, capsys, tmp_path):
+        # only a call statement calls; a function member is not a uint value
+        src = tmp_path / "s.lls"
+        src.write_text("contract S { uint x; function f() public { x = msg.sender.send; } }")
+        for command in ("typecheck", "run"):
+            rc, out, err = run_cli(capsys, command, str(src))
+            assert rc == 3
+            assert out == ""
+            assert err.startswith("error: assignment type mismatch: uint64 != fid(")
+
+    def test_call_inside_an_expression_is_a_positioned_bind_error(self, capsys, tmp_path):
+        src = tmp_path / "s.lls"
+        src.write_text("contract S { uint x;\n"
+                       "  function seven() public returns (uint) { return 7; }\n"
+                       "  function f() public { x = seven(); } }\n")
+        rc, out, err = run_cli(capsys, "typecheck", str(src))
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: a call is a statement of its own and cannot appear inside an "
+            "expression (line 3, column 34)"]
+
+    def test_emit_ast_lowers_for_to_while_ending_with_the_post_step(self, capsys, tmp_path):
+        src = tmp_path / "for.lls"
+        src.write_text("contract S { uint i; uint s; function f() public "
+                       "{ for (i = 0; i < 3; i = i + 1) { s += i; } } }")
+        rc, out, _ = run_cli(capsys, "emit-ast", str(src))
+        assert rc == 0
+        init, loop = json.loads(out)["program"][-1]["body"][:2]
+        assert init["kind"] == "assign" and loop["kind"] == "while"
+        assert [s["kind"] for s in loop["body"]] == ["assign", "assign"]
+        post = loop["body"][-1]
+        assert post["lhs"] == init["lhs"]  # i = i + 1
+        assert post["rhs"]["op"] == "+" and post["rhs"]["right"]["value"]["value"] == 1
+
+
+class TestSourceForms:
+    """Source forms that no sample or benchmark job runs."""
+
+    def test_declared_modifier_admits_the_function(self, capsys, tmp_path):
+        src = tmp_path / "mod.lls"
+        src.write_text("contract S { uint r; modifier ok() { modifier_ok = true; }\n"
+                       "  function f() public ok { r = 1; } }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 0
+        assert out.splitlines()[2].split("\t")[4] == "int:u64:1"  # r
+
+    def test_undeclared_modifier_is_a_positioned_bind_error(self, capsys, tmp_path):
+        src = tmp_path / "mod.lls"
+        src.write_text("contract S { uint r;\n  function f() public nope { r = 1; } }\n")
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == ["error: unknown modifier 'nope' (line 2, column 3)"]
+
+    def test_member_call_on_a_copied_address(self, capsys, tmp_path):
+        src = tmp_path / "send.lls"
+        src.write_text("contract S { uint r; address safe; function f() public "
+                       "{ safe = msg.sender; safe.send(1); r = 1; } }")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[2].split("\t")[4] == "int:u64:1"  # r
+        assert lines[3].split("\t")[4].startswith("struct:")  # safe holds the copy
+
+
 class TestOracleCommand:
     def test_report_clean(self, capsys):
         rc, out, _ = run_cli(capsys, "oracle", "--count", "20", "--json")
@@ -596,8 +670,11 @@ class TestOracleAstInput:
         (_assign_to('{"kind": "modifier"}'), "unknown expr kind 'modifier'"),
         (_declare_as('{"kind": "eaddr", "addr": null}'), "unknown type kind 'eaddr'"),
         (_declare_as('{"kind": "unit"}'), "unknown type kind 'unit'"),
+        # a for loop and a single-value return have no statement form of their own
+        ('{"program": [{"kind": "for"}]}', "unknown statement kind 'for'"),
+        ('{"program": [{"kind": "return"}]}', "unknown statement kind 'return'"),
     ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size",
-            "con", "par", "modifier-expr", "eaddr", "unit"])
+            "con", "par", "modifier-expr", "eaddr", "unit", "for", "return"])
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

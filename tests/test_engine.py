@@ -148,7 +148,7 @@ class TestStep:
         # A return writes its slot and ends its frame: the body statements
         # left before the frame's FunStop are dropped, not executed, and the
         # caller's domain is restored.
-        from minisol.syntax import FunStop, Return
+        from minisol.syntax import FunStop, Returns
 
         sigma, env, names = declared_world()
         fun, lam = Address(40), Address(41)
@@ -159,7 +159,7 @@ class TestStep:
                          + sigma2.blocks[lam.index + 1:])
         inner_env = replace(env, domain=fun)
         ps = PathState(sigma2, inner_env, (),
-                       (Return(Econst(Vint(1))),
+                       (Returns((Econst(Vint(1)),)),
                         Assign(Evar(X, Tuint()), Econst(Vint(9))),
                         FunStop(caller=env.domain)),
                        ExecContext(sigma_init=sigma2))
@@ -507,21 +507,21 @@ class TestRobustness:
         # Interpreter totality over well-typed inputs: every run returns
         # a state or a classified absent, never an exception.
         from minisol.proggen import INT_T, ProgramGen
-        from minisol.syntax import LoopFor, TypeContext, typecheck_stmt
+        from minisol.syntax import LoopWhile, TypeContext, typecheck_stmt
 
         rng = random.Random(424242)
         for case in range(150):
             gen = ProgramGen(random.Random(rng.randrange(1 << 30)))
             prog = gen.declarations() + gen.stmt_list(4, 4)
             if rng.random() < 0.4:
-                # append a counted for loop over the first variable
+                # append a counted for loop over the first variable, lowered
+                # to a while whose body ends with the post step
                 v = gen.int_vars[0]
-                prog.append(LoopFor(
+                prog.append(LoopWhile(
                     Ebop("<", Evar(v, INT_T), Econst(Vint(2, 64, True))),
-                    None,
-                    tuple(gen.stmt_list(2, 2)),
-                    Assign(Evar(v, INT_T),
-                           Ebop("+", Evar(v, INT_T), Econst(Vint(1, 64, True))))))
+                    (*gen.stmt_list(2, 2),
+                     Assign(Evar(v, INT_T),
+                            Ebop("+", Evar(v, INT_T), Econst(Vint(1, 64, True)))))))
             typecheck_stmt(prog, TypeContext())
             sigma = fresh_memory(64)
             env = initial_env(800, sigma.addr_of("0xglobal"))

@@ -99,8 +99,8 @@ class TestCheckSimulation:
         assert report.ok, report.divergences
 
     def test_out_of_subset_program_reported(self):
-        from minisol.syntax import LoopFor, Econst as EC
-        prog = [LoopFor(EC(Vbool(False)), None, (), None)]
+        from minisol.syntax import Efun, FunCall, Tfid
+        prog = [FunCall(Efun(Address(9), Tfid(Address(9))), ())]
         report = check_simulation([prog], lambda i: world())
         assert not report.ok
         assert "core subset" in report.divergences[0].detail

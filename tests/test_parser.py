@@ -338,11 +338,13 @@ class TestBinder:
         """
         bound = bind_addresses(parse_source(src), 64)
         fn = next(s for s in bound.decls if isinstance(s, Fun))
-        from minisol.syntax import Assign, LoopFor
+        from minisol.syntax import Assign, Ebop, LoopWhile, Vint
         assert isinstance(fn.body[0], Assign)
-        assert isinstance(fn.body[1], LoopFor)
-        assert fn.body[1].init is None
-        assert fn.body[1].post is not None
+        assert isinstance(fn.body[1], LoopWhile)
+        # the body is the source body followed by the post step i = i + 1
+        assert len(fn.body[1].body) == 2
+        assert fn.body[1].body[-1] == Assign(fn.body[0].lhs, Ebop(
+            "+", fn.body[0].lhs, Econst(Vint(1))))
 
     def test_array_global_claims_its_run(self):
         src = "contract C { uint[2][2] grid; uint after_; }"
@@ -434,10 +436,10 @@ class TestMoreSurfaceForms:
         """
         bound = bind_addresses(parse_source(src), 64)
         fn = next(s for s in bound.decls if isinstance(s, Fun))
-        from minisol.syntax import LoopFor
+        from minisol.syntax import Assign, LoopWhile
         loop = fn.body[0]
-        assert isinstance(loop, LoopFor)
-        assert loop.init is None and loop.post is None
+        assert isinstance(loop, LoopWhile)
+        assert len(loop.body) == 1 and isinstance(loop.body[0], Assign)  # no post step
 
     def test_spec_file_errors(self):
         from minisol.specfile import SpecError, parse_spec

@@ -35,10 +35,8 @@ from minisol.syntax import (
     FunCall,
     FunStop,
     If,
-    LoopFor,
     LoopWhile,
     Modifier,
-    Return,
     Returns,
     Snil,
     StructDecl,
@@ -342,18 +340,17 @@ class TestLoops:
         assert out_loop.blocks[X.index].payload == IntPayload(n)
 
     def test_for_loop_reruns_carried_init_each_iteration(self, sigma, env):
-        # When the loop statement itself carries an init step, that step
-        # re-executes on every iteration (the frontend desugars C-style
+        # An init step carried inside the loop, at the head of the while
+        # body, re-executes on every iteration (the binder lowers C-style
         # loops by hoisting the init out instead).
         seeded = declared(sigma, env)
         seeded = run([Assign(Evar(X, Tuint()), Econst(Vint(0))),
                       Assign(Evar(Y, Tuint()), Econst(Vint(0)))], seeded, env)
-        loop = [LoopFor(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
-                        Assign(Evar(Y, Tuint()),
-                               Ebop("+", Evar(Y, Tuint()), Econst(Vint(10)))),
-                        (Assign(Evar(X, Tuint()),
-                                Ebop("+", Evar(X, Tuint()), Econst(Vint(1)))),),
-                        None)]
+        loop = [LoopWhile(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
+                          (Assign(Evar(Y, Tuint()),
+                                  Ebop("+", Evar(Y, Tuint()), Econst(Vint(10)))),
+                           Assign(Evar(X, Tuint()),
+                                  Ebop("+", Evar(X, Tuint()), Econst(Vint(1))))))]
         out = run(loop, seeded, env)
         assert out.blocks[X.index].payload == IntPayload(2)
         assert out.blocks[Y.index].payload == IntPayload(20)
@@ -362,12 +359,12 @@ class TestLoops:
         seeded = declared(sigma, env)
         seeded = run([Assign(Evar(X, Tuint()), Econst(Vint(0))),
                       Assign(Evar(Y, Tuint()), Econst(Vint(0)))], seeded, env)
-        loop = [LoopFor(Ebop("<", Evar(X, Tuint()), Econst(Vint(3))),
-                        None,
-                        (Assign(Evar(Y, Tuint()),
-                                Ebop("+", Evar(Y, Tuint()), Econst(Vint(2)))),),
-                        Assign(Evar(X, Tuint()),
-                               Ebop("+", Evar(X, Tuint()), Econst(Vint(1)))))]
+        # the lowered form of a for loop: the post step ends the while body
+        loop = [LoopWhile(Ebop("<", Evar(X, Tuint()), Econst(Vint(3))),
+                          (Assign(Evar(Y, Tuint()),
+                                  Ebop("+", Evar(Y, Tuint()), Econst(Vint(2)))),
+                           Assign(Evar(X, Tuint()),
+                                  Ebop("+", Evar(X, Tuint()), Econst(Vint(1))))))]
         out = run(loop, seeded, env)
         assert out.blocks[X.index].payload == IntPayload(3)
         assert out.blocks[Y.index].payload == IntPayload(6)
@@ -427,7 +424,7 @@ class TestFunctions:
 
     def test_return_writes_slot_and_halts_rest(self, sigma, env):
         seeded = declared(sigma, env)
-        f = fun_decl([Return(Econst(Vint(5))),
+        f = fun_decl([Returns((Econst(Vint(5)),)),
                       Assign(Evar(X, Tuint()), Econst(Vint(1)))])
         prog = [f, FunCall(Efun(FUN, Tfid(FUN)), ())]
         out = run(prog, seeded, env)
@@ -453,7 +450,7 @@ class TestFunctions:
 
     def test_return_in_a_nested_call_ends_only_the_callee(self, sigma, env):
         seeded = declared(sigma, env)
-        prog = [inner_decl([Return(Econst(Vint(7)))]),
+        prog = [inner_decl([Returns((Econst(Vint(7)),))]),
                 fun_decl([call(INNER), Assign(Evar(X, Tuint()), Econst(Vint(1)))]),
                 call(FUN)]
         out = run(prog, seeded, env)
@@ -463,7 +460,7 @@ class TestFunctions:
     def test_return_after_a_nested_call_fills_the_callers_slot(self, sigma, env):
         seeded = declared(sigma, env)
         prog = [inner_decl([Assign(Evar(Y, Tuint()), Econst(Vint(1)))]),
-                fun_decl([call(INNER), Return(Econst(Vint(3)))]),
+                fun_decl([call(INNER), Returns((Econst(Vint(3)),))]),
                 call(FUN)]
         done = drive(200, seeded, env, ExecContext(sigma_init=seeded), prog)
         assert done.stop == FINISHED
@@ -473,7 +470,7 @@ class TestFunctions:
 
     def test_return_inside_a_loop_ends_the_frame(self, sigma, env):
         seeded = declared(sigma, env)
-        prog = [inner_decl([LoopWhile(Econst(Vbool(True)), (Return(Econst(Vint(4))),))]),
+        prog = [inner_decl([LoopWhile(Econst(Vbool(True)), (Returns((Econst(Vint(4)),)),))]),
                 fun_decl([call(INNER), Assign(Evar(X, Tuint()), Econst(Vint(2)))]),
                 call(FUN)]
         out = run(prog, seeded, env)

@@ -19,7 +19,7 @@ from minisol.syntax import (
     LStatement,
     LTypeError,
     Modifier,
-    Return,
+    Returns,
     Snil,
     StructDecl,
     Tarray,
@@ -179,11 +179,11 @@ class TestStmtTyping:
 
     def test_return_must_match_declared_type(self):
         f = Fun(Address(9), (), (), (Tbool(),),
-                (Return(Econst(Vint(1))),), Address(10))
+                (Returns((Econst(Vint(1)),)),), Address(10))
         with pytest.raises(LTypeError):
             typecheck_stmt([f], TypeContext())
         ok = Fun(Address(9), (), (), (Tbool(),),
-                 (Return(Econst(Vbool(True))),), Address(10))
+                 (Returns((Econst(Vbool(True)),)),), Address(10))
         typecheck_stmt([ok], TypeContext())
 
     def test_wallet_program_typechecks(self):
@@ -194,7 +194,8 @@ class TestStmtTyping:
         assert any(isinstance(s, Fun) for s in bound.decls)
 
     def test_assignment_from_field_call_allowed(self):
-        # A function-id right side runs as a call; the left side is dropped.
+        # Only a call statement calls: a function-id right side is an
+        # ordinary value, whose type does not match a bool block.
         from minisol.syntax import Vfield
         ctx = TypeContext()
         ctx.structs[STRUCT_ADDR] = (("send", Tfid(None)),)
@@ -203,7 +204,8 @@ class TestStmtTyping:
                 Assign(Evar(a, Tbool()),
                        Econst(Vfield(Tfid(None), STRUCT_ADDR, Address(41),
                                      ("send",), None)))]
-        typecheck_stmt(prog, ctx)
+        with pytest.raises(LTypeError, match="assignment type mismatch: bool != fid"):
+            typecheck_stmt(prog, ctx)
 
 
 class TestNormalizeSeq:
@@ -237,7 +239,7 @@ class TestInterchange:
                (Throw(),), (Snil(),)),
             LoopWhile(Econst(Vbool(False)), (Snil(),)),
             Fun(Address(9), (), (Evar(Address(10), Tuint()),), (Tuint(),),
-                (Return(Evar(Address(10), Tuint())),), Address(11)),
+                (Returns((Evar(Address(10), Tuint()),)),), Address(11)),
             Modifier(Address(12), (), (Snil(),), Address(13)),
             FunCall(Evar(Address(9), Tfid(None)).__class__(Address(9), Tfid(None)),
                     (Econst(Vint(3)),)),
