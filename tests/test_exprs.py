@@ -248,3 +248,121 @@ def test_every_expression_class_has_a_rule_or_is_named_absent():
     assert set(exprs._RULES) == classes
     assert all(len(inspect.signature(rule).parameters) == 4
                for rule in exprs._RULES.values())
+
+
+# Operand pairs for the operator-guard grid: (name, left payload, right
+# payload). Each pair's values exercise wraparound and, where an operand
+# is an integer, a zero divisor on the right.
+_GUARD_PAIRS = (
+    ("u64/u64", IntPayload(U64 - 1, 64, False), IntPayload(2, 64, False)),
+    ("u64/u64 zero", IntPayload(7, 64, False), IntPayload(0, 64, False)),
+    ("u8/u8", IntPayload(250, 8, False), IntPayload(9, 8, False)),
+    ("u8/u8 zero", IntPayload(3, 8, False), IntPayload(0, 8, False)),
+    ("u8/u64", IntPayload(250, 8, False), IntPayload(9, 64, False)),
+    ("i64/i64", IntPayload(-7, 64, True), IntPayload(2, 64, True)),
+    ("i64/i64 max", IntPayload(2 ** 63 - 1, 64, True), IntPayload(-1, 64, True)),
+    ("u64/i64", IntPayload(7, 64, False), IntPayload(2, 64, True)),
+    ("bool/bool", BoolPayload(True), BoolPayload(False)),
+    ("bool/bool same", BoolPayload(False), BoolPayload(False)),
+    ("int/bool", IntPayload(1, 64, False), BoolPayload(True)),
+    ("bool/int", BoolPayload(True), IntPayload(1, 64, False)),
+)
+
+
+def _expected_bop(op, lp, rp):
+    """The payload ``eval_bop`` must give, or None for an absent result,
+    by the rules stated independently of the operator table."""
+    from minisol.symbolic import SymConst, SymExpr, SymOp, wrap_int
+    if type(lp) is IntPayload and type(rp) is IntPayload:
+        if (lp.width, lp.signed) != (rp.width, rp.signed):
+            return None
+        arith = op in ("+", "-", "*", "/", "%")
+        if not arith and op not in ("<", ">", "<=", ">=", "==", "!="):
+            return None
+        a, b = lp.value, rp.value
+    elif type(lp) is BoolPayload and type(rp) is BoolPayload:
+        arith = False
+        if op not in ("&&", "||", "==", "!="):
+            return None
+        a, b = lp.bit, rp.bit
+    else:
+        return None
+    width, signed = (lp.width, lp.signed) if arith else (0, False)
+    if isinstance(a, SymExpr) or isinstance(b, SymExpr):
+        lift = [x if isinstance(x, SymExpr) else SymConst(x) for x in (a, b)]
+        r = SymOp(op, tuple(lift), width, signed)
+    elif op in ("/", "%") and b == 0:
+        return None
+    else:
+        q = abs(a) // abs(b) * (-1 if (a < 0) != (b < 0) else 1) if op in ("/", "%") else 0
+        r = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+             "/": lambda: q, "%": lambda: a - q * b,
+             "<": lambda: a < b, ">": lambda: a > b, "<=": lambda: a <= b,
+             ">=": lambda: a >= b, "==": lambda: a == b, "!=": lambda: a != b,
+             "&&": lambda: a and b, "||": lambda: a or b}[op]()
+        if arith:
+            r = wrap_int(r, width, signed)
+    return IntPayload(r, width, signed) if arith else BoolPayload(r)
+
+
+def _symbolic_left(p):
+    from minisol.symbolic import SymVar
+    if type(p) is IntPayload:
+        return IntPayload(SymVar("x"), p.width, p.signed)
+    return BoolPayload(SymVar("x"))
+
+
+class TestOperatorGuards:
+    """Every binary operator of the one table over every payload pair, with
+    both operands concrete and with the left one symbolic: the result's
+    class and value, or its absence, and the left operand's tags."""
+
+    BINARY = [op for op in __import__("minisol.symbolic", fromlist=["OPS"]).OPS
+              if op not in ("!", "neg")]
+
+    def test_binary_operators_are_the_table_minus_the_unary_ones(self):
+        assert sorted(self.BINARY) == sorted(
+            ["+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=", "&&", "||"])
+
+    def _check(self, op, lp, rp):
+        lhs = MemoryValue(lp, domain=Address(5), access=gm.PRIVATE)
+        rhs = MemoryValue(rp, domain=Address(6))
+        want = _expected_bop(op, lp, rp)
+        out = eval_bop(op, lhs, rhs)
+        if want is None:
+            assert out is None, (op, lp, rp)
+            return 0
+        assert out is not None, (op, lp, rp)
+        assert type(out.payload) is type(want), (op, lp, rp)
+        assert out.payload == want, (op, lp, rp)
+        got = out.payload.value if type(want) is IntPayload else out.payload.bit
+        assert type(got) is type(want.value if type(want) is IntPayload else want.bit)
+        assert (out.domain, out.access, out.occupancy) == (Address(5), gm.PRIVATE, gm.OCCUPY)
+        return 1
+
+    def test_concrete_operands(self):
+        present = sum(self._check(op, lp, rp)
+                      for op in self.BINARY for _name, lp, rp in _GUARD_PAIRS)
+        # 6 matching integer pairs x 11 operators, minus 4 zero divisors,
+        # plus 2 boolean pairs x 4 operators
+        assert present == 6 * 11 - 4 + 2 * 4
+
+    def test_one_symbolic_operand(self):
+        present = 0
+        for op in self.BINARY:
+            for _name, lp, rp in _GUARD_PAIRS:
+                present += self._check(op, _symbolic_left(lp), rp)
+                present += self._check(op, lp, _symbolic_left(rp))
+        # a symbolic divisor or dividend is never absent
+        assert present == 2 * (6 * 11 + 2 * 4)
+
+    def test_unset_operand_is_absent(self):
+        for op in self.BINARY:
+            assert eval_bop(op, iv(None), iv(1)) is None
+            assert eval_bop(op, iv(1), iv(None)) is None
+            assert eval_bop(op, bv(None), bv(True)) is None
+
+    def test_unary_and_unknown_operator_names_are_absent(self):
+        for op in ("!", "neg", "**", "&", ""):
+            assert eval_bop(op, iv(1), iv(2)) is None
+            assert eval_bop(op, bv(True), bv(False)) is None
