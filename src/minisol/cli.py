@@ -40,7 +40,7 @@ from .runner import (
     make_pre,
 )
 from .specfile import SpecError, SpecFile, parse_literal, parse_spec, parse_symbol_decl
-from .syntax import LTypeError, program_to_data
+from .syntax import LTypeError, Tuint, int_fits, program_to_data, type_text
 from .values import BlockInfo
 
 EXIT_OK = 0
@@ -48,12 +48,26 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_FAILURE = 3
 
+_UINT64 = Tuint()
+
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no less than ``lo``. It is named ``int``,
+    so that a non-integer reads ``invalid int value``, as with plain ``int``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("file", help="source program (.lls)")
-    p.add_argument("--gas", type=int, default=10000,
+    p.add_argument("--gas", type=_int_at_least(0), default=10000,
                    help="statement budget for the entry program (default 10000)")
-    p.add_argument("--k", type=int, default=1000, dest="k",
+    p.add_argument("--k", type=_int_at_least(1), default=1000, dest="k",
                    help="recursion budget for value/expression evaluation")
     p.add_argument("--mem-size", type=int, default=gm.DEFAULT_MEMORY_SIZE,
                    help="number of memory blocks (default 100)")
@@ -71,7 +85,7 @@ def _common_flags(p: argparse.ArgumentParser):
 
 def _step_flags(p: argparse.ArgumentParser):
     _common_flags(p)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=None)
 
 
 def _verify_flags(p: argparse.ArgumentParser):
@@ -126,6 +140,12 @@ def _split_args(pairs, entry_params):
 
 
 def _binfo(ns) -> BlockInfo:
+    """The chain context the flags give. Each value fills a ``uint64``
+    block, so it must fit one, as an ``--arg`` value must fit its block."""
+    for flag, value in (("--now", ns.now), ("--sender", ns.sender),
+                        ("--msg-value", ns.msg_value)):
+        if not int_fits(value, _UINT64):
+            raise RunnerError(f"{flag}: integer {value} does not fit in {type_text(_UINT64)}")
     return BlockInfo(number=0, now=ns.now, sender=gm.Address(ns.sender),
                      msg_value=ns.msg_value, gas_price=0)
 

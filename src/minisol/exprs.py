@@ -28,7 +28,16 @@ from .memory import (
     StructInstance,
     StructTypeInfo,
 )
-from .symbolic import SymEvalError, SymExpr, SymOp, apply_op, is_symbolic, to_symexpr
+from .symbolic import (
+    OPS,
+    SymEvalError,
+    SymExpr,
+    SymOp,
+    apply_op,
+    is_symbolic,
+    to_symexpr,
+    wrap_int,
+)
 from .syntax import (
     Ebop,
     Econst,
@@ -128,41 +137,45 @@ _RULES = {
 # ---------------------------------------------------------------------------
 # Operators: type guards here, semantics in the table of the symbolic module
 
-_ARITH = {"+", "-", "*", "/", "%"}
-_CMP = {"<", ">", "<=", ">=", "==", "!="}
-_BOOL_OPS = {"&&", "||", "==", "!="}
+# The kind of each binary operator: arithmetic and ordering take two
+# integers, logic two bools, and equality either pair.
+_ARITH, _ORDER, _EQUAL, _LOGIC = "arith", "order", "equal", "logic"
+_KIND = {
+    "+": _ARITH, "-": _ARITH, "*": _ARITH, "/": _ARITH, "%": _ARITH,
+    "<": _ORDER, ">": _ORDER, "<=": _ORDER, ">=": _ORDER,
+    "==": _EQUAL, "!=": _EQUAL, "&&": _LOGIC, "||": _LOGIC,
+}
 
 
 def eval_bop(op: str, lhs: MemoryValue | None,
              rhs: MemoryValue | None) -> MemoryValue | None:
-    if lhs is None or rhs is None:
+    kind = _KIND.get(op)
+    if lhs is None or rhs is None or kind is None:
         return None
     lp, rp = lhs.payload, rhs.payload
-    width, signed = 0, False
-    arith = op in _ARITH
-    if isinstance(lp, IntPayload) and isinstance(rp, IntPayload):
-        if lp.width != rp.width or lp.signed != rp.signed:
-            return None
-        if arith:
-            width, signed = lp.width, lp.signed
-        elif op not in _CMP:
+    if type(lp) is IntPayload and type(rp) is IntPayload:
+        if kind == _LOGIC or lp.width != rp.width or lp.signed != rp.signed:
             return None
         a, b = lp.value, rp.value
-    elif isinstance(lp, BoolPayload) and isinstance(rp, BoolPayload):
-        if op not in _BOOL_OPS:
+    elif type(lp) is BoolPayload and type(rp) is BoolPayload:
+        if kind != _LOGIC and kind != _EQUAL:
             return None
         a, b = lp.bit, rp.bit
     else:
         return None
     if a is None or b is None:
         return None
+    arith = kind == _ARITH
+    width, signed = (lp.width, lp.signed) if arith else (0, False)
     if isinstance(a, SymExpr) or isinstance(b, SymExpr):
         r = SymOp(op, (to_symexpr(a), to_symexpr(b)), width, signed)
     else:
         try:
-            r = apply_op(op, (a, b), width, signed)
-        except SymEvalError:
+            r = OPS[op](a, b)
+        except (SymEvalError, TypeError):
             return None
+        if arith:
+            r = wrap_int(r, width, signed)
     return MemoryValue(IntPayload(r, width, signed) if arith else BoolPayload(r),
                        lhs.domain, lhs.access, lhs.occupancy)
 

@@ -4,11 +4,15 @@ The store is a fixed-size sequence of tagged memory values with value
 semantics: every operation returns a fresh state and never mutates one
 observed elsewhere. The sequence is a ``BlockVector``, a persistent
 vector in the style of Bagwell's "Ideal Hash Trees" and Clojure's
-``PersistentVector``: a spine tuple of ``CHUNK``-wide leaf tuples. A
-write copies one leaf and the spine, and the new state shares every
+``PersistentVector``: a spine list of ``CHUNK``-wide leaf lists. A
+write copies the spine and the one leaf it touches, once each, and
+stores into the fresh leaf (path copying); the new state shares every
 other leaf with the old one, so a write costs the same at any memory
 size. Whole-state comparisons skip the leaves two states share, and a
 fresh store fills its free space with one shared free block.
+
+An ``Address`` is a one-field ``NamedTuple``, so hashing, equality and
+ordering run in C and ``.index`` is a C-level getter.
 
 Blocks are read and written either directly ("dir") or after validation
 ("chck"). The validation predicate lives only in this module: a chck
@@ -22,12 +26,14 @@ stores the value object itself when it already carries them.
 ``MemoryState``, ``MemoryValue``, ``IntPayload`` and ``BoolPayload`` are
 built on every dispatch, so they are slotted dataclasses without
 ``frozen``: a frozen dataclass pays for ``object.__setattr__`` on every
-field. They still compare and hash by value, but their immutability is a
-rule rather than a language guarantee. Two tests enforce it: the AST
-check in ``tests/test_hygiene.py`` rejects any store to their fields
-outside their own class bodies and any ``setattr`` call, and the
-property test in ``tests/test_agreement.py`` checks that forked paths
-agree with concrete runs.
+field. They still compare and hash by value, but their immutability,
+like that of the spine and leaf lists, is a rule rather than a language
+guarantee. Tests enforce it: the AST checks in ``tests/test_hygiene.py``
+reject any store to their fields outside their own class bodies, any
+``setattr`` call, and any mutation of a spine or leaf outside
+``BlockVector``'s own methods, and the property test in
+``tests/test_agreement.py`` checks that forked paths agree with concrete
+runs.
 
 The top of the address space is reserved for built-in blocks: the two
 flag blocks (throw, modifier), the standard-library struct type blocks,
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .symbolic import is_symbolic
 
@@ -64,8 +71,9 @@ class MemoryConfigError(Exception):
     """Raised when a memory space cannot be set up as requested."""
 
 
-@dataclass(frozen=True, order=True)
-class Address:
+class Address(NamedTuple):
+    """A block index."""
+
     index: int
 
     def __repr__(self):
@@ -194,30 +202,32 @@ def reserved_addresses(size: int = DEFAULT_MEMORY_SIZE) -> dict[str, Address]:
 # Block vector
 
 CHUNK = 64  # leaf width, a power of two: an index splits into leaf and slot by shift and mask
-_SHIFT = CHUNK.bit_length() - 1
-_MASK = CHUNK - 1
+SHIFT = CHUNK.bit_length() - 1
+MASK = CHUNK - 1
 
 
 class BlockVector:
-    """Persistent sequence of memory values: a spine tuple of leaf tuples.
+    """Persistent sequence of memory values: a spine list of leaf lists.
 
-    Every leaf but the last holds exactly ``CHUNK`` values. ``set`` and
-    ``update`` return a new vector that shares each leaf they leave
-    untouched. ``len``, integer indexing and iteration behave as on a
-    tuple, a slice is a tuple, and ``==`` skips the leaves two vectors
-    share.
+    Every leaf but the last holds exactly ``CHUNK`` values. The spine and
+    the leaves are lists that no code mutates once the vector is built:
+    ``set`` and ``update`` copy the spine and each leaf they touch once,
+    store into the fresh copies, and share every other leaf. ``len``,
+    integer indexing and iteration behave as on a tuple, a slice is a
+    tuple, and ``==`` skips the leaves two vectors share.
     """
 
     __slots__ = ("leaves", "size")
 
-    def __init__(self, leaves: tuple, size: int):
+    def __init__(self, leaves: list, size: int):
         self.leaves = leaves
         self.size = size
 
     @classmethod
     def of(cls, values) -> BlockVector:
-        values = tuple(values)
-        return cls(tuple(values[i:i + CHUNK] for i in range(0, len(values), CHUNK)),
+        if type(values) is not list:
+            values = list(values)
+        return cls([values[i:i + CHUNK] for i in range(0, len(values), CHUNK)],
                    len(values))
 
     def __len__(self) -> int:
@@ -236,7 +246,7 @@ class BlockVector:
             i += self.size
             if i < 0:
                 raise IndexError("block index out of range")
-        return self.leaves[i >> _SHIFT][i & _MASK]
+        return self.leaves[i >> SHIFT][i & MASK]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockVector):
@@ -249,27 +259,24 @@ class BlockVector:
 
     def set(self, i: int, value) -> BlockVector:
         """This vector with block ``0 <= i < len`` replaced: one leaf and the spine are copied."""
-        j = i >> _SHIFT
-        leaves = list(self.leaves)
-        leaf = list(leaves[j])
-        leaf[i & _MASK] = value
-        leaves[j] = tuple(leaf)
-        return BlockVector(tuple(leaves), self.size)
+        j = i >> SHIFT
+        leaves = self.leaves.copy()
+        leaf = leaves[j] = leaves[j].copy()
+        leaf[i & MASK] = value
+        return BlockVector(leaves, self.size)
 
     def update(self, items) -> BlockVector:
         """This vector with each ``(i, value)`` of ``items`` applied in order,
-        ``0 <= i < len``. Each touched leaf is copied once."""
-        touched = {}
+        ``0 <= i < len``. The spine and each touched leaf are copied once."""
+        leaves = self.leaves.copy()
+        copied = {}
         for i, value in items:
-            j = i >> _SHIFT
-            leaf = touched.get(j)
+            j = i >> SHIFT
+            leaf = copied.get(j)
             if leaf is None:
-                leaf = touched[j] = list(self.leaves[j])
-            leaf[i & _MASK] = value
-        leaves = list(self.leaves)
-        for j, leaf in touched.items():
-            leaves[j] = tuple(leaf)
-        return BlockVector(tuple(leaves), self.size)
+                leaf = copied[j] = leaves[j] = leaves[j].copy()
+            leaf[i & MASK] = value
+        return BlockVector(leaves, self.size)
 
     def diff(self, other: BlockVector):
         """Ascending indices at which the two vectors hold unequal blocks,
@@ -277,7 +284,7 @@ class BlockVector:
         for j, (la, lb) in enumerate(zip(self.leaves, other.leaves)):
             if la is lb or la == lb:
                 continue
-            base = j << _SHIFT
+            base = j << SHIFT
             for k, (a, b) in enumerate(zip(la, lb)):
                 if a is not b and a != b:
                     yield base + k
@@ -330,7 +337,7 @@ def read(sigma: MemoryState, addr: Address, mode: str = "dir",
     blocks = sigma.blocks
     if not 0 <= i < blocks.size:
         return None
-    block = blocks.leaves[i >> _SHIFT][i & _MASK]
+    block = blocks.leaves[i >> SHIFT][i & MASK]
     if mode == "dir":
         return block
     if mode == "chck":
@@ -348,7 +355,7 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
     if not 0 <= i < blocks.size:
         return None
     if mode == "chck":
-        old = blocks.leaves[i >> _SHIFT][i & _MASK]
+        old = blocks.leaves[i >> SHIFT][i & MASK]
         if old.occupancy != OCCUPY or not (
                 old.access == PUBLIC or env is not None and env.domain == old.domain):
             return None

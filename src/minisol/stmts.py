@@ -425,8 +425,11 @@ def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
     addr = eval_lvalue(K, head.lhs, sigma, env)
     if addr is None:
         return _fail(env, rest, "assignment target has no address", ctx)
-    if 0 <= addr.index < sigma.size and isinstance(sigma.blocks[addr.index].payload,
-                                                    MapNode):
+    # gm.read's leaf lookup, inline: the check costs no call and is not
+    # counted as a memory read.
+    i, blocks = addr.index, sigma.blocks
+    if 0 <= i < blocks.size and \
+            type(blocks.leaves[i >> gm.SHIFT][i & gm.MASK].payload) is MapNode:
         return _fail(env, rest, "cannot assign into a mapping head", ctx)
     sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:

@@ -11,8 +11,10 @@ Both evaluating a tree under an assignment and the concrete operator
 evaluators in the expression layer go through the one operator table,
 ``OPS``, which holds the division-by-zero rule, with the wraparound and
 error rules of ``apply_op``, so symbolic and concrete results agree by
-construction. ``SymOp.eval`` applies those rules inline, because fork
-filtering evaluates each branch condition once per model.
+construction. ``SymOp.eval`` and the expression layer's ``eval_bop``
+apply those rules inline, because fork filtering evaluates each branch
+condition once per model and every binary operator runs on the dispatch
+path.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ def _mod(a, b):
     return trunc_mod(a, b)
 
 
-# The one operator table: concrete evaluation in the expression layer goes
-# through apply_op, and SymOp.eval applies the same rules inline.
+# The one operator table: concrete unary operators in the expression layer
+# go through apply_op, and exprs.eval_bop and SymOp.eval apply the same
+# rules inline.
 OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
     "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,

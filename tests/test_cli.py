@@ -602,6 +602,72 @@ class TestEntryArguments:
         assert err.splitlines() == [f"error: cannot resolve {target!r}: {message}"]
 
 
+_MSG_VALUE_STORE = "contract S { uint r; function f() public { r = msg.value; } }\n"
+
+
+class TestMessageFlags:
+    """``--now``, ``--sender`` and ``--msg-value`` fill ``uint64`` blocks,
+    so a value outside that range is refused as an ``--arg`` value is."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--msg-value", "-1"), ("--msg-value", "18446744073709551616"),
+    ], ids=["negative", "oversized"])
+    def test_msg_value_outside_uint64_is_an_error(self, capsys, tmp_path, flag, value):
+        src = tmp_path / "value.lls"
+        src.write_text(_MSG_VALUE_STORE)
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f", flag, value)
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [f"error: {flag}: integer {value} does not fit in uint64"]
+
+    def test_now_outside_uint64_is_an_error(self, capsys, tmp_path):
+        src = tmp_path / "value.lls"
+        src.write_text(_MSG_VALUE_STORE)
+        rc, out, err = run_cli(capsys, "run", str(src), "--entry", "f", "--now", "-3")
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == ["error: --now: integer -3 does not fit in uint64"]
+
+    def test_sender_outside_uint64_is_an_error(self, capsys, tmp_path):
+        src = tmp_path / "value.lls"
+        src.write_text(_MSG_VALUE_STORE)
+        rc, out, err = run_cli(capsys, "verify", str(src), "--spec", SPEC, "--entry", "f",
+                               "--sender", "-2", "--json")
+        assert rc == 3
+        assert json.loads(out) == {"status": "error", "diagnostic":
+                                   "--sender: integer -2 does not fit in uint64"}
+        assert err.splitlines() == ["error: --sender: integer -2 does not fit in uint64"]
+
+    def test_the_uint64_bounds_themselves_are_accepted(self, capsys, tmp_path):
+        src = tmp_path / "value.lls"
+        src.write_text(_MSG_VALUE_STORE)
+        rc, out, _err = run_cli(capsys, "run", str(src), "--entry", "f", "--now", "0",
+                                "--sender", "0", "--msg-value", "18446744073709551615")
+        assert rc == 0
+        assert out.splitlines()[2].split("\t")[4] == "int:u64:18446744073709551615"  # r
+
+
+class TestBudgetFlags:
+    """A budget that cannot run is a usage error that names its flag and bound."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "samples/empty.lls", "--k", "0"], "argument --k: must be at least 1, got 0"),
+        (["run", "samples/empty.lls", "--gas", "-1"],
+         "argument --gas: must be at least 0, got -1"),
+        (["step", WALLET, "--entry", "wallet", "--max-steps", "-1"],
+         "argument --max-steps: must be at least 0, got -1"),
+    ], ids=["k", "gas", "max-steps"])
+    def test_budget_below_its_bound_is_a_usage_error(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"minisol {argv[0]}: error: {message}"
+
+    def test_the_bounds_themselves_are_accepted(self, capsys):
+        rc, _out, _err = run_cli(capsys, "run", "samples/empty.lls", "--k", "1", "--gas", "0")
+        assert rc == 0
+        rc, out, _err = run_cli(capsys, "step", WALLET, "--entry", "wallet",
+                                "--max-steps", "0")
+        assert (rc, out) == (0, "")
+
+
 class TestSelectiveModeCli:
     def test_selective_mode_is_a_usage_error(self, capsys):
         # the old selective mode is gone and the CLI keeps no alias for it

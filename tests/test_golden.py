@@ -67,6 +67,7 @@ USAGE_CASES = {
     "usage-unknown-flag": (["run", "samples/empty.lls", "--frob", "1"], 2),
     "usage-missing-file": (["run"], 2),
     "usage-bad-gas": (["run", "samples/empty.lls", "--gas", "lots"], 2),
+    "usage-bad-k": (["run", "samples/empty.lls", "--k", "0"], 2),
     "usage-bad-mode": (["verify", "samples/wallet.lls", "--spec", "samples/no_in_time.spec",
                         "--mode", "fast"], 2),
 }

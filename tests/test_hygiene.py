@@ -161,3 +161,143 @@ def test_immutability_check_flags_planted_stores():
     # A class initializes its own fields; other stores are not value fields.
     assert value_stores("class MemoryState:\n    def f(self):\n        self.blocks = ()\n"
                         "ctx.sigma_init = sigma\n") == []
+
+
+# ``BlockVector`` keeps its spine and leaves as lists for cheap copies, and
+# states share them, so no code outside its own methods may mutate one: a
+# spine is a ``.leaves`` attribute, a leaf is a spine subscripted once, and
+# a name bound to either (by assignment or as a loop target over a spine,
+# through ``enumerate`` and ``zip``) is one too.
+_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+                  "__setitem__", "__delitem__", "__iadd__", "__imul__"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _node_kind(e, aliases):
+    """"spine", "leaf" or None: what ``e`` evaluates to."""
+    if isinstance(e, ast.Attribute) and e.attr == "leaves":
+        return "spine"
+    if isinstance(e, ast.Name):
+        return aliases.get(e.id)
+    if isinstance(e, ast.Subscript) and _node_kind(e.value, aliases) == "spine":
+        return "leaf"
+    return None
+
+
+def _item_shape(it, aliases):
+    """What iterating ``it`` yields: "leaf", a tuple of shapes, or None."""
+    if _node_kind(it, aliases) == "spine":
+        return "leaf"
+    if isinstance(it, ast.Call) and isinstance(it.func, ast.Name):
+        if it.func.id == "enumerate" and it.args:
+            return (None, _item_shape(it.args[0], aliases))
+        if it.func.id == "zip":
+            return tuple(_item_shape(a, aliases) for a in it.args)
+    return None
+
+
+def _bind(target, shape, aliases):
+    if isinstance(target, ast.Name) and isinstance(shape, str):
+        aliases[target.id] = shape
+    elif isinstance(target, (ast.Tuple, ast.List)) and isinstance(shape, tuple) \
+            and len(target.elts) == len(shape):
+        for t, s in zip(target.elts, shape):
+            _bind(t, s, aliases)
+
+
+def _scope_nodes(scope):
+    """The nodes of ``scope`` that are not inside a nested function or class."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def node_mutations(source: str, filename: str = "<source>") -> list:
+    """(file, line, what) for each subscript store, ``del``, augmented
+    assignment, attribute store or mutating list-method call aimed at a
+    ``BlockVector`` spine or leaf outside the methods of ``BlockVector``."""
+    found = []
+
+    def visit(scope, outer):
+        nodes = list(_scope_nodes(scope))
+        aliases = dict(outer)
+        for _ in range(3):  # an alias of an alias
+            for n in nodes:
+                if isinstance(n, ast.Assign):
+                    for t in n.targets:
+                        _bind(t, _node_kind(n.value, aliases), aliases)
+                elif isinstance(n, (ast.AnnAssign, ast.NamedExpr)) and n.value is not None:
+                    _bind(n.target, _node_kind(n.value, aliases), aliases)
+                elif isinstance(n, (ast.For, ast.comprehension)):
+                    _bind(n.target, _item_shape(n.iter, aliases), aliases)
+        for n in nodes:
+            what = None
+            if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) \
+                    and _node_kind(n.value, aliases):
+                what = "subscript store" if isinstance(n.ctx, ast.Store) else "del"
+            elif isinstance(n, ast.Attribute) and n.attr == "leaves" \
+                    and not isinstance(n.ctx, ast.Load):
+                what = "store to .leaves" if isinstance(n.ctx, ast.Store) else "del"
+            elif isinstance(n, ast.AugAssign) and _node_kind(n.target, aliases):
+                what = "augmented assignment"
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in _LIST_MUTATORS and _node_kind(n.func.value, aliases):
+                what = f"{n.func.attr} call"
+            if what:
+                found.append((filename, n.lineno, what))
+            if isinstance(n, _SCOPES) and not (isinstance(n, ast.ClassDef)
+                                               and n.name == "BlockVector"):
+                visit(n, aliases)
+
+    visit(ast.parse(source), {})
+    return sorted(found)
+
+
+def test_block_vector_nodes_are_never_mutated():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in node_mutations(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_node_check_flags_planted_mutations():
+    planted = (
+        "blocks.leaves[0] = leaf\n"                                   # 1
+        "sigma.blocks.leaves[1][2] = v\n"                             # 2
+        "del blocks.leaves[0][1]\n"                                   # 3
+        "def f(blocks):\n"
+        "    leaf = blocks.leaves[3]\n"
+        "    leaf += [v]\n"                                           # 6
+        "    for each in blocks.leaves:\n"
+        "        each.append(v)\n"                                    # 8
+        "    for j, (a, b) in enumerate(zip(x.leaves, y.leaves)):\n"
+        "        b.sort()\n"                                          # 10
+        "        j += 1\n"
+        "spine = blocks.leaves\n"
+        "spine.insert(0, leaf)\n"                                     # 13
+        "alias = spine\n"
+        "alias[0][5] = v\n"                                           # 15
+        "blocks.leaves = []\n"                                        # 16
+    )
+    assert node_mutations(planted) == [
+        ("<source>", 1, "subscript store"), ("<source>", 2, "subscript store"),
+        ("<source>", 3, "del"), ("<source>", 6, "augmented assignment"),
+        ("<source>", 8, "append call"), ("<source>", 10, "sort call"),
+        ("<source>", 13, "insert call"), ("<source>", 15, "subscript store"),
+        ("<source>", 16, "store to .leaves")]
+    # BlockVector's own methods write into their fresh copies; reading a
+    # block, copying a leaf and ordinary lists are not node mutations.
+    assert node_mutations(
+        "class BlockVector:\n"
+        "    def set(self, i, v):\n"
+        "        leaves = self.leaves.copy()\n"
+        "        leaf = leaves[0] = leaves[0].copy()\n"
+        "        leaf[i] = v\n"
+        "        self.leaves[0].append(v)\n"
+        "block = blocks.leaves[i >> SHIFT][i & MASK]\n"
+        "block_list = [block]\n"
+        "block_list.append(block)\n"
+        "fresh = blocks.leaves[0].copy()\n"
+        "fresh[0] = v\n") == []

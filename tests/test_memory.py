@@ -1,5 +1,10 @@
 """Block store: initialization, validated access, allocation, dumps."""
 
+import ast
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +24,7 @@ from minisol.stmts import _group_run, init_array
 from minisol.syntax import Tarray, Tuint, array_dims
 from minisol.values import initial_env
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def mv(payload, domain=Address(0), access="public"):
     return MemoryValue(payload, domain=domain, access=access, occupancy=gm.OCCUPY)
@@ -385,3 +391,132 @@ class TestBlockVector:
         free = [b for b in sigma.blocks if b.occupancy == gm.FREE]
         assert len(free) > 900
         assert all(b is free[0] for b in free)
+
+    def test_no_operation_changes_a_built_vector(self):
+        values = [mv(IntPayload(i)) for i in range(150)]
+        vec = gm.BlockVector.of(values)
+        values[0] = mv(IntPayload(-1))  # the caller's list is not a leaf
+        spine, leaves = vec.leaves, [leaf.copy() for leaf in vec.leaves]
+        vec.set(3, mv(IntPayload(7)))
+        vec.update([(70, mv(IntPayload(8))), (71, mv(IntPayload(9))), (3, mv(IntPayload(1)))])
+        assert vec.leaves is spine and vec.leaves == leaves
+        assert vec[0] == mv(IntPayload(0))
+
+    def test_update_copies_each_touched_leaf_once(self):
+        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
+        out = vec.update([(65, mv(IntPayload(-1))), (66, mv(IntPayload(-2))),
+                          (65, mv(IntPayload(-3)))])
+        assert [out[65], out[66]] == [mv(IntPayload(-3)), mv(IntPayload(-2))]
+        assert [new is old for old, new in zip(vec.leaves, out.leaves)] == [True, False, True]
+
+
+class TestAddress:
+    """An Address is a one-field tuple; the code relies on these behaviours."""
+
+    def test_equality_and_hash_follow_the_index(self):
+        assert Address(3) == Address(3) and Address(3) != Address(4)
+        assert Address(3) != 3
+        assert hash(Address(3)) == hash(Address(3))
+        assert len({Address(3), Address(3), Address(4)}) == 2
+
+    def test_order_follows_the_index(self):
+        assert Address(2) < Address(5) <= Address(5) < Address(10)
+        assert sorted([Address(9), Address(2), Address(5)]) == \
+            [Address(2), Address(5), Address(9)]
+
+    def test_repr_and_field(self):
+        assert repr(Address(7)) == str(Address(7)) == f"{Address(7)}" == "@7"
+        assert Address(index=7).index == 7
+        assert isinstance(Address(7), tuple)
+
+    def test_dict_key(self):
+        table = {Address(1): "a", Address(2): "b"}
+        assert table[Address(1)] == "a"
+        assert Address(3) not in table
+
+    def test_round_trip_through_the_interchange_format(self):
+        from minisol.binder import bind_addresses
+        from minisol.parser import parse_source
+        from minisol.syntax import (
+            Assign,
+            Econst,
+            Evar,
+            Vint,
+            program_from_data,
+            program_to_data,
+        )
+        one = Assign(Evar(Address(12), Tuint()), Econst(Vint(1)))
+        assert program_to_data([one])[0]["lhs"] == \
+            {"kind": "var", "addr": 12, "type": {"kind": "int", "width": 64, "signed": False}}
+        text = (ROOT / "samples" / "wallet.lls").read_text(encoding="utf-8")
+        decls = bind_addresses(parse_source(text), 100).decls
+        data = json.loads(json.dumps(program_to_data(decls)))
+        back = program_from_data(data)
+        assert back == list(decls)
+        # equal to their index tuples, so count: a decoded plain tuple is no Address
+        assert len(list(_addresses(back))) == len(list(_addresses(decls))) > 0
+
+    def test_no_tuple_check_receives_an_address(self, monkeypatch, capsys):
+        # The sites that test for a tuple are the two below; a new one must
+        # be checked here too. The codec tests its format codes, never the
+        # values it encodes, and only tests compare a Models with anything.
+        assert _tuple_check_sites() == [("engine.py", "Models.__eq__"),
+                                        ("syntax.py", "_decode"), ("syntax.py", "_encode")]
+        from minisol import engine, syntax
+        from minisol.cli import cli_main
+        seen = []
+
+        def spy(name, fn, arg):
+            def wrapped(*args):
+                seen.append((name, isinstance(args[arg], Address)))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(syntax, "_encode", spy("_encode", syntax._encode, 0))
+        monkeypatch.setattr(syntax, "_decode", spy("_decode", syntax._decode, 0))
+        monkeypatch.setattr(engine.Models, "__eq__", spy("Models", engine.Models.__eq__, 1))
+        monkeypatch.chdir(ROOT)
+        doc = (ROOT / "tests" / "golden" / "emit-ast-wallet.out").read_text(encoding="utf-8")
+        syntax.program_from_data(json.loads(doc)["program"])
+        for argv in (["emit-ast", "samples/wallet.lls"],
+                     ["verify", "samples/wallet.lls", "--spec", "samples/no_in_time.spec"],
+                     ["verify", "tests/golden/branchy.lls", "--spec",
+                      "tests/golden/branchy.spec"]):
+            assert cli_main(argv) in (0, 1)
+        capsys.readouterr()
+        assert {name for name, _ in seen} >= {"_encode", "_decode"}
+        assert [hit for hit in seen if hit[1]] == []
+
+
+def _addresses(x):
+    """Every Address inside a tree of dataclasses and tuples, over the
+    fields that take part in equality."""
+    if isinstance(x, Address):
+        yield x
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            if f.compare:
+                yield from _addresses(getattr(x, f.name))
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            yield from _addresses(item)
+
+
+def _tuple_check_sites():
+    """(file, function) of each ``isinstance`` call in ``src/minisol`` whose
+    class argument names ``tuple``."""
+    sites = set()
+    for path in sorted((ROOT / "src" / "minisol").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+            prefix = "" if cls is tree else f"{cls.name}."
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for n in ast.walk(fn):
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                            and n.func.id == "isinstance" and len(n.args) == 2 and any(
+                                isinstance(c, ast.Name) and c.id == "tuple"
+                                for c in ast.walk(n.args[1])):
+                        sites.add((path.name, prefix + fn.name))
+    return sorted(sites)
