@@ -1,16 +1,18 @@
 """Source hygiene: every function in ``src/minisol`` reads each of its
 parameters, every top-level function and class is named by the program
 or the benchmark somewhere outside its own definition, and no code
-mutates a value of the slotted, non-frozen value classes.
+mutates a value of the slotted, non-frozen value classes or a spine or
+leaf list of a ``BlockVector``.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
 starting with ``_`` marks a parameter that a callback interface fixes and
 the function deliberately ignores. A definition that only tests or an
 ``__all__`` list name is code that no command reaches. The value classes
-built on every dispatch are declared without ``frozen`` for speed, so
-their immutability is a rule that this file and the symbolic-vs-concrete
-property test (``test_agreement.py``) enforce.
+built on every dispatch are declared without ``frozen``, and the store's
+nodes are lists, for speed, so their immutability is a rule that this
+file and the symbolic-vs-concrete property test (``test_agreement.py``)
+enforce.
 """
 
 import ast
@@ -174,7 +176,7 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 def _node_kind(e, aliases):
-    """"spine", "leaf" or None: what ``e`` evaluates to."""
+    """What ``e`` evaluates to: "spine", "leaf" or None."""
     if isinstance(e, ast.Attribute) and e.attr == "leaves":
         return "spine"
     if isinstance(e, ast.Name):
