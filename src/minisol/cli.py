@@ -36,6 +36,7 @@ from .runner import (
     RunnerError,
     build_world,
     compile_posts,
+    compile_requires,
     entry_program,
     make_pre,
 )
@@ -109,7 +110,7 @@ def _emit_ast_flags(p: argparse.ArgumentParser):
 
 
 def _oracle_flags(p: argparse.ArgumentParser):
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=20240601)
     p.add_argument("--ast", default=None, metavar="FILE",
                    help="check one emitted AST document instead of the random corpus")
@@ -258,7 +259,8 @@ def cmd_verify(ns) -> int:
                    arg_writes=global_writes, symbols=symbols)
     post = compile_posts(bound, spec.posts)
     verdict = verify_triple(pre, prog, post, symbols=symbols,
-                            require=spec.requires, K=ns.k, concolic=concolic)
+                            require=compile_requires(bound, spec.requires),
+                            K=ns.k, concolic=concolic)
     payload = {
         "status": verdict.status,
         "paths": len(verdict.paths),
@@ -271,11 +273,7 @@ def cmd_verify(ns) -> int:
         print(verdict.status
               + (f" (witness: {verdict.witness})" if verdict.witness else "")
               + (f": {verdict.diagnostic}" if verdict.diagnostic else ""))
-    if verdict.status == "verified":
-        return EXIT_OK
-    if verdict.status == "refuted":
-        return EXIT_REFUTED
-    return EXIT_FAILURE
+    return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(verdict.status, EXIT_FAILURE)
 
 
 def cmd_typecheck(ns) -> int:

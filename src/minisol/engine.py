@@ -12,13 +12,15 @@ Constraints are discharged by a bounded enumerator over each symbol's
 declared finite domain; no external solver is involved. A path's
 ``Models`` are searched only on demand, and a branch that the path
 condition already decides is followed or pruned with no search.
-``verify_triple`` is the one verification route. Its judge asks the
-``Post`` for each path's obligation on the symbolic states: ``True``,
-``False`` or a residual expression evaluated per model. A plain callable
-post is wrapped in a one-rule ``Post`` whose residual concretizes both
-states under each model and calls it; a path whose symbolic payloads
-hold a ``/`` or ``%`` gets that residual over the ``Post``. Each forked
-path gets its own copy of the execution context.
+``verify_triple`` is the one verification route. Its precondition and
+a spec's expression posts are typed boolean expressions that ``holds``
+evaluates with ``eval_rvalue``. Its judge asks the ``Post`` for each
+path's obligation on the symbolic states: ``True``, ``False`` or a
+residual expression evaluated per model. A plain callable post is
+wrapped in a one-rule ``Post`` whose residual concretizes both states
+under each model and calls it; a path whose symbolic payloads hold a
+``/`` or ``%`` gets that residual over the ``Post``. Each forked path
+gets its own copy of the execution context.
 """
 
 from __future__ import annotations
@@ -39,18 +41,16 @@ from .stmts import (
     ExecContext,
     drive,
 )
-from .symbolic import (SymConst, SymEvalError, SymExpr, SymOp, collect_symbols, is_symbolic,
-                       subtrees)
+from .exprs import eval_rvalue
+from .symbolic import SymEvalError, SymExpr, SymOp, is_symbolic, subtrees, to_symexpr
 from .values import Env
 
 
 @dataclass(frozen=True)
 class SymbolicValue:
-    """A named unknown with a finite declared domain."""
+    """A named unknown with a finite declared domain, typed by its block."""
     name: str
     kind: str = "int"       # "int" or "bool"
-    width: int = 64
-    signed: bool = False
     lo: int = 0
     hi: int = 0             # inclusive upper bound for int symbols
 
@@ -360,33 +360,29 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     it produces the same world with symbolic payloads standing in for
     the declared symbols. ``post`` is a ``Post`` or any predicate over
     (final state, initial state), which is wrapped in a one-rule
-    ``Post``. ``require`` lists constraint trees assumed true.
+    ``Post``. ``require`` lists boolean expressions true of its world.
 
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
     pins them to itself and the world to ``pre(concolic)``.
     """
     symbols = tuple(symbols)
-    known = {s.name for s in symbols}
-    unknown = set()
-    for r in require:
-        unknown |= collect_symbols(r) - known
-    if unknown:
-        return Verdict("error",
-                       diagnostic=f"precondition names undeclared symbols: {sorted(unknown)}")
-    base_condition = tuple(Constraint(r, True) for r in require)
-    models = Models(symbols=symbols, condition=base_condition)
-    if symbols and models.witness is None:
-        return Verdict("verified", diagnostic="vacuous: precondition unsatisfiable")
     if concolic is not None:
         missing = [s.name for s in symbols if s.name not in concolic]
         if missing:
             return Verdict("error", diagnostic=f"concolic values missing: {missing}")
-        if not all(c.holds(concolic) for c in base_condition):
-            return Verdict("error", diagnostic="concolic assignment violates the precondition")
-        models = Models((concolic,))
-
     sigma, env, ctx = pre(concolic)
+    bits = (holds(K, r, sigma) for r in require)
+    base_condition = tuple(Constraint(to_symexpr(bit)) for bit in bits if bit is not True)
+    if concolic is None:
+        models = Models(symbols=symbols, condition=base_condition)
+        if symbols and models.witness is None:
+            return Verdict("verified", diagnostic="vacuous: precondition unsatisfiable")
+    elif all(c.holds(concolic) for c in base_condition):
+        models = Models((concolic,))
+    else:
+        return Verdict("error", diagnostic="concolic assignment violates the precondition")
+
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
     paths = explore(K, PathState(sigma, env, base_condition, tuple(prog), ctx, models=models))
@@ -415,12 +411,12 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
             continue
         for asg in (p.models.witness or {},) if goal is False else p.models:
             try:
-                holds = goal is not False and goal.eval(asg)
+                ok = goal is not False and goal.eval(asg)
             except SymEvalError as exc:
                 return Verdict("error", path=p,
                                diagnostic=f"cannot evaluate the state under {asg}: {exc}",
                                paths=paths)
-            if not holds:
+            if not ok:
                 witness = _confirm_witness(asg, pre, original_prog, post, K)
                 return Verdict("refuted", witness=witness, path=p,
                                diagnostic=f"postcondition fails under {asg}",
@@ -519,12 +515,11 @@ _THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top
 
 def throw_state(final: MemoryState, initial: MemoryState | None):
     """Final memory is the entry snapshot plus a raised throw flag."""
-    if initial is None:
-        return False
     idx = final.size - 1 - _THROW_OFFSET
-    return _conjoin(itertools.chain((equals(idx, True, final, initial),), (
-        _same_block(final.blocks[i], initial.blocks[i])
-        for i in final.blocks.diff(initial.blocks) if i != idx)))
+    if initial is None or getattr(final.blocks[idx].payload, "bit", None) is not True:
+        return False
+    return _conjoin(_same_block(final.blocks[i], initial.blocks[i])
+                    for i in final.blocks.diff(initial.blocks) if i != idx)
 
 
 def unchanged(index: int, final: MemoryState, initial: MemoryState | None):
@@ -532,16 +527,12 @@ def unchanged(index: int, final: MemoryState, initial: MemoryState | None):
     return initial is not None and _same_block(final.blocks[index], initial.blocks[index])
 
 
-def equals(index: int, expected, final: MemoryState, _initial):
-    """The block at ``index`` holds the literal ``expected``."""
-    payload = final.blocks[index].payload
-    if isinstance(payload, gm.BoolPayload):
-        value, expected = payload.bit, bool(expected)
-    elif isinstance(payload, gm.IntPayload):
-        value = payload.value
-    else:
-        return False
-    return SymOp("==", (value, SymConst(expected))) if is_symbolic(value) else value == expected
+def holds(K: int, e, final: MemoryState, _initial=None):
+    """Boolean ``e`` on ``final`` as a rule: ``True``, ``False`` or a residual.
+    Where ``e`` fails to evaluate it is ``False``, as a revert excludes a run."""
+    v = eval_rvalue(K, e, final, Env(0, final.addr_of("0xglobal")))
+    bit = None if v is None else getattr(v.payload, "bit", None)
+    return False if bit is None else bit
 
 
 throw_state_post = Post(throw_state)

@@ -1,26 +1,31 @@
-"""World construction for whole-program runs.
+"""World construction for whole-program runs, and spec lowering.
 
 A run needs: a fresh memory with the standard library, the message
 instance written from the chain context, the declaration statements
 executed, seed writes and symbol blocks applied, and finally the entry
 call. Declarations execute under their own generous budget so that the
-user-facing gas limit measures the entry program alone.
+user-facing gas limit measures the entry program alone. Seed writes and
+symbols find their block through the binder, so a symbol takes its
+block's type; spec expressions are lowered and typed as the program's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 from . import memory as gm
 from .binder import BindError, BoundProgram, assigned_type
-from .engine import Post, equals, interpret, throw_state, unchanged
+from .engine import Post, holds, interpret, throw_state, unchanged
 from .memory import BoolPayload, IntPayload, MemoryState
 from .parser import ParseError, parse_expr_text
+from .specfile import SpecError
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import Econst, Tbool, Tint, Vbool, Vint, int_fits, type_text
+from .syntax import (Econst, LTypeError, Tbool, Tint, TypeContext, Vbool, Vint, int_fits,
+                     type_text, typecheck_expr)
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -31,8 +36,7 @@ class RunnerError(Exception):
     pass
 
 
-@dataclass
-class World:
+class World(NamedTuple):
     sigma: MemoryState
     env: object
     ctx: ExecContext
@@ -80,19 +84,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
         sigma = _apply_set(bound, sigma, ctx, lvalue_text, raw)
 
     for sym in symbols:
-        if sym.name not in bound.bindings:
-            raise RunnerError(f"symbol {sym.name!r} does not name a declared block")
-        addr = bound.bindings[sym.name]
-        if assignment is not None:
-            if sym.name not in assignment:
-                raise RunnerError(f"no concrete value for symbol {sym.name!r}")
-            value = assignment[sym.name]
-            payload = (BoolPayload(bool(value)) if sym.kind == "bool"
-                       else IntPayload(int(value), sym.width, sym.signed))
-        else:
-            payload = (BoolPayload(SymVar(sym.name)) if sym.kind == "bool"
-                       else IntPayload(SymVar(sym.name), sym.width, sym.signed))
-        sigma = _poke(sigma, addr, payload)
+        sigma = _place_symbol(bound, sigma, sym, assignment)
 
     ctx.sigma_init = None  # the entry run snapshots on entry
     env = initial_env(gas, sigma.addr_of("0xglobal"))
@@ -106,13 +98,18 @@ def _poke(sigma, addr, payload):
     return gm.write(sigma, addr, replace(block, payload=payload), "dir")
 
 
-def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
+def _target(bound: BoundProgram, text: str):
+    """The lowered assignable target ``text`` names, and its block's type."""
     try:
-        lowered = bound.binder.lower_expr(parse_expr_text(lvalue_text))
+        lowered = bound.binder.lower_expr(parse_expr_text(text))
     except (BindError, ParseError) as exc:
         # The position is one inside the target's own text, not the program's.
-        raise RunnerError(f"cannot resolve {lvalue_text!r}: {exc.msg}") from exc
-    ltype = assigned_type(lowered)
+        raise RunnerError(f"cannot resolve {text!r}: {exc.msg}") from exc
+    return lowered, assigned_type(lowered)
+
+
+def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
+    lowered, ltype = _target(bound, lvalue_text)
     if not isinstance(ltype, (Tbool, Tint)):
         raise RunnerError(f"cannot seed {lvalue_text!r}: a seed write needs a bool or "
                           "integer variable, a fully indexed array element or a mapping entry")
@@ -123,6 +120,28 @@ def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
         raise RunnerError(f"seed write to {lvalue_text!r} failed: "
                           + "; ".join(ctx.diagnostics[-2:]))
     return out
+
+
+def _place_symbol(bound: BoundProgram, sigma, sym, assignment):
+    """Write ``sym``, or its value under ``assignment``, into the variable
+    it names, with the width and signedness of that block."""
+    target, ltype = _target(bound, sym.name)
+    if not isinstance(ltype, Tbool if sym.kind == "bool" else Tint):
+        what = f"a block of type {type_text(ltype, bound.binder.struct_names())}" if ltype \
+            else "no variable"
+        raise RunnerError(f"symbol {sym.name!r} of kind {sym.kind} names {what}")
+    domain = f"{sym.lo}..{sym.hi}"
+    if sym.kind == "int" and not (int_fits(sym.lo, ltype) and int_fits(sym.hi, ltype)):
+        raise RunnerError(f"symbol {sym.name!r}: domain {domain} does not fit in "
+                          f"{type_text(ltype)}")
+    value = SymVar(sym.name) if assignment is None else assignment[sym.name]
+    if assignment is not None:
+        _literal_expr(ltype, value)  # a bool for a bool block, an int that fits otherwise
+        if sym.kind == "int" and not sym.lo <= value <= sym.hi:
+            raise RunnerError(f"symbol {sym.name!r}: value {value} is outside its domain "
+                              f"{domain}")
+    return _poke(sigma, target.addr, BoolPayload(value) if sym.kind == "bool"
+                 else IntPayload(value, ltype.width, ltype.signed))
 
 
 def entry_program(bound: BoundProgram, entry: str, arg_map=None):
@@ -146,12 +165,28 @@ def entry_program(bound: BoundProgram, entry: str, arg_map=None):
 def make_pre(bound: BoundProgram, gas: int, binfo: BlockInfo,
              sets=(), arg_writes=(), symbols=()):
     """A builder suitable for triple verification: assignment -> world."""
-    def pre(assignment):
-        world = build_world(bound, gas, binfo, sets=sets,
-                            arg_writes=arg_writes, symbols=symbols,
-                            assignment=assignment)
-        return world.sigma, world.env, world.ctx
-    return pre
+    return lambda assignment: build_world(bound, gas, binfo, sets, arg_writes, symbols,
+                                          assignment)
+
+
+def spec_expr(bound: BoundProgram, line: int, e):
+    """The boolean expression ``e`` of spec line ``line``, lowered by the
+    binder and typechecked as the program's own expressions are."""
+    binder, names = bound.binder, bound.binder.struct_names()
+    try:
+        lowered = binder.lower_expr(e)
+        _, t = typecheck_expr(lowered, TypeContext(structs=binder.struct_members,
+                                                   struct_names=names))
+        if not isinstance(t, Tbool):
+            raise LTypeError(f"a spec expression must be a bool, not {type_text(t, names)}")
+    except (BindError, LTypeError) as exc:
+        raise SpecError(f"line {line}: {getattr(exc, 'msg', exc)}") from exc
+    return lowered
+
+
+def compile_requires(bound: BoundProgram, requires) -> tuple:
+    """The ``require`` lines, (line number, expression) pairs, lowered."""
+    return tuple(spec_expr(bound, line, e) for line, e in requires)
 
 
 def compile_posts(bound: BoundProgram, posts) -> Post:
@@ -160,12 +195,10 @@ def compile_posts(bound: BoundProgram, posts) -> Post:
     for p in posts:
         if p.kind == "throw-state":
             rules.append(throw_state)
-            continue
-        if p.kind not in ("equals", "unchanged"):
-            raise RunnerError(f"unknown post kind {p.kind!r}")
-        if p.name not in bound.bindings:
+        elif p.kind == "expr":
+            rules.append(partial(holds, SETUP_K, spec_expr(bound, p.line, p.expr)))
+        elif p.name in bound.bindings:
+            rules.append(partial(unchanged, bound.bindings[p.name].index))
+        else:
             raise RunnerError(f"post names unknown block {p.name!r}")
-        index = bound.bindings[p.name].index
-        rules.append(partial(equals, index, p.value) if p.kind == "equals"
-                     else partial(unchanged, index))
     return Post(*rules)

@@ -5,14 +5,16 @@
     set <lvalue> = <int|true|false>
     sym <name> : bool
     sym <name> : int <lo>..<hi>
-    require <boolean expression over symbols and literals>
+    require <boolean expression>
     post throw-state
-    post <name> == <int|true|false>
     post unchanged <name>
+    post <boolean expression>
 
 ``set`` lines seed memory before the snapshot that a throw restores;
 ``sym`` lines declare symbolic inputs over finite domains; ``require``
 constrains them; ``post`` lines are conjoined into the postcondition.
+This module only parses; ``runner`` types each symbol by the block it
+names and lowers the expressions against the program.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from .engine import SymbolicValue
-from .parser import EBin, EBool, EId, ENum, EUn, ParseError, SExpr, parse_expr_text
-from .symbolic import SymConst, SymExpr, SymOp, SymVar
+from .parser import ParseError, SExpr, parse_expr_text
 
 
 class SpecError(Exception):
@@ -31,9 +32,10 @@ class SpecError(Exception):
 
 @dataclass
 class PostSpec:
-    kind: str          # "throw-state" | "equals" | "unchanged"
-    name: str = ""
-    value: object = None
+    kind: str                  # "throw-state" | "unchanged" | "expr"
+    name: str = ""             # the block "unchanged" names
+    expr: SExpr | None = None  # the boolean expression of "expr"
+    line: int = 0
 
 
 @dataclass
@@ -41,7 +43,7 @@ class SpecFile:
     entry: str | None = None
     sets: list = field(default_factory=list)      # (lvalue text, raw literal)
     symbols: list = field(default_factory=list)   # SymbolicValue
-    requires: list = field(default_factory=list)  # SymExpr trees
+    requires: list = field(default_factory=list)  # (line number, surface expression)
     posts: list = field(default_factory=list)     # PostSpec
 
 
@@ -81,26 +83,6 @@ def parse_symbol_decl(name: str, rest: str, declared) -> SymbolicValue:
     raise SpecError(f"unknown symbol kind in {rest!r}")
 
 
-def surface_to_symexpr(e: SExpr) -> SymExpr:
-    """Lower a parsed surface expression into a constraint tree."""
-    if isinstance(e, ENum):
-        return SymConst(e.value)
-    if isinstance(e, EBool):
-        return SymConst(e.value)
-    if isinstance(e, EId):
-        return SymVar(e.name)
-    if isinstance(e, EBin):
-        left, right = surface_to_symexpr(e.left), surface_to_symexpr(e.right)
-        if e.op in ("+", "-", "*", "/", "%"):
-            return SymOp(e.op, (left, right), width=64, signed=False)
-        return SymOp(e.op, (left, right))
-    if isinstance(e, EUn):
-        if e.op == "!":
-            return SymOp("!", (surface_to_symexpr(e.operand),))
-        return SymOp("neg", (surface_to_symexpr(e.operand),), width=64, signed=True)
-    raise SpecError(f"unsupported construct in a constraint: {type(e).__name__}")
-
-
 def parse_spec(text: str) -> SpecFile:
     spec = SpecFile()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,9 +105,9 @@ def parse_spec(text: str) -> SpecFile:
                     raise SpecError("sym needs the form: sym <name> : <kind>")
                 spec.symbols.append(parse_symbol_decl(name.strip(), kind, spec.symbols))
             elif head == "require":
-                spec.requires.append(surface_to_symexpr(parse_expr_text(rest)))
+                spec.requires.append((lineno, parse_expr_text(rest)))
             elif head == "post":
-                spec.posts.append(_parse_post(rest))
+                spec.posts.append(_parse_post(rest, lineno))
             else:
                 raise SpecError(f"unknown directive {head!r}")
         except (SpecError, ParseError) as exc:
@@ -133,15 +115,12 @@ def parse_spec(text: str) -> SpecFile:
     return spec
 
 
-def _parse_post(rest: str) -> PostSpec:
+def _parse_post(rest: str, lineno: int) -> PostSpec:
     if rest == "throw-state":
         return PostSpec("throw-state")
-    if rest.startswith("unchanged"):
-        name = rest[len("unchanged"):].strip()
-        if not name:
+    rule, _, name = rest.partition(" ")
+    if rule == "unchanged":
+        if not name.strip():
             raise SpecError("post unchanged needs a block name")
-        return PostSpec("unchanged", name)
-    lhs, eq, value = rest.partition("==")
-    if not eq:
-        raise SpecError(f"unrecognized postcondition {rest!r}")
-    return PostSpec("equals", lhs.strip(), parse_literal(value))
+        return PostSpec("unchanged", name.strip())
+    return PostSpec("expr", expr=parse_expr_text(rest), line=lineno)

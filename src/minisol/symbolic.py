@@ -162,7 +162,3 @@ def subtrees(e: SymExpr):
     if isinstance(e, SymOp):
         for a in e.args:
             yield from subtrees(a)
-
-
-def collect_symbols(e: SymExpr) -> set[str]:
-    return {n.name for n in subtrees(e) if isinstance(n, SymVar)}

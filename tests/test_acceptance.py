@@ -37,7 +37,7 @@ from minisol.memory import (
 from minisol.oracle import run_report
 from minisol.parser import parse_source
 from minisol.proggen import ProgramGen, generate_program
-from minisol.runner import build_world, compile_posts, entry_program, make_pre
+from minisol.runner import build_world, compile_posts, compile_requires, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_array, init_var
@@ -330,8 +330,9 @@ def test_criterion_06_wallet():
     post = compile_posts(bound, spec.posts)
 
     # static symbolic run: (now < open or now > close) forces the throw
+    require = compile_requires(bound, spec.requires)
     verdict = verify_triple(pre, prog, post, symbols=symbols,
-                            require=spec.requires, K=1000)
+                            require=require, K=1000)
     assert verdict.status == "verified", verdict.diagnostic
     assert len(verdict.paths) >= 1
     assert all(p.note == "throw" for p in verdict.paths)
@@ -340,7 +341,7 @@ def test_criterion_06_wallet():
     # branch copies privilegeOpen/privilegeClose into open/close
     concolic = {"privilegeOpen": 0, "privilegeClose": 3, "now": 4}
     verdict2 = verify_triple(pre, prog, post, symbols=symbols,
-                             require=spec.requires, K=1000, concolic=concolic)
+                             require=require, K=1000, concolic=concolic)
     assert verdict2.status == "verified", verdict2.diagnostic
     assert len(verdict2.paths) == 1
     assert verdict2.paths[0].note == "throw"

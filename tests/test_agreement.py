@@ -2,73 +2,72 @@
 
 For a generated program, the declarations run concretely; then up to two
 integer blocks and one boolean block take symbolic payloads over tiny
-domains, and ``explore`` runs the body. For every path and every model
-of it, the concretized terminal state is the state the concrete dispatch
-loop reaches on the world that model describes, and both stop for the
-same reason. The paths come out in path-condition order. Programs draw no division: a symbolic divisor has no
-``d != 0`` fork yet.
+domains, and ``explore`` runs the body. The symbols are ``sym`` lines of
+a spec, placed by ``runner.build_world``, which types each one by the
+block it names. For every path and every model of it, the concretized
+terminal state is the state the concrete dispatch loop reaches on the
+world that ``--arg`` writes of that model build, and both stop for the
+same reason. The paths come out in path-condition order. Programs draw
+no division: a symbolic divisor has no ``d != 0`` fork yet.
 """
 
 import random
-from dataclasses import replace
-from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minisol import memory as gm
+from minisol.binder import Binder, BoundProgram
 from minisol.engine import (
     PathState,
-    Post,
-    SymbolicValue,
     assignments,
     concretize,
-    equals,
     explore,
-    interpret,
     verify_triple,
 )
-from minisol.proggen import ProgramGen, generate_program
-from minisol.stdlib import fresh_memory
-from minisol.stmts import BUDGET, ExecContext, drive
-from minisol.symbolic import SymVar
-from minisol.values import initial_env
+from minisol.memory import Address
+from minisol.proggen import BOOL_T, INT_T, ProgramGen, generate_program
+from minisol.runner import build_world, compile_posts, make_pre
+from minisol.specfile import parse_spec
+from minisol.stmts import BUDGET, drive
+from minisol.syntax import Evar, Tuint, Var
+from minisol.values import BlockInfo
 
 K = 200
+MEM = 64
 _GEN = ProgramGen(random.Random(0))
 INTS, BOOLS = _GEN.int_vars, _GEN.bool_vars
 N_DECLS = len(_GEN.declarations())
+NAMES = {a: f"v{a.index}" for a in INTS + BOOLS}
+NOW = Address(len(NAMES))  # the block timestamp that build_world writes
+
+
+def bound_program(decls) -> BoundProgram:
+    """The generated declarations, plus the timestamp block, as a bound
+    program whose binder names the variable at index i ``v<i>``."""
+    binder = Binder(MEM)
+    binder.globals = {NAMES[a]: (a, INT_T if a in INTS else BOOL_T) for a in NAMES}
+    binder.globals["now"] = (NOW, Tuint())
+    bindings = {name: addr for name, (addr, _t) in binder.globals.items()}
+    return BoundProgram(list(decls) + [Var("public", Evar(NOW, Tuint()))], bindings,
+                        NOW.index + 1, MEM, {}, binder)
 
 
 @st.composite
 def cases(draw):
-    """(declared world, body, symbols by address, gas, post block, post value)."""
+    """(bound declarations, body, spec, gas): the spec declares the symbols
+    and posts that one variable holds one value."""
     prog = generate_program(draw(st.integers(0, 1 << 30)), draw(st.integers(1, 8)),
                             allow_div=False)
-    sigma = fresh_memory(64)
-    declared = interpret(K, sigma, initial_env(N_DECLS, sigma.addr_of("0xglobal")),
-                         prog[:N_DECLS])
-    syms = [(a, SymbolicValue(f"s{a.index}", "int", 64, True, -2, 2))
-            for a in draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))]
+    ints = draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))
+    lines = [f"sym {NAMES[a]} : int -2..2" for a in ints]
     bool_block = draw(st.sampled_from([None, *BOOLS]))
     if bool_block is not None:
-        syms.append((bool_block, SymbolicValue(f"s{bool_block.index}", "bool")))
+        lines.append(f"sym {NAMES[bool_block]} : bool")
     target = draw(st.sampled_from(INTS + BOOLS))
     value = draw(st.booleans() if target in BOOLS else st.integers(-2, 2))
-    return declared, tuple(prog[N_DECLS:]), syms, draw(st.integers(1, 100)), target, value
-
-
-def world(declared, syms, gas, asg):
-    """The declared world with each symbol's block holding its symbol, or
-    its value under ``asg``."""
-    sigma = declared
-    for addr, sym in syms:
-        block = sigma.blocks[addr.index]
-        v = SymVar(sym.name) if asg is None else asg[sym.name]
-        payload = (gm.BoolPayload(v) if sym.kind == "bool"
-                   else gm.IntPayload(v, sym.width, sym.signed))
-        sigma = gm.write(sigma, addr, replace(block, payload=payload), "dir")
-    return sigma, initial_env(gas, sigma.addr_of("0xglobal")), ExecContext(sigma_init=sigma)
+    lines.append(f"post {NAMES[target]} == {str(value).lower()}")
+    spec = parse_spec("\n".join(lines) + "\n")
+    return bound_program(prog[:N_DECLS]), tuple(prog[N_DECLS:]), spec, draw(st.integers(1, 100))
 
 
 def key(asg, symbols):
@@ -78,10 +77,11 @@ def key(asg, symbols):
 @given(cases())
 @settings(max_examples=200, deadline=None)
 def test_paths_agree_with_concrete_runs(case):
-    declared, body, syms, gas, target, value = case
-    symbols = [s for _a, s in syms]
-    pre = partial(world, declared, syms, gas)
+    bound, body, spec, gas = case
+    symbols = spec.symbols
+    pre = make_pre(bound, gas, BlockInfo(), symbols=symbols)
     sigma, env, ctx = pre(None)
+    ctx.sigma_init = sigma
     paths = explore(K, PathState(sigma, env, (), body, ctx,
                                  models=tuple(assignments(symbols))))
 
@@ -95,9 +95,10 @@ def test_paths_agree_with_concrete_runs(case):
 
     for p in paths:
         for asg in p.models:
-            sigma_c, env_c, ctx_c = pre(asg)
-            run = drive(K, sigma_c, env_c, ctx_c, body)
-            final = run.final(ctx_c)  # what interpret returns
+            world = build_world(bound, gas, BlockInfo(), arg_writes=sorted(asg.items()))
+            world.ctx.sigma_init = world.sigma
+            run = drive(K, world.sigma, world.env, world.ctx, body)
+            final = run.final(world.ctx)  # what interpret returns
             assert (run.stop == BUDGET) == (p.note == "exhausted"), (p.note, run.stop)
             assert run.env.gas == p.env.gas
             if p.sigma is None:
@@ -107,7 +108,6 @@ def test_paths_agree_with_concrete_runs(case):
                 assert concretize(p.sigma, asg).blocks == final.blocks
 
     # A refutation's witness replays to the same verdict.
-    verdict = verify_triple(pre, body, Post(partial(equals, target.index, value)),
-                            symbols=symbols, K=K)
+    verdict = verify_triple(pre, body, compile_posts(bound, spec.posts), symbols=symbols, K=K)
     witness = verdict.witness or {}
     assert "_replay_mismatch" not in witness and "_replay_error" not in witness, verdict

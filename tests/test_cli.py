@@ -654,7 +654,9 @@ class TestBudgetFlags:
          "argument --gas: must be at least 0, got -1"),
         (["step", WALLET, "--entry", "wallet", "--max-steps", "-1"],
          "argument --max-steps: must be at least 0, got -1"),
-    ], ids=["k", "gas", "max-steps"])
+        (["oracle", "--count", "0"], "argument --count: must be at least 1, got 0"),
+        (["oracle", "--count", "-1"], "argument --count: must be at least 1, got -1"),
+    ], ids=["k", "gas", "max-steps", "oracle-count-zero", "oracle-count-negative"])
     def test_budget_below_its_bound_is_a_usage_error(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (2, "")
@@ -666,6 +668,136 @@ class TestBudgetFlags:
         rc, out, _err = run_cli(capsys, "step", WALLET, "--entry", "wallet",
                                 "--max-steps", "0")
         assert (rc, out) == (0, "")
+
+
+TYPED = """\
+contract P {
+    int x = 0;
+    int y = 0;
+    uint8 u = 0;
+    uint8 one = 1;
+    uint w = 0;
+    bool t;
+    mapping(uint => uint) m;
+    uint r = 0;
+    function f() public {
+        if (x < y) { r = 1; }
+        if (u < one) { r = r + 2; }
+    }
+}
+"""
+
+
+class TestSpecTypes:
+    """A symbol takes the type of the block it names, and ``require`` and
+    ``post`` lines are the program's own typed boolean expressions."""
+
+    @staticmethod
+    def verify(capsys, tmp_path, spec_text, *flags):
+        src, spec = tmp_path / "typed.lls", tmp_path / "typed.spec"
+        src.write_text(TYPED)
+        spec.write_text("entry f\n" + spec_text)
+        return run_cli(capsys, "verify", str(src), "--spec", str(spec), *flags)
+
+    def test_signed_and_narrow_symbols_branch(self, capsys, tmp_path):
+        rc, out, _ = self.verify(capsys, tmp_path, "sym x : int 0..2\nsym y : int -1..1\n"
+                                 "sym u : int 0..3\npost r < 4\n", "--json")
+        assert rc == 0
+        assert json.loads(out) == {"status": "verified", "paths": 4, "witness": {},
+                                   "diagnostic": ""}
+
+    @pytest.mark.parametrize("post, status, witness", [
+        ("x <= 0", "verified", {}), ("x != 0", "refuted", {"x": 0}),
+        ("x != -2", "refuted", {"x": -2}), ("x > -3", "verified", {}),
+    ])
+    def test_require_keeps_the_models_of_signed_arithmetic(self, capsys, tmp_path, post,
+                                                           status, witness):
+        # x - 1 < 0 over -2..2 holds for x in {-2, -1, 0} in int64.
+        rc, out, _ = self.verify(capsys, tmp_path, "sym x : int -2..2\nrequire x - 1 < 0\n"
+                                 f"post {post}\n", "--json")
+        doc = json.loads(out)
+        assert (rc, doc["status"], doc["witness"]) == (int(status == "refuted"), status,
+                                                       witness)
+        assert "vacuous" not in doc["diagnostic"]
+
+    @pytest.mark.parametrize("spec_text, message", [
+        ("sym w : int -1..0\n", "symbol 'w': domain -1..0 does not fit in uint64"),
+        ("sym u : int 0..256\n", "symbol 'u': domain 0..256 does not fit in uint8"),
+        ("sym x : int -9223372036854775809..0\n",
+         "symbol 'x': domain -9223372036854775809..0 does not fit in int64"),
+        ("sym t : int 0..1\n", "symbol 't' of kind int names a block of type bool"),
+        ("sym w : bool\n", "symbol 'w' of kind bool names a block of type uint64"),
+        ("sym m : int 0..1\n",
+         "symbol 'm' of kind int names a block of type mapping(uint64=>uint64)"),
+        ("sym q : int 0..1\n", "cannot resolve 'q': unknown identifier 'q'"),
+        ("sym t : bool\npost t == 1\n",
+         "line 3: comparison == over unequal types bool and uint64"),
+        ("sym x : int 0..1\nrequire mystery > 3\n", "line 3: unknown identifier 'mystery'"),
+        ("sym x : int 0..1\nrequire x + 1\n",
+         "line 3: a spec expression must be a bool, not int64"),
+        ("post r == -1\n", "line 2: integer literal -1 does not fit in uint64"),
+    ], ids=["uint-domain", "uint8-domain", "int64-domain", "int-on-bool", "bool-on-uint",
+            "int-on-mapping", "unknown-block", "bool-post-int", "unknown-in-require",
+            "int-require", "literal-outside-post"])
+    def test_spec_that_does_not_fit_the_program_is_an_error(self, capsys, tmp_path,
+                                                             spec_text, message):
+        rc, out, err = self.verify(capsys, tmp_path, spec_text + "post throw-state\n")
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "integer -1 does not fit in uint64"),
+        ("3", "symbol 'w': value 3 is outside its domain 0..2"),
+        ("true", "expected an integer, got True"),
+    ])
+    def test_concolic_value_outside_the_symbol_is_an_error(self, capsys, tmp_path, value,
+                                                          message):
+        rc, out, err = self.verify(capsys, tmp_path, "sym w : int 0..2\npost r == 2\n",
+                                   "--mode", "concolic", "--arg", f"w={value}")
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("require, flags, rc, expected", [
+        ("w > 2", (), 0, "verified: vacuous: precondition unsatisfiable"),
+        ("m[w] == 0", (), 0, "verified: vacuous: precondition unsatisfiable"),
+        ("w > 0", ("--mode", "concolic", "--arg", "w=0"), 3,
+         "error: concolic assignment violates the precondition"),
+        ("w > 0", ("--mode", "concolic", "--arg", "w=1"), 0, "verified"),
+    ], ids=["unsatisfiable", "missing-key", "concolic-false", "concolic-true"])
+    def test_require_decides_the_models(self, capsys, tmp_path, require, flags, rc,
+                                        expected):
+        # A require that fails to evaluate, as a missing mapping key does, is false.
+        spec = f"sym w : int 0..2\nrequire {require}\npost r == 2\n"
+        assert self.verify(capsys, tmp_path, spec, *flags)[:2] == (rc, expected + "\n")
+
+    def test_concolic_value_inside_the_domain_runs(self, capsys, tmp_path):
+        rc, out, _ = self.verify(capsys, tmp_path, "sym w : int 0..2\npost r == 2\n",
+                                 "--mode", "concolic", "--arg", "w=2")
+        assert (rc, out) == (0, "verified\n")
+
+    @pytest.mark.parametrize("post, status", [
+        ("r == 0", "verified"), ("!t", "verified"), ("t == false", "verified"),
+        ("r == 1 || r == 2", "refuted"), ("w + 1 == 1 && r != 2", "verified"),
+    ])
+    def test_posts_are_boolean_expressions(self, capsys, tmp_path, post, status):
+        # u starts at 1 here, so no branch is taken and t stays false.
+        rc, out, _ = self.verify(capsys, tmp_path, f"set u = 1\nset t = false\npost {post}\n",
+                                 "--json")
+        assert (rc, json.loads(out)["status"]) == (int(status == "refuted"), status)
+
+
+class TestBranchyExpressionPosts:
+    @pytest.mark.parametrize("post, expected", [
+        ("r < 16", "verified\n"),
+        ("r < 8", "refuted (witness: {'a': 3, 'b': 0, 'c': 2}): "
+                  "postcondition fails under {'a': 3, 'b': 0, 'c': 2}\n"),
+    ])
+    def test_branchy_expression_post(self, capsys, tmp_path, post, expected):
+        spec = tmp_path / "branchy.spec"
+        spec.write_text("entry f\nsym a : int 0..3\nsym b : int 0..3\nsym c : int 0..3\n"
+                        f"post {post}\n")
+        rc, out, _ = run_cli(capsys, "verify", "tests/golden/branchy.lls", "--spec", str(spec))
+        assert (rc, out) == (int(post == "r < 8"), expected)
 
 
 class TestSelectiveModeCli:

@@ -20,7 +20,6 @@ from minisol.engine import (
     assignments,
     concretize,
     concretize_payload,
-    equals,
     explore,
     interpret,
     satisfying_assignments,
@@ -33,8 +32,9 @@ from minisol.engine import (
 from minisol.memory import Address, BoolPayload, IntPayload, MemoryState, MemoryValue
 from minisol.parser import parse_source
 from minisol.proggen import generate_program
-from minisol.runner import compile_posts, entry_program, make_pre
-from minisol.specfile import parse_spec
+from minisol.runner import (build_world, compile_posts, compile_requires, entry_program,
+                            make_pre)
+from minisol.specfile import SpecError, parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_var
 from minisol.symbolic import SymConst, SymOp, SymVar, is_symbolic
@@ -377,8 +377,7 @@ class TestVerifyTriple:
         # under n <= 5 the buggy clamp is unreachable and the triple holds
         verdict = verify_triple(pre, prog, post,
                                 symbols=[SymbolicValue("n", "int", lo=0, hi=9)],
-                                require=[SymOp("<=", (SymVar("n"),
-                                                      __import__("minisol.symbolic", fromlist=["SymConst"]).SymConst(5)))])
+                                require=[Ebop("<=", Evar(X, Tuint()), Econst(Vint(5)))])
         assert verdict.status == "verified"
 
     def test_concolic_refutation_reports_the_pinned_witness(self):
@@ -491,15 +490,11 @@ class TestSymbolicLoops:
         assert seen == {0, 1, 2, 3}
 
     def test_undeclared_symbol_in_require_is_error(self):
-        def pre(_asg):
-            sigma, env, _ = declared_world()
-            return sigma, env, ExecContext()
-
-        verdict = verify_triple(pre, (Snil(),), lambda f, i: True,
-                                symbols=[SymbolicValue("n", "int", lo=0, hi=1)],
-                                require=[SymVar("mystery")])
-        assert verdict.status == "error"
-        assert "mystery" in verdict.diagnostic
+        # The binder resolves a require line's names against the program.
+        bound = bind_addresses(parse_source("contract C { uint n; }"), 100)
+        spec = parse_spec("sym n : int 0..1\nrequire mystery > 3\n")
+        with pytest.raises(SpecError, match="^line 2: unknown identifier 'mystery'$"):
+            compile_requires(bound, spec.requires)
 
 
 class TestRobustness:
@@ -534,13 +529,15 @@ class TestRobustness:
 # Enumeration reuse: per-path assignment sets and partial concretization
 
 def spec_triple(source, spec_text):
-    """(pre, prog, post, spec) for a program and spec, as `verify` builds them."""
+    """(pre, prog, post, spec, require) for a program and spec, as `verify`
+    builds them."""
     bound = bind_addresses(parse_source(source), 100)
     spec = parse_spec(spec_text)
     pre = make_pre(bound, 10000, BlockInfo(sender=Address(1)), sets=spec.sets,
                    symbols=spec.symbols)
     prog, _ = entry_program(bound, spec.entry)
-    return pre, prog, compile_posts(bound, spec.posts), spec
+    return (pre, prog, compile_posts(bound, spec.posts), spec,
+            compile_requires(bound, spec.requires))
 
 
 def full_concretize(sigma, asg):
@@ -596,7 +593,7 @@ class TestEnumerationReuse:
     @pytest.mark.parametrize("seed", range(12))
     def test_models_and_verdicts_match_reenumerating_judge(self, seed):
         source, spec_text, n_paths = branchy_case(seed)
-        pre, prog, post, spec = spec_triple(source, spec_text)
+        pre, prog, post, spec, _require = spec_triple(source, spec_text)
         symbols = tuple(spec.symbols)
         verdict = verify_triple(pre, prog, post, symbols=symbols)
         assert len(verdict.paths) == n_paths
@@ -610,7 +607,7 @@ class TestEnumerationReuse:
         with open("samples/wallet.lls", encoding="utf-8") as fh:
             source = fh.read()
         with open("samples/no_in_time.spec", encoding="utf-8") as fh:
-            pre, _prog, _post, _spec = spec_triple(source, fh.read())
+            pre, _prog, _post, _spec, _require = spec_triple(source, fh.read())
         sigma = pre(None)[0]
         asg = {"privilegeOpen": 3, "privilegeClose": 5, "now": 1}
         out = concretize(sigma, asg)
@@ -677,10 +674,10 @@ class TestObligations:
     @pytest.mark.parametrize("seed", range(40))
     def test_obligation_judge_matches_concretizing_judge(self, seed):
         source, spec_text = obligation_case(seed)
-        pre, prog, post, spec = spec_triple(source, spec_text)
+        pre, prog, post, spec, require = spec_triple(source, spec_text)
         assert post.obligation
         verdicts = [verify_triple(pre, prog, judged, symbols=spec.symbols,
-                                  require=spec.requires)
+                                  require=require)
                     for judged in (post, lambda f, i: post(f, i))]
         fast, slow = [(v.status, len(v.paths), v.witness, v.diagnostic) for v in verdicts]
         assert fast == slow
@@ -729,8 +726,8 @@ class TestObligations:
         assert seen == [0, 1, 2, 3, 4, 5, 6, 6]
 
     def test_division_by_zero_stays_an_error_naming_the_assignment(self):
-        pre, prog, post, spec = spec_triple(DIVISION, "entry f\nsym d : int 0..3\n"
-                                                      "post unchanged s\n")
+        pre, prog, post, spec, _require = spec_triple(
+            DIVISION, "entry f\nsym d : int 0..3\npost unchanged s\n")
         verdict = verify_triple(pre, prog, post, symbols=spec.symbols)
         assert verdict.status == "error"
         assert verdict.diagnostic == ("cannot evaluate the state under {'d': 0}: "
@@ -762,12 +759,21 @@ class TestObligations:
         assert verdict.diagnostic == ("cannot evaluate the state under {'n': 0}: "
                                       "division by zero")
 
-    def test_equals_on_a_symbolic_bool(self):
-        sigma, _env, _names = declared_world()
-        final = poke(sigma, B, BoolPayload(SymVar("b")))
-        for expected in (True, False, 0, 1):
-            goal = equals(B.index, expected, final, sigma)
-            assert [goal.eval({"b": b}) for b in (False, True)] == [not expected, bool(expected)]
+    def test_expression_posts_on_a_symbolic_bool(self):
+        bound = bind_addresses(parse_source("contract C { bool t; }"), 100)
+        sigma = build_world(bound, 100, BlockInfo(), symbols=parse_spec(
+            "sym t : bool\n").symbols).sigma
+        for post, models in (("t == true", [False, True]), ("t == false", [True, False]),
+                             ("!t", [True, False])):
+            goal = compile_posts(bound, parse_spec(f"post {post}\n").posts).obligation(
+                sigma, sigma)
+            assert [goal.eval({"t": t}) for t in (False, True)] == models, post
+
+    def test_a_bool_post_compared_with_an_integer_is_a_type_error(self):
+        bound = bind_addresses(parse_source("contract C { bool t; }"), 100)
+        with pytest.raises(SpecError, match="^line 1: comparison == over unequal types "
+                                            "bool and uint64$"):
+            compile_posts(bound, parse_spec("post t == 1\n").posts)
 
     def test_obligations_on_symbolic_states(self):
         sigma, _env, names = declared_world()

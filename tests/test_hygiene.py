@@ -1,8 +1,9 @@
 """Source hygiene: every function in ``src/minisol`` reads each of its
 parameters, every top-level function and class is named by the program
-or the benchmark somewhere outside its own definition, and no code
-mutates a value of the slotted, non-frozen value classes or a spine or
-leaf list of a ``BlockVector``.
+or the benchmark somewhere outside its own definition, no code mutates a
+value of the slotted, non-frozen value classes or a spine or leaf list of
+a ``BlockVector``, and only the expression layer and the symbolic module
+build arithmetic symbolic trees.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
@@ -303,3 +304,56 @@ def test_node_check_flags_planted_mutations():
         "block_list.append(block)\n"
         "fresh = blocks.leaves[0].copy()\n"
         "fresh[0] = v\n") == []
+
+
+# Arithmetic over symbols has one set of rules: the operator table that the
+# expression layer applies and ``SymOp.eval`` replays. Only those two modules
+# may build an arithmetic ``SymOp`` or give one a width, so no module grows a
+# private arithmetic of its own again (as spec files once had).
+_ARITH_SYMOPS = {"+", "-", "*", "/", "%", "neg"}
+_SYMOP_BUILDERS = {"exprs.py", "symbolic.py"}
+
+
+def arithmetic_symops(source: str, filename: str = "<source>") -> list:
+    """(file, line, what) for each ``SymOp`` call whose operator is
+    arithmetic or not a string literal, and for each that passes a width."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != "SymOp":
+            continue
+        op = node.args[0] if node.args else next(
+            (k.value for k in node.keywords if k.arg == "op"), None)
+        if not (isinstance(op, ast.Constant) and isinstance(op.value, str)):
+            found.append((filename, node.lineno, "computed operator"))
+        elif op.value in _ARITH_SYMOPS:
+            found.append((filename, node.lineno, f"arithmetic {op.value}"))
+        if len(node.args) > 2 or any(k.arg == "width" for k in node.keywords):
+            found.append((filename, node.lineno, "width"))
+    return found
+
+
+def test_only_the_expression_layer_builds_arithmetic_symops():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name not in _SYMOP_BUILDERS
+             for hit in arithmetic_symops(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+
+
+def test_symop_check_flags_planted_arithmetic():
+    planted = (
+        "SymOp(e.op, (left, right), width=64, signed=False)\n"        # 1
+        'symbolic.SymOp("neg", (x,))\n'                               # 2
+        'SymOp("<", (a, b), 64)\n'                                    # 3
+        'SymOp(op="%", args=(a, b))\n'                                # 4
+        'SymOp("*", (a, SymOp("-", (b, c))))\n'                       # 5
+    )
+    assert sorted(arithmetic_symops(planted)) == [
+        ("<source>", 1, "computed operator"), ("<source>", 1, "width"),
+        ("<source>", 2, "arithmetic neg"), ("<source>", 3, "width"),
+        ("<source>", 4, "arithmetic %"), ("<source>", 5, "arithmetic *"),
+        ("<source>", 5, "arithmetic -")]
+    # Logic, comparison and negation without a width are not arithmetic.
+    assert arithmetic_symops('SymOp("&&", (a, b))\nSymOp("==", (v, SymConst(1)))\n'
+                             'SymOp("!", (a,))\nOther("+", (a, b), 64)\n') == []
