@@ -36,9 +36,9 @@ from .runner import (
     RunnerError,
     build_world,
     compile_posts,
-    compile_requires,
     entry_program,
     make_pre,
+    spec_expr,
 )
 from .specfile import SpecError, SpecFile, parse_literal, parse_spec, parse_symbol_decl
 from .syntax import LTypeError, Tuint, int_fits, program_to_data, type_text
@@ -259,7 +259,7 @@ def cmd_verify(ns) -> int:
                    arg_writes=global_writes, symbols=symbols)
     post = compile_posts(bound, spec.posts)
     verdict = verify_triple(pre, prog, post, symbols=symbols,
-                            require=compile_requires(bound, spec.requires),
+                            require=[spec_expr(bound, *r) for r in spec.requires],
                             K=ns.k, concolic=concolic)
     payload = {
         "status": verdict.status,
@@ -273,7 +273,11 @@ def cmd_verify(ns) -> int:
         print(verdict.status
               + (f" (witness: {verdict.witness})" if verdict.witness else "")
               + (f": {verdict.diagnostic}" if verdict.diagnostic else ""))
-    return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(verdict.status, EXIT_FAILURE)
+    if verdict.status == "verified":
+        return EXIT_OK
+    if verdict.status == "refuted":
+        return EXIT_REFUTED
+    return EXIT_FAILURE
 
 
 def cmd_typecheck(ns) -> int:

@@ -12,9 +12,9 @@ Constraints are discharged by a bounded enumerator over each symbol's
 declared finite domain; no external solver is involved. A path's
 ``Models`` are searched only on demand, and a branch that the path
 condition already decides is followed or pruned with no search.
-``verify_triple`` is the one verification route. Its precondition and
-a spec's expression posts are typed boolean expressions that ``holds``
-evaluates with ``eval_rvalue``. Its judge asks the ``Post`` for each
+``verify_triple`` is the one verification route. ``holds`` evaluates its
+``require`` and expression posts with ``eval_rvalue``, per model where a
+symbolic index or key stops it. Its judge asks the ``Post`` for each
 path's obligation on the symbolic states: ``True``, ``False`` or a
 residual expression evaluated per model. A plain callable post is
 wrapped in a one-rule ``Post`` whose residual concretizes both states
@@ -376,7 +376,7 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     base_condition = tuple(Constraint(to_symexpr(bit)) for bit in bits if bit is not True)
     if concolic is None:
         models = Models(symbols=symbols, condition=base_condition)
-        if symbols and models.witness is None:
+        if models.witness is None:
             return Verdict("verified", diagnostic="vacuous: precondition unsatisfiable")
     elif all(c.holds(concolic) for c in base_condition):
         models = Models((concolic,))
@@ -528,10 +528,13 @@ def unchanged(index: int, final: MemoryState, initial: MemoryState | None):
 
 
 def holds(K: int, e, final: MemoryState, _initial=None):
-    """Boolean ``e`` on ``final`` as a rule: ``True``, ``False`` or a residual.
-    Where ``e`` fails to evaluate it is ``False``, as a revert excludes a run."""
+    """Boolean ``e`` on ``final`` as a rule: ``True``, ``False`` or a residual,
+    which evaluates ``e`` on ``final`` concretized per model where it fails
+    over the symbols. A concrete failure is ``False``, as a revert excludes a run."""
     v = eval_rvalue(K, e, final, Env(0, final.addr_of("0xglobal")))
     bit = None if v is None else getattr(v.payload, "bit", None)
+    if bit is None and (indices := symbolic_blocks(final)):
+        return _Concretized(partial(holds, K, e), final, final, (indices, ()))
     return False if bit is None else bit
 
 

@@ -184,11 +184,6 @@ def spec_expr(bound: BoundProgram, line: int, e):
     return lowered
 
 
-def compile_requires(bound: BoundProgram, requires) -> tuple:
-    """The ``require`` lines, (line number, expression) pairs, lowered."""
-    return tuple(spec_expr(bound, line, e) for line, e in requires)
-
-
 def compile_posts(bound: BoundProgram, posts) -> Post:
     """Conjoin post lines into one ``Post`` over (final, initial)."""
     rules = []

@@ -37,7 +37,7 @@ from minisol.memory import (
 from minisol.oracle import run_report
 from minisol.parser import parse_source
 from minisol.proggen import ProgramGen, generate_program
-from minisol.runner import build_world, compile_posts, compile_requires, entry_program, make_pre
+from minisol.runner import build_world, compile_posts, entry_program, make_pre, spec_expr
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_array, init_var
@@ -330,7 +330,7 @@ def test_criterion_06_wallet():
     post = compile_posts(bound, spec.posts)
 
     # static symbolic run: (now < open or now > close) forces the throw
-    require = compile_requires(bound, spec.requires)
+    require = [spec_expr(bound, *r) for r in spec.requires]
     verdict = verify_triple(pre, prog, post, symbols=symbols,
                             require=require, K=1000)
     assert verdict.status == "verified", verdict.diagnostic

@@ -679,6 +679,7 @@ contract P {
     uint w = 0;
     bool t;
     mapping(uint => uint) m;
+    uint[3] a;
     uint r = 0;
     function f() public {
         if (x < y) { r = 1; }
@@ -686,6 +687,9 @@ contract P {
     }
 }
 """
+
+
+ZERO_A = "set a[0] = 0\nset a[1] = 0\nset a[2] = 0\n"
 
 
 class TestSpecTypes:
@@ -763,12 +767,38 @@ class TestSpecTypes:
         ("w > 0", ("--mode", "concolic", "--arg", "w=0"), 3,
          "error: concolic assignment violates the precondition"),
         ("w > 0", ("--mode", "concolic", "--arg", "w=1"), 0, "verified"),
-    ], ids=["unsatisfiable", "missing-key", "concolic-false", "concolic-true"])
+    ], ids=["unsatisfiable", "missing-keys", "concolic-false", "concolic-true"])
     def test_require_decides_the_models(self, capsys, tmp_path, require, flags, rc,
                                         expected):
-        # A require that fails to evaluate, as a missing mapping key does, is false.
+        # m holds no key, so m[w] fails to evaluate, and is false, under every model.
         spec = f"sym w : int 0..2\nrequire {require}\npost r == 2\n"
         assert self.verify(capsys, tmp_path, spec, *flags)[:2] == (rc, expected + "\n")
+
+    @pytest.mark.parametrize("spec_text, status, witness", [
+        ("set m[1] = 0\nsym w : int 0..2\nrequire m[w] == 0\npost w == 1\n", "verified", {}),
+        ("set m[1] = 0\nsym w : int 0..2\nrequire m[w] == 0\npost w != 1\n", "refuted",
+         {"w": 1}),
+        (ZERO_A + "sym w : int 0..2\nrequire a[w] == 0\npost r == 2\n", "verified", {}),
+        (ZERO_A + "sym w : int 0..2\npost a[w] == 0\n", "verified", {}),
+        (ZERO_A + "sym w : int 0..3\npost a[w] == 0\n", "refuted", {"w": 3}),
+        ("sym w : int 0..2\npost a[w] == 0\n", "refuted", {"w": 0}),
+    ], ids=["require-key", "require-key-witness", "require-element", "post-element",
+            "post-element-out-of-range", "post-element-undefined"])
+    def test_symbolic_index_or_key_is_read_per_model(self, capsys, tmp_path, spec_text,
+                                                     status, witness):
+        # A read under a symbolic index or key is evaluated on the state
+        # concretized under each model; where it fails there, as on an
+        # index out of range or an element never written, it is false.
+        rc, out, _ = self.verify(capsys, tmp_path, spec_text, "--json")
+        doc = json.loads(out)
+        assert (rc, doc["status"], doc["witness"]) == (int(status == "refuted"), status,
+                                                       witness)
+        assert "vacuous" not in doc["diagnostic"]
+
+    @pytest.mark.parametrize("post", ["r == 2", "r != 2"])
+    def test_a_false_require_without_symbols_is_vacuous(self, capsys, tmp_path, post):
+        rc, out, _ = self.verify(capsys, tmp_path, f"require a[1] == 0\npost {post}\n")
+        assert (rc, out) == (0, "verified: vacuous: precondition unsatisfiable\n")
 
     def test_concolic_value_inside_the_domain_runs(self, capsys, tmp_path):
         rc, out, _ = self.verify(capsys, tmp_path, "sym w : int 0..2\npost r == 2\n",

@@ -32,8 +32,7 @@ from minisol.engine import (
 from minisol.memory import Address, BoolPayload, IntPayload, MemoryState, MemoryValue
 from minisol.parser import parse_source
 from minisol.proggen import generate_program
-from minisol.runner import (build_world, compile_posts, compile_requires, entry_program,
-                            make_pre)
+from minisol.runner import build_world, compile_posts, entry_program, make_pre, spec_expr
 from minisol.specfile import SpecError, parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, init_var
@@ -494,7 +493,7 @@ class TestSymbolicLoops:
         bound = bind_addresses(parse_source("contract C { uint n; }"), 100)
         spec = parse_spec("sym n : int 0..1\nrequire mystery > 3\n")
         with pytest.raises(SpecError, match="^line 2: unknown identifier 'mystery'$"):
-            compile_requires(bound, spec.requires)
+            spec_expr(bound, *spec.requires[0])
 
 
 class TestRobustness:
@@ -537,7 +536,7 @@ def spec_triple(source, spec_text):
                    symbols=spec.symbols)
     prog, _ = entry_program(bound, spec.entry)
     return (pre, prog, compile_posts(bound, spec.posts), spec,
-            compile_requires(bound, spec.requires))
+            [spec_expr(bound, *r) for r in spec.requires])
 
 
 def full_concretize(sigma, asg):
