@@ -192,7 +192,7 @@ class Binder:
             return base
         raise BindError("unresolvable type", pos)
 
-    def _blocks_for(self, ltype) -> int:
+    def blocks_for(self, ltype) -> int:
         if isinstance(ltype, Tarray):
             dims, _ = array_dims(ltype)
             return array_layout(dims).array_size
@@ -348,7 +348,7 @@ class Binder:
     def _lower_local_decl(self, s: SVarDecl) -> list:
         ltype = self.resolve_type(s.vtype, s.pos)
         addr = self._claim(f"{self.scope_name}.{s.name}" if self.scope_name else s.name,
-                           self._blocks_for(ltype), s.pos)
+                           self.blocks_for(ltype), s.pos)
         self._bind_unique(self.locals if self.scope_name else self.globals,
                           s.name, (addr, ltype), s.pos)
         decl = Var(s.access, Evar(addr, ltype))
@@ -425,7 +425,7 @@ class Binder:
                 body_stmts.append(StructDecl(taddr, members))
             elif isinstance(m, SVarDecl):
                 ltype = self.resolve_type(m.vtype, m.pos)
-                addr = self._claim(m.name, self._blocks_for(ltype), m.pos)
+                addr = self._claim(m.name, self.blocks_for(ltype), m.pos)
                 self._bind_unique(self.globals, m.name, (addr, ltype), m.pos)
                 member_index.append((m.name, addr))
                 body_stmts.append(Var(m.access, Evar(addr, ltype)))

@@ -175,8 +175,7 @@ def _prepare(ns):
     return bound, spec, prog, global_writes
 
 
-def _emit_dump(ns, sigma) -> None:
-    text = gm.dump(sigma)
+def _emit_dump(ns, text: str) -> None:
     if ns.dump:
         with open(ns.dump, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -197,10 +196,11 @@ def cmd_run(ns) -> int:
         if ns.json:
             print(json.dumps({"status": "error", "diagnostic": diagnostic}))
         return EXIT_FAILURE
+    text = gm.dump(final)
     if ns.json:
-        print(json.dumps({"status": "ok", "dump": gm.dump(final)}))
+        print(json.dumps({"status": "ok", "dump": text}))
     if ns.dump or not ns.json:
-        _emit_dump(ns, final)
+        _emit_dump(ns, text)
     return EXIT_OK
 
 

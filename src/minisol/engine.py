@@ -16,7 +16,8 @@ condition already decides is followed or pruned with no search.
 ``require`` and expression posts with ``eval_rvalue``, per model where a
 symbolic index or key stops it. Its judge asks the ``Post`` for each
 path's obligation on the symbolic states: ``True``, ``False`` or a
-residual expression evaluated per model. A plain callable post is
+residual expression evaluated per model, false under a model where an
+operator of a post expression fails. A plain callable post is
 wrapped in a one-rule ``Post`` whose residual concretizes both states
 under each model and calls it; a path whose symbolic payloads hold a
 ``/`` or ``%`` gets that residual over the ``Post``. Each forked path
@@ -403,19 +404,23 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
     init_may_fail = _may_fail(init, range(init.size))
     for p in paths:
         final = p.sigma
-        if init_may_fail or _may_fail(final, final.blocks.diff(init.blocks)):
-            goal = _concretized(post, final, init)
-        else:
-            goal = post.obligation(final, init)
+        # A state whose payloads may fail is concretized per model, and a
+        # failure there is an error. Otherwise only an operator of a post
+        # expression can fail, and the post is false under that model, as a
+        # failed ``require`` excludes it.
+        concretized = init_may_fail or _may_fail(final, final.blocks.diff(init.blocks))
+        goal = _concretized(post, final, init) if concretized else post.obligation(final, init)
         if goal is True:
             continue
         for asg in (p.models.witness or {},) if goal is False else p.models:
             try:
                 ok = goal is not False and goal.eval(asg)
             except SymEvalError as exc:
-                return Verdict("error", path=p,
-                               diagnostic=f"cannot evaluate the state under {asg}: {exc}",
-                               paths=paths)
+                if concretized:
+                    return Verdict("error", path=p,
+                                   diagnostic=f"cannot evaluate the state under {asg}: {exc}",
+                                   paths=paths)
+                ok = False
             if not ok:
                 witness = _confirm_witness(asg, pre, original_prog, post, K)
                 return Verdict("refuted", witness=witness, path=p,

@@ -8,8 +8,16 @@ vector in the style of Bagwell's "Ideal Hash Trees" and Clojure's
 write copies the spine and the one leaf it touches, once each, and
 stores into the fresh leaf (path copying); the new state shares every
 other leaf with the old one, so a write costs the same at any memory
-size. Whole-state comparisons skip the leaves two states share, and a
-fresh store fills its free space with one shared free block.
+size. Whole-state comparisons skip the leaves two states share. A fresh
+store fills its free space with one shared free block, and every full
+all-free leaf is one shared leaf list.
+
+``dump`` renders by runs: each distinct block's text and whether each
+distinct leaf holds one block object throughout (by identity, not
+``==``) are found once. Consecutive such leaves of one block are one
+run, whose lines are built by C-level joins: each whole hundred from
+100 up is one join over the two-digit suffixes ``00``..``99``. Mixed
+leaves are rendered block by block, and all pieces are joined once.
 
 An ``Address`` is a one-field ``NamedTuple``, so hashing, equality and
 ordering run in C and ``.index`` is a C-level getter.
@@ -323,12 +331,15 @@ def init_mem(size: int) -> MemoryState:
         )
     names = reserved_addresses(size)
     gdom = names["0xglobal"]
-    blocks = [free_value(gdom)] * size  # one shared free block
-    for name, payload in (("0xthrow", BoolPayload(False)), ("0xmodifier", BoolPayload(False)),
-                          ("0xglobal", Undef())):
-        blocks[names[name].index] = MemoryValue(payload, domain=gdom, access=PUBLIC,
-                                                occupancy=OCCUPY)
-    return MemoryState(BlockVector.of(blocks), dict(names))
+    free = free_value(gdom)
+    full, rest = divmod(size, CHUNK)
+    # Every full all-free leaf is one shared list; leaves are never mutated.
+    leaves = [[free] * CHUNK] * full + ([[free] * rest] if rest else [])
+    blocks = BlockVector(leaves, size).update(
+        (names[name].index, MemoryValue(payload, domain=gdom, access=PUBLIC, occupancy=OCCUPY))
+        for name, payload in (("0xthrow", BoolPayload(False)),
+                              ("0xmodifier", BoolPayload(False)), ("0xglobal", Undef())))
+    return MemoryState(blocks, dict(names))
 
 
 def read(sigma: MemoryState, addr: Address, mode: str = "dir",
@@ -468,15 +479,54 @@ def render_payload(p: Payload) -> str:
     return f"<{type(p).__name__}>"
 
 
+_TWO_DIGITS = tuple(f"{i:02}" for i in range(100))
+
+
 def dump(sigma: MemoryState) -> str:
-    # Blocks are shared objects (all free space is one), so each distinct
-    # block is rendered once; ``sigma`` keeps every id in the memo alive.
-    rendered = {}
-    lines = []
-    for i, b in enumerate(sigma.blocks):
-        text = rendered.get(id(b))
-        if text is None:
-            text = rendered[id(b)] = (f"{b.occupancy}\t{b.access}\t{b.domain.index}"
-                                      f"\t{render_payload(b.payload)}")
-        lines.append(f"{i}\t{text}")
-    return "\n".join(lines)
+    # Rendered by runs, as the module docstring describes; ``sigma`` keeps
+    # every id in the memos alive.
+    rendered = {}  # id of a block -> its line after the index
+    uniform = {}   # id of a leaf -> the one block it holds throughout, or None
+    pieces = []
+
+    def text(b):
+        t = rendered.get(id(b))
+        if t is None:
+            t = rendered[id(b)] = (f"{b.occupancy}\t{b.access}\t{b.domain.index}"
+                                   f"\t{render_payload(b.payload)}")
+        return t
+
+    run, start = None, 0
+    for j, leaf in enumerate(sigma.blocks.leaves):
+        key = id(leaf)
+        if key not in uniform:
+            uniform[key] = leaf[0] if len(set(map(id, leaf))) == 1 else None
+        b = uniform[key]
+        if b is not None and b is run:
+            continue
+        base = j << SHIFT
+        if run is not None:
+            _render_run(pieces, start, base, text(run))
+        run, start = b, base
+        if b is None:
+            pieces += [f"{i}\t{text(blk)}" for i, blk in enumerate(leaf, base)]
+    if run is not None:
+        _render_run(pieces, start, sigma.size, text(run))
+    return "\n".join(pieces)
+
+
+def _render_run(pieces: list, start: int, stop: int, text: str) -> None:
+    """Append the lines of blocks ``start..stop-1``, which all render as
+    ``text``: each whole hundred from 100 up is one join over two-digit
+    suffixes, and the rest one join over the indices."""
+    sep = f"\t{text}\n"
+    lo, hi = max(start + -start % 100, 100), stop - stop % 100
+    if lo >= hi:
+        lo = hi = stop
+    if start < lo:
+        pieces.append(f"{sep.join(map(str, range(start, lo)))}\t{text}")
+    for h in range(lo // 100, hi // 100):
+        prefix = str(h)
+        pieces.append(f"{prefix}{(sep + prefix).join(_TWO_DIGITS)}\t{text}")
+    if hi < stop:
+        pieces.append(f"{sep.join(map(str, range(hi, stop)))}\t{text}")

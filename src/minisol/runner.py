@@ -24,8 +24,8 @@ from .specfile import SpecError
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import (Econst, LTypeError, Tbool, Tint, TypeContext, Vbool, Vint, int_fits,
-                     type_text, typecheck_expr)
+from .syntax import (Econst, Evar, LTypeError, Tbool, Tint, Tmap, TypeContext, Vbool, Vint,
+                     int_fits, type_text, typecheck_expr)
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -192,8 +192,22 @@ def compile_posts(bound: BoundProgram, posts) -> Post:
             rules.append(throw_state)
         elif p.kind == "expr":
             rules.append(partial(holds, SETUP_K, spec_expr(bound, p.line, p.expr)))
-        elif p.name in bound.bindings:
-            rules.append(partial(unchanged, bound.bindings[p.name].index))
         else:
-            raise RunnerError(f"post names unknown block {p.name!r}")
+            rules += (partial(unchanged, i) for i in _unchanged_blocks(bound, p))
     return Post(*rules)
+
+
+def _unchanged_blocks(bound: BoundProgram, p) -> range:
+    """The block indices of the variable ``post unchanged`` names, found as
+    ``set`` and ``sym`` find theirs: an array's whole run."""
+    try:
+        target, _ = _target(bound, p.name)
+    except RunnerError as exc:
+        raise SpecError(f"line {p.line}: {exc}") from exc
+    if not isinstance(target, Evar):
+        raise SpecError(f"line {p.line}: post unchanged needs a variable name, not {p.name!r}")
+    if isinstance(target.ltype, Tmap):
+        # An entry written in place leaves the mapping's head block as it was.
+        raise SpecError(f"line {p.line}: post unchanged cannot name the mapping {p.name!r}")
+    base = target.addr.index
+    return range(base, base + bound.binder.blocks_for(target.ltype))

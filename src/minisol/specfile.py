@@ -122,5 +122,5 @@ def _parse_post(rest: str, lineno: int) -> PostSpec:
     if rule == "unchanged":
         if not name.strip():
             raise SpecError("post unchanged needs a block name")
-        return PostSpec("unchanged", name.strip())
+        return PostSpec("unchanged", name.strip(), line=lineno)
     return PostSpec("expr", expr=parse_expr_text(rest), line=lineno)

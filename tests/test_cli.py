@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from minisol import memory as gm
 from minisol.cli import build_arg_parser, cli_main, parse_command_line
 
 WALLET = "samples/wallet.lls"
@@ -71,6 +72,16 @@ class TestRun:
                              "--dump", str(target))
         assert rc == 0
         assert len(target.read_text().strip().splitlines()) == 100
+
+    def test_json_and_dump_file_render_the_dump_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        render = gm.dump
+        monkeypatch.setattr(gm, "dump", lambda sigma: calls.append(sigma) or render(sigma))
+        target = tmp_path / "dump.txt"
+        rc, out, _ = run_cli(capsys, "run", "samples/empty.lls", "--json",
+                             "--dump", str(target))
+        assert (rc, len(calls)) == (0, 1)
+        assert target.read_text() == json.loads(out)["dump"] + "\n"
 
 
 class TestVerify:
@@ -805,6 +816,14 @@ class TestSpecTypes:
                                  "--mode", "concolic", "--arg", "w=2")
         assert (rc, out) == (0, "verified\n")
 
+    def test_a_post_operator_that_fails_is_false_under_the_model(self, capsys, tmp_path):
+        # r / w fails at w = 0, as a require would: refuted, and the
+        # concrete replay agrees.
+        rc, out, _ = self.verify(capsys, tmp_path, "set u = 1\nset r = 2\nsym w : int 0..2\n"
+                                 "post r / w == 1\n", "--json")
+        doc = json.loads(out)
+        assert (rc, doc["status"], doc["witness"]) == (1, "refuted", {"w": 0})
+
     @pytest.mark.parametrize("post, status", [
         ("r == 0", "verified"), ("!t", "verified"), ("t == false", "verified"),
         ("r == 1 || r == 2", "refuted"), ("w + 1 == 1 && r != 2", "verified"),
@@ -814,6 +833,60 @@ class TestSpecTypes:
         rc, out, _ = self.verify(capsys, tmp_path, f"set u = 1\nset t = false\npost {post}\n",
                                  "--json")
         assert (rc, json.loads(out)["status"]) == (int(status == "refuted"), status)
+
+
+UNCHANGED = """\
+contract U {
+    uint[4] a;
+    uint[2][2] b;
+    mapping(uint => uint) m;
+    uint k;
+    uint r;
+    function f() public { a[2] = 7; }
+    function g() public { b[1][0] = 3; }
+    function h() public { m[k] = 5; r = 1; }
+}
+"""
+
+
+class TestUnchangedPosts:
+    """``post unchanged`` finds its variable as ``set`` and ``sym`` do, and
+    covers every block of an array."""
+
+    @staticmethod
+    def verify(capsys, tmp_path, spec_text):
+        src, spec = tmp_path / "unchanged.lls", tmp_path / "unchanged.spec"
+        src.write_text(UNCHANGED)
+        spec.write_text(spec_text)
+        return run_cli(capsys, "verify", str(src), "--spec", str(spec))
+
+    @pytest.mark.parametrize("entry, name, rc, out", [
+        ("f", "a", 1, "refuted: postcondition fails under {}\n"),
+        ("g", "b", 1, "refuted: postcondition fails under {}\n"),
+        ("h", "a", 0, "verified\n"),
+        ("h", "b", 0, "verified\n"),
+        ("f", "r", 0, "verified\n"),
+        ("h", "r", 1, "refuted: postcondition fails under {}\n"),
+    ])
+    def test_an_array_is_unchanged_only_if_every_block_is(self, capsys, tmp_path, entry,
+                                                          name, rc, out):
+        assert self.verify(capsys, tmp_path,
+                           f"entry {entry}\npost unchanged {name}\n")[:2] == (rc, out)
+
+    @pytest.mark.parametrize("spec_text, message", [
+        ("entry f\npost unchanged f\n", "line 2: cannot resolve 'f': unknown identifier 'f'"),
+        ("entry f\npost unchanged f.__ret\n",
+         "line 2: cannot resolve 'f.__ret': unknown identifier 'f'"),
+        ("set m[1] = 3\nset k = 1\nentry h\npost unchanged m\n",
+         "line 4: post unchanged cannot name the mapping 'm'"),
+        ("entry f\npost unchanged a[2]\n",
+         "line 2: post unchanged needs a variable name, not 'a[2]'"),
+    ], ids=["function", "return-slot", "mapping", "element"])
+    def test_a_name_that_is_no_variable_is_a_spec_error(self, capsys, tmp_path, spec_text,
+                                                        message):
+        rc, out, err = self.verify(capsys, tmp_path, spec_text)
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestBranchyExpressionPosts:

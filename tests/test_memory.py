@@ -359,6 +359,31 @@ def test_block_vector_matches_flat_model(data):
     assert gm.dump(sigma) == _flat_dump(model)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dump_by_runs_matches_the_flat_rendering(data):
+    # Each write lays one block object over a run that may start and end
+    # anywhere, so whole leaves of it render as a run. A twin is equal to
+    # the run's block but another object, and it keeps its leaf on the
+    # per-block path: an IntPayload of True equals one of 1 and renders
+    # "true", not "1".
+    size = data.draw(st.sampled_from((99, 100, 101, 127, 128, 10_000)))
+    sigma = fresh_memory(size)
+    blocks, model = sigma.blocks, list(sigma.blocks)
+    for _ in range(data.draw(st.integers(0, 4))):
+        start = data.draw(st.integers(0, size - 1))
+        stop = data.draw(st.integers(start + 1, size))
+        block = mv(IntPayload(data.draw(st.integers(0, 2))))
+        blocks = blocks.update((i, block) for i in range(start, stop))
+        model[start:stop] = [block] * (stop - start)
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(start, stop - 1))
+            twin = mv(IntPayload(True)) if block.payload.value == 1 else dataclasses.replace(block)
+            assert twin == block and twin is not block
+            blocks, model[i] = blocks.set(i, twin), twin
+    assert gm.dump(gm.MemoryState(blocks, sigma.symbol_table)) == _flat_dump(model)
+
+
 class TestBlockVector:
     def test_sequence_protocol_matches_tuple(self):
         values = tuple(mv(IntPayload(i)) for i in range(150))
@@ -387,10 +412,12 @@ class TestBlockVector:
             assert (new is old) == (j != 130 // gm.CHUNK)
 
     def test_fresh_memory_shares_one_free_block(self):
-        sigma = fresh_memory(1000)
+        sigma = fresh_memory(10_000)
         free = [b for b in sigma.blocks if b.occupancy == gm.FREE]
-        assert len(free) > 900
+        assert len(free) > 9_900
         assert all(b is free[0] for b in free)
+        # and one all-free leaf list, besides the leaves of the reserved blocks
+        assert len({id(leaf) for leaf in sigma.blocks.leaves}) <= 3
 
     def test_no_operation_changes_a_built_vector(self):
         values = [mv(IntPayload(i)) for i in range(150)]
