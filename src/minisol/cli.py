@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import memory as gm
 from .binder import BindError, bind_addresses
@@ -64,7 +65,7 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _common_flags(p: argparse.ArgumentParser):
+def _common_flags(p: argparse.ArgumentParser, dump: bool = False):
     p.add_argument("file", help="source program (.lls)")
     p.add_argument("--gas", type=_int_at_least(0), default=10000,
                    help="statement budget for the entry program (default 10000)")
@@ -79,8 +80,9 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--now", type=int, default=0, help="block timestamp")
     p.add_argument("--sender", type=int, default=1, help="sender id")
     p.add_argument("--msg-value", type=int, default=0, help="message value")
-    p.add_argument("--dump", default=None, metavar="FILE",
-                   help="write the final memory dump to FILE")
+    if dump:  # only run writes a dump
+        p.add_argument("--dump", default=None, metavar="FILE",
+                       help="write the final memory dump to FILE")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -296,12 +298,7 @@ def cmd_emit_ast(ns) -> int:
         "bindings": {name: addr.index for name, addr in sorted(bound.bindings.items())},
         "program": program_to_data(bound.decls),
     }
-    text = json.dumps(doc, indent=2)
-    if ns.dump:
-        with open(ns.dump, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit_dump(ns, json.dumps(doc, indent=2))
     return EXIT_OK
 
 
@@ -348,7 +345,8 @@ def cmd_oracle(ns) -> int:
 
 # name -> (help text, flag adder, handler), in the order help lists them
 _COMMANDS = {
-    "run": ("concrete execution, prints the final dump", _common_flags, cmd_run),
+    "run": ("concrete execution, prints the final dump", partial(_common_flags, dump=True),
+            cmd_run),
     "step": ("single-step execution with dumps", _step_flags, cmd_step),
     "verify": ("check a Hoare triple from a spec file", _verify_flags, cmd_verify),
     "typecheck": ("parse, bind and typecheck only", _typecheck_flags, cmd_typecheck),

@@ -155,6 +155,7 @@ class FunctionInfo(Payload):
     params: tuple | None = ()    # parameter declarations; None means "ignore arguments"
     ret_addr: Address | None = None
     body: tuple = ()             # statement list
+    modifiers: tuple = ()        # modifier calls that guard each call
 
 
 @dataclass(frozen=True)

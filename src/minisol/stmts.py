@@ -10,10 +10,12 @@ and ``FunCall`` the only statement that calls; an assignment never does.
 A call carries its own return frame: the body is followed by a ``FunStop``
 naming the caller's domain, which restores that domain when dispatched,
 and a ``Returns`` drops the rest of the body through that ``FunStop``.
-``drive`` is the only dispatch loop: it spends gas, dispatches the head
-through ``exec_statement`` and reports why it stopped (see ``Run``). The
-concrete interpreter, the step debugger and the path-forking explorer in
-the engine module, and modifier evaluation here, are thin callers of it.
+A call runs each modifier call of its function before the body, and a
+``ModifierGuard`` after each judges it. ``drive`` is the only dispatch
+loop: it spends gas, dispatches the head through ``exec_statement`` and
+reports why it stopped (see ``Run``). The concrete interpreter, the step
+debugger and the path-forking explorer in the engine module are thin
+callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
@@ -56,6 +58,7 @@ from .syntax import (
     LoopWhile,
     LStatement,
     Modifier,
+    ModifierGuard,
     Returns,
     Snil,
     StructDecl,
@@ -329,8 +332,8 @@ def _exec_call(K, sigma, env, ctx, head, rest) -> StepResult:
 
 
 def _enter_call(sigma, env, target: Address, arg_values, rest, ctx) -> StepResult:
-    """Bind the arguments and continue with the stored body, whose trailing
-    ``FunStop`` becomes one that returns to the caller's domain."""
+    """Bind the arguments and continue with the guarded modifier calls and the
+    stored body, whose trailing ``FunStop`` returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
         return _fail(env, rest, f"no function stored at {target}", ctx)
@@ -346,8 +349,9 @@ def _enter_call(sigma, env, target: Address, arg_values, rest, ctx) -> StepResul
                 return _fail(env, rest, "parameter block out of range", ctx)
             sig = gm.write(sig, p.addr, MemoryValue(v.payload, target_block.domain,
                                                     target_block.access, gm.OCCUPY), "dir")
+    guards = [s for call in info.modifiers for s in (call, ModifierGuard(sig, call))]
     return StepResult(sig, Env(env.gas, target),
-                      (*info.body[:-1], FunStop(caller=env.domain), *rest))
+                      (*guards, *info.body[:-1], FunStop(caller=env.domain), *rest))
 
 
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
@@ -365,26 +369,9 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
 
 
 def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
-    """Store a function, or a modifier (a function returning one bool).
-
-    A function's modifiers run first, from the same state: each may set
-    only the modifier flag, and a false flag skips the declaration.
-    """
+    """Store a function with its modifier calls, or a modifier (returning one bool)."""
     is_fun = isinstance(head, Fun)
     what = "function" if is_fun else "modifier"
-    if is_fun and head.modifiers:
-        flag_idx = gm.reserved_addresses(sigma.size)["0xmodifier"].index
-        for call in head.modifiers:
-            run = drive(K, sigma, env, ctx, (call,))
-            after, env = run.final(ctx), run.env
-            if after is None:
-                return _fail(env, rest, "modifier evaluation failed", ctx)
-            verdict = _modif_check(sigma, after, flag_idx)
-            if verdict is None:
-                return _fail(env, rest, "modifier touched memory outside its flag", ctx)
-            if verdict is False:
-                # Checks came back false: the guarded function is skipped.
-                return StepResult(sigma, env, rest)
     returns = tuple(head.returns) if is_fun else (Tbool(),)
     sig = sigma
     for p in head.params:
@@ -398,22 +385,42 @@ def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
-    info = FunctionInfo(returns, tuple(head.params), head.ret_addr, body)
+    info = FunctionInfo(returns, tuple(head.params), head.ret_addr, body,
+                        tuple(head.modifiers) if is_fun else ())
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
         return _fail(env, rest, f"{what} block out of range", ctx)
     return StepResult(sig, env, rest)
 
 
-def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int):
-    """True: flag set and nothing else changed. False: untouched memory but
-    flag false. None: some other block was modified."""
+def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
+    """Judge the modifier call just run, which may write only the flag and its
+    own parameters: a raised flag continues from the state ``before`` the call,
+    with the flag down again; a lowered one throws; a symbolic one forks."""
+    before = head.before
+    if before is None:
+        return _fail(env, rest, "modifier guard without a saved state", ctx)
+    callee = head.call.callee
+    info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
+    params = info.params if isinstance(info, FunctionInfo) and info.params else ()
+    bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
+                       {p.addr.index for p in params})
+    if bit is None:
+        return _fail(env, rest, "modifier touched memory outside its flag", ctx)
+    if isinstance(bit, SymExpr):
+        return StepResult(before, env, rest, symbolic_cond=bit, skipped=(Throw(),))
+    return StepResult(before, env, rest if bit else (Throw(),))
+
+
+def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, params=()):
+    """The flag's bit in ``after``, or None when a block other than the flag
+    and the ``params`` indices differs from ``before``."""
     if before.size != after.size:
         return None
-    if any(i != flag_idx for i in before.blocks.diff(after.blocks)):
+    if any(i != flag_idx and i not in params for i in before.blocks.diff(after.blocks)):
         return None
     flag = after.blocks[flag_idx].payload
-    return isinstance(flag, BoolPayload) and flag.bit is True
+    return flag.bit if isinstance(flag, BoolPayload) else False
 
 
 def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
@@ -507,7 +514,7 @@ _RULES = {
     Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
     FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while,
     Fun: _exec_fun_decl, Modifier: _exec_fun_decl, Assign: _exec_assign,
-    Returns: _exec_return,
+    Returns: _exec_return, ModifierGuard: _exec_modifier_guard,
 }
 
 

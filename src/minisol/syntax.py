@@ -290,9 +290,16 @@ class FunStop(LStatement):
 
 
 @dataclass
+class ModifierGuard(LStatement):
+    """Judges the modifier call before it; a call builds it, and no field is serialized."""
+    before: object = None  # MemoryState
+    call: FunCall | None = None
+
+
+@dataclass
 class Fun(LStatement):
     name: Address
-    modifiers: tuple = ()  # FunCall statements run before the body is stored
+    modifiers: tuple = ()  # FunCall statements that guard each call of the body
     params: tuple = ()     # Evar declarations with pre-assigned addresses
     returns: tuple = ()
     body: tuple = ()
@@ -510,7 +517,7 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
                      all(_types_equal(a, b) for a, b in zip(ts, rets)),
                      "returned values do not match the declared return types")
         return
-    if isinstance(s, (Throw, Snil, FunStop)):
+    if isinstance(s, (Throw, Snil, FunStop, ModifierGuard)):
         return
     if isinstance(s, If):
         (_, ct) = typecheck_expr(s.cond, ctx)
@@ -639,6 +646,7 @@ FORMAT = {
     Throw: ("throw", {}),
     Snil: ("snil", {}),
     FunStop: ("funstop", {}),
+    ModifierGuard: ("modifierguard", {}),
     Fun: ("fun", {"name": Address, "modifiers": [LStatement], "params": [LExpr],
                   "returns": [LType], "body": [LStatement], "ret_addr": Address}),
     LoopWhile: ("while", {"cond": LExpr, "body": [LStatement]}),

@@ -83,6 +83,15 @@ class TestRun:
         assert (rc, len(calls)) == (0, 1)
         assert target.read_text() == json.loads(out)["dump"] + "\n"
 
+    @pytest.mark.parametrize("argv", [["step", WALLET, "--entry", "wallet"],
+                                      ["verify", WALLET, "--spec", SPEC]])
+    def test_only_run_takes_a_dump_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "dump.txt"
+        rc, _out, err = run_cli(capsys, *argv, "--dump", str(target))
+        assert rc == 2
+        assert "unrecognized arguments: --dump" in err
+        assert not target.exists()
+
 
 class TestVerify:
     def test_static_wallet_verified(self, capsys):
@@ -406,6 +415,36 @@ class TestSourceForms:
         rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f")
         assert rc == 0
         assert out.splitlines()[2].split("\t")[4] == "int:u64:1"  # r
+
+    @pytest.mark.parametrize("init, value, r", [("", 1, "int:u64:1"), (" = 1", 3, "undef")])
+    def test_modifier_reads_the_state_of_each_call(self, capsys, tmp_path, init, value, r):
+        src = tmp_path / "mod.lls"
+        src.write_text(f"contract S {{ uint a{init}; uint r;\n"
+                       "  modifier small() { if (a < 2) { modifier_ok = true; } }\n"
+                       "  function f() public small { r = 1; } }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f", "--arg", f"a={value}")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[3].split("\t")[4] == r
+        assert lines[99].split("\t")[4] == ("bool:true" if r == "undef" else "bool:false")
+        spec = tmp_path / "mod.spec"
+        spec.write_text("entry f\nsym a : int 0..3\npost r == 1\n")
+        rc, out, _ = run_cli(capsys, "verify", str(src), "--spec", str(spec), "--json")
+        assert rc == 1
+        doc = json.loads(out)
+        assert (doc["status"], doc["witness"], doc["paths"]) == ("refuted", {"a": 2}, 2)
+
+    @pytest.mark.parametrize("value, r, thrown", [(3, "int:u64:1", "bool:false"),
+                                                  (1, "undef", "bool:true")])
+    def test_modifier_argument_may_be_written(self, capsys, tmp_path, value, r, thrown):
+        src = tmp_path / "arg.lls"
+        src.write_text("contract S { uint r;\n"
+                       "  modifier gt(uint x) { if (x > 1) { modifier_ok = true; } }\n"
+                       "  function f(uint y) public gt(y) { r = 1; } }\n")
+        rc, out, _ = run_cli(capsys, "run", str(src), "--entry", "f", "--arg", f"y={value}")
+        assert rc == 0
+        lines = out.splitlines()
+        assert (lines[2].split("\t")[4], lines[99].split("\t")[4]) == (r, thrown)
 
     def test_undeclared_modifier_is_a_positioned_bind_error(self, capsys, tmp_path):
         src = tmp_path / "mod.lls"

@@ -865,3 +865,42 @@ FORK_CASES = {
 def test_fork_paths_match_golden(name):
     text = render_paths(FORK_CASES[name]())
     assert text == (GOLDEN / f"explore-{name}.out").read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Modifier guards: a modifier runs on each call, from the call's state
+
+GUARDED = ("contract S {{ uint a; uint r; modifier small() {{ {} }}\n"
+           "  function f() public small {{ r = 1; }} }}")
+RAISE_IF = "if (a < 2) { modifier_ok = true; }"
+RAISE_AS = "modifier_ok = a < 2;"
+GUARDED_SPEC = "entry f\nsym a : int 0..3\npost r == 1\n"
+
+
+class TestModifierGuards:
+    def test_symbolic_flag_forks_at_the_guard(self):
+        pre, prog, _post, spec, _ = spec_triple(GUARDED.format(RAISE_AS), GUARDED_SPEC)
+        sigma, env, ctx = pre(None)
+        ctx.sigma_init = sigma
+        paths = explore(1000, PathState(sigma, env, (), prog, ctx,
+                                        models=tuple(assignments(spec.symbols))))
+        assert [[str(c)[-2:] for c in p.condition] for p in paths] == [["=F"], ["=T"]]
+        throw = gm.reserved_addresses(100)["0xthrow"].index
+        assert paths[0].sigma.blocks[throw].payload == BoolPayload(True)
+        assert paths[1].sigma.blocks[throw].payload == BoolPayload(False)
+        assert paths[1].sigma.blocks[3].payload == IntPayload(1)  # r
+
+    @pytest.mark.parametrize("body", [RAISE_IF, RAISE_AS], ids=["if", "assign"])
+    def test_each_verify_path_ends_as_the_run_of_its_value(self, body):
+        source = GUARDED.format(body)
+        pre, prog, post, spec, _ = spec_triple(source, GUARDED_SPEC)
+        verdict = verify_triple(pre, prog, post, symbols=spec.symbols)
+        assert (verdict.status, verdict.witness, len(verdict.paths)) == ("refuted", {"a": 2}, 2)
+        bound = bind_addresses(parse_source(source), 100)
+        for v in range(4):
+            world = build_world(bound, 10000, BlockInfo(sender=Address(1)),
+                                arg_writes=[("a", v)])
+            final = interpret(1000, world.sigma, world.env, prog, world.ctx)
+            [path] = [p for p in verdict.paths
+                      if {"a": v} in list(satisfying_assignments(p.condition, spec.symbols))]
+            assert concretize(path.sigma, {"a": v}).blocks == final.blocks

@@ -2,8 +2,9 @@
 parameters, every top-level function and class is named by the program
 or the benchmark somewhere outside its own definition, no code mutates a
 value of the slotted, non-frozen value classes or a spine or leaf list of
-a ``BlockVector``, and only the expression layer and the symbolic module
-build arithmetic symbolic trees.
+a ``BlockVector``, only the expression layer and the symbolic module
+build arithmetic symbolic trees, and no function of the statement layer
+but ``drive`` itself enters the dispatch loop ``drive``.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
@@ -357,3 +358,14 @@ def test_symop_check_flags_planted_arithmetic():
     # Logic, comparison and negation without a width are not arithmetic.
     assert arithmetic_symops('SymOp("&&", (a, b))\nSymOp("==", (v, SymConst(1)))\n'
                              'SymOp("!", (a,))\nOther("+", (a, b), 64)\n') == []
+
+
+def test_only_drive_enters_the_dispatch_loop():
+    # One dispatch loop: no statement rule or helper runs a nested one.
+    tree = ast.parse((SRC / "stmts.py").read_text(encoding="utf-8"))
+    callers = sorted(fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and fn.name != "drive" and "drive" in {
+                         n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))})
+    assert callers == []

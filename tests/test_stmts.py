@@ -50,6 +50,7 @@ from minisol.syntax import (
     Vbool,
     Vint,
     Vmap,
+    program_from_data,
 )
 from minisol.values import Env, initial_env
 
@@ -510,15 +511,48 @@ class TestModifiers:
                 FunCall(Efun(FUN, Tfid(FUN)), ())]
         assert run(prog, seeded, env) is None
 
-    def test_false_flag_skips_function_storage(self, sigma, env, names):
+    def test_false_flag_stores_the_function_and_its_call_throws(self, sigma, env, names):
         seeded = declared(sigma, env)
         prog = [modifier_decl([flag_assign(names, False)]),
                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
                          modifiers=(FunCall(Efun(MOD, Tfid(MOD)), ()),))]
-        out = run(prog, seeded, env)
-        # declaration skipped, nothing stored at the function block
-        assert not isinstance(out.blocks[FUN.index].payload, FunctionInfo)
+        stored = run(prog, seeded, env)
+        assert isinstance(stored.blocks[FUN.index].payload, FunctionInfo)
+        out = run([call(FUN)], stored, env)
+        assert out.blocks[names["0xthrow"].index].payload == BoolPayload(True)
         assert isinstance(out.blocks[X.index].payload, Undef)
+
+    def test_each_guard_lowers_the_flag_for_the_next_modifier(self, sigma, env, names):
+        # the first modifier raises the flag, the second raises nothing: the
+        # first guard put the flag down again, so the second guard throws
+        seeded = declared(sigma, env)
+        prog = [modifier_decl([flag_assign(names)]),
+                Modifier(INNER, (), (Snil(),), INNER_LAM),
+                fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
+                         modifiers=(call(MOD), call(INNER))),
+                call(FUN)]
+        out = run(prog, seeded, env)
+        assert out.blocks[names["0xthrow"].index].payload == BoolPayload(True)
+        assert isinstance(out.blocks[X.index].payload, Undef)
+
+    def test_modifiers_run_on_each_call_and_spend_its_gas(self, sigma, env, names):
+        seeded = declared(sigma, env)
+        decls = [modifier_decl([flag_assign(names)]),
+                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
+                          modifiers=(call(MOD),))]
+        stored = run(decls, seeded, env)
+        # the call, the modifier call, its flag write and FunStop, the
+        # guard, the assignment and the function's FunStop
+        done = drive(100, stored, env, ExecContext(sigma_init=stored), (call(FUN),))
+        assert done.stop == FINISHED
+        assert env.gas - done.env.gas == 7
+        assert done.sigma.blocks[X.index].payload == IntPayload(1)
+        assert done.sigma.blocks[names["0xmodifier"].index].payload == BoolPayload(False)
+
+    def test_decoded_guard_without_a_state_is_a_named_error(self, sigma, env):
+        prog = program_from_data([{"kind": "modifierguard"}])
+        done = drive(100, sigma, env, ExecContext(sigma_init=sigma), prog)
+        assert (done.stop, done.error) == (ERROR, "modifier guard without a saved state")
 
     def test_isolation_check_sees_every_other_block(self, sigma, env, names):
         # sanity for the comparison itself: flag write alone passes
