@@ -454,6 +454,20 @@ class TestSourceForms:
         assert out == ""
         assert err.splitlines() == ["error: unknown modifier 'nope' (line 2, column 3)"]
 
+    @pytest.mark.parametrize("k, rc, r", [(9, 0, "int:u64:36"), (8, 3, None)])
+    def test_k_bounds_a_deep_expression(self, capsys, tmp_path, k, rc, r):
+        # Seven nested additions: one level each, and two for the innermost literal.
+        src = tmp_path / "deep.lls"
+        src.write_text("contract S { uint r;\n  function f() public "
+                       "{ r = 1 + (2 + (3 + (4 + (5 + (6 + (7 + 8)))))); } }\n")
+        code, out, err = run_cli(capsys, "run", str(src), "--entry", "f", "--k", str(k))
+        assert code == rc
+        if r is None:
+            assert (out, err) == ("", "execution failed: assignment right side failed "
+                                      "to evaluate\n")
+        else:
+            assert out.splitlines()[2].split("\t")[4] == r
+
     def test_member_call_on_a_copied_address(self, capsys, tmp_path):
         src = tmp_path / "send.lls"
         src.write_text("contract S { uint r; address safe; function f() public "

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,14 +14,18 @@ from minisol.memory import (
     FunctionInfo,
     IntPayload,
     MemoryValue,
+    StructTypeInfo,
 )
 from minisol.stdlib import fresh_memory
 from minisol.syntax import (
     Ebop,
     Econst,
     Efun,
+    Estruct,
+    Euop,
     Evar,
     Snil,
+    Tbool,
     Tuint,
     Varray,
     Vbool,
@@ -231,6 +236,85 @@ class TestCoherence:
         e = Ebop("*", Ebop("+", Econst(Vint(3)), Econst(Vint(4))), Econst(Vint(5)))
         runs = {str(eval_rvalue(20, e, sigma, env).payload) for _ in range(10)}
         assert len(runs) == 1
+
+
+def lit(n, signed=False):
+    return Econst(Vint(n, 64, signed))
+
+
+def plus_chain(depth, left):
+    """``depth`` nested ``+`` over literals, nested on the left or the right."""
+    e = lit(1)
+    for i in range(depth):
+        e = Ebop("+", e, lit(i)) if left else Ebop("+", lit(i), e)
+    return e
+
+
+def min_k(e, sigma, env):
+    """The smallest K at which ``e`` evaluates, after checking that every
+    larger K up to 200 gives the same value."""
+    results = [eval_rvalue(K, e, sigma, env) for K in range(1, 200)]
+    k = next(i for i, r in enumerate(results, 1) if r is not None)
+    assert all(r == results[k - 1] for r in results[k - 1:])
+    return k
+
+
+class TestKBudget:
+    """The K budget of each expression kind: each nested evaluation costs
+    one level, a literal costs one more (its value) and an index or key
+    two more (the value and its address)."""
+
+    @pytest.mark.parametrize("left", [True, False])
+    @pytest.mark.parametrize("depth", [1, 5, 30])
+    def test_plus_chain(self, sigma, env, depth, left):
+        assert min_k(plus_chain(depth, left), sigma, env) == depth + 2
+
+    def test_unary_operators(self, sigma, env):
+        assert min_k(Euop("!", Econst(Vbool(False))), sigma, env) == 3
+        assert min_k(Euop("neg", lit(3, signed=True)), sigma, env) == 3
+        assert min_k(Euop("!", Euop("!", Econst(Vbool(True)))), sigma, env) == 4
+
+    def test_literal_and_reference(self, sigma, env):
+        a = Address(7)
+        seeded = gm.write(sigma, a, MemoryValue(IntPayload(9), domain=env.domain), "dir")
+        assert min_k(lit(7), sigma, env) == 2
+        assert min_k(Evar(a, Tuint()), seeded, env) == 1
+        assert min_k(Ebop("+", Evar(a, Tuint()), Evar(a, Tuint())), seeded, env) == 2
+        assert min_k(Ebop("+", Evar(a, Tuint()), lit(1)), seeded, env) == 3
+
+    def test_array_element(self, sigma, env):
+        seeded = seeded_array(sigma, env)
+        seeded = gm.write(seeded, Address(6), MemoryValue(IntPayload(42), domain=env.domain),
+                          "dir")
+        seeded = gm.write(seeded, Address(30), MemoryValue(IntPayload(1), domain=env.domain),
+                          "dir")
+        i = Evar(Address(30), Tuint())
+        assert min_k(Econst(Varray(ARR_T, (lit(0), lit(1), lit(1)), Address(0))),
+                     seeded, env) == 4
+        assert min_k(Econst(Varray(ARR_T, (Ebop("-", i, i), i, i), Address(0))),
+                     seeded, env) == 4
+        assert min_k(Econst(Varray(ARR_T, (Ebop("-", i, i), i, Ebop("*", i, lit(1))),
+                                   Address(0))), seeded, env) == 5
+
+    def test_mapping_entry(self, sigma, env):
+        seeded = build_chain(sigma, env, Address(0), [(5, 50), (6, 60)])
+        seeded = gm.write(seeded, Address(30), MemoryValue(IntPayload(6), domain=env.domain),
+                          "dir")
+        k = Evar(Address(30), Tuint())
+        entry = lambda key: Econst(Vmap(Address(0), (key,), Tuint(), Tuint()))
+        assert min_k(entry(lit(6)), seeded, env) == 5
+        assert min_k(entry(k), seeded, env) == 4
+        assert min_k(entry(Ebop("+", lit(5), lit(1))), seeded, env) == 6
+
+    def test_struct_and_function(self, sigma, env):
+        ty, fun, lam = Address(10), Address(20), Address(21)
+        info = StructTypeInfo(ty, (("x", Tuint()), ("b", Tbool())))
+        seeded = gm.write(sigma, ty, MemoryValue(info, domain=env.domain), "dir")
+        assert min_k(Estruct(ty, (Vint(1), Vbool(True))), seeded, env) == 3
+        fun_info = FunctionInfo((Tuint(),), (), lam, (Snil(),))
+        seeded = gm.write(seeded, fun, MemoryValue(fun_info, domain=env.domain), "dir")
+        seeded = gm.write(seeded, lam, MemoryValue(IntPayload(123), domain=env.domain), "dir")
+        assert min_k(Efun(fun, Tuint()), seeded, env) == 1
 
 
 class TestAbsentReferences:
