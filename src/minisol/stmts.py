@@ -394,17 +394,22 @@ def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
 
 
 def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
-    """Judge the modifier call just run, which may write only the flag and its
-    own parameters: a raised flag continues from the state ``before`` the call,
-    with the flag down again; a lowered one throws; a symbolic one forks."""
+    """Judge the modifier call just run, which may write only the flag, its
+    own parameters and its return slot: a raised flag continues from the state
+    ``before`` the call, with the flag down again; a lowered one throws; a
+    symbolic one forks."""
     before = head.before
     if before is None:
         return _fail(env, rest, "modifier guard without a saved state", ctx)
     callee = head.call.callee
     info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
-    params = info.params if isinstance(info, FunctionInfo) and info.params else ()
+    own = set()
+    if isinstance(info, FunctionInfo):
+        own = {p.addr.index for p in info.params or ()}
+        if info.ret_addr is not None:
+            own.add(info.ret_addr.index)
     bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
-                       {p.addr.index for p in params})
+                       own)
     if bit is None:
         return _fail(env, rest, "modifier touched memory outside its flag", ctx)
     if isinstance(bit, SymExpr):
@@ -412,12 +417,12 @@ def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
     return StepResult(before, env, rest if bit else (Throw(),))
 
 
-def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, params=()):
+def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=()):
     """The flag's bit in ``after``, or None when a block other than the flag
-    and the ``params`` indices differs from ``before``."""
+    and the ``own`` indices differs from ``before``."""
     if before.size != after.size:
         return None
-    if any(i != flag_idx and i not in params for i in before.blocks.diff(after.blocks)):
+    if any(i != flag_idx and i not in own for i in before.blocks.diff(after.blocks)):
         return None
     flag = after.blocks[flag_idx].payload
     return flag.bit if isinstance(flag, BoolPayload) else False

@@ -446,6 +446,24 @@ class TestSourceForms:
         lines = out.splitlines()
         assert (lines[2].split("\t")[4], lines[99].split("\t")[4]) == (r, thrown)
 
+    @pytest.mark.parametrize("body, rc, r, thrown", [
+        ("modifier_ok = true; return true;", 0, "int:u64:1", "bool:false"),
+        ("return true;", 0, "undef", "bool:true"),
+        ("r = 2; modifier_ok = true; return true;", 3, None, None)])
+    def test_modifier_may_return(self, capsys, tmp_path, body, rc, r, thrown):
+        # The return fills the modifier's own return slot, discarded like its flag.
+        src = tmp_path / "ret.lls"
+        src.write_text("contract S { uint r;\n"
+                       f"  modifier m() {{ {body} }}\n"
+                       "  function f() public m { r = 1; } }\n")
+        code, out, err = run_cli(capsys, "run", str(src), "--entry", "f")
+        assert code == rc
+        if r is None:
+            assert err == "execution failed: modifier touched memory outside its flag\n"
+        else:
+            lines = out.splitlines()
+            assert (lines[2].split("\t")[4], lines[99].split("\t")[4]) == (r, thrown)
+
     def test_undeclared_modifier_is_a_positioned_bind_error(self, capsys, tmp_path):
         src = tmp_path / "mod.lls"
         src.write_text("contract S { uint r;\n  function f() public nope { r = 1; } }\n")
