@@ -4,15 +4,17 @@ Expressions evaluate in two positions: the l-position yields a memory
 address, the r-position a memory value. Only array and mapping constants
 (resolved by ``values.value_address``, the resolver their reads use) and
 the two reference forms are addressable; everything else is banned on
-the left. ``eval_rvalue`` looks the exact type of an expression up in
-``_RULES``, one rule per expression class, and nested evaluations go
-back through ``eval_rvalue``. ``eval_bop`` and ``eval_uop`` check operand
-types and widths, then apply the operator table of the symbolic module,
-the same one that evaluates symbolic trees: fixed-width integer
-arithmetic wraps (two's complement when signed), division and modulo by
-zero are absent, and both operands are always evaluated (no short
-circuit). When an operand is symbolic the result is a symbolic tree of
-the same kind.
+the left. ``eval_rvalue`` checks the budget K, then calls the closure
+that the node's compiler in ``_COMPILERS`` built on its first evaluation
+(Feeley and Lapalme, "Using closures for code generation", 1987). Paths
+share nodes, so a closure holds node data only, as default arguments: a
+variable's leaf and slot, a literal, operand closures called one K down.
+``eval_bop`` and ``eval_uop`` check operand types and widths, then apply
+the operator table of the symbolic module, the same one that evaluates
+symbolic trees: fixed-width integer arithmetic wraps (two's complement
+when signed), division and modulo by zero are absent, and both operands
+are always evaluated (no short circuit). When an operand is symbolic the
+result is a symbolic tree of the same kind.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .syntax import (
     Euop,
     Evar,
     LExpr,
+    Vint,
     payload_matches_type,
 )
-from .values import Env, eval_value, value_address
+from .values import Env, eval_value, int_literal, value_address
 
 
 def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
@@ -65,72 +68,101 @@ def eval_lvalue(K: int, e: LExpr, sigma: MemoryState,
 
 def eval_rvalue(K: int, e: LExpr, sigma: MemoryState,
                 env: Env) -> MemoryValue | None:
-    """The value of ``e``, by the rule that ``_RULES`` holds for its exact
-    type; absent when K is spent or ``e`` is not an expression."""
+    """The value of ``e``, by the closure compiled from it on its first
+    evaluation; absent when K is spent or ``e`` is not an expression."""
     if K <= 0:
         return None
-    rule = _RULES.get(type(e))
-    return None if rule is None else rule(K, e, sigma, env)
+    return (getattr(e, "compiled", None) or _compiled(e))(K, sigma, env)
 
 
-def _eval_const(K, e: Econst, sigma, env):
-    return eval_value(K - 1, e.value, sigma, env)
+def _compiled(e):
+    """The closure of ``e`` for a K of at least 1, compiled once and kept on it."""
+    run = getattr(e, "compiled", None)
+    if run is None and type(e) in _COMPILERS:
+        run = e.compiled = _COMPILERS[type(e)](e)
+    return run or _absent
 
 
-def _eval_ref(_K, e: Evar, sigma, env):
-    if e.addr is None:
+def _absent(_K, _sigma, _env):
+    return None
+
+
+def _compile_const(e: Econst):
+    v = e.value
+    if type(v) is not Vint:
+        return lambda K, sigma, env, v=v: eval_value(K - 1, v, sigma, env)
+    return lambda K, _sigma, env, value=v.value, width=v.width, signed=v.signed: (
+        int_literal(value, width, signed, env.domain) if K > 1 else None)
+
+
+def _compile_ref(e: Evar):
+    i = -1 if e.addr is None else e.addr.index
+
+    def ref(_K, sigma, env, i=i, leaf=i >> gm.SHIFT, slot=i & gm.MASK):
+        # memory.read's validated read, inline, from a leaf and slot found once
+        if 0 <= i < sigma.blocks.size:
+            block = sigma.blocks.leaves[leaf][slot]
+            if block.occupancy == gm.OCCUPY and (block.access == gm.PUBLIC or (
+                    env is not None and env.domain == block.domain)):
+                return block
         return None
-    return gm.read(sigma, e.addr, "chck", env)
+    return ref
 
 
-def _eval_fun(_K, e: Efun, sigma, env):
-    if e.addr is None:
-        return None
-    block = gm.read(sigma, e.addr, "chck", env)
-    if block is None or not isinstance(block.payload, FunctionInfo) \
-            or block.payload.ret_addr is None:
-        return None
-    return gm.read(sigma, block.payload.ret_addr, "chck", env)
+def _compile_fun(e: Efun):
+    def fun(_K, sigma, env, addr=e.addr):
+        block = gm.read(sigma, addr, "chck", env)
+        info = None if block is None else block.payload
+        ret = info.ret_addr if isinstance(info, FunctionInfo) else None
+        return None if ret is None else gm.read(sigma, ret, "chck", env)
+    return _absent if e.addr is None else fun
 
 
-def _eval_bop(K, e: Ebop, sigma, env):
-    # Nested evaluations call the module-global name, which the benchmark's
-    # tracer (perfbench/tracer.py) wraps to count each one.
-    left = eval_rvalue(K - 1, e.left, sigma, env)
-    right = eval_rvalue(K - 1, e.right, sigma, env)
-    return eval_bop(e.op, left, right)
+def _compile_bop(e: Ebop):
+    op, left, right = e.op, _compiled(e.left), e.right
+    if type(right) is Econst and type(right.value) is Vint:
+        # eval_bop reads only the payload of its right operand, so a literal
+        # there is one value for every domain, needing one more level of K.
+        v = right.value
+        rhs = int_literal(v.value, v.width, v.signed, Address(0))
+        return lambda K, sigma, env, op=op, left=left, rhs=rhs: (
+            eval_bop(op, left(K - 1, sigma, env), rhs) if K > 2 else None)
+    return lambda K, sigma, env, op=op, left=left, right=_compiled(right): (
+        eval_bop(op, left(K - 1, sigma, env), right(K - 1, sigma, env)) if K > 1 else None)
 
 
-def _eval_uop(K, e: Euop, sigma, env):
-    return eval_uop(e.op, eval_rvalue(K - 1, e.operand, sigma, env))
+def _compile_uop(e: Euop):
+    return lambda K, sigma, env, op=e.op, operand=_compiled(e.operand): (
+        eval_uop(op, operand(K - 1, sigma, env)) if K > 1 else None)
 
 
-def eval_str(K: int, e: Estruct, sigma: MemoryState,
-             env: Env) -> MemoryValue | None:
+def _compile_struct(e: Estruct):
     """Build a struct instance: per-field type match, then evaluation.
 
     Fields evaluate left to right, two budget levels down (the
     expression and the constructor), and any failure fails the whole
     construction.
     """
-    ty_block = gm.read(sigma, e.type_addr, "chck", env)
-    if ty_block is None or not isinstance(ty_block.payload, StructTypeInfo):
-        return None
-    members = ty_block.payload.members
-    if len(members) != len(e.values):
-        return None
-    out = []
-    for v, (_name, mt) in zip(e.values, members):
-        mv = eval_value(K - 2, v, sigma, env)
-        if mv is None or not payload_matches_type(mv.payload, mt):
+    def struct(K, sigma, env, type_addr=e.type_addr, values=e.values):
+        ty_block = gm.read(sigma, type_addr, "chck", env)
+        if ty_block is None or not isinstance(ty_block.payload, StructTypeInfo):
             return None
-        out.append(mv.payload)
-    return gm.mvalue(StructInstance(e.type_addr, tuple(out)), env)
+        members = ty_block.payload.members
+        if len(members) != len(values):
+            return None
+        out = []
+        for v, (_name, mt) in zip(values, members):
+            mv = eval_value(K - 2, v, sigma, env)
+            if mv is None or not payload_matches_type(mv.payload, mt):
+                return None
+            out.append(mv.payload)
+        return gm.mvalue(StructInstance(type_addr, tuple(out)), env)
+    return struct
 
 
-_RULES = {
-    Econst: _eval_const, Estruct: eval_str, Evar: _eval_ref, Efun: _eval_fun,
-    Ebop: _eval_bop, Euop: _eval_uop,
+_COMPILERS = {
+    Econst: _compile_const, Estruct: _compile_struct, Evar: _compile_ref, Efun: _compile_fun,
+    Ebop: _compile_bop, Euop: _compile_uop,
 }
 
 

@@ -51,6 +51,7 @@ from .syntax import (
     Contract,
     Econst,
     Efun,
+    Evar,
     Fun,
     FunCall,
     FunStop,
@@ -394,22 +395,18 @@ def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
 
 
 def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
-    """Judge the modifier call just run, which may write only the flag, its
-    own parameters and its return slot: a raised flag continues from the state
-    ``before`` the call, with the flag down again; a lowered one throws; a
-    symbolic one forks."""
+    """Judge the modifier call just run, which may write only the flag and its
+    own parameters and return slot: a raised flag continues from the state
+    ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
     before = head.before
     if before is None:
         return _fail(env, rest, "modifier guard without a saved state", ctx)
     callee = head.call.callee
     info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
-    own = set()
-    if isinstance(info, FunctionInfo):
-        own = {p.addr.index for p in info.params or ()}
-        if info.ret_addr is not None:
-            own.add(info.ret_addr.index)
+    own = [p.addr for p in info.params or ()] + [info.ret_addr] \
+        if isinstance(info, FunctionInfo) else ()
     bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
-                       own)
+                       {a.index for a in own if a is not None})
     if bit is None:
         return _fail(env, rest, "modifier touched memory outside its flag", ctx)
     if isinstance(bit, SymExpr):
@@ -432,9 +429,13 @@ def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate", ctx)
-    if isinstance(head.lhs, Econst) and isinstance(head.lhs.value, Vmap):
-        return _map_store(K, sigma, env, ctx, head.lhs.value, rhs, rest)
-    addr = eval_lvalue(K, head.lhs, sigma, env)
+    lhs = head.lhs
+    if type(lhs) is Evar:
+        addr = lhs.addr  # a scalar target: its address is on the node
+    elif isinstance(lhs, Econst) and isinstance(lhs.value, Vmap):
+        return _map_store(K, sigma, env, ctx, lhs.value, rhs, rest)
+    else:
+        addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
         return _fail(env, rest, "assignment target has no address", ctx)
     # gm.read's leaf lookup, inline: the check costs no call and is not

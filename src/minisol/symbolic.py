@@ -11,10 +11,10 @@ Both evaluating a tree under an assignment and the concrete operator
 evaluators in the expression layer go through the one operator table,
 ``OPS``, which holds the division-by-zero rule, with the wraparound and
 error rules of ``apply_op``, so symbolic and concrete results agree by
-construction. ``SymOp.eval`` and the expression layer's ``eval_bop``
-apply those rules inline, because fork filtering evaluates each branch
-condition once per model and every binary operator runs on the dispatch
-path.
+construction. ``SymOp.eval`` and ``exprs.eval_bop``, which the compiled
+closure of every binary operator node calls, apply those rules inline,
+because fork filtering evaluates each branch condition once per model
+and binary operators run on the dispatch path.
 """
 
 from __future__ import annotations

@@ -177,8 +177,10 @@ class Vfield(LValue):
 # ---------------------------------------------------------------------------
 # Expressions
 
+@dataclass
 class LExpr:
-    pass
+    # Its closure, compiled by the expression layer on first use; never serialized.
+    compiled: object = field(default=None, init=False, compare=False, repr=False)
 
 
 def _tpair_field():

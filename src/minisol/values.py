@@ -78,7 +78,7 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
     if K <= 0:
         return None
     if isinstance(v, Vint):
-        return _int_literal(v.value, v.width, v.signed, env.domain)
+        return int_literal(v.value, v.width, v.signed, env.domain)
     if isinstance(v, Vbool):
         return mvalue(BoolPayload(v.bit), env)
     if isinstance(v, (Varray, Vmap)):
@@ -109,7 +109,7 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
 
 
 @lru_cache(maxsize=1024)
-def _int_literal(value: int, width: int, signed: bool, domain: Address) -> MemoryValue:
+def int_literal(value: int, width: int, signed: bool, domain: Address) -> MemoryValue:
     return MemoryValue(IntPayload(wrap_int(value, width, signed), width, signed), domain)
 
 

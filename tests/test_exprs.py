@@ -1,22 +1,31 @@
 """Expression layer: l/r evaluation and operators."""
 
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minisol import memory as gm
+from minisol.binder import bind_addresses
+from minisol.engine import PathState, assignments, concretize, explore
 from minisol.exprs import eval_bop, eval_lvalue, eval_rvalue, eval_uop
 from minisol.memory import (
     Address,
     BoolPayload,
     FunctionInfo,
     IntPayload,
+    MemoryState,
     MemoryValue,
     StructTypeInfo,
 )
+from minisol.parser import parse_source
+from minisol.runner import build_world, entry_program, make_pre
+from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
+from minisol.stmts import ExecContext, drive
+from minisol.symbolic import SymExpr, SymVar
 from minisol.syntax import (
     Ebop,
     Econst,
@@ -24,6 +33,7 @@ from minisol.syntax import (
     Estruct,
     Euop,
     Evar,
+    LExpr,
     Snil,
     Tbool,
     Tuint,
@@ -32,7 +42,7 @@ from minisol.syntax import (
     Vint,
     Vmap,
 )
-from minisol.values import initial_env
+from minisol.values import BlockInfo, Env, initial_env
 from tests.test_values import ARR_T, build_chain, seeded_array
 
 
@@ -317,6 +327,91 @@ class TestKBudget:
         assert min_k(Efun(fun, Tuint()), seeded, env) == 1
 
 
+def expr_nodes(obj):
+    """Every expression node reachable from ``obj`` through dataclass
+    fields, tuples and lists."""
+    if isinstance(obj, LExpr):
+        yield obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        for f in fields(obj):
+            yield from expr_nodes(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from expr_nodes(item)
+
+
+def assert_closures_hold_node_data_only(nodes):
+    compiled = [e.compiled for e in nodes if e.compiled is not None]
+    assert compiled
+    for run in compiled:
+        assert run.__closure__ is None  # no cells: node data are default arguments
+        assert not any(isinstance(d, (MemoryState, Env, ExecContext))
+                       for d in run.__defaults__ or ())
+
+
+class TestClosuresHoldNoState:
+    """A node's closure is compiled once and shared by every state, domain
+    and path that evaluates the node, so its results must be those of a
+    freshly built node that has never been evaluated."""
+
+    OWNER, FOREIGN = Address(40), Address(41)
+
+    def node(self):
+        a, b = Evar(Address(7), Tuint()), Evar(Address(8), Tuint())
+        # (a + 1 < 10 - b) == !(b == a): literal operands on both sides
+        return Ebop("==", Ebop("<", Ebop("+", a, lit(1)), Ebop("-", lit(10), b)),
+                    Euop("!", Ebop("==", b, a)))
+
+    def states(self, sigma, env):
+        def put(s, i, value, domain=env.domain, access=gm.PUBLIC):
+            return gm.write(s, Address(i), MemoryValue(IntPayload(value), domain, access),
+                            "dir")
+        base = put(put(sigma, 7, 2), 8, 3)
+        private = put(put(sigma, 7, 2, self.OWNER, gm.PRIVATE), 8, 3)
+        return {
+            "concrete": (base, env),
+            "another state": (put(put(sigma, 7, 6), 8, 5), env),
+            "owner reads a private block": (private, Env(env.gas, self.OWNER)),
+            "foreign domain reads it": (private, Env(env.gas, self.FOREIGN)),
+            "symbolic operand": (put(base, 7, SymVar("x")), env),
+        }
+
+    def test_one_node_gives_what_a_fresh_node_gives(self, sigma, env):
+        shared = self.node()
+        results = {}
+        for name, (state, e) in self.states(sigma, env).items():
+            fresh = self.node()
+            assert fresh.compiled is None
+            results[name] = eval_rvalue(20, shared, state, e)
+            assert results[name] == eval_rvalue(20, fresh, state, e), name
+        assert results["concrete"].payload == BoolPayload(True)
+        assert results["another state"].payload == BoolPayload(False)
+        assert results["owner reads a private block"].domain == self.OWNER
+        assert results["foreign domain reads it"] is None
+        assert isinstance(results["symbolic operand"].payload.bit, SymExpr)
+        assert_closures_hold_node_data_only(expr_nodes(shared))
+
+    def test_forked_paths_share_nodes_and_agree_with_fresh_programs(self):
+        source = open("tests/golden/branchy.lls", encoding="utf-8").read()
+        spec = parse_spec(open("tests/golden/branchy.spec", encoding="utf-8").read())
+        bound = bind_addresses(parse_source(source), 100)
+        prog, _ = entry_program(bound, "f")
+        sigma, env, ctx = make_pre(bound, 10_000, BlockInfo(), symbols=spec.symbols)(None)
+        ctx.sigma_init = sigma
+        paths = explore(1000, PathState(sigma, env, (), prog, ctx,
+                                        models=tuple(assignments(spec.symbols))))
+        assert len(paths) >= 2
+        for p in paths:
+            for asg in p.models.all:
+                fresh = bind_addresses(parse_source(source), 100)
+                world = build_world(fresh, 10_000, BlockInfo(), arg_writes=sorted(asg.items()))
+                world.ctx.sigma_init = world.sigma
+                run = drive(1000, world.sigma, world.env, world.ctx,
+                            entry_program(fresh, "f")[0])
+                assert concretize(p.sigma, asg).blocks == run.final(world.ctx).blocks
+        assert_closures_hold_node_data_only(expr_nodes(bound.decls))
+
+
 class TestAbsentReferences:
     def test_rvalue_of_unaddressed_reference_absent(self, sigma, env):
         assert eval_rvalue(10, Evar(None, Tuint()), sigma, env) is None
@@ -329,9 +424,9 @@ def test_every_expression_class_has_a_rule_or_is_named_absent():
     classes = {cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
                if cls.__module__ == syntax.__name__ and issubclass(cls, syntax.LExpr)
                and cls is not syntax.LExpr}
-    assert set(exprs._RULES) == classes
-    assert all(len(inspect.signature(rule).parameters) == 4
-               for rule in exprs._RULES.values())
+    assert set(exprs._COMPILERS) == classes
+    assert all(len(inspect.signature(compiler).parameters) == 1
+               for compiler in exprs._COMPILERS.values())
 
 
 # Operand pairs for the operator-guard grid: (name, left payload, right

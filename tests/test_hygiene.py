@@ -3,8 +3,9 @@ parameters, every top-level function and class is named by the program
 or the benchmark somewhere outside its own definition, no code mutates a
 value of the slotted, non-frozen value classes or a spine or leaf list of
 a ``BlockVector``, only the expression layer and the symbolic module
-build arithmetic symbolic trees, and no function of the statement layer
-but ``drive`` itself enters the dispatch loop ``drive``.
+build arithmetic symbolic trees, no function of the statement layer
+but ``drive`` itself enters the dispatch loop ``drive``, and only the
+expression layer stores the closure compiled on an expression node.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on. A name
@@ -369,3 +370,34 @@ def test_only_drive_enters_the_dispatch_loop():
                          n.id if isinstance(n, ast.Name) else n.attr
                          for n in ast.walk(fn) if isinstance(n, (ast.Name, ast.Attribute))})
     assert callers == []
+
+
+# An expression node's ``compiled`` closure is built by the expression layer
+# from node data alone, and forked paths share it; any other module that
+# stored one could make a node evaluate differently from its own data.
+def compiled_stores(source: str, filename: str = "<source>") -> list:
+    """(file, line) of each store to or deletion of a ``.compiled`` attribute."""
+    return [(filename, n.lineno) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == "compiled"
+            and isinstance(n.ctx, (ast.Store, ast.Del))]
+
+
+def test_only_the_expression_layer_stores_compiled_closures():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "exprs.py"
+             for hit in compiled_stores(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+    assert compiled_stores((SRC / "exprs.py").read_text(encoding="utf-8")) != []
+
+
+def test_compiled_check_flags_planted_stores():
+    planted = (
+        "e.compiled = run\n"                     # 1
+        "node.left.compiled = None\n"            # 2
+        "run = e.compiled = build(e)\n"          # 3
+        "del e.compiled\n"                       # 4
+        "a.compiled, b = f, 0\n"                 # 5
+        "for x.compiled in runs: pass\n"         # 6
+    )
+    assert sorted(compiled_stores(planted)) == [("<source>", i) for i in range(1, 7)]
+    # Reads, and stores to other attributes, are not compiled stores.
+    assert compiled_stores("run = e.compiled\nf(e.compiled)\ne.tpair = p\n") == []
