@@ -179,7 +179,7 @@ class Vfield(LValue):
 
 @dataclass
 class LExpr:
-    # Its closure, compiled by the expression layer on first use; never serialized.
+    # The node's closure, built by the expression layer on first use; never serialized.
     compiled: object = field(default=None, init=False, compare=False, repr=False)
 
 
