@@ -149,8 +149,7 @@ def _binfo(ns) -> BlockInfo:
                         ("--msg-value", ns.msg_value)):
         if not int_fits(value, _UINT64):
             raise RunnerError(f"{flag}: integer {value} does not fit in {type_text(_UINT64)}")
-    return BlockInfo(number=0, now=ns.now, sender=gm.Address(ns.sender),
-                     msg_value=ns.msg_value, gas_price=0)
+    return BlockInfo(now=ns.now, sender=gm.Address(ns.sender), msg_value=ns.msg_value, gas_price=0)
 
 
 def _prepare(ns):

@@ -20,8 +20,10 @@ residual expression evaluated per model, false under a model where an
 operator of a post expression fails. A plain callable post is
 wrapped in a one-rule ``Post`` whose residual concretizes both states
 under each model and calls it; a path whose symbolic payloads hold a
-``/`` or ``%`` gets that residual over the ``Post``. Each forked path
-gets its own copy of the execution context.
+``/`` or ``%`` gets that residual over the ``Post``. A branch condition
+holding a ``/`` or ``%`` ends the models under which it fails on an
+``error`` path. All paths of a run share one execution context, which
+no statement rule writes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .stmts import (
     drive,
 )
 from .exprs import eval_rvalue
-from .symbolic import SymEvalError, SymExpr, SymOp, is_symbolic, subtrees, to_symexpr
+from .symbolic import SymEvalError, SymExpr, SymOp, is_symbolic, to_symexpr
 from .values import Env
 
 
@@ -195,19 +197,20 @@ class Models:
     def all(self):
         if self._parent is None:
             return tuple(satisfying_assignments(self._condition, self._symbols))
-        return self._parent._partition(self._constraint)
+        return self._parent._partition(self._constraint.expr, self._constraint.expected)
 
-    def _partition(self, c: Constraint) -> list:
-        """The models that satisfy ``c``. The split by ``c.expr`` is kept for
-        the other child; a model under which it fails is on neither side."""
-        if self._split is None or self._split[0] is not c.expr:
-            self._split = (c.expr, [], [])
+    def _partition(self, expr: SymExpr, side: bool | None) -> list:
+        """The models under which ``expr`` is ``side``, or fails to evaluate
+        when ``side`` is None. The split by ``expr`` is kept for the other
+        sides, so a fork splits once for both children and its failures."""
+        if self._split is None or self._split[0] is not expr:
+            self._split = (expr, [], [], [])
             for m in self.all:
                 try:
-                    self._split[1 + bool(c.expr.eval(m))].append(m)
+                    self._split[1 + bool(expr.eval(m))].append(m)
                 except SymEvalError:
-                    pass
-        return self._split[1 + c.expected]
+                    self._split[3].append(m)
+        return self._split[3 if side is None else 1 + side]
 
     def __iter__(self):
         return iter(self.all)
@@ -295,11 +298,22 @@ def symbolic_blocks(sigma: MemoryState) -> tuple:
     return tuple(i for i, b in enumerate(sigma.blocks) if _has_symbols(b.payload))
 
 
+def _divides(e: SymExpr) -> bool:
+    """Whether tree ``e`` holds a ``/`` or ``%``, which fails to evaluate
+    where its divisor is zero."""
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if type(n) is SymOp:
+            if n.op in ("/", "%"):
+                return True
+            todo.extend(n.args)
+    return False
+
+
 def _may_fail(sigma: MemoryState, indices) -> bool:
-    """Whether a payload among the blocks at ``indices`` holds a ``/`` or
-    ``%``, which fails to evaluate where its divisor is zero."""
-    return any(isinstance(n, SymOp) and n.op in ("/", "%") for i in indices
-               for e in _walk(sigma.blocks[i].payload) for n in subtrees(e))
+    """Whether a payload among the blocks at ``indices`` holds a ``/`` or ``%``."""
+    return any(_divides(e) for i in indices for e in _walk(sigma.blocks[i].payload))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +328,14 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     condition-true child, which goes on from the taken one, so no child
     dispatches the branch again. Each child keeps the parent models
     (starting from ``initial.models``) that satisfy its side of the
-    branch, and its own copy of the context; a child with no model left,
-    or whose side the path condition contradicts, is pruned. The false
-    child is pushed last, so it is explored first, and the terminals come
-    out in path-condition order: two of them share a prefix of constraints
-    and then differ at a sibling pair, ``E=F`` before ``E=T``.
+    branch; a child with no model left, or whose side the path condition
+    contradicts, is pruned. The models under which a condition holding a
+    ``/`` or ``%`` fails to evaluate end on an ``error`` terminal naming
+    the first of them, as KLEE checks each division (Cadar, Dunbar and
+    Engler, OSDI 2008). The false child is pushed last, so it is explored
+    first, and the terminals come out in path-condition order: two of them
+    share a prefix of constraints and then differ at a sibling pair,
+    ``E=F`` before ``E=T``. Every path shares ``initial.ctx``.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
@@ -330,13 +347,18 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
+            if known is None and _divides(run.cond) and \
+                    (failing := ps.models._partition(run.cond, None)):
+                terminals.append(PathState(None, run.env, ps.condition, run.remaining, ps.ctx,
+                                           f"error: condition {run.cond} fails to evaluate "
+                                           f"under {failing[0]}", Models(failing)))
             for branch, remaining in ((True, run.remaining), (False, run.skipped)):
                 c = Constraint(run.cond, branch)
                 models = Models(parent=ps.models, constraint=c) if known is None else ps.models
                 if known is (not branch) or models.witness is None:
                     continue
                 stack.append(PathState(sigma, run.env, ps.condition + (c,), remaining,
-                                       ps.ctx.fork(), note, models))
+                                       ps.ctx, note, models))
             continue
         if run.stop == ERROR:
             sigma, note = None, f"error: {run.error}"
@@ -366,6 +388,12 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
     pins them to itself and the world to ``pre(concolic)``.
+
+    Contract: no payload of the initial state can fail to evaluate. A
+    symbolic world holds each symbol as a bare ``SymVar``, as
+    ``runner.build_world`` places them after running every other write
+    concretely, and a concrete world holds no tree. So only the blocks
+    that a path changed are searched for a ``/`` or ``%``.
     """
     symbols = tuple(symbols)
     if concolic is not None:
@@ -401,14 +429,14 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
         if p.note == "exhausted":
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
                            paths=paths)
-    init_may_fail = _may_fail(init, range(init.size))
     for p in paths:
         final = p.sigma
         # A state whose payloads may fail is concretized per model, and a
         # failure there is an error. Otherwise only an operator of a post
         # expression can fail, and the post is false under that model, as a
-        # failed ``require`` excludes it.
-        concretized = init_may_fail or _may_fail(final, final.blocks.diff(init.blocks))
+        # failed ``require`` excludes it. No initial payload can fail (see
+        # ``verify_triple``), so only the blocks the path changed are searched.
+        concretized = _may_fail(final, final.blocks.diff(init.blocks))
         goal = _concretized(post, final, init) if concretized else post.obligation(final, init)
         if goal is True:
             continue

@@ -81,17 +81,11 @@ __all__ = [
 
 @dataclass
 class ExecContext:
-    """Ambient execution context threaded through a run."""
+    """Ambient execution context threaded through a run. The statement
+    rules only read it, so every path of an exploration shares its
+    caller's; ``Run.final`` records why a concrete run has no result."""
     sigma_init: MemoryState | None = None  # snapshot restored by throw
     diagnostics: list = field(default_factory=list)
-
-    def fail(self, msg: str):
-        self.diagnostics.append(msg)
-        return None
-
-    def fork(self) -> "ExecContext":
-        """A copy for a forked path: it shares no mutable state."""
-        return ExecContext(self.sigma_init, list(self.diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +180,7 @@ class StepResult:
     halted: bool = False                  # throw-style termination
 
 
-def _fail(env, rest, msg, ctx) -> StepResult:
-    ctx.fail(msg)
+def _fail(env, rest, msg) -> StepResult:
     return StepResult(None, env, rest, error=msg)
 
 
@@ -198,7 +191,7 @@ def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
     """
     rule = _RULES.get(type(head))
     if rule is None:
-        return _fail(env, rest, f"unknown statement {type(head).__name__}", ctx)
+        return _fail(env, rest, f"unknown statement {type(head).__name__}")
     return rule(K, sigma, env, ctx, head, rest)
 
 
@@ -223,42 +216,42 @@ def _frame_end(env, stop: FunStop) -> Env:
     return env if stop.caller is None else Env(env.gas, stop.caller)
 
 
-def _exec_contract(_K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_contract(_K, sigma, env, _ctx, head, rest) -> StepResult:
     info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
-        return _fail(env, rest, f"contract block {head.name} out of range", ctx)
+        return _fail(env, rest, f"contract block {head.name} out of range")
     return StepResult(sig, env, rest)
 
 
-def _exec_var(K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_var(K, sigma, env, _ctx, head, rest) -> StepResult:
     decl = head.decl
     if decl.addr is None:
-        return _fail(env, rest, "declaration without an address", ctx)
+        return _fail(env, rest, "declaration without an address")
     sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
     if sig is None:
-        return _fail(env, rest, f"cannot initialize block {decl.addr}", ctx)
+        return _fail(env, rest, f"cannot initialize block {decl.addr}")
     return StepResult(sig, env, rest)
 
 
-def _exec_struct_decl(_K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> StepResult:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
-        return _fail(env, rest, f"struct block {head.type_addr} out of range", ctx)
+        return _fail(env, rest, f"struct block {head.type_addr} out of range")
     return StepResult(sig, env, rest)
 
 
-def _exec_if(K, sigma, env, ctx, head, rest) -> StepResult:
-    return _branch(K, sigma, env, ctx, head, rest, "branch",
+def _exec_if(K, sigma, env, _ctx, head, rest) -> StepResult:
+    return _branch(K, sigma, env, head, rest, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, ctx, head, rest) -> StepResult:
-    return _branch(K, sigma, env, ctx, head, rest, "loop", (*head.body, head, *rest), rest)
+def _exec_while(K, sigma, env, _ctx, head, rest) -> StepResult:
+    return _branch(K, sigma, env, head, rest, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_return(K, sigma, env, _ctx, head, rest) -> StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
@@ -266,18 +259,18 @@ def _exec_return(K, sigma, env, ctx, head, rest) -> StepResult:
     for e in head.values:
         v = eval_rvalue(K, e, sigma, env)
         if v is None:
-            return _fail(env, rest, "return value failed to evaluate", ctx)
+            return _fail(env, rest, "return value failed to evaluate")
         values.append(v)
     sig = _write_returns(sigma, env, tuple(values))
     if sig is None:
-        return _fail(env, rest, "return slot is not writable", ctx)
+        return _fail(env, rest, "return slot is not writable")
     for i, stmt in enumerate(rest):
         if type(stmt) is FunStop:
             return StepResult(sig, _frame_end(env, stmt), rest[i + 1:])
     return StepResult(sig, env, rest)
 
 
-def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
+def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
     """Decide the condition of an If or a loop and continue with the
     remainder ``taken`` or ``skipped`` that it chooses.
 
@@ -289,7 +282,7 @@ def _branch(K, sigma, env, ctx, head, rest, what, taken, skipped) -> StepResult:
     v = eval_rvalue(K, head.cond, sigma, env)
     bit = v.payload.bit if v is not None and isinstance(v.payload, BoolPayload) else None
     if bit is None:
-        return _fail(env, rest, f"{what} condition failed to evaluate", ctx)
+        return _fail(env, rest, f"{what} condition failed to evaluate")
     if isinstance(bit, SymExpr):
         return StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped)
     return StepResult(sigma, env, taken if bit else skipped)
@@ -311,43 +304,42 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_call(K, sigma, env, _ctx, head, rest) -> StepResult:
     callee = head.callee
     arg_values = []
     if isinstance(callee, Efun):
         if callee.addr is None:
-            return _fail(env, rest, "call target has no address", ctx)
+            return _fail(env, rest, "call target has no address")
         target = callee.addr
     else:
         cv = eval_rvalue(K, callee, sigma, env)
         if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
-            return _fail(env, rest, "call target is not a function value", ctx)
+            return _fail(env, rest, "call target is not a function value")
         target = cv.payload.fun
         arg_values.extend(cv.payload.args or ())  # arguments bound by the field access
     for a in head.args:
         v = eval_rvalue(K, a, sigma, env)
         if v is None:
-            return _fail(env, rest, "call argument failed to evaluate", ctx)
+            return _fail(env, rest, "call argument failed to evaluate")
         arg_values.append(v)
-    return _enter_call(sigma, env, target, arg_values, rest, ctx)
+    return _enter_call(sigma, env, target, arg_values, rest)
 
 
-def _enter_call(sigma, env, target: Address, arg_values, rest, ctx) -> StepResult:
+def _enter_call(sigma, env, target: Address, arg_values, rest) -> StepResult:
     """Bind the arguments and continue with the guarded modifier calls and the
     stored body, whose trailing ``FunStop`` returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
-        return _fail(env, rest, f"no function stored at {target}", ctx)
+        return _fail(env, rest, f"no function stored at {target}")
     info = block.payload
     sig = sigma
     if info.params is not None:
         if len(info.params) != len(arg_values):
-            return _fail(env, rest,
-                         f"call arity {len(arg_values)} != {len(info.params)}", ctx)
+            return _fail(env, rest, f"call arity {len(arg_values)} != {len(info.params)}")
         for p, v in zip(info.params, arg_values):
             target_block = gm.read(sig, p.addr, "dir")
             if target_block is None:
-                return _fail(env, rest, "parameter block out of range", ctx)
+                return _fail(env, rest, "parameter block out of range")
             sig = gm.write(sig, p.addr, MemoryValue(v.payload, target_block.domain,
                                                     target_block.access, gm.OCCUPY), "dir")
     guards = [s for call in info.modifiers for s in (call, ModifierGuard(sig, call))]
@@ -369,7 +361,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> StepResult:
     """Store a function with its modifier calls, or a modifier (returning one bool)."""
     is_fun = isinstance(head, Fun)
     what = "function" if is_fun else "modifier"
@@ -378,11 +370,11 @@ def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
     for p in head.params:
         sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
         if sig is None:
-            return _fail(env, rest, f"{what} parameter block not free", ctx)
+            return _fail(env, rest, f"{what} parameter block not free")
     if head.ret_addr is not None:
         sig = _init_return_slots(sig, env, head.ret_addr, returns)
         if sig is None:
-            return _fail(env, rest, f"{what} return slots not available", ctx)
+            return _fail(env, rest, f"{what} return slots not available")
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
@@ -390,17 +382,17 @@ def _exec_fun_decl(K, sigma, env, ctx, head, rest) -> StepResult:
                         tuple(head.modifiers) if is_fun else ())
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
-        return _fail(env, rest, f"{what} block out of range", ctx)
+        return _fail(env, rest, f"{what} block out of range")
     return StepResult(sig, env, rest)
 
 
-def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> StepResult:
     """Judge the modifier call just run, which may write only the flag and its
     own parameters and return slot: a raised flag continues from the state
     ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
     before = head.before
     if before is None:
-        return _fail(env, rest, "modifier guard without a saved state", ctx)
+        return _fail(env, rest, "modifier guard without a saved state")
     callee = head.call.callee
     info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
     own = [p.addr for p in info.params or ()] + [info.ret_addr] \
@@ -408,7 +400,7 @@ def _exec_modifier_guard(_K, sigma, env, ctx, head, rest) -> StepResult:
     bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
                        {a.index for a in own if a is not None})
     if bit is None:
-        return _fail(env, rest, "modifier touched memory outside its flag", ctx)
+        return _fail(env, rest, "modifier touched memory outside its flag")
     if isinstance(bit, SymExpr):
         return StepResult(before, env, rest, symbolic_cond=bit, skipped=(Throw(),))
     return StepResult(before, env, rest if bit else (Throw(),))
@@ -425,32 +417,32 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=())
     return flag.bit if isinstance(flag, BoolPayload) else False
 
 
-def _exec_assign(K, sigma, env, ctx, head, rest) -> StepResult:
+def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
-        return _fail(env, rest, "assignment right side failed to evaluate", ctx)
+        return _fail(env, rest, "assignment right side failed to evaluate")
     lhs = head.lhs
     if type(lhs) is Evar:
         addr = lhs.addr  # a scalar target: its address is on the node
     elif isinstance(lhs, Econst) and isinstance(lhs.value, Vmap):
-        return _map_store(K, sigma, env, ctx, lhs.value, rhs, rest)
+        return _map_store(K, sigma, env, lhs.value, rhs, rest)
     else:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
-        return _fail(env, rest, "assignment target has no address", ctx)
+        return _fail(env, rest, "assignment target has no address")
     # gm.read's leaf lookup, inline: the check costs no call and is not
     # counted as a memory read.
     i, blocks = addr.index, sigma.blocks
     if 0 <= i < blocks.size and \
             type(blocks.leaves[i >> gm.SHIFT][i & gm.MASK].payload) is MapNode:
-        return _fail(env, rest, "cannot assign into a mapping head", ctx)
+        return _fail(env, rest, "cannot assign into a mapping head")
     sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:
-        return _fail(env, rest, f"validated write to {addr} failed", ctx)
+        return _fail(env, rest, f"validated write to {addr} failed")
     return StepResult(sig, env, rest)
 
 
-def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
+def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
     """Store ``rhs`` under the keys of ``vmap`` (insert-only mappings).
 
     The keys evaluate once, then each chain is walked once: a found entry
@@ -462,14 +454,14 @@ def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepRe
     for e in vmap.keys:
         kv = eval_rvalue(K, e, sigma, env)
         if kv is None:
-            return _fail(env, rest, "mapping key failed to evaluate", ctx)
+            return _fail(env, rest, "mapping key failed to evaluate")
         p = kv.payload
         tree = (p.bit if isinstance(p, BoolPayload)
                 else p.value if isinstance(p, gm.IntPayload) else None)
         if is_symbolic(tree):
             # Chains key on concrete payloads only.
             return _fail(env, rest, f"mapping key {tree} is symbolic; "
-                         "symbolic mapping keys are unsupported", ctx)
+                         "symbolic mapping keys are unsupported")
         keys.append(p)
     sig, base, kt, vt = sigma, vmap.base, vmap.key_type, vmap.value_type
     for i, key in enumerate(keys):
@@ -482,15 +474,15 @@ def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepRe
                 entry = replace(block, payload=replace(node, kv=(node.kv[0], rhs.payload)))
                 sig = gm.write(sig, found, entry, "chck", env)
                 if sig is None:
-                    return _fail(env, rest, f"validated write to {found} failed", ctx)
+                    return _fail(env, rest, f"validated write to {found} failed")
                 return StepResult(sig, env, rest)
             inner = node.kv[1]
         else:
             if tail is None or not (last or isinstance(vt, Tmap)):
-                return _fail(env, rest, "mapping insert failed", ctx)
+                return _fail(env, rest, "mapping insert failed")
             alloc = gm.allocate(sig, 1)
             if alloc is None:
-                return _fail(env, rest, "mapping insert failed", ctx)
+                return _fail(env, rest, "mapping insert failed")
             node_addr, sig = alloc
             tail_block = sig.blocks[tail.index]
             if last:
@@ -498,7 +490,7 @@ def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepRe
             else:
                 alloc = gm.allocate(sig, 1)
                 if alloc is None:
-                    return _fail(env, rest, "mapping insert failed", ctx)
+                    return _fail(env, rest, "mapping insert failed")
                 inner_addr, sig = alloc
                 inner = MapNode(init=inner_addr, key_type=vt.key, value_type=vt.value)
                 sig = gm.write(sig, inner_addr, replace(tail_block, payload=inner), "dir")
@@ -509,9 +501,9 @@ def _map_store(K, sigma, env, ctx, vmap: Vmap, rhs: MemoryValue, rest) -> StepRe
             if last:
                 return StepResult(sig, env, rest)
         if not isinstance(inner, MapNode) or not isinstance(vt, Tmap):
-            return _fail(env, rest, "mapping insert failed", ctx)
+            return _fail(env, rest, "mapping insert failed")
         base, kt, vt = inner.init, vt.key, vt.value
-    return _fail(env, rest, "mapping insert failed", ctx)
+    return _fail(env, rest, "mapping insert failed")
 
 
 # One rule per statement class, keyed by exact type.
@@ -553,9 +545,12 @@ class Run:
 
     def final(self, ctx: ExecContext) -> MemoryState | None:
         """The result of a concrete run: absent after a failed dispatch, a
-        symbolic branch condition or a lost state."""
-        if self.stop == SYMBOLIC:
-            ctx.fail("symbolic branch condition reached in concrete execution")
+        symbolic branch condition or a lost state. The first two are recorded
+        in ``ctx.diagnostics``, which nothing else writes."""
+        if self.stop == ERROR:
+            ctx.diagnostics.append(self.error)
+        elif self.stop == SYMBOLIC:
+            ctx.diagnostics.append("symbolic branch condition reached in concrete execution")
         return self.sigma if self.stop in (FINISHED, BUDGET) else None
 
 

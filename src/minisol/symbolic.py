@@ -154,11 +154,3 @@ def to_symexpr(x) -> SymExpr:
     if isinstance(x, SymExpr):
         return x
     return SymConst(x)
-
-
-def subtrees(e: SymExpr):
-    """``e`` and every tree below it, depth first."""
-    yield e
-    if isinstance(e, SymOp):
-        for a in e.args:
-            yield from subtrees(a)

@@ -1,7 +1,7 @@
 """Typed abstract syntax for the contract language.
 
 Types, values, expressions and statements are plain tagged unions. The
-static checker assigns every expression a type pair (source type, result
+static checker gives every expression a type pair (source type, result
 type) and rejects trees the runtime would otherwise have to re-check:
 mixed-width or mixed-signedness arithmetic, non-boolean branch
 conditions, struct arity and field type mismatches. Programs are flat
@@ -31,7 +31,6 @@ from .memory import (
 ARITH_OPS = ("+", "-", "*", "/", "%")
 CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 LOGIC_OPS = ("&&", "||")
-UNARY_OPS = ("!", "neg")
 
 
 class LTypeError(Exception):
@@ -183,35 +182,27 @@ class LExpr:
     compiled: object = field(default=None, init=False, compare=False, repr=False)
 
 
-def _tpair_field():
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass
 class Econst(LExpr):
     value: LValue
-    tpair: tuple | None = _tpair_field()
 
 
 @dataclass
 class Evar(LExpr):
     addr: Address | None
     ltype: LType
-    tpair: tuple | None = _tpair_field()
 
 
 @dataclass
 class Efun(LExpr):
     addr: Address | None
     ltype: LType
-    tpair: tuple | None = _tpair_field()
 
 
 @dataclass
 class Estruct(LExpr):
     type_addr: Address
     values: tuple = ()
-    tpair: tuple | None = _tpair_field()
 
 
 @dataclass
@@ -219,14 +210,12 @@ class Ebop(LExpr):
     op: str
     left: LExpr = None
     right: LExpr = None
-    tpair: tuple | None = _tpair_field()
 
 
 @dataclass
 class Euop(LExpr):
     op: str
     operand: LExpr = None
-    tpair: tuple | None = _tpair_field()
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +355,7 @@ def _types_equal(a: LType, b: LType) -> bool:
 
 
 def typecheck_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
-    """Assign and return the expression's (source, result) type pair."""
-    pair = _check_expr(e, ctx)
-    e.tpair = pair
-    return pair
-
-
-def _check_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
+    """The expression's (source, result) type pair."""
     if isinstance(e, Econst):
         t = _value_type(e.value, ctx)
         return (t, t)
@@ -490,7 +473,6 @@ def _declare_var(decl: Evar, ctx: TypeContext):
         _require(all(d > 0 for d in dims), "array dimensions must be positive")
         _require(is_normal_type(base), "array base must be a normal type")
     ctx.vars[decl.addr] = decl.ltype
-    decl.tpair = (decl.ltype, decl.ltype)
 
 
 def _check_stmt(s: LStatement, ctx: TypeContext) -> None:

@@ -22,4 +22,4 @@ def env(names):
 
 @pytest.fixture
 def binfo():
-    return BlockInfo(number=0, now=0, sender=gm.Address(1), msg_value=0)
+    return BlockInfo(now=0, sender=gm.Address(1), msg_value=0)

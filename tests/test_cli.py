@@ -101,6 +101,40 @@ class TestVerify:
         assert doc["status"] == "verified"
         assert doc["paths"] == 1
 
+    def test_wallet_verify_walks_as_many_payloads_at_any_memory_size(self, capsys,
+                                                                     monkeypatch):
+        # The judge searches only the blocks a path changed, so a larger
+        # store costs the verify no more payload walks.
+        from minisol import engine
+        walk, calls = engine._walk, []
+
+        def counted(p):
+            calls.append(p)
+            return walk(p)
+        monkeypatch.setattr(engine, "_walk", counted)
+        counts = []
+        for size in ("100", "10000"):
+            calls.clear()
+            rc, out, _ = run_cli(capsys, "verify", WALLET, "--spec", SPEC, "--mem-size", size)
+            assert (rc, out) == (0, "verified\n")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 100
+
+    @pytest.mark.parametrize("cond, error", [
+        ("10 / d > 100", "condition ((10 / d) > 100)"),
+        ("d / 0 > 1", "condition ((d / 0) > 1)"),
+    ])
+    def test_branch_condition_failing_at_zero_is_an_error_as_in_a_run(self, capsys, tmp_path,
+                                                                      cond, error):
+        program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+        program.write_text("contract S { uint r = 0; uint d; function f() public { "
+                           f"if ({cond}) {{ r = 1; }} }} }}\n")
+        spec.write_text("entry f\nsym d : int 0..3\npost r == 0\n")
+        rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec))
+        assert (rc, out) == (3, f"error: {error} fails to evaluate under {{'d': 0}}\n")
+        rc, _, err = run_cli(capsys, "run", str(program), "--entry", "f", "--arg", "d=0")
+        assert (rc, err) == (3, "execution failed: branch condition failed to evaluate\n")
+
     def test_concolic_wallet_verified(self, capsys):
         rc, out, _ = run_cli(
             capsys, "verify", WALLET, "--spec", SPEC, "--mode", "concolic",

@@ -1,5 +1,6 @@
 """Source hygiene: every function in ``src/minisol`` reads each of its
-parameters, every top-level function and class is named by the program
+parameters, every field of a dataclass or ``NamedTuple`` there is read,
+every top-level function and class is named by the program
 or the benchmark somewhere outside its own definition, no code mutates a
 value of the slotted, non-frozen value classes or a spine or leaf list of
 a ``BlockVector``, only the expression layer and the symbolic module
@@ -8,7 +9,8 @@ but ``drive`` itself enters the dispatch loop ``drive``, and only the
 expression layer stores the closure compiled on an expression node.
 
 A parameter that is threaded through but never read costs every caller
-an argument and hides which inputs a function really depends on. A name
+an argument and hides which inputs a function really depends on; a field
+that nothing reads is set and carried by every instance for no reader. A name
 starting with ``_`` marks a parameter that a callback interface fixes and
 the function deliberately ignores. A definition that only tests or an
 ``__all__`` list name is code that no command reaches. The value classes
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from minisol.memory import BoolPayload, IntPayload, MemoryState, MemoryValue
 from minisol.stmts import StepResult
+from minisol.syntax import _ATTRIBUTE, FORMAT
 from minisol.values import Env
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +76,77 @@ def test_every_parameter_is_read():
     assert sorted(unread - ALLOWED.keys()) == []
     # an entry whose parameter is read again, or is gone, must leave the list
     assert sorted(ALLOWED.keys() - unread) == []
+
+
+# (file, class, field) -> why it is kept although nothing reads it
+FIELDS_ALLOWED = {
+    ("values.py", "BlockInfo", "number"):
+        "the benchmark's set-up timer builds BlockInfo(number=0), and the benchmark "
+        "changes only on its own",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is a dataclass or a ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list] + cls.bases
+    return any((m.id if isinstance(m, ast.Name) else getattr(m, "attr", None))
+               in ("dataclass", "NamedTuple") for m in marks)
+
+
+def field_reads(source: str) -> set:
+    """The attribute names ``source`` loads, by attribute access or by a
+    ``getattr`` with a literal name."""
+    reads = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads.add(n.attr)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                and n.func.id == "getattr" and len(n.args) > 1 \
+                and isinstance(n.args[1], ast.Constant):
+            reads.add(n.args[1].value)
+    return reads
+
+
+def unread_fields(declaring, reading, named=()) -> set:
+    """(file, class, field) of each field of a record class in the
+    ``declaring`` (file, source) pairs that no source in ``reading`` reads
+    and that ``named`` does not list."""
+    reads = set(named).union(*(field_reads(source) for source in reading))
+    found = set()
+    for filename, source in declaring:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and _is_record(cls):
+                found.update((filename, cls.name, stmt.target.id) for stmt in cls.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name)
+                             and stmt.target.id not in reads)
+    return found
+
+
+def test_every_field_is_read():
+    # A field is read by an attribute load or a ``getattr`` in the program or
+    # the benchmark, or through ``syntax.FORMAT``, which serializes by name.
+    declaring = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    reading = [p.read_text(encoding="utf-8")
+               for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    serialized = {_ATTRIBUTE.get(f, f) for _kind, names in FORMAT.values() for f in names}
+    unread = unread_fields(declaring, reading, serialized)
+    assert sorted(unread - FIELDS_ALLOWED.keys()) == []
+    # an entry whose field is read again, or is gone, must leave the list
+    assert sorted(FIELDS_ALLOWED.keys() - unread) == []
+
+
+def test_field_check_flags_planted_unread_fields():
+    declaring = [("<source>",
+                  "@dataclass(frozen=True)\nclass A:\n    kept: int\n    lost: int = 0\n"
+                  "@dataclasses.dataclass\nclass B:\n    got: int\n    typed: int\n"
+                  "class C(NamedTuple):\n    seen: str\n    unseen: str\n"
+                  "class D:\n    plain: int = 0\n")]
+    # Stores and keyword arguments are not reads.
+    reading = ["a.kept\na.lost = 1\nreplace(c, unseen=2)\nA(lost=3)\n",
+               "print(getattr(c, 'seen'), getattr(b, name))\n"]
+    assert sorted(unread_fields(declaring, reading, {"got"})) == [
+        ("<source>", "A", "lost"), ("<source>", "B", "typed"), ("<source>", "C", "unseen")]
 
 
 def _names(node):

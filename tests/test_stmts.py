@@ -315,7 +315,7 @@ def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
         ctx = ExecContext(sigma_init=sigma)
         r = drive(10, sigma, env, ctx, (head, Snil()))
         assert r.stop == ERROR
-        assert r.error == ctx.diagnostics[-1] == f"{what} condition failed to evaluate"
+        assert r.error == f"{what} condition failed to evaluate"
         assert r.sigma is sigma and r.remaining == (head, Snil())
 
 

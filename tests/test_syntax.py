@@ -83,10 +83,9 @@ class TestExprTyping:
         ok = typecheck_expr(Euop("neg", Econst(Vint(1, 64, True))), TypeContext())
         assert ok[1] == Tint(64, True)
 
-    def test_type_pair_cached_on_node(self):
+    def test_type_pair_of_a_binary_operator(self):
         e = Ebop("+", Econst(Vint(1)), Econst(Vint(2)))
-        typecheck_expr(e, TypeContext())
-        assert e.tpair == (Tuint(), Tuint())
+        assert typecheck_expr(e, TypeContext()) == (Tuint(), Tuint())
 
     def test_array_value_needs_full_index_path(self):
         arr = Tarray(2, Tarray(3, Tuint()))
