@@ -4,26 +4,24 @@ Hoare-triple checking.
 All three ways of running a program are thin callers of the one dispatch
 loop, ``stmts.drive``: ``interpret`` runs it to the end, ``step`` runs
 one statement, and ``explore`` forks a path wherever the loop stops on a
-symbolic branch condition. Two independent budgets bound a run: gas is
-spent per dispatched statement, the recursion budget K per nested value
-or expression evaluation.
+symbolic branch condition or divisor. Two independent budgets bound a
+run: gas is spent per dispatched statement, the recursion budget K per
+nested value or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
 declared finite domain; no external solver is involved. A path's
 ``Models`` are searched only on demand, and a branch that the path
-condition already decides is followed or pruned with no search.
+condition already decides is followed or pruned with no search. A
+dispatch whose values divide by a symbolic tree forks on the divisor
+being nonzero, and the models under which it is zero end on an ``error``
+path, as a concrete run fails there, so no stored tree fails to evaluate.
 ``verify_triple`` is the one verification route. ``holds`` evaluates its
 ``require`` and expression posts with ``eval_rvalue``, per model where a
 symbolic index or key stops it. Its judge asks the ``Post`` for each
 path's obligation on the symbolic states: ``True``, ``False`` or a
 residual expression evaluated per model, false under a model where an
-operator of a post expression fails. A plain callable post is
-wrapped in a one-rule ``Post`` whose residual concretizes both states
-under each model and calls it; a path whose symbolic payloads hold a
-``/`` or ``%`` gets that residual over the ``Post``. A branch condition
-holding a ``/`` or ``%`` ends the models under which it fails on an
-``error`` path. All paths of a run share one execution context, which
-no statement rule writes.
+operator of a post expression fails. All paths of a run share one
+execution context, which no statement rule writes.
 """
 
 from __future__ import annotations
@@ -199,18 +197,17 @@ class Models:
             return tuple(satisfying_assignments(self._condition, self._symbols))
         return self._parent._partition(self._constraint.expr, self._constraint.expected)
 
-    def _partition(self, expr: SymExpr, side: bool | None) -> list:
-        """The models under which ``expr`` is ``side``, or fails to evaluate
-        when ``side`` is None. The split by ``expr`` is kept for the other
-        sides, so a fork splits once for both children and its failures."""
+    def _partition(self, expr: SymExpr, side: bool) -> list:
+        """The models under which ``expr`` is ``side`` (a failure is neither,
+        as in ``holds``); the split is kept, so a fork splits once for both."""
         if self._split is None or self._split[0] is not expr:
-            self._split = (expr, [], [], [])
+            self._split = (expr, [], [])
             for m in self.all:
                 try:
                     self._split[1 + bool(expr.eval(m))].append(m)
                 except SymEvalError:
-                    self._split[3].append(m)
-        return self._split[3 if side is None else 1 + side]
+                    pass
+        return self._split[1 + side]
 
     def __iter__(self):
         return iter(self.all)
@@ -266,54 +263,24 @@ def _concretize_block(b: MemoryValue, assignment) -> MemoryValue:
     return replace(b, payload=concretize_payload(b.payload, assignment))
 
 
-def concretize(sigma: MemoryState, assignment, indices=None,
-               memo: dict | None = None) -> MemoryState:
+def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
     """Evaluate the symbolic payloads of ``sigma`` under ``assignment``.
 
     Only the blocks at ``indices`` (by default every block that holds a
     symbol) are rebuilt; all other blocks are kept as the same objects.
-    ``memo`` maps ``id`` of a rebuilt block to its result, so two states
-    concretized under one assignment with the same memo share the result
-    for a block object they share.
     """
     if indices is None:
         indices = symbolic_blocks(sigma)
     if not indices:
         return sigma
-    if memo is None:
-        memo = {}
     blocks = sigma.blocks
-    rebuilt = []
-    for i in indices:
-        b = blocks[i]
-        c = memo.get(id(b))
-        if c is None:
-            c = memo[id(b)] = _concretize_block(b, assignment)
-        rebuilt.append((i, c))
+    rebuilt = [(i, _concretize_block(blocks[i], assignment)) for i in indices]
     return MemoryState(blocks.update(rebuilt), sigma.symbol_table, sigma.alloc_floor)
 
 
 def symbolic_blocks(sigma: MemoryState) -> tuple:
     """Indices of the blocks whose payload holds a symbol."""
     return tuple(i for i, b in enumerate(sigma.blocks) if _has_symbols(b.payload))
-
-
-def _divides(e: SymExpr) -> bool:
-    """Whether tree ``e`` holds a ``/`` or ``%``, which fails to evaluate
-    where its divisor is zero."""
-    todo = [e]
-    while todo:
-        n = todo.pop()
-        if type(n) is SymOp:
-            if n.op in ("/", "%"):
-                return True
-            todo.extend(n.args)
-    return False
-
-
-def _may_fail(sigma: MemoryState, indices) -> bool:
-    """Whether a payload among the blocks at ``indices`` holds a ``/`` or ``%``."""
-    return any(_divides(e) for i in indices for e in _walk(sigma.blocks[i].payload))
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +296,12 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     dispatches the branch again. Each child keeps the parent models
     (starting from ``initial.models``) that satisfy its side of the
     branch; a child with no model left, or whose side the path condition
-    contradicts, is pruned. The models under which a condition holding a
-    ``/`` or ``%`` fails to evaluate end on an ``error`` terminal naming
-    the first of them, as KLEE checks each division (Cadar, Dunbar and
-    Engler, OSDI 2008). The false child is pushed last, so it is explored
-    first, and the terminals come out in path-condition order: two of them
-    share a prefix of constraints and then differ at a sibling pair,
-    ``E=F`` before ``E=T``. Every path shares ``initial.ctx``.
+    contradicts, is pruned. A dispatch that divides by a symbolic tree
+    first forks on the divisor (see ``_guard``). The false child is pushed
+    last, so it is explored first, and the terminals come out in
+    path-condition order: two of them share a prefix of constraints and
+    then differ at a sibling pair, ``E=F`` before ``E=T``. Every path
+    shares ``initial.ctx``.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
@@ -346,19 +312,20 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining)
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
-            known = next((c.expected for c in ps.condition if c.expr == run.cond), None)
-            if known is None and _divides(run.cond) and \
-                    (failing := ps.models._partition(run.cond, None)):
-                terminals.append(PathState(None, run.env, ps.condition, run.remaining, ps.ctx,
-                                           f"error: condition {run.cond} fails to evaluate "
-                                           f"under {failing[0]}", Models(failing)))
+            condition, models = _guard(ps, run, terminals)
+            if run.cond is None and models is not None:  # a division alone goes on
+                stack.append(PathState(sigma, run.env, condition, run.remaining, ps.ctx, note,
+                                       models))
+            if run.cond is None or models is None:
+                continue
+            known = next((c.expected for c in condition if c.expr == run.cond), None)
             for branch, remaining in ((True, run.remaining), (False, run.skipped)):
                 c = Constraint(run.cond, branch)
-                models = Models(parent=ps.models, constraint=c) if known is None else ps.models
-                if known is (not branch) or models.witness is None:
+                child = Models(parent=models, constraint=c) if known is None else models
+                if known is (not branch) or child.witness is None:
                     continue
-                stack.append(PathState(sigma, run.env, ps.condition + (c,), remaining,
-                                       ps.ctx, note, models))
+                stack.append(PathState(sigma, run.env, condition + (c,), remaining,
+                                       ps.ctx, note, child))
             continue
         if run.stop == ERROR:
             sigma, note = None, f"error: {run.error}"
@@ -371,6 +338,36 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     return terminals
 
 
+def _guard(ps: PathState, run, terminals: list) -> tuple:
+    """``ps``'s condition with each guard of a tree in ``run.divides`` that it
+    lacks, and the models left (or None), as KLEE checks each division (Cadar,
+    Dunbar and Engler, OSDI 2008). The others end on one ``error`` terminal
+    with the env and remainder of the dispatch, naming the first value that
+    fails under the first of them, and the error unless it is the condition."""
+    named = {}
+    for what, tree in run.divides:
+        for c in map(Constraint, tree.guards):
+            if c not in ps.condition:
+                named.setdefault(c, (what, tree))
+    if not named:
+        return ps.condition, ps.models
+    passing, failing = [], []
+    for m in ps.models:
+        (passing if all(c.holds(m) for c in named) else failing).append(m)
+    if failing:
+        m = failing[0]
+        what, tree = next(value for c, value in named.items() if not c.holds(m))
+        note = f"error: {what} {tree} fails to evaluate under {m}"
+        try:
+            tree.eval(m)
+        except SymEvalError as exc:
+            note += "" if tree is run.cond else f": {exc}"
+        env, remaining = run.before
+        terminals.append(PathState(None, env, ps.condition, remaining, ps.ctx, note,
+                                   Models(failing)))
+    return ps.condition + tuple(named), Models(passing) if passing else None
+
+
 # ---------------------------------------------------------------------------
 # Hoare-triple verification
 
@@ -381,19 +378,17 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     ``pre`` builds the initial world: called with an assignment it must
     produce a concrete (sigma, env, ctx) tuple; called with None
     it produces the same world with symbolic payloads standing in for
-    the declared symbols. ``post`` is a ``Post`` or any predicate over
-    (final state, initial state), which is wrapped in a one-rule
-    ``Post``. ``require`` lists boolean expressions true of its world.
+    the declared symbols. ``post`` is a ``Post``, judged on each path by
+    its obligation. ``require`` lists boolean expressions true of its world.
 
     The models are every assignment of ``symbols`` that satisfies
     ``require``, explored from ``pre(None)``; a ``concolic`` assignment
     pins them to itself and the world to ``pre(concolic)``.
 
-    Contract: no payload of the initial state can fail to evaluate. A
-    symbolic world holds each symbol as a bare ``SymVar``, as
-    ``runner.build_world`` places them after running every other write
-    concretely, and a concrete world holds no tree. So only the blocks
-    that a path changed are searched for a ``/`` or ``%``.
+    A world holds each symbol as a bare ``SymVar``, and a division by zero
+    ends its models on an ``error`` path where it is evaluated, so no tree
+    a path stores fails under its models. A failure left in an obligation
+    is a post expression's own operator: false, as a failed ``require`` is.
     """
     symbols = tuple(symbols)
     if concolic is not None:
@@ -415,8 +410,6 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     if ctx.sigma_init is None:
         ctx.sigma_init = sigma
     paths = explore(K, PathState(sigma, env, base_condition, tuple(prog), ctx, models=models))
-    if not isinstance(post, Post):
-        post = Post(partial(_concretized, post))
     return _judge(paths, post, ctx.sigma_init, pre, prog, K)
 
 
@@ -430,24 +423,13 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
                            paths=paths)
     for p in paths:
-        final = p.sigma
-        # A state whose payloads may fail is concretized per model, and a
-        # failure there is an error. Otherwise only an operator of a post
-        # expression can fail, and the post is false under that model, as a
-        # failed ``require`` excludes it. No initial payload can fail (see
-        # ``verify_triple``), so only the blocks the path changed are searched.
-        concretized = _may_fail(final, final.blocks.diff(init.blocks))
-        goal = _concretized(post, final, init) if concretized else post.obligation(final, init)
+        goal = post.obligation(p.sigma, init)
         if goal is True:
             continue
         for asg in (p.models.witness or {},) if goal is False else p.models:
             try:
                 ok = goal is not False and goal.eval(asg)
-            except SymEvalError as exc:
-                if concretized:
-                    return Verdict("error", path=p,
-                                   diagnostic=f"cannot evaluate the state under {asg}: {exc}",
-                                   paths=paths)
+            except SymEvalError:
                 ok = False
             if not ok:
                 witness = _confirm_witness(asg, pre, original_prog, post, K)
@@ -520,27 +502,14 @@ def _same_block(a: MemoryValue, b: MemoryValue):
 
 @dataclass(frozen=True)
 class _Concretized(SymExpr):
-    """Residual: ``post`` holds on both states concretized under the model.
-    The blocks at ``indices`` are rebuilt, and a block both states share
-    is concretized once."""
-    post: object
-    final: MemoryState
-    initial: MemoryState
+    """Residual: ``check`` holds on ``state`` with the blocks at ``indices``
+    concretized under the model."""
+    check: object
+    state: MemoryState
     indices: tuple
 
     def eval(self, assignment):
-        memo = {}
-        return self.post(concretize(self.final, assignment, self.indices[0], memo),
-                         concretize(self.initial, assignment, self.indices[1], memo))
-
-
-def _concretized(post, final: MemoryState, initial: MemoryState):
-    """``post`` on the two states: its bool when neither holds a symbol,
-    otherwise the residual that concretizes them under each model."""
-    indices = (symbolic_blocks(final), symbolic_blocks(initial))
-    if any(indices):
-        return _Concretized(post, final, initial, indices)
-    return bool(post(final, initial))
+        return self.check(concretize(self.state, assignment, self.indices))
 
 
 _THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top block
@@ -567,7 +536,7 @@ def holds(K: int, e, final: MemoryState, _initial=None):
     v = eval_rvalue(K, e, final, Env(0, final.addr_of("0xglobal")))
     bit = None if v is None else getattr(v.payload, "bit", None)
     if bit is None and (indices := symbolic_blocks(final)):
-        return _Concretized(partial(holds, K, e), final, final, (indices, ()))
+        return _Concretized(partial(holds, K, e), final, indices)
     return False if bit is None else bit
 
 

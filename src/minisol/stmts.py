@@ -19,10 +19,12 @@ callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged. An assignment resolves its
-target through the value layer's resolvers; a mapping entry target is
-stored by ``_map_store``, which walks each chain once and links a
-missing key at the chain's tail.
+every rule takes its arguments unchanged. A rule that evaluates a value
+lists each division in it by a symbolic divisor, and ``drive`` stops
+after it as on a symbolic branch, so the explorer forks there. An
+assignment resolves its target through the value layer's resolvers; a
+mapping entry target is stored by ``_map_store``, which walks each chain
+once and links a missing key at the chain's tail.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .memory import (
     ContractInfo,
     Fid,
     FunctionInfo,
+    IntPayload,
     MapNode,
     MemoryState,
     MemoryValue,
@@ -45,7 +48,7 @@ from .memory import (
     Undef,
 )
 from .exprs import eval_lvalue, eval_rvalue
-from .symbolic import SymExpr, is_symbolic
+from .symbolic import SymExpr, SymOp, is_symbolic
 from .syntax import (
     Assign,
     Contract,
@@ -178,10 +181,23 @@ class StepResult:
     symbolic_cond: SymExpr | None = None  # branch condition needs a fork
     skipped: tuple = ()                   # with it: the remainder where it fails
     halted: bool = False                  # throw-style termination
+    divides: tuple = ()                   # see ``_with_divides``
 
 
 def _fail(env, rest, msg) -> StepResult:
     return StepResult(None, env, rest, error=msg)
+
+
+def _with_divides(res: StepResult, what: str, values) -> StepResult:
+    """``res``, or a copy listing in ``divides`` ``(what, tree)`` for each
+    evaluated value whose tree has ``SymOp.guards``: it divides by a symbol."""
+    divides = ()
+    for v in values:
+        p = v.payload
+        tree = p.value if type(p) is IntPayload else getattr(p, "bit", None)
+        if type(tree) is SymOp and tree.guards:
+            divides += ((what, tree),)
+    return replace(res, divides=divides) if divides else res
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
@@ -255,19 +271,17 @@ def _exec_return(K, sigma, env, _ctx, head, rest) -> StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
-    values = []
-    for e in head.values:
-        v = eval_rvalue(K, e, sigma, env)
-        if v is None:
-            return _fail(env, rest, "return value failed to evaluate")
-        values.append(v)
-    sig = _write_returns(sigma, env, tuple(values))
+    values = [eval_rvalue(K, e, sigma, env) for e in head.values]
+    if any(v is None for v in values):
+        return _fail(env, rest, "return value failed to evaluate")
+    sig = _write_returns(sigma, env, values)
     if sig is None:
         return _fail(env, rest, "return slot is not writable")
     for i, stmt in enumerate(rest):
         if type(stmt) is FunStop:
-            return StepResult(sig, _frame_end(env, stmt), rest[i + 1:])
-    return StepResult(sig, env, rest)
+            return _with_divides(StepResult(sig, _frame_end(env, stmt), rest[i + 1:]),
+                                 "return value", values)
+    return _with_divides(StepResult(sig, env, rest), "return value", values)
 
 
 def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
@@ -284,7 +298,8 @@ def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
     if bit is None:
         return _fail(env, rest, f"{what} condition failed to evaluate")
     if isinstance(bit, SymExpr):
-        return StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped)
+        return _with_divides(StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped),
+                             "condition", (v,))
     return StepResult(sigma, env, taken if bit else skipped)
 
 
@@ -317,12 +332,11 @@ def _exec_call(K, sigma, env, _ctx, head, rest) -> StepResult:
             return _fail(env, rest, "call target is not a function value")
         target = cv.payload.fun
         arg_values.extend(cv.payload.args or ())  # arguments bound by the field access
-    for a in head.args:
-        v = eval_rvalue(K, a, sigma, env)
-        if v is None:
-            return _fail(env, rest, "call argument failed to evaluate")
-        arg_values.append(v)
-    return _enter_call(sigma, env, target, arg_values, rest)
+    arg_values += [eval_rvalue(K, a, sigma, env) for a in head.args]
+    if any(v is None for v in arg_values):
+        return _fail(env, rest, "call argument failed to evaluate")
+    return _with_divides(_enter_call(sigma, env, target, arg_values, rest),
+                         "call argument", arg_values)
 
 
 def _enter_call(sigma, env, target: Address, arg_values, rest) -> StepResult:
@@ -425,7 +439,8 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
     if type(lhs) is Evar:
         addr = lhs.addr  # a scalar target: its address is on the node
     elif isinstance(lhs, Econst) and isinstance(lhs.value, Vmap):
-        return _map_store(K, sigma, env, lhs.value, rhs, rest)
+        return _with_divides(_map_store(K, sigma, env, lhs.value, rhs, rest),
+                             "assignment right side", (rhs,))
     else:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
@@ -439,7 +454,9 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
     sig = gm.write(sigma, addr, rhs, "chck", env)
     if sig is None:
         return _fail(env, rest, f"validated write to {addr} failed")
-    return StepResult(sig, env, rest)
+    if type(getattr(rhs.payload, "value", None)) is int:
+        return StepResult(sig, env, rest)  # a concrete integer divides by nothing
+    return _with_divides(StepResult(sig, env, rest), "assignment right side", (rhs,))
 
 
 def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
@@ -521,14 +538,13 @@ _RULES = {
 
 # Why ``drive`` stopped. After ERROR the run holds the state before the
 # failing dispatch, with that statement still at the head. After SYMBOLIC
-# it holds the state after the branch's dispatch, its gas spent:
-# ``remaining`` continues where the condition holds, ``skipped`` where it
-# fails.
+# it holds the state after the dispatch, its gas spent: ``remaining``
+# continues where the branch condition holds, ``skipped`` where it fails.
 FINISHED = "finished"   # no statement left
 NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # gas spent
 ERROR = "error"
-SYMBOLIC = "symbolic"   # a branch condition is a symbolic tree
+SYMBOLIC = "symbolic"   # a branch condition or a divisor is a symbolic tree
 PAUSED = "paused"       # the one dispatch asked for ran
 
 
@@ -542,6 +558,8 @@ class Run:
     cond: SymExpr | None = None  # the condition when stopped on SYMBOLIC
     skipped: tuple = ()          # with it: the remainder where it fails
     halted: bool = False         # the last dispatch was a throw
+    divides: tuple = ()          # with SYMBOLIC: the dispatch's ``divides``
+    before: tuple = ()           # with SYMBOLIC: (env, remaining) as ERROR holds them
 
     def final(self, ctx: ExecContext) -> MemoryState | None:
         """The result of a concrete run: absent after a failed dispatch, a
@@ -575,9 +593,9 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
                              head=remaining[0], rest=remaining[1:])
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
-        if res.symbolic_cond is not None:
+        if res.symbolic_cond is not None or res.divides:
             return Run(SYMBOLIC, res.sigma, res.env, res.remaining, cond=res.symbolic_cond,
-                       skipped=res.skipped)
+                       skipped=res.skipped, divides=res.divides, before=(env, remaining))
         sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
         if once:
             return Run(PAUSED, sigma, env, remaining, halted=halted)

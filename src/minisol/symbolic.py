@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class SymExpr:
@@ -79,6 +80,17 @@ class SymOp(SymExpr):
         except TypeError as exc:
             raise SymEvalError(str(exc)) from exc
         return wrap_int(out, self.width, self.signed) if self.width else out
+
+    @cached_property
+    def guards(self) -> tuple:
+        """``divisor != 0`` for each ``/`` or ``%`` in the tree by other than a
+        nonzero constant, inner first and each once. Kept on the node, so a
+        tree grown from a stored one is walked only where it is new."""
+        found = dict.fromkeys(g for a in self.args if type(a) is SymOp for g in a.guards)
+        d = self.args[-1]
+        if self.op in ("/", "%") and not (type(d) is SymConst and d.value != 0):
+            found[SymOp("!=", (d, SymConst(0)))] = None
+        return tuple(found)
 
     def __str__(self):
         if len(self.args) == 1:

@@ -7,8 +7,7 @@ a spec, placed by ``runner.build_world``, which types each one by the
 block it names. For every path and every model of it, the concretized
 terminal state is the state the concrete dispatch loop reaches on the
 world that ``--arg`` writes of that model build, and both stop for the
-same reason. The paths come out in path-condition order. Programs draw
-no division: a symbolic divisor has no ``d != 0`` fork yet.
+same reason. The paths come out in path-condition order.
 """
 
 import random
@@ -56,8 +55,7 @@ def bound_program(decls) -> BoundProgram:
 def cases(draw):
     """(bound declarations, body, spec, gas): the spec declares the symbols
     and posts that one variable holds one value."""
-    prog = generate_program(draw(st.integers(0, 1 << 30)), draw(st.integers(1, 8)),
-                            allow_div=False)
+    prog = generate_program(draw(st.integers(0, 1 << 30)), draw(st.integers(1, 8)))
     ints = draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))
     lines = [f"sym {NAMES[a]} : int -2..2" for a in ints]
     bool_block = draw(st.sampled_from([None, *BOOLS]))

@@ -135,6 +135,48 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "run", str(program), "--entry", "f", "--arg", "d=0")
         assert (rc, err) == (3, "execution failed: branch condition failed to evaluate\n")
 
+    @pytest.mark.parametrize("body, post, error", [
+        # The division's tree does not survive to the final state.
+        ("r = 10 / d; r = 0;", "r == 0",
+         "assignment right side (10 / d) fails to evaluate under {'d': 0}: division by zero"),
+        ("r = 10 / d; throw;", "throw-state",
+         "assignment right side (10 / d) fails to evaluate under {'d': 0}: division by zero"),
+        ("g(10 / d);", "r == 0",
+         "call argument (10 / d) fails to evaluate under {'d': 0}: division by zero"),
+        ("r = d % d; r = 1;", "r == 1",
+         "assignment right side (d % d) fails to evaluate under {'d': 0}: modulo by zero"),
+    ])
+    def test_value_dividing_at_zero_is_an_error_as_in_a_run(self, capsys, tmp_path,
+                                                            body, post, error):
+        program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+        program.write_text("contract S { uint r = 0; uint d; "
+                           "function g(uint x) public { x = 0; } "
+                           f"function f() public {{ {body} }} }}\n")
+        spec.write_text(f"entry f\nsym d : int 0..3\npost {post}\n")
+        rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec), "--json")
+        doc = json.loads(out)
+        assert (rc, doc["status"], doc["paths"], doc["diagnostic"]) == (3, "error", 2, error)
+        rc, _, err = run_cli(capsys, "run", str(program), "--entry", "f", "--arg", "d=0")
+        what = error.partition(" (")[0]
+        assert (rc, err) == (3, f"execution failed: {what} failed to evaluate\n")
+
+    @pytest.mark.parametrize("domain, verdict", [
+        ("0..3", (3, "error", 2, "assignment right side (0 + (10 / d)) fails to evaluate "
+                                 "under {'d': 0}: division by zero")),
+        ("1..3", (0, "verified", 1, "")),
+    ])
+    def test_loop_dividing_on_each_iteration_forks_once(self, capsys, tmp_path, domain,
+                                                        verdict):
+        # The path condition holds d != 0 after the first iteration, so the
+        # later ones fork nothing.
+        program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+        program.write_text("contract S { uint r = 0; uint i = 0; uint d; function f() public "
+                           "{ while (i < 3) { r = r + 10 / d; i = i + 1; } } }\n")
+        spec.write_text(f"entry f\nsym d : int {domain}\npost i == 3\n")
+        rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec), "--json")
+        doc = json.loads(out)
+        assert (rc, doc["status"], doc["paths"], doc.get("diagnostic", "")) == verdict
+
     def test_concolic_wallet_verified(self, capsys):
         rc, out, _ = run_cli(
             capsys, "verify", WALLET, "--spec", SPEC, "--mode", "concolic",

@@ -35,7 +35,7 @@ from minisol.proggen import generate_program
 from minisol.runner import build_world, compile_posts, entry_program, make_pre, spec_expr
 from minisol.specfile import SpecError, parse_spec
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ExecContext, init_var
+from minisol.stmts import ERROR, ExecContext, drive, init_var
 from minisol.symbolic import SymConst, SymOp, SymVar, is_symbolic
 from minisol.syntax import (
     Assign,
@@ -214,15 +214,6 @@ class TestExplore:
         assert all(p.ctx is ctx for p in paths)
         assert ctx.diagnostics == []
 
-    def test_judge_concretizes_a_shared_block_once(self):
-        sigma, _env, _ctx = sym_bool_world()
-        written = poke(sigma, X, IntPayload(3))
-        memo = {}
-        final = concretize(written, {"b": True}, None, memo)
-        initial = concretize(sigma, {"b": True}, None, memo)
-        assert final.blocks[B.index] is initial.blocks[B.index]
-        assert final.blocks[B.index].payload == BoolPayload(True)
-
     def test_partition_of_finite_domains(self):
         # Union of path conditions covers the declared domain exactly once.
         sigma, env, names = declared_world()
@@ -304,6 +295,12 @@ class TestDeterminism:
                 assert gm.dump(a) == gm.dump(b)
 
 
+def at_most_five(final, _initial):
+    """x <= 5 as the one rule of a ``Post``."""
+    v = final.blocks[X.index].payload.value
+    return SymOp("<=", (v, SymConst(5))) if is_symbolic(v) else v <= 5
+
+
 def triple_world(plant_bug: bool):
     """{x = n} prog {x <= 5} with prog clamping x; the planted bug uses
     an off-by-one clamp bound."""
@@ -319,12 +316,7 @@ def triple_world(plant_bug: bool):
     prog = (If(Ebop(">", Evar(X, Tuint()), Econst(Vint(bound))),
                (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
                (Snil(),)),)
-
-    def post(final, initial):
-        v = final.blocks[X.index].payload.value
-        return v is not None and v <= 5
-
-    return pre, prog, post
+    return pre, prog, Post(at_most_five)
 
 
 class TestVerifyTriple:
@@ -334,7 +326,7 @@ class TestVerifyTriple:
             return sigma, env, ExecContext()
 
         verdict = verify_triple(pre, (Snil(),),
-                                lambda final, init: final.blocks == init.blocks)
+                                Post(lambda final, init: final.blocks == init.blocks))
         assert verdict.status == "verified"
 
     def test_clamp_verified_over_domain(self):
@@ -527,12 +519,12 @@ class TestRobustness:
 # ---------------------------------------------------------------------------
 # Enumeration reuse: per-path assignment sets and partial concretization
 
-def spec_triple(source, spec_text):
+def spec_triple(source, spec_text, gas=10000):
     """(pre, prog, post, spec, require) for a program and spec, as `verify`
     builds them."""
     bound = bind_addresses(parse_source(source), 100)
     spec = parse_spec(spec_text)
-    pre = make_pre(bound, 10000, BlockInfo(sender=Address(1)), sets=spec.sets,
+    pre = make_pre(bound, gas, BlockInfo(sender=Address(1)), sets=spec.sets,
                    symbols=spec.symbols)
     prog, _ = entry_program(bound, spec.entry)
     return (pre, prog, compile_posts(bound, spec.posts), spec,
@@ -546,7 +538,10 @@ def full_concretize(sigma, asg):
 
 
 def reference_judge(paths, post, symbols):
-    """Re-enumerate each path's condition and concretize whole states."""
+    """Re-enumerate each path's condition and concretize whole states; a
+    path whose note is an error makes the verdict an error."""
+    if any(p.note.startswith("error") for p in paths):
+        return "error", None
     for p in paths:
         for asg in satisfying_assignments(p.condition, symbols):
             init = p.ctx.sigma_init
@@ -702,55 +697,9 @@ class TestObligations:
     def test_obligation_judge_matches_concretizing_judge(self, seed):
         source, spec_text = obligation_case(seed)
         pre, prog, post, spec, require = spec_triple(source, spec_text)
-        assert post.obligation
-        verdicts = [verify_triple(pre, prog, judged, symbols=spec.symbols,
-                                  require=require)
-                    for judged in (post, lambda f, i: post(f, i))]
-        fast, slow = [(v.status, len(v.paths), v.witness, v.diagnostic) for v in verdicts]
-        assert fast == slow
-
-    @staticmethod
-    def at_most_five(final, _initial):
-        """x <= 5 as the one rule of a ``Post``."""
-        v = final.blocks[X.index].payload.value
-        return SymOp("<=", (v, SymConst(5))) if is_symbolic(v) else v <= 5
-
-    @pytest.mark.parametrize("start", [3, 8])
-    def test_plain_post_is_called_once_on_concrete_states(self, start):
-        # The symbol n is declared but the world never holds it.
-        def pre(_assignment):
-            sigma, env, _ = declared_world()
-            return poke(sigma, X, IntPayload(start)), env, ExecContext()
-
-        seen = []
-
-        def plain(final, initial):
-            seen.append(final.blocks[X.index].payload.value)
-            return final.blocks[X.index].payload.value <= 5
-
-        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
-        verdicts = [verify_triple(pre, (Snil(),), post, symbols=symbols)
-                    for post in (plain, Post(self.at_most_five))]
-        status = "verified" if start <= 5 else "refuted"
-        assert [(v.status, len(v.paths)) for v in verdicts] == [(status, 1)] * 2
-        assert verdicts[0].witness == verdicts[1].witness
-        # one judging call on the one path; a refutation also replays it
-        assert seen == [start] * (1 if start <= 5 else 2)
-
-    def test_plain_post_is_called_once_per_model_until_it_fails(self):
-        pre, prog, _post = triple_world(plant_bug=True)
-        seen = []
-
-        def plain(final, initial):
-            seen.append(final.blocks[X.index].payload.value)
-            return final.blocks[X.index].payload.value <= 5
-
-        symbols = [SymbolicValue("n", "int", lo=0, hi=9)]
-        verdicts = [verify_triple(pre, prog, post, symbols=symbols)
-                    for post in (plain, Post(self.at_most_five))]
-        assert [(v.status, v.witness) for v in verdicts] == [("refuted", {"n": 6})] * 2
-        # the x <= 6 path is judged first, under n = 0..6; then n = 6 is replayed
-        assert seen == [0, 1, 2, 3, 4, 5, 6, 6]
+        verdict = verify_triple(pre, prog, post, symbols=spec.symbols, require=require)
+        assert (verdict.status, verdict.witness) == reference_judge(
+            verdict.paths, post, spec.symbols)
 
     @pytest.mark.parametrize("cond, domain, verdict", [
         ("10 / d > 100", "0..3", ("error", 2, "condition ((10 / d) > 100) fails to evaluate "
@@ -766,17 +715,38 @@ class TestObligations:
         source = ("contract S { uint r = 0; uint d; function f() public { "
                   f"if ({cond}) {{ r = 1; }} }} }}")
         pre, prog, post, spec, _require = spec_triple(
-            source, f"entry f\nsym d : int {domain}\npost r == 0\n")
+            source, f"entry f\nsym d : int {domain}\npost r == 0\n", gas=50)
         v = verify_triple(pre, prog, post, symbols=spec.symbols)
         assert (v.status, len(v.paths), v.diagnostic) == verdict
+        if v.status == "error":
+            # The terminal stops where that run stops: before the If's
+            # dispatch, with the call's gas spent and the If at the head.
+            sigma, env, ctx = pre({"d": 0})
+            run = drive(1000, sigma, env, ctx, prog)
+            assert (run.stop, run.env.gas, type(run.remaining[0])) == (ERROR, 49, If)
+            assert (v.path.env.gas, type(v.path.remaining[0])) == (49, If)
+
+    def test_guards_name_each_symbolic_divisor_once_inner_first(self):
+        d = SymVar("d")
+        inner = SymOp("/", (SymConst(5), d), 64)
+        cases = [
+            (SymOp("/", (d, SymConst(2)), 64), []),
+            (SymOp("%", (d, SymConst(0)), 64), ["(0 != 0)"]),
+            (SymOp("+", (inner, inner), 64), ["(d != 0)"]),
+            (SymOp("/", (SymConst(10), inner), 64), ["(d != 0)", "((5 / d) != 0)"]),
+        ]
+        assert [[str(g) for g in tree.guards] for tree, _ in cases] == [g for _, g in cases]
 
     def test_division_by_zero_stays_an_error_naming_the_assignment(self):
         pre, prog, post, spec, _require = spec_triple(
             DIVISION, "entry f\nsym d : int 0..3\npost unchanged s\n")
         verdict = verify_triple(pre, prog, post, symbols=spec.symbols)
         assert verdict.status == "error"
-        assert verdict.diagnostic == ("cannot evaluate the state under {'d': 0}: "
-                                      "division by zero")
+        assert verdict.diagnostic == ("assignment right side (10 / d) fails to evaluate "
+                                      "under {'d': 0}: division by zero")
+        # The d = 0 model ends there; the others go on, carrying d != 0.
+        assert [([m["d"] for m in p.models], [str(c) for c in p.condition])
+                for p in verdict.paths] == [([0], []), ([1, 2, 3], ["(d != 0)=T"])]
 
     def test_writing_the_held_value_in_a_call_leaves_the_block_unchanged(self):
         # x = 5 over 5 inside a function stores a block equal to the entry one
