@@ -15,6 +15,8 @@ condition already decides is followed or pruned with no search. A
 dispatch whose values divide by a symbolic tree forks on the divisor
 being nonzero, and the models under which it is zero end on an ``error``
 path, as a concrete run fails there, so no stored tree fails to evaluate.
+That check runs only at a statement whose own expressions divide: a tree
+read from memory was checked by the dispatch that stored it.
 ``verify_triple`` is the one verification route. ``holds`` evaluates its
 ``require`` and expression posts with ``eval_rvalue``, per model where a
 symbolic index or key stops it. Its judge asks the ``Post`` for each
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 
 from . import memory as gm
 from .memory import MemoryState, MemoryValue
@@ -164,6 +166,22 @@ def satisfiable(condition, symbols) -> dict | None:
     return None
 
 
+class _lazy:
+    """A method's value, computed on first access and kept in the instance
+    dict, which later reads find before this descriptor. Unlike Python
+    3.11's ``functools.cached_property`` it takes no class-wide lock, which
+    would cost a first access on every fork's models."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __get__(self, obj, _owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.method.__name__] = self.method(obj)
+        return value
+
+
 class Models:
     """The models of a path condition in ``itertools.product`` order, found
     only when asked for: ``models`` as given, the product of ``symbols``
@@ -181,7 +199,7 @@ class Models:
         self._symbols, self._condition = symbols, condition
         self._parent, self._constraint, self._split = parent, constraint, None
 
-    @cached_property
+    @_lazy
     def witness(self) -> dict | None:
         parent = self._parent
         if "all" not in vars(self):
@@ -191,7 +209,7 @@ class Models:
                 return parent.witness
         return next(iter(self.all), None)
 
-    @cached_property
+    @_lazy
     def all(self):
         if self._parent is None:
             return tuple(satisfying_assignments(self._condition, self._symbols))

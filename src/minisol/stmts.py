@@ -21,7 +21,11 @@ callers of it.
 head's exact type up in ``_RULES``, one rule per statement class, and
 every rule takes its arguments unchanged. A rule that evaluates a value
 lists each division in it by a symbolic divisor, and ``drive`` stops
-after it as on a symbolic branch, so the explorer forks there. An
+after it as on a symbolic branch, so the explorer forks there. Only a
+statement that divides, by its own expressions, is checked: its mark is
+computed once and kept on the node. Any other symbolic tree it evaluates
+was read from memory, where the dispatch that stored it checked it, or is
+a bare symbol of the initial world, which cannot fail. An
 assignment resolves its target through the value layer's resolvers; a
 mapping entry target is stored by ``_map_store``, which walks each chain
 once and links a missing key at the chain's tail.
@@ -73,6 +77,7 @@ from .syntax import (
     Var,
     Vmap,
     array_dims,
+    divides_by_nonliteral,
 )
 from .values import Env, locate_map_node
 
@@ -188,15 +193,26 @@ def _fail(env, rest, msg) -> StepResult:
     return StepResult(None, env, rest, error=msg)
 
 
-def _with_divides(res: StepResult, what: str, values) -> StepResult:
+def _with_divides(res: StepResult, head: LStatement, what: str, values) -> StepResult:
     """``res``, or a copy listing in ``divides`` ``(what, tree)`` for each
-    evaluated value whose tree has ``SymOp.guards``: it divides by a symbol."""
+    evaluated value whose tree has ``SymOp.guards``: it divides by a symbol.
+
+    Only a statement that divides (``head.may_divide``, kept on the node) can
+    build a new guard; any other tree was read from memory, where its guards
+    were checked when it was stored. The mark is read once a value is a
+    ``SymOp``, so a concrete dispatch never reads it."""
     divides = ()
     for v in values:
         p = v.payload
         tree = p.value if type(p) is IntPayload else getattr(p, "bit", None)
-        if type(tree) is SymOp and tree.guards:
-            divides += ((what, tree),)
+        if type(tree) is SymOp:
+            mark = head.may_divide
+            if mark is None:
+                mark = head.may_divide = divides_by_nonliteral(head)
+            if not mark:
+                return res
+            if tree.guards:
+                divides += ((what, tree),)
     return replace(res, divides=divides) if divides else res
 
 
@@ -280,8 +296,8 @@ def _exec_return(K, sigma, env, _ctx, head, rest) -> StepResult:
     for i, stmt in enumerate(rest):
         if type(stmt) is FunStop:
             return _with_divides(StepResult(sig, _frame_end(env, stmt), rest[i + 1:]),
-                                 "return value", values)
-    return _with_divides(StepResult(sig, env, rest), "return value", values)
+                                 head, "return value", values)
+    return _with_divides(StepResult(sig, env, rest), head, "return value", values)
 
 
 def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
@@ -299,7 +315,7 @@ def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
         return _fail(env, rest, f"{what} condition failed to evaluate")
     if isinstance(bit, SymExpr):
         return _with_divides(StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped),
-                             "condition", (v,))
+                             head, "condition", (v,))
     return StepResult(sigma, env, taken if bit else skipped)
 
 
@@ -336,7 +352,7 @@ def _exec_call(K, sigma, env, _ctx, head, rest) -> StepResult:
     if any(v is None for v in arg_values):
         return _fail(env, rest, "call argument failed to evaluate")
     return _with_divides(_enter_call(sigma, env, target, arg_values, rest),
-                         "call argument", arg_values)
+                         head, "call argument", arg_values)
 
 
 def _enter_call(sigma, env, target: Address, arg_values, rest) -> StepResult:
@@ -440,7 +456,7 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
         addr = lhs.addr  # a scalar target: its address is on the node
     elif isinstance(lhs, Econst) and isinstance(lhs.value, Vmap):
         return _with_divides(_map_store(K, sigma, env, lhs.value, rhs, rest),
-                             "assignment right side", (rhs,))
+                             head, "assignment right side", (rhs,))
     else:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
@@ -456,7 +472,7 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
         return _fail(env, rest, f"validated write to {addr} failed")
     if type(getattr(rhs.payload, "value", None)) is int:
         return StepResult(sig, env, rest)  # a concrete integer divides by nothing
-    return _with_divides(StepResult(sig, env, rest), "assignment right side", (rhs,))
+    return _with_divides(StepResult(sig, env, rest), head, "assignment right side", (rhs,))
 
 
 def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:

@@ -221,8 +221,11 @@ class Euop(LExpr):
 # ---------------------------------------------------------------------------
 # Statements
 
+@dataclass
 class LStatement:
-    pass
+    # Whether the statement divides (see ``divides_by_nonliteral``), found by
+    # the statement layer on first need; never serialized.
+    may_divide: bool | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -671,6 +674,25 @@ def _decode(code, d):
     if cls is None:
         raise ValueError(f"unknown {code.__name__[1:].lower()} kind {d['kind']!r}")
     return cls(**{_ATTRIBUTE.get(f, f): _decode(c, d[f]) for f, c in FORMAT[cls][1].items()})
+
+
+def divides_by_nonliteral(node) -> bool:
+    """Whether ``node`` or an expression or value under its fields, by
+    ``FORMAT``, is a ``/`` or ``%`` whose divisor is not an integer literal
+    nonzero at its width. Statement fields, such as an ``If``'s arms or a
+    loop's body, are not walked: those statements are dispatched on their own."""
+    if type(node) is Ebop and node.op in ("/", "%"):
+        d = node.right
+        if not (type(d) is Econst and type(d.value) is Vint
+                and d.value.value % (1 << d.value.width)):
+            return True
+    for name, code in FORMAT[type(node)][1].items():
+        if code in (LExpr, LValue, [LExpr], [LValue]):
+            x = getattr(node, name)
+            if x is not None and any(map(divides_by_nonliteral,
+                                         x if isinstance(code, list) else (x,))):
+                return True
+    return False
 
 
 def program_to_data(stmts) -> list:

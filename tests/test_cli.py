@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from minisol import memory as gm
+from minisol import stmts
 from minisol.cli import build_arg_parser, cli_main, parse_command_line
+from minisol.symbolic import SymOp
 
 WALLET = "samples/wallet.lls"
 PRE = "samples/wallet_pre.spec"
@@ -379,6 +382,64 @@ class TestVerify:
         elapsed = time.process_time() - start
         assert (rc, json.loads(out)["status"]) == (0, "verified")
         assert elapsed <= 0.25
+
+
+# ---------------------------------------------------------------------------
+# Division guards are checked only at a statement that divides (the mark
+# ``syntax.divides_by_nonliteral`` computes); a stored tree was checked when
+# it was stored.
+
+@pytest.fixture
+def guard_walks(monkeypatch):
+    """One entry per ``SymOp.guards`` computed while the test runs."""
+    walks, compute = [], SymOp.guards.func
+
+    def counted(tree):
+        walks.append(tree)
+        return compute(tree)
+    guards = cached_property(counted)
+    guards.__set_name__(SymOp, "guards")
+    monkeypatch.setattr(SymOp, "guards", guards)
+    return walks
+
+
+def test_a_program_that_never_divides_computes_no_guards(capsys, tmp_path, guard_walks):
+    # A walk of every symbolic dispatch's trees for divisions once cost
+    # branchy's verify about a tenth of its time, and short benchmark runs
+    # did not show it.
+    spec = tmp_path / "branchy.spec"
+    spec.write_text(Path("tests/golden/branchy.spec").read_text(encoding="utf-8")
+                    .replace("post r == 0", "post unchanged s"))
+    rc, out, _ = run_cli(capsys, "verify", "tests/golden/branchy.lls", "--spec", str(spec))
+    assert (rc, out, guard_walks) == (0, "verified\n", [])
+
+
+def test_a_loop_that_divides_computes_guards(capsys, tmp_path, guard_walks):
+    program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+    program.write_text("contract S { uint r = 0; uint i = 0; uint d; function f() public "
+                       "{ while (i < 3) { r = r + 10 / d; i = i + 1; } } }\n")
+    spec.write_text("entry f\nsym d : int 0..3\npost i == 3\n")
+    rc, _, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec))
+    assert rc == 3 and guard_walks
+
+
+def test_the_division_probes_fail_when_no_statement_is_marked(capsys, tmp_path, monkeypatch):
+    # A mark that marks nothing lets each probe's division by zero pass
+    # unchecked, so every probe must fail: the probes pin the mark.
+    monkeypatch.setattr(stmts, "divides_by_nonliteral", lambda _node: False)
+    probes = (TestVerify.test_branch_condition_failing_at_zero_is_an_error_as_in_a_run,
+              TestVerify.test_value_dividing_at_zero_is_an_error_as_in_a_run)
+    cases = [(probe, args) for probe in probes for args in probe.pytestmark[0].args[1]]
+    assert len(cases) == 6
+    for probe, args in cases:
+        with pytest.raises(AssertionError):
+            probe(TestVerify(), capsys, tmp_path, *args)
+    program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+    program.write_text("contract S { uint r = 0; uint d; function f() public { "
+                       "if (10 / d > 100) { r = 1; } } }\n")
+    spec.write_text("entry f\nsym d : int 0..3\npost r == 0\n")
+    assert run_cli(capsys, "verify", str(program), "--spec", str(spec))[:2] == (
+        0, "verified\n")
 
 
 @pytest.mark.parametrize("module", ["minisol", "minisol.cli"])

@@ -726,6 +726,21 @@ class TestObligations:
             assert (run.stop, run.env.gas, type(run.remaining[0])) == (ERROR, 49, If)
             assert (v.path.env.gas, type(v.path.remaining[0])) == (49, If)
 
+    def test_a_stored_quotient_is_guarded_once_on_the_paths_that_branch_on_it(self):
+        # The If reads a tree its Assign guarded when storing it: the If does
+        # not divide, so it adds no second guard.
+        source = ("contract S { uint r = 0; uint d; function f() public { "
+                  "r = 10 / d; if (r > 1) { r = 1; } } }")
+        pre, prog, post, spec, _require = spec_triple(
+            source, "entry f\nsym d : int 0..3\npost r == 1\n")
+        v = verify_triple(pre, prog, post, symbols=spec.symbols)
+        assert v.status == "error"
+        # The d == 0 model ends on one error terminal; the path that goes on
+        # holds the guard once.
+        assert [(p.note.startswith("error"), [m["d"] for m in p.models],
+                 [str(c) for c in p.condition]) for p in v.paths] == [
+            (True, [0], []), (False, [1, 2, 3], ["(d != 0)=T", "((10 / d) > 1)=T"])]
+
     def test_guards_name_each_symbolic_divisor_once_inner_first(self):
         d = SymVar("d")
         inner = SymOp("/", (SymConst(5), d), 64)

@@ -5,8 +5,9 @@ or the benchmark somewhere outside its own definition, no code mutates a
 value of the slotted, non-frozen value classes or a spine or leaf list of
 a ``BlockVector``, only the expression layer and the symbolic module
 build arithmetic symbolic trees, no function of the statement layer
-but ``drive`` itself enters the dispatch loop ``drive``, and only the
-expression layer stores the closure compiled on an expression node.
+but ``drive`` itself enters the dispatch loop ``drive``, only the
+expression layer stores the closure compiled on an expression node, and
+only the statement layer stores a statement's division mark.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on; a field
@@ -449,29 +450,48 @@ def test_only_drive_enters_the_dispatch_loop():
 # An expression node's ``compiled`` closure is built by the expression layer
 # from node data alone, and forked paths share it; any other module that
 # stored one could make a node evaluate differently from its own data.
-def compiled_stores(source: str, filename: str = "<source>") -> list:
-    """(file, line) of each store to or deletion of a ``.compiled`` attribute."""
+# Likewise a statement's ``may_divide`` mark, which the statement layer
+# computes from the node and trusts to skip a division check: a mark stored
+# anywhere else could let a division by zero pass unchecked.
+def attribute_stores(source: str, attr: str, filename: str = "<source>") -> list:
+    """(file, line) of each store to or deletion of an ``attr`` attribute."""
     return [(filename, n.lineno) for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and n.attr == "compiled"
+            if isinstance(n, ast.Attribute) and n.attr == attr
             and isinstance(n.ctx, (ast.Store, ast.Del))]
 
 
+def stores_outside(attr: str, owner: str) -> list:
+    """``attribute_stores`` of ``attr`` in every module but ``owner``."""
+    return [hit for path in sorted(SRC.glob("*.py")) if path.name != owner
+            for hit in attribute_stores(path.read_text(encoding="utf-8"), attr, path.name)]
+
+
+def planted_stores(attr: str) -> list:
+    planted = (
+        "e.ATTR = run\n"                     # 1
+        "node.left.ATTR = None\n"            # 2
+        "run = e.ATTR = build(e)\n"          # 3
+        "del e.ATTR\n"                       # 4
+        "a.ATTR, b = f, 0\n"                 # 5
+        "for x.ATTR in runs: pass\n"         # 6
+        "run = e.ATTR\nf(e.ATTR)\ne.tpair = p\n"  # reads, and another attribute
+    ).replace("ATTR", attr)
+    return sorted(attribute_stores(planted, attr))
+
+
 def test_only_the_expression_layer_stores_compiled_closures():
-    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "exprs.py"
-             for hit in compiled_stores(path.read_text(encoding="utf-8"), path.name)]
-    assert found == []
-    assert compiled_stores((SRC / "exprs.py").read_text(encoding="utf-8")) != []
+    assert stores_outside("compiled", "exprs.py") == []
+    assert attribute_stores((SRC / "exprs.py").read_text(encoding="utf-8"), "compiled") != []
 
 
 def test_compiled_check_flags_planted_stores():
-    planted = (
-        "e.compiled = run\n"                     # 1
-        "node.left.compiled = None\n"            # 2
-        "run = e.compiled = build(e)\n"          # 3
-        "del e.compiled\n"                       # 4
-        "a.compiled, b = f, 0\n"                 # 5
-        "for x.compiled in runs: pass\n"         # 6
-    )
-    assert sorted(compiled_stores(planted)) == [("<source>", i) for i in range(1, 7)]
-    # Reads, and stores to other attributes, are not compiled stores.
-    assert compiled_stores("run = e.compiled\nf(e.compiled)\ne.tpair = p\n") == []
+    assert planted_stores("compiled") == [("<source>", i) for i in range(1, 7)]
+
+
+def test_only_the_statement_layer_stores_division_marks():
+    assert stores_outside("may_divide", "stmts.py") == []
+    assert attribute_stores((SRC / "stmts.py").read_text(encoding="utf-8"), "may_divide") != []
+
+
+def test_mark_check_flags_planted_stores():
+    assert planted_stores("may_divide") == [("<source>", i) for i in range(1, 7)]

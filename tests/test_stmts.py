@@ -22,8 +22,9 @@ from minisol.memory import (
     Undef,
 )
 from minisol.engine import interpret
-from minisol.stmts import (BUDGET, ERROR, FINISHED, PAUSED, ExecContext, drive, init_array,
-                           init_var)
+from minisol.stmts import (BUDGET, ERROR, FINISHED, PAUSED, SYMBOLIC, ExecContext, drive,
+                           init_array, init_var)
+from minisol.symbolic import SymVar
 from minisol.syntax import (
     Assign,
     Contract,
@@ -47,10 +48,14 @@ from minisol.syntax import (
     Tmap,
     Tuint,
     Var,
+    Varray,
     Vbool,
+    Vfield,
     Vint,
     Vmap,
+    divides_by_nonliteral,
     program_from_data,
+    program_to_data,
 )
 from minisol.values import Env, initial_env
 
@@ -727,3 +732,55 @@ class TestSymbolicMappingKeys:
         from minisol.exprs import eval_rvalue
         got = eval_rvalue(30, lhs, out, env)
         assert got.payload == IntPayload(SymVar("x"))
+
+
+# ---------------------------------------------------------------------------
+# The division mark: whether a statement's own expressions divide by other
+# than a nonzero literal, the only way a dispatch can build a new guard
+
+def over(divisor, op="/"):
+    return Ebop(op, Evar(Y, Tuint()), divisor)
+
+
+D = Evar(X, Tuint())
+
+
+class TestDivisionMark:
+    @pytest.mark.parametrize("rhs", [
+        over(D), over(Ebop("+", D, Econst(Vint(1)))), over(Econst(Vint(0))),
+        over(Econst(Vint(256, 8))), over(D, "%"), Ebop("+", Econst(Vint(1)), over(D)),
+    ], ids=["variable", "expression", "zero", "zero at its width", "modulo", "nested"])
+    def test_a_division_by_other_than_a_nonzero_literal_marks(self, rhs):
+        assert divides_by_nonliteral(Assign(Evar(Y, Tuint()), rhs))
+
+    @pytest.mark.parametrize("stmt", [
+        Assign(Econst(Varray(Tarray(4, Tuint()), (over(D),), Address(10))), Econst(Vint(1))),
+        Assign(Evar(Y, Tuint()), Econst(Vmap(Address(20), (over(D),), Tuint(), Tuint()))),
+        FunCall(Econst(Vfield(Tfid(), Address(30), Address(31), ("f",), (over(D),))), ()),
+    ], ids=["array index", "mapping key", "bound call argument"])
+    def test_a_division_inside_an_address_or_a_bound_argument_marks(self, stmt):
+        assert divides_by_nonliteral(stmt)
+
+    @pytest.mark.parametrize("stmt", [
+        Assign(Evar(Y, Tuint()), over(Econst(Vint(2)))),
+        Returns((over(Econst(Vint(7)), "%"),)),
+        If(Ebop("<", D, Econst(Vint(3))), (Assign(Evar(Y, Tuint()), over(D)),), ()),
+        LoopWhile(Ebop("<", D, Econst(Vint(3))), (Returns((over(D),)),)),
+    ], ids=["by 2", "modulo 7", "if with a dividing arm", "loop with a dividing body"])
+    def test_a_nonzero_literal_divisor_or_a_nested_statement_does_not_mark(self, stmt):
+        assert not divides_by_nonliteral(stmt)
+
+    def test_the_mark_is_kept_on_hand_built_and_decoded_statements(self, sigma, env):
+        seeded = declared(sigma, env)
+        seeded = gm.write(seeded, X, replace(seeded.blocks[X.index],
+                                             payload=IntPayload(SymVar("d"))), "dir")
+        built = Assign(Evar(Y, Tuint()), Ebop("/", Econst(Vint(10)), D))
+        data = program_to_data([built])
+        decoded, = program_from_data(data)
+        for stmt in (built, decoded):
+            assert stmt.may_divide is None
+            stop = drive(200, seeded, env, ExecContext(), (stmt,))
+            assert (stop.stop, [str(tree) for _what, tree in stop.divides]) == (
+                SYMBOLIC, ["(10 / d)"])
+            assert stmt.may_divide is True
+        assert program_to_data([built]) == data  # the mark is never serialized
