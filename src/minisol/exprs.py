@@ -14,7 +14,15 @@ the operator table of the symbolic module, the same one that evaluates
 symbolic trees: fixed-width integer arithmetic wraps (two's complement
 when signed), division and modulo by zero are absent, and both operands
 are always evaluated (no short circuit). When an operand is symbolic the
-result is a symbolic tree of the same kind.
+result is a symbolic tree of the same kind. A concrete comparison, logic
+operator or ``!`` gives one of two shared ``BoolPayload`` bits.
+
+The closure of an arithmetic, ordering or equality node applies the
+table's operator itself, wrapping through ``wrap_int``, when both operands
+are concrete integers of one width and signedness; a literal right
+operand is folded when the node is compiled. Every other operand, and an
+operator that fails, such as a division by zero, takes ``eval_bop``'s
+route, which stays the reference semantics.
 """
 
 from __future__ import annotations
@@ -120,15 +128,66 @@ def _compile_fun(e: Efun):
 
 def _compile_bop(e: Ebop):
     op, left, right = e.op, _compiled(e.left), e.right
+    integer = _KIND.get(op) in (_ARITH, _ORDER, _EQUAL)
     if type(right) is Econst and type(right.value) is Vint:
         # eval_bop reads only the payload of its right operand, so a literal
         # there is one value for every domain, needing one more level of K.
         v = right.value
         rhs = int_literal(v.value, v.width, v.signed, Address(0))
+        if integer and not (op in ("/", "%") and rhs.payload.value == 0):
+            return _concrete_literal_bop(op, left, rhs)
         return lambda K, sigma, env, op=op, left=left, rhs=rhs: (
             eval_bop(op, left(K - 1, sigma, env), rhs) if K > 2 else None)
-    return lambda K, sigma, env, op=op, left=left, right=_compiled(right): (
+    right = _compiled(right)
+    if integer:
+        return _concrete_bop(op, left, right)
+    return lambda K, sigma, env, op=op, left=left, right=right: (
         eval_bop(op, left(K - 1, sigma, env), right(K - 1, sigma, env)) if K > 1 else None)
+
+
+def _concrete_bop(op, left, right):
+    """The closure of an integer operator: the operator itself over two
+    concrete integers of one width and signedness, else ``eval_bop``."""
+    def bop(K, sigma, env, op=op, fn=OPS[op], arith=_KIND[op] == _ARITH,
+            left=left, right=right):
+        if K <= 1:
+            return None
+        lhs, rhs = left(K - 1, sigma, env), right(K - 1, sigma, env)
+        if lhs is not None and rhs is not None:
+            lp, rp = lhs.payload, rhs.payload
+            if (type(lp) is IntPayload and type(rp) is IntPayload
+                    and type(a := lp.value) is int and type(b := rp.value) is int
+                    and lp.width == rp.width and lp.signed == rp.signed):
+                try:
+                    r = fn(a, b)
+                except SymEvalError:
+                    return eval_bop(op, lhs, rhs)
+                return MemoryValue(
+                    IntPayload(wrap_int(r, lp.width, lp.signed), lp.width, lp.signed)
+                    if arith else _BITS[r], lhs.domain, lhs.access, lhs.occupancy)
+        return eval_bop(op, lhs, rhs)
+    return bop
+
+
+def _concrete_literal_bop(op, left, rhs):
+    """As ``_concrete_bop``, with the right operand a literal folded here; a
+    literal divisor is never zero."""
+    p = rhs.payload
+
+    def bop(K, sigma, env, op=op, fn=OPS[op], arith=_KIND[op] == _ARITH,
+            left=left, rhs=rhs, b=p.value, width=p.width, signed=p.signed):
+        if K <= 2:
+            return None
+        lhs = left(K - 1, sigma, env)
+        if lhs is not None:
+            lp = lhs.payload
+            if (type(lp) is IntPayload and type(a := lp.value) is int
+                    and lp.width == width and lp.signed == signed):
+                return MemoryValue(
+                    IntPayload(wrap_int(fn(a, b), width, signed), width, signed)
+                    if arith else _BITS[fn(a, b)], lhs.domain, lhs.access, lhs.occupancy)
+        return eval_bop(op, lhs, rhs)
+    return bop
 
 
 def _compile_uop(e: Euop):
@@ -172,6 +231,9 @@ _COMPILERS = {
 # The kind of each binary operator: arithmetic and ordering take two
 # integers, logic two bools, and equality either pair.
 _ARITH, _ORDER, _EQUAL, _LOGIC = "arith", "order", "equal", "logic"
+# The two bits of every concrete comparison, logic operator and ``!``,
+# indexed by the result.
+_BITS = (BoolPayload(False), BoolPayload(True))
 _KIND = {
     "+": _ARITH, "-": _ARITH, "*": _ARITH, "/": _ARITH, "%": _ARITH,
     "<": _ORDER, ">": _ORDER, "<=": _ORDER, ">=": _ORDER,
@@ -208,7 +270,8 @@ def eval_bop(op: str, lhs: MemoryValue | None,
             return None
         if arith:
             r = wrap_int(r, width, signed)
-    return MemoryValue(IntPayload(r, width, signed) if arith else BoolPayload(r),
+    return MemoryValue(IntPayload(r, width, signed) if arith
+                       else BoolPayload(r) if type(r) is SymOp else _BITS[r],
                        lhs.domain, lhs.access, lhs.occupancy)
 
 
@@ -225,6 +288,7 @@ def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
     if x is None:
         return None
     r = SymOp(op, (x,), width, signed) if is_symbolic(x) else apply_op(op, (x,), width, signed)
-    return MemoryValue(BoolPayload(r) if op == "!" else IntPayload(r, width, signed),
+    return MemoryValue(IntPayload(r, width, signed) if op == "neg"
+                       else BoolPayload(r) if type(r) is SymOp else _BITS[r],
                        v.domain, v.access, v.occupancy)
 

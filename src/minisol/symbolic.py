@@ -11,10 +11,11 @@ Both evaluating a tree under an assignment and the concrete operator
 evaluators in the expression layer go through the one operator table,
 ``OPS``, which holds the division-by-zero rule, with the wraparound and
 error rules of ``apply_op``, so symbolic and concrete results agree by
-construction. ``SymOp.eval`` and ``exprs.eval_bop``, which the compiled
-closure of every binary operator node calls, apply those rules inline,
-because fork filtering evaluates each branch condition once per model
-and binary operators run on the dispatch path.
+construction. ``SymOp.eval``, ``exprs.eval_bop`` and the compiled closures
+of the expression layer's integer operators, which call ``eval_bop`` for
+any operand but two concrete integers of one width, apply those rules
+inline, because fork filtering evaluates each branch condition once per
+model and binary operators run on the dispatch path.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def _mod(a, b):
 
 
 # The one operator table: concrete unary operators in the expression layer
-# go through apply_op, and exprs.eval_bop and SymOp.eval apply the same
-# rules inline.
+# go through apply_op, and SymOp.eval, exprs.eval_bop and the expression
+# layer's integer operator closures apply the same rules inline.
 OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
     "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from minisol import memory as gm
-from minisol import stmts
+from minisol import exprs, stmts
 from minisol.cli import build_arg_parser, cli_main, parse_command_line
 from minisol.symbolic import SymOp
 
@@ -440,6 +440,60 @@ def test_the_division_probes_fail_when_no_statement_is_marked(capsys, tmp_path, 
     spec.write_text("entry f\nsym d : int 0..3\npost r == 0\n")
     assert run_cli(capsys, "verify", str(program), "--spec", str(spec))[:2] == (
         0, "verified\n")
+
+
+# ---------------------------------------------------------------------------
+# An integer operator's closure applies the operator itself to concrete
+# operands; ``eval_bop`` is the route of every other operand.
+
+COUNT_LOOP = """contract Count { uint n = 0; uint i = 0; uint k = 0;
+    function count() public { while (i < k) { n += 1; i += 1; } } }
+"""
+
+
+@pytest.fixture
+def bop_calls(monkeypatch):
+    """One entry per ``exprs.eval_bop`` call made while the test runs."""
+    calls, real = [], exprs.eval_bop
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(exprs, "eval_bop", counted)
+    return calls
+
+
+def test_a_concrete_counting_loop_never_calls_eval_bop(capsys, tmp_path, bop_calls):
+    # Boxing each `+` and `<` through eval_bop's type guards was the largest
+    # own-time function of a counting run.
+    program = tmp_path / "count.lls"
+    program.write_text(COUNT_LOOP)
+    rc, out, _ = run_cli(capsys, "run", str(program), "--entry", "count", "--arg", "k=20",
+                         "--gas", "200")
+    assert (rc, out.count("\tint:u64:20\n"), bop_calls) == (0, 3, [])
+
+
+def test_symbolic_operands_take_eval_bops_route(capsys, bop_calls):
+    rc, out, _ = run_cli(capsys, "verify", "tests/golden/branchy.lls",
+                         "--spec", "tests/golden/branchy.spec")
+    assert (rc, out.split(" ")[0]) == (1, "refuted") and bop_calls
+
+
+def test_the_count_probe_fails_when_every_closure_falls_back(capsys, tmp_path, bop_calls,
+                                                            monkeypatch):
+    def falling_back(op, left, right):
+        return lambda K, sigma, env: (
+            exprs.eval_bop(op, left(K - 1, sigma, env), right(K - 1, sigma, env))
+            if K > 1 else None)
+
+    def literal_falling_back(op, left, rhs):
+        return lambda K, sigma, env: (
+            exprs.eval_bop(op, left(K - 1, sigma, env), rhs) if K > 2 else None)
+    monkeypatch.setattr(exprs, "_concrete_bop", falling_back)
+    monkeypatch.setattr(exprs, "_concrete_literal_bop", literal_falling_back)
+    with pytest.raises(AssertionError):
+        test_a_concrete_counting_loop_never_calls_eval_bop(capsys, tmp_path, bop_calls)
+    assert sorted(set(bop_calls)) == ["+", "<"]
 
 
 @pytest.mark.parametrize("module", ["minisol", "minisol.cli"])

@@ -25,7 +25,7 @@ from minisol.runner import build_world, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
 from minisol.stmts import ExecContext, drive
-from minisol.symbolic import SymExpr, SymVar
+from minisol.symbolic import SymExpr, SymOp, SymVar
 from minisol.syntax import (
     Ebop,
     Econst,
@@ -541,7 +541,94 @@ class TestOperatorGuards:
             assert eval_bop(op, iv(1), iv(None)) is None
             assert eval_bop(op, bv(None), bv(True)) is None
 
+    def test_concrete_bits_are_two_shared_payloads(self, sigma, env):
+        for bit in (True, False):
+            payloads = [eval_bop("<", iv(1), iv(2 if bit else 0)).payload,
+                        eval_bop("==", bv(True), bv(bit)).payload,
+                        eval_bop("||", bv(False), bv(bit)).payload,
+                        eval_uop("!", bv(not bit)).payload,
+                        eval_rvalue(10, Ebop(">=", lit(2), lit(1 if bit else 3)), sigma,
+                                    env).payload]
+            assert payloads[0] == BoolPayload(bit)
+            assert all(p is payloads[0] for p in payloads)
+        assert eval_uop("!", bv(SymVar("x"))).payload == BoolPayload(SymOp("!", (SymVar("x"),)))
+
     def test_unary_and_unknown_operator_names_are_absent(self):
         for op in ("!", "neg", "**", "&", ""):
             assert eval_bop(op, iv(1), iv(2)) is None
             assert eval_bop(op, bv(True), bv(False)) is None
+
+
+# ---------------------------------------------------------------------------
+# A compiled operator node against eval_bop, its reference semantics
+
+_OWN, _OTHER = Address(40), Address(41)
+_FRESH = fresh_memory(100)  # states are values, so every example may start from it
+
+
+def _int_values(width, signed):
+    lo, hi = (-(1 << (width - 1)), (1 << (width - 1)) - 1) if signed else (0, (1 << width) - 1)
+    edges = sorted({lo, lo + 1, -1 if signed else 2, 0, 1, hi - 1, hi})
+    return st.one_of(st.sampled_from(edges), st.integers(lo, hi))
+
+
+_INT_SHAPES = st.tuples(st.sampled_from([8, 64]), st.booleans())
+
+
+@st.composite
+def _operand_payloads(draw, shape):
+    """A payload for one operand: usually an integer of ``shape``, else
+    another width or signedness, a bool, a symbol or an unset value."""
+    width, signed = draw(st.one_of(st.just(shape), _INT_SHAPES))
+    kind = draw(st.sampled_from(["int", "int", "int", "bool", "symbol", "unset"]))
+    if kind == "bool":
+        return BoolPayload(draw(st.one_of(st.booleans(), st.just(SymVar("p")))))
+    value = {"int": lambda: draw(_int_values(width, signed)),
+             "symbol": lambda: SymVar("x"), "unset": lambda: None}[kind]()
+    return IntPayload(value, width, signed)
+
+
+@st.composite
+def _operand(draw, shape, index):
+    """An operand node over block ``index``: readable, foreign-private or
+    free, or a reference with no address."""
+    block = draw(st.sampled_from(["readable", "readable", "readable", "foreign", "free",
+                                  "no address"]))
+    if block == "no address":
+        return Evar(None, Tuint()), None
+    if block == "free":
+        return Evar(Address(index), Tuint()), None
+    access = gm.PRIVATE if block == "foreign" else draw(st.sampled_from([gm.PUBLIC, gm.PRIVATE]))
+    domain = _OTHER if block == "foreign" else _OWN
+    return Evar(Address(index), Tuint()), MemoryValue(draw(_operand_payloads(shape)),
+                                                      domain, access)
+
+
+def _exactly(mv):
+    """A memory value with the Python class of its payload's contents."""
+    if mv is None:
+        return None
+    p = mv.payload
+    return mv, type(p), type(p.value if type(p) is IntPayload else p.bit)
+
+
+class TestCompiledOperatorsAgreeWithEvalBop:
+    @given(op=st.sampled_from(TestOperatorGuards.BINARY), shape=_INT_SHAPES, data=st.data(),
+           literal=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_a_compiled_node_gives_eval_bops_value(self, op, shape, data, literal):
+        sigma, env = _FRESH, Env(10_000, _OWN)
+        left, left_block = data.draw(_operand(shape, 7))
+        if literal:
+            width, signed = data.draw(st.one_of(st.just(shape), _INT_SHAPES))
+            right = Econst(Vint(data.draw(_int_values(width, signed)), width, signed))
+            right_block = None
+        else:
+            right, right_block = data.draw(_operand(shape, 8))
+        for node, value in ((left, left_block), (right, right_block)):
+            if value is not None:
+                sigma = gm.write(sigma, node.addr, value, "dir")
+        node = Ebop(op, left, right)
+        want = eval_bop(op, eval_rvalue(20, left, sigma, env), eval_rvalue(20, right, sigma, env))
+        assert _exactly(eval_rvalue(20, node, sigma, env)) == _exactly(want)
+        assert node.compiled is not None
