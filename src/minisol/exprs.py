@@ -171,7 +171,9 @@ def _concrete_bop(op, left, right):
 
 def _concrete_literal_bop(op, left, rhs):
     """As ``_concrete_bop``, with the right operand a literal folded here; a
-    literal divisor is never zero."""
+    literal divisor is never zero. Passing ``_concrete_bop`` the literal as
+    a closure instead made count-run-m100's ``job_s.p50`` 2.5% higher (ten
+    alternating pairs, 2-core x86_64, ``BENCH_27.json``)."""
     p = rhs.payload
 
     def bop(K, sigma, env, op=op, fn=OPS[op], arith=_KIND[op] == _ARITH,

@@ -58,3 +58,12 @@ def test_a_metric_missing_from_one_run_is_left_out():
     summary = pairs.summarize([(parent, change)])
     assert list(summary) == ["count-run-m100.job_s.p50"]
     assert summary["count-run-m100.job_s.p50"]["parent_q1"] == 0.01
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error(count, capsys):
+    src = str(Path(pairs.ROOT) / "src")
+    with pytest.raises(SystemExit) as exc:
+        pairs.main([src, src, "--pairs", count])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err

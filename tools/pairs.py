@@ -1,11 +1,11 @@
 """Alternating pairs of benchmark runs over two source trees.
 
     python3 tools/pairs.py PARENT_SRC CHANGE_SRC --pairs 10 --seconds 20 \\
-        [--workload all] [--seed 3] [--work DIR] [--json FILE]
+        [--workload all] [--seed 3] [--json FILE]
 
 Each run is ``perfbench/run.py --workload W --seed S --seconds T`` in one
-work directory, which holds a copy of this checkout's ``perfbench/`` and
-``samples/`` and, before each run, a fresh copy of the side's ``src/``
+temporary directory, which holds a copy of this checkout's ``perfbench/``
+and ``samples/`` and, before each run, a fresh copy of the side's ``src/``
 tree: peak RSS moves with the directory a checkout sits in, so both sides
 run from the same one. Pair ``i`` runs seed ``SEED + i``, the parent first
 in even pairs and the change first in odd ones.
@@ -97,18 +97,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seed", type=int, default=3, help="seed of the first pair")
-    ap.add_argument("--work", type=Path, help="work directory (default: a temporary one)")
     ap.add_argument("--json", type=Path, help="write the runs and the summary here")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, not {args.pairs}")
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     for side, tree in trees.items():
         if not (tree / "minisol" / "cli.py").is_file():
             ap.error(f"{side}: {tree} holds no minisol/cli.py")
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
+        work = Path(tmp)
         for d in ("perfbench", "samples"):
-            shutil.rmtree(work / d, ignore_errors=True)
             shutil.copytree(ROOT / d, work / d, ignore=shutil.ignore_patterns("__pycache__", "out"))
         runs = []
         for i in range(args.pairs):
