@@ -391,7 +391,7 @@ def cli_main(argv=None) -> int:
     try:
         return _COMMANDS[ns.command][2](ns)
     except (ParseError, BindError, LTypeError, SpecError, RunnerError,
-            MemoryConfigError, OSError) as exc:
+            MemoryConfigError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if getattr(ns, "json", False):
             print(json.dumps({"status": "error", "diagnostic": str(exc)}))

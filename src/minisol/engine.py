@@ -9,9 +9,11 @@ run: gas is spent per dispatched statement, the recursion budget K per
 nested value or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
-declared finite domain; no external solver is involved. A path's
-``Models`` are searched only on demand, and a branch that the path
-condition already decides is followed or pruned with no search. A
+declared finite domain; no external solver is involved. Only the root
+``Models`` searches the domain product, and only on demand; a fork
+evaluates its condition once over its parent's models and gives each
+child the models on its side, and a branch that the path condition
+already decides is followed or pruned with no evaluation. A
 dispatch whose values divide by a symbolic tree forks on the divisor
 being nonzero, and the models under which it is zero end on an ``error``
 path, as a concrete run fails there, so no stored tree fails to evaluate.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 from . import memory as gm
 from .memory import MemoryState, MemoryValue
@@ -166,66 +168,26 @@ def satisfiable(condition, symbols) -> dict | None:
     return None
 
 
-class _lazy:
-    """A method's value, computed on first access and kept in the instance
-    dict, which later reads find before this descriptor. Unlike Python
-    3.11's ``functools.cached_property`` it takes no class-wide lock, which
-    would cost a first access on every fork's models."""
-
-    def __init__(self, method):
-        self.method = method
-
-    def __get__(self, obj, _owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.method.__name__] = self.method(obj)
-        return value
-
-
 class Models:
-    """The models of a path condition in ``itertools.product`` order, found
-    only when asked for: ``models`` as given, the product of ``symbols``
-    filtered by ``condition``, or for a child its ``parent``'s models that
-    satisfy ``constraint``. A child's ``witness`` (first model) is its
-    parent's when that satisfies the constraint; otherwise it filters its
-    parent's models, which the parent splits once for both children of a
-    fork. A set equals the tuple of its models.
+    """The models of a path condition in ``itertools.product`` order:
+    ``models`` as given, or for the root of a verify the product of
+    ``symbols`` filtered by ``condition``, searched only when asked for.
+    ``witness`` is the first model. A set equals the tuple of its models.
     """
 
-    def __init__(self, models=None, symbols=(), condition=(), parent=None,
-                 constraint=None):
+    def __init__(self, models=None, symbols=(), condition=()):
         if models is not None:
             self.all = tuple(models)
+            self.witness = self.all[0] if self.all else None
         self._symbols, self._condition = symbols, condition
-        self._parent, self._constraint, self._split = parent, constraint, None
 
-    @_lazy
+    @cached_property
     def witness(self) -> dict | None:
-        parent = self._parent
-        if "all" not in vars(self):
-            if parent is None:
-                return satisfiable(self._condition, self._symbols)
-            if parent.witness is not None and self._constraint.holds(parent.witness):
-                return parent.witness
-        return next(iter(self.all), None)
+        return satisfiable(self._condition, self._symbols)
 
-    @_lazy
+    @cached_property
     def all(self):
-        if self._parent is None:
-            return tuple(satisfying_assignments(self._condition, self._symbols))
-        return self._parent._partition(self._constraint.expr, self._constraint.expected)
-
-    def _partition(self, expr: SymExpr, side: bool) -> list:
-        """The models under which ``expr`` is ``side`` (a failure is neither,
-        as in ``holds``); the split is kept, so a fork splits once for both."""
-        if self._split is None or self._split[0] is not expr:
-            self._split = (expr, [], [])
-            for m in self.all:
-                try:
-                    self._split[1 + bool(expr.eval(m))].append(m)
-                except SymEvalError:
-                    pass
-        return self._split[1 + side]
+        return tuple(satisfying_assignments(self._condition, self._symbols))
 
     def __iter__(self):
         return iter(self.all)
@@ -307,14 +269,15 @@ def symbolic_blocks(sigma: MemoryState) -> tuple:
 def explore(K: int, initial: PathState) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    The dispatch loop stops on a symbolic branch after dispatching it and
-    hands back both continuations. The path forks there into a
+    The dispatch loop stops on a symbolic branch and hands back the
+    dispatch's result, with both continuations. The path forks there into a
     condition-false child, which goes on from the skipped remainder, and a
     condition-true child, which goes on from the taken one, so no child
-    dispatches the branch again. Each child keeps the parent models
-    (starting from ``initial.models``) that satisfy its side of the
-    branch; a child with no model left, or whose side the path condition
-    contradicts, is pruned. A dispatch that divides by a symbolic tree
+    dispatches the branch again. The condition is evaluated once under each
+    parent model (starting from ``initial.models``), and each child keeps
+    the models on its side; one under which it fails is on neither. A
+    child with no model, or whose side the path condition contradicts, is
+    pruned. A dispatch that divides by a symbolic tree
     first forks on the divisor (see ``_guard``). The false child is pushed
     last, so it is explored first, and the terminals come out in
     path-condition order: two of them share a prefix of constraints and
@@ -331,19 +294,21 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             condition, models = _guard(ps, run, terminals)
-            if run.cond is None and models is not None:  # a division alone goes on
-                stack.append(PathState(sigma, run.env, condition, run.remaining, ps.ctx, note,
-                                       models))
-            if run.cond is None or models is None:
+            if models is None:
                 continue
-            known = next((c.expected for c in condition if c.expr == run.cond), None)
-            for branch, remaining in ((True, run.remaining), (False, run.skipped)):
-                c = Constraint(run.cond, branch)
-                child = Models(parent=models, constraint=c) if known is None else models
-                if known is (not branch) or child.witness is None:
-                    continue
-                stack.append(PathState(sigma, run.env, condition + (c,), remaining,
-                                       ps.ctx, note, child))
+            res, cond = run.step, run.step.symbolic_cond
+            if cond is None:  # a division alone goes on
+                stack.append(PathState(res.sigma, res.env, condition, res.remaining, ps.ctx,
+                                       note, models))
+                continue
+            known = next((c.expected for c in condition if c.expr == cond), None)
+            sides = _split(cond, models) if known is None else {known: models}
+            for branch, remaining in ((True, res.remaining), (False, res.skipped)):
+                child = sides.get(branch)
+                if child is not None and child.witness is not None:
+                    c = Constraint(cond, branch)
+                    stack.append(PathState(res.sigma, res.env, condition + (c,), remaining,
+                                           ps.ctx, note, child))
             continue
         if run.stop == ERROR:
             sigma, note = None, f"error: {run.error}"
@@ -356,14 +321,27 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     return terminals
 
 
+def _split(expr: SymExpr, models) -> dict:
+    """``models`` by the value of ``expr``, ``{True: Models, False: Models}``;
+    a model under which ``expr`` fails is on neither side, as in ``holds``."""
+    sides = {True: [], False: []}
+    for m in models:
+        try:
+            sides[bool(expr.eval(m))].append(m)
+        except SymEvalError:
+            pass
+    return {side: Models(ms) for side, ms in sides.items()}
+
+
 def _guard(ps: PathState, run, terminals: list) -> tuple:
-    """``ps``'s condition with each guard of a tree in ``run.divides`` that it
-    lacks, and the models left (or None), as KLEE checks each division (Cadar,
-    Dunbar and Engler, OSDI 2008). The others end on one ``error`` terminal
-    with the env and remainder of the dispatch, naming the first value that
-    fails under the first of them, and the error unless it is the condition."""
+    """``ps``'s condition with each guard of a tree in ``run.step.divides``
+    that it lacks, and the models left (or None), as KLEE checks each
+    division (Cadar, Dunbar and Engler, OSDI 2008). The others end on one
+    ``error`` terminal before the dispatch, as an ``ERROR`` stop leaves it,
+    naming the first value that fails under the first of them, and the
+    error unless it is the condition."""
     named = {}
-    for what, tree in run.divides:
+    for what, tree in run.step.divides:
         for c in map(Constraint, tree.guards):
             if c not in ps.condition:
                 named.setdefault(c, (what, tree))
@@ -379,9 +357,8 @@ def _guard(ps: PathState, run, terminals: list) -> tuple:
         try:
             tree.eval(m)
         except SymEvalError as exc:
-            note += "" if tree is run.cond else f": {exc}"
-        env, remaining = run.before
-        terminals.append(PathState(None, env, ps.condition, remaining, ps.ctx, note,
+            note += "" if tree is run.step.symbolic_cond else f": {exc}"
+        terminals.append(PathState(None, run.env, ps.condition, run.remaining, ps.ctx, note,
                                    Models(failing)))
     return ps.condition + tuple(named), Models(passing) if passing else None
 

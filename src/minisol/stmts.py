@@ -21,7 +21,7 @@ callers of it.
 head's exact type up in ``_RULES``, one rule per statement class, and
 every rule takes its arguments unchanged. A rule that evaluates a value
 lists each division in it by a symbolic divisor, and ``drive`` stops
-after it as on a symbolic branch, so the explorer forks there. Only a
+before it as on a symbolic branch, so the explorer forks there. Only a
 statement that divides, by its own expressions, is checked: its mark is
 computed once and kept on the node. Any other symbolic tree it evaluates
 was read from memory, where the dispatch that stored it checked it, or is
@@ -552,10 +552,10 @@ _RULES = {
 # ---------------------------------------------------------------------------
 # The dispatch loop
 
-# Why ``drive`` stopped. After ERROR the run holds the state before the
-# failing dispatch, with that statement still at the head. After SYMBOLIC
-# it holds the state after the dispatch, its gas spent: ``remaining``
-# continues where the branch condition holds, ``skipped`` where it fails.
+# Why ``drive`` stopped. After ERROR and SYMBOLIC the run holds the state
+# before the stopping dispatch, with that statement still at the head.
+# After SYMBOLIC, ``step`` is that dispatch's result, its gas spent: the
+# explorer forks there and splits the path's models once between the sides.
 FINISHED = "finished"   # no statement left
 NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # gas spent
@@ -571,11 +571,8 @@ class Run:
     env: Env
     remaining: tuple
     error: str | None = None
-    cond: SymExpr | None = None  # the condition when stopped on SYMBOLIC
-    skipped: tuple = ()          # with it: the remainder where it fails
-    halted: bool = False         # the last dispatch was a throw
-    divides: tuple = ()          # with SYMBOLIC: the dispatch's ``divides``
-    before: tuple = ()           # with SYMBOLIC: (env, remaining) as ERROR holds them
+    halted: bool = False               # the last dispatch was a throw
+    step: StepResult | None = None     # with SYMBOLIC: the stopping dispatch
 
     def final(self, ctx: ExecContext) -> MemoryState | None:
         """The result of a concrete run: absent after a failed dispatch, a
@@ -610,8 +607,7 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
         if res.symbolic_cond is not None or res.divides:
-            return Run(SYMBOLIC, res.sigma, res.env, res.remaining, cond=res.symbolic_cond,
-                       skipped=res.skipped, divides=res.divides, before=(env, remaining))
+            return Run(SYMBOLIC, sigma, env, remaining, step=res)
         sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
         if once:
             return Run(PAUSED, sigma, env, remaining, halted=halted)

@@ -284,6 +284,22 @@ class TestVerify:
         assert "'d': 0" in doc["diagnostic"]
         assert "Traceback" not in proc.stderr
 
+    def test_a_deep_symbolic_tree_ends_without_a_traceback(self, tmp_path):
+        # 1200 iterations nest ``r + d`` 1200 deep, past Python's recursion
+        # limit once the tree is evaluated. Whatever the verdict, it reaches
+        # the user as an exit code and one JSON record.
+        prog = tmp_path / "deep.lls"
+        prog.write_text("contract S { uint r = 0; uint i = 0; uint d; function f() public "
+                        "{ while (i < 1200) { r = r + d; i = i + 1; } } }\n")
+        spec = tmp_path / "deep.spec"
+        spec.write_text("entry f\nsym d : int 1..3\npost r == 0\n")
+        proc = run_module("minisol", "verify", str(prog), "--spec", str(spec),
+                          "--gas", "100000", "--k", "100000", "--json")
+        assert proc.returncode in (0, 1, 3)
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 1 and "status" in json.loads(lines[0])
+
     def test_failed_run_json_is_one_error_record(self, capsys, tmp_path):
         prog = tmp_path / "div.lls"
         prog.write_text(

@@ -597,6 +597,23 @@ class TestEnumerationReuse:
         assert verdict.status == status
         assert verdict.witness == witness
 
+    def test_a_fork_checks_no_witness_again(self, monkeypatch):
+        # A fork evaluates its condition once under each parent model and
+        # gives each child its side, so no constraint is checked under a
+        # model it was already split by.
+        checked = []
+        holds = Constraint.holds
+        monkeypatch.setattr(Constraint, "holds",
+                            lambda c, asg: checked.append(c) or holds(c, asg))
+        golden = Path("tests/golden")
+        pre, prog, post, spec, _require = spec_triple(
+            (golden / "branchy.lls").read_text(encoding="utf-8"),
+            (golden / "branchy.spec").read_text(encoding="utf-8"))
+        assert [(s.lo, s.hi) for s in spec.symbols] == [(0, 3)] * 3
+        verdict = verify_triple(pre, prog, post, symbols=tuple(spec.symbols))
+        assert (verdict.status, len(verdict.paths) > 1) == ("refuted", True)
+        assert checked == []
+
     def test_concretize_rebuilds_only_symbolic_blocks(self):
         with open("samples/wallet.lls", encoding="utf-8") as fh:
             source = fh.read()

@@ -67,3 +67,28 @@ def test_fewer_than_one_pair_is_a_usage_error(count, capsys):
         pairs.main([src, src, "--pairs", count])
     assert exc.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_an_end_to_end_metric_worse_beyond_its_bound_is_marked():
+    bounds = pairs.end_to_end_bounds()
+    assert bounds["job_s.p50"] == (0.25, "lower") and bounds["peak_rss_mb"][1] == "lower"
+    # p50 is 30% worse (beyond 25%); RSS is 5% worse, inside its bound
+    runs = [(pairs.result_object(canned_run(0.0100, 24.0)),
+             pairs.result_object(canned_run(0.0130, 25.2)))]
+    summary = pairs.summarize(runs, {"job_s.p50": (0.25, "lower"),
+                                     "peak_rss_mb": (0.1, "lower")})
+    p50, rss = summary["count-run-m100.job_s.p50"], summary["count-run-m100.peak_rss_mb"]
+    assert (p50["bound"], p50["beyond_bound"]) == (0.25, True)
+    assert (rss["bound"], rss["beyond_bound"]) == (0.1, False)
+    rows = pairs.format_summary(summary).splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["WORSE", "ok"]
+    # a metric the declaration gives no bound is not marked
+    assert "bound" not in pairs.summarize(runs)["count-run-m100.job_s.p50"]
+
+
+@pytest.mark.parametrize("parent, change, better, beyond", [
+    (1.0, 1.25, "lower", False), (1.0, 1.26, "lower", True), (1.0, 0.5, "lower", False),
+    (1.0, 0.75, "higher", False), (1.0, 0.74, "higher", True), (1.0, 2.0, "higher", False),
+])
+def test_the_bound_is_relative_to_the_parents_median(parent, change, better, beyond):
+    assert pairs.beyond_bound(parent, change, 0.25, better) is beyond

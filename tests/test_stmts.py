@@ -324,6 +324,35 @@ def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
         assert r.sigma is sigma and r.remaining == (head, Snil())
 
 
+@pytest.mark.parametrize("kind", ["branch", "division"])
+def test_a_symbolic_stop_holds_the_state_before_the_dispatch(sigma, env, kind):
+    # As after ERROR, the stopping statement is still at the head with its
+    # gas unspent; ``step`` is what its dispatch made, one unit of gas spent.
+    seeded = declared(sigma, env)
+    seeded = gm.write(seeded, X, replace(seeded.blocks[X.index],
+                                         payload=IntPayload(SymVar("d"))), "dir")
+    then, orelse = (Assign(Evar(Y, Tuint()), Econst(Vint(1))),), (Throw(),)
+    if kind == "branch":
+        head = If(Ebop("<", Evar(X, Tuint()), Econst(Vint(3))), then, orelse)
+    else:
+        head = Assign(Evar(Y, Tuint()), Ebop("/", Econst(Vint(10)), Evar(X, Tuint())))
+    prog = (head, Snil())
+    stop = drive(200, seeded, env, ExecContext(), prog)
+    assert (stop.stop, stop.remaining, stop.error) == (SYMBOLIC, prog, None)
+    assert stop.sigma is seeded and stop.env is env
+    step = stop.step
+    assert step.env.gas == env.gas - 1
+    if kind == "branch":
+        assert step.sigma is seeded
+        assert (str(step.symbolic_cond), step.remaining, step.skipped, step.divides) == (
+            "(d < 3)", (*then, Snil()), (*orelse, Snil()), ())
+    else:
+        assert (step.symbolic_cond, step.remaining) == (None, (Snil(),))
+        assert [(what, str(tree)) for what, tree in step.divides] == [
+            ("assignment right side", "(10 / d)")]
+        assert str(step.sigma.blocks[Y.index].payload.value) == "(10 / d)"
+
+
 class TestLoops:
     def test_while_false_skips_body(self, sigma, env):
         seeded = declared(sigma, env)
@@ -780,7 +809,7 @@ class TestDivisionMark:
         for stmt in (built, decoded):
             assert stmt.may_divide is None
             stop = drive(200, seeded, env, ExecContext(), (stmt,))
-            assert (stop.stop, [str(tree) for _what, tree in stop.divides]) == (
+            assert (stop.stop, [str(tree) for _what, tree in stop.step.divides]) == (
                 SYMBOLIC, ["(10 / d)"])
             assert stmt.may_divide is True
         assert program_to_data([built]) == data  # the mark is never serialized

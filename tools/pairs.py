@@ -12,8 +12,11 @@ in even pairs and the change first in odd ones.
 
 For each workload and metric the script prints each side's median and
 quartiles and the number of pairs the change won. Every end-to-end metric
-is better lower, and a tie wins for neither side. ``--json`` also writes
-every run's result object and the summary.
+is better lower, and a tie wins for neither side. Each end-to-end metric
+that ``BENCHMARK.json`` declares with a relative ``bound`` is marked
+``ok``, or ``WORSE`` when the change's median is worse than the parent's
+by more than that bound, and the last line names every ``WORSE`` one.
+``--json`` also writes every run's result object and the summary.
 """
 
 from __future__ import annotations
@@ -40,6 +43,20 @@ def result_object(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def end_to_end_bounds() -> dict:
+    """``{metric: (bound, better)}`` for each end-to-end metric that this
+    checkout's ``BENCHMARK.json`` declares; the file is only read."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["bound"], m["better"]) for m in doc["end_to_end"]}
+
+
+def beyond_bound(parent: float, change: float, bound: float, better: str) -> bool:
+    """Whether ``change`` is worse than ``parent`` by more than the relative ``bound``."""
+    if better == "lower":
+        return change > parent * (1 + bound)
+    return change < parent * (1 - bound)
+
+
 def _quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0]
@@ -47,33 +64,41 @@ def _quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def summarize(pairs: list) -> dict:
+def summarize(pairs: list, bounds: dict | None = None) -> dict:
     """Per metric of both sides' result objects, over ``(parent, change)``
-    pairs: each side's median and quartiles, and the pairs the change won."""
+    pairs: each side's median and quartiles, and the pairs the change won.
+    A ``WORKLOAD.METRIC`` whose metric ``bounds`` names also gets its
+    ``bound`` and whether the change's median is ``beyond_bound``."""
     names = [n for n in pairs[0][0]["metrics"]
              if all(n in side["metrics"] for pair in pairs for side in pair)]
     summary = {}
     for name in names:
         parent, change = ([pair[i]["metrics"][name]["value"] for pair in pairs] for i in (0, 1))
         (p1, p3), (c1, c3) = _quartiles(parent), _quartiles(change)
-        summary[name] = {
+        s = summary[name] = {
             "parent_median": statistics.median(parent), "parent_q1": p1, "parent_q3": p3,
             "change_median": statistics.median(change), "change_q1": c1, "change_q3": c3,
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        metric = name.partition(".")[2]
+        if bounds and metric in bounds:
+            bound, better = bounds[metric]
+            s["bound"] = bound
+            s["beyond_bound"] = beyond_bound(s["parent_median"], s["change_median"], bound, better)
     return summary
 
 
 def format_summary(summary: dict) -> str:
     lines = [f"{'metric':36s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s}"
-             f" {'won':>6s} {'change':>8s}"]
+             f" {'won':>6s} {'change':>8s} {'bound':>6s}"]
     for name, s in summary.items():
         ratio = s["change_median"] / s["parent_median"] - 1 if s["parent_median"] else 0.0
         sides = [f"{s[f'{side}_median']:.5g} [{s[f'{side}_q1']:.5g}, {s[f'{side}_q3']:.5g}]"
                  for side in SIDES]
+        mark = "" if "bound" not in s else "WORSE" if s["beyond_bound"] else "ok"
         lines.append(f"{name:36s} {sides[0]:>34s} {sides[1]:>34s}"
-                     f" {s['change_better_pairs']:>2d}/{s['pairs']:<3d} {ratio:+8.1%}")
+                     f" {s['change_better_pairs']:>2d}/{s['pairs']:<3d} {ratio:+8.1%} {mark:>6s}")
     return "\n".join(lines)
 
 
@@ -121,8 +146,10 @@ def main(argv=None) -> int:
                   f"{pair['parent']['correct']}, change correct {pair['change']['correct']}",
                   file=sys.stderr)
 
-    summary = summarize([(r["parent"], r["change"]) for r in runs])
+    summary = summarize([(r["parent"], r["change"]) for r in runs], end_to_end_bounds())
     print(format_summary(summary))
+    worse = [name for name, s in summary.items() if s.get("beyond_bound")]
+    print(f"worse than the parent beyond the bound: {', '.join(worse) or 'none'}")
     if args.json:
         args.json.write_text(json.dumps({"pairs": runs, "summary": summary}, indent=1) + "\n",
                              encoding="utf-8")
