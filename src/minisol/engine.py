@@ -10,15 +10,12 @@ nested value or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
 declared finite domain; no external solver is involved. Only the root
-``Models`` searches the domain product, and only on demand; a fork
-evaluates its condition once over its parent's models and gives each
-child the models on its side, and a branch that the path condition
-already decides is followed or pruned with no evaluation. A
-dispatch whose values divide by a symbolic tree forks on the divisor
-being nonzero, and the models under which it is zero end on an ``error``
-path, as a concrete run fails there, so no stored tree fails to evaluate.
-That check runs only at a statement whose own expressions divide: a tree
-read from memory was checked by the dispatch that stored it.
+``Models`` searches the domain product, and only on demand. A stopping
+dispatch hands ``explore`` its splits, and ``_fork`` partitions the
+models by each: a symbolic branch condition, or the divisor guards of a
+dispatch that divides by a symbolic tree, whose failing models end on an
+``error`` path as a concrete run fails there, so no stored tree fails to
+evaluate. Only a statement whose own expressions divide is guarded.
 ``verify_triple`` is the one verification route. ``holds`` evaluates its
 ``require`` and expression posts with ``eval_rvalue``, per model where a
 symbolic index or key stops it. Its judge asks the ``Post`` for each
@@ -32,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from . import memory as gm
 from .memory import MemoryState, MemoryValue
@@ -114,7 +111,7 @@ def interpret(K: int, sigma: MemoryState | None, env: Env, prog,
     """Run a typechecked program with concrete inputs.
 
     Spent gas returns the state reached so far; a failed dispatch or a
-    symbolic branch condition makes the result absent. The state at entry
+    symbolic branch or divisor makes the result absent. The state at entry
     is snapshotted as the restore point for throw.
     """
     if ctx is None:
@@ -128,14 +125,14 @@ def interpret(K: int, sigma: MemoryState | None, env: Env, prog,
 # Step debugger
 
 _STEP_NOTES = {FINISHED: "finished", NO_STATE: "stuck: no memory state",
-               BUDGET: "halted: gas exhausted", SYMBOLIC: "stuck: symbolic branch condition"}
+               BUDGET: "halted: gas exhausted", SYMBOLIC: "stuck: symbolic branch or divisor"}
 
 
 def step(ps: PathState, K: int = 1000) -> PathState:
     """Execute exactly one statement of a path.
 
-    Stuck situations (spent gas, failed dispatch, symbolic branch) leave
-    the remaining program in place and set a diagnostic note.
+    Stuck situations (spent gas, failed dispatch, symbolic branch or
+    divisor) leave the remaining program in place and set a diagnostic note.
     """
     run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining, once=True)
     if run.stop == ERROR:
@@ -269,20 +266,12 @@ def symbolic_blocks(sigma: MemoryState) -> tuple:
 def explore(K: int, initial: PathState) -> list[PathState]:
     """Depth-first exploration of every feasible branch.
 
-    The dispatch loop stops on a symbolic branch and hands back the
-    dispatch's result, with both continuations. The path forks there into a
-    condition-false child, which goes on from the skipped remainder, and a
-    condition-true child, which goes on from the taken one, so no child
-    dispatches the branch again. The condition is evaluated once under each
-    parent model (starting from ``initial.models``), and each child keeps
-    the models on its side; one under which it fails is on neither. A
-    child with no model, or whose side the path condition contradicts, is
-    pruned. A dispatch that divides by a symbolic tree
-    first forks on the divisor (see ``_guard``). The false child is pushed
-    last, so it is explored first, and the terminals come out in
-    path-condition order: two of them share a prefix of constraints and
-    then differ at a sibling pair, ``E=F`` before ``E=T``. Every path
-    shares ``initial.ctx``.
+    The dispatch loop stops on a dispatch that forks, and ``_fork`` splits
+    the path's models (from ``initial.models``) by its result, whose
+    continuations the children take, so none dispatches it again. A false
+    child is explored first, so the terminals come out in path-condition
+    order: two share a prefix and then differ at a sibling pair, ``E=F``
+    before ``E=T``. Every path shares ``initial.ctx``.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
@@ -293,22 +282,7 @@ def explore(K: int, initial: PathState) -> list[PathState]:
         run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining)
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
-            condition, models = _guard(ps, run, terminals)
-            if models is None:
-                continue
-            res, cond = run.step, run.step.symbolic_cond
-            if cond is None:  # a division alone goes on
-                stack.append(PathState(res.sigma, res.env, condition, res.remaining, ps.ctx,
-                                       note, models))
-                continue
-            known = next((c.expected for c in condition if c.expr == cond), None)
-            sides = _split(cond, models) if known is None else {known: models}
-            for branch, remaining in ((True, res.remaining), (False, res.skipped)):
-                child = sides.get(branch)
-                if child is not None and child.witness is not None:
-                    c = Constraint(cond, branch)
-                    stack.append(PathState(res.sigma, res.env, condition + (c,), remaining,
-                                           ps.ctx, note, child))
+            stack += reversed(_fork(ps, run, note, terminals))
             continue
         if run.stop == ERROR:
             sigma, note = None, f"error: {run.error}"
@@ -321,46 +295,57 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     return terminals
 
 
-def _split(expr: SymExpr, models) -> dict:
-    """``models`` by the value of ``expr``, ``{True: Models, False: Models}``;
-    a model under which ``expr`` fails is on neither side, as in ``holds``."""
-    sides = {True: [], False: []}
-    for m in models:
-        try:
-            sides[bool(expr.eval(m))].append(m)
-        except SymEvalError:
-            pass
-    return {side: Models(ms) for side, ms in sides.items()}
+def _fork(ps: PathState, run, note: str, terminals: list) -> list:
+    """The children of ``ps`` at the splits of ``run.step``, taken in turn, as
+    KLEE forks at each branch and checked division (Cadar, Dunbar and
+    Engler, OSDI 2008). Tests that the path condition holds are dropped, and
+    one it contradicts fails every model; the rest, conjoined, are evaluated
+    once per model, and failing to evaluate fails. The passing side gains
+    each test and meets the next split. The failing side goes on from the
+    split's other remainder, or ends on one ``error`` terminal before the
+    dispatch, as an ``ERROR`` stop leaves it. A side with no model is pruned."""
+    res, condition, models, children = run.step, ps.condition, ps.models, []
+    for split in res.splits:
+        known = [next((c.expected for c in condition if c.expr == t), None) for t in split.tests]
+        tests = [t for t, k in zip(split.tests, known) if k is None]
+        if False in known:
+            tests, passing, failing = [], Models(()), models
+        elif not tests:
+            passing, failing = models, Models(())
+        else:
+            tree, sides = reduce(lambda a, b: SymOp("&&", (a, b)), tests), ([], [])
+            for m in models:
+                try:
+                    sides[not tree.eval(m)].append(m)
+                except SymEvalError:
+                    sides[1].append(m)
+            passing, failing = Models(sides[0]), Models(sides[1])
+        if failing.witness is not None:
+            if split.otherwise is None:
+                terminals.append(PathState(None, run.env, condition, run.remaining, ps.ctx,
+                                           _error_note(split.values, failing.witness),
+                                           failing))
+            else:
+                negated = condition + ((Constraint(tree, False),) if tests else ())
+                children.append(PathState(res.sigma, res.env, negated, split.otherwise,
+                                          ps.ctx, note, failing))
+        if passing.witness is None:
+            return children
+        condition, models = condition + tuple(map(Constraint, tests)), passing
+    children.append(PathState(res.sigma, res.env, condition, res.remaining, ps.ctx, note,
+                              models))
+    return children
 
 
-def _guard(ps: PathState, run, terminals: list) -> tuple:
-    """``ps``'s condition with each guard of a tree in ``run.step.divides``
-    that it lacks, and the models left (or None), as KLEE checks each
-    division (Cadar, Dunbar and Engler, OSDI 2008). The others end on one
-    ``error`` terminal before the dispatch, as an ``ERROR`` stop leaves it,
-    naming the first value that fails under the first of them, and the
-    error unless it is the condition."""
-    named = {}
-    for what, tree in run.step.divides:
-        for c in map(Constraint, tree.guards):
-            if c not in ps.condition:
-                named.setdefault(c, (what, tree))
-    if not named:
-        return ps.condition, ps.models
-    passing, failing = [], []
-    for m in ps.models:
-        (passing if all(c.holds(m) for c in named) else failing).append(m)
-    if failing:
-        m = failing[0]
-        what, tree = next(value for c, value in named.items() if not c.holds(m))
+def _error_note(values, m) -> str:
+    """Name the first ``(what, tree)`` whose guards fail under ``m``, with the
+    error its tree raises unless it is a condition."""
+    what, tree = next(v for v in values if not all(Constraint(g).holds(m) for g in v[1].guards))
+    try:
+        tree.eval(m)
+    except SymEvalError as exc:
         note = f"error: {what} {tree} fails to evaluate under {m}"
-        try:
-            tree.eval(m)
-        except SymEvalError as exc:
-            note += "" if tree is run.step.symbolic_cond else f": {exc}"
-        terminals.append(PathState(None, run.env, ps.condition, run.remaining, ps.ctx, note,
-                                   Models(failing)))
-    return ps.condition + tuple(named), Models(passing) if passing else None
+        return note if what == "condition" else f"{note}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +397,8 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
     paths = tuple(paths)
     for p in paths:
         if p.note.startswith("error"):
-            return Verdict("error", path=p, paths=paths,
+            return Verdict("error", _failing_witness(p.models.witness, pre, original_prog, K),
+                           path=p, paths=paths,
                            diagnostic=p.note.partition("error: ")[2] or "no memory state")
         if p.note == "exhausted":
             return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
@@ -445,6 +431,15 @@ def _confirm_witness(asg, pre, prog, post, K) -> dict:
     except Exception as exc:  # replay must never mask the refutation
         witness["_replay_error"] = str(exc)
     return witness
+
+
+def _failing_witness(asg, pre, prog, K) -> dict | None:
+    """``asg`` if a concrete replay under it also ends without a state."""
+    try:
+        sigma, env, ctx = pre(asg if asg else None)
+        return dict(asg) if interpret(K, sigma, env, prog, ctx) is None else None
+    except Exception:  # a replay that raises confirms nothing
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,8 @@ def spec_expr(bound: BoundProgram, line: int, e):
     binder, names = bound.binder, bound.binder.struct_names()
     try:
         lowered = binder.lower_expr(e)
-        _, t = typecheck_expr(lowered, TypeContext(structs=binder.struct_members,
-                                                   struct_names=names))
+        t = typecheck_expr(lowered, TypeContext(structs=binder.struct_members,
+                                                struct_names=names))
         if not isinstance(t, Tbool):
             raise LTypeError(f"a spec expression must be a bool, not {type_text(t, names)}")
     except (BindError, LTypeError) as exc:

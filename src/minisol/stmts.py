@@ -19,14 +19,14 @@ callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged. A rule that evaluates a value
-lists each division in it by a symbolic divisor, and ``drive`` stops
-before it as on a symbolic branch, so the explorer forks there. Only a
-statement that divides, by its own expressions, is checked: its mark is
-computed once and kept on the node. Any other symbolic tree it evaluates
-was read from memory, where the dispatch that stored it checked it, or is
-a bare symbol of the initial world, which cannot fail. An
-assignment resolves its target through the value layer's resolvers; a
+every rule takes its arguments unchanged. A symbolic branch condition,
+and a value that divides by a symbolic divisor, make ``Split``s of the
+models, and ``drive`` stops before such a dispatch, so the explorer forks
+there. Only a statement that divides, by its own expressions, is checked:
+its mark is computed once and kept on the node. Any other symbolic tree
+it evaluates was read from memory, where the dispatch that stored it
+checked it, or is a bare symbol of the initial world, which cannot fail.
+An assignment resolves its target through the value layer's resolvers; a
 mapping entry target is stored by ``_map_store``, which walks each chain
 once and links a missing key at the chain's tail.
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import memory as gm
 from .layout import array_layout
@@ -82,7 +83,7 @@ from .syntax import (
 from .values import Env, locate_map_node
 
 __all__ = [
-    "ExecContext", "StepResult", "Run", "array_layout",
+    "ExecContext", "Split", "StepResult", "Run", "array_layout",
     "init_array", "init_var", "exec_statement", "drive",
 ]
 
@@ -177,16 +178,22 @@ def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
 # ---------------------------------------------------------------------------
 # Single-statement dispatch
 
+class Split(NamedTuple):
+    """Models under which every tree in ``tests`` holds go on; the others take
+    ``otherwise`` or, when None, end on an error naming one of ``values``."""
+    tests: tuple
+    values: tuple = ()   # ``(what, tree)`` for each value whose divisors it guards
+    otherwise: tuple | None = None
+
+
 @dataclass(slots=True)
 class StepResult:
     sigma: MemoryState | None
     env: Env
     remaining: tuple
     error: str | None = None
-    symbolic_cond: SymExpr | None = None  # branch condition needs a fork
-    skipped: tuple = ()                   # with it: the remainder where it fails
-    halted: bool = False                  # throw-style termination
-    divides: tuple = ()                   # see ``_with_divides``
+    splits: tuple = ()      # the ``Split``s to fork on, in order, before going on
+    halted: bool = False    # throw-style termination
 
 
 def _fail(env, rest, msg) -> StepResult:
@@ -194,14 +201,14 @@ def _fail(env, rest, msg) -> StepResult:
 
 
 def _with_divides(res: StepResult, head: LStatement, what: str, values) -> StepResult:
-    """``res``, or a copy listing in ``divides`` ``(what, tree)`` for each
-    evaluated value whose tree has ``SymOp.guards``: it divides by a symbol.
+    """``res``, or a copy whose first split tests the ``SymOp.guards`` of each
+    evaluated value that has them: it divides by a symbol.
 
     Only a statement that divides (``head.may_divide``, kept on the node) can
     build a new guard; any other tree was read from memory, where its guards
     were checked when it was stored. The mark is read once a value is a
     ``SymOp``, so a concrete dispatch never reads it."""
-    divides = ()
+    divides, guards = (), {}
     for v in values:
         p = v.payload
         tree = p.value if type(p) is IntPayload else getattr(p, "bit", None)
@@ -213,7 +220,8 @@ def _with_divides(res: StepResult, head: LStatement, what: str, values) -> StepR
                 return res
             if tree.guards:
                 divides += ((what, tree),)
-    return replace(res, divides=divides) if divides else res
+                guards |= dict.fromkeys(tree.guards)
+    return replace(res, splits=(Split(tuple(guards), divides), *res.splits)) if divides else res
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
@@ -304,18 +312,16 @@ def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
     """Decide the condition of an If or a loop and continue with the
     remainder ``taken`` or ``skipped`` that it chooses.
 
-    A symbolic condition decides neither: it is returned as
-    ``symbolic_cond`` with ``taken`` as the remainder and ``skipped``
-    beside it, so a fork continues each side without dispatching the
-    statement again.
+    A symbolic condition decides neither: it is a split between ``taken``
+    and ``skipped``, so each side goes on without dispatching it again.
     """
     v = eval_rvalue(K, head.cond, sigma, env)
     bit = v.payload.bit if v is not None and isinstance(v.payload, BoolPayload) else None
     if bit is None:
         return _fail(env, rest, f"{what} condition failed to evaluate")
     if isinstance(bit, SymExpr):
-        return _with_divides(StepResult(sigma, env, taken, symbolic_cond=bit, skipped=skipped),
-                             head, "condition", (v,))
+        res = StepResult(sigma, env, taken, splits=(Split((bit,), otherwise=skipped),))
+        return _with_divides(res, head, "condition", (v,))
     return StepResult(sigma, env, taken if bit else skipped)
 
 
@@ -432,7 +438,7 @@ def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> StepResult:
     if bit is None:
         return _fail(env, rest, "modifier touched memory outside its flag")
     if isinstance(bit, SymExpr):
-        return StepResult(before, env, rest, symbolic_cond=bit, skipped=(Throw(),))
+        return StepResult(before, env, rest, splits=(Split((bit,), otherwise=(Throw(),)),))
     return StepResult(before, env, rest if bit else (Throw(),))
 
 
@@ -555,7 +561,7 @@ _RULES = {
 # Why ``drive`` stopped. After ERROR and SYMBOLIC the run holds the state
 # before the stopping dispatch, with that statement still at the head.
 # After SYMBOLIC, ``step`` is that dispatch's result, its gas spent: the
-# explorer forks there and splits the path's models once between the sides.
+# explorer forks there, partitioning the path's models once per split.
 FINISHED = "finished"   # no statement left
 NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # gas spent
@@ -576,12 +582,12 @@ class Run:
 
     def final(self, ctx: ExecContext) -> MemoryState | None:
         """The result of a concrete run: absent after a failed dispatch, a
-        symbolic branch condition or a lost state. The first two are recorded
-        in ``ctx.diagnostics``, which nothing else writes."""
+        symbolic branch or divisor, or a lost state. The first two are
+        recorded in ``ctx.diagnostics``, which nothing else writes."""
         if self.stop == ERROR:
             ctx.diagnostics.append(self.error)
         elif self.stop == SYMBOLIC:
-            ctx.diagnostics.append("symbolic branch condition reached in concrete execution")
+            ctx.diagnostics.append("symbolic branch or divisor reached in concrete execution")
         return self.sigma if self.stop in (FINISHED, BUDGET) else None
 
 
@@ -606,7 +612,7 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
                              head=remaining[0], rest=remaining[1:])
         if res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
-        if res.symbolic_cond is not None or res.divides:
+        if res.splits:
             return Run(SYMBOLIC, sigma, env, remaining, step=res)
         sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
         if once:

@@ -1,10 +1,10 @@
 """Typed abstract syntax for the contract language.
 
 Types, values, expressions and statements are plain tagged unions. The
-static checker gives every expression a type pair (source type, result
-type) and rejects trees the runtime would otherwise have to re-check:
-mixed-width or mixed-signedness arithmetic, non-boolean branch
-conditions, struct arity and field type mismatches. Programs are flat
+static checker gives every expression its result type and rejects trees
+the runtime would otherwise have to re-check: mixed-width or
+mixed-signedness arithmetic, non-boolean branch conditions, struct arity
+and field type mismatches. Programs are flat
 statement lists; the next statement to execute is always the head of the
 remaining list. Each construct has one statement form: a loop is a
 ``LoopWhile`` (the binder lowers a ``for`` to its init step and a while
@@ -357,13 +357,12 @@ def _types_equal(a: LType, b: LType) -> bool:
     return a == b
 
 
-def typecheck_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
-    """The expression's (source, result) type pair."""
+def typecheck_expr(e: LExpr, ctx: TypeContext) -> LType:
+    """The expression's result type."""
     if isinstance(e, Econst):
-        t = _value_type(e.value, ctx)
-        return (t, t)
+        return _value_type(e.value, ctx)
     if isinstance(e, (Evar, Efun)):
-        return (e.ltype, e.ltype)
+        return e.ltype
     if isinstance(e, Estruct):
         members = ctx.struct_members(e.type_addr)
         _require(len(e.values) == len(members),
@@ -372,16 +371,15 @@ def typecheck_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
             vt = _value_type(v, ctx)
             if not _types_equal(vt, mt):
                 raise LTypeError(f"struct field {name}: {ctx.text(vt)} != {ctx.text(mt)}")
-        t = Tstruct(e.type_addr)
-        return (t, t)
+        return Tstruct(e.type_addr)
     if isinstance(e, Ebop):
-        (_, lt) = typecheck_expr(e.left, ctx)
-        (_, rt) = typecheck_expr(e.right, ctx)
+        lt = typecheck_expr(e.left, ctx)
+        rt = typecheck_expr(e.right, ctx)
         if e.op in ARITH_OPS:
             if not (_int_kind(lt) and lt == rt):
                 raise LTypeError(f"arithmetic {e.op} needs one shared integer type, "
                                  f"got {ctx.text(lt)} and {ctx.text(rt)}")
-            return (lt, lt)
+            return lt
         if e.op in CMP_OPS:
             if lt != rt:
                 raise LTypeError(f"comparison {e.op} over unequal types "
@@ -392,20 +390,20 @@ def typecheck_expr(e: LExpr, ctx: TypeContext) -> tuple[LType, LType]:
                                      f"got {ctx.text(lt)}")
             elif not _int_kind(lt):
                 raise LTypeError(f"ordered comparison needs integers, got {ctx.text(lt)}")
-            return (lt, Tbool())
+            return Tbool()
         if e.op in LOGIC_OPS:
             _require(isinstance(lt, Tbool) and isinstance(rt, Tbool),
                      f"logical {e.op} needs booleans")
-            return (Tbool(), Tbool())
+            return Tbool()
         raise LTypeError(f"unknown binary operator {e.op!r}")
     if isinstance(e, Euop):
-        (_, t) = typecheck_expr(e.operand, ctx)
+        t = typecheck_expr(e.operand, ctx)
         if e.op == "!":
             _require(isinstance(t, Tbool), "logical not needs a boolean")
-            return (Tbool(), Tbool())
+            return Tbool()
         if e.op == "neg":
             _require(_int_kind(t) and t.signed, "negation needs a signed integer")
-            return (t, t)
+            return t
         raise LTypeError(f"unknown unary operator {e.op!r}")
     raise LTypeError(f"unknown expression {type(e).__name__}")
 
@@ -422,14 +420,14 @@ def _value_type(v: LValue, ctx: TypeContext) -> LType:
                  f"index path length {len(v.indices)} != dimension count {len(dims)}")
         _require(is_normal_type(base), "array base must be a normal type")
         for ix in v.indices:
-            (_, it) = typecheck_expr(ix, ctx)
+            it = typecheck_expr(ix, ctx)
             _require(_int_kind(it), "array index must be an integer")
         return base
     if isinstance(v, Vmap):
         _require(bool(v.keys), "mapping value needs at least one key")
         kt, vt = v.key_type, v.value_type
         for i, k in enumerate(v.keys):
-            (_, at) = typecheck_expr(k, ctx)
+            at = typecheck_expr(k, ctx)
             if not _types_equal(at, kt):
                 raise LTypeError(f"mapping key {i}: {ctx.text(at)} != {ctx.text(kt)}")
             if i + 1 < len(v.keys):
@@ -490,14 +488,14 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
         ctx.structs[s.type_addr] = tuple(s.members)
         return
     if isinstance(s, Assign):
-        (_, rt) = typecheck_expr(s.rhs, ctx)
+        rt = typecheck_expr(s.rhs, ctx)
         _require(_is_lvalue_expr(s.lhs), "left side is not assignable")
-        (_, lt) = typecheck_expr(s.lhs, ctx)
+        lt = typecheck_expr(s.lhs, ctx)
         if not _types_equal(lt, rt):
             raise LTypeError(f"assignment type mismatch: {ctx.text(lt)} != {ctx.text(rt)}")
         return
     if isinstance(s, Returns):
-        ts = [typecheck_expr(e, ctx)[1] for e in s.values]
+        ts = [typecheck_expr(e, ctx) for e in s.values]
         if ctx._fun_returns:
             rets = ctx._fun_returns[-1]
             _require(len(ts) == len(rets) and
@@ -507,13 +505,13 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
     if isinstance(s, (Throw, Snil, FunStop, ModifierGuard)):
         return
     if isinstance(s, If):
-        (_, ct) = typecheck_expr(s.cond, ctx)
+        ct = typecheck_expr(s.cond, ctx)
         _require(isinstance(ct, Tbool), "branch condition must be boolean")
         typecheck_stmt(s.then, ctx)
         typecheck_stmt(s.orelse, ctx)
         return
     if isinstance(s, LoopWhile):
-        (_, ct) = typecheck_expr(s.cond, ctx)
+        ct = typecheck_expr(s.cond, ctx)
         _require(isinstance(ct, Tbool), "loop condition must be boolean")
         typecheck_stmt(s.body, ctx)
         return
@@ -550,7 +548,7 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
                     _require(len(s.args) == len(ptypes),
                              f"call arity {len(s.args)} != {len(ptypes)}")
         elif isinstance(callee, Econst) and isinstance(callee.value, Vfield):
-            (_, t) = typecheck_expr(callee, ctx)
+            t = typecheck_expr(callee, ctx)
             _require(isinstance(t, Tfid), "called field is not a function")
         else:
             raise LTypeError("call target must be a function reference or field")

@@ -459,7 +459,7 @@ def test_criterion_08_type_safety():
     for case in range(400):
         expr = gen.int_expr(3) if rng.random() < 0.6 else gen.bool_expr(3)
         try:
-            (_, t1) = typecheck_expr(expr, tctx)
+            t1 = typecheck_expr(expr, tctx)
         except LTypeError:
             continue
         out = eval_rvalue(200, expr, seeded, env)

@@ -134,7 +134,8 @@ class TestVerify:
                            f"if ({cond}) {{ r = 1; }} }} }}\n")
         spec.write_text("entry f\nsym d : int 0..3\npost r == 0\n")
         rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec))
-        assert (rc, out) == (3, f"error: {error} fails to evaluate under {{'d': 0}}\n")
+        assert (rc, out) == (
+            3, f"error (witness: {{'d': 0}}): {error} fails to evaluate under {{'d': 0}}\n")
         rc, _, err = run_cli(capsys, "run", str(program), "--entry", "f", "--arg", "d=0")
         assert (rc, err) == (3, "execution failed: branch condition failed to evaluate\n")
 
@@ -179,6 +180,21 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec), "--json")
         doc = json.loads(out)
         assert (rc, doc["status"], doc["paths"], doc.get("diagnostic", "")) == verdict
+
+    def test_one_dispatchs_guards_make_one_partition(self, capsys, tmp_path):
+        # Both divisors' guards split the models once: the first model that
+        # fails either one, {d: 0, e: 0}, ends on the one error path and, as a
+        # run under it fails too, is its witness. A split guard by guard would
+        # give three paths and name {d: 0, e: 1}.
+        program, spec = tmp_path / "s.lls", tmp_path / "s.spec"
+        program.write_text("contract S { uint r = 0; uint d; uint e; function f() public "
+                           "{ r = 10 / (e - 1) + 10 / d; r = 0; } }\n")
+        spec.write_text("entry f\nsym d : int 0..3\nsym e : int 0..3\npost r == 0\n")
+        rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec), "--json")
+        doc = json.loads(out)
+        assert (rc, doc["paths"], doc["witness"], doc["diagnostic"]) == (
+            3, 2, {"d": 0, "e": 0}, "assignment right side ((10 / (e - 1)) + (10 / d)) fails "
+                                    "to evaluate under {'d': 0, 'e': 0}: division by zero")
 
     def test_concolic_wallet_verified(self, capsys):
         rc, out, _ = run_cli(

@@ -143,6 +143,18 @@ class TestStep:
         assert out.note.startswith("stuck")
         assert out.remaining == bad.remaining  # preserved for inspection
 
+    def test_a_symbolic_divisor_stops_a_step_and_a_run_by_name(self):
+        sigma, env, _ = declared_world()
+        sigma = poke(sigma, X, IntPayload(SymVar("d")))
+        prog = (Assign(Evar(X, Tuint()), Ebop("/", Econst(Vint(10)), Evar(X, Tuint()))),)
+        out = step(PathState(sigma, env, (), prog, ExecContext(sigma_init=sigma)))
+        assert (out.note, out.remaining, out.env.gas) == (
+            "stuck: symbolic branch or divisor", prog, env.gas)
+        ctx = ExecContext(sigma_init=sigma)
+        assert interpret(100, sigma, env, prog, ctx) is None
+        assert ctx.diagnostics == [
+            "symbolic branch or divisor reached in concrete execution"]
+
     def test_returned_body_halts_via_env_check(self):
         # A return writes its slot and ends its frame: the body statements
         # left before the frame's FunStop are dropped, not executed, and the
@@ -480,6 +492,16 @@ class TestSymbolicLoops:
             seen.add(n)
         assert seen == {0, 1, 2, 3}
 
+    def test_a_branch_the_path_condition_decides_adds_no_constraint(self):
+        # Every iteration after the first meets ``if (b)`` with b decided.
+        source = ("contract S { uint r = 0; uint i = 0; bool b; function f() public "
+                  "{ while (i < 6) { if (b) { r = r + 1; } i = i + 1; } } }")
+        pre, prog, post, spec, _require = spec_triple(
+            source, "entry f\nsym b : bool\npost i == 6\n")
+        verdict = verify_triple(pre, prog, post, symbols=spec.symbols)
+        assert verdict.status == "verified"
+        assert [[str(c) for c in p.condition] for p in verdict.paths] == [["b=F"], ["b=T"]]
+
     def test_undeclared_symbol_in_require_is_error(self):
         # The binder resolves a require line's names against the program.
         bound = bind_addresses(parse_source("contract C { uint n; }"), 100)
@@ -537,11 +559,18 @@ def full_concretize(sigma, asg):
         replace(b, payload=concretize_payload(b.payload, asg)) for b in sigma.blocks))
 
 
-def reference_judge(paths, post, symbols):
+def reference_judge(paths, post, symbols, pre, prog):
     """Re-enumerate each path's condition and concretize whole states; a
-    path whose note is an error makes the verdict an error."""
-    if any(p.note.startswith("error") for p in paths):
-        return "error", None
+    path whose note is an error makes the verdict an error, witnessed by the
+    first model of the first such path's condition under which a concrete
+    run of ``prog`` ends without a state."""
+    def fails(asg):
+        sigma, env, ctx = pre(asg)
+        return interpret(1000, sigma, env, prog, ctx) is None
+    failed = next((p for p in paths if p.note.startswith("error")), None)
+    if failed is not None:
+        return "error", next(filter(fails, satisfying_assignments(failed.condition, symbols)),
+                             None)
     for p in paths:
         for asg in satisfying_assignments(p.condition, symbols):
             init = p.ctx.sigma_init
@@ -593,7 +622,7 @@ class TestEnumerationReuse:
         assert len(verdict.paths) == n_paths
         for p in verdict.paths:
             assert p.models == tuple(satisfying_assignments(p.condition, symbols))
-        status, witness = reference_judge(verdict.paths, post, symbols)
+        status, witness = reference_judge(verdict.paths, post, symbols, pre, prog)
         assert verdict.status == status
         assert verdict.witness == witness
 
@@ -716,7 +745,7 @@ class TestObligations:
         pre, prog, post, spec, require = spec_triple(source, spec_text)
         verdict = verify_triple(pre, prog, post, symbols=spec.symbols, require=require)
         assert (verdict.status, verdict.witness) == reference_judge(
-            verdict.paths, post, spec.symbols)
+            verdict.paths, post, spec.symbols, pre, prog)
 
     @pytest.mark.parametrize("cond, domain, verdict", [
         ("10 / d > 100", "0..3", ("error", 2, "condition ((10 / d) > 100) fails to evaluate "

@@ -342,13 +342,15 @@ def test_a_symbolic_stop_holds_the_state_before_the_dispatch(sigma, env, kind):
     assert stop.sigma is seeded and stop.env is env
     step = stop.step
     assert step.env.gas == env.gas - 1
+    split, = step.splits
     if kind == "branch":
         assert step.sigma is seeded
-        assert (str(step.symbolic_cond), step.remaining, step.skipped, step.divides) == (
-            "(d < 3)", (*then, Snil()), (*orelse, Snil()), ())
+        assert ([str(t) for t in split.tests], step.remaining, split.otherwise,
+                split.values) == (["(d < 3)"], (*then, Snil()), (*orelse, Snil()), ())
     else:
-        assert (step.symbolic_cond, step.remaining) == (None, (Snil(),))
-        assert [(what, str(tree)) for what, tree in step.divides] == [
+        assert ([str(t) for t in split.tests], step.remaining, split.otherwise) == (
+            ["(d != 0)"], (Snil(),), None)
+        assert [(what, str(tree)) for what, tree in split.values] == [
             ("assignment right side", "(10 / d)")]
         assert str(step.sigma.blocks[Y.index].payload.value) == "(10 / d)"
 
@@ -809,7 +811,7 @@ class TestDivisionMark:
         for stmt in (built, decoded):
             assert stmt.may_divide is None
             stop = drive(200, seeded, env, ExecContext(), (stmt,))
-            assert (stop.stop, [str(tree) for _what, tree in stop.step.divides]) == (
-                SYMBOLIC, ["(10 / d)"])
+            assert (stop.stop, [str(tree) for s in stop.step.splits
+                                for _what, tree in s.values]) == (SYMBOLIC, ["(10 / d)"])
             assert stmt.may_divide is True
         assert program_to_data([built]) == data  # the mark is never serialized

@@ -53,11 +53,11 @@ def ctx_with_var(addr, ltype):
 
 class TestExprTyping:
     def test_bool_constant(self):
-        assert typecheck_expr(Econst(Vbool(True)), TypeContext()) == (Tbool(), Tbool())
+        assert typecheck_expr(Econst(Vbool(True)), TypeContext()) == Tbool()
 
     def test_int_constant_keeps_width_and_sign(self):
         t = typecheck_expr(Econst(Vint(5, 32, True)), TypeContext())
-        assert t == (Tint(32, True), Tint(32, True))
+        assert t == Tint(32, True)
 
     def test_mixed_arithmetic_rejected(self):
         # Signed and unsigned 64-bit do not mix; neither do widths.
@@ -70,7 +70,7 @@ class TestExprTyping:
 
     def test_comparison_yields_bool(self):
         e = Ebop("<", Econst(Vint(3)), Econst(Vint(7)))
-        assert typecheck_expr(e, TypeContext())[1] == Tbool()
+        assert typecheck_expr(e, TypeContext()) == Tbool()
 
     def test_logic_needs_bools(self):
         with pytest.raises(LTypeError):
@@ -81,16 +81,16 @@ class TestExprTyping:
         with pytest.raises(LTypeError):
             typecheck_expr(Euop("neg", Econst(Vint(1, 64, False))), TypeContext())
         ok = typecheck_expr(Euop("neg", Econst(Vint(1, 64, True))), TypeContext())
-        assert ok[1] == Tint(64, True)
+        assert ok == Tint(64, True)
 
-    def test_type_pair_of_a_binary_operator(self):
+    def test_type_of_a_binary_operator(self):
         e = Ebop("+", Econst(Vint(1)), Econst(Vint(2)))
-        assert typecheck_expr(e, TypeContext()) == (Tuint(), Tuint())
+        assert typecheck_expr(e, TypeContext()) == Tuint()
 
     def test_array_value_needs_full_index_path(self):
         arr = Tarray(2, Tarray(3, Tuint()))
         good = Econst(Varray(arr, (Econst(Vint(0)), Econst(Vint(1))), Address(0)))
-        assert typecheck_expr(good, TypeContext())[1] == Tuint()
+        assert typecheck_expr(good, TypeContext()) == Tuint()
         short = Econst(Varray(arr, (Econst(Vint(0)),), Address(0)))
         with pytest.raises(LTypeError):
             typecheck_expr(short, TypeContext())
@@ -99,7 +99,7 @@ class TestExprTyping:
         inner = Tmap(Tuint(), Tbool())
         nested = Econst(Vmap(Address(0), (Econst(Vint(1)), Econst(Vint(2))),
                              Tuint(), inner, None))
-        assert typecheck_expr(nested, TypeContext())[1] == Tbool()
+        assert typecheck_expr(nested, TypeContext()) == Tbool()
 
     def test_mapping_key_type_mismatch(self):
         m = Econst(Vmap(Address(0), (Econst(Vbool(True)),), Tuint(), Tbool(), None))
@@ -119,7 +119,7 @@ def struct_ctx():
 class TestStructTyping:
     def test_struct_literal_ok(self):
         e = Estruct(STRUCT_ADDR, (Vint(1), Vbool(True)))
-        assert typecheck_expr(e, struct_ctx())[1] == Tstruct(STRUCT_ADDR)
+        assert typecheck_expr(e, struct_ctx()) == Tstruct(STRUCT_ADDR)
 
     def test_struct_arity_error(self):
         with pytest.raises(LTypeError):
@@ -151,7 +151,7 @@ class TestStructTyping:
                 with pytest.raises(LTypeError):
                     typecheck_expr(e, ctx)
             else:
-                assert typecheck_expr(e, ctx)[1] == Tstruct(STRUCT_ADDR)
+                assert typecheck_expr(e, ctx) == Tstruct(STRUCT_ADDR)
 
 
 class TestStmtTyping:
