@@ -96,11 +96,8 @@ class BindError(Exception):
 
 @dataclass
 class FunRecord:
-    name: str
     addr: Address
     params: list  # (name, LType, Address)
-    returns: tuple
-    ret_addr: Address
     is_modifier: bool = False
 
 
@@ -112,12 +109,6 @@ class BoundProgram:
     mem_size: int
     functions: dict            # name -> FunRecord
     binder: "Binder" = field(repr=False, default=None)
-
-    def entry_call(self, name: str, args=()):
-        if name not in self.functions:
-            raise BindError(f"no function named {name!r}")
-        rec = self.functions[name]
-        return FunCall(Efun(rec.addr, Tfid(rec.addr)), tuple(args))
 
 
 class Binder:
@@ -143,9 +134,7 @@ class Binder:
         self.msg_type = self.reserved["0xmsg"]
         self.msg_addr = self.reserved["msg"]
         # The event stub is callable by name and ignores its arguments.
-        self.functions["Transfer"] = FunRecord(
-            "Transfer", self.reserved["0xtransfer"], [], (),
-            self.reserved["0xtransfer.ret"])
+        self.functions["Transfer"] = FunRecord(self.reserved["0xtransfer"], [])
 
     # -- address allocation --------------------------------------------------
 
@@ -460,7 +449,7 @@ class Binder:
             else:
                 returns = tuple(self.resolve_type(rt, m.pos) for rt in m.returns)
             ret_addr = self._claim(f"{m.name}.__ret", max(1, len(returns)), m.pos)
-            rec = FunRecord(m.name, name_addr, params, returns, ret_addr, modifier)
+            rec = FunRecord(name_addr, params, modifier)
             self._bind_unique(self.functions, m.name, rec, m.pos)
             body = tuple(self.lower_body(m.body))
             if modifier:

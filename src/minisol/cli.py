@@ -125,21 +125,15 @@ def _load(path: str, mem_size: int):
     return bind_addresses(parse_source(text), mem_size)
 
 
-def _split_args(pairs, entry_params):
-    """Partition --arg values into entry arguments and global writes."""
-    entry_args = {}
-    global_writes = []
-    names = {p[0] for p in entry_params}
+def _parse_args(pairs) -> list:
+    """The ``(name, literal)`` pair of each ``--arg NAME=VALUE``."""
+    parsed = []
     for pair in pairs:
         name, eq, value = pair.partition("=")
         if not eq:
             raise RunnerError(f"--arg needs NAME=VALUE, got {pair!r}")
-        lit = parse_literal(value)
-        if name in names:
-            entry_args[name] = lit
-        else:
-            global_writes.append((name, lit))
-    return entry_args, global_writes
+        parsed.append((name, parse_literal(value)))
+    return parsed
 
 
 def _binfo(ns) -> BlockInfo:
@@ -163,16 +157,10 @@ def _prepare(ns):
     if ns.spec:
         with open(ns.spec, encoding="utf-8") as fh:
             spec = parse_spec(fh.read())
-    entry = ns.entry or spec.entry
+    entry, pairs = ns.entry or spec.entry, _parse_args(ns.arg)
     if entry is None:
-        return bound, spec, None, _split_args(ns.arg, ())[1]
-    rec = bound.functions.get(entry)
-    if rec is None:
-        raise RunnerError(f"no function named {entry!r}")
-    entry_args, global_writes = _split_args(ns.arg, rec.params)
-    prog, leftover = entry_program(bound, entry, entry_args)
-    if leftover:
-        raise RunnerError(f"unused entry arguments: {sorted(leftover)}")
+        return bound, spec, None, pairs
+    prog, global_writes = entry_program(bound, entry, pairs)
     return bound, spec, prog, global_writes
 
 
@@ -302,7 +290,7 @@ def cmd_emit_ast(ns) -> int:
 
 
 def cmd_oracle(ns) -> int:
-    from .oracle import check_simulation, run_report
+    from .oracle import GAS, check_simulation, run_report
     if ns.ast:
         from .stdlib import fresh_memory
         from .syntax import program_from_data
@@ -322,7 +310,7 @@ def cmd_oracle(ns) -> int:
 
         def make_state(_idx):
             sigma = fresh_memory(mem_size)
-            return sigma, initial_env(2000, sigma.addr_of("0xglobal"))
+            return sigma, initial_env(GAS, sigma.addr_of("0xglobal"))
 
         report = check_simulation([prog], make_state)
     else:

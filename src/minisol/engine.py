@@ -338,14 +338,15 @@ def _fork(ps: PathState, run, note: str, terminals: list) -> list:
 
 
 def _error_note(values, m) -> str:
-    """Name the first ``(what, tree)`` whose guards fail under ``m``, with the
-    error its tree raises unless it is a condition."""
-    what, tree = next(v for v in values if not all(Constraint(g).holds(m) for g in v[1].guards))
-    try:
-        tree.eval(m)
-    except SymEvalError as exc:
-        note = f"error: {what} {tree} fails to evaluate under {m}"
-        return note if what == "condition" else f"{note}: {exc}"
+    """Name the first ``(what, tree)`` whose tree raises under ``m``, with the
+    error unless it is a condition. A tree raises exactly where one of its
+    guards fails, because ``SymOp.eval`` evaluates every operand."""
+    for what, tree in values:
+        try:
+            tree.eval(m)
+        except SymEvalError as exc:
+            note = f"error: {what} {tree} fails to evaluate under {m}"
+            return note if what == "condition" else f"{note}: {exc}"
 
 
 # ---------------------------------------------------------------------------

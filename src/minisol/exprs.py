@@ -43,7 +43,6 @@ from .symbolic import (
     SymEvalError,
     SymExpr,
     SymOp,
-    apply_op,
     is_symbolic,
     to_symexpr,
     wrap_int,
@@ -217,7 +216,7 @@ def _compile_struct(e: Estruct):
             if mv is None or not payload_matches_type(mv.payload, mt):
                 return None
             out.append(mv.payload)
-        return gm.mvalue(StructInstance(type_addr, tuple(out)), env)
+        return MemoryValue(StructInstance(type_addr, tuple(out)), env.domain)
     return struct
 
 
@@ -289,7 +288,12 @@ def eval_uop(op: str, v: MemoryValue | None) -> MemoryValue | None:
         return None
     if x is None:
         return None
-    r = SymOp(op, (x,), width, signed) if is_symbolic(x) else apply_op(op, (x,), width, signed)
+    if is_symbolic(x):
+        r = SymOp(op, (x,), width, signed)
+    else:
+        r = OPS[op](x)
+        if width:
+            r = wrap_int(r, width, signed)
     return MemoryValue(IntPayload(r, width, signed) if op == "neg"
                        else BoolPayload(r) if type(r) is SymOp else _BITS[r],
                        v.domain, v.access, v.occupancy)

@@ -144,8 +144,6 @@ class StructInstance(Payload):
 class MapNode(Payload):
     init: Address                 # head address of the owning chain
     kv: tuple | None = None       # (key payload, value payload) or None for the head
-    key_type: object = None
-    value_type: object = None
     next: Address | None = None
 
 
@@ -175,13 +173,6 @@ class MemoryValue:
 
 def free_value(domain: Address = Address(0)) -> MemoryValue:
     return MemoryValue(Undef(), domain=domain, access=PUBLIC, occupancy=FREE)
-
-
-def mvalue(payload: Payload, env=None, access: str = PUBLIC) -> MemoryValue:
-    """Tag a payload with the evaluating environment's domain."""
-    if env is None:
-        return MemoryValue(payload, access=access)
-    return MemoryValue(payload, domain=env.domain, access=access)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,10 @@ from .syntax import (
 )
 from .values import Env
 
+# The budgets of a differential run: the executable side's K, the gas of
+# each program's environment, and the report corpus's memory size.
+K, GAS, MEM_SIZE = 200, 2000, 64
+
 
 @dataclass
 class RelTrace:
@@ -256,8 +260,7 @@ def _payloads(sigma: MemoryState):
     return tuple(b.payload for b in sigma.blocks)
 
 
-def check_simulation(corpus, make_state, k: int = 200,
-                     executable=None) -> SimulationReport:
+def check_simulation(corpus, make_state, executable=None) -> SimulationReport:
     """Differential run of the relational and executable semantics.
 
     ``make_state`` builds the seeded initial state and environment for
@@ -277,7 +280,7 @@ def check_simulation(corpus, make_state, k: int = 200,
         sigma, env = make_state(idx)
         rel = relational_eval(sigma, env, prog)
         ctx = ExecContext(sigma_init=sigma)
-        exe = run_exe(k, sigma, env, prog, ctx)
+        exe = run_exe(K, sigma, env, prog, ctx)
         rel_final = rel[0] if rel is not None else None
         if rel_final is None and exe is None:
             continue
@@ -287,13 +290,13 @@ def check_simulation(corpus, make_state, k: int = 200,
                      f"executable={exe is not None}"))
             continue
         if _payloads(rel_final) != _payloads(exe):
-            step_no = _first_divergent_step(rel[1], prog, sigma, env, k, run_exe)
+            step_no = _first_divergent_step(rel[1], prog, sigma, env, run_exe)
             report.divergences.append(Divergence(
                 idx, "final states differ", step_no))
     return report
 
 
-def _first_divergent_step(trace: RelTrace, prog, sigma, env, k, run_exe) -> int:
+def _first_divergent_step(trace: RelTrace, prog, sigma, env, run_exe) -> int:
     """Localize a divergence to the first dispatched statement whose
     post-state differs (0-based). Gas bounds dispatched statements
     exactly, so running the executable with gas i yields its state after
@@ -302,7 +305,7 @@ def _first_divergent_step(trace: RelTrace, prog, sigma, env, k, run_exe) -> int:
 
     for i, (_stmt, rel_sigma) in enumerate(trace.steps):
         bounded = replace(env, gas=i + 1)
-        exe_sigma = run_exe(k, sigma, bounded, prog, ExecContext(sigma_init=sigma))
+        exe_sigma = run_exe(K, sigma, bounded, prog, ExecContext(sigma_init=sigma))
         if exe_sigma is None or _payloads(exe_sigma) != _payloads(rel_sigma):
             return i
     return len(trace.steps)
@@ -319,15 +322,14 @@ def default_corpus(count: int = 100, seed: int = 20240601):
     return corpus
 
 
-def run_report(count: int = 100, seed: int = 20240601, mem_size: int = 64,
-               gas: int = 2000, k: int = 200) -> SimulationReport:
+def run_report(count: int = 100, seed: int = 20240601) -> SimulationReport:
     from .stdlib import fresh_memory
     from .values import initial_env
 
     corpus = default_corpus(count, seed)
 
     def make_state(_idx):
-        sigma = fresh_memory(mem_size)
-        return sigma, initial_env(gas, sigma.addr_of("0xglobal"))
+        sigma = fresh_memory(MEM_SIZE)
+        return sigma, initial_env(GAS, sigma.addr_of("0xglobal"))
 
-    return check_simulation(corpus, make_state, k=k)
+    return check_simulation(corpus, make_state)

@@ -272,7 +272,6 @@ class SModifierDecl(SStmt):
 class SFunDecl(SStmt):
     name: str
     params: list = field(default_factory=list)   # (SType, name)
-    access: str | None = None
     modifiers: list = field(default_factory=list)  # (name, [SExpr]) pairs
     returns: list = field(default_factory=list)
     body: list = field(default_factory=list)
@@ -434,13 +433,12 @@ class Parser:
         tok = self.expect("function")
         name = self.ident("function name")
         params = self.param_list()
-        access = None
         modifiers = []
         returns = []
         while True:
             head, nxt = self.peek(), self.peek(1)
             if head.key in _ACCESS:
-                access = self.next().text
+                self.next()  # a function's access keyword has no effect
             elif head.key == "returns":
                 self.next()
                 self.expect("(")
@@ -455,7 +453,7 @@ class Parser:
             else:
                 break
         body = self.block()
-        return SFunDecl(name, params, access, modifiers, returns, body,
+        return SFunDecl(name, params, modifiers, returns, body,
                         (tok.line, tok.col))
 
     def param_list(self):

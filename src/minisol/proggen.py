@@ -38,19 +38,15 @@ BOOL_T = Tbool()
 
 CMPS = ("<", ">", "<=", ">=", "==", "!=")
 ARITH = ("+", "-", "*", "+", "-")  # division stays rare, added separately
+N_INTS, N_BOOLS = 4, 2
+MAX_DEPTH = 5  # statement nesting of a whole program
 
 
 class ProgramGen:
-    def __init__(self, rng: random.Random, n_ints: int = 4, n_bools: int = 2,
-                 max_depth: int = 5, allow_throw: bool = True,
-                 allow_return: bool = True, allow_div: bool = True):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.int_vars = [Address(i) for i in range(n_ints)]
-        self.bool_vars = [Address(n_ints + i) for i in range(n_bools)]
-        self.max_depth = max_depth
-        self.allow_throw = allow_throw
-        self.allow_return = allow_return
-        self.allow_div = allow_div
+        self.int_vars = [Address(i) for i in range(N_INTS)]
+        self.bool_vars = [Address(N_INTS + i) for i in range(N_BOOLS)]
 
     # -- expressions --------------------------------------------------------
 
@@ -65,7 +61,7 @@ class ProgramGen:
         roll = self.rng.random()
         if roll < 0.85:
             op = self.rng.choice(ARITH)
-        elif self.allow_div and roll < 0.95:
+        elif roll < 0.95:
             op = self.rng.choice(("/", "%"))
         else:
             return Euop("neg", self.int_expr(depth - 1))
@@ -75,7 +71,7 @@ class ProgramGen:
         r = self.rng.random()
         if r < 0.3:
             return Econst(Vbool(self.rng.random() < 0.5))
-        if r < 0.6 and self.bool_vars:
+        if r < 0.6:
             return Evar(self.rng.choice(self.bool_vars), BOOL_T)
         return Ebop(self.rng.choice(CMPS), self.int_atom(), self.int_atom())
 
@@ -92,7 +88,7 @@ class ProgramGen:
     # -- statements ----------------------------------------------------------
 
     def assign_stmt(self):
-        if self.bool_vars and self.rng.random() < 0.3:
+        if self.rng.random() < 0.3:
             target = self.rng.choice(self.bool_vars)
             return Assign(Evar(target, BOOL_T), self.bool_expr(2))
         target = self.rng.choice(self.int_vars)
@@ -121,7 +117,7 @@ class ProgramGen:
                       or (Snil(),))
         if r < 0.9:
             return self.counted_loop(depth)
-        if self.allow_throw and r < 0.94:
+        if r < 0.94:
             return Throw()
         return self.assign_stmt()
 
@@ -139,14 +135,14 @@ class ProgramGen:
         return decls + inits
 
     def program(self, length: int = 6) -> list:
-        stmts = self.declarations() + self.stmt_list(self.max_depth, length)
-        if self.allow_return and self.rng.random() < 0.15:
+        stmts = self.declarations() + self.stmt_list(MAX_DEPTH, length)
+        if self.rng.random() < 0.15:
             stmts.append(Returns((self.int_expr(2),)))
         return stmts
 
 
-def generate_program(seed: int, length: int = 6, **kwargs) -> list:
-    gen = ProgramGen(random.Random(seed), **kwargs)
+def generate_program(seed: int, length: int = 6) -> list:
+    gen = ProgramGen(random.Random(seed))
     prog = gen.program(length)
     typecheck_stmt(prog, TypeContext())
     return prog

@@ -24,8 +24,8 @@ from .specfile import SpecError
 from .stdlib import fresh_memory, write_message
 from .stmts import Assign, ExecContext
 from .symbolic import SymVar
-from .syntax import (Econst, Evar, LTypeError, Tbool, Tint, Tmap, TypeContext, Vbool, Vint,
-                     int_fits, type_text, typecheck_expr)
+from .syntax import (Econst, Efun, Evar, FunCall, LTypeError, Tbool, Tfid, Tint, Tmap,
+                     TypeContext, Vbool, Vint, int_fits, type_text, typecheck_expr)
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -144,13 +144,15 @@ def _place_symbol(bound: BoundProgram, sigma, sym, assignment):
                  else IntPayload(value, ltype.width, ltype.signed))
 
 
-def entry_program(bound: BoundProgram, entry: str, arg_map=None):
-    """The entry invocation; named arguments fill the parameter list."""
+def entry_program(bound: BoundProgram, entry: str, pairs=()):
+    """The call of ``entry`` and the global writes: of the ``(name, literal)``
+    pairs, those that name a parameter fill it and the rest write blocks."""
     rec = bound.functions.get(entry)
     if rec is None:
         raise RunnerError(f"no function named {entry!r}")
+    names = {p[0] for p in rec.params}
+    arg_map = {name: lit for name, lit in pairs if name in names}
     args = []
-    arg_map = dict(arg_map or {})
     for pname, ptype, _addr in rec.params:
         if not isinstance(ptype, (Tbool, Tint)):
             raise RunnerError(f"entry argument {pname!r} has type "
@@ -158,8 +160,9 @@ def entry_program(bound: BoundProgram, entry: str, arg_map=None):
                               "an entry argument must be a bool or an integer")
         if pname not in arg_map:
             raise RunnerError(f"missing argument {pname!r} for entry {entry!r}")
-        args.append(_literal_expr(ptype, arg_map.pop(pname)))
-    return (bound.entry_call(entry, args),), arg_map
+        args.append(_literal_expr(ptype, arg_map[pname]))
+    call = FunCall(Efun(rec.addr, Tfid(rec.addr)), tuple(args))
+    return (call,), [(name, lit) for name, lit in pairs if name not in names]
 
 
 def make_pre(bound: BoundProgram, gas: int, binfo: BlockInfo,

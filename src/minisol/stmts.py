@@ -170,8 +170,7 @@ def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
             return None
         return init_array(K if K is not None else 2 * layout.array_size + 2,
                           sig, addr, ltype, env)
-    payload = (MapNode(init=addr, kv=None, key_type=ltype.key, value_type=ltype.value,
-                       next=None) if isinstance(ltype, Tmap) else Undef())
+    payload = MapNode(init=addr) if isinstance(ltype, Tmap) else Undef()
     return _write_payload(sigma, addr, payload, env, access or gm.PUBLIC)
 
 
@@ -502,7 +501,7 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
             return _fail(env, rest, f"mapping key {tree} is symbolic; "
                          "symbolic mapping keys are unsupported")
         keys.append(p)
-    sig, base, kt, vt = sigma, vmap.base, vmap.key_type, vmap.value_type
+    sig, base, vt = sigma, vmap.base, vmap.value_type
     for i, key in enumerate(keys):
         last = i + 1 == len(keys)
         found, tail = locate_map_node(key, base, sig, env)
@@ -531,9 +530,9 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
                 if alloc is None:
                     return _fail(env, rest, "mapping insert failed")
                 inner_addr, sig = alloc
-                inner = MapNode(init=inner_addr, key_type=vt.key, value_type=vt.value)
+                inner = MapNode(init=inner_addr)
                 sig = gm.write(sig, inner_addr, replace(tail_block, payload=inner), "dir")
-            node = MapNode(init=base, kv=(key, inner), key_type=kt, value_type=vt)
+            node = MapNode(init=base, kv=(key, inner))
             sig = gm.write(sig, node_addr, replace(tail_block, payload=node), "dir")
             sig = gm.write(sig, tail, replace(tail_block, payload=replace(
                 tail_block.payload, next=node_addr)), "dir")
@@ -541,7 +540,7 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
                 return StepResult(sig, env, rest)
         if not isinstance(inner, MapNode) or not isinstance(vt, Tmap):
             return _fail(env, rest, "mapping insert failed")
-        base, kt, vt = inner.init, vt.key, vt.value
+        base, vt = inner.init, vt.value
     return _fail(env, rest, "mapping insert failed")
 
 

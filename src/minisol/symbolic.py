@@ -9,13 +9,14 @@ assignments drawn from each symbol's declared finite domain.
 Arithmetic nodes record the fixed width and signedness of their operands.
 Both evaluating a tree under an assignment and the concrete operator
 evaluators in the expression layer go through the one operator table,
-``OPS``, which holds the division-by-zero rule, with the wraparound and
-error rules of ``apply_op``, so symbolic and concrete results agree by
-construction. ``SymOp.eval``, ``exprs.eval_bop`` and the compiled closures
-of the expression layer's integer operators, which call ``eval_bop`` for
-any operand but two concrete integers of one width, apply those rules
-inline, because fork filtering evaluates each branch condition once per
-model and binary operators run on the dispatch path.
+``OPS``, which holds the division-by-zero rule; a nonzero width wraps the
+result through ``wrap_int``. So symbolic and concrete results agree by
+construction. ``SymOp.eval``, ``exprs.eval_bop`` with the compiled
+closures of the expression layer's integer operators, which call
+``eval_bop`` for any operand but two concrete integers of one width, and
+``exprs.eval_uop`` each apply the table inline, because fork filtering
+evaluates each branch condition once per model and operators run on the
+dispatch path.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class SymOp(SymExpr):
     signed: bool = False
 
     def eval(self, assignment):
-        # apply_op's rules without its list: a node has one or two operands.
+        # A node has one or two operands.
         fn = OPS.get(self.op)
         if fn is None:
             raise SymEvalError(f"unknown operator {self.op!r}")
@@ -130,9 +131,8 @@ def _mod(a, b):
     return trunc_mod(a, b)
 
 
-# The one operator table: concrete unary operators in the expression layer
-# go through apply_op, and SymOp.eval, exprs.eval_bop and the expression
-# layer's integer operator closures apply the same rules inline.
+# The one operator table, applied by SymOp.eval, exprs.eval_bop with the
+# expression layer's integer operator closures, and exprs.eval_uop.
 OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "%": _mod,
     "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,
@@ -140,22 +140,6 @@ OPS = {
     "&&": lambda a, b: bool(a) and bool(b), "||": lambda a, b: bool(a) or bool(b),
     "!": operator.not_, "neg": operator.neg,
 }
-
-
-def apply_op(op: str, vals, width: int = 0, signed: bool = False):
-    """Apply ``op`` to concrete operands; a nonzero width wraps the result.
-
-    Raises SymEvalError for an unknown operator, mistyped operands and
-    division or modulo by zero.
-    """
-    fn = OPS.get(op)
-    if fn is None:
-        raise SymEvalError(f"unknown operator {op!r}")
-    try:
-        out = fn(*vals)
-    except TypeError as exc:
-        raise SymEvalError(str(exc)) from exc
-    return wrap_int(out, width, signed) if width else out
 
 
 def is_symbolic(x) -> bool:

@@ -55,8 +55,8 @@ class Tint(LType):
     signed: bool = False
 
 
-def Tuint(width: int = 64) -> Tint:
-    return Tint(width, signed=False)
+def Tuint() -> Tint:
+    return Tint(64, signed=False)
 
 
 def int_fits(value: int, t: Tint) -> bool:
@@ -327,7 +327,6 @@ class TypeContext:
     vars: dict = field(default_factory=dict)       # Address -> LType
     structs: dict = field(default_factory=dict)    # Address -> member descriptor tuple
     functions: dict = field(default_factory=dict)  # Address -> (param types, return types)
-    contracts: dict = field(default_factory=dict)  # Address -> inheritance tuple
     struct_names: dict = field(default_factory=dict)  # Address -> declared name
     _fun_returns: list = field(default_factory=list)
 
@@ -477,9 +476,6 @@ def _declare_var(decl: Evar, ctx: TypeContext):
 
 
 def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
-    if isinstance(s, Contract):
-        ctx.contracts[s.name] = tuple(s.inherits)
-        return
     if isinstance(s, Var):
         _require(isinstance(s.decl, Evar), "variable declaration needs a reference")
         _declare_var(s.decl, ctx)
@@ -502,7 +498,7 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
                      all(_types_equal(a, b) for a, b in zip(ts, rets)),
                      "returned values do not match the declared return types")
         return
-    if isinstance(s, (Throw, Snil, FunStop, ModifierGuard)):
+    if isinstance(s, (Contract, Throw, Snil, FunStop, ModifierGuard)):
         return
     if isinstance(s, If):
         ct = typecheck_expr(s.cond, ctx)

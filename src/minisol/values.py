@@ -37,7 +37,6 @@ from .memory import (
     MemoryValue,
     StructInstance,
     StructTypeInfo,
-    mvalue,
 )
 from .symbolic import is_symbolic, wrap_int
 from .syntax import (
@@ -80,7 +79,7 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
     if isinstance(v, Vint):
         return int_literal(v.value, v.width, v.signed, env.domain)
     if isinstance(v, Vbool):
-        return mvalue(BoolPayload(v.bit), env)
+        return MemoryValue(BoolPayload(v.bit), env.domain)
     if isinstance(v, (Varray, Vmap)):
         addr = value_address(K, v, sigma, env)
         block = None if addr is None else gm.read(sigma, addr, "chck", env)

@@ -260,8 +260,7 @@ def test_criterion_02_formula_algorithm_agreement(dimension_vectors):
 def test_criterion_03_if_false():
     rng = random.Random(20240603)
     for case in range(500):
-        gen = ProgramGen(random.Random(rng.randrange(1 << 30)),
-                         allow_return=False)
+        gen = ProgramGen(random.Random(rng.randrange(1 << 30)))
         setup = gen.declarations()
         s = tuple(gen.stmt_list(3, rng.randint(1, 3)))
         s_prime = tuple(gen.stmt_list(3, rng.randint(1, 3)))

@@ -331,6 +331,16 @@ class TestVerify:
                        "diagnostic": "assignment right side failed to evaluate"}
         assert err == "execution failed: assignment right side failed to evaluate\n"
 
+    def test_assigning_a_mapping_typechecks_and_fails_at_run_time(self, capsys, tmp_path):
+        prog = tmp_path / "maps.lls"
+        prog.write_text("contract M {\n    mapping(uint => uint) m;\n"
+                        "    mapping(uint => uint) n;\n"
+                        "    function f() public { m = n; }\n}\n")
+        assert run_cli(capsys, "typecheck", str(prog))[0] == 0
+        rc, _out, err = run_cli(capsys, "run", str(prog), "--entry", "f")
+        assert rc == 3
+        assert err == "execution failed: cannot assign into a mapping head\n"
+
     def test_caught_error_under_json_is_one_error_record(self, capsys):
         rc, out, err = run_cli(capsys, "run", WALLET, "--entry", "nosuch", "--json")
         assert rc == 3

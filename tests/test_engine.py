@@ -395,6 +395,46 @@ class TestVerifyTriple:
         assert verdict.diagnostic == "postcondition fails under {'n': 8}"
 
 
+def replay_world(concrete):
+    """{x = n} with ``concrete(assignment)`` building the replayed world's x,
+    so a test can make the concrete replay disagree or raise."""
+    def pre(assignment):
+        sigma, env, _ = declared_world()
+        x = SymVar("n") if assignment is None else concrete(assignment)
+        return poke(sigma, X, IntPayload(x)), env, ExecContext()
+    return pre
+
+
+def no_replay(_assignment):
+    raise RuntimeError("no concrete world")
+
+
+N_0_9 = [SymbolicValue("n", "int", lo=0, hi=9)]
+
+
+class TestWitnessReplay:
+    def test_a_replay_that_holds_marks_the_witness(self):
+        # The symbolic x = n is 6 under the witness; the replayed x is 0.
+        verdict = verify_triple(replay_world(lambda _asg: 0), (Snil(),),
+                                Post(at_most_five), symbols=N_0_9)
+        assert verdict.status == "refuted"
+        assert verdict.witness == {"n": 6, "_replay_mismatch": True}
+
+    def test_a_replay_that_raises_marks_the_witness(self):
+        verdict = verify_triple(replay_world(no_replay), (Snil(),), Post(at_most_five),
+                                symbols=N_0_9)
+        assert verdict.status == "refuted"
+        assert verdict.witness == {"n": 6, "_replay_error": "no concrete world"}
+
+    def test_an_error_whose_replay_raises_names_no_witness(self):
+        prog = (Assign(Evar(X, Tuint()), Ebop("/", Econst(Vint(10)), Evar(X, Tuint()))),)
+        for concrete, witness in ((lambda asg: asg["n"], {"n": 0}), (no_replay, None)):
+            verdict = verify_triple(replay_world(concrete), prog, Post(at_most_five),
+                                    symbols=N_0_9)
+            assert (verdict.status, verdict.witness) == ("error", witness)
+            assert verdict.diagnostic.endswith("under {'n': 0}: division by zero")
+
+
 class TestThrowStatePost:
     def test_throw_program_satisfies_throw_post(self):
         sigma, env, names = declared_world()
@@ -771,6 +811,17 @@ class TestObligations:
             run = drive(1000, sigma, env, ctx, prog)
             assert (run.stop, run.env.gas, type(run.remaining[0])) == (ERROR, 49, If)
             assert (v.path.env.gas, type(v.path.remaining[0])) == (49, If)
+
+    def test_a_require_failing_under_a_model_drops_that_model(self):
+        # 10 / w fails under w = 0, which makes the require false there;
+        # without the require the post is refuted at w = 0.
+        source = "contract S { uint r; uint w; function f() public { r = 1; } }"
+        for require, verdict in (("require 10 / w > 2\n", ("verified", None)),
+                                 ("", ("refuted", {"w": 0}))):
+            pre, prog, post, spec, req = spec_triple(
+                source, f"entry f\nsym w : int 0..3\n{require}post w != 0\n")
+            v = verify_triple(pre, prog, post, symbols=spec.symbols, require=req)
+            assert (v.status, v.witness) == verdict
 
     def test_a_stored_quotient_is_guarded_once_on_the_paths_that_branch_on_it(self):
         # The If reads a tree its Assign guarded when storing it: the If does

@@ -86,6 +86,21 @@ def test_an_end_to_end_metric_worse_beyond_its_bound_is_marked():
     assert "bound" not in pairs.summarize(runs)["count-run-m100.job_s.p50"]
 
 
+def test_a_one_workload_run_marks_its_unprefixed_metrics():
+    # perfbench/run.py prefixes no metric with its workload when it runs one
+    def unprefixed(p50, rss):
+        run = pairs.result_object(canned_run(p50, rss))
+        run["metrics"] = {name.partition(".")[2]: v for name, v in run["metrics"].items()}
+        return run
+
+    summary = pairs.summarize([(unprefixed(0.0100, 24.0), unprefixed(0.0130, 24.0))],
+                              pairs.end_to_end_bounds())
+    assert list(summary) == ["job_s.p50", "peak_rss_mb"]
+    assert [summary[n]["beyond_bound"] for n in summary] == [True, False]
+    rows = pairs.format_summary(summary).splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["WORSE", "ok"]
+
+
 @pytest.mark.parametrize("parent, change, better, beyond", [
     (1.0, 1.25, "lower", False), (1.0, 1.26, "lower", True), (1.0, 0.5, "lower", False),
     (1.0, 0.75, "higher", False), (1.0, 0.74, "higher", True), (1.0, 2.0, "higher", False),

@@ -127,14 +127,13 @@ class TestArrayValues:
 
 def build_chain(sigma, env, base=Address(0), entries=()):
     """Manually build a mapping chain: head plus one node per entry."""
-    head = MapNode(init=base, kv=None, key_type=Tuint(), value_type=Tuint())
+    head = MapNode(init=base, kv=None)
     sigma = gm.write(sigma, base,
                      MemoryValue(head, domain=env.domain), "dir")
     prev = base
     for i, (k, v) in enumerate(entries):
         addr = Address(base.index + 1 + i)
-        node = MapNode(init=base, kv=(IntPayload(k), IntPayload(v)),
-                       key_type=Tuint(), value_type=Tuint())
+        node = MapNode(init=base, kv=(IntPayload(k), IntPayload(v)))
         sigma = gm.write(sigma, addr,
                          MemoryValue(node, domain=env.domain), "dir")
         prev_block = gm.read(sigma, prev, "dir")
@@ -162,8 +161,7 @@ class TestMappingValues:
 
     def test_cycle_bounded(self, sigma, env):
         # head pointing at itself must terminate as absent
-        head = MapNode(init=Address(0), kv=None, key_type=Tuint(),
-                       value_type=Tuint(), next=Address(0))
+        head = MapNode(init=Address(0), kv=None, next=Address(0))
         seeded = gm.write(sigma, Address(0),
                           MemoryValue(head, domain=env.domain), "dir")
         assert locate_map_node(IntPayload(1), Address(0), seeded, env) == (None, None)
@@ -178,15 +176,12 @@ class TestMappingValues:
         # outer chain: key 1 -> inner head at block 10
         inner_base = Address(10)
         seeded = build_chain(sigma, env, inner_base, [(7, 77)])
-        outer_head = MapNode(init=Address(0), kv=None, key_type=Tuint(),
-                             value_type=Tuint())
+        outer_head = MapNode(init=Address(0), kv=None)
         seeded = gm.write(seeded, Address(0),
                           MemoryValue(outer_head, domain=env.domain), "dir")
         outer_node = MapNode(
             init=Address(0),
-            kv=(IntPayload(1), MapNode(init=inner_base, kv=None,
-                                       key_type=Tuint(), value_type=Tuint())),
-            key_type=Tuint(), value_type=Tuint())
+            kv=(IntPayload(1), MapNode(init=inner_base, kv=None)))
         seeded = gm.write(seeded, Address(5),
                           MemoryValue(outer_node, domain=env.domain), "dir")
         head_block = gm.read(seeded, Address(0), "dir")

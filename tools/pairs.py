@@ -67,8 +67,9 @@ def _quartiles(values: list) -> tuple:
 def summarize(pairs: list, bounds: dict | None = None) -> dict:
     """Per metric of both sides' result objects, over ``(parent, change)``
     pairs: each side's median and quartiles, and the pairs the change won.
-    A ``WORKLOAD.METRIC`` whose metric ``bounds`` names also gets its
-    ``bound`` and whether the change's median is ``beyond_bound``."""
+    A ``WORKLOAD.METRIC``, or the bare ``METRIC`` of a one-workload run,
+    whose metric ``bounds`` names also gets its ``bound`` and whether the
+    change's median is ``beyond_bound``."""
     names = [n for n in pairs[0][0]["metrics"]
              if all(n in side["metrics"] for pair in pairs for side in pair)]
     summary = {}
@@ -81,7 +82,7 @@ def summarize(pairs: list, bounds: dict | None = None) -> dict:
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
-        metric = name.partition(".")[2]
+        metric = name if bounds and name in bounds else name.partition(".")[2]
         if bounds and metric in bounds:
             bound, better = bounds[metric]
             s["bound"] = bound
