@@ -252,7 +252,7 @@ def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
         return sigma
     blocks = sigma.blocks
     rebuilt = [(i, _concretize_block(blocks[i], assignment)) for i in indices]
-    return MemoryState(blocks.update(rebuilt), sigma.symbol_table, sigma.alloc_floor)
+    return sigma.with_blocks(blocks.update(rebuilt))
 
 
 def symbolic_blocks(sigma: MemoryState) -> tuple:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,4 @@ def elem_offset(indices, groups) -> int:
     n = len(indices)
     if n == 0 or n != len(groups):
         raise ValueError("index path and group sizes must have equal nonzero length")
-    total = n - 1
-    for i in range(n):
-        total += indices[i] * groups[i]
-    return total
+    return sum(map(mul, indices, groups), n - 1)

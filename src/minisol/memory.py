@@ -27,9 +27,12 @@ Blocks are read and written either directly ("dir") or after validation
 access succeeds iff the block is occupied and either the block is public
 or the caller's domain matches the block's domain tag. ``read`` and
 ``write`` are the one access path of every evaluation, so each does its
-bounds check, leaf lookup and validation in its own frame, without
-calling a helper. A chck write keeps the block's domain and access, and
-stores the value object itself when it already carries them.
+bounds check and leaf lookup in its own frame. A chck write validates
+through ``overwrite``, which a scalar assignment that has read its target
+block already calls directly: it keeps the block's domain and access, and
+stores the value object itself when it already carries them. A state
+derived from another is built by ``MemoryState.with_blocks``, which skips
+the coercion of ``__post_init__``.
 
 ``MemoryState``, ``MemoryValue``, ``IntPayload`` and ``BoolPayload`` are
 built on every dispatch, so they are slotted dataclasses without
@@ -63,6 +66,8 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 from .symbolic import is_symbolic
+
+_new = object.__new__
 
 DEFAULT_MEMORY_SIZE = 100
 
@@ -278,6 +283,17 @@ class BlockVector:
             leaf[i & MASK] = value
         return BlockVector(leaves, self.size)
 
+    def splice(self, start: int, values) -> BlockVector:
+        """This vector with ``values`` stored from index ``start`` on, all within
+        ``0..len-1``: the spine and each touched leaf are copied once, and each
+        leaf takes its part of ``values`` as one slice."""
+        leaves, stop = self.leaves.copy(), start + len(values)
+        for base in range(start & ~MASK, stop, CHUNK):
+            lo, hi = max(start, base), min(stop, base + CHUNK)
+            leaf = leaves[base >> SHIFT] = leaves[base >> SHIFT].copy()
+            leaf[lo - base:hi - base] = values[lo - start:hi - start]
+        return BlockVector(leaves, self.size)
+
     def diff(self, other: BlockVector):
         """Ascending indices at which the two vectors hold unequal blocks,
         over their common length; shared and equal leaves are skipped."""
@@ -299,6 +315,14 @@ class MemoryState:
     def __post_init__(self):
         if not isinstance(self.blocks, BlockVector):
             self.blocks = BlockVector.of(self.blocks)
+
+    def with_blocks(self, blocks: BlockVector) -> MemoryState:
+        """This state with ``blocks``, built without ``__post_init__``'s coercion."""
+        new = _new(MemoryState)
+        new.blocks = blocks
+        new.symbol_table = self.symbol_table
+        new.alloc_floor = self.alloc_floor
+        return new
 
     @property
     def size(self) -> int:
@@ -358,18 +382,25 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
     if not 0 <= i < blocks.size:
         return None
     if mode == "chck":
-        old = blocks.leaves[i >> SHIFT][i & MASK]
-        if old.occupancy != OCCUPY or not (
-                old.access == PUBLIC or env is not None and env.domain == old.domain):
-            return None
-        # Keep the block's declared ownership, so access control is stable
-        # across writers.
-        if old.access != value.access or not (
-                old.domain is value.domain or old.domain == value.domain):
-            value = MemoryValue(value.payload, old.domain, old.access, value.occupancy)
-    elif mode != "dir":
+        return overwrite(sigma, i, blocks.leaves[i >> SHIFT][i & MASK], value, env)
+    if mode != "dir":
         raise ValueError(f"unknown access mode {mode!r}")
-    return MemoryState(blocks.set(i, value), sigma.symbol_table, sigma.alloc_floor)
+    return sigma.with_blocks(blocks.set(i, value))
+
+
+def overwrite(sigma: MemoryState, i: int, old: MemoryValue, value: MemoryValue,
+              env) -> MemoryState | None:
+    """The chck write of ``value`` over ``old``, the block at index ``i`` of
+    ``sigma``, for a caller that has read ``old`` already."""
+    if old.occupancy != OCCUPY or not (
+            old.access == PUBLIC or env is not None and env.domain == old.domain):
+        return None
+    # Keep the block's declared ownership, so access control is stable
+    # across writers.
+    if old.access != value.access or not (
+            old.domain is value.domain or old.domain == value.domain):
+        value = MemoryValue(value.payload, old.domain, old.access, value.occupancy)
+    return sigma.with_blocks(sigma.blocks.set(i, value))
 
 
 def address_offset(offset: int, addr: Address,
@@ -415,7 +446,7 @@ def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
     blocks = sigma.blocks
     occupied = ((i, MemoryValue(Undef(), b.domain, b.access, OCCUPY))
                 for i, b in enumerate(blocks[base:base + n], base))
-    return MemoryState(blocks.update(occupied), sigma.symbol_table, sigma.alloc_floor)
+    return sigma.with_blocks(blocks.update(occupied))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def fresh_memory(size: int = gm.DEFAULT_MEMORY_SIZE) -> MemoryState:
             writes += [occupied(decl.name, FunctionInfo(decl.returns, decl.params,
                                                         decl.ret_addr, decl.body)),
                        occupied(decl.ret_addr, Undef())]
-    return MemoryState(sigma.blocks.update(writes), sigma.symbol_table)
+    return sigma.with_blocks(sigma.blocks.update(writes))
 
 
 def sender_instance(binfo: BlockInfo, size: int) -> StructInstance:

@@ -19,16 +19,21 @@ callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged. A symbolic branch condition,
+every rule takes its arguments unchanged. A rule that goes on returns the
+plain tuple ``(sigma, env, remaining)``; a ``StepResult`` is built only to
+stop (``error``), to fork (``splits``) or to halt (a throw), and ``drive``
+tells the two apart by ``type(res) is tuple``. A symbolic branch condition,
 and a value that divides by a symbolic divisor, make ``Split``s of the
 models, and ``drive`` stops before such a dispatch, so the explorer forks
 there. Only a statement that divides, by its own expressions, is checked:
 its mark is computed once and kept on the node. Any other symbolic tree
 it evaluates was read from memory, where the dispatch that stored it
 checked it, or is a bare symbol of the initial world, which cannot fail.
-An assignment resolves its target through the value layer's resolvers; a
-mapping entry target is stored by ``_map_store``, which walks each chain
-once and links a missing key at the chain's tail.
+An assignment resolves its target through the value layer's resolvers and
+reads a scalar target's block once, for the mapping-head check and the
+validated write (``memory.overwrite``); a mapping entry target is stored by
+``_map_store``, which walks each chain once and links a missing key at the
+chain's tail.
 """
 
 from __future__ import annotations
@@ -150,9 +155,7 @@ def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
     if K < total:
         return None
     run = _group_run(tuple(dims), env.domain)
-    blocks = sigma.blocks.update(zip(range(base.index, base.index + total), run * dims[0],
-                                     strict=True))
-    return MemoryState(blocks, sigma.symbol_table, sigma.alloc_floor)
+    return sigma.with_blocks(sigma.blocks.splice(base.index, run * dims[0]))
 
 
 def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
@@ -187,6 +190,7 @@ class Split(NamedTuple):
 
 @dataclass(slots=True)
 class StepResult:
+    """A dispatch that stops, forks or halts; one that goes on is a tuple."""
     sigma: MemoryState | None
     env: Env
     remaining: tuple
@@ -199,9 +203,9 @@ def _fail(env, rest, msg) -> StepResult:
     return StepResult(None, env, rest, error=msg)
 
 
-def _with_divides(res: StepResult, head: LStatement, what: str, values) -> StepResult:
-    """``res``, or a copy whose first split tests the ``SymOp.guards`` of each
-    evaluated value that has them: it divides by a symbol.
+def _with_divides(res, head: LStatement, what: str, values) -> tuple | StepResult:
+    """``res``, or a ``StepResult`` whose first split tests the ``SymOp.guards``
+    of each evaluated value that has them: it divides by a symbol.
 
     Only a statement that divides (``head.may_divide``, kept on the node) can
     build a new guard; any other tree was read from memory, where its guards
@@ -220,11 +224,14 @@ def _with_divides(res: StepResult, head: LStatement, what: str, values) -> StepR
             if tree.guards:
                 divides += ((what, tree),)
                 guards |= dict.fromkeys(tree.guards)
-    return replace(res, splits=(Split(tuple(guards), divides), *res.splits)) if divides else res
+    if not divides:
+        return res
+    res = StepResult(*res) if type(res) is tuple else res
+    return replace(res, splits=(Split(tuple(guards), divides), *res.splits))
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
-                   head: LStatement, rest: tuple) -> StepResult:
+                   head: LStatement, rest: tuple) -> tuple | StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
     type; every rule takes these arguments. Gas must already be spent.
     """
@@ -234,8 +241,8 @@ def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
     return rule(K, sigma, env, ctx, head, rest)
 
 
-def _exec_snil(_K, sigma, env, _ctx, _head, rest) -> StepResult:
-    return StepResult(sigma, env, rest)
+def _exec_snil(_K, sigma, env, _ctx, _head, rest) -> tuple:
+    return sigma, env, rest
 
 
 def _exec_throw(_K, sigma, env, ctx, _head, _rest) -> StepResult:
@@ -246,8 +253,8 @@ def _exec_throw(_K, sigma, env, ctx, _head, _rest) -> StepResult:
     return StepResult(thrown, env, (), halted=True)
 
 
-def _exec_fun_stop(_K, sigma, env, _ctx, head, rest) -> StepResult:
-    return StepResult(sigma, _frame_end(env, head), rest)
+def _exec_fun_stop(_K, sigma, env, _ctx, head, rest) -> tuple:
+    return sigma, _frame_end(env, head), rest
 
 
 def _frame_end(env, stop: FunStop) -> Env:
@@ -255,42 +262,42 @@ def _frame_end(env, stop: FunStop) -> Env:
     return env if stop.caller is None else Env(env.gas, stop.caller)
 
 
-def _exec_contract(_K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_contract(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
         return _fail(env, rest, f"contract block {head.name} out of range")
-    return StepResult(sig, env, rest)
+    return sig, env, rest
 
 
-def _exec_var(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_var(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     decl = head.decl
     if decl.addr is None:
         return _fail(env, rest, "declaration without an address")
     sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
     if sig is None:
         return _fail(env, rest, f"cannot initialize block {decl.addr}")
-    return StepResult(sig, env, rest)
+    return sig, env, rest
 
 
-def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
         return _fail(env, rest, f"struct block {head.type_addr} out of range")
-    return StepResult(sig, env, rest)
+    return sig, env, rest
 
 
-def _exec_if(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_if(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     return _branch(K, sigma, env, head, rest, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_while(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     return _branch(K, sigma, env, head, rest, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_return(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
@@ -302,12 +309,12 @@ def _exec_return(K, sigma, env, _ctx, head, rest) -> StepResult:
         return _fail(env, rest, "return slot is not writable")
     for i, stmt in enumerate(rest):
         if type(stmt) is FunStop:
-            return _with_divides(StepResult(sig, _frame_end(env, stmt), rest[i + 1:]),
+            return _with_divides((sig, _frame_end(env, stmt), rest[i + 1:]),
                                  head, "return value", values)
-    return _with_divides(StepResult(sig, env, rest), head, "return value", values)
+    return _with_divides((sig, env, rest), head, "return value", values)
 
 
-def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
+def _branch(K, sigma, env, head, rest, what, taken, skipped) -> tuple | StepResult:
     """Decide the condition of an If or a loop and continue with the
     remainder ``taken`` or ``skipped`` that it chooses.
 
@@ -321,7 +328,7 @@ def _branch(K, sigma, env, head, rest, what, taken, skipped) -> StepResult:
     if isinstance(bit, SymExpr):
         res = StepResult(sigma, env, taken, splits=(Split((bit,), otherwise=skipped),))
         return _with_divides(res, head, "condition", (v,))
-    return StepResult(sigma, env, taken if bit else skipped)
+    return sigma, env, taken if bit else skipped
 
 
 def _write_returns(sigma, env, values) -> MemoryState | None:
@@ -340,7 +347,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_call(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     callee = head.callee
     arg_values = []
     if isinstance(callee, Efun):
@@ -360,7 +367,7 @@ def _exec_call(K, sigma, env, _ctx, head, rest) -> StepResult:
                          head, "call argument", arg_values)
 
 
-def _enter_call(sigma, env, target: Address, arg_values, rest) -> StepResult:
+def _enter_call(sigma, env, target: Address, arg_values, rest) -> tuple | StepResult:
     """Bind the arguments and continue with the guarded modifier calls and the
     stored body, whose trailing ``FunStop`` returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
@@ -378,8 +385,8 @@ def _enter_call(sigma, env, target: Address, arg_values, rest) -> StepResult:
             sig = gm.write(sig, p.addr, MemoryValue(v.payload, target_block.domain,
                                                     target_block.access, gm.OCCUPY), "dir")
     guards = [s for call in info.modifiers for s in (call, ModifierGuard(sig, call))]
-    return StepResult(sig, Env(env.gas, target),
-                      (*guards, *info.body[:-1], FunStop(caller=env.domain), *rest))
+    return (sig, Env(env.gas, target),
+            (*guards, *info.body[:-1], FunStop(caller=env.domain), *rest))
 
 
 def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | None:
@@ -396,7 +403,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     """Store a function with its modifier calls, or a modifier (returning one bool)."""
     is_fun = isinstance(head, Fun)
     what = "function" if is_fun else "modifier"
@@ -418,10 +425,10 @@ def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> StepResult:
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
         return _fail(env, rest, f"{what} block out of range")
-    return StepResult(sig, env, rest)
+    return sig, env, rest
 
 
-def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     """Judge the modifier call just run, which may write only the flag and its
     own parameters and return slot: a raised flag continues from the state
     ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
@@ -438,7 +445,7 @@ def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> StepResult:
         return _fail(env, rest, "modifier touched memory outside its flag")
     if isinstance(bit, SymExpr):
         return StepResult(before, env, rest, splits=(Split((bit,), otherwise=(Throw(),)),))
-    return StepResult(before, env, rest if bit else (Throw(),))
+    return before, env, rest if bit else (Throw(),)
 
 
 def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=()):
@@ -452,7 +459,7 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=())
     return flag.bit if isinstance(flag, BoolPayload) else False
 
 
-def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
+def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return _fail(env, rest, "assignment right side failed to evaluate")
@@ -466,21 +473,21 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> StepResult:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
         return _fail(env, rest, "assignment target has no address")
-    # gm.read's leaf lookup, inline: the check costs no call and is not
-    # counted as a memory read.
+    # The target leaf is read once, inline, for the mapping-head check and
+    # the validated write; it is not counted as a memory read.
     i, blocks = addr.index, sigma.blocks
-    if 0 <= i < blocks.size and \
-            type(blocks.leaves[i >> gm.SHIFT][i & gm.MASK].payload) is MapNode:
+    old = blocks.leaves[i >> gm.SHIFT][i & gm.MASK] if 0 <= i < blocks.size else None
+    if old is not None and type(old.payload) is MapNode:
         return _fail(env, rest, "cannot assign into a mapping head")
-    sig = gm.write(sigma, addr, rhs, "chck", env)
+    sig = None if old is None else gm.overwrite(sigma, i, old, rhs, env)
     if sig is None:
         return _fail(env, rest, f"validated write to {addr} failed")
     if type(getattr(rhs.payload, "value", None)) is int:
-        return StepResult(sig, env, rest)  # a concrete integer divides by nothing
-    return _with_divides(StepResult(sig, env, rest), head, "assignment right side", (rhs,))
+        return sig, env, rest  # a concrete integer divides by nothing
+    return _with_divides((sig, env, rest), head, "assignment right side", (rhs,))
 
 
-def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
+def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | StepResult:
     """Store ``rhs`` under the keys of ``vmap`` (insert-only mappings).
 
     The keys evaluate once, then each chain is walked once: a found entry
@@ -513,7 +520,7 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
                 sig = gm.write(sig, found, entry, "chck", env)
                 if sig is None:
                     return _fail(env, rest, f"validated write to {found} failed")
-                return StepResult(sig, env, rest)
+                return sig, env, rest
             inner = node.kv[1]
         else:
             if tail is None or not (last or isinstance(vt, Tmap)):
@@ -537,7 +544,7 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> StepResult:
             sig = gm.write(sig, tail, replace(tail_block, payload=replace(
                 tail_block.payload, next=node_addr)), "dir")
             if last:
-                return StepResult(sig, env, rest)
+                return sig, env, rest
         if not isinstance(inner, MapNode) or not isinstance(vt, Tmap):
             return _fail(env, rest, "mapping insert failed")
         base, vt = inner.init, vt.value
@@ -598,21 +605,24 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
     execute the head, continue on the rewritten remainder.
     """
     remaining = tuple(prog)
-    halted = False
     while True:
         if not remaining:
-            return Run(FINISHED, sigma, env, remaining, halted=halted)
+            return Run(FINISHED, sigma, env, remaining)
         if sigma is None:
-            return Run(NO_STATE, sigma, env, remaining, halted=halted)
+            return Run(NO_STATE, sigma, env, remaining)
         if env.gas <= 0:
-            return Run(BUDGET, sigma, env, remaining, halted=halted)
+            return Run(BUDGET, sigma, env, remaining)
         # head by keyword: perfbench's tracer reads the statement kind from it
         res = exec_statement(K, sigma, Env(env.gas - 1, env.domain), ctx,
                              head=remaining[0], rest=remaining[1:])
-        if res.error is not None:
+        if type(res) is tuple:
+            sigma, env, remaining = res
+        elif res.error is not None:
             return Run(ERROR, sigma, env, remaining, error=res.error)
-        if res.splits:
+        elif res.splits:
             return Run(SYMBOLIC, sigma, env, remaining, step=res)
-        sigma, env, remaining, halted = res.sigma, res.env, res.remaining, res.halted
+        else:  # a throw halts the run and leaves no statement
+            return Run(PAUSED if once else FINISHED, res.sigma, res.env, res.remaining,
+                       halted=res.halted)
         if once:
-            return Run(PAUSED, sigma, env, remaining, halted=halted)
+            return Run(PAUSED, sigma, env, remaining)

@@ -384,6 +384,13 @@ def test_dump_by_runs_matches_the_flat_rendering(data):
     assert gm.dump(gm.MemoryState(blocks, sigma.symbol_table)) == _flat_dump(model)
 
 
+def test_dump_of_a_run_that_starts_on_a_whole_hundred():
+    # A written block at 1599 ends a leaf, so the free run after it starts at
+    # 1600, on a whole hundred that is also a leaf boundary.
+    sigma = gm.write(fresh_memory(10_000), Address(1599), mv(IntPayload(1)), "dir")
+    assert gm.dump(sigma) == _flat_dump(list(sigma.blocks))
+
+
 class TestBlockVector:
     def test_sequence_protocol_matches_tuple(self):
         values = tuple(mv(IntPayload(i)) for i in range(150))
@@ -435,6 +442,18 @@ class TestBlockVector:
                           (65, mv(IntPayload(-3)))])
         assert [out[65], out[66]] == [mv(IntPayload(-3)), mv(IntPayload(-2))]
         assert [new is old for old, new in zip(vec.leaves, out.leaves)] == [True, False, True]
+
+    @pytest.mark.parametrize("start, n", [(0, 150), (10, 5), (60, 10), (63, 1), (64, 64),
+                                          (100, 50), (0, 0)])
+    def test_splice_equals_update_and_shares_untouched_leaves(self, start, n):
+        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
+        values = tuple(mv(IntPayload(-i)) for i in range(n))
+        out = vec.splice(start, values)
+        assert out == vec.update(zip(range(start, start + n), values))
+        touched = {i >> gm.SHIFT for i in range(start, start + n)}
+        assert [new is old for old, new in zip(vec.leaves, out.leaves)] == [
+            j not in touched for j in range(len(vec.leaves))]
+        assert vec == gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
 
 
 class TestAddress:

@@ -260,6 +260,12 @@ class TestLimits:
         assert str(err.value) == (f"integer literal {literal} does not fit in uint64 "
                                   "(line 2, column 12)")
 
+    @pytest.mark.parametrize("width", [12, 4, 264])
+    def test_integer_width_must_be_a_multiple_of_8_within_8_to_256(self, width):
+        with pytest.raises(BindError) as err:
+            bind_addresses(parse_source(f"contract A {{ uint{width} y; }}"), 64)
+        assert str(err.value).startswith(f"unsupported integer width {width} ")
+
     def test_largest_integer_literal_is_accepted(self):
         src = "contract A { uint y = 18446744073709551615; }"
         assert bind_addresses(parse_source(src), 64).bindings["y"]

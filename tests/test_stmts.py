@@ -355,6 +355,36 @@ def test_a_symbolic_stop_holds_the_state_before_the_dispatch(sigma, env, kind):
         assert str(step.sigma.blocks[Y.index].payload.value) == "(10 / d)"
 
 
+class TestScalarStores:
+    """A scalar assignment is a validated write: the target must be in range
+    and occupied, public or in the writer's domain, and it keeps its
+    declared domain and access."""
+
+    OWNER = Address(5)
+
+    def owned(self, sigma, env, access):
+        return init_var(sigma, replace(env, domain=self.OWNER), access, Tuint(), X)
+
+    def test_assign_to_another_domains_private_block_fails(self, sigma, env):
+        ctx = ExecContext(sigma_init=sigma)
+        prog = [Assign(Evar(X, Tuint()), Econst(Vint(1)))]
+        assert run(prog, self.owned(sigma, env, gm.PRIVATE), env, ctx=ctx) is None
+        assert ctx.diagnostics == ["validated write to @0 failed"]
+
+    def test_assign_from_another_domain_keeps_the_blocks_domain_and_access(self, sigma, env):
+        out = run([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
+                  self.owned(sigma, env, gm.PUBLIC), env)
+        assert out.blocks[X.index] == MemoryValue(IntPayload(1), self.OWNER, gm.PUBLIC,
+                                                  gm.OCCUPY)
+
+    @pytest.mark.parametrize("index", [-1, 100])
+    def test_assign_out_of_range_fails(self, sigma, env, index):
+        ctx = ExecContext(sigma_init=sigma)
+        assert run([Assign(Evar(Address(index), Tuint()), Econst(Vint(1)))], sigma, env,
+                   ctx=ctx) is None
+        assert ctx.diagnostics == [f"validated write to @{index} failed"]
+
+
 class TestLoops:
     def test_while_false_skips_body(self, sigma, env):
         seeded = declared(sigma, env)

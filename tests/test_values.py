@@ -263,3 +263,8 @@ class TestFieldAccess:
         v = Vstruct(names["0xmsg"], names["msg"])
         out = eval_value(10, v, sigma, env)
         assert isinstance(out.payload, StructInstance)
+
+    def test_vstruct_of_another_type_reads_no_value(self, names, env, binfo):
+        # msg holds a 0xmsg instance; read as an address struct it has no value
+        sigma = write_message(fresh_memory(100), binfo)
+        assert eval_value(10, Vstruct(names["0xaddress"], names["msg"]), sigma, env) is None
