@@ -3,10 +3,10 @@ Hoare-triple checking.
 
 All three ways of running a program are thin callers of the one dispatch
 loop, ``stmts.drive``: ``interpret`` runs it to the end, ``step`` runs
-one statement, and ``explore`` forks a path wherever the loop stops on a
-symbolic branch condition or divisor. Two independent budgets bound a
-run: gas is spent per dispatched statement, the recursion budget K per
-nested value or expression evaluation.
+it with one unit of gas, and ``explore`` forks a path wherever the loop
+stops on a symbolic branch condition or divisor. Two independent budgets
+bound a run: gas is spent per dispatched statement, the recursion budget
+K per nested value or expression evaluation.
 
 Constraints are discharged by a bounded enumerator over each symbol's
 declared finite domain; no external solver is involved. Only the root
@@ -38,7 +38,6 @@ from .stmts import (
     ERROR,
     FINISHED,
     NO_STATE,
-    PAUSED,
     SYMBOLIC,
     ExecContext,
     drive,
@@ -98,7 +97,6 @@ class PathState:
 class Verdict:
     status: str                 # verified | refuted | exhausted | error
     witness: dict | None = None
-    path: PathState | None = None
     diagnostic: str = ""
     paths: tuple = ()
 
@@ -129,18 +127,19 @@ _STEP_NOTES = {FINISHED: "finished", NO_STATE: "stuck: no memory state",
 
 
 def step(ps: PathState, K: int = 1000) -> PathState:
-    """Execute exactly one statement of a path.
+    """Execute exactly one statement of a path: ``drive`` with one unit of gas.
 
-    Stuck situations (spent gas, failed dispatch, symbolic branch or
-    divisor) leave the remaining program in place and set a diagnostic note.
+    Gas left unspent means nothing was dispatched (the end, spent gas, a failed
+    dispatch, a symbolic branch or divisor): the path stays, with a note. A
+    dispatch leaves the path its gas minus one, in the domain the run ended in.
     """
-    run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining, once=True)
-    if run.stop == ERROR:
-        return replace(ps, note=f"stuck: {run.error}")
-    if run.stop != PAUSED:
-        return replace(ps, note=_STEP_NOTES[run.stop])
-    return replace(ps, sigma=run.sigma, env=run.env, remaining=run.remaining,
-                   note="throw" if run.halted else "")
+    gas = min(ps.env.gas, 1)
+    run = drive(K, ps.sigma, Env(gas, ps.env.domain), ps.ctx, ps.remaining)
+    if run.env.gas == gas:
+        return replace(ps, note=f"stuck: {run.error}" if run.stop == ERROR
+                       else _STEP_NOTES[run.stop])
+    return replace(ps, sigma=run.sigma, env=Env(ps.env.gas - 1, run.env.domain),
+                   remaining=run.remaining, note="throw" if run.halted else "")
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +255,14 @@ def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
 
 
 def symbolic_blocks(sigma: MemoryState) -> tuple:
-    """Indices of the blocks whose payload holds a symbol."""
-    return tuple(i for i, b in enumerate(sigma.blocks) if _has_symbols(b.payload))
+    """Indices of the blocks whose payload holds a symbol. States share block
+    objects between indices, so each distinct one is walked once, as
+    ``memory.dump`` renders each once; ``sigma`` keeps every id alive."""
+    symbolic = {}  # id of a block -> whether its payload holds a symbol
+    for b in sigma.blocks:
+        if id(b) not in symbolic:
+            symbolic[id(b)] = _has_symbols(b.payload)
+    return tuple(i for i, b in enumerate(sigma.blocks) if symbolic[id(b)])
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +404,10 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
     for p in paths:
         if p.note.startswith("error"):
             return Verdict("error", _failing_witness(p.models.witness, pre, original_prog, K),
-                           path=p, paths=paths,
-                           diagnostic=p.note.partition("error: ")[2] or "no memory state")
-        if p.note == "exhausted":
-            return Verdict("exhausted", path=p, diagnostic="gas or K budget exhausted",
+                           diagnostic=p.note.partition("error: ")[2] or "no memory state",
                            paths=paths)
+        if p.note == "exhausted":
+            return Verdict("exhausted", diagnostic="gas or K budget exhausted", paths=paths)
     for p in paths:
         goal = post.obligation(p.sigma, init)
         if goal is True:
@@ -415,9 +419,8 @@ def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
                 ok = False
             if not ok:
                 witness = _confirm_witness(asg, pre, original_prog, post, K)
-                return Verdict("refuted", witness=witness, path=p,
-                               diagnostic=f"postcondition fails under {asg}",
-                               paths=paths)
+                return Verdict("refuted", witness=witness, paths=paths,
+                               diagnostic=f"postcondition fails under {asg}")
     return Verdict("verified", paths=paths)
 
 

@@ -426,20 +426,22 @@ def allocate(sigma: MemoryState, n: int) -> tuple[Address, MemoryState] | None:
         if block.occupancy == FREE:
             run += 1
             if run == n:
-                base = i - n + 1
-                return Address(base), _mark_occupied(sigma, base, n)
+                base = Address(i - n + 1)
+                return base, allocate_at(sigma, base, n)
         else:
             run = 0
     return None
 
 
+def is_free_run(sigma: MemoryState, base: Address, n: int) -> bool:
+    """Whether the n > 0 blocks from ``base`` are in range and free."""
+    return n > 0 and 0 <= base.index <= sigma.size - n and all(
+        b.occupancy == FREE for b in sigma.blocks[base.index:base.index + n])
+
+
 def allocate_at(sigma: MemoryState, base: Address, n: int) -> MemoryState | None:
-    """Reserve n contiguous blocks at a fixed base (named array storage)."""
-    if n <= 0 or not 0 <= base.index <= sigma.size - n:
-        return None
-    if any(b.occupancy != FREE for b in sigma.blocks[base.index:base.index + n]):
-        return None
-    return _mark_occupied(sigma, base.index, n)
+    """Reserve the n contiguous blocks at ``base``, absent unless they are free."""
+    return _mark_occupied(sigma, base.index, n) if is_free_run(sigma, base, n) else None
 
 
 def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:

@@ -1,12 +1,13 @@
 """Statement-layer semantics: the one dispatch loop over statement lists.
 
 Execution is head-of-list: each dispatched statement costs one unit of
-gas, transforms the state, and may rewrite the remaining statement list
-(branches prepend the chosen arm, loops re-enqueue themselves, calls
-unfold the stored body). Each construct has one rule: ``LoopWhile`` is
-the only loop statement (a source ``for`` arrives as its init step and a
-while whose body ends with the post step), ``Returns`` the only return,
-and ``FunCall`` the only statement that calls; an assignment never does.
+gas, so one step is a run with one unit of gas. It transforms the state
+and may rewrite the remaining statement list (branches prepend the chosen
+arm, loops re-enqueue themselves, calls unfold the stored body). Each
+construct has one rule: ``LoopWhile`` is the only loop statement (a
+source ``for`` arrives as its init step and a while whose body ends with
+the post step), ``Returns`` the only return, and ``FunCall`` the only
+statement that calls; an assignment never does.
 A call carries its own return frame: the body is followed by a ``FunStop``
 naming the caller's domain, which restores that domain when dispatched,
 and a ``Returns`` drops the rest of the body through that ``FunStop``.
@@ -19,16 +20,17 @@ callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged. A rule that goes on returns the
-plain tuple ``(sigma, env, remaining)``; a ``StepResult`` is built only to
-stop (``error``), to fork (``splits``) or to halt (a throw), and ``drive``
-tells the two apart by ``type(res) is tuple``. A symbolic branch condition,
-and a value that divides by a symbolic divisor, make ``Split``s of the
-models, and ``drive`` stops before such a dispatch, so the explorer forks
-there. Only a statement that divides, by its own expressions, is checked:
-its mark is computed once and kept on the node. Any other symbolic tree
-it evaluates was read from memory, where the dispatch that stored it
-checked it, or is a bare symbol of the initial world, which cannot fail.
+every rule takes its arguments unchanged. A rule returns one of three
+shapes: the plain tuple ``(sigma, env, remaining)`` to go on, its error
+message (a ``str``) to fail, or a ``StepResult`` to fork on its ``splits``
+or, with none, to throw; ``drive`` tells them apart by their exact type.
+A symbolic branch condition, and a value that divides by a symbolic
+divisor, make ``Split``s of the models, and ``drive`` stops before such a
+dispatch, so the explorer forks there. Only a statement that divides, by
+its own expressions, is checked: its mark is computed once and kept on
+the node. Any other symbolic tree it evaluates was read from memory,
+where the dispatch that stored it checked it, or is a bare symbol of the
+initial world, which cannot fail.
 An assignment resolves its target through the value layer's resolvers and
 reads a scalar target's block once, for the mapping-head check and the
 validated write (``memory.overwrite``); a mapping entry target is stored by
@@ -166,13 +168,11 @@ def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
     if sigma.blocks[addr.index].occupancy == gm.OCCUPY:
         return None
     if isinstance(ltype, Tarray):
-        dims, _final = array_dims(ltype)
-        layout = array_layout(dims)
-        sig = gm.allocate_at(sigma, addr, layout.array_size)
-        if sig is None:
+        # init_array writes every block of the run, so none is marked first
+        n = array_layout(array_dims(ltype)[0]).array_size
+        if not gm.is_free_run(sigma, addr, n):
             return None
-        return init_array(K if K is not None else 2 * layout.array_size + 2,
-                          sig, addr, ltype, env)
+        return init_array(K if K is not None else 2 * n + 2, sigma, addr, ltype, env)
     payload = MapNode(init=addr) if isinstance(ltype, Tmap) else Undef()
     return _write_payload(sigma, addr, payload, env, access or gm.PUBLIC)
 
@@ -190,20 +190,14 @@ class Split(NamedTuple):
 
 @dataclass(slots=True)
 class StepResult:
-    """A dispatch that stops, forks or halts; one that goes on is a tuple."""
+    """A dispatch that forks on its ``splits``, or with none throws."""
     sigma: MemoryState | None
     env: Env
     remaining: tuple
-    error: str | None = None
     splits: tuple = ()      # the ``Split``s to fork on, in order, before going on
-    halted: bool = False    # throw-style termination
 
 
-def _fail(env, rest, msg) -> StepResult:
-    return StepResult(None, env, rest, error=msg)
-
-
-def _with_divides(res, head: LStatement, what: str, values) -> tuple | StepResult:
+def _with_divides(res, head: LStatement, what: str, values) -> tuple | str | StepResult:
     """``res``, or a ``StepResult`` whose first split tests the ``SymOp.guards``
     of each evaluated value that has them: it divides by a symbol.
 
@@ -224,20 +218,20 @@ def _with_divides(res, head: LStatement, what: str, values) -> tuple | StepResul
             if tree.guards:
                 divides += ((what, tree),)
                 guards |= dict.fromkeys(tree.guards)
-    if not divides:
+    if not divides or type(res) is str:  # a failed dispatch stays failed
         return res
     res = StepResult(*res) if type(res) is tuple else res
     return replace(res, splits=(Split(tuple(guards), divides), *res.splits))
 
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
-                   head: LStatement, rest: tuple) -> tuple | StepResult:
+                   head: LStatement, rest: tuple) -> tuple | str | StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
     type; every rule takes these arguments. Gas must already be spent.
     """
     rule = _RULES.get(type(head))
     if rule is None:
-        return _fail(env, rest, f"unknown statement {type(head).__name__}")
+        return f"unknown statement {type(head).__name__}"
     return rule(K, sigma, env, ctx, head, rest)
 
 
@@ -250,7 +244,7 @@ def _exec_throw(_K, sigma, env, ctx, _head, _rest) -> StepResult:
     names = gm.reserved_addresses(base.size)
     flag = MemoryValue(BoolPayload(True), names["0xglobal"], gm.PUBLIC, gm.OCCUPY)
     thrown = gm.write(base, names["0xthrow"], flag, "dir")
-    return StepResult(thrown, env, (), halted=True)
+    return StepResult(thrown, env, ())
 
 
 def _exec_fun_stop(_K, sigma, env, _ctx, head, rest) -> tuple:
@@ -262,51 +256,51 @@ def _frame_end(env, stop: FunStop) -> Env:
     return env if stop.caller is None else Env(env.gas, stop.caller)
 
 
-def _exec_contract(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_contract(_K, sigma, env, _ctx, head, rest) -> tuple | str:
     info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
-        return _fail(env, rest, f"contract block {head.name} out of range")
+        return f"contract block {head.name} out of range"
     return sig, env, rest
 
 
-def _exec_var(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_var(K, sigma, env, _ctx, head, rest) -> tuple | str:
     decl = head.decl
     if decl.addr is None:
-        return _fail(env, rest, "declaration without an address")
+        return "declaration without an address"
     sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
     if sig is None:
-        return _fail(env, rest, f"cannot initialize block {decl.addr}")
+        return f"cannot initialize block {decl.addr}"
     return sig, env, rest
 
 
-def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> tuple | str:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
-        return _fail(env, rest, f"struct block {head.type_addr} out of range")
+        return f"struct block {head.type_addr} out of range"
     return sig, env, rest
 
 
-def _exec_if(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
-    return _branch(K, sigma, env, head, rest, "branch",
+def _exec_if(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+    return _branch(K, sigma, env, head, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
-    return _branch(K, sigma, env, head, rest, "loop", (*head.body, head, *rest), rest)
+def _exec_while(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+    return _branch(K, sigma, env, head, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_return(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
     values = [eval_rvalue(K, e, sigma, env) for e in head.values]
     if any(v is None for v in values):
-        return _fail(env, rest, "return value failed to evaluate")
+        return "return value failed to evaluate"
     sig = _write_returns(sigma, env, values)
     if sig is None:
-        return _fail(env, rest, "return slot is not writable")
+        return "return slot is not writable"
     for i, stmt in enumerate(rest):
         if type(stmt) is FunStop:
             return _with_divides((sig, _frame_end(env, stmt), rest[i + 1:]),
@@ -314,7 +308,7 @@ def _exec_return(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     return _with_divides((sig, env, rest), head, "return value", values)
 
 
-def _branch(K, sigma, env, head, rest, what, taken, skipped) -> tuple | StepResult:
+def _branch(K, sigma, env, head, what, taken, skipped) -> tuple | str | StepResult:
     """Decide the condition of an If or a loop and continue with the
     remainder ``taken`` or ``skipped`` that it chooses.
 
@@ -324,7 +318,7 @@ def _branch(K, sigma, env, head, rest, what, taken, skipped) -> tuple | StepResu
     v = eval_rvalue(K, head.cond, sigma, env)
     bit = v.payload.bit if v is not None and isinstance(v.payload, BoolPayload) else None
     if bit is None:
-        return _fail(env, rest, f"{what} condition failed to evaluate")
+        return f"{what} condition failed to evaluate"
     if isinstance(bit, SymExpr):
         res = StepResult(sigma, env, taken, splits=(Split((bit,), otherwise=skipped),))
         return _with_divides(res, head, "condition", (v,))
@@ -347,41 +341,41 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_call(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
     callee = head.callee
     arg_values = []
     if isinstance(callee, Efun):
         if callee.addr is None:
-            return _fail(env, rest, "call target has no address")
+            return "call target has no address"
         target = callee.addr
     else:
         cv = eval_rvalue(K, callee, sigma, env)
         if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
-            return _fail(env, rest, "call target is not a function value")
+            return "call target is not a function value"
         target = cv.payload.fun
         arg_values.extend(cv.payload.args or ())  # arguments bound by the field access
     arg_values += [eval_rvalue(K, a, sigma, env) for a in head.args]
     if any(v is None for v in arg_values):
-        return _fail(env, rest, "call argument failed to evaluate")
+        return "call argument failed to evaluate"
     return _with_divides(_enter_call(sigma, env, target, arg_values, rest),
                          head, "call argument", arg_values)
 
 
-def _enter_call(sigma, env, target: Address, arg_values, rest) -> tuple | StepResult:
+def _enter_call(sigma, env, target: Address, arg_values, rest) -> tuple | str:
     """Bind the arguments and continue with the guarded modifier calls and the
     stored body, whose trailing ``FunStop`` returns to the caller's domain."""
     block = gm.read(sigma, target, "chck", env)
     if block is None or not isinstance(block.payload, FunctionInfo):
-        return _fail(env, rest, f"no function stored at {target}")
+        return f"no function stored at {target}"
     info = block.payload
     sig = sigma
     if info.params is not None:
         if len(info.params) != len(arg_values):
-            return _fail(env, rest, f"call arity {len(arg_values)} != {len(info.params)}")
+            return f"call arity {len(arg_values)} != {len(info.params)}"
         for p, v in zip(info.params, arg_values):
             target_block = gm.read(sig, p.addr, "dir")
             if target_block is None:
-                return _fail(env, rest, "parameter block out of range")
+                return "parameter block out of range"
             sig = gm.write(sig, p.addr, MemoryValue(v.payload, target_block.domain,
                                                     target_block.access, gm.OCCUPY), "dir")
     guards = [s for call in info.modifiers for s in (call, ModifierGuard(sig, call))]
@@ -403,7 +397,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | str:
     """Store a function with its modifier calls, or a modifier (returning one bool)."""
     is_fun = isinstance(head, Fun)
     what = "function" if is_fun else "modifier"
@@ -412,11 +406,11 @@ def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     for p in head.params:
         sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
         if sig is None:
-            return _fail(env, rest, f"{what} parameter block not free")
+            return f"{what} parameter block not free"
     if head.ret_addr is not None:
         sig = _init_return_slots(sig, env, head.ret_addr, returns)
         if sig is None:
-            return _fail(env, rest, f"{what} return slots not available")
+            return f"{what} return slots not available"
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
@@ -424,17 +418,17 @@ def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
                         tuple(head.modifiers) if is_fun else ())
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
-        return _fail(env, rest, f"{what} block out of range")
+        return f"{what} block out of range"
     return sig, env, rest
 
 
-def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
     """Judge the modifier call just run, which may write only the flag and its
     own parameters and return slot: a raised flag continues from the state
     ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
     before = head.before
     if before is None:
-        return _fail(env, rest, "modifier guard without a saved state")
+        return "modifier guard without a saved state"
     callee = head.call.callee
     info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
     own = [p.addr for p in info.params or ()] + [info.ret_addr] \
@@ -442,7 +436,7 @@ def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> tuple | StepResult
     bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
                        {a.index for a in own if a is not None})
     if bit is None:
-        return _fail(env, rest, "modifier touched memory outside its flag")
+        return "modifier touched memory outside its flag"
     if isinstance(bit, SymExpr):
         return StepResult(before, env, rest, splits=(Split((bit,), otherwise=(Throw(),)),))
     return before, env, rest if bit else (Throw(),)
@@ -459,10 +453,10 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=())
     return flag.bit if isinstance(flag, BoolPayload) else False
 
 
-def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
+def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
-        return _fail(env, rest, "assignment right side failed to evaluate")
+        return "assignment right side failed to evaluate"
     lhs = head.lhs
     if type(lhs) is Evar:
         addr = lhs.addr  # a scalar target: its address is on the node
@@ -472,22 +466,22 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | StepResult:
     else:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
-        return _fail(env, rest, "assignment target has no address")
+        return "assignment target has no address"
     # The target leaf is read once, inline, for the mapping-head check and
     # the validated write; it is not counted as a memory read.
     i, blocks = addr.index, sigma.blocks
     old = blocks.leaves[i >> gm.SHIFT][i & gm.MASK] if 0 <= i < blocks.size else None
     if old is not None and type(old.payload) is MapNode:
-        return _fail(env, rest, "cannot assign into a mapping head")
+        return "cannot assign into a mapping head"
     sig = None if old is None else gm.overwrite(sigma, i, old, rhs, env)
     if sig is None:
-        return _fail(env, rest, f"validated write to {addr} failed")
+        return f"validated write to {addr} failed"
     if type(getattr(rhs.payload, "value", None)) is int:
         return sig, env, rest  # a concrete integer divides by nothing
     return _with_divides((sig, env, rest), head, "assignment right side", (rhs,))
 
 
-def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | StepResult:
+def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | str:
     """Store ``rhs`` under the keys of ``vmap`` (insert-only mappings).
 
     The keys evaluate once, then each chain is walked once: a found entry
@@ -499,14 +493,14 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | Ste
     for e in vmap.keys:
         kv = eval_rvalue(K, e, sigma, env)
         if kv is None:
-            return _fail(env, rest, "mapping key failed to evaluate")
+            return "mapping key failed to evaluate"
         p = kv.payload
         tree = (p.bit if isinstance(p, BoolPayload)
                 else p.value if isinstance(p, gm.IntPayload) else None)
         if is_symbolic(tree):
             # Chains key on concrete payloads only.
-            return _fail(env, rest, f"mapping key {tree} is symbolic; "
-                         "symbolic mapping keys are unsupported")
+            return (f"mapping key {tree} is symbolic; "
+                    "symbolic mapping keys are unsupported")
         keys.append(p)
     sig, base, vt = sigma, vmap.base, vmap.value_type
     for i, key in enumerate(keys):
@@ -519,15 +513,15 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | Ste
                 entry = replace(block, payload=replace(node, kv=(node.kv[0], rhs.payload)))
                 sig = gm.write(sig, found, entry, "chck", env)
                 if sig is None:
-                    return _fail(env, rest, f"validated write to {found} failed")
+                    return f"validated write to {found} failed"
                 return sig, env, rest
             inner = node.kv[1]
         else:
             if tail is None or not (last or isinstance(vt, Tmap)):
-                return _fail(env, rest, "mapping insert failed")
+                return "mapping insert failed"
             alloc = gm.allocate(sig, 1)
             if alloc is None:
-                return _fail(env, rest, "mapping insert failed")
+                return "mapping insert failed"
             node_addr, sig = alloc
             tail_block = sig.blocks[tail.index]
             if last:
@@ -535,7 +529,7 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | Ste
             else:
                 alloc = gm.allocate(sig, 1)
                 if alloc is None:
-                    return _fail(env, rest, "mapping insert failed")
+                    return "mapping insert failed"
                 inner_addr, sig = alloc
                 inner = MapNode(init=inner_addr)
                 sig = gm.write(sig, inner_addr, replace(tail_block, payload=inner), "dir")
@@ -546,9 +540,9 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | Ste
             if last:
                 return sig, env, rest
         if not isinstance(inner, MapNode) or not isinstance(vt, Tmap):
-            return _fail(env, rest, "mapping insert failed")
+            return "mapping insert failed"
         base, vt = inner.init, vt.value
-    return _fail(env, rest, "mapping insert failed")
+    return "mapping insert failed"
 
 
 # One rule per statement class, keyed by exact type.
@@ -565,7 +559,7 @@ _RULES = {
 # The dispatch loop
 
 # Why ``drive`` stopped. After ERROR and SYMBOLIC the run holds the state
-# before the stopping dispatch, with that statement still at the head.
+# before the stopping dispatch, its gas unspent and that statement at the head.
 # After SYMBOLIC, ``step`` is that dispatch's result, its gas spent: the
 # explorer forks there, partitioning the path's models once per split.
 FINISHED = "finished"   # no statement left
@@ -573,7 +567,6 @@ NO_STATE = "no state"   # the memory state is absent
 BUDGET = "budget"       # gas spent
 ERROR = "error"
 SYMBOLIC = "symbolic"   # a branch condition or a divisor is a symbolic tree
-PAUSED = "paused"       # the one dispatch asked for ran
 
 
 @dataclass
@@ -597,12 +590,12 @@ class Run:
         return self.sigma if self.stop in (FINISHED, BUDGET) else None
 
 
-def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
-          once: bool = False) -> Run:
-    """Run ``prog`` until it stops, or for one dispatch if ``once``.
+def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog) -> Run:
+    """Run ``prog`` until it stops; one step is a run with one unit of gas.
 
-    Per dispatch: check the state and the gas, spend one unit of gas,
-    execute the head, continue on the rewritten remainder.
+    Per dispatch: check the state and the gas, spend one unit of gas and
+    execute the head. Its rule's tuple goes on, its message stops on ``ERROR``,
+    and its ``StepResult`` forks (``SYMBOLIC``) or throws, which ends the run.
     """
     remaining = tuple(prog)
     while True:
@@ -617,12 +610,9 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog,
                              head=remaining[0], rest=remaining[1:])
         if type(res) is tuple:
             sigma, env, remaining = res
-        elif res.error is not None:
-            return Run(ERROR, sigma, env, remaining, error=res.error)
+        elif type(res) is str:
+            return Run(ERROR, sigma, env, remaining, error=res)
         elif res.splits:
             return Run(SYMBOLIC, sigma, env, remaining, step=res)
         else:  # a throw halts the run and leaves no statement
-            return Run(PAUSED if once else FINISHED, res.sigma, res.env, res.remaining,
-                       halted=res.halted)
-        if once:
-            return Run(PAUSED, sigma, env, remaining)
+            return Run(FINISHED, res.sigma, res.env, res.remaining, halted=True)

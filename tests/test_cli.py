@@ -123,6 +123,30 @@ class TestVerify:
             counts.append(len(calls))
         assert counts[0] == counts[1] < 100
 
+    def test_a_post_over_the_store_walks_as_many_payloads_at_any_memory_size(
+            self, capsys, monkeypatch, tmp_path):
+        # ``holds`` searches the final store for symbols when ``a[w]`` stops
+        # it; each distinct block is walked once, and free blocks share one.
+        from minisol import engine
+        walk, calls = engine._walk, []
+
+        def counted(p):
+            calls.append(p)
+            return walk(p)
+        monkeypatch.setattr(engine, "_walk", counted)
+        program, spec = tmp_path / "a.lls", tmp_path / "a.spec"
+        program.write_text("contract S { uint[3] a; uint w; function f() public { a[1] = 0; } }\n")
+        spec.write_text("entry f\nsym w : int 0..2\npost a[w] == 0\n")
+        counts = []
+        for size in ("100", "10000"):
+            calls.clear()
+            rc, out, _ = run_cli(capsys, "verify", str(program), "--spec", str(spec),
+                                 "--mem-size", size)
+            assert (rc, out) == (1, "refuted (witness: {'w': 0}): "
+                                    "postcondition fails under {'w': 0}\n")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 100
+
     @pytest.mark.parametrize("cond, error", [
         ("10 / d > 100", "condition ((10 / d) > 100)"),
         ("d / 0 > 1", "condition ((d / 0) > 1)"),

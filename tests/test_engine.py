@@ -810,7 +810,8 @@ class TestObligations:
             sigma, env, ctx = pre({"d": 0})
             run = drive(1000, sigma, env, ctx, prog)
             assert (run.stop, run.env.gas, type(run.remaining[0])) == (ERROR, 49, If)
-            assert (v.path.env.gas, type(v.path.remaining[0])) == (49, If)
+            p, = [p for p in v.paths if p.note.startswith("error")]
+            assert (p.env.gas, type(p.remaining[0])) == (49, If)
 
     def test_a_require_failing_under_a_model_drops_that_model(self):
         # 10 / w fails under w = 0, which makes the require false there;

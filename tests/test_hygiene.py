@@ -96,10 +96,15 @@ def _is_record(cls: ast.ClassDef) -> bool:
 
 def field_reads(source: str) -> set:
     """The attribute names ``source`` loads, by attribute access or by a
-    ``getattr`` with a literal name."""
+    ``getattr`` with a literal name. An attribute of a name that an import
+    in ``source`` binds (``sys.path``) is a module's, not a field read."""
+    tree = ast.parse(source)
+    modules = {(a.asname or a.name).partition(".")[0] for n in ast.walk(tree)
+               if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     reads = set()
-    for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) \
+                and not (isinstance(n.value, ast.Name) and n.value.id in modules):
             reads.add(n.attr)
         elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
                 and n.func.id == "getattr" and len(n.args) > 1 \
@@ -143,9 +148,11 @@ def test_field_check_flags_planted_unread_fields():
                   "@dataclasses.dataclass\nclass B:\n    got: int\n    typed: int\n"
                   "class C(NamedTuple):\n    seen: str\n    unseen: str\n"
                   "class D:\n    plain: int = 0\n")]
-    # Stores and keyword arguments are not reads.
+    # Stores, keyword arguments and attributes of imported names are not reads.
     reading = ["a.kept\na.lost = 1\nreplace(c, unseen=2)\nA(lost=3)\n",
-               "print(getattr(c, 'seen'), getattr(b, name))\n"]
+               "print(getattr(c, 'seen'), getattr(b, name))\n",
+               "import sys\nimport os.path as typed\nfrom m import b\n"
+               "sys.unseen\ntyped.typed\nb.typed\n"]
     assert sorted(unread_fields(declaring, reading, {"got"})) == [
         ("<source>", "A", "lost"), ("<source>", "B", "typed"), ("<source>", "C", "unseen")]
 
@@ -235,8 +242,8 @@ def test_immutability_check_flags_planted_stores():
         ("<source>", 1, "store to .blocks")]
     assert value_stores('object.__setattr__(v, "payload", p)\n') == [
         ("<source>", 1, "__setattr__ call")]
-    assert value_stores("env.gas -= 1\nres.halted: bool = True\nsetattr(p, 'bit', 1)\n") == [
-        ("<source>", 1, "store to .gas"), ("<source>", 2, "store to .halted"),
+    assert value_stores("env.gas -= 1\nres.splits: tuple = ()\nsetattr(p, 'bit', 1)\n") == [
+        ("<source>", 1, "store to .gas"), ("<source>", 2, "store to .splits"),
         ("<source>", 3, "setattr call")]
     # A class initializes its own fields; other stores are not value fields.
     assert value_stores("class MemoryState:\n    def f(self):\n        self.blocks = ()\n"

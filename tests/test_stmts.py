@@ -22,7 +22,8 @@ from minisol.memory import (
     Undef,
 )
 from minisol.engine import interpret
-from minisol.stmts import (BUDGET, ERROR, FINISHED, PAUSED, SYMBOLIC, ExecContext, drive,
+from minisol.stdlib import fresh_memory
+from minisol.stmts import (BUDGET, ERROR, FINISHED, SYMBOLIC, ExecContext, drive,
                            init_array, init_var)
 from minisol.symbolic import SymVar
 from minisol.syntax import (
@@ -61,13 +62,14 @@ from minisol.values import Env, initial_env
 
 
 class TestEnvCheck:
-    @pytest.mark.parametrize("gas, expected", [(0, BUDGET), (5, PAUSED)])
+    @pytest.mark.parametrize("gas, expected", [(0, (BUDGET, 0)), (5, (FINISHED, 4))],
+                             ids=["0-budget", "5-finished"])
     def test_drive_stops_on_budget_exactly_when_the_check_fails(self, sigma, names, gas,
                                                                  expected):
         # the check is the gas: spent gas stops, any other gas dispatches
         env = Env(gas, names["0xglobal"])
-        run = drive(10, sigma, env, ExecContext(), (Snil(),), once=True)
-        assert run.stop == expected
+        run = drive(10, sigma, env, ExecContext(), (Snil(),))
+        assert (run.stop, run.env.gas) == expected
 
 
 def test_every_statement_class_has_one_rule():
@@ -223,6 +225,20 @@ class TestInitVar:
         headers = {i for i in range(6) if isinstance(out.blocks[i].payload, ArrayGroup)}
         assert headers == {0, 3}
 
+    def test_array_declaration_writes_its_run_once(self, env, monkeypatch):
+        # The blocks of allocating the run and then initializing it, without
+        # first marking each block occupied only for init_array to overwrite it.
+        t, base, sigma = Tarray(1000, Tuint()), Address(0), fresh_memory(2000)
+        expected = init_array(2002, gm.allocate_at(sigma, base, 1000), base, t, env)
+
+        def marked(*_args):
+            raise AssertionError("an array declaration marked its blocks occupied")
+        monkeypatch.setattr(gm, "_mark_occupied", marked)
+        assert init_var(sigma, env, "public", t, base).blocks == expected.blocks
+        # A declaration over an occupied block inside the run still fails.
+        occupied = init_var(sigma, env, None, Tuint(), Address(500))
+        assert init_var(occupied, env, "public", t, base) is None
+
     def test_mapping_declaration_creates_head(self, sigma, env):
         out = init_var(sigma, env, None, Tmap(Tuint(), Tbool()), Address(9))
         head = out.blocks[9].payload
@@ -322,6 +338,36 @@ def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
         assert r.stop == ERROR
         assert r.error == f"{what} condition failed to evaluate"
         assert r.sigma is sigma and r.remaining == (head, Snil())
+
+
+@pytest.mark.parametrize("failing, error", [
+    (Var(None, Evar(None, Tuint())), "declaration without an address"),
+    (Assign(Evar(None, Tuint()), Econst(Vint(1))), "assignment target has no address"),
+    (FunCall(Efun(Address(10), Tfid(Address(10))), ()), "no function stored at @10"),
+    (If(Econst(Vint(1)), (), ()), "branch condition failed to evaluate"),
+], ids=["var", "assign", "call", "if"])
+def test_a_failing_dispatch_leaves_the_run_before_it(sigma, env, failing, error):
+    # Why a failing rule returns only its message: drive stops with the state
+    # and environment of the dispatch before, the failing one's gas unspent,
+    # and the failing statement still at the head.
+    seeded, first = declared(sigma, env), Assign(Evar(X, Tuint()), Econst(Vint(5)))
+    before = drive(200, seeded, env, ExecContext(), (first,))
+    r = drive(200, seeded, env, ExecContext(), (first, failing, Snil()))
+    assert (r.stop, r.error) == (ERROR, error)
+    assert (r.sigma, r.env, r.remaining) == (before.sigma, before.env, (failing, Snil()))
+    assert r.env.gas == env.gas - 1
+
+
+def test_a_failing_dispatch_that_divides_by_a_symbol_fails_without_a_split(sigma, env):
+    # The call's argument divides by a symbol, but the call fails under every
+    # model: its message wins, and drive stops on ERROR with nothing to fork.
+    seeded = declared(sigma, env)
+    seeded = gm.write(seeded, X, replace(seeded.blocks[X.index],
+                                         payload=IntPayload(SymVar("d"))), "dir")
+    call = FunCall(Efun(Address(10), Tfid(Address(10))),
+                   (Ebop("/", Econst(Vint(10)), Evar(X, Tuint())),))
+    stop = drive(200, seeded, env, ExecContext(), (call,))
+    assert (stop.stop, stop.error, stop.step) == (ERROR, "no function stored at @10", None)
 
 
 @pytest.mark.parametrize("kind", ["branch", "division"])
