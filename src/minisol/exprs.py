@@ -105,10 +105,11 @@ def _compile_const(e: Econst):
 def _compile_ref(e: Evar):
     i = -1 if e.addr is None else e.addr.index
 
-    def ref(_K, sigma, env, i=i, leaf=i >> gm.SHIFT, slot=i & gm.MASK):
-        # memory.read's validated read, inline, from a leaf and slot found once
+    def ref(_K, sigma, env, i=i, mid=i >> gm.MID_SHIFT, leaf=(i >> gm.SHIFT) & gm.MASK,
+            slot=i & gm.MASK):
+        # memory.read's validated read, inline, from a mid, leaf and slot found once
         if 0 <= i < sigma.blocks.size:
-            block = sigma.blocks.leaves[leaf][slot]
+            block = sigma.blocks.root[mid][leaf][slot]
             if block.occupancy == gm.OCCUPY and (block.access == gm.PUBLIC or (
                     env is not None and env.domain == block.domain)):
                 return block

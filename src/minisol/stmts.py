@@ -53,9 +53,12 @@ from .memory import (
     Fid,
     FunctionInfo,
     IntPayload,
+    MASK,
+    MID_SHIFT,
     MapNode,
     MemoryState,
     MemoryValue,
+    SHIFT,
     StructTypeInfo,
     Undef,
 )
@@ -467,10 +470,11 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
         return "assignment target has no address"
-    # The target leaf is read once, inline, for the mapping-head check and
+    # The target block is read once, inline, for the mapping-head check and
     # the validated write; it is not counted as a memory read.
     i, blocks = addr.index, sigma.blocks
-    old = blocks.leaves[i >> gm.SHIFT][i & gm.MASK] if 0 <= i < blocks.size else None
+    old = (blocks.root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK]
+           if 0 <= i < blocks.size else None)
     if old is not None and type(old.payload) is MapNode:
         return "cannot assign into a mapping head"
     sig = None if old is None else gm.overwrite(sigma, i, old, rhs, env)

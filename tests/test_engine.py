@@ -467,15 +467,15 @@ def state_pairs(a, b):
 
 
 class TestWholeStateComparisons:
-    """Comparisons skip the leaves two states share; rebuilding a state so that
-    it shares none must not change any answer."""
+    """Comparisons skip the mids and leaves two states share; rebuilding a
+    state so that it shares none must not change any answer."""
 
-    # 100 blocks are a full leaf (0..63) and a partial last leaf (64..99)
-    # that also holds the reserved blocks.
+    # 100 blocks are one mid of three full leaves (0..31, 32..63, 64..95) and
+    # a partial last leaf (96..99); the reserved blocks 90..99 lie in the last two.
     @pytest.mark.parametrize("extra, expected", [
         (None, True),                   # only the throw flag is raised
         (5, False),                     # another change in the first leaf
-        (70, False),                    # another change in the partial last leaf
+        (70, False),                    # another change in a leaf of reserved blocks
         ("same", True),                 # a rewrite with an equal, new block
     ])
     def test_throw_state_post(self, extra, expected):
@@ -493,7 +493,8 @@ class TestWholeStateComparisons:
         for f, i in state_pairs(sigma, sigma):
             assert throw_state_post(f, i) is False
 
-    @pytest.mark.parametrize("mem, index", [(100, 0), (100, 70), (100, 88), (65, 64)])
+    @pytest.mark.parametrize("mem, index", [(100, 0), (100, 70), (100, 88), (65, 64),
+                                            (2000, 1500)])
     def test_state_equality(self, mem, index):
         sigma = fresh_memory(mem)
         assert all(a == b for a, b in state_pairs(sigma, sigma))

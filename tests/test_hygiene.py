@@ -2,8 +2,8 @@
 parameters, every field of a dataclass or ``NamedTuple`` there is read,
 every top-level function and class is named by the program
 or the benchmark somewhere outside its own definition, no code mutates a
-value of the slotted, non-frozen value classes or a spine or leaf list of
-a ``BlockVector``, only the expression layer and the symbolic module
+value of the slotted, non-frozen value classes or a root, mid or leaf
+list of a ``BlockVector``, only the expression layer and the symbolic module
 build arithmetic symbolic trees, no function of the statement layer
 but ``drive`` itself enters the dispatch loop ``drive``, only the
 expression layer stores the closure compiled on an expression node, and
@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
-from minisol.memory import BoolPayload, IntPayload, MemoryState, MemoryValue
+from minisol.memory import BlockVector, BoolPayload, IntPayload, MemoryState, MemoryValue
 from minisol.stmts import StepResult
 from minisol.syntax import _ATTRIBUTE, FORMAT
 from minisol.values import Env
@@ -250,31 +250,36 @@ def test_immutability_check_flags_planted_stores():
                         "ctx.sigma_init = sigma\n") == []
 
 
-# ``BlockVector`` keeps its spine and leaves as lists for cheap copies, and
-# states share them, so no code outside its own methods may mutate one: a
-# spine is a ``.leaves`` attribute, a leaf is a spine subscripted once, and
-# a name bound to either (by assignment or as a loop target over a spine,
-# through ``enumerate`` and ``zip``) is one too.
+# ``BlockVector`` keeps its root, mids and leaves as lists for cheap copies,
+# and states share them, so no code outside its own methods may mutate one:
+# a root is a ``.root`` attribute, a mid is a root subscripted once, a leaf
+# is a mid subscripted once, and a name bound to any of them (by assignment
+# or as a loop target over a root or mid, through ``enumerate`` and ``zip``)
+# is one too.
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                   "__setitem__", "__delitem__", "__iadd__", "__imul__"}
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
+_CHILD = {"root": "mid", "mid": "leaf"}  # what subscripting or iterating a node yields
+
+
 def _node_kind(e, aliases):
-    """What ``e`` evaluates to: "spine", "leaf" or None."""
-    if isinstance(e, ast.Attribute) and e.attr == "leaves":
-        return "spine"
+    """What ``e`` evaluates to: "root", "mid", "leaf" or None."""
+    if isinstance(e, ast.Attribute) and e.attr == "root":
+        return "root"
     if isinstance(e, ast.Name):
         return aliases.get(e.id)
-    if isinstance(e, ast.Subscript) and _node_kind(e.value, aliases) == "spine":
-        return "leaf"
+    if isinstance(e, ast.Subscript):
+        return _CHILD.get(_node_kind(e.value, aliases))
     return None
 
 
 def _item_shape(it, aliases):
-    """What iterating ``it`` yields: "leaf", a tuple of shapes, or None."""
-    if _node_kind(it, aliases) == "spine":
-        return "leaf"
+    """What iterating ``it`` yields: "mid", "leaf", a tuple of shapes, or None."""
+    kind = _node_kind(it, aliases)
+    if kind in _CHILD:
+        return _CHILD[kind]
     if isinstance(it, ast.Call) and isinstance(it.func, ast.Name):
         if it.func.id == "enumerate" and it.args:
             return (None, _item_shape(it.args[0], aliases))
@@ -305,7 +310,7 @@ def _scope_nodes(scope):
 def node_mutations(source: str, filename: str = "<source>") -> list:
     """(file, line, what) for each subscript store, ``del``, augmented
     assignment, attribute store or mutating list-method call aimed at a
-    ``BlockVector`` spine or leaf outside the methods of ``BlockVector``."""
+    ``BlockVector`` root, mid or leaf outside the methods of ``BlockVector``."""
     found = []
 
     def visit(scope, outer):
@@ -325,9 +330,9 @@ def node_mutations(source: str, filename: str = "<source>") -> list:
             if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) \
                     and _node_kind(n.value, aliases):
                 what = "subscript store" if isinstance(n.ctx, ast.Store) else "del"
-            elif isinstance(n, ast.Attribute) and n.attr == "leaves" \
+            elif isinstance(n, ast.Attribute) and n.attr == "root" \
                     and not isinstance(n.ctx, ast.Load):
-                what = "store to .leaves" if isinstance(n.ctx, ast.Store) else "del"
+                what = "store to .root" if isinstance(n.ctx, ast.Store) else "del"
             elif isinstance(n, ast.AugAssign) and _node_kind(n.target, aliases):
                 what = "augmented assignment"
             elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
@@ -344,6 +349,8 @@ def node_mutations(source: str, filename: str = "<source>") -> list:
 
 
 def test_block_vector_nodes_are_never_mutated():
+    # the check follows the attribute that holds the root, so it must be there
+    assert BlockVector.__slots__ == ("root", "size")
     found = [hit for path in sorted(SRC.glob("*.py"))
              for hit in node_mutations(path.read_text(encoding="utf-8"), path.name)]
     assert found == []
@@ -351,42 +358,67 @@ def test_block_vector_nodes_are_never_mutated():
 
 def test_node_check_flags_planted_mutations():
     planted = (
-        "blocks.leaves[0] = leaf\n"                                   # 1
-        "sigma.blocks.leaves[1][2] = v\n"                             # 2
-        "del blocks.leaves[0][1]\n"                                   # 3
+        "blocks.root[0] = mid\n"                                     # 1  root
+        "sigma.blocks.root[1][2] = leaf\n"                           # 2  mid
+        "sigma.blocks.root[1][2][3] = v\n"                           # 3  leaf
+        "del blocks.root[0]\n"                                       # 4  root
+        "del blocks.root[0][1]\n"                                    # 5  mid
+        "del blocks.root[0][1][2]\n"                                 # 6  leaf
+        "blocks.root += [mid]\n"                                     # 7  root
+        "blocks.root[0] += [leaf]\n"                                 # 8  mid
+        "blocks.root[0][1] += [v]\n"                                 # 9  leaf
+        "blocks.root.append(mid)\n"                                  # 10 root
+        "blocks.root[0].append(leaf)\n"                              # 11 mid
+        "blocks.root[0][1].append(v)\n"                              # 12 leaf
         "def f(blocks):\n"
-        "    leaf = blocks.leaves[3]\n"
-        "    leaf += [v]\n"                                           # 6
-        "    for each in blocks.leaves:\n"
-        "        each.append(v)\n"                                    # 8
-        "    for j, (a, b) in enumerate(zip(x.leaves, y.leaves)):\n"
-        "        b.sort()\n"                                          # 10
+        "    mid = blocks.root[3]\n"
+        "    mid += [leaf]\n"                                        # 15 mid
+        "    leaf = mid[0]\n"
+        "    leaf += [v]\n"                                          # 17 leaf
+        "    for each in blocks.root:\n"
+        "        each.append(leaf)\n"                                # 19 mid
+        "        for one in each:\n"
+        "            one.append(v)\n"                                # 21 leaf
+        "    for j, (a, b) in enumerate(zip(x.root, y.root)):\n"
+        "        b.sort()\n"                                         # 23 mid
         "        j += 1\n"
-        "spine = blocks.leaves\n"
-        "spine.insert(0, leaf)\n"                                     # 13
-        "alias = spine\n"
-        "alias[0][5] = v\n"                                           # 15
-        "blocks.leaves = []\n"                                        # 16
+        "root = blocks.root\n"
+        "root.insert(0, mid)\n"                                      # 26 root
+        "alias = root\n"
+        "alias[0][5] = leaf\n"                                       # 28 mid
+        "alias[0][5][1] = v\n"                                       # 29 leaf
+        "blocks.root = []\n"                                         # 30 root
+        "del blocks.root\n"                                          # 31 root
     )
     assert node_mutations(planted) == [
         ("<source>", 1, "subscript store"), ("<source>", 2, "subscript store"),
-        ("<source>", 3, "del"), ("<source>", 6, "augmented assignment"),
-        ("<source>", 8, "append call"), ("<source>", 10, "sort call"),
-        ("<source>", 13, "insert call"), ("<source>", 15, "subscript store"),
-        ("<source>", 16, "store to .leaves")]
+        ("<source>", 3, "subscript store"), ("<source>", 4, "del"), ("<source>", 5, "del"),
+        ("<source>", 6, "del"),
+        # an augmented assignment to a node is also a store to its place
+        ("<source>", 7, "augmented assignment"), ("<source>", 7, "store to .root"),
+        ("<source>", 8, "augmented assignment"), ("<source>", 8, "subscript store"),
+        ("<source>", 9, "augmented assignment"), ("<source>", 9, "subscript store"),
+        ("<source>", 10, "append call"), ("<source>", 11, "append call"),
+        ("<source>", 12, "append call"), ("<source>", 15, "augmented assignment"),
+        ("<source>", 17, "augmented assignment"), ("<source>", 19, "append call"),
+        ("<source>", 21, "append call"), ("<source>", 23, "sort call"),
+        ("<source>", 26, "insert call"), ("<source>", 28, "subscript store"),
+        ("<source>", 29, "subscript store"), ("<source>", 30, "store to .root"),
+        ("<source>", 31, "del")]
     # BlockVector's own methods write into their fresh copies; reading a
-    # block, copying a leaf and ordinary lists are not node mutations.
+    # block, copying a node and ordinary lists are not node mutations.
     assert node_mutations(
         "class BlockVector:\n"
         "    def set(self, i, v):\n"
-        "        leaves = self.leaves.copy()\n"
-        "        leaf = leaves[0] = leaves[0].copy()\n"
+        "        root = self.root.copy()\n"
+        "        mid = root[0] = root[0].copy()\n"
+        "        leaf = mid[0] = mid[0].copy()\n"
         "        leaf[i] = v\n"
-        "        self.leaves[0].append(v)\n"
-        "block = blocks.leaves[i >> SHIFT][i & MASK]\n"
+        "        self.root[0][0].append(v)\n"
+        "block = blocks.root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK]\n"
         "block_list = [block]\n"
         "block_list.append(block)\n"
-        "fresh = blocks.leaves[0].copy()\n"
+        "fresh = blocks.root[0][1].copy()\n"
         "fresh[0] = v\n") == []
 
 

@@ -68,6 +68,13 @@ class TestReadWrite:
         out = gm.write(sigma, Address(3), value, "dir")
         assert gm.read(out, Address(3), "dir") == value
 
+    def test_read_finds_every_block_of_three_mids(self):
+        values = [mv(IntPayload(i)) for i in range(3000)]
+        sigma = gm.MemoryState(values)
+        assert [gm.read(sigma, Address(i), "dir") for i in range(3000)] == values
+        assert [gm.read(sigma, Address(i), "chck") for i in range(3000)] == values
+        assert gm.read(sigma, Address(3000), "dir") is None
+
     def test_chck_read_of_free_block_absent(self, sigma, env):
         assert gm.read(sigma, Address(5), "chck", env) is None
 
@@ -243,18 +250,18 @@ class TestDump:
 # ---------------------------------------------------------------------------
 # Model test: the block vector against a flat list of blocks
 
-MODEL_SIZES = (11, 64, 65, 100, 1000)
+MODEL_SIZES = (11, 64, 65, 100, 1000, 1023, 1024, 1025)  # 1024 blocks fill one mid
 MODEL_ARRAYS = (
     Tarray(3, Tuint()),
     Tarray(2, Tarray(3, Tuint())),
     Tarray(2, Tarray(3, Tarray(2, Tuint()))),
-    Tarray(70, Tuint()),  # wider than one leaf
+    Tarray(70, Tuint()),  # wider than two leaves
 )
 
 
 def _model_ops(size):
     index = st.one_of(st.integers(-1, size),  # -1 and size are out of range
-                      st.sampled_from([0, 63, 64, size - 1]))
+                      st.sampled_from([0, 31, 32, 63, 64, 1023, 1024, size - 1]))
     domain = st.sampled_from([0, 1, size - 1 - gm.RESERVED_LAYOUT.index("0xglobal")])
     value = st.builds(lambda v, d, a: mv(IntPayload(v), Address(d), a),
                       st.integers(-3, 3), domain, st.sampled_from(gm.ACCESS_KINDS))
@@ -347,14 +354,14 @@ def test_block_vector_matches_flat_model(data):
         if out is None:
             continue
         assert tuple(out.blocks) == tuple(model), op
-        leaves = out.blocks.leaves
-        assert [len(leaf) for leaf in leaves[:-1]] == [gm.CHUNK] * (len(leaves) - 1)
+        mids, leaves = out.blocks.root, _leaves(out.blocks)
+        assert [len(mid) for mid in mids[:-1]] == [gm.WIDTH] * (len(mids) - 1)
+        assert [len(leaf) for leaf in leaves[:-1]] == [gm.WIDTH] * (len(leaves) - 1)
         assert sum(map(len, leaves)) == len(out.blocks) == size
-        # structural sharing: a leaf the operation did not touch is the old object
-        hit = {i // gm.CHUNK for i in touched}
-        for j, (old, new) in enumerate(zip(sigma.blocks.leaves, leaves)):
-            if j not in hit:
-                assert new is old, (op, j)
+        # structural sharing: a mid or leaf the operation did not touch is the old object
+        for shared, width in zip(_shared(sigma.blocks, out.blocks), (gm.WIDTH ** 2, gm.WIDTH)):
+            hit = {i // width for i in touched}
+            assert all(same for j, same in enumerate(shared) if j not in hit), (op, width)
         sigma = out
     assert gm.dump(sigma) == _flat_dump(model)
 
@@ -367,7 +374,7 @@ def test_dump_by_runs_matches_the_flat_rendering(data):
     # the run's block but another object, and it keeps its leaf on the
     # per-block path: an IntPayload of True equals one of 1 and renders
     # "true", not "1".
-    size = data.draw(st.sampled_from((99, 100, 101, 127, 128, 10_000)))
+    size = data.draw(st.sampled_from((99, 100, 101, 127, 128, 10_000, 20_000)))
     sigma = fresh_memory(size)
     blocks, model = sigma.blocks, list(sigma.blocks)
     for _ in range(data.draw(st.integers(0, 4))):
@@ -406,54 +413,120 @@ class TestBlockVector:
         with pytest.raises(IndexError):
             vec[-151]
 
+    def test_slices_near_the_end_match_tuple_slices(self):
+        values = tuple(mv(IntPayload(i)) for i in range(10_000))
+        vec = gm.BlockVector.of(values)
+        for s in (slice(9_990, 9_999), slice(9_998, None), slice(-3, None), slice(9_215, 9_250),
+                  slice(9_216, None, 7), slice(1_023, 1_025), slice(10_000, None),
+                  slice(9_999, 9_000), slice(9_999, None, -3)):
+            assert vec[s] == values[s], s
+
+    def test_a_slice_reads_no_node_before_its_start(self):
+        # The mids before the start's mid and the leaves before the start's
+        # leaf raise when read, so the slice must start its walk at its node.
+        class Unread(list):
+            def __getitem__(self, _key):
+                raise AssertionError("a node before the slice was read")
+
+            def __iter__(self):
+                return self[0]
+        values = [mv(IntPayload(i)) for i in range(10_000)]
+        vec = gm.BlockVector.of(values)
+        root = [Unread(mid) for mid in vec.root[:-1]] + [vec.root[-1].copy()]
+        root[-1][:-2] = [Unread(leaf) for leaf in root[-1][:-2]]
+        walled = gm.BlockVector(root, len(values))
+        start = len(values) - 40  # in the last leaf but one
+        assert walled[start:] == tuple(values[start:])
+        assert walled[start + 3:start + 30:4] == tuple(values[start + 3:start + 30:4])
+
     def test_plain_tuple_is_coerced(self, sigma):
         rebuilt = gm.MemoryState(tuple(sigma.blocks), sigma.symbol_table, sigma.alloc_floor)
         assert isinstance(rebuilt.blocks, gm.BlockVector)
         assert rebuilt == sigma
-        assert rebuilt.blocks.leaves == sigma.blocks.leaves
+        assert rebuilt.blocks.root == sigma.blocks.root  # the same three levels, node by node
 
     def test_write_shares_every_other_leaf(self):
-        sigma = fresh_memory(1000)
-        out = gm.write(sigma, Address(130), mv(IntPayload(1)), "dir")
-        for j, (old, new) in enumerate(zip(sigma.blocks.leaves, out.blocks.leaves)):
-            assert (new is old) == (j != 130 // gm.CHUNK)
+        sigma = fresh_memory(2_000)
+        out = gm.write(sigma, Address(1_100), mv(IntPayload(1)), "dir")
+        assert out.blocks.root is not sigma.blocks.root
+        assert _shared(sigma.blocks, out.blocks) == (
+            [j != 1_100 // gm.WIDTH ** 2 for j in range(2)],
+            [j != 1_100 // gm.WIDTH for j in range(2_000 // gm.WIDTH + 1)])
+
+    @pytest.mark.parametrize("size", [100, 10_000, 20_000])
+    def test_a_write_copies_one_node_per_level(self, size):
+        # The cost of a write is the list slots it copies: the root, one mid
+        # and one leaf, at most 3 * WIDTH up to WIDTH ** 3 blocks however
+        # large the memory is. The root grows by one slot per WIDTH ** 2 blocks.
+        sigma = fresh_memory(size)
+        for i in (0, size // 2, size - gm.RESERVED_BLOCKS - 1):
+            out = gm.write(sigma, Address(i), mv(IntPayload(1)), "dir")
+            mids, leaves = _shared(sigma.blocks, out.blocks)
+            assert out.blocks.root is not sigma.blocks.root
+            assert mids.count(False) == 1 and not mids[i // gm.WIDTH ** 2]
+            assert leaves.count(False) == 1 and not leaves[i // gm.WIDTH]
+            mid = out.blocks.root[i // gm.WIDTH ** 2]
+            copied = len(out.blocks.root) + len(mid) + len(mid[(i // gm.WIDTH) % gm.WIDTH])
+            assert copied <= 3 * gm.WIDTH, (i, copied)
 
     def test_fresh_memory_shares_one_free_block(self):
         sigma = fresh_memory(10_000)
         free = [b for b in sigma.blocks if b.occupancy == gm.FREE]
         assert len(free) > 9_900
         assert all(b is free[0] for b in free)
-        # and one all-free leaf list, besides the leaves of the reserved blocks
-        assert len({id(leaf) for leaf in sigma.blocks.leaves}) <= 3
+        # one all-free leaf list and one all-free mid list, besides the last
+        # mid and its last leaf, which hold the reserved blocks
+        mids = sigma.blocks.root
+        assert len({id(leaf) for leaf in _leaves(sigma.blocks)}) == 2
+        assert len({id(mid) for mid in mids}) == 2
+        assert all(mid is mids[0] for mid in mids[:-1])
 
     def test_no_operation_changes_a_built_vector(self):
-        values = [mv(IntPayload(i)) for i in range(150)]
+        values = [mv(IntPayload(i)) for i in range(1_100)]
         vec = gm.BlockVector.of(values)
         values[0] = mv(IntPayload(-1))  # the caller's list is not a leaf
-        spine, leaves = vec.leaves, [leaf.copy() for leaf in vec.leaves]
+        root, mids, leaves = vec.root, list(vec.root), _leaves(vec)
+        contents = [leaf.copy() for leaf in leaves]
         vec.set(3, mv(IntPayload(7)))
-        vec.update([(70, mv(IntPayload(8))), (71, mv(IntPayload(9))), (3, mv(IntPayload(1)))])
-        assert vec.leaves is spine and vec.leaves == leaves
+        vec.update([(70, mv(IntPayload(8))), (1_071, mv(IntPayload(9))), (3, mv(IntPayload(1)))])
+        vec.splice(1_000, [mv(IntPayload(5))] * 60)
+        assert vec.root is root and all(new is old for new, old in zip(vec.root, mids))
+        assert all(new is old for new, old in zip(_leaves(vec), leaves))
+        assert _leaves(vec) == contents
         assert vec[0] == mv(IntPayload(0))
 
     def test_update_copies_each_touched_leaf_once(self):
-        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
+        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
         out = vec.update([(65, mv(IntPayload(-1))), (66, mv(IntPayload(-2))),
-                          (65, mv(IntPayload(-3)))])
-        assert [out[65], out[66]] == [mv(IntPayload(-3)), mv(IntPayload(-2))]
-        assert [new is old for old, new in zip(vec.leaves, out.leaves)] == [True, False, True]
+                          (1_050, mv(IntPayload(-4))), (65, mv(IntPayload(-3)))])
+        assert [out[65], out[66], out[1_050]] == [
+            mv(IntPayload(-3)), mv(IntPayload(-2)), mv(IntPayload(-4))]
+        assert _shared(vec, out) == ([False, False],
+                                     [j not in (2, 32) for j in range(1_100 // gm.WIDTH + 1)])
 
     @pytest.mark.parametrize("start, n", [(0, 150), (10, 5), (60, 10), (63, 1), (64, 64),
-                                          (100, 50), (0, 0)])
+                                          (100, 50), (0, 0), (1_000, 50), (0, 1_100)])
     def test_splice_equals_update_and_shares_untouched_leaves(self, start, n):
-        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
+        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
         values = tuple(mv(IntPayload(-i)) for i in range(n))
         out = vec.splice(start, values)
         assert out == vec.update(zip(range(start, start + n), values))
-        touched = {i >> gm.SHIFT for i in range(start, start + n)}
-        assert [new is old for old, new in zip(vec.leaves, out.leaves)] == [
-            j not in touched for j in range(len(vec.leaves))]
-        assert vec == gm.BlockVector.of([mv(IntPayload(i)) for i in range(150)])
+        touched = range(start, start + n)
+        assert _shared(vec, out) == (
+            [j not in {i // gm.WIDTH ** 2 for i in touched} for j in range(2)],
+            [j not in {i // gm.WIDTH for i in touched} for j in range(1_100 // gm.WIDTH + 1)])
+        assert vec == gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
+
+
+def _leaves(vec):
+    return [leaf for mid in vec.root for leaf in mid]
+
+
+def _shared(old, new):
+    """For the mids and for the leaves, whether each node of ``new`` is the
+    one of ``old`` (the same object), in index order."""
+    return ([b is a for a, b in zip(old.root, new.root)],
+            [b is a for a, b in zip(_leaves(old), _leaves(new))])
 
 
 class TestAddress:

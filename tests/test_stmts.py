@@ -272,6 +272,20 @@ class TestBasicStatements:
                           "dir")
         assert out.blocks[X.index].payload == oracle.blocks[X.index].payload
 
+    @pytest.mark.parametrize("src, dst", [(1057, 2500), (2500, 33), (31, 1024), (2989, 0)])
+    def test_assign_between_blocks_in_any_mid_and_leaf(self, env, src, dst):
+        # 3000 blocks are three mids; the variable read and the target read
+        # each find their mid, leaf and slot
+        sigma = fresh_memory(3000)
+        for i in (src, dst):
+            sigma = init_var(sigma, env, "public", Tuint(), Address(i))
+        sigma = gm.write(sigma, Address(src), replace(sigma.blocks[src], payload=IntPayload(41)),
+                         "dir")
+        out = run([Assign(Evar(Address(dst), Tuint()),
+                          Ebop("+", Evar(Address(src), Tuint()), Econst(Vint(1))))], sigma, env)
+        assert out.blocks[dst].payload == IntPayload(42)
+        assert list(out.blocks.diff(sigma.blocks)) == [dst]
+
     def test_var_statement_declares(self, sigma, env):
         out = run([Var("private", Evar(X, Tuint()))], sigma, env)
         assert out.blocks[0].occupancy == gm.OCCUPY
