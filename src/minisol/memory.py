@@ -244,11 +244,16 @@ class BlockVector:
     def of(cls, values) -> BlockVector:
         if type(values) is not list:
             values = list(values)
-        leaves = [values[i:i + WIDTH] for i in range(0, len(values), WIDTH)]
+        # one loop, not a comprehension per level: a vector of one leaf is
+        # built as cheaply as with a level fewer
+        root = []
+        for i in range(0, len(values), WIDTH):
+            if not (i >> SHIFT) & MASK:  # the first leaf of a mid
+                mid = []
+                root.append(mid)
+            mid.append(values[i:i + WIDTH])
         new = _new(cls)
-        # the leaves of one mid are that mid, not sliced again
-        new.root = ([leaves] if 0 < len(leaves) <= WIDTH else
-                    [leaves[j:j + WIDTH] for j in range(0, len(leaves), WIDTH)])
+        new.root = root
         new.size = len(values)
         return new
 
@@ -333,11 +338,8 @@ class BlockVector:
                 mid = root[m] = root[m].copy()
             j, k, nxt = (i >> SHIFT) & MASK, i & MASK, (i | MASK) + 1
             part = values[i - start:nxt - start]
-            if k == 0 and len(part) == len(mid[j]):  # the part replaces the whole leaf
-                mid[j] = list(part)
-            else:
-                leaf = mid[j] = mid[j].copy()
-                leaf[k:k + len(part)] = part
+            leaf = mid[j] = mid[j].copy()
+            leaf[k:k + len(part)] = part
             i = nxt
         new = _new(BlockVector)
         new.root = root

@@ -53,12 +53,9 @@ from .memory import (
     Fid,
     FunctionInfo,
     IntPayload,
-    MASK,
-    MID_SHIFT,
     MapNode,
     MemoryState,
     MemoryValue,
-    SHIFT,
     StructTypeInfo,
     Undef,
 )
@@ -473,7 +470,7 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
     # The target block is read once, inline, for the mapping-head check and
     # the validated write; it is not counted as a memory read.
     i, blocks = addr.index, sigma.blocks
-    old = (blocks.root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK]
+    old = (blocks.root[i >> gm.MID_SHIFT][(i >> gm.SHIFT) & gm.MASK][i & gm.MASK]
            if 0 <= i < blocks.size else None)
     if old is not None and type(old.payload) is MapNode:
         return "cannot assign into a mapping head"
