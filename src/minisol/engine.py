@@ -250,8 +250,9 @@ def concretize(sigma: MemoryState, assignment, indices=None) -> MemoryState:
     if not indices:
         return sigma
     blocks = sigma.blocks
-    rebuilt = [(i, _concretize_block(blocks[i], assignment)) for i in indices]
-    return sigma.with_blocks(blocks.update(rebuilt))
+    for i in indices:
+        blocks = blocks.set(i, _concretize_block(blocks[i], assignment))
+    return sigma.with_blocks(blocks)
 
 
 def symbolic_blocks(sigma: MemoryState) -> tuple:
@@ -506,12 +507,9 @@ class _Concretized(SymExpr):
         return self.check(concretize(self.state, assignment, self.indices))
 
 
-_THROW_OFFSET = gm.RESERVED_LAYOUT.index("0xthrow")  # counted down from the top block
-
-
 def throw_state(final: MemoryState, initial: MemoryState | None):
     """Final memory is the entry snapshot plus a raised throw flag."""
-    idx = final.size - 1 - _THROW_OFFSET
+    idx = final.addr_of("0xthrow").index
     if initial is None or getattr(final.blocks[idx].payload, "bit", None) is not True:
         return False
     return _conjoin(_same_block(final.blocks[i], initial.blocks[i])

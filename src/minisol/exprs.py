@@ -8,7 +8,9 @@ the left. ``eval_rvalue`` checks the budget K, then calls the closure
 that the node's compiler in ``_COMPILERS`` built on its first evaluation
 (Feeley and Lapalme, "Using closures for code generation", 1987). Paths
 share nodes, so a closure holds node data only, as default arguments: a
-variable's leaf and slot, a literal, operand closures called one K down.
+literal, operand closures called one K down. A variable's closure is the
+validated read of its block that ``memory.checked_reader`` builds, so the
+block layout and the validation predicate stay in the memory module.
 ``eval_bop`` and ``eval_uop`` check operand types and widths, then apply
 the operator table of the symbolic module, the same one that evaluates
 symbolic trees: fixed-width integer arithmetic wraps (two's complement
@@ -103,18 +105,7 @@ def _compile_const(e: Econst):
 
 
 def _compile_ref(e: Evar):
-    i = -1 if e.addr is None else e.addr.index
-
-    def ref(_K, sigma, env, i=i, mid=i >> gm.MID_SHIFT, leaf=(i >> gm.SHIFT) & gm.MASK,
-            slot=i & gm.MASK):
-        # memory.read's validated read, inline, from a mid, leaf and slot found once
-        if 0 <= i < sigma.blocks.size:
-            block = sigma.blocks.root[mid][leaf][slot]
-            if block.occupancy == gm.OCCUPY and (block.access == gm.PUBLIC or (
-                    env is not None and env.domain == block.domain)):
-                return block
-        return None
-    return ref
+    return gm.checked_reader(-1 if e.addr is None else e.addr.index)
 
 
 def _compile_fun(e: Efun):

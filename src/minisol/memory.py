@@ -31,15 +31,21 @@ ordering run in C and ``.index`` is a C-level getter.
 Blocks are read and written either directly ("dir") or after validation
 ("chck"). The validation predicate lives only in this module: a chck
 access succeeds iff the block is occupied and either the block is public
-or the caller's domain matches the block's domain tag. ``read`` and
-``write`` are the one access path of every evaluation, so each does its
-bounds check and node lookup in its own frame. A chck write validates
-through ``overwrite``, which a scalar assignment that has read its target
-block already calls directly: it keeps the block's domain and access, and
-stores the value object itself when it already carries them. A state
-derived from another is built by ``MemoryState.with_blocks``, which skips
-the coercion of ``__post_init__``, and a vector derived from another is
-built without ``__init__`` too.
+or the caller's domain matches the block's domain tag. So do the block
+layout and the reserved names: no other module indexes a root, mid or
+leaf or names the constants that split an index (``tests/test_hygiene.py``
+checks this): they access blocks through ``read``, ``write``, the closure
+that ``checked_reader`` builds for a compiled variable reference, or a
+``BlockVector``'s tuple-like indexing. ``read``, ``write`` and the closure
+each do their bounds check and node lookup in their own frame, and the
+closure finds its mid, leaf and slot once, when it is built. A chck write
+validates through ``overwrite``, which a scalar assignment that has read
+its target block already calls directly: it keeps the block's domain and
+access, and stores the value object itself when it already carries
+them. A state derived from another is built by
+``MemoryState.with_blocks``, which skips the coercion of
+``__post_init__``, and a vector derived from another is built without
+``__init__`` too.
 
 ``MemoryState``, ``MemoryValue``, ``IntPayload`` and ``BoolPayload`` are
 built on every dispatch, so they are slotted dataclasses without
@@ -55,8 +61,10 @@ runs.
 
 The top of the address space is reserved for built-in blocks: the two
 flag blocks (throw, modifier), the standard-library struct type blocks,
-the message instance, and the built-in no-op functions with their return
-slots.
+the message instance, the built-in no-op functions with their return
+slots, and the global scope's domain block. Their addresses follow from
+the size (``reserved_addresses``, ``MemoryState.addr_of``), so a state
+is its blocks and its allocation floor alone.
 
 Dump format (one line per block, tab separated):
 
@@ -68,7 +76,7 @@ and relied on by golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -206,7 +214,7 @@ RESERVED_LAYOUT = (
 RESERVED_BLOCKS = len(RESERVED_LAYOUT)
 
 
-def reserved_addresses(size: int = DEFAULT_MEMORY_SIZE) -> dict[str, Address]:
+def reserved_addresses(size: int) -> dict[str, Address]:
     return {name: Address(size - 1 - i) for i, name in enumerate(RESERVED_LAYOUT)}
 
 
@@ -227,9 +235,9 @@ class BlockVector:
     Block ``i`` is ``root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK]``.
     Every leaf but the last holds exactly ``WIDTH`` values, and every mid
     but the last exactly ``WIDTH`` leaves. The nodes are lists that no
-    code mutates once the vector is built: ``set``, ``update`` and
-    ``splice`` copy the root and each mid and leaf they touch once, store
-    into the fresh copies, and share every other node. ``len``, integer
+    code mutates once the vector is built: ``set`` and ``splice`` copy the
+    root and each mid and leaf they touch once, store into the fresh
+    copies, and share every other node. ``len``, integer
     indexing and iteration behave as on a tuple, a slice is a tuple, and
     ``==`` skips the mids and leaves two vectors share.
     """
@@ -306,26 +314,6 @@ class BlockVector:
         new.size = self.size
         return new
 
-    def update(self, items) -> BlockVector:
-        """This vector with each ``(i, value)`` of ``items`` applied in order,
-        ``0 <= i < len``. The root and each touched mid and leaf are copied once."""
-        root = self.root.copy()
-        mids, leaves = {}, {}
-        for i, value in items:
-            j = i >> SHIFT
-            leaf = leaves.get(j)
-            if leaf is None:
-                m = i >> MID_SHIFT
-                mid = mids.get(m)
-                if mid is None:
-                    mid = mids[m] = root[m] = root[m].copy()
-                leaf = leaves[j] = mid[j & MASK] = mid[j & MASK].copy()
-            leaf[i & MASK] = value
-        new = _new(BlockVector)
-        new.root = root
-        new.size = self.size
-        return new
-
     def splice(self, start: int, values) -> BlockVector:
         """This vector with ``values`` stored from index ``start`` on, all within
         ``0..len-1``: the root and each touched mid and leaf are copied once,
@@ -363,7 +351,6 @@ class BlockVector:
 @dataclass(slots=True)
 class MemoryState:
     blocks: BlockVector = ()  # any other sequence of blocks is coerced
-    symbol_table: dict = field(default_factory=dict)
     alloc_floor: int = 0  # allocate() never hands out blocks below this index
 
     def __post_init__(self):
@@ -374,7 +361,6 @@ class MemoryState:
         """This state with ``blocks``, built without ``__post_init__``'s coercion."""
         new = _new(MemoryState)
         new.blocks = blocks
-        new.symbol_table = self.symbol_table
         new.alloc_floor = self.alloc_floor
         return new
 
@@ -383,7 +369,8 @@ class MemoryState:
         return self.blocks.size
 
     def addr_of(self, name: str) -> Address:
-        return self.symbol_table[name]
+        """The address of the reserved block ``name``, which follows from the size."""
+        return reserved_addresses(self.blocks.size)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +396,12 @@ def init_mem(size: int) -> MemoryState:
     mids, tail = divmod(full, WIDTH)
     tail = [leaf] * tail + ([[free] * rest] if rest else [])
     root = [[leaf] * WIDTH] * mids + ([tail] if tail else [])
-    blocks = BlockVector(root, size).update(
-        (names[name].index, MemoryValue(payload, domain=gdom, access=PUBLIC, occupancy=OCCUPY))
-        for name, payload in (("0xthrow", BoolPayload(False)),
-                              ("0xmodifier", BoolPayload(False)), ("0xglobal", Undef())))
-    return MemoryState(blocks, dict(names))
+    blocks = BlockVector(root, size)
+    for name, payload in (("0xthrow", BoolPayload(False)), ("0xmodifier", BoolPayload(False)),
+                          ("0xglobal", Undef())):
+        blocks = blocks.set(names[name].index,
+                            MemoryValue(payload, domain=gdom, access=PUBLIC, occupancy=OCCUPY))
+    return MemoryState(blocks)
 
 
 def read(sigma: MemoryState, addr: Address, mode: str = "dir",
@@ -462,8 +450,22 @@ def overwrite(sigma: MemoryState, i: int, old: MemoryValue, value: MemoryValue,
     return sigma.with_blocks(sigma.blocks.set(i, value))
 
 
-def address_offset(offset: int, addr: Address,
-                   size: int = DEFAULT_MEMORY_SIZE) -> Address | None:
+def checked_reader(i: int):
+    """``read(sigma, Address(i), "chck", env)`` as a closure ``(K, sigma, env)``,
+    for a compiled variable reference: the mid, leaf and slot of ``i`` are
+    found once, here, and each call checks the bounds and validates inline."""
+    def read_checked(_K, sigma, env, i=i, mid=i >> MID_SHIFT, leaf=(i >> SHIFT) & MASK,
+                     slot=i & MASK):
+        if 0 <= i < sigma.blocks.size:
+            block = sigma.blocks.root[mid][leaf][slot]
+            if block.occupancy == OCCUPY and (
+                    block.access == PUBLIC or env is not None and env.domain == block.domain):
+                return block
+        return None
+    return read_checked
+
+
+def address_offset(offset: int, addr: Address, size: int) -> Address | None:
     idx = addr.index + offset
     if 0 <= idx < size:
         return Address(idx)
@@ -505,9 +507,8 @@ def allocate_at(sigma: MemoryState, base: Address, n: int) -> MemoryState | None
 
 def _mark_occupied(sigma: MemoryState, base: int, n: int) -> MemoryState:
     blocks = sigma.blocks
-    occupied = ((i, MemoryValue(Undef(), b.domain, b.access, OCCUPY))
-                for i, b in enumerate(blocks[base:base + n], base))
-    return sigma.with_blocks(blocks.update(occupied))
+    return sigma.with_blocks(blocks.splice(base, [
+        MemoryValue(Undef(), b.domain, b.access, OCCUPY) for b in blocks[base:base + n]]))
 
 
 # ---------------------------------------------------------------------------

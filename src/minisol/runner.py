@@ -65,8 +65,7 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
     values drawn from it.
     """
     sigma = fresh_memory(bound.mem_size)
-    sigma = replace(sigma, alloc_floor=bound.floor,
-                    symbol_table={**sigma.symbol_table, **bound.bindings})
+    sigma = replace(sigma, alloc_floor=bound.floor)
     sigma = write_message(sigma, binfo)
 
     ctx = ExecContext()

@@ -68,7 +68,10 @@ def fresh_memory(size: int = gm.DEFAULT_MEMORY_SIZE) -> MemoryState:
             writes += [occupied(decl.name, FunctionInfo(decl.returns, decl.params,
                                                         decl.ret_addr, decl.body)),
                        occupied(decl.ret_addr, Undef())]
-    return sigma.with_blocks(sigma.blocks.update(writes))
+    blocks = sigma.blocks
+    for i, value in writes:
+        blocks = blocks.set(i, value)
+    return sigma.with_blocks(blocks)
 
 
 def sender_instance(binfo: BlockInfo, size: int) -> StructInstance:

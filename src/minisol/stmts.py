@@ -32,10 +32,10 @@ the node. Any other symbolic tree it evaluates was read from memory,
 where the dispatch that stored it checked it, or is a bare symbol of the
 initial world, which cannot fail.
 An assignment resolves its target through the value layer's resolvers and
-reads a scalar target's block once, for the mapping-head check and the
-validated write (``memory.overwrite``); a mapping entry target is stored by
-``_map_store``, which walks each chain once and links a missing key at the
-chain's tail.
+reads a scalar target's block once, through ``memory.read``, for the
+mapping-head check and the validated write (``memory.overwrite``); a
+mapping entry target is stored by ``_map_store``, which walks each chain
+once and links a missing key at the chain's tail.
 """
 
 from __future__ import annotations
@@ -161,8 +161,9 @@ def init_array(K: int, sigma: MemoryState, base: Address, arr_type,
 
 
 def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
-             K: int | None = None) -> MemoryState | None:
-    """First write of a declared block: default value, declared access."""
+             K: int = 0) -> MemoryState | None:
+    """First write of a declared block: default value, declared access. An
+    array spends K as ``init_array`` does; a scalar or mapping head reads no K."""
     if addr is None or not 0 <= addr.index < sigma.size:
         return None
     if sigma.blocks[addr.index].occupancy == gm.OCCUPY:
@@ -172,7 +173,7 @@ def init_var(sigma: MemoryState, env: Env, access, ltype, addr: Address,
         n = array_layout(array_dims(ltype)[0]).array_size
         if not gm.is_free_run(sigma, addr, n):
             return None
-        return init_array(K if K is not None else 2 * n + 2, sigma, addr, ltype, env)
+        return init_array(K, sigma, addr, ltype, env)
     payload = MapNode(init=addr) if isinstance(ltype, Tmap) else Undef()
     return _write_payload(sigma, addr, payload, env, access or gm.PUBLIC)
 
@@ -467,14 +468,12 @@ def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
         addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
         return "assignment target has no address"
-    # The target block is read once, inline, for the mapping-head check and
-    # the validated write; it is not counted as a memory read.
-    i, blocks = addr.index, sigma.blocks
-    old = (blocks.root[i >> gm.MID_SHIFT][(i >> gm.SHIFT) & gm.MASK][i & gm.MASK]
-           if 0 <= i < blocks.size else None)
+    # The target block is read once, for the mapping-head check and the
+    # validated write.
+    old = gm.read(sigma, addr)
     if old is not None and type(old.payload) is MapNode:
         return "cannot assign into a mapping head"
-    sig = None if old is None else gm.overwrite(sigma, i, old, rhs, env)
+    sig = None if old is None else gm.overwrite(sigma, addr.index, old, rhs, env)
     if sig is None:
         return f"validated write to {addr} failed"
     if type(getattr(rhs.payload, "value", None)) is int:

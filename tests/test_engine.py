@@ -458,7 +458,7 @@ class TestThrowStatePost:
 
 def unshared(sigma):
     """The same state rebuilt from a plain tuple: it shares no leaf with ``sigma``."""
-    return MemoryState(tuple(sigma.blocks), sigma.symbol_table, sigma.alloc_floor)
+    return MemoryState(tuple(sigma.blocks), sigma.alloc_floor)
 
 
 def state_pairs(a, b):

@@ -422,6 +422,47 @@ def test_node_check_flags_planted_mutations():
         "fresh[0] = v\n") == []
 
 
+# Only ``memory.py`` knows how a ``BlockVector`` lays its blocks out: no
+# other module reads a root or names a constant that splits an index into
+# its mid, leaf and slot, so the layout can change in that module alone.
+_LAYOUT_CONSTANTS = {"SHIFT", "MID_SHIFT", "MASK", "WIDTH"}
+
+
+def layout_reads(source: str, filename: str = "<source>") -> list:
+    """(file, line, name) for each ``.root`` attribute and each attribute,
+    name or import of a layout constant."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        name = (n.attr if isinstance(n, ast.Attribute) else n.id if isinstance(n, ast.Name)
+                else n.name if isinstance(n, ast.alias) else None)
+        if name in _LAYOUT_CONSTANTS or name == "root" and isinstance(n, ast.Attribute):
+            found.append((filename, n.lineno, name))
+    return sorted(found)
+
+
+def test_only_memory_knows_the_block_layout():
+    found = [hit for path in sorted(SRC.glob("*.py")) if path.name != "memory.py"
+             for hit in layout_reads(path.read_text(encoding="utf-8"), path.name)]
+    assert found == []
+    assert layout_reads((SRC / "memory.py").read_text(encoding="utf-8")) != []
+
+
+def test_layout_check_flags_planted_reads():
+    planted = (
+        "block = sigma.blocks.root[0]\n"           # 1
+        "shift = gm.SHIFT\n"                       # 2
+        "from .memory import MASK\n"               # 3
+        "from minisol.memory import WIDTH as W\n"  # 4
+        "i >> MID_SHIFT\n"                         # 5
+        "for mid in blocks.root: pass\n"           # 6
+    )
+    assert layout_reads(planted) == [
+        ("<source>", 1, "root"), ("<source>", 2, "SHIFT"), ("<source>", 3, "MASK"),
+        ("<source>", 4, "WIDTH"), ("<source>", 5, "MID_SHIFT"), ("<source>", 6, "root")]
+    # A local name ``root`` and other attributes of the memory module are not the layout.
+    assert layout_reads("root = tree.parent\ngm.read(sigma, addr)\nx = gm.OCCUPY\n") == []
+
+
 # Arithmetic over symbols has one set of rules: the operator table that the
 # expression layer applies and ``SymOp.eval`` replays. Only those two modules
 # may build an arithmetic ``SymOp`` or give one a width, so no module grows a

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,17 @@ class TestInitMem:
         assert all(b.occupancy == gm.FREE for b in sigma.blocks[:90])
         # only the two flags and the global block: the library is not stored
         assert sum(b.occupancy == gm.OCCUPY for b in sigma.blocks) == 3
+
+
+class TestReservedNames:
+    def test_a_state_is_its_blocks_and_its_floor(self):
+        assert [f.name for f in dataclasses.fields(gm.MemoryState)] == ["blocks", "alloc_floor"]
+
+    @pytest.mark.parametrize("size", [11, 100, 10_000])
+    def test_addr_of_follows_from_the_size(self, size):
+        sigma, names = fresh_memory(size), gm.reserved_addresses(size)
+        for name in gm.RESERVED_LAYOUT:
+            assert sigma.addr_of(name) == names[name], name
 
 
 class TestReadWrite:
@@ -144,6 +156,19 @@ class TestReadWrite:
     def test_throw_flag_write(self, sigma, names):
         out = gm.write(sigma, names["0xthrow"], mv(BoolPayload(True)), "dir")
         assert out.blocks[names["0xthrow"].index].payload == BoolPayload(True)
+
+    @pytest.mark.parametrize("size", [1023, 1024, 1025, 2049])
+    def test_checked_reader_equals_a_checked_read(self, size):
+        # Every index, in range or not, across mid boundaries, over free,
+        # public, own-domain private and foreign private blocks.
+        own, foreign = Address(7), Address(8)
+        kinds = (gm.free_value(own), mv(IntPayload(1), foreign),
+                 mv(IntPayload(2), own, "private"), mv(IntPayload(3), foreign, "private"))
+        sigma = gm.MemoryState([kinds[i % 4] for i in range(size)])
+        for env in (initial_env(10, own), None):
+            for i in range(-1, size + 1):
+                assert gm.checked_reader(i)(1, sigma, env) is \
+                    gm.read(sigma, Address(i), "chck", env), (i, env)
 
 
 @given(st.integers(0, 99), st.integers(0, 99), st.integers(-50, 50))
@@ -381,14 +406,14 @@ def test_dump_by_runs_matches_the_flat_rendering(data):
         start = data.draw(st.integers(0, size - 1))
         stop = data.draw(st.integers(start + 1, size))
         block = mv(IntPayload(data.draw(st.integers(0, 2))))
-        blocks = blocks.update((i, block) for i in range(start, stop))
+        blocks = blocks.splice(start, [block] * (stop - start))
         model[start:stop] = [block] * (stop - start)
         if data.draw(st.booleans()):
             i = data.draw(st.integers(start, stop - 1))
             twin = mv(IntPayload(True)) if block.payload.value == 1 else dataclasses.replace(block)
             assert twin == block and twin is not block
             blocks, model[i] = blocks.set(i, twin), twin
-    assert gm.dump(gm.MemoryState(blocks, sigma.symbol_table)) == _flat_dump(model)
+    assert gm.dump(gm.MemoryState(blocks)) == _flat_dump(model)
 
 
 def test_dump_of_a_run_that_starts_on_a_whole_hundred():
@@ -440,7 +465,7 @@ class TestBlockVector:
         assert walled[start + 3:start + 30:4] == tuple(values[start + 3:start + 30:4])
 
     def test_plain_tuple_is_coerced(self, sigma):
-        rebuilt = gm.MemoryState(tuple(sigma.blocks), sigma.symbol_table, sigma.alloc_floor)
+        rebuilt = gm.MemoryState(tuple(sigma.blocks), sigma.alloc_floor)
         assert isinstance(rebuilt.blocks, gm.BlockVector)
         assert rebuilt == sigma
         assert rebuilt.blocks.root == sigma.blocks.root  # the same three levels, node by node
@@ -488,17 +513,41 @@ class TestBlockVector:
         root, mids, leaves = vec.root, list(vec.root), _leaves(vec)
         contents = [leaf.copy() for leaf in leaves]
         vec.set(3, mv(IntPayload(7)))
-        vec.update([(70, mv(IntPayload(8))), (1_071, mv(IntPayload(9))), (3, mv(IntPayload(1)))])
+        vec.set(1_071, mv(IntPayload(9)))
         vec.splice(1_000, [mv(IntPayload(5))] * 60)
         assert vec.root is root and all(new is old for new, old in zip(vec.root, mids))
         assert all(new is old for new, old in zip(_leaves(vec), leaves))
         assert _leaves(vec) == contents
         assert vec[0] == mv(IntPayload(0))
 
-    def test_update_copies_each_touched_leaf_once(self):
+    def test_splice_copies_each_touched_node_once(self):
+        # A run across a mid boundary: the root, the two mids and the three
+        # leaves it touches are each copied once, and no other node at all.
+        copies = Counter()
+
+        class Counted(list):
+            def copy(self):
+                copies[id(self)] += 1
+                return list(self)
         vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
-        out = vec.update([(65, mv(IntPayload(-1))), (66, mv(IntPayload(-2))),
-                          (1_050, mv(IntPayload(-4))), (65, mv(IntPayload(-3)))])
+        root = Counted(Counted(Counted(leaf) for leaf in mid) for mid in vec.root)
+        counted = gm.BlockVector(root, len(vec))
+        out = counted.splice(1_000, [mv(IntPayload(-i)) for i in range(60)])
+        assert out == vec.splice(1_000, [mv(IntPayload(-i)) for i in range(60)])
+        touched = {id(root), id(root[0]), id(root[1]), id(root[0][31]), id(root[1][0]),
+                   id(root[1][1])}
+        assert copies == Counter(dict.fromkeys(touched, 1))
+        assert _shared(counted, out) == (
+            [False, False], [j not in (31, 32, 33) for j in range(1_100 // gm.WIDTH + 1)])
+
+    def test_each_set_replaces_one_block(self):
+        # A later set of the same index wins, and the leaves no set touched
+        # are the old objects.
+        vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
+        out = vec
+        for i, value in [(65, mv(IntPayload(-1))), (66, mv(IntPayload(-2))),
+                         (1_050, mv(IntPayload(-4))), (65, mv(IntPayload(-3)))]:
+            out = out.set(i, value)
         assert [out[65], out[66], out[1_050]] == [
             mv(IntPayload(-3)), mv(IntPayload(-2)), mv(IntPayload(-4))]
         assert _shared(vec, out) == ([False, False],
@@ -507,10 +556,13 @@ class TestBlockVector:
     @pytest.mark.parametrize("start, n", [(0, 150), (10, 5), (60, 10), (63, 1), (64, 64),
                                           (100, 50), (0, 0), (1_000, 50), (0, 1_100)])
     def test_splice_equals_update_and_shares_untouched_leaves(self, start, n):
+        # the update here is one ``set`` per block, in order
         vec = gm.BlockVector.of([mv(IntPayload(i)) for i in range(1_100)])
         values = tuple(mv(IntPayload(-i)) for i in range(n))
-        out = vec.splice(start, values)
-        assert out == vec.update(zip(range(start, start + n), values))
+        out, expected = vec.splice(start, values), vec
+        for i, value in zip(range(start, start + n), values):
+            expected = expected.set(i, value)
+        assert out == expected
         touched = range(start, start + n)
         assert _shared(vec, out) == (
             [j not in {i // gm.WIDTH ** 2 for i in touched} for j in range(2)],

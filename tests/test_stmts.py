@@ -234,10 +234,10 @@ class TestInitVar:
         def marked(*_args):
             raise AssertionError("an array declaration marked its blocks occupied")
         monkeypatch.setattr(gm, "_mark_occupied", marked)
-        assert init_var(sigma, env, "public", t, base).blocks == expected.blocks
+        assert init_var(sigma, env, "public", t, base, K=2002).blocks == expected.blocks
         # A declaration over an occupied block inside the run still fails.
         occupied = init_var(sigma, env, None, Tuint(), Address(500))
-        assert init_var(occupied, env, "public", t, base) is None
+        assert init_var(occupied, env, "public", t, base, K=2002) is None
 
     def test_mapping_declaration_creates_head(self, sigma, env):
         out = init_var(sigma, env, None, Tmap(Tuint(), Tbool()), Address(9))
@@ -713,7 +713,7 @@ class TestModifiers:
             after = gm.write(after, Address(i), MemoryValue(IntPayload(1)), "dir")
 
         def unshared(s):
-            return MemoryState(tuple(s.blocks), s.symbol_table, s.alloc_floor)
+            return MemoryState(tuple(s.blocks), s.alloc_floor)
 
         for b, a in [(sigma, after), (unshared(sigma), after), (sigma, unshared(after)),
                      (unshared(sigma), unshared(after))]:
