@@ -30,7 +30,6 @@ from functools import partial
 from . import memory as gm
 from .binder import BindError, bind_addresses
 from .engine import PathState, step, verify_triple
-from .engine import interpret
 from .memory import MemoryConfigError
 from .parser import ParseError, parse_source
 from .runner import (
@@ -42,6 +41,7 @@ from .runner import (
     spec_expr,
 )
 from .specfile import SpecError, SpecFile, parse_literal, parse_spec, parse_symbol_decl
+from .stmts import drive
 from .syntax import LTypeError, Tuint, int_fits, program_to_data, type_text
 from .values import BlockInfo
 
@@ -178,9 +178,10 @@ def cmd_run(ns) -> int:
                         arg_writes=global_writes)
     final = world.sigma
     if prog is not None:
-        final = interpret(ns.k, world.sigma, world.env, prog, world.ctx)
+        run = drive(ns.k, world.sigma, world.env, world.sigma, prog)
+        final = run.final()
     if final is None:
-        diagnostic = "; ".join(world.ctx.diagnostics[-3:])
+        diagnostic = run.reason
         print("execution failed: " + diagnostic, file=sys.stderr)
         if ns.json:
             print(json.dumps({"status": "error", "diagnostic": diagnostic}))
@@ -200,8 +201,7 @@ def cmd_step(ns) -> int:
         return EXIT_USAGE
     world = build_world(bound, ns.gas, _binfo(ns), sets=spec.sets,
                         arg_writes=global_writes)
-    world.ctx.sigma_init = world.sigma
-    ps = PathState(world.sigma, world.env, (), tuple(prog), world.ctx)
+    ps = PathState(world.sigma, world.env, (), tuple(prog), world.sigma)
     interactive = sys.stdin.isatty() and ns.max_steps is None
     count = 0
     while ps.remaining and ps.sigma is not None:

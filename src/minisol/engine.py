@@ -21,14 +21,15 @@ evaluate. Only a statement whose own expressions divide is guarded.
 symbolic index or key stops it. Its judge asks the ``Post`` for each
 path's obligation on the symbolic states: ``True``, ``False`` or a
 residual expression evaluated per model, false under a model where an
-operator of a post expression fails. All paths of a run share one
-execution context, which no statement rule writes.
+operator of a post expression fails. Paths share no mutable object:
+each carries the state its run entered with (``PathState.init``), which
+a throw restores and every child inherits.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
 
 from . import memory as gm
@@ -39,7 +40,6 @@ from .stmts import (
     FINISHED,
     NO_STATE,
     SYMBOLIC,
-    ExecContext,
     drive,
 )
 from .exprs import eval_rvalue
@@ -80,15 +80,17 @@ class Constraint:
 class PathState:
     """One execution branch: state, environment, constraints, program.
 
-    ``models`` holds the assignments that satisfy ``condition``: a
-    ``Models`` value, or a tuple of them for ``explore`` to start from.
-    The dicts are shared between paths and must not be mutated.
+    ``init`` is the state its run entered with, where a throw ends it
+    (with None, the state the throw is dispatched in). ``models`` holds
+    the assignments that satisfy ``condition``: a ``Models`` value, or a
+    tuple of them for ``explore`` to start from. The dicts are shared
+    between paths and must not be mutated.
     """
     sigma: MemoryState | None
     env: Env
     condition: tuple = ()
     remaining: tuple = ()
-    ctx: ExecContext = field(default_factory=ExecContext)
+    init: MemoryState | None = None
     note: str = ""
     models: Models | tuple = ()
 
@@ -104,19 +106,14 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # Concrete whole-run execution
 
-def interpret(K: int, sigma: MemoryState | None, env: Env, prog,
-              ctx: ExecContext | None = None) -> MemoryState | None:
+def interpret(K: int, sigma: MemoryState | None, env: Env, prog) -> MemoryState | None:
     """Run a typechecked program with concrete inputs.
 
     Spent gas returns the state reached so far; a failed dispatch or a
-    symbolic branch or divisor makes the result absent. The state at entry
-    is snapshotted as the restore point for throw.
+    symbolic branch or divisor makes the result absent. A throw restores
+    ``sigma``, the state at entry.
     """
-    if ctx is None:
-        ctx = ExecContext(sigma_init=sigma)
-    elif ctx.sigma_init is None:
-        ctx.sigma_init = sigma
-    return drive(K, sigma, env, ctx, prog).final(ctx)
+    return drive(K, sigma, env, sigma, prog).final()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +131,7 @@ def step(ps: PathState, K: int = 1000) -> PathState:
     dispatch leaves the path its gas minus one, in the domain the run ended in.
     """
     gas = min(ps.env.gas, 1)
-    run = drive(K, ps.sigma, Env(gas, ps.env.domain), ps.ctx, ps.remaining)
+    run = drive(K, ps.sigma, Env(gas, ps.env.domain), ps.init, ps.remaining)
     if run.env.gas == gas:
         return replace(ps, note=f"stuck: {run.error}" if run.stop == ERROR
                        else _STEP_NOTES[run.stop])
@@ -277,15 +274,15 @@ def explore(K: int, initial: PathState) -> list[PathState]:
     continuations the children take, so none dispatches it again. A false
     child is explored first, so the terminals come out in path-condition
     order: two share a prefix and then differ at a sibling pair, ``E=F``
-    before ``E=T``. Every path shares ``initial.ctx``.
+    before ``E=T``. Every path restores ``initial.init`` on a throw.
     """
     terminals: list[PathState] = []
     models = initial.models if isinstance(initial.models, Models) else Models(initial.models)
     stack = [PathState(initial.sigma, initial.env, initial.condition, initial.remaining,
-                       initial.ctx, initial.note, models)]
+                       initial.init, initial.note, models)]
     while stack:
         ps = stack.pop()
-        run = drive(K, ps.sigma, ps.env, ps.ctx, ps.remaining)
+        run = drive(K, ps.sigma, ps.env, ps.init, ps.remaining)
         sigma, note = run.sigma, "throw" if run.halted else ps.note
         if run.stop == SYMBOLIC:
             stack += reversed(_fork(ps, run, note, terminals))
@@ -296,7 +293,7 @@ def explore(K: int, initial: PathState) -> list[PathState]:
             note = "exhausted"
         else:
             note = note or ("error" if sigma is None else "completed")
-        terminals.append(PathState(sigma, run.env, ps.condition, run.remaining, ps.ctx, note,
+        terminals.append(PathState(sigma, run.env, ps.condition, run.remaining, ps.init, note,
                                    ps.models))
     return terminals
 
@@ -328,17 +325,17 @@ def _fork(ps: PathState, run, note: str, terminals: list) -> list:
             passing, failing = Models(sides[0]), Models(sides[1])
         if failing.witness is not None:
             if split.otherwise is None:
-                terminals.append(PathState(None, run.env, condition, run.remaining, ps.ctx,
+                terminals.append(PathState(None, run.env, condition, run.remaining, ps.init,
                                            _error_note(split.values, failing.witness),
                                            failing))
             else:
                 negated = condition + ((Constraint(tree, False),) if tests else ())
                 children.append(PathState(res.sigma, res.env, negated, split.otherwise,
-                                          ps.ctx, note, failing))
+                                          ps.init, note, failing))
         if passing.witness is None:
             return children
         condition, models = condition + tuple(map(Constraint, tests)), passing
-    children.append(PathState(res.sigma, res.env, condition, res.remaining, ps.ctx, note,
+    children.append(PathState(res.sigma, res.env, condition, res.remaining, ps.init, note,
                               models))
     return children
 
@@ -363,7 +360,7 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     """Check {pre} prog {post} by running every feasible path.
 
     ``pre`` builds the initial world: called with an assignment it must
-    produce a concrete (sigma, env, ctx) tuple; called with None
+    produce a concrete (sigma, env) pair; called with None
     it produces the same world with symbolic payloads standing in for
     the declared symbols. ``post`` is a ``Post``, judged on each path by
     its obligation. ``require`` lists boolean expressions true of its world.
@@ -382,7 +379,7 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
         missing = [s.name for s in symbols if s.name not in concolic]
         if missing:
             return Verdict("error", diagnostic=f"concolic values missing: {missing}")
-    sigma, env, ctx = pre(concolic)
+    sigma, env = pre(concolic)
     bits = (holds(K, r, sigma) for r in require)
     base_condition = tuple(Constraint(to_symexpr(bit)) for bit in bits if bit is not True)
     if concolic is None:
@@ -394,10 +391,8 @@ def verify_triple(pre, prog, post, symbols=(), require=(), K: int = 1000,
     else:
         return Verdict("error", diagnostic="concolic assignment violates the precondition")
 
-    if ctx.sigma_init is None:
-        ctx.sigma_init = sigma
-    paths = explore(K, PathState(sigma, env, base_condition, tuple(prog), ctx, models=models))
-    return _judge(paths, post, ctx.sigma_init, pre, prog, K)
+    paths = explore(K, PathState(sigma, env, base_condition, tuple(prog), sigma, models=models))
+    return _judge(paths, post, sigma, pre, prog, K)
 
 
 def _judge(paths, post, init, pre, original_prog, K) -> Verdict:
@@ -429,9 +424,9 @@ def _confirm_witness(asg, pre, prog, post, K) -> dict:
     """Replay the witness concretely; annotate if the replay disagrees."""
     witness = dict(asg)
     try:
-        sigma, env, ctx = pre(asg if asg else None)
-        final = interpret(K, sigma, env, prog, ctx)
-        if final is not None and post(final, ctx.sigma_init):
+        sigma, env = pre(asg if asg else None)
+        final = interpret(K, sigma, env, prog)
+        if final is not None and post(final, sigma):
             witness["_replay_mismatch"] = True
     except Exception as exc:  # replay must never mask the refutation
         witness["_replay_error"] = str(exc)
@@ -441,8 +436,8 @@ def _confirm_witness(asg, pre, prog, post, K) -> dict:
 def _failing_witness(asg, pre, prog, K) -> dict | None:
     """``asg`` if a concrete replay under it also ends without a state."""
     try:
-        sigma, env, ctx = pre(asg if asg else None)
-        return dict(asg) if interpret(K, sigma, env, prog, ctx) is None else None
+        sigma, env = pre(asg if asg else None)
+        return dict(asg) if interpret(K, sigma, env, prog) is None else None
     except Exception:  # a replay that raises confirms nothing
         return None
 

@@ -269,7 +269,6 @@ def check_simulation(corpus, make_state, executable=None) -> SimulationReport:
     inject a replacement interpreter (used by the mutation fixtures).
     """
     from .engine import interpret
-    from .stmts import ExecContext
 
     run_exe = executable if executable is not None else interpret
     report = SimulationReport(total=len(corpus))
@@ -279,8 +278,7 @@ def check_simulation(corpus, make_state, executable=None) -> SimulationReport:
             continue
         sigma, env = make_state(idx)
         rel = relational_eval(sigma, env, prog)
-        ctx = ExecContext(sigma_init=sigma)
-        exe = run_exe(K, sigma, env, prog, ctx)
+        exe = run_exe(K, sigma, env, prog)
         rel_final = rel[0] if rel is not None else None
         if rel_final is None and exe is None:
             continue
@@ -301,11 +299,9 @@ def _first_divergent_step(trace: RelTrace, prog, sigma, env, run_exe) -> int:
     post-state differs (0-based). Gas bounds dispatched statements
     exactly, so running the executable with gas i yields its state after
     the first i statements."""
-    from .stmts import ExecContext
-
     for i, (_stmt, rel_sigma) in enumerate(trace.steps):
         bounded = replace(env, gas=i + 1)
-        exe_sigma = run_exe(K, sigma, bounded, prog, ExecContext(sigma_init=sigma))
+        exe_sigma = run_exe(K, sigma, bounded, prog)
         if exe_sigma is None or _payloads(exe_sigma) != _payloads(rel_sigma):
             return i
     return len(trace.steps)

@@ -3,8 +3,10 @@
 A run needs: a fresh memory with the standard library, the message
 instance written from the chain context, the declaration statements
 executed, seed writes and symbol blocks applied, and finally the entry
-call. Declarations execute under their own generous budget so that the
-user-facing gas limit measures the entry program alone. Seed writes and
+call. A ``World`` is that state and the entry environment. Declarations
+and each seed write are ``drive`` runs under their own generous budget,
+so that the user-facing gas limit measures the entry program alone, and
+a failing one raises with its ``Run``'s reason. Seed writes and
 symbols find their block through the binder, so a symbol takes its
 block's type; spec expressions are lowered and typed as the program's.
 """
@@ -17,15 +19,15 @@ from typing import NamedTuple
 
 from . import memory as gm
 from .binder import BindError, BoundProgram, assigned_type
-from .engine import Post, holds, interpret, throw_state, unchanged
+from .engine import Post, holds, throw_state, unchanged
 from .memory import BoolPayload, IntPayload, MemoryState
 from .parser import ParseError, parse_expr_text
 from .specfile import SpecError
 from .stdlib import fresh_memory, write_message
-from .stmts import Assign, ExecContext
+from .stmts import drive
 from .symbolic import SymVar
-from .syntax import (Econst, Efun, Evar, FunCall, LTypeError, Tbool, Tfid, Tint, Tmap,
-                     TypeContext, Vbool, Vint, int_fits, type_text, typecheck_expr)
+from .syntax import (Assign, Econst, Efun, Evar, FunCall, LTypeError, Tbool, Tfid, Tint,
+                     Tmap, TypeContext, Vbool, Vint, int_fits, type_text, typecheck_expr)
 from .values import BlockInfo, initial_env
 
 SETUP_GAS = 200_000
@@ -39,7 +41,6 @@ class RunnerError(Exception):
 class World(NamedTuple):
     sigma: MemoryState
     env: object
-    ctx: ExecContext
 
 
 def _literal_expr(ltype, raw):
@@ -68,26 +69,19 @@ def build_world(bound: BoundProgram, gas: int, binfo: BlockInfo,
     sigma = replace(sigma, alloc_floor=bound.floor)
     sigma = write_message(sigma, binfo)
 
-    ctx = ExecContext()
-
-    setup_env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    sigma = interpret(SETUP_K, sigma, setup_env, bound.decls, ctx)
-    if sigma is None:
-        raise RunnerError("declarations failed to execute: "
-                          + "; ".join(ctx.diagnostics[-3:]))
+    sigma = _setup_run(sigma, bound.decls, "declarations failed to execute")
 
     # The block timestamp is an ordinary global, written from the context.
     sigma = _poke(sigma, bound.bindings["now"], IntPayload(binfo.now, 64, False))
 
     for lvalue_text, raw in list(sets) + list(arg_writes):
-        sigma = _apply_set(bound, sigma, ctx, lvalue_text, raw)
+        sigma = _apply_set(bound, sigma, lvalue_text, raw)
 
     for sym in symbols:
         sigma = _place_symbol(bound, sigma, sym, assignment)
 
-    ctx.sigma_init = None  # the entry run snapshots on entry
     env = initial_env(gas, sigma.addr_of("0xglobal"))
-    return World(sigma, env, ctx)
+    return World(sigma, env)
 
 
 def _poke(sigma, addr, payload):
@@ -107,17 +101,22 @@ def _target(bound: BoundProgram, text: str):
     return lowered, assigned_type(lowered)
 
 
-def _apply_set(bound: BoundProgram, sigma, ctx, lvalue_text: str, raw):
+def _apply_set(bound: BoundProgram, sigma, lvalue_text: str, raw):
     lowered, ltype = _target(bound, lvalue_text)
     if not isinstance(ltype, (Tbool, Tint)):
         raise RunnerError(f"cannot seed {lvalue_text!r}: a seed write needs a bool or "
                           "integer variable, a fully indexed array element or a mapping entry")
-    stmt = Assign(lowered, _literal_expr(ltype, raw))
-    env = initial_env(SETUP_GAS, sigma.addr_of("0xglobal"))
-    out = interpret(SETUP_K, sigma, env, (stmt,), ctx)
+    return _setup_run(sigma, (Assign(lowered, _literal_expr(ltype, raw)),),
+                      f"seed write to {lvalue_text!r} failed")
+
+
+def _setup_run(sigma, prog, failure: str):
+    """The state after ``prog`` runs from ``sigma`` under the set-up budgets.
+    A run with no result raises ``failure`` and the run's reason."""
+    run = drive(SETUP_K, sigma, initial_env(SETUP_GAS, sigma.addr_of("0xglobal")), sigma, prog)
+    out = run.final()
     if out is None:
-        raise RunnerError(f"seed write to {lvalue_text!r} failed: "
-                          + "; ".join(ctx.diagnostics[-2:]))
+        raise RunnerError(f"{failure}: {run.reason}")
     return out
 
 

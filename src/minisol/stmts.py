@@ -20,10 +20,12 @@ callers of it.
 
 ``exec_statement`` is the one per-dispatch entry point. It looks the
 head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its arguments unchanged. A rule returns one of three
+every rule takes its five arguments unchanged. A rule returns one of three
 shapes: the plain tuple ``(sigma, env, remaining)`` to go on, its error
 message (a ``str``) to fail, or a ``StepResult`` to fork on its ``splits``
 or, with none, to throw; ``drive`` tells them apart by their exact type.
+A throw ends the run in ``init``, the state ``drive`` is told the run
+entered with, with the throw flag raised; no rule reads that state.
 A symbolic branch condition, and a value that divides by a symbolic
 divisor, make ``Split``s of the models, and ``drive`` stops before such a
 dispatch, so the explorer forks there. Only a statement that divides, by
@@ -40,7 +42,7 @@ once and links a missing key at the chain's tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -90,18 +92,8 @@ from .syntax import (
 from .values import Env, locate_map_node
 
 __all__ = [
-    "ExecContext", "Split", "StepResult", "Run", "array_layout",
-    "init_array", "init_var", "exec_statement", "drive",
+    "Split", "StepResult", "Run", "init_array", "init_var", "exec_statement", "drive",
 ]
-
-
-@dataclass
-class ExecContext:
-    """Ambient execution context threaded through a run. The statement
-    rules only read it, so every path of an exploration shares its
-    caller's; ``Run.final`` records why a concrete run has no result."""
-    sigma_init: MemoryState | None = None  # snapshot restored by throw
-    diagnostics: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +217,33 @@ def _with_divides(res, head: LStatement, what: str, values) -> tuple | str | Ste
     return replace(res, splits=(Split(tuple(guards), divides), *res.splits))
 
 
-def exec_statement(K: int, sigma: MemoryState, env: Env, ctx: ExecContext,
-                   head: LStatement, rest: tuple) -> tuple | str | StepResult:
+def exec_statement(K: int, sigma: MemoryState, env: Env, head: LStatement,
+                   rest: tuple) -> tuple | str | StepResult:
     """Dispatch one statement by the rule ``_RULES`` holds for its exact
     type; every rule takes these arguments. Gas must already be spent.
     """
     rule = _RULES.get(type(head))
     if rule is None:
         return f"unknown statement {type(head).__name__}"
-    return rule(K, sigma, env, ctx, head, rest)
+    return rule(K, sigma, env, head, rest)
 
 
-def _exec_snil(_K, sigma, env, _ctx, _head, rest) -> tuple:
+def _exec_snil(_K, sigma, env, _head, rest) -> tuple:
     return sigma, env, rest
 
 
-def _exec_throw(_K, sigma, env, ctx, _head, _rest) -> StepResult:
-    base = ctx.sigma_init if ctx.sigma_init is not None else sigma
-    names = gm.reserved_addresses(base.size)
+def _exec_throw(_K, sigma, env, _head, _rest) -> StepResult:
+    return StepResult(sigma, env, ())
+
+
+def _thrown(sigma: MemoryState) -> MemoryState:
+    """``sigma`` with the throw flag raised: where a throw ends its run."""
+    names = gm.reserved_addresses(sigma.size)
     flag = MemoryValue(BoolPayload(True), names["0xglobal"], gm.PUBLIC, gm.OCCUPY)
-    thrown = gm.write(base, names["0xthrow"], flag, "dir")
-    return StepResult(thrown, env, ())
+    return gm.write(sigma, names["0xthrow"], flag, "dir")
 
 
-def _exec_fun_stop(_K, sigma, env, _ctx, head, rest) -> tuple:
+def _exec_fun_stop(_K, sigma, env, head, rest) -> tuple:
     return sigma, _frame_end(env, head), rest
 
 
@@ -257,7 +252,7 @@ def _frame_end(env, stop: FunStop) -> Env:
     return env if stop.caller is None else Env(env.gas, stop.caller)
 
 
-def _exec_contract(_K, sigma, env, _ctx, head, rest) -> tuple | str:
+def _exec_contract(_K, sigma, env, head, rest) -> tuple | str:
     info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
     sig = _write_payload(sigma, head.name, info, env)
     if sig is None:
@@ -265,7 +260,7 @@ def _exec_contract(_K, sigma, env, _ctx, head, rest) -> tuple | str:
     return sig, env, rest
 
 
-def _exec_var(K, sigma, env, _ctx, head, rest) -> tuple | str:
+def _exec_var(K, sigma, env, head, rest) -> tuple | str:
     decl = head.decl
     if decl.addr is None:
         return "declaration without an address"
@@ -275,7 +270,7 @@ def _exec_var(K, sigma, env, _ctx, head, rest) -> tuple | str:
     return sig, env, rest
 
 
-def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> tuple | str:
+def _exec_struct_decl(_K, sigma, env, head, rest) -> tuple | str:
     info = StructTypeInfo(head.type_addr, tuple(head.members))
     sig = _write_payload(sigma, head.type_addr, info, env)
     if sig is None:
@@ -283,16 +278,16 @@ def _exec_struct_decl(_K, sigma, env, _ctx, head, rest) -> tuple | str:
     return sig, env, rest
 
 
-def _exec_if(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_if(K, sigma, env, head, rest) -> tuple | str | StepResult:
     return _branch(K, sigma, env, head, "branch",
                    (*head.then, *rest), (*head.orelse, *rest))
 
 
-def _exec_while(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_while(K, sigma, env, head, rest) -> tuple | str | StepResult:
     return _branch(K, sigma, env, head, "loop", (*head.body, head, *rest), rest)
 
 
-def _exec_return(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_return(K, sigma, env, head, rest) -> tuple | str | StepResult:
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
@@ -342,7 +337,7 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_call(K, sigma, env, head, rest) -> tuple | str | StepResult:
     callee = head.callee
     arg_values = []
     if isinstance(callee, Efun):
@@ -398,7 +393,7 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | str:
+def _exec_fun_decl(K, sigma, env, head, rest) -> tuple | str:
     """Store a function with its modifier calls, or a modifier (returning one bool)."""
     is_fun = isinstance(head, Fun)
     what = "function" if is_fun else "modifier"
@@ -423,7 +418,7 @@ def _exec_fun_decl(K, sigma, env, _ctx, head, rest) -> tuple | str:
     return sig, env, rest
 
 
-def _exec_modifier_guard(_K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_modifier_guard(_K, sigma, env, head, rest) -> tuple | str | StepResult:
     """Judge the modifier call just run, which may write only the flag and its
     own parameters and return slot: a raised flag continues from the state
     ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
@@ -454,7 +449,7 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=())
     return flag.bit if isinstance(flag, BoolPayload) else False
 
 
-def _exec_assign(K, sigma, env, _ctx, head, rest) -> tuple | str | StepResult:
+def _exec_assign(K, sigma, env, head, rest) -> tuple | str | StepResult:
     rhs = eval_rvalue(K, head.rhs, sigma, env)
     if rhs is None:
         return "assignment right side failed to evaluate"
@@ -579,23 +574,29 @@ class Run:
     halted: bool = False               # the last dispatch was a throw
     step: StepResult | None = None     # with SYMBOLIC: the stopping dispatch
 
-    def final(self, ctx: ExecContext) -> MemoryState | None:
+    def final(self) -> MemoryState | None:
         """The result of a concrete run: absent after a failed dispatch, a
-        symbolic branch or divisor, or a lost state. The first two are
-        recorded in ``ctx.diagnostics``, which nothing else writes."""
-        if self.stop == ERROR:
-            ctx.diagnostics.append(self.error)
-        elif self.stop == SYMBOLIC:
-            ctx.diagnostics.append("symbolic branch or divisor reached in concrete execution")
+        symbolic branch or divisor, or a lost state (see ``reason``)."""
         return self.sigma if self.stop in (FINISHED, BUDGET) else None
 
+    @property
+    def reason(self) -> str | None:
+        """Why a concrete run has no result: a failed dispatch's message, or
+        a symbolic branch or divisor."""
+        if self.stop == SYMBOLIC:
+            return "symbolic branch or divisor reached in concrete execution"
+        return self.error
 
-def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog) -> Run:
+
+def drive(K: int, sigma: MemoryState | None, env: Env, init: MemoryState | None,
+          prog) -> Run:
     """Run ``prog`` until it stops; one step is a run with one unit of gas.
 
     Per dispatch: check the state and the gas, spend one unit of gas and
     execute the head. Its rule's tuple goes on, its message stops on ``ERROR``,
-    and its ``StepResult`` forks (``SYMBOLIC``) or throws, which ends the run.
+    and its ``StepResult`` forks (``SYMBOLIC``) or throws, which ends the run
+    in ``init``, the state the run entered with, with the throw flag raised
+    (with ``init`` None, in the state the throw was dispatched in).
     """
     remaining = tuple(prog)
     while True:
@@ -606,7 +607,7 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog) -
         if env.gas <= 0:
             return Run(BUDGET, sigma, env, remaining)
         # head by keyword: perfbench's tracer reads the statement kind from it
-        res = exec_statement(K, sigma, Env(env.gas - 1, env.domain), ctx,
+        res = exec_statement(K, sigma, Env(env.gas - 1, env.domain),
                              head=remaining[0], rest=remaining[1:])
         if type(res) is tuple:
             sigma, env, remaining = res
@@ -615,4 +616,5 @@ def drive(K: int, sigma: MemoryState | None, env: Env, ctx: ExecContext, prog) -
         elif res.splits:
             return Run(SYMBOLIC, sigma, env, remaining, step=res)
         else:  # a throw halts the run and leaves no statement
-            return Run(FINISHED, res.sigma, res.env, res.remaining, halted=True)
+            return Run(FINISHED, _thrown(res.sigma if init is None else init), res.env,
+                       res.remaining, halted=True)

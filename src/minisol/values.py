@@ -141,14 +141,14 @@ def value_address(K: int, v: LValue, sigma: MemoryState,
         indices = _concrete_indices(K - 1, v.indices, sigma, env)
         if indices is None:
             return None
-        return locate_array_element(v.arr_type, v.base, indices, sigma, env)
+        return locate_array_element(v.arr_type, v.base, indices, sigma)
     if isinstance(v, Vmap):
         return resolve_map_path(K - 1, v, sigma, env)
     return None
 
 
-def locate_array_element(arr_type, base: Address, indices, sigma: MemoryState,
-                         env: Env) -> Address | None:
+def locate_array_element(arr_type, base: Address, indices,
+                         sigma: MemoryState) -> Address | None:
     """Address of a fully indexed array element, absent on overflow."""
     if not isinstance(arr_type, Tarray):
         return None

@@ -40,7 +40,7 @@ from minisol.proggen import ProgramGen, generate_program
 from minisol.runner import build_world, compile_posts, entry_program, make_pre, spec_expr
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ExecContext, init_array, init_var
+from minisol.stmts import drive, init_array, init_var
 from minisol.syntax import (
     Assign,
     Ebop,
@@ -119,9 +119,9 @@ def test_criterion_01_array_layout():
         else:
             assert isinstance(out.blocks[i].payload, Undef), f"block {i}"
         assert out.blocks[i].occupancy == gm.OCCUPY
-    assert locate_array_element(arr_t, Address(0), [0, 1, 1], out, env) == Address(6)
+    assert locate_array_element(arr_t, Address(0), [0, 1, 1], out) == Address(6)
     # the offset is relative to wherever the run starts
-    assert locate_array_element(arr_t, Address(24), [0, 1, 1], out, env) == Address(30)
+    assert locate_array_element(arr_t, Address(24), [0, 1, 1], out) == Address(30)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +271,8 @@ def test_criterion_03_if_false():
 
         gas = 600
         whole = interpret(400, seeded, initial_env(gas, env.domain),
-                       [If(Econst(Vbool(False)), s, s_prime)],
-                       ExecContext(sigma_init=seeded))
-        alone = interpret(400, seeded, initial_env(gas - 1, env.domain), list(s_prime),
-                       ExecContext(sigma_init=seeded))
+                       [If(Econst(Vbool(False)), s, s_prime)])
+        alone = interpret(400, seeded, initial_env(gas - 1, env.domain), list(s_prime))
         if whole is None or alone is None:
             assert whole is None and alone is None, f"case {case}"
         else:
@@ -290,10 +288,8 @@ def test_criterion_04_determinism():
     for case in range(200):
         prog = generate_program(rng.randrange(1 << 30), length=6)
         sigma, env = world(mem=64, gas=2000)
-        first = interpret(300, sigma, env, prog,
-                       ExecContext(sigma_init=sigma))
-        second = interpret(300, sigma, env, prog,
-                        ExecContext(sigma_init=sigma))
+        first = interpret(300, sigma, env, prog)
+        second = interpret(300, sigma, env, prog)
         if first is None:
             assert second is None, f"case {case}"
         else:
@@ -349,9 +345,8 @@ def test_criterion_06_wallet():
     world_ = build_world(bound, 10_000, binfo, sets=spec.sets,
                          arg_writes=[("privilegeOpen", 0),
                                      ("privilegeClose", 3), ("now", 4)])
-    world_.ctx.sigma_init = world_.sigma
     ps = PathState(world_.sigma, world_.env, (), tuple(prog),
-                   world_.ctx)
+                   world_.sigma)
     start = time.perf_counter()
     steps = 0
     while ps.remaining and not ps.note:
@@ -373,7 +368,7 @@ def test_criterion_07_gas_termination():
         env = initial_env(g, sigma.addr_of("0xglobal"))
         ps = PathState(sigma, env, (),
                        (LoopWhile(Econst(Vbool(True)), (Snil(),)),),
-                       ExecContext(sigma_init=sigma))
+                       sigma)
         dispatched = 0
         while True:
             nxt = step(ps, K=100)
@@ -441,11 +436,11 @@ def test_criterion_08_type_safety():
     for case in range(1000):
         prog = generate_program(rng.randrange(1 << 30), length=5)
         sigma, env = world(mem=64, gas=1500)
-        ctx = ExecContext(sigma_init=sigma)
-        out = interpret(300, sigma, env, prog, ctx)
+        run = drive(300, sigma, env, sigma, prog)
+        out = run.final()
         assert out is None or isinstance(out, MemoryState)
         if out is None:
-            assert ctx.diagnostics  # the absence is classified
+            assert run.reason  # the absence is classified
 
     # well-typed expressions preserve their checked result kind
     sigma, env = world(mem=64)
@@ -490,7 +485,7 @@ def test_criterion_09_modifier_isolation():
     # pure check: raise the flag, touch nothing else; function runs
     prog, sigma, env = build(
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True)))])
-    out = interpret(300, sigma, env, prog, ExecContext(sigma_init=sigma))
+    out = interpret(300, sigma, env, prog)
     assert out is not None
     assert out.blocks[X.index].payload == IntPayload(1)
 
@@ -498,10 +493,9 @@ def test_criterion_09_modifier_isolation():
     prog, sigma, env = build(
         [Assign(Evar(flag, Tbool()), Econst(Vbool(True))),
          Assign(Evar(X, Tuint()), Econst(Vint(9)))])
-    ctx = ExecContext(sigma_init=sigma)
-    out = interpret(300, sigma, env, prog, ctx)
-    assert out is None
-    assert any("modifier" in d for d in ctx.diagnostics)
+    run = drive(300, sigma, env, sigma, prog)
+    assert run.final() is None
+    assert "modifier" in run.reason
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,8 @@ def test_paths_agree_with_concrete_runs(case):
     bound, body, spec, gas = case
     symbols = spec.symbols
     pre = make_pre(bound, gas, BlockInfo(), symbols=symbols)
-    sigma, env, ctx = pre(None)
-    ctx.sigma_init = sigma
-    paths = explore(K, PathState(sigma, env, (), body, ctx,
+    sigma, env = pre(None)
+    paths = explore(K, PathState(sigma, env, (), body, sigma,
                                  models=tuple(assignments(symbols))))
 
     # Paths come out in path-condition order, with no sort.
@@ -94,9 +93,8 @@ def test_paths_agree_with_concrete_runs(case):
     for p in paths:
         for asg in p.models:
             world = build_world(bound, gas, BlockInfo(), arg_writes=sorted(asg.items()))
-            world.ctx.sigma_init = world.sigma
-            run = drive(K, world.sigma, world.env, world.ctx, body)
-            final = run.final(world.ctx)  # what interpret returns
+            run = drive(K, world.sigma, world.env, world.sigma, body)
+            final = run.final()  # what interpret returns
             assert (run.stop == BUDGET) == (p.note == "exhausted"), (p.note, run.stop)
             assert run.env.gas == p.env.gas
             if p.sigma is None:

@@ -820,6 +820,22 @@ class TestEntryArguments:
         assert err.splitlines() == [
             "error: integer 18446744073709551616 does not fit in uint64"]
 
+    @pytest.mark.parametrize("source, spec_text, argv, message", [
+        ("contract S { uint x = 1 / 0; function f() public { x = 2; } }\n", "", ["--entry", "f"],
+         "declarations failed to execute: assignment right side failed to evaluate"),
+        ("contract A { uint[2] a; function f() public { } }\n", "set a[5] = 1\n", [],
+         "seed write to 'a[5]' failed: assignment target has no address"),
+    ], ids=["declarations", "seed-write"])
+    def test_a_failing_setup_run_is_an_error_with_its_reason(self, capsys, tmp_path, source,
+                                                             spec_text, argv, message):
+        prog, spec = tmp_path / "setup.lls", tmp_path / "setup.spec"
+        prog.write_text(source)
+        spec.write_text(spec_text)
+        rc, out, err = run_cli(capsys, "run", str(prog), "--spec", str(spec), *argv)
+        assert rc == 3
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("values, accepted", [
         (("255", "-128"), True), (("0", "127"), True),
         (("256", "0"), False), (("-1", "0"), False),

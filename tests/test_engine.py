@@ -35,7 +35,7 @@ from minisol.proggen import generate_program
 from minisol.runner import build_world, compile_posts, entry_program, make_pre, spec_expr
 from minisol.specfile import SpecError, parse_spec
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ERROR, ExecContext, drive, init_var
+from minisol.stmts import ERROR, drive, init_var
 from minisol.symbolic import SymConst, SymOp, SymVar, is_symbolic
 from minisol.syntax import (
     Assign,
@@ -106,17 +106,15 @@ class TestInterpret:
     def test_symbolic_branch_in_concrete_run_is_absent(self):
         sigma, env, _ = declared_world()
         sigma = poke(sigma, B, BoolPayload(SymVar("b")))
-        ctx = ExecContext(sigma_init=sigma)
-        out = interpret(100, sigma, env,
-                     [If(Evar(B, Tbool()), (Snil(),), (Snil(),))], ctx)
-        assert out is None
-        assert ctx.diagnostics
+        run = drive(100, sigma, env, sigma, [If(Evar(B, Tbool()), (Snil(),), (Snil(),))])
+        assert run.final() is None
+        assert run.reason
 
 
 class TestStep:
     def test_step_over_snil_costs_one_gas(self):
         sigma, env, _ = declared_world(gas=10)
-        ps = PathState(sigma, env, (), (Snil(),), ExecContext(sigma_init=sigma))
+        ps = PathState(sigma, env, (), (Snil(),), sigma)
         out = step(ps)
         assert out.env.gas == 9
         assert out.sigma.blocks == sigma.blocks
@@ -126,7 +124,7 @@ class TestStep:
         sigma, env, _ = declared_world()
         ps = PathState(sigma, env, (),
                        (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
-                       ExecContext(sigma_init=sigma))
+                       sigma)
         out = step(ps)
         line = gm.dump(out.sigma).splitlines()[X.index]
         assert line.split("\t")[4] == "int:u64:5"
@@ -134,11 +132,10 @@ class TestStep:
 
     def test_finished_and_stuck_notes(self):
         sigma, env, _ = declared_world()
-        done = PathState(sigma, env, (), (), ExecContext())
+        done = PathState(sigma, env, (), ())
         assert step(done).note == "finished"
         bad = PathState(sigma, env, (),
-                        (Assign(Evar(Address(50), Tuint()), Econst(Vint(1))),),
-                        ExecContext())
+                        (Assign(Evar(Address(50), Tuint()), Econst(Vint(1))),))
         out = step(bad)
         assert out.note.startswith("stuck")
         assert out.remaining == bad.remaining  # preserved for inspection
@@ -147,13 +144,22 @@ class TestStep:
         sigma, env, _ = declared_world()
         sigma = poke(sigma, X, IntPayload(SymVar("d")))
         prog = (Assign(Evar(X, Tuint()), Ebop("/", Econst(Vint(10)), Evar(X, Tuint()))),)
-        out = step(PathState(sigma, env, (), prog, ExecContext(sigma_init=sigma)))
+        out = step(PathState(sigma, env, (), prog, sigma))
         assert (out.note, out.remaining, out.env.gas) == (
             "stuck: symbolic branch or divisor", prog, env.gas)
-        ctx = ExecContext(sigma_init=sigma)
-        assert interpret(100, sigma, env, prog, ctx) is None
-        assert ctx.diagnostics == [
-            "symbolic branch or divisor reached in concrete execution"]
+        run = drive(100, sigma, env, sigma, prog)
+        assert run.final() is None
+        assert run.reason == "symbolic branch or divisor reached in concrete execution"
+
+    def test_stepping_to_a_throw_restores_the_paths_entry_state(self):
+        # x = 1; throw; stepped twice ends where the path started, flag raised.
+        sigma, env, names = declared_world()
+        prog = (Assign(Evar(X, Tuint()), Econst(Vint(1))), Throw())
+        out = step(step(PathState(sigma, env, (), prog, sigma)))
+        throw = names["0xthrow"].index
+        assert (out.note, out.remaining) == ("throw", ())
+        assert list(out.sigma.blocks.diff(sigma.blocks)) == [throw]
+        assert out.sigma.blocks[throw].payload == BoolPayload(True)
 
     def test_returned_body_halts_via_env_check(self):
         # A return writes its slot and ends its frame: the body statements
@@ -173,7 +179,7 @@ class TestStep:
                        (Returns((Econst(Vint(1)),)),
                         Assign(Evar(X, Tuint()), Econst(Vint(9))),
                         FunStop(caller=env.domain)),
-                       ExecContext(sigma_init=sigma2))
+                       sigma2)
         after_return = step(ps)
         assert after_return.env.domain == env.domain
         assert after_return.remaining == ()
@@ -186,57 +192,68 @@ class TestStep:
 def sym_bool_world():
     sigma, env, names = declared_world()
     sigma = poke(sigma, B, BoolPayload(SymVar("b")))
-    ctx = ExecContext(sigma_init=sigma)
-    return sigma, env, ctx
+    return sigma, env
 
 
 class TestExplore:
     def test_single_symbolic_bool_two_paths(self):
-        sigma, env, ctx = sym_bool_world()
+        sigma, env = sym_bool_world()
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                    (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
-        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, sigma, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         assert len(paths) == 2
         values = sorted(p.sigma.blocks[X.index].payload.value for p in paths)
         assert values == [1, 2]
 
     def test_inconsistent_branch_pruned(self):
-        sigma, env, ctx = sym_bool_world()
+        sigma, env = sym_bool_world()
         inner = (If(Evar(B, Tbool()), (Assign(Evar(X, Tuint()), Econst(Vint(1))),),
                     (Assign(Evar(X, Tuint()), Econst(Vint(2))),)),)
         prog = (If(Evar(B, Tbool()), inner, (Snil(),)),)
-        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, sigma, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         # true/true and false are feasible; true/false contradicts
         assert len(paths) == 2
 
     def test_forked_paths_keep_their_own_diagnostics(self):
-        sigma, env, ctx = sym_bool_world()
+        sigma, env = sym_bool_world()
         prog = (If(Evar(B, Tbool()),
                    (Assign(Evar(None, Tuint()), Econst(Vint(1))),),
                    (Var(None, Evar(None, Tuint())),)),)
-        paths = explore(100, PathState(sigma, env, (), prog, ctx, models=tuple(
+        paths = explore(100, PathState(sigma, env, (), prog, sigma, models=tuple(
             assignments([SymbolicValue("b", "bool")]))))
         by_branch = {p.condition[0].expected: p for p in paths}
         assert by_branch[True].note == "error: assignment target has no address"
         assert by_branch[False].note == "error: declaration without an address"
-        # Nothing writes the context during exploration, so every path shares it.
-        assert all(p.ctx is ctx for p in paths)
-        assert ctx.diagnostics == []
+        # Every path restores the state the exploration entered with.
+        assert all(p.init is sigma for p in paths)
+
+    def test_a_throw_after_a_fork_restores_the_explored_entry_state(self):
+        # x = 1; if (b) { throw; }: the b = true path ends in the entry state,
+        # where x is unset, and not in the fork point's, where x is 1.
+        sigma, env = sym_bool_world()
+        prog = (Assign(Evar(X, Tuint()), Econst(Vint(1))), If(Evar(B, Tbool()), (Throw(),)))
+        paths = explore(100, PathState(sigma, env, (), prog, sigma, models=tuple(
+            assignments([SymbolicValue("b", "bool")]))))
+        thrown = {p.condition[0].expected: p for p in paths}[True]
+        throw = gm.reserved_addresses(sigma.size)["0xthrow"].index
+        assert thrown.note == "throw"
+        assert thrown.sigma.blocks[X.index] == sigma.blocks[X.index]
+        assert list(thrown.sigma.blocks.diff(sigma.blocks)) == [throw]
+        assert thrown.sigma.blocks[throw].payload == BoolPayload(True)
 
     def test_partition_of_finite_domains(self):
         # Union of path conditions covers the declared domain exactly once.
         sigma, env, names = declared_world()
         sigma = poke(sigma, X, IntPayload(SymVar("n")))
-        ctx = ExecContext(sigma_init=sigma)
         prog = (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(3))),
                    (Snil(),),
                    (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(6))),
                        (Snil(),), (Snil(),)),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma, env, (), prog, ctx,
+        paths = explore(100, PathState(sigma, env, (), prog, sigma,
                                        models=tuple(assignments(symbols))))
         assert len(paths) == 3
         cover = {}
@@ -247,7 +264,7 @@ class TestExplore:
         assert cover == {n: 1 for n in range(8)}
 
     def test_branch_the_path_condition_decides_needs_no_search(self, monkeypatch):
-        sigma, env, ctx = sym_bool_world()
+        sigma, env = sym_bool_world()
         prog = (If(Evar(B, Tbool()), (Snil(),), (Throw(),)),)
         condition = (Constraint(SymVar("b"), True),)
         models = Models(symbols=[SymbolicValue("b", "bool")], condition=condition)
@@ -256,7 +273,7 @@ class TestExplore:
         def no_search(*_args):
             raise AssertionError("searched the domain product")
         monkeypatch.setattr("minisol.engine.satisfying_assignments", no_search)
-        paths = explore(100, PathState(sigma, env, condition, prog, ctx, models=models))
+        paths = explore(100, PathState(sigma, env, condition, prog, sigma, models=models))
         assert [p.note for p in paths] == ["completed"]
         assert paths[0].models is models
 
@@ -265,7 +282,7 @@ class TestExplore:
         tight = initial_env(3, names["0xglobal"])
         prog = (LoopWhile(Econst(Vbool(True)), (Snil(),)),)
         paths = explore(100, PathState(sigma, tight, (), prog,
-                                       ExecContext(sigma_init=sigma), models=({},)))
+                                       sigma, models=({},)))
         assert [p.note for p in paths] == ["exhausted"]
 
     def test_path_soundness_witness_replay(self):
@@ -273,20 +290,18 @@ class TestExplore:
         # path's concretized final state.
         sigma, env, names = declared_world()
         sigma0 = poke(sigma, X, IntPayload(SymVar("n")))
-        ctx = ExecContext(sigma_init=sigma0)
         prog = (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(4))),
                    (Assign(Evar(X, Tuint()),
                            Ebop("+", Evar(X, Tuint()), Econst(Vint(10)))),),
                    (Snil(),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=7)]
-        paths = explore(100, PathState(sigma0, env, (), prog, ctx,
+        paths = explore(100, PathState(sigma0, env, (), prog, sigma0,
                                        models=tuple(assignments(symbols))))
         assert len(paths) == 2
         for p in paths:
             for asg in satisfying_assignments(p.condition, symbols):
                 concrete0 = poke(sigma, X, IntPayload(asg["n"]))
-                replay = interpret(100, concrete0, env, prog,
-                                ExecContext(sigma_init=concrete0))
+                replay = interpret(100, concrete0, env, prog)
                 assert replay.blocks == concretize(p.sigma, asg).blocks
 
 
@@ -297,10 +312,8 @@ class TestDeterminism:
             prog = generate_program(rng.randrange(1 << 30), length=5)
             sigma = fresh_memory(64)
             env = initial_env(500, sigma.addr_of("0xglobal"))
-            a = interpret(200, sigma, env, prog,
-                       ExecContext(sigma_init=sigma))
-            b = interpret(200, sigma, env, prog,
-                       ExecContext(sigma_init=sigma))
+            a = interpret(200, sigma, env, prog)
+            b = interpret(200, sigma, env, prog)
             if a is None:
                 assert b is None
             else:
@@ -323,7 +336,7 @@ def triple_world(plant_bug: bool):
         value = IntPayload(SymVar("n")) if assignment is None \
             else IntPayload(assignment["n"])
         sigma = poke(sigma, X, value)
-        return sigma, env, ExecContext()
+        return sigma, env
 
     prog = (If(Ebop(">", Evar(X, Tuint()), Econst(Vint(bound))),
                (Assign(Evar(X, Tuint()), Econst(Vint(5))),),
@@ -335,7 +348,7 @@ class TestVerifyTriple:
     def test_snil_preserves_state_verified(self):
         def pre(_asg):
             sigma, env, _ = declared_world()
-            return sigma, env, ExecContext()
+            return sigma, env
 
         verdict = verify_triple(pre, (Snil(),),
                                 Post(lambda final, init: final.blocks == init.blocks))
@@ -356,9 +369,9 @@ class TestVerifyTriple:
         assert verdict.witness == {"n": 6}
         # the witness reproduces the violation concretely
         pre_b, prog_b, post_b = triple_world(plant_bug=True)
-        sigma, env, ctx = pre_b(verdict.witness)
-        final = interpret(100, sigma, env, prog_b, ctx)
-        assert not post_b(final, ctx.sigma_init)
+        sigma, env = pre_b(verdict.witness)
+        final = interpret(100, sigma, env, prog_b)
+        assert not post_b(final, sigma)
 
     def test_concolic_mode_single_path(self):
         pre, prog, post = triple_world(plant_bug=False)
@@ -401,7 +414,7 @@ def replay_world(concrete):
     def pre(assignment):
         sigma, env, _ = declared_world()
         x = SymVar("n") if assignment is None else concrete(assignment)
-        return poke(sigma, X, IntPayload(x)), env, ExecContext()
+        return poke(sigma, X, IntPayload(x)), env
     return pre
 
 
@@ -438,10 +451,9 @@ class TestWitnessReplay:
 class TestThrowStatePost:
     def test_throw_program_satisfies_throw_post(self):
         sigma, env, names = declared_world()
-        ctx = ExecContext()
 
         def pre(_asg):
-            return sigma, env, ctx
+            return sigma, env
 
         verdict = verify_triple(pre, (Throw(),), throw_state_post)
         assert verdict.status == "verified"
@@ -450,7 +462,7 @@ class TestThrowStatePost:
         sigma, env, _ = declared_world()
 
         def pre(_asg):
-            return sigma, env, ExecContext()
+            return sigma, env
 
         verdict = verify_triple(pre, (Snil(),), throw_state_post)
         assert verdict.status == "refuted"
@@ -516,12 +528,11 @@ class TestSymbolicLoops:
         sigma = init_var(sigma, initial_env(10, names["0xglobal"]),
                          "public", Tuint(), bound)
         sigma = poke(sigma, bound, IntPayload(SymVar("n")))
-        ctx = ExecContext(sigma_init=sigma)
         prog = (LoopWhile(Ebop("<", Evar(X, Tuint()), Evar(bound, Tuint())),
                           (Assign(Evar(X, Tuint()),
                                   Ebop("+", Evar(X, Tuint()), Econst(Vint(1)))),)),)
         symbols = [SymbolicValue("n", "int", lo=0, hi=3)]
-        paths = explore(200, PathState(sigma, env, (), prog, ctx,
+        paths = explore(200, PathState(sigma, env, (), prog, sigma,
                                        models=tuple(satisfying_assignments((), symbols))))
         assert len(paths) == 4
         seen = set()
@@ -574,8 +585,7 @@ class TestRobustness:
             typecheck_stmt(prog, TypeContext())
             sigma = fresh_memory(64)
             env = initial_env(800, sigma.addr_of("0xglobal"))
-            out = interpret(250, sigma, env, prog,
-                            ExecContext(sigma_init=sigma))
+            out = interpret(250, sigma, env, prog)
             assert out is None or out.size == 64
 
 
@@ -606,15 +616,15 @@ def reference_judge(paths, post, symbols, pre, prog):
     first model of the first such path's condition under which a concrete
     run of ``prog`` ends without a state."""
     def fails(asg):
-        sigma, env, ctx = pre(asg)
-        return interpret(1000, sigma, env, prog, ctx) is None
+        sigma, env = pre(asg)
+        return interpret(1000, sigma, env, prog) is None
     failed = next((p for p in paths if p.note.startswith("error")), None)
     if failed is not None:
         return "error", next(filter(fails, satisfying_assignments(failed.condition, symbols)),
                              None)
     for p in paths:
         for asg in satisfying_assignments(p.condition, symbols):
-            init = p.ctx.sigma_init
+            init = p.init
             if not post(full_concretize(p.sigma, asg), full_concretize(init, asg)):
                 return "refuted", asg
     return "verified", None
@@ -808,8 +818,8 @@ class TestObligations:
         if v.status == "error":
             # The terminal stops where that run stops: before the If's
             # dispatch, with the call's gas spent and the If at the head.
-            sigma, env, ctx = pre({"d": 0})
-            run = drive(1000, sigma, env, ctx, prog)
+            sigma, env = pre({"d": 0})
+            run = drive(1000, sigma, env, sigma, prog)
             assert (run.stop, run.env.gas, type(run.remaining[0])) == (ERROR, 49, If)
             p, = [p for p in v.paths if p.note.startswith("error")]
             assert (p.env.gas, type(p.remaining[0])) == (49, If)
@@ -868,7 +878,7 @@ class TestObligations:
 
         def pre(_assignment):
             sigma, env, _ = declared_world()
-            return poke(sigma, X, IntPayload(5)), env, ExecContext()
+            return poke(sigma, X, IntPayload(5)), env
 
         prog = (Fun(fun, (), (), (), (Assign(Evar(X, Tuint()), Econst(Vint(5))),), lam),
                 FunCall(Efun(fun, Tfid(fun)), ()))
@@ -940,9 +950,8 @@ def explore_source(source, symbols, gas):
     spec = parse_spec("entry f\n" + symbols)
     pre = make_pre(bound, gas, BlockInfo(sender=Address(1)), symbols=spec.symbols)
     prog, _ = entry_program(bound, spec.entry)
-    sigma, env, ctx = pre(None)
-    ctx.sigma_init = sigma
-    return explore(1000, PathState(sigma, env, (), tuple(prog), ctx, models=tuple(
+    sigma, env = pre(None)
+    return explore(1000, PathState(sigma, env, (), tuple(prog), sigma, models=tuple(
         satisfying_assignments((), spec.symbols))))
 
 
@@ -953,7 +962,7 @@ def fork_last_gas_unit():
     env = initial_env(1, names["0xglobal"])
     prog = (If(Ebop("<", Evar(X, Tuint()), Econst(Vint(2))),
                (Assign(Evar(X, Tuint()), Econst(Vint(7))),), ()),)
-    return explore(100, PathState(sigma, env, (), prog, ExecContext(sigma_init=sigma),
+    return explore(100, PathState(sigma, env, (), prog, sigma,
                                   models=tuple(assignments([SymbolicValue("n", hi=3)]))))
 
 
@@ -997,9 +1006,8 @@ GUARDED_SPEC = "entry f\nsym a : int 0..3\npost r == 1\n"
 class TestModifierGuards:
     def test_symbolic_flag_forks_at_the_guard(self):
         pre, prog, _post, spec, _ = spec_triple(GUARDED.format(RAISE_AS), GUARDED_SPEC)
-        sigma, env, ctx = pre(None)
-        ctx.sigma_init = sigma
-        paths = explore(1000, PathState(sigma, env, (), prog, ctx,
+        sigma, env = pre(None)
+        paths = explore(1000, PathState(sigma, env, (), prog, sigma,
                                         models=tuple(assignments(spec.symbols))))
         assert [[str(c)[-2:] for c in p.condition] for p in paths] == [["=F"], ["=T"]]
         throw = gm.reserved_addresses(100)["0xthrow"].index
@@ -1017,7 +1025,7 @@ class TestModifierGuards:
         for v in range(4):
             world = build_world(bound, 10000, BlockInfo(sender=Address(1)),
                                 arg_writes=[("a", v)])
-            final = interpret(1000, world.sigma, world.env, prog, world.ctx)
+            final = interpret(1000, world.sigma, world.env, prog)
             [path] = [p for p in verdict.paths
                       if {"a": v} in list(satisfying_assignments(p.condition, spec.symbols))]
             assert concretize(path.sigma, {"a": v}).blocks == final.blocks

@@ -24,7 +24,7 @@ from minisol.parser import parse_source
 from minisol.runner import build_world, entry_program, make_pre
 from minisol.specfile import parse_spec
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ExecContext, drive
+from minisol.stmts import drive
 from minisol.symbolic import SymExpr, SymOp, SymVar
 from minisol.syntax import (
     Ebop,
@@ -345,7 +345,7 @@ def assert_closures_hold_node_data_only(nodes):
     assert compiled
     for run in compiled:
         assert run.__closure__ is None  # no cells: node data are default arguments
-        assert not any(isinstance(d, (MemoryState, Env, ExecContext))
+        assert not any(isinstance(d, (MemoryState, Env))
                        for d in run.__defaults__ or ())
 
 
@@ -396,19 +396,17 @@ class TestClosuresHoldNoState:
         spec = parse_spec(open("tests/golden/branchy.spec", encoding="utf-8").read())
         bound = bind_addresses(parse_source(source), 100)
         prog, _ = entry_program(bound, "f")
-        sigma, env, ctx = make_pre(bound, 10_000, BlockInfo(), symbols=spec.symbols)(None)
-        ctx.sigma_init = sigma
-        paths = explore(1000, PathState(sigma, env, (), prog, ctx,
+        sigma, env = make_pre(bound, 10_000, BlockInfo(), symbols=spec.symbols)(None)
+        paths = explore(1000, PathState(sigma, env, (), prog, sigma,
                                         models=tuple(assignments(spec.symbols))))
         assert len(paths) >= 2
         for p in paths:
             for asg in p.models.all:
                 fresh = bind_addresses(parse_source(source), 100)
                 world = build_world(fresh, 10_000, BlockInfo(), arg_writes=sorted(asg.items()))
-                world.ctx.sigma_init = world.sigma
-                run = drive(1000, world.sigma, world.env, world.ctx,
+                run = drive(1000, world.sigma, world.env, world.sigma,
                             entry_program(fresh, "f")[0])
-                assert concretize(p.sigma, asg).blocks == run.final(world.ctx).blocks
+                assert concretize(p.sigma, asg).blocks == run.final().blocks
         assert_closures_hold_node_data_only(expr_nodes(bound.decls))
 
 

@@ -40,8 +40,6 @@ ALLOWED = {
         "abstract method: the interface every symbolic node implements",
     ("symbolic.py", "SymConst.eval", "assignment"):
         "a constant implements SymExpr.eval and needs no assignment",
-    ("values.py", "locate_array_element", "env"):
-        "public signature that the acceptance suite calls with an environment",
 }
 
 

@@ -16,7 +16,7 @@ from minisol import memory as gm
 from minisol.engine import PathState, step
 from minisol.proggen import generate_program
 from minisol.stdlib import fresh_memory
-from minisol.stmts import BUDGET, ERROR, FINISHED, ExecContext, drive
+from minisol.stmts import BUDGET, ERROR, FINISHED, drive
 from minisol.values import Env
 
 K = 200
@@ -26,7 +26,7 @@ MAX_STEPS = 150
 
 def start(seed: int, length: int):
     sigma = fresh_memory(100)
-    return sigma, generate_program(seed, length), ExecContext(sigma_init=sigma)
+    return sigma, generate_program(seed, length), sigma
 
 
 def note_of(run) -> str:
@@ -39,11 +39,11 @@ def note_of(run) -> str:
 @given(st.integers(0, 1 << 30), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_n_steps_equal_one_drive_with_gas_n(seed, length):
-    sigma, prog, ctx = start(seed, length)
-    ps = PathState(sigma, Env(MAX_STEPS, GLOBAL), (), tuple(prog), ctx)
+    sigma, prog, init = start(seed, length)
+    ps = PathState(sigma, Env(MAX_STEPS, GLOBAL), (), tuple(prog), init)
     for n in range(1, MAX_STEPS + 1):
         ps = step(ps, K)
-        run = drive(K, sigma, Env(n, GLOBAL), ctx, prog)
+        run = drive(K, sigma, Env(n, GLOBAL), init, prog)
         spent = MAX_STEPS - ps.env.gas
         assert (ps.sigma, ps.env.domain, ps.remaining) == (run.sigma, run.env.domain,
                                                            run.remaining), n
@@ -56,12 +56,12 @@ def test_n_steps_equal_one_drive_with_gas_n(seed, length):
 @given(st.integers(0, 1 << 30), st.integers(1, 6), st.integers(0, 40), st.integers(0, 40))
 @settings(max_examples=80, deadline=None)
 def test_drive_resumed_with_more_gas_equals_one_drive_with_the_sum(seed, length, g1, g2):
-    sigma, prog, ctx = start(seed, length)
-    first = drive(K, sigma, Env(g1, GLOBAL), ctx, prog)
+    sigma, prog, init = start(seed, length)
+    first = drive(K, sigma, Env(g1, GLOBAL), init, prog)
     if first.stop == BUDGET:
-        later = drive(K, first.sigma, Env(g2, first.env.domain), ctx, first.remaining)
+        later = drive(K, first.sigma, Env(g2, first.env.domain), init, first.remaining)
     else:  # stopped for another reason: more gas is left over, unspent
         later = replace(first, env=Env(first.env.gas + g2, first.env.domain))
-    whole = drive(K, sigma, Env(g1 + g2, GLOBAL), ctx, prog)
+    whole = drive(K, sigma, Env(g1 + g2, GLOBAL), init, prog)
     assert (later.stop, later.sigma, later.env, later.remaining, later.error, later.halted) \
         == (whole.stop, whole.sigma, whole.env, whole.remaining, whole.error, whole.halted)

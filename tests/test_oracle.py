@@ -12,7 +12,6 @@ from minisol.oracle import (
     run_report,
 )
 from minisol.stdlib import fresh_memory
-from minisol.stmts import ExecContext
 from minisol.syntax import (
     Assign,
     Ebop as Ebop_,
@@ -48,8 +47,7 @@ class TestRelationalEval:
         final, _trace = rel
         # shared ground truth: a direct write through the raw store
         assert final.blocks[X.index].payload == IntPayload(5, 64, False)
-        exe = interpret(100, sigma, env, prog,
-                     ExecContext(sigma_init=sigma))
+        exe = interpret(100, sigma, env, prog)
         assert [b.payload for b in exe.blocks] == [b.payload for b in final.blocks]
 
     def test_skip_single_entry_trace(self):
@@ -107,7 +105,7 @@ class TestCheckSimulation:
 
     def test_broken_executable_if_detected_at_the_if_step(self):
         # Mutation fixture: an interpreter whose If takes the wrong arm.
-        def broken_interpret(K, sigma, env, prog, ctx=None):
+        def broken_interpret(K, sigma, env, prog):
             def flip(stmts):
                 out = []
                 for s in stmts:
@@ -117,7 +115,7 @@ class TestCheckSimulation:
                     else:
                         out.append(s)
                 return out
-            return interpret(K, sigma, env, flip(list(prog)), ctx)
+            return interpret(K, sigma, env, flip(list(prog)))
 
         prog = [Var("public", Evar(X, Tuint())),
                 Assign(Evar(X, Tuint()), Econst(Vint(0))),
@@ -151,8 +149,7 @@ class TestGasAgreement:
             sigma, _env = world()
             env = initial_env(gas, sigma.addr_of("0xglobal"))
             rel = relational_eval(sigma, env, body)
-            exe = interpret(200, sigma, env, body,
-                          ExecContext(sigma_init=sigma))
+            exe = interpret(200, sigma, env, body)
             assert rel is not None and exe is not None
             assert [b.payload for b in rel[0].blocks] == \
                 [b.payload for b in exe.blocks], f"gas {gas}"

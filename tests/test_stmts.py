@@ -23,8 +23,7 @@ from minisol.memory import (
 )
 from minisol.engine import interpret
 from minisol.stdlib import fresh_memory
-from minisol.stmts import (BUDGET, ERROR, FINISHED, SYMBOLIC, ExecContext, drive,
-                           init_array, init_var)
+from minisol.stmts import BUDGET, ERROR, FINISHED, SYMBOLIC, drive, init_array, init_var
 from minisol.symbolic import SymVar
 from minisol.syntax import (
     Assign,
@@ -68,7 +67,7 @@ class TestEnvCheck:
                                                                  expected):
         # the check is the gas: spent gas stops, any other gas dispatches
         env = Env(gas, names["0xglobal"])
-        run = drive(10, sigma, env, ExecContext(), (Snil(),))
+        run = drive(10, sigma, env, None, (Snil(),))
         assert (run.stop, run.env.gas) == expected
 
 
@@ -80,7 +79,7 @@ def test_every_statement_class_has_one_rule():
                and cls is not syntax.LStatement]
     assert sorted(stmts._RULES, key=str) == sorted(classes, key=str)
     # every rule takes exec_statement's arguments
-    assert all(len(inspect.signature(rule).parameters) == 6
+    assert all(len(inspect.signature(rule).parameters) == 5
                for rule in stmts._RULES.values())
 
 
@@ -246,8 +245,8 @@ class TestInitVar:
         assert head.kv is None and head.next is None
 
 
-def run(prog, sigma, env, K=200, ctx=None):
-    return interpret(K, sigma, env, prog, ctx)
+def run(prog, sigma, env, K=200):
+    return interpret(K, sigma, env, prog)
 
 
 X = Address(0)
@@ -292,9 +291,9 @@ class TestBasicStatements:
         assert out.blocks[0].access == "private"
 
     def test_var_without_address_fails(self, sigma, env):
-        ctx = ExecContext(sigma_init=sigma)
-        assert run([Var(None, Evar(None, Tuint()))], sigma, env, ctx=ctx) is None
-        assert ctx.diagnostics
+        r = drive(200, sigma, env, sigma, [Var(None, Evar(None, Tuint()))])
+        assert r.final() is None
+        assert r.reason
 
     def test_struct_decl_writes_type_block(self, sigma, env):
         out = run([StructDecl(Address(8), (("a", Tuint()),))], sigma, env)
@@ -347,8 +346,7 @@ class TestBasicStatements:
 @pytest.mark.parametrize("cond", [Econst(Vint(1)), Evar(None, Tbool())], ids=["int", "absent"])
 def test_condition_without_a_bool_stops_drive_with_error(sigma, env, cond):
     for head, what in ((If(cond, (Throw(),)), "branch"), (LoopWhile(cond, (Throw(),)), "loop")):
-        ctx = ExecContext(sigma_init=sigma)
-        r = drive(10, sigma, env, ctx, (head, Snil()))
+        r = drive(10, sigma, env, sigma, (head, Snil()))
         assert r.stop == ERROR
         assert r.error == f"{what} condition failed to evaluate"
         assert r.sigma is sigma and r.remaining == (head, Snil())
@@ -365,8 +363,8 @@ def test_a_failing_dispatch_leaves_the_run_before_it(sigma, env, failing, error)
     # and environment of the dispatch before, the failing one's gas unspent,
     # and the failing statement still at the head.
     seeded, first = declared(sigma, env), Assign(Evar(X, Tuint()), Econst(Vint(5)))
-    before = drive(200, seeded, env, ExecContext(), (first,))
-    r = drive(200, seeded, env, ExecContext(), (first, failing, Snil()))
+    before = drive(200, seeded, env, None, (first,))
+    r = drive(200, seeded, env, None, (first, failing, Snil()))
     assert (r.stop, r.error) == (ERROR, error)
     assert (r.sigma, r.env, r.remaining) == (before.sigma, before.env, (failing, Snil()))
     assert r.env.gas == env.gas - 1
@@ -380,7 +378,7 @@ def test_a_failing_dispatch_that_divides_by_a_symbol_fails_without_a_split(sigma
                                          payload=IntPayload(SymVar("d"))), "dir")
     call = FunCall(Efun(Address(10), Tfid(Address(10))),
                    (Ebop("/", Econst(Vint(10)), Evar(X, Tuint())),))
-    stop = drive(200, seeded, env, ExecContext(), (call,))
+    stop = drive(200, seeded, env, None, (call,))
     assert (stop.stop, stop.error, stop.step) == (ERROR, "no function stored at @10", None)
 
 
@@ -397,7 +395,7 @@ def test_a_symbolic_stop_holds_the_state_before_the_dispatch(sigma, env, kind):
     else:
         head = Assign(Evar(Y, Tuint()), Ebop("/", Econst(Vint(10)), Evar(X, Tuint())))
     prog = (head, Snil())
-    stop = drive(200, seeded, env, ExecContext(), prog)
+    stop = drive(200, seeded, env, None, prog)
     assert (stop.stop, stop.remaining, stop.error) == (SYMBOLIC, prog, None)
     assert stop.sigma is seeded and stop.env is env
     step = stop.step
@@ -426,10 +424,10 @@ class TestScalarStores:
         return init_var(sigma, replace(env, domain=self.OWNER), access, Tuint(), X)
 
     def test_assign_to_another_domains_private_block_fails(self, sigma, env):
-        ctx = ExecContext(sigma_init=sigma)
         prog = [Assign(Evar(X, Tuint()), Econst(Vint(1)))]
-        assert run(prog, self.owned(sigma, env, gm.PRIVATE), env, ctx=ctx) is None
-        assert ctx.diagnostics == ["validated write to @0 failed"]
+        r = drive(200, self.owned(sigma, env, gm.PRIVATE), env, sigma, prog)
+        assert r.final() is None
+        assert r.reason == "validated write to @0 failed"
 
     def test_assign_from_another_domain_keeps_the_blocks_domain_and_access(self, sigma, env):
         out = run([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
@@ -439,10 +437,9 @@ class TestScalarStores:
 
     @pytest.mark.parametrize("index", [-1, 100])
     def test_assign_out_of_range_fails(self, sigma, env, index):
-        ctx = ExecContext(sigma_init=sigma)
-        assert run([Assign(Evar(Address(index), Tuint()), Econst(Vint(1)))], sigma, env,
-                   ctx=ctx) is None
-        assert ctx.diagnostics == [f"validated write to @{index} failed"]
+        r = drive(200, sigma, env, sigma, [Assign(Evar(Address(index), Tuint()), Econst(Vint(1)))])
+        assert r.final() is None
+        assert r.reason == f"validated write to @{index} failed"
 
 
 class TestLoops:
@@ -589,7 +586,7 @@ class TestFunctions:
         prog = [inner_decl([Assign(Evar(Y, Tuint()), Econst(Vint(1)))]),
                 fun_decl([call(INNER), Returns((Econst(Vint(3)),))]),
                 call(FUN)]
-        done = drive(200, seeded, env, ExecContext(sigma_init=seeded), prog)
+        done = drive(200, seeded, env, seeded, prog)
         assert done.stop == FINISHED
         assert done.sigma.blocks[Y.index].payload == IntPayload(1)
         assert done.sigma.blocks[LAM.index].payload == IntPayload(3)
@@ -669,7 +666,7 @@ class TestModifiers:
         stored = run(decls, seeded, env)
         # the call, the modifier call, its flag write and FunStop, the
         # guard, the assignment and the function's FunStop
-        done = drive(100, stored, env, ExecContext(sigma_init=stored), (call(FUN),))
+        done = drive(100, stored, env, stored, (call(FUN),))
         assert done.stop == FINISHED
         assert env.gas - done.env.gas == 7
         assert done.sigma.blocks[X.index].payload == IntPayload(1)
@@ -677,7 +674,7 @@ class TestModifiers:
 
     def test_decoded_guard_without_a_state_is_a_named_error(self, sigma, env):
         prog = program_from_data([{"kind": "modifierguard"}])
-        done = drive(100, sigma, env, ExecContext(sigma_init=sigma), prog)
+        done = drive(100, sigma, env, sigma, prog)
         assert (done.stop, done.error) == (ERROR, "modifier guard without a saved state")
 
     def test_isolation_check_sees_every_other_block(self, sigma, env, names):
@@ -757,9 +754,9 @@ class TestMappingStatements:
         head = seeded.blocks[m.index]
         seeded = gm.write(seeded, m, replace(head, payload=replace(head.payload, next=m)))
         lhs = Econst(Vmap(m, (Econst(Vint(1)),), Tuint(), Tuint(), None))
-        ctx = ExecContext()
-        assert run([Assign(lhs, Econst(Vint(1)))], seeded, env, ctx=ctx) is None
-        assert ctx.diagnostics == ["mapping insert failed"]
+        r = drive(200, seeded, env, seeded, [Assign(lhs, Econst(Vint(1)))])
+        assert r.final() is None
+        assert r.reason == "mapping insert failed"
 
     def test_insert_evaluates_each_key_once(self, sigma, env, monkeypatch):
         from minisol import exprs, stmts
@@ -900,7 +897,7 @@ class TestDivisionMark:
         decoded, = program_from_data(data)
         for stmt in (built, decoded):
             assert stmt.may_divide is None
-            stop = drive(200, seeded, env, ExecContext(), (stmt,))
+            stop = drive(200, seeded, env, None, (stmt,))
             assert (stop.stop, [str(tree) for s in stop.step.splits
                                 for _what, tree in s.values]) == (SYMBOLIC, ["(10 / d)"])
             assert stmt.may_divide is True

@@ -84,17 +84,17 @@ def seeded_array(sigma, env, base=Address(0)):
 class TestArrayValues:
     def test_worked_indexing_case(self, sigma, env):
         # a[2][3][2] with path [0, 1, 1] lands six blocks past the base.
-        addr = locate_array_element(ARR_T, Address(0), [0, 1, 1], sigma, env)
+        addr = locate_array_element(ARR_T, Address(0), [0, 1, 1], sigma)
         assert addr == Address(6)
 
     def test_one_dimensional_is_plain_offset(self, sigma, env):
         t = Tarray(5, Tuint())
         for i in range(5):
-            assert locate_array_element(t, Address(3), [i], sigma, env) == Address(3 + i)
+            assert locate_array_element(t, Address(3), [i], sigma) == Address(3 + i)
 
     def test_overflow_absent(self, sigma, env):
-        assert locate_array_element(ARR_T, Address(0), [0, 3, 0], sigma, env) is None
-        assert locate_array_element(ARR_T, Address(0), [2, 0, 0], sigma, env) is None
+        assert locate_array_element(ARR_T, Address(0), [0, 3, 0], sigma) is None
+        assert locate_array_element(ARR_T, Address(0), [2, 0, 0], sigma) is None
 
     def test_varray_eval_reads_element(self, sigma, env):
         seeded = seeded_array(sigma, env)
@@ -111,7 +111,7 @@ class TestArrayValues:
         for i in range(2):
             for j in range(3):
                 for k in range(2):
-                    a = locate_array_element(ARR_T, Address(0), [i, j, k], sigma, env)
+                    a = locate_array_element(ARR_T, Address(0), [i, j, k], sigma)
                     assert 0 <= a.index < 20
 
     def test_variable_index_path(self, sigma, env):
