@@ -60,6 +60,7 @@ from .syntax import (
     Fun,
     FunCall,
     If,
+    LTypeError,
     LoopWhile,
     Modifier,
     Returns,
@@ -162,9 +163,10 @@ class Binder:
             m = _INT_TYPE_RE.match(t.name)
             if m:
                 width = int(m.group(2)) if m.group(2) else 64
-                if width % 8 != 0 or not 8 <= width <= 256:
-                    raise BindError(f"unsupported integer width {width}", t.pos)
-                return Tint(width, signed=(m.group(1) == ""))
+                try:
+                    return Tint(width, signed=(m.group(1) == ""))
+                except LTypeError as exc:
+                    raise BindError(str(exc), t.pos) from None
             if t.name == "bool":
                 return Tbool()
             if t.name == "address":
@@ -271,7 +273,7 @@ class Binder:
         if isinstance(t, Tarray):
             return Econst(Varray(t, lowered, addr))
         if isinstance(t, Tmap):
-            return Econst(Vmap(addr, lowered, t.key, t.value, None))
+            return Econst(Vmap(addr, lowered, t.key, t.value))
         raise BindError(f"{base.name!r} is neither an array nor a mapping", e.pos)
 
     def _member_chain(self, e: EMember):
@@ -295,7 +297,7 @@ class Binder:
                 raise BindError(f"{base.name!r} is not a struct", e.pos)
             type_addr = t.type_addr
         result = self.field_walk(type_addr, names, e.pos)
-        return Econst(Vfield(result, type_addr, inst, tuple(names), None))
+        return Econst(Vfield(result, type_addr, inst, tuple(names)))
 
     # -- statements --------------------------------------------------------------
 

@@ -290,10 +290,10 @@ def cmd_emit_ast(ns) -> int:
 
 
 def cmd_oracle(ns) -> int:
-    from .oracle import GAS, check_simulation, run_report
+    from .oracle import GAS, check_simulation, in_core_subset, run_report
     if ns.ast:
         from .stdlib import fresh_memory
-        from .syntax import program_from_data
+        from .syntax import TypeContext, program_from_data, typecheck_stmt
         from .values import initial_env
         try:
             with open(ns.ast, encoding="utf-8") as fh:
@@ -304,7 +304,9 @@ def cmd_oracle(ns) -> int:
             mem_size = doc.get("mem_size", gm.DEFAULT_MEMORY_SIZE)
             if not isinstance(mem_size, int):
                 raise ValueError(f"mem_size {mem_size!r} is not an integer")
-        except (ValueError, KeyError, TypeError) as exc:
+            if in_core_subset(prog):
+                typecheck_stmt(prog, TypeContext())
+        except (ValueError, KeyError, TypeError, LTypeError) as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise RunnerError(f"{ns.ast}: malformed AST document: {what}") from exc
 

@@ -210,11 +210,6 @@ def _walk(p):
         return gm.StructInstance(p.type_addr, tuple(members))
     if isinstance(p, gm.MapNode) and p.kv is not None:
         return replace(p, kv=((yield from _walk(p.kv[0])), (yield from _walk(p.kv[1]))))
-    if isinstance(p, gm.Fid) and p.args:
-        args = []
-        for a in p.args:
-            args.append(replace(a, payload=(yield from _walk(a.payload))))
-        return replace(p, args=tuple(args))
     return p
 
 

@@ -136,9 +136,9 @@ class IntPayload(Payload):
 
 @dataclass(frozen=True)
 class Fid(Payload):
+    """A function value; read through a struct member, it names the instance as receiver."""
     fun: Address | None
     receiver: Address | None = None
-    args: tuple | None = None  # bound call arguments (memory values)
 
 
 @dataclass(frozen=True)
@@ -535,8 +535,7 @@ def render_payload(p: Payload) -> str:
     if isinstance(p, Fid):
         fun = p.fun.index if p.fun else "-"
         receiver = p.receiver.index if p.receiver else "-"
-        nargs = len(p.args) if p.args is not None else "-"
-        return f"fid:{fun}:receiver={receiver}:args={nargs}"
+        return f"fid:{fun}:receiver={receiver}:args=-"
     if isinstance(p, ContractInfo):
         mem = ",".join(f"{n}@{a.index}" for n, a in p.members)
         inh = ",".join(str(a.index) for a in p.inherits)

@@ -338,8 +338,8 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
 
 
 def _exec_call(K, sigma, env, head, rest) -> tuple | str | StepResult:
+    """Call the callee's function with the call's own arguments, evaluated in the caller."""
     callee = head.callee
-    arg_values = []
     if isinstance(callee, Efun):
         if callee.addr is None:
             return "call target has no address"
@@ -349,8 +349,7 @@ def _exec_call(K, sigma, env, head, rest) -> tuple | str | StepResult:
         if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
             return "call target is not a function value"
         target = cv.payload.fun
-        arg_values.extend(cv.payload.args or ())  # arguments bound by the field access
-    arg_values += [eval_rvalue(K, a, sigma, env) for a in head.args]
+    arg_values = [eval_rvalue(K, a, sigma, env) for a in head.args]
     if any(v is None for v in arg_values):
         return "call argument failed to evaluate"
     return _with_divides(_enter_call(sigma, env, target, arg_values, rest),

@@ -54,6 +54,10 @@ class Tint(LType):
     width: int = 64
     signed: bool = False
 
+    def __post_init__(self):
+        _require(self.width % 8 == 0 and 8 <= self.width <= 256,
+                 f"unsupported integer width {self.width}")
+
 
 def Tuint() -> Tint:
     return Tint(64, signed=False)
@@ -155,7 +159,6 @@ class Vmap(LValue):
     keys: tuple = ()          # one key expression per mapping dimension
     key_type: LType = None
     value_type: LType = None
-    next: Address | None = None
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,11 @@ class Vstruct(LValue):
 
 @dataclass
 class Vfield(LValue):
+    """A read of a member path of the struct instance at ``inst_addr``."""
     result_type: LType = None
     type_addr: Address = None
     inst_addr: Address = None
     members: tuple = ()       # nonempty member-name path
-    args: tuple | None = None  # call arguments for function-valued members
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +453,6 @@ def _value_type(v: LValue, ctx: TypeContext) -> LType:
                 _require(isinstance(mt, Tstruct),
                          f"member {name!r} is not a struct, cannot descend")
                 cur = mt.type_addr
-        if v.args is not None:
-            _require(isinstance(mt, Tfid), "call arguments on a non-function member")
         if not _types_equal(mt, v.result_type):
             raise LTypeError(f"field access result {ctx.text(v.result_type)} != "
                              f"member type {ctx.text(mt)}")
@@ -584,44 +585,48 @@ def payload_matches_type(payload, t: LType) -> bool:
 # FORMAT is the one definition of the JSON form of a program. For each node
 # class it gives the ``kind`` tag and, for each JSON field in order, the code
 # of the value. A field holds the attribute of the same name, except that
-# "type" holds ``ltype``. A code is JSON (stored as is), Address (the block
-# index), a node category (LType, LValue, LExpr or LStatement: a nested node
-# of that category), a tuple of codes (a fixed-length JSON list, such as a
-# (name, address) pair) or a one-element list [code] (a JSON list of items so
-# coded). None is null under every code. A kind is unique within its
-# category only: "var" is an Evar where an expression is expected and a Var
-# where a statement is.
+# "type" holds ``ltype``. A code is int, bool or str (a JSON scalar of exactly
+# that type), ACCESS (a string or null), Address (the block index, or null),
+# a node category (LType, LValue, LExpr or LStatement: a nested node of that
+# category), a tuple of codes (a fixed-length JSON list, such as a (name,
+# address) pair) or a one-element list [code] (a JSON list of items so
+# coded). Reading refuses null under any other code, and fields FORMAT does
+# not name are ignored. A kind is unique within its category only: "var" is
+# an Evar where an expression is expected and a Var where a statement is.
 
-JSON = "json"
+ACCESS = "access"
 _ATTRIBUTE = {"type": "ltype"}
+_JSON_TYPE = {int: int, bool: bool, str: str, ACCESS: str, Address: int}
+_JSON_NAME = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+              str: "a string", list: "a list", dict: "an object"}
 
 FORMAT = {
     Tbool: ("bool", {}),
-    Tint: ("int", {"width": JSON, "signed": JSON}),
-    Tarray: ("array", {"length": JSON, "element": LType}),
+    Tint: ("int", {"width": int, "signed": bool}),
+    Tarray: ("array", {"length": int, "element": LType}),
     Tmap: ("map", {"key": LType, "value": LType}),
     Tfid: ("fid", {"fun": Address}),
     Tstruct: ("struct", {"type_addr": Address}),
-    Vbool: ("vbool", {"bit": JSON}),
-    Vint: ("vint", {"value": JSON, "width": JSON, "signed": JSON}),
+    Vbool: ("vbool", {"bit": bool}),
+    Vint: ("vint", {"value": int, "width": int, "signed": bool}),
     Varray: ("varray", {"arr_type": LType, "indices": [LExpr], "base": Address}),
     Vmap: ("vmap", {"base": Address, "keys": [LExpr], "key_type": LType,
-                    "value_type": LType, "next": Address}),
+                    "value_type": LType}),
     Vstruct: ("vstruct", {"type_addr": Address, "inst_addr": Address}),
     Vfield: ("vfield", {"result_type": LType, "type_addr": Address, "inst_addr": Address,
-                        "members": [JSON], "args": [LExpr]}),
+                        "members": [str]}),
     Econst: ("const", {"value": LValue}),
     Evar: ("var", {"addr": Address, "type": LType}),
     Efun: ("fun", {"addr": Address, "type": LType}),
     Estruct: ("struct", {"type_addr": Address, "values": [LValue]}),
-    Ebop: ("bop", {"op": JSON, "left": LExpr, "right": LExpr}),
-    Euop: ("uop", {"op": JSON, "operand": LExpr}),
+    Ebop: ("bop", {"op": str, "left": LExpr, "right": LExpr}),
+    Euop: ("uop", {"op": str, "operand": LExpr}),
     Contract: ("contract", {"name": Address, "inherits": [Address],
-                            "members": [(JSON, Address)]}),
+                            "members": [(str, Address)]}),
     Modifier: ("modifier", {"name": Address, "params": [LExpr], "body": [LStatement],
                             "ret_addr": Address}),
-    Var: ("var", {"access": JSON, "decl": LExpr}),
-    StructDecl: ("structdecl", {"type_addr": Address, "members": [(JSON, LType)]}),
+    Var: ("var", {"access": ACCESS, "decl": LExpr}),
+    StructDecl: ("structdecl", {"type_addr": Address, "members": [(str, LType)]}),
     Assign: ("assign", {"lhs": LExpr, "rhs": LExpr}),
     Returns: ("returns", {"values": [LExpr]}),
     Throw: ("throw", {}),
@@ -640,7 +645,7 @@ _KINDS = {(category, kind): cls for cls, (kind, _) in FORMAT.items()
 
 
 def _encode(code, x):
-    if x is None or code is JSON:
+    if x is None or code in (int, bool, str, ACCESS):
         return x
     if isinstance(code, list):
         return [_encode(code[0], item) for item in x]
@@ -655,19 +660,24 @@ def _encode(code, x):
                              for f, c in fields.items()}}
 
 
-def _decode(code, d):
-    if d is None or code is JSON:
-        return d
-    if isinstance(code, list):
-        return tuple(_decode(code[0], item) for item in d)
-    if isinstance(code, tuple):
-        return tuple(_decode(c, item) for c, item in zip(code, d, strict=True))
-    if code is Address:
-        return Address(d)
+def _decode(code, d, where="program"):
+    if d is None and code in (ACCESS, Address):
+        return None
+    json_type = list if isinstance(code, (list, tuple)) else _JSON_TYPE.get(code, dict)
+    if type(d) is not json_type:
+        raise ValueError(f"{where}: expected {_JSON_NAME[json_type]}, "
+                         f"got {_JSON_NAME.get(type(d), type(d).__name__)}")
+    if json_type is list:
+        codes = code * len(d) if isinstance(code, list) else code
+        return tuple(_decode(c, item, where) for c, item in zip(codes, d, strict=True))
+    if json_type is not dict:
+        return Address(d) if code is Address else d
     cls = _KINDS.get((code, d["kind"]))
     if cls is None:
         raise ValueError(f"unknown {code.__name__[1:].lower()} kind {d['kind']!r}")
-    return cls(**{_ATTRIBUTE.get(f, f): _decode(c, d[f]) for f, c in FORMAT[cls][1].items()})
+    kind, fields = FORMAT[cls]
+    return cls(**{_ATTRIBUTE.get(f, f): _decode(c, d[f], f"{kind}.{f}")
+                  for f, c in fields.items()})
 
 
 def divides_by_nonliteral(node) -> bool:

@@ -93,17 +93,7 @@ def eval_value(K: int, v: LValue, sigma: MemoryState,
             return None
         return block
     if isinstance(v, Vfield):
-        args = None
-        if v.args is not None:
-            args = []
-            for a in v.args:
-                av = _eval_expr_r(K - 1, a, sigma, env)
-                if av is None:
-                    return None
-                args.append(av)
-            args = tuple(args)
-        return resolve_field(v.inst_addr, v.members, args, sigma, env,
-                             expected_type=v.type_addr)
+        return resolve_field(v.inst_addr, v.members, sigma, env, expected_type=v.type_addr)
     return None
 
 
@@ -113,7 +103,7 @@ def int_literal(value: int, width: int, signed: bool, domain: Address) -> Memory
 
 
 def _eval_expr_r(K, e, sigma, env):
-    # Index, key and argument positions hold full expressions; the
+    # Index and key positions hold full expressions; the
     # expression layer lives above this one, so reach up lazily.
     from .exprs import eval_rvalue
     return eval_rvalue(K, e, sigma, env)
@@ -215,12 +205,12 @@ def map_entry_value(node: MemoryValue | None) -> MemoryValue | None:
     return replace(node, payload=node.payload.kv[1])
 
 
-def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
+def resolve_field(head: Address, members, sigma: MemoryState, env: Env,
                   expected_type: Address | None = None) -> MemoryValue | None:
     """The member that ``members`` names, a path through the struct
     instance at ``head`` and the instances embedded in it, tagged like
     the instance block. A function member comes back with ``head`` as
-    its receiver and ``args`` bound. Absent when the instance is not
+    its receiver. Absent when the instance is not
     readable, its type is not ``expected_type`` (when given), or the path
     leaves the declared members."""
     block = gm.read(sigma, head, "chck", env)
@@ -240,5 +230,5 @@ def resolve_field(head: Address, members, args, sigma: MemoryState, env: Env,
             return None
         payload = payload.members[names.index(name)]
     if isinstance(payload, Fid):
-        payload = replace(payload, receiver=head, args=args)
+        payload = replace(payload, receiver=head)
     return replace(block, payload=payload)

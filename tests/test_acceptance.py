@@ -510,7 +510,7 @@ def test_criterion_10_mapping_semantics():
 
     # one-dimensional write-then-read through l- and r-positions
     sigma1 = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), M)
-    entry = Econst(Vmap(M, (Econst(Vint(10)),), Tuint(), Tuint(), None))
+    entry = Econst(Vmap(M, (Econst(Vint(10)),), Tuint(), Tuint()))
     out = interpret(300, sigma1, env, [Assign(entry, Econst(Vint(42)))])
     assert out is not None
     assert eval_rvalue(50, entry, out, env).payload == IntPayload(42)
@@ -520,7 +520,7 @@ def test_criterion_10_mapping_semantics():
     inner_t = Tmap(Tuint(), Tuint())
     sigma2 = init_var(out, env, None, Tmap(Tuint(), inner_t), N)
     nested = Econst(Vmap(N, (Econst(Vint(1)), Econst(Vint(2))),
-                         Tuint(), inner_t, None))
+                         Tuint(), inner_t))
     out2 = interpret(300, sigma2, env, [Assign(nested, Econst(Vint(99)))])
     assert out2 is not None
     assert eval_rvalue(50, nested, out2, env).payload == IntPayload(99)

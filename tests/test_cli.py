@@ -1286,9 +1286,13 @@ def _assign_to(lhs: str) -> str:
     return f'{{"program": [{{"kind": "assign", "lhs": {lhs}, "rhs": null}}]}}'
 
 
-def _declare_as(ltype: str) -> str:
-    decl = f'{{"kind": "var", "addr": 0, "type": {ltype}}}'
+def _declare_as(ltype: str, addr: str = "0") -> str:
+    decl = f'{{"kind": "var", "addr": {addr}, "type": {ltype}}}'
     return f'{{"program": [{{"kind": "var", "access": null, "decl": {decl}}}]}}'
+
+
+UINT = '{"kind": "int", "width": 64, "signed": false}'
+TRUE = '{"kind": "const", "value": {"kind": "vbool", "bit": true}}'
 
 
 class TestOracleAstInput:
@@ -1318,8 +1322,28 @@ class TestOracleAstInput:
         # a for loop and a single-value return have no statement form of their own
         ('{"program": [{"kind": "for"}]}', "unknown statement kind 'for'"),
         ('{"program": [{"kind": "return"}]}', "unknown statement kind 'return'"),
+        # decodable documents whose fields have the wrong JSON type or an ill-typed value
+        ('{"program": [{"kind": "var", "access": null, "decl": null}]}',
+         "var.decl: expected an object, got null"),
+        (f'{{"program": [{{"kind": "while", "cond": {TRUE}, "body": null}}]}}',
+         "while.body: expected a list, got null"),
+        (f'{{"program": [{{"kind": "if", "cond": {TRUE}, "then": null, "orelse": []}}]}}',
+         "if.then: expected a list, got null"),
+        (_declare_as(f'{{"kind": "array", "length": 0, "element": {UINT}}}'),
+         "array dimensions must be positive"),
+        (_declare_as('{"kind": "int", "width": "w", "signed": false}'),
+         "int.width: expected an integer, got a string"),
+        (_declare_as('{"kind": "int", "width": 0, "signed": false}'),
+         "unsupported integer width 0"),
+        (_declare_as(UINT, '"x"'), "var.addr: expected an integer, got a string"),
+        (_declare_as(UINT, "1.5"), "var.addr: expected an integer, got a number"),
+        ('{"program": [{"kind": "returns", "values": [{"kind": "const", "value": '
+         '{"kind": "vint", "value": "7", "width": 64, "signed": false}}]}]}',
+         "vint.value: expected an integer, got a string"),
     ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size",
-            "con", "par", "modifier-expr", "eaddr", "unit", "for", "return"])
+            "con", "par", "modifier-expr", "eaddr", "unit", "for", "return",
+            "null-decl", "null-body", "null-then", "zero-length", "string-width",
+            "zero-width", "string-addr", "float-addr", "string-value"])
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)

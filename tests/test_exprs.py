@@ -78,7 +78,7 @@ class TestLValues:
 
     def test_map_constant_resolves_to_node(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
-        e = Econst(Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint(), None))
+        e = Econst(Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint()))
         assert eval_lvalue(10, e, seeded, env) == Address(1)
 
 
@@ -227,7 +227,7 @@ class TestCoherence:
             else:
                 candidates.append(Econst(Vmap(Address(25),
                                               (Econst(Vint(rng.randint(1, 3))),),
-                                              Tuint(), Tuint(), None)))
+                                              Tuint(), Tuint())))
         checked = 0
         for e in candidates:
             a = eval_lvalue(50, e, sigma, env)

@@ -50,7 +50,6 @@ from minisol.syntax import (
     Var,
     Varray,
     Vbool,
-    Vfield,
     Vint,
     Vmap,
     divides_by_nonliteral,
@@ -721,7 +720,7 @@ class TestMappingStatements:
     def test_insert_then_read_round_trip(self, sigma, env):
         m = Address(5)
         seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
-        lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint()))
         out = run([Assign(lhs, Econst(Vint(42)))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
@@ -731,7 +730,7 @@ class TestMappingStatements:
     def test_update_existing_key_grafts_value(self, sigma, env):
         m = Address(5)
         seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
-        lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Econst(Vint(10)),), Tuint(), Tuint()))
         out = run([Assign(lhs, Econst(Vint(1))), Assign(lhs, Econst(Vint(2)))],
                   seeded, env)
         from minisol.exprs import eval_rvalue
@@ -742,7 +741,7 @@ class TestMappingStatements:
         t = Tmap(Tuint(), Tmap(Tuint(), Tuint()))
         seeded = init_var(sigma, env, None, t, m)
         lhs = Econst(Vmap(m, (Econst(Vint(1)), Econst(Vint(2))),
-                          Tuint(), Tmap(Tuint(), Tuint()), None))
+                          Tuint(), Tmap(Tuint(), Tuint())))
         out = run([Assign(lhs, Econst(Vint(99)))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
@@ -753,7 +752,7 @@ class TestMappingStatements:
         seeded = init_var(sigma, env, None, Tmap(Tuint(), Tuint()), m)
         head = seeded.blocks[m.index]
         seeded = gm.write(seeded, m, replace(head, payload=replace(head.payload, next=m)))
-        lhs = Econst(Vmap(m, (Econst(Vint(1)),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Econst(Vint(1)),), Tuint(), Tuint()))
         r = drive(200, seeded, env, seeded, [Assign(lhs, Econst(Vint(1)))])
         assert r.final() is None
         assert r.reason == "mapping insert failed"
@@ -772,7 +771,7 @@ class TestMappingStatements:
             return original(*args)
         monkeypatch.setattr(exprs, "eval_rvalue", counted)
         monkeypatch.setattr(stmts, "eval_rvalue", counted)
-        lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint()))
         assert run([Assign(lhs, Econst(Vint(1)))], seeded, env) is not None
         assert len(calls) == 2  # the right side and the key
 
@@ -783,8 +782,7 @@ class TestMappingStatements:
         seeded = init_var(sigma, env, None, Tmap(Tuint(), inner_t), m)
 
         def entry(a, b):
-            return Econst(Vmap(m, (Econst(Vint(a)), Econst(Vint(b))), Tuint(), inner_t,
-                               None))
+            return Econst(Vmap(m, (Econst(Vint(a)), Econst(Vint(b))), Tuint(), inner_t))
         # (1, 2) creates outer key 1; (1, 3) finds it and misses inside it;
         # (4, 5) adds a second outer key.
         writes = [(1, 2, 12), (1, 3, 13), (4, 5, 45)]
@@ -833,7 +831,7 @@ class TestSymbolicMappingKeys:
         seeded = gm.write(seeded, k,
                           replace(seeded.blocks[k.index],
                                   payload=IntPayload(SymVar("k"))), "dir")
-        lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint()))
         assert run([Assign(lhs, Econst(Vint(1)))], seeded, env) is None
 
     def test_symbolic_value_under_concrete_key_is_stored(self, sigma, env):
@@ -844,7 +842,7 @@ class TestSymbolicMappingKeys:
         seeded = gm.write(seeded, v,
                           replace(seeded.blocks[v.index],
                                   payload=IntPayload(SymVar("x"))), "dir")
-        lhs = Econst(Vmap(m, (Econst(Vint(3)),), Tuint(), Tuint(), None))
+        lhs = Econst(Vmap(m, (Econst(Vint(3)),), Tuint(), Tuint()))
         out = run([Assign(lhs, Evar(v, Tuint()))], seeded, env)
         assert out is not None
         from minisol.exprs import eval_rvalue
@@ -874,8 +872,7 @@ class TestDivisionMark:
     @pytest.mark.parametrize("stmt", [
         Assign(Econst(Varray(Tarray(4, Tuint()), (over(D),), Address(10))), Econst(Vint(1))),
         Assign(Evar(Y, Tuint()), Econst(Vmap(Address(20), (over(D),), Tuint(), Tuint()))),
-        FunCall(Econst(Vfield(Tfid(), Address(30), Address(31), ("f",), (over(D),))), ()),
-    ], ids=["array index", "mapping key", "bound call argument"])
+    ], ids=["array index", "mapping key"])
     def test_a_division_inside_an_address_or_a_bound_argument_marks(self, stmt):
         assert divides_by_nonliteral(stmt)
 

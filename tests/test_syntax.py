@@ -98,11 +98,11 @@ class TestExprTyping:
     def test_mapping_value_type_walk(self):
         inner = Tmap(Tuint(), Tbool())
         nested = Econst(Vmap(Address(0), (Econst(Vint(1)), Econst(Vint(2))),
-                             Tuint(), inner, None))
+                             Tuint(), inner))
         assert typecheck_expr(nested, TypeContext()) == Tbool()
 
     def test_mapping_key_type_mismatch(self):
-        m = Econst(Vmap(Address(0), (Econst(Vbool(True)),), Tuint(), Tbool(), None))
+        m = Econst(Vmap(Address(0), (Econst(Vbool(True)),), Tuint(), Tbool()))
         with pytest.raises(LTypeError):
             typecheck_expr(m, TypeContext())
 
@@ -202,7 +202,7 @@ class TestStmtTyping:
         prog = [Var("public", Evar(a, Tbool())),
                 Assign(Evar(a, Tbool()),
                        Econst(Vfield(Tfid(None), STRUCT_ADDR, Address(41),
-                                     ("send",), None)))]
+                                     ("send",))))]
         with pytest.raises(LTypeError, match="assignment type mismatch: bool != fid"):
             typecheck_stmt(prog, ctx)
 

@@ -168,7 +168,7 @@ class TestMappingValues:
 
     def test_vmap_eval_unwraps_entry_value(self, sigma, env):
         seeded = build_chain(sigma, env, Address(0), [(10, 100)])
-        v = Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint(), None)
+        v = Vmap(Address(0), (Econst(Vint(10)),), Tuint(), Tuint())
         out = eval_value(20, v, seeded, env)
         assert out.payload == IntPayload(100)
 
@@ -190,7 +190,7 @@ class TestMappingValues:
                                   payload=replace(head_block.payload,
                                                   next=Address(5))), "dir")
         v = Vmap(Address(0), (Econst(Vint(1)), Econst(Vint(7))),
-                 Tuint(), Tuint(), None)
+                 Tuint(), Tuint())
         node_addr = resolve_map_path(20, v, seeded, env)
         assert node_addr == Address(11)  # first entry of the inner chain
         out = eval_value(20, v, seeded, env)
@@ -213,7 +213,7 @@ class TestFieldAccess:
         sigma = fresh_memory(100)
         binfo = BlockInfo(sender=Address(1), msg_value=19)
         sigma = write_message(sigma, binfo)
-        v = Vfield(Tuint(), names["0xmsg"], names["msg"], ("value",), None)
+        v = Vfield(Tuint(), names["0xmsg"], names["msg"], ("value",))
         out = eval_value(20, v, sigma, env)
         assert out.payload == IntPayload(19)
 
@@ -221,30 +221,28 @@ class TestFieldAccess:
         sigma = fresh_memory(100)
         binfo = BlockInfo(sender=Address(3))
         sigma = write_message(sigma, binfo)
-        out = resolve_field(names["msg"], ("sender",), None, sigma, env)
+        out = resolve_field(names["msg"], ("sender",), sigma, env)
         assert isinstance(out.payload, StructInstance)
         assert out.payload.type_addr == names["0xaddress"]
 
     def test_function_member_binds_receiver(self, names, env):
         # A function-valued member comes back with its owner attached as
-        # the implicit receiver and the call arguments packed in.
+        # the implicit receiver.
         sigma = fresh_memory(100)
         binfo = BlockInfo(sender=Address(3))
         sigma = write_message(sigma, binfo)
-        args = (MemoryValue(IntPayload(5)),)
-        out = resolve_field(names["msg"], ("sender", "send"), args, sigma, env)
+        out = resolve_field(names["msg"], ("sender", "send"), sigma, env)
         assert isinstance(out.payload, Fid)
         assert out.payload.fun == names["0xsend"]
         assert out.payload.receiver == names["msg"]
-        assert out.payload.args == args
 
     def test_unknown_member_absent(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
-        assert resolve_field(names["msg"], ("nope",), None, sigma, env) is None
+        assert resolve_field(names["msg"], ("nope",), sigma, env) is None
 
     def test_type_address_mismatch_absent(self, names, env, binfo):
         sigma = write_message(fresh_memory(100), binfo)
-        out = resolve_field(names["msg"], ("value",), None, sigma, env,
+        out = resolve_field(names["msg"], ("value",), sigma, env,
                             expected_type=names["0xaddress"])
         assert out is None
 
@@ -253,9 +251,9 @@ class TestFieldAccess:
         block = sigma.blocks[names["msg"].index]
         sigma = gm.write(sigma, names["msg"],
                          replace(block, access=gm.PRIVATE, domain=Address(3)), "dir")
-        assert resolve_field(names["msg"], ("value",), None, sigma, env) is None
+        assert resolve_field(names["msg"], ("value",), sigma, env) is None
         owner = replace(env, domain=Address(3))
-        assert resolve_field(names["msg"], ("value",), None, sigma, owner).payload == \
+        assert resolve_field(names["msg"], ("value",), sigma, owner).payload == \
             IntPayload(binfo.msg_value)
 
     def test_vstruct_reads_instance(self, names, env, binfo):
