@@ -62,7 +62,6 @@ from .syntax import (
     If,
     LTypeError,
     LoopWhile,
-    Modifier,
     Returns,
     Snil,
     StructDecl,
@@ -422,17 +421,18 @@ class Binder:
                 body_stmts.append(Var(m.access, Evar(addr, ltype)))
                 if m.init is not None:
                     body_stmts.append(self._lower_init(addr, ltype, m.init))
-            elif isinstance(m, SModifierDecl):
-                fun_stmts.append(self._bind_callable(m, member_index, modifier=True))
-            elif isinstance(m, SFunDecl):
-                fun_stmts.append(self._bind_callable(m, member_index, modifier=False))
+            elif isinstance(m, (SFunDecl, SModifierDecl)):
+                fun_stmts.append(self._bind_callable(m, member_index))
             else:
                 raise BindError("unsupported contract member", getattr(m, "pos", None))
 
         contract_stmt = Contract(caddr, tuple(inherits), tuple(member_index))
         return [contract_stmt] + body_stmts + fun_stmts
 
-    def _bind_callable(self, m, member_index, modifier: bool):
+    def _bind_callable(self, m, member_index) -> Fun:
+        """A function, or a modifier: a function with no modifiers of its own
+        that returns one ``bool``."""
+        modifier = isinstance(m, SModifierDecl)
         name_addr = self._claim(m.name, 1, m.pos)
         member_index.append((m.name, name_addr))
         params = []
@@ -454,10 +454,8 @@ class Binder:
             rec = FunRecord(name_addr, params, modifier)
             self._bind_unique(self.functions, m.name, rec, m.pos)
             body = tuple(self.lower_body(m.body))
-            if modifier:
-                return Modifier(name_addr, tuple(param_decls), body, ret_addr)
             mod_calls = []
-            for mod_name, mod_args in m.modifiers:
+            for mod_name, mod_args in () if modifier else m.modifiers:
                 if mod_name not in self.functions or not self.functions[mod_name].is_modifier:
                     raise BindError(f"unknown modifier {mod_name!r}", m.pos)
                 mrec = self.functions[mod_name]
@@ -510,14 +508,9 @@ def bind_addresses(sp: SourceProgram, mem_size: int = gm.DEFAULT_MEMORY_SIZE) ->
     decls = binder.bind_program(sp)
 
     ctx = TypeContext(struct_names=binder.struct_names())
-    for stmt in standard_library(mem_size):
-        if isinstance(stmt, StructDecl):
-            ctx.structs[stmt.type_addr] = tuple(stmt.members)
-        elif isinstance(stmt, Fun):
-            ctx.functions[stmt.name] = (None, tuple(stmt.returns))
     ctx.vars[binder.reserved["msg"]] = Tstruct(binder.reserved["0xmsg"])
     ctx.vars[binder.reserved["0xmodifier"]] = Tbool()
-    typecheck_stmt(decls, ctx)
+    typecheck_stmt([*standard_library(mem_size), *decls], ctx)
 
     return BoundProgram(
         decls=decls,

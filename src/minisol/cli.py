@@ -16,8 +16,8 @@ command is built only to print the top-level help or a usage error that
 names no single command, so each text reads the same either way.
 
 Exit codes: 0 success/verified, 1 refuted, 2 usage, 3 parse, type or
-internal failure. With ``--json`` a command that fails this way still
-prints one record, ``{"status": "error", "diagnostic": ...}``.
+internal failure, or out of memory. With ``--json`` a command that fails
+this way still prints one record, ``{"status": "error", "diagnostic": ...}``.
 """
 
 from __future__ import annotations
@@ -290,9 +290,9 @@ def cmd_emit_ast(ns) -> int:
 
 
 def cmd_oracle(ns) -> int:
-    from .oracle import GAS, check_simulation, in_core_subset, run_report
+    from .oracle import GAS, check_simulation, run_report
     if ns.ast:
-        from .stdlib import fresh_memory
+        from .stdlib import fresh_memory, standard_library
         from .syntax import TypeContext, program_from_data, typecheck_stmt
         from .values import initial_env
         try:
@@ -304,8 +304,8 @@ def cmd_oracle(ns) -> int:
             mem_size = doc.get("mem_size", gm.DEFAULT_MEMORY_SIZE)
             if not isinstance(mem_size, int):
                 raise ValueError(f"mem_size {mem_size!r} is not an integer")
-            if in_core_subset(prog):
-                typecheck_stmt(prog, TypeContext())
+            # checked as a bound program is, after the library's declarations
+            typecheck_stmt([*standard_library(mem_size), *prog], TypeContext())
         except (ValueError, KeyError, TypeError, LTypeError) as exc:
             what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             raise RunnerError(f"{ns.ast}: malformed AST document: {what}") from exc
@@ -381,10 +381,11 @@ def cli_main(argv=None) -> int:
     try:
         return _COMMANDS[ns.command][2](ns)
     except (ParseError, BindError, LTypeError, SpecError, RunnerError,
-            MemoryConfigError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            MemoryConfigError, OSError, RecursionError, MemoryError) as exc:
+        diagnostic = "out of memory" if isinstance(exc, MemoryError) else str(exc)
+        print(f"error: {diagnostic}", file=sys.stderr)
         if getattr(ns, "json", False):
-            print(json.dumps({"status": "error", "diagnostic": str(exc)}))
+            print(json.dumps({"status": "error", "diagnostic": diagnostic}))
         return EXIT_FAILURE
 
 

@@ -3,8 +3,10 @@
 This is a deliberately separate implementation used to cross-check the
 executable interpreter: a small-step machine built by explicit rule
 application, sharing nothing with the statement and expression layers
-above the raw memory store. Supported subset: declarations, scalar
-assignments, branches, while loops, skip, throw and return.
+above the raw memory store. Supported subset: declarations of integers
+and booleans, scalar assignments, branches, while loops, skip, throw and
+return. A declaration writes one block, so an array or mapping
+declaration is outside the subset.
 
 ``check_simulation`` runs a corpus through both semantics and reports
 any program whose final optional state differs, together with the first
@@ -28,7 +30,9 @@ from .syntax import (
     LoopWhile,
     Returns,
     Snil,
+    Tbool,
     Throw,
+    Tint,
     Var,
     Vbool,
     Vint,
@@ -151,6 +155,8 @@ def in_core_subset(prog) -> bool:
     def stmt_ok(s):
         if not isinstance(s, CORE_KINDS):
             return False
+        if isinstance(s, Var):
+            return isinstance(s.decl.ltype, (Tint, Tbool))
         if isinstance(s, If):
             return all(stmt_ok(x) for x in s.then) and all(stmt_ok(x) for x in s.orelse)
         if isinstance(s, LoopWhile):

@@ -4,10 +4,12 @@ Execution is head-of-list: each dispatched statement costs one unit of
 gas, so one step is a run with one unit of gas. It transforms the state
 and may rewrite the remaining statement list (branches prepend the chosen
 arm, loops re-enqueue themselves, calls unfold the stored body). Each
-construct has one rule: ``LoopWhile`` is the only loop statement (a
-source ``for`` arrives as its init step and a while whose body ends with
-the post step), ``Returns`` the only return, and ``FunCall`` the only
-statement that calls; an assignment never does.
+construct has one statement form and one rule: ``LoopWhile`` is the only
+loop statement (a source ``for`` arrives as its init step and a while
+whose body ends with the post step), ``Returns`` the only return, ``Fun``
+the only declaration of a callable (a modifier is a function returning
+one ``bool``), and ``FunCall`` the only statement that calls; an
+assignment never does.
 A call carries its own return frame: the body is followed by a ``FunStop``
 naming the caller's domain, which restores that domain when dispatched,
 and a ``Returns`` drops the rest of the body through that ``FunStop``.
@@ -75,13 +77,11 @@ from .syntax import (
     If,
     LoopWhile,
     LStatement,
-    Modifier,
     ModifierGuard,
     Returns,
     Snil,
     StructDecl,
     Tarray,
-    Tbool,
     Throw,
     Tmap,
     Var,
@@ -393,27 +393,24 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
 
 
 def _exec_fun_decl(K, sigma, env, head, rest) -> tuple | str:
-    """Store a function with its modifier calls, or a modifier (returning one bool)."""
-    is_fun = isinstance(head, Fun)
-    what = "function" if is_fun else "modifier"
-    returns = tuple(head.returns) if is_fun else (Tbool(),)
+    """Store a function with its modifier calls."""
     sig = sigma
     for p in head.params:
         sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
         if sig is None:
-            return f"{what} parameter block not free"
+            return "function parameter block not free"
     if head.ret_addr is not None:
-        sig = _init_return_slots(sig, env, head.ret_addr, returns)
+        sig = _init_return_slots(sig, env, head.ret_addr, head.returns)
         if sig is None:
-            return f"{what} return slots not available"
+            return "function return slots not available"
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
-    info = FunctionInfo(returns, tuple(head.params), head.ret_addr, body,
-                        tuple(head.modifiers) if is_fun else ())
+    info = FunctionInfo(tuple(head.returns), tuple(head.params), head.ret_addr, body,
+                        tuple(head.modifiers))
     sig = _write_payload(sig, head.name, info, env)
     if sig is None:
-        return f"{what} block out of range"
+        return "function block out of range"
     return sig, env, rest
 
 
@@ -544,7 +541,7 @@ _RULES = {
     Snil: _exec_snil, Throw: _exec_throw, FunStop: _exec_fun_stop,
     Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
     FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while,
-    Fun: _exec_fun_decl, Modifier: _exec_fun_decl, Assign: _exec_assign,
+    Fun: _exec_fun_decl, Assign: _exec_assign,
     Returns: _exec_return, ModifierGuard: _exec_modifier_guard,
 }
 

@@ -9,9 +9,11 @@ statement lists; the next statement to execute is always the head of the
 remaining list. Each construct has one statement form: a loop is a
 ``LoopWhile`` (the binder lowers a ``for`` to its init step and a while
 whose body ends with the post step), every ``return`` is a ``Returns``,
-and only a ``FunCall`` calls a function. The JSON interchange format is
-one table, ``FORMAT``, walked by ``program_to_data`` and
-``program_from_data``.
+a modifier is a ``Fun`` with no modifiers of its own that returns one
+``bool``, and only a ``FunCall`` calls a function, so the checker holds
+every call, a modifier invocation included, to its callee's arity. The
+JSON interchange format is one table, ``FORMAT``, walked by
+``program_to_data`` and ``program_from_data``.
 """
 
 from __future__ import annotations
@@ -236,14 +238,6 @@ class Contract(LStatement):
     name: Address
     inherits: tuple = ()
     members: tuple = ()  # (member name, member address) pairs
-
-
-@dataclass
-class Modifier(LStatement):
-    name: Address
-    params: tuple = ()
-    body: tuple = ()
-    ret_addr: Address | None = None
 
 
 @dataclass
@@ -512,19 +506,11 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
         _require(isinstance(ct, Tbool), "loop condition must be boolean")
         typecheck_stmt(s.body, ctx)
         return
-    if isinstance(s, Modifier):
-        ctx.functions[s.name] = ((), (Tbool(),))
-        for p in s.params:
-            _declare_var(p, ctx)
-        ctx._fun_returns.append((Tbool(),))
-        try:
-            typecheck_stmt(s.body, ctx)
-        finally:
-            ctx._fun_returns.pop()
-        return
     if isinstance(s, Fun):
-        ctx.functions[s.name] = (tuple(p.ltype for p in s.params), tuple(s.returns))
-        for p in s.params:
+        # A library function's params are None: it takes any arguments.
+        ptypes = None if s.params is None else tuple(p.ltype for p in s.params)
+        ctx.functions[s.name] = (ptypes, tuple(s.returns))
+        for p in s.params or ():
             _declare_var(p, ctx)
         for m in s.modifiers:
             _require(isinstance(m, FunCall), "modifier attachments must be calls")
@@ -541,7 +527,7 @@ def _check_stmt(s: LStatement, ctx: TypeContext) -> None:
             typecheck_expr(callee, ctx)
             if callee.addr in ctx.functions:
                 ptypes, _ = ctx.functions[callee.addr]
-                if ptypes is not None and len(ptypes) > 0:
+                if ptypes is not None:
                     _require(len(s.args) == len(ptypes),
                              f"call arity {len(s.args)} != {len(ptypes)}")
         elif isinstance(callee, Econst) and isinstance(callee.value, Vfield):
@@ -623,8 +609,6 @@ FORMAT = {
     Euop: ("uop", {"op": str, "operand": LExpr}),
     Contract: ("contract", {"name": Address, "inherits": [Address],
                             "members": [(str, Address)]}),
-    Modifier: ("modifier", {"name": Address, "params": [LExpr], "body": [LStatement],
-                            "ret_addr": Address}),
     Var: ("var", {"access": ACCESS, "decl": LExpr}),
     StructDecl: ("structdecl", {"type_addr": Address, "members": [(str, LType)]}),
     Assign: ("assign", {"lhs": LExpr, "rhs": LExpr}),

@@ -53,7 +53,6 @@ from minisol.syntax import (
     If,
     LoopWhile,
     LTypeError,
-    Modifier,
     Snil,
     Tarray,
     Tbool,
@@ -475,7 +474,7 @@ def test_criterion_09_modifier_isolation():
         sigma, env = world()
         sigma = init_var(sigma, env, "public", Tuint(), X)
         prog = [
-            Modifier(MOD, (), tuple(modifier_body), MLAM),
+            Fun(MOD, (), (), (Tbool(),), tuple(modifier_body), MLAM),
             Fun(FUN, (FunCall(Efun(MOD, Tfid(MOD)), ()),), (), (),
                 (Assign(Evar(X, Tuint()), Econst(Vint(1))),), LAM),
             FunCall(Efun(FUN, Tfid(FUN)), ()),

@@ -86,6 +86,17 @@ class TestRun:
         assert (rc, len(calls)) == (0, 1)
         assert target.read_text() == json.loads(out)["dump"] + "\n"
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(_sigma):
+            raise MemoryError
+        monkeypatch.setattr(gm, "dump", exhausted)
+        rc, out, err = run_cli(capsys, "run", "samples/empty.lls")
+        assert (rc, out, err) == (3, "", "error: out of memory\n")
+        rc, out, _ = run_cli(capsys, "run", "samples/empty.lls", "--json")
+        assert rc == 3
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"status": "error", "diagnostic": "out of memory"}]
+
     @pytest.mark.parametrize("argv", [["step", WALLET, "--entry", "wallet"],
                                       ["verify", WALLET, "--spec", SPEC]])
     def test_only_run_takes_a_dump_file(self, capsys, tmp_path, argv):
@@ -617,6 +628,28 @@ class TestTypecheckAndAst:
         assert reloaded == bound.decls
         assert doc["bindings"]["wallet"] == bound.bindings["wallet"].index
 
+
+    @pytest.mark.parametrize("source, message", [
+        ("contract C { uint x; function f() public { x = 1; } "
+         "function g() public { f(1); } }", "call arity 1 != 0"),
+        ("contract C { uint c; modifier m(uint a) { modifier_ok = true; } "
+         "function f() public m { c = 1; } }", "call arity 0 != 1"),
+    ], ids=["function", "modifier"])
+    def test_every_call_is_checked_for_arity(self, capsys, tmp_path, source, message):
+        src = tmp_path / "s.lls"
+        src.write_text(source)
+        rc, out, err = run_cli(capsys, "typecheck", str(src))
+        assert (rc, out) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_emit_ast_writes_a_modifier_as_a_function_returning_bool(self, capsys):
+        rc, out, _ = run_cli(capsys, "emit-ast", "samples/guarded.lls")
+        assert rc == 0
+        doc = json.loads(out)
+        [below] = [s for s in doc["program"] if s.get("name") == doc["bindings"]["below"]]
+        assert below["kind"] == "fun"
+        assert (below["modifiers"], below["returns"]) == ([], [{"kind": "bool"}])
+        assert [p["type"]["kind"] for p in below["params"]] == ["int"]
 
     def test_type_error_names_struct_types(self, capsys, tmp_path):
         src = tmp_path / "s.lls"
@@ -1322,6 +1355,8 @@ class TestOracleAstInput:
         # a for loop and a single-value return have no statement form of their own
         ('{"program": [{"kind": "for"}]}', "unknown statement kind 'for'"),
         ('{"program": [{"kind": "return"}]}', "unknown statement kind 'return'"),
+        # nor has a modifier: it is a function that returns one bool
+        ('{"program": [{"kind": "modifier"}]}', "unknown statement kind 'modifier'"),
         # decodable documents whose fields have the wrong JSON type or an ill-typed value
         ('{"program": [{"kind": "var", "access": null, "decl": null}]}',
          "var.decl: expected an object, got null"),
@@ -1341,7 +1376,7 @@ class TestOracleAstInput:
          '{"kind": "vint", "value": "7", "width": 64, "signed": false}}]}]}',
          "vint.value: expected an integer, got a string"),
     ], ids=["not-json", "unknown-kind", "missing-field", "bad-mem-size",
-            "con", "par", "modifier-expr", "eaddr", "unit", "for", "return",
+            "con", "par", "modifier-expr", "eaddr", "unit", "for", "return", "modifier",
             "null-decl", "null-body", "null-then", "zero-length", "string-width",
             "zero-width", "string-addr", "float-addr", "string-value"])
     def test_malformed_document_is_one_error_line(self, capsys, tmp_path, text, message):
@@ -1369,3 +1404,13 @@ class TestOracleAstInput:
         rc, out, _ = run_cli(capsys, "oracle", "--ast", str(path), "--json")
         assert rc == 3
         assert "core subset" in json.loads(out)["divergences"][0]["detail"]
+        # a declaration the relational side writes as one block: an array
+        # (of any length) or a mapping is outside the subset it models
+        for ltype in (f'{{"kind": "array", "length": 2, "element": {UINT}}}',
+                      f'{{"kind": "array", "length": 1000000000, "element": {UINT}}}',
+                      f'{{"kind": "map", "key": {UINT}, "value": {UINT}}}'):
+            path.write_text(_declare_as(ltype))
+            rc, out, _ = run_cli(capsys, "oracle", "--ast", str(path), "--json")
+            assert rc == 3
+            assert json.loads(out)["divergences"] == [
+                {"index": 0, "detail": "program outside core subset", "first_step": -1}]

@@ -31,6 +31,7 @@ CASES = {
     "run-clamp": (["run", "samples/clamp.lls", "--entry", "clamp", "--arg", "limit=9"], 0),
     "run-empty": (["run", "samples/empty.lls"], 0),
     "run-calls": (["run", "samples/calls.lls", "--entry", "main"], 0),
+    "run-guarded": (["run", "samples/guarded.lls", "--entry", "main"], 0),
     "step-wallet-5": (["step", *WALLET, "--max-steps", "5"], 0),
     "verify-wallet-no-in-time": (["verify", "samples/wallet.lls",
                                   "--spec", "samples/no_in_time.spec", "--json"], 0),

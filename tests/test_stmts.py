@@ -37,7 +37,6 @@ from minisol.syntax import (
     FunStop,
     If,
     LoopWhile,
-    Modifier,
     Returns,
     Snil,
     StructDecl,
@@ -606,7 +605,7 @@ MOD_LAM = Address(21)
 
 
 def modifier_decl(body):
-    return Modifier(MOD, (), tuple(body), MOD_LAM)
+    return Fun(MOD, (), (), (Tbool(),), tuple(body), MOD_LAM)
 
 
 def flag_assign(names, value=True):
@@ -649,7 +648,7 @@ class TestModifiers:
         # first guard put the flag down again, so the second guard throws
         seeded = declared(sigma, env)
         prog = [modifier_decl([flag_assign(names)]),
-                Modifier(INNER, (), (Snil(),), INNER_LAM),
+                Fun(INNER, (), (), (Tbool(),), (Snil(),), INNER_LAM),
                 fun_decl([Assign(Evar(X, Tuint()), Econst(Vint(1)))],
                          modifiers=(call(MOD), call(INNER))),
                 call(FUN)]

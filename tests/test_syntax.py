@@ -18,7 +18,6 @@ from minisol.syntax import (
     LoopWhile,
     LStatement,
     LTypeError,
-    Modifier,
     Returns,
     Snil,
     StructDecl,
@@ -239,7 +238,7 @@ class TestInterchange:
             LoopWhile(Econst(Vbool(False)), (Snil(),)),
             Fun(Address(9), (), (Evar(Address(10), Tuint()),), (Tuint(),),
                 (Returns((Evar(Address(10), Tuint()),)),), Address(11)),
-            Modifier(Address(12), (), (Snil(),), Address(13)),
+            Fun(Address(12), (), (), (Tbool(),), (Snil(),), Address(13)),
             FunCall(Evar(Address(9), Tfid(None)).__class__(Address(9), Tfid(None)),
                     (Econst(Vint(3)),)),
         ]
