@@ -6,7 +6,9 @@ address, the r-position a memory value. Only array and mapping constants
 the two reference forms are addressable; everything else is banned on
 the left. ``eval_rvalue`` checks the budget K, then calls the closure
 that the node's compiler in ``_COMPILERS`` built on its first evaluation
-(Feeley and Lapalme, "Using closures for code generation", 1987). Paths
+(Feeley and Lapalme, "Using closures for code generation", 1987); a
+compiled statement checks K itself and calls the closure that
+``rvalue_closure`` gives it. Paths
 share nodes, so a closure holds node data only, as default arguments: a
 literal, operand closures called one K down. A variable's closure is the
 validated read of its block that ``memory.checked_reader`` builds, so the
@@ -81,11 +83,13 @@ def eval_rvalue(K: int, e: LExpr, sigma: MemoryState,
     evaluation; absent when K is spent or ``e`` is not an expression."""
     if K <= 0:
         return None
-    return (getattr(e, "compiled", None) or _compiled(e))(K, sigma, env)
+    return (getattr(e, "compiled", None) or rvalue_closure(e))(K, sigma, env)
 
 
-def _compiled(e):
-    """The closure of ``e`` for a K of at least 1, compiled once and kept on it."""
+def rvalue_closure(e):
+    """The closure of ``e`` for a K of at least 1, compiled once and kept on
+    it: ``eval_rvalue`` for a caller that has checked K itself, such as a
+    compiled statement."""
     run = getattr(e, "compiled", None)
     if run is None and type(e) in _COMPILERS:
         run = e.compiled = _COMPILERS[type(e)](e)
@@ -118,7 +122,7 @@ def _compile_fun(e: Efun):
 
 
 def _compile_bop(e: Ebop):
-    op, left, right = e.op, _compiled(e.left), e.right
+    op, left, right = e.op, rvalue_closure(e.left), e.right
     integer = _KIND.get(op) in (_ARITH, _ORDER, _EQUAL)
     if type(right) is Econst and type(right.value) is Vint:
         # eval_bop reads only the payload of its right operand, so a literal
@@ -129,7 +133,7 @@ def _compile_bop(e: Ebop):
             return _concrete_literal_bop(op, left, rhs)
         return lambda K, sigma, env, op=op, left=left, rhs=rhs: (
             eval_bop(op, left(K - 1, sigma, env), rhs) if K > 2 else None)
-    right = _compiled(right)
+    right = rvalue_closure(right)
     if integer:
         return _concrete_bop(op, left, right)
     return lambda K, sigma, env, op=op, left=left, right=right: (
@@ -184,7 +188,7 @@ def _concrete_literal_bop(op, left, rhs):
 
 
 def _compile_uop(e: Euop):
-    return lambda K, sigma, env, op=e.op, operand=_compiled(e.operand): (
+    return lambda K, sigma, env, op=e.op, operand=rvalue_closure(e.operand): (
         eval_uop(op, operand(K - 1, sigma, env)) if K > 1 else None)
 
 

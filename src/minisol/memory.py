@@ -35,13 +35,13 @@ or the caller's domain matches the block's domain tag. So do the block
 layout and the reserved names: no other module indexes a root, mid or
 leaf or names the constants that split an index (``tests/test_hygiene.py``
 checks this): they access blocks through ``read``, ``write``, the closure
-that ``checked_reader`` builds for a compiled variable reference, or a
-``BlockVector``'s tuple-like indexing. ``read``, ``write`` and the closure
-each do their bounds check and node lookup in their own frame, and the
-closure finds its mid, leaf and slot once, when it is built. A chck write
-validates through ``overwrite``, which a scalar assignment that has read
-its target block already calls directly: it keeps the block's domain and
-access, and stores the value object itself when it already carries
+that ``checked_reader`` builds for a compiled variable reference, the
+one that ``checked_writer`` builds for an assignment, or a
+``BlockVector``'s tuple-like indexing. ``read``, ``write`` and the two
+closures each do their bounds check and node lookup in their own frame,
+and a closure finds its mid, leaf and slot once, when it is built. Every
+chck write validates through ``_overwrite``: it keeps the block's domain
+and access, and stores the value object itself when it already carries
 them. A state derived from another is built by
 ``MemoryState.with_blocks``, which skips the coercion of
 ``__post_init__``, and a vector derived from another is built without
@@ -428,15 +428,15 @@ def write(sigma: MemoryState, addr: Address, value: MemoryValue, mode: str = "di
     if not 0 <= i < blocks.size:
         return None
     if mode == "chck":
-        return overwrite(sigma, i, blocks.root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK],
-                         value, env)
+        return _overwrite(sigma, i, blocks.root[i >> MID_SHIFT][(i >> SHIFT) & MASK][i & MASK],
+                          value, env)
     if mode != "dir":
         raise ValueError(f"unknown access mode {mode!r}")
     return sigma.with_blocks(blocks.set(i, value))
 
 
-def overwrite(sigma: MemoryState, i: int, old: MemoryValue, value: MemoryValue,
-              env) -> MemoryState | None:
+def _overwrite(sigma: MemoryState, i: int, old: MemoryValue, value: MemoryValue,
+               env) -> MemoryState | None:
     """The chck write of ``value`` over ``old``, the block at index ``i`` of
     ``sigma``, for a caller that has read ``old`` already."""
     if old.occupancy != OCCUPY or not (
@@ -463,6 +463,24 @@ def checked_reader(i: int):
                 return block
         return None
     return read_checked
+
+
+def checked_writer(i: int):
+    """``write(sigma, Address(i), value, "chck", env)`` as a closure ``(sigma,
+    value, env)``, for an assignment to block ``i``: the mid, leaf and slot
+    of ``i`` are found once, here. It refuses a mapping head, whose chain a
+    stored value would cut, with that message, and writes through
+    ``_overwrite``; a refused write is None, as ``write``'s is."""
+    def write_checked(sigma, value, env, i=i, mid=i >> MID_SHIFT, leaf=(i >> SHIFT) & MASK,
+                      slot=i & MASK):
+        blocks = sigma.blocks
+        if not 0 <= i < blocks.size:
+            return None
+        old = blocks.root[mid][leaf][slot]
+        if type(old.payload) is MapNode:
+            return "cannot assign into a mapping head"
+        return _overwrite(sigma, i, old, value, env)
+    return write_checked
 
 
 def address_offset(offset: int, addr: Address, size: int) -> Address | None:

@@ -20,9 +20,13 @@ reports why it stopped (see ``Run``). The concrete interpreter, the step
 debugger and the path-forking explorer in the engine module are thin
 callers of it.
 
-``exec_statement`` is the one per-dispatch entry point. It looks the
-head's exact type up in ``_RULES``, one rule per statement class, and
-every rule takes its five arguments unchanged. A rule returns one of three
+``exec_statement`` is the one per-dispatch entry point. It calls the
+head's rule, a closure ``(K, sigma, env, rest)`` that the compiler
+``_RULES`` holds for the head's exact type, one per statement class,
+builds on the node's first dispatch and keeps on it (Feeley and Lapalme,
+"Using closures for code generation", 1987). Paths share nodes, so a rule
+holds node data only, as default arguments: the closures of its
+expressions, its target's writer, its remainders. A rule returns one of three
 shapes: the plain tuple ``(sigma, env, remaining)`` to go on, its error
 message (a ``str``) to fail, or a ``StepResult`` to fork on its ``splits``
 or, with none, to throw; ``drive`` tells them apart by their exact type.
@@ -35,11 +39,13 @@ its own expressions, is checked: its mark is computed once and kept on
 the node. Any other symbolic tree it evaluates was read from memory,
 where the dispatch that stored it checked it, or is a bare symbol of the
 initial world, which cannot fail.
-An assignment resolves its target through the value layer's resolvers and
-reads a scalar target's block once, through ``memory.read``, for the
-mapping-head check and the validated write (``memory.overwrite``); a
+An assignment calls its right side's closure once K is checked; a scalar
+target's block is written by the closure ``memory.checked_writer`` builds
+for it, which refuses a mapping head before the validated write. A
 mapping entry target is stored by ``_map_store``, which walks each chain
-once and links a missing key at the chain's tail.
+once and links a missing key at the chain's tail, and any other target
+at the address its l-value gives. A concrete branch or loop condition
+builds only the remainder it takes.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from .memory import (
     StructTypeInfo,
     Undef,
 )
-from .exprs import eval_lvalue, eval_rvalue
+from .exprs import eval_lvalue, eval_rvalue, rvalue_closure
 from .symbolic import SymExpr, SymOp, is_symbolic
 from .syntax import (
     Assign,
@@ -219,20 +225,31 @@ def _with_divides(res, head: LStatement, what: str, values) -> tuple | str | Ste
 
 def exec_statement(K: int, sigma: MemoryState, env: Env, head: LStatement,
                    rest: tuple) -> tuple | str | StepResult:
-    """Dispatch one statement by the rule ``_RULES`` holds for its exact
-    type; every rule takes these arguments. Gas must already be spent.
+    """Dispatch one statement by its rule, which the compiler ``_RULES`` holds
+    for its exact type built on its first dispatch. Gas must already be spent.
     """
-    rule = _RULES.get(type(head))
-    if rule is None:
-        return f"unknown statement {type(head).__name__}"
-    return rule(K, sigma, env, head, rest)
+    return (head.rule or _rule(head))(K, sigma, env, rest)
 
 
-def _exec_snil(_K, sigma, env, _head, rest) -> tuple:
+def _rule(head: LStatement):
+    """The rule of ``head``, compiled once and kept on it."""
+    compiler = _RULES.get(type(head))
+    if compiler is None:
+        return _fails(f"unknown statement {type(head).__name__}")
+    rule = head.rule = compiler(head)
+    return rule
+
+
+def _fails(message: str):
+    """The rule of a statement whose every dispatch fails with ``message``."""
+    return lambda _K, _sigma, _env, _rest, message=message: message
+
+
+def _goes_on(_K, sigma, env, rest) -> tuple:
     return sigma, env, rest
 
 
-def _exec_throw(_K, sigma, env, _head, _rest) -> StepResult:
+def _throws(_K, sigma, env, _rest) -> StepResult:
     return StepResult(sigma, env, ())
 
 
@@ -243,82 +260,97 @@ def _thrown(sigma: MemoryState) -> MemoryState:
     return gm.write(sigma, names["0xthrow"], flag, "dir")
 
 
-def _exec_fun_stop(_K, sigma, env, head, rest) -> tuple:
-    return sigma, _frame_end(env, head), rest
+def _compile_fun_stop(head: FunStop):
+    return lambda _K, sigma, env, rest, caller=head.caller: (
+        sigma, _frame_end(env, caller), rest)
 
 
-def _frame_end(env, stop: FunStop) -> Env:
-    """The environment after a frame ends: back in its caller's domain."""
-    return env if stop.caller is None else Env(env.gas, stop.caller)
+def _frame_end(env, caller: Address | None) -> Env:
+    """The environment after a frame ends: back in its ``caller``'s domain."""
+    return env if caller is None else Env(env.gas, caller)
 
 
-def _exec_contract(_K, sigma, env, head, rest) -> tuple | str:
-    info = ContractInfo(head.name, tuple(head.members), tuple(head.inherits))
-    sig = _write_payload(sigma, head.name, info, env)
-    if sig is None:
-        return f"contract block {head.name} out of range"
-    return sig, env, rest
+def _declaration(what: str, addr: Address, info):
+    """The rule of a declaration that stores ``info`` at ``addr``."""
+    def declare(_K, sigma, env, rest, what=what, addr=addr, info=info):
+        sig = _write_payload(sigma, addr, info, env)
+        if sig is None:
+            return f"{what} block {addr} out of range"
+        return sig, env, rest
+    return declare
 
 
-def _exec_var(K, sigma, env, head, rest) -> tuple | str:
+def _compile_contract(head: Contract):
+    return _declaration("contract", head.name,
+                        ContractInfo(head.name, tuple(head.members), tuple(head.inherits)))
+
+
+def _compile_struct_decl(head: StructDecl):
+    return _declaration("struct", head.type_addr,
+                        StructTypeInfo(head.type_addr, tuple(head.members)))
+
+
+def _compile_var(head: Var):
     decl = head.decl
     if decl.addr is None:
-        return "declaration without an address"
-    sig = init_var(sigma, env, head.access, decl.ltype, decl.addr, K=K)
-    if sig is None:
-        return f"cannot initialize block {decl.addr}"
-    return sig, env, rest
+        return _fails("declaration without an address")
+
+    def var(K, sigma, env, rest, access=head.access, ltype=decl.ltype, addr=decl.addr):
+        sig = init_var(sigma, env, access, ltype, addr, K=K)
+        if sig is None:
+            return f"cannot initialize block {addr}"
+        return sig, env, rest
+    return var
 
 
-def _exec_struct_decl(_K, sigma, env, head, rest) -> tuple | str:
-    info = StructTypeInfo(head.type_addr, tuple(head.members))
-    sig = _write_payload(sigma, head.type_addr, info, env)
-    if sig is None:
-        return f"struct block {head.type_addr} out of range"
-    return sig, env, rest
+def _compile_if(head: If):
+    return _branch(head, tuple(head.then), tuple(head.orelse),
+                   "branch condition failed to evaluate")
 
 
-def _exec_if(K, sigma, env, head, rest) -> tuple | str | StepResult:
-    return _branch(K, sigma, env, head, "branch",
-                   (*head.then, *rest), (*head.orelse, *rest))
+def _compile_while(head: LoopWhile):
+    return _branch(head, (*head.body, head), (), "loop condition failed to evaluate")
 
 
-def _exec_while(K, sigma, env, head, rest) -> tuple | str | StepResult:
-    return _branch(K, sigma, env, head, "loop", (*head.body, head, *rest), rest)
+def _branch(head, taken: tuple, skipped: tuple, failed: str):
+    """The rule of an If or a loop: decide the condition and go on with
+    ``taken`` or ``skipped`` before the rest, building only the remainder
+    it chooses.
+
+    A symbolic condition decides neither: it is a split between the two
+    remainders, so each side goes on without dispatching it again.
+    """
+    def branch(K, sigma, env, rest, head=head, cond=rvalue_closure(head.cond), taken=taken,
+               skipped=skipped, failed=failed):
+        v = cond(K, sigma, env) if K > 0 else None
+        bit = v.payload.bit if v is not None and type(v.payload) is BoolPayload else None
+        if bit is None:
+            return failed
+        if isinstance(bit, SymExpr):
+            res = StepResult(sigma, env, taken + rest,
+                             splits=(Split((bit,), otherwise=skipped + rest),))
+            return _with_divides(res, head, "condition", (v,))
+        return sigma, env, (taken if bit else skipped) + rest
+    return branch
 
 
-def _exec_return(K, sigma, env, head, rest) -> tuple | str | StepResult:
+def _compile_return(head: Returns):
     """Write the returned values, then end the frame: drop the rest of the
     body through its ``FunStop`` and continue in the caller's domain. A
     return outside any call has no ``FunStop`` after it and continues."""
-    values = [eval_rvalue(K, e, sigma, env) for e in head.values]
-    if any(v is None for v in values):
-        return "return value failed to evaluate"
-    sig = _write_returns(sigma, env, values)
-    if sig is None:
-        return "return slot is not writable"
-    for i, stmt in enumerate(rest):
-        if type(stmt) is FunStop:
-            return _with_divides((sig, _frame_end(env, stmt), rest[i + 1:]),
-                                 head, "return value", values)
-    return _with_divides((sig, env, rest), head, "return value", values)
-
-
-def _branch(K, sigma, env, head, what, taken, skipped) -> tuple | str | StepResult:
-    """Decide the condition of an If or a loop and continue with the
-    remainder ``taken`` or ``skipped`` that it chooses.
-
-    A symbolic condition decides neither: it is a split between ``taken``
-    and ``skipped``, so each side goes on without dispatching it again.
-    """
-    v = eval_rvalue(K, head.cond, sigma, env)
-    bit = v.payload.bit if v is not None and isinstance(v.payload, BoolPayload) else None
-    if bit is None:
-        return f"{what} condition failed to evaluate"
-    if isinstance(bit, SymExpr):
-        res = StepResult(sigma, env, taken, splits=(Split((bit,), otherwise=skipped),))
-        return _with_divides(res, head, "condition", (v,))
-    return sigma, env, taken if bit else skipped
+    def ret(K, sigma, env, rest, head=head, exprs=tuple(head.values)):
+        values = [eval_rvalue(K, e, sigma, env) for e in exprs]
+        if any(v is None for v in values):
+            return "return value failed to evaluate"
+        sig = _write_returns(sigma, env, values)
+        if sig is None:
+            return "return slot is not writable"
+        for i, stmt in enumerate(rest):
+            if type(stmt) is FunStop:
+                return _with_divides((sig, _frame_end(env, stmt.caller), rest[i + 1:]),
+                                     head, "return value", values)
+        return _with_divides((sig, env, rest), head, "return value", values)
+    return ret
 
 
 def _write_returns(sigma, env, values) -> MemoryState | None:
@@ -337,23 +369,27 @@ def _write_returns(sigma, env, values) -> MemoryState | None:
     return sig
 
 
-def _exec_call(K, sigma, env, head, rest) -> tuple | str | StepResult:
-    """Call the callee's function with the call's own arguments, evaluated in the caller."""
+def _compile_call(head: FunCall):
+    """Call the callee's function with the call's own arguments, evaluated in
+    the caller. A function named by the call has its address on the node;
+    any other callee is evaluated to a function value on each dispatch."""
     callee = head.callee
-    if isinstance(callee, Efun):
-        if callee.addr is None:
-            return "call target has no address"
-        target = callee.addr
-    else:
-        cv = eval_rvalue(K, callee, sigma, env)
-        if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
-            return "call target is not a function value"
-        target = cv.payload.fun
-    arg_values = [eval_rvalue(K, a, sigma, env) for a in head.args]
-    if any(v is None for v in arg_values):
-        return "call argument failed to evaluate"
-    return _with_divides(_enter_call(sigma, env, target, arg_values, rest),
-                         head, "call argument", arg_values)
+    if isinstance(callee, Efun) and callee.addr is None:
+        return _fails("call target has no address")
+
+    def call(K, sigma, env, rest, head=head, callee=callee, args=tuple(head.args),
+             target=callee.addr if isinstance(callee, Efun) else None):
+        if target is None:
+            cv = eval_rvalue(K, callee, sigma, env)
+            if cv is None or not isinstance(cv.payload, Fid) or cv.payload.fun is None:
+                return "call target is not a function value"
+            target = cv.payload.fun
+        arg_values = [eval_rvalue(K, a, sigma, env) for a in args]
+        if any(v is None for v in arg_values):
+            return "call argument failed to evaluate"
+        return _with_divides(_enter_call(sigma, env, target, arg_values, rest),
+                             head, "call argument", arg_values)
+    return call
 
 
 def _enter_call(sigma, env, target: Address, arg_values, rest) -> tuple | str:
@@ -392,46 +428,53 @@ def _init_return_slots(sigma, env, ret_addr: Address, returns) -> MemoryState | 
     return sig
 
 
-def _exec_fun_decl(K, sigma, env, head, rest) -> tuple | str:
+def _compile_fun_decl(head: Fun):
     """Store a function with its modifier calls."""
-    sig = sigma
-    for p in head.params:
-        sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
-        if sig is None:
-            return "function parameter block not free"
-    if head.ret_addr is not None:
-        sig = _init_return_slots(sig, env, head.ret_addr, head.returns)
-        if sig is None:
-            return "function return slots not available"
     body = tuple(head.body)
     if not body or not isinstance(body[-1], FunStop):
         body = body + (FunStop(),)
     info = FunctionInfo(tuple(head.returns), tuple(head.params), head.ret_addr, body,
                         tuple(head.modifiers))
-    sig = _write_payload(sig, head.name, info, env)
-    if sig is None:
-        return "function block out of range"
-    return sig, env, rest
+
+    def fun(K, sigma, env, rest, name=head.name, info=info):
+        sig = sigma
+        for p in info.params:
+            sig = init_var(sig, env, None, p.ltype, p.addr, K=K)
+            if sig is None:
+                return "function parameter block not free"
+        if info.ret_addr is not None:
+            sig = _init_return_slots(sig, env, info.ret_addr, info.returns)
+            if sig is None:
+                return "function return slots not available"
+        sig = _write_payload(sig, name, info, env)
+        if sig is None:
+            return "function block out of range"
+        return sig, env, rest
+    return fun
 
 
-def _exec_modifier_guard(_K, sigma, env, head, rest) -> tuple | str | StepResult:
+def _compile_modifier_guard(head: ModifierGuard):
     """Judge the modifier call just run, which may write only the flag and its
     own parameters and return slot: a raised flag continues from the state
     ``before`` the call, with the flag down; a lowered one throws; a symbolic one forks."""
     before = head.before
     if before is None:
-        return "modifier guard without a saved state"
+        return _fails("modifier guard without a saved state")
     callee = head.call.callee
     info = before.blocks[callee.addr.index].payload if isinstance(callee, Efun) else None
     own = [p.addr for p in info.params or ()] + [info.ret_addr] \
         if isinstance(info, FunctionInfo) else ()
-    bit = _modif_check(before, sigma, gm.reserved_addresses(before.size)["0xmodifier"].index,
-                       {a.index for a in own if a is not None})
-    if bit is None:
-        return "modifier touched memory outside its flag"
-    if isinstance(bit, SymExpr):
-        return StepResult(before, env, rest, splits=(Split((bit,), otherwise=(Throw(),)),))
-    return before, env, rest if bit else (Throw(),)
+
+    def guard(_K, sigma, env, rest, before=before,
+              flag=gm.reserved_addresses(before.size)["0xmodifier"].index,
+              own=frozenset(a.index for a in own if a is not None)):
+        bit = _modif_check(before, sigma, flag, own)
+        if bit is None:
+            return "modifier touched memory outside its flag"
+        if isinstance(bit, SymExpr):
+            return StepResult(before, env, rest, splits=(Split((bit,), otherwise=(Throw(),)),))
+        return before, env, rest if bit else (Throw(),)
+    return guard
 
 
 def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=()):
@@ -445,31 +488,48 @@ def _modif_check(before: MemoryState, after: MemoryState, flag_idx: int, own=())
     return flag.bit if isinstance(flag, BoolPayload) else False
 
 
-def _exec_assign(K, sigma, env, head, rest) -> tuple | str | StepResult:
-    rhs = eval_rvalue(K, head.rhs, sigma, env)
-    if rhs is None:
-        return "assignment right side failed to evaluate"
-    lhs = head.lhs
-    if type(lhs) is Evar:
-        addr = lhs.addr  # a scalar target: its address is on the node
-    elif isinstance(lhs, Econst) and isinstance(lhs.value, Vmap):
-        return _with_divides(_map_store(K, sigma, env, lhs.value, rhs, rest),
+def _compile_assign(head: Assign):
+    """The rule of an assignment: the right side's closure, then the store
+    that the target's form chooses here. A scalar target's block is written
+    by the closure ``memory.checked_writer`` builds for it, a mapping entry
+    by ``_map_store``, and any other target by ``_lvalue_store``."""
+    lhs, value = head.lhs, rvalue_closure(head.rhs)
+    if type(lhs) is Evar and lhs.addr is not None:
+        def assign_scalar(K, sigma, env, rest, head=head, value=value, addr=lhs.addr,
+                          store=gm.checked_writer(lhs.addr.index)):
+            rhs = value(K, sigma, env) if K > 0 else None
+            if rhs is None:
+                return "assignment right side failed to evaluate"
+            sig = store(sigma, rhs, env)
+            if type(sig) is not MemoryState:
+                return sig or f"validated write to {addr} failed"
+            if type(getattr(rhs.payload, "value", None)) is int:
+                return sig, env, rest  # a concrete integer divides by nothing
+            return _with_divides((sig, env, rest), head, "assignment right side", (rhs,))
+        return assign_scalar
+    mapping = isinstance(lhs, Econst) and isinstance(lhs.value, Vmap)
+
+    def assign(K, sigma, env, rest, head=head, value=value,
+               store=_map_store if mapping else _lvalue_store,
+               target=lhs.value if mapping else lhs):
+        rhs = value(K, sigma, env) if K > 0 else None
+        if rhs is None:
+            return "assignment right side failed to evaluate"
+        return _with_divides(store(K, sigma, env, target, rhs, rest),
                              head, "assignment right side", (rhs,))
-    else:
-        addr = eval_lvalue(K, lhs, sigma, env)
+    return assign
+
+
+def _lvalue_store(K, sigma, env, lhs, rhs: MemoryValue, rest) -> tuple | str:
+    """Store ``rhs`` at the address ``lhs`` evaluates to, as a scalar target's
+    store does."""
+    addr = eval_lvalue(K, lhs, sigma, env)
     if addr is None:
         return "assignment target has no address"
-    # The target block is read once, for the mapping-head check and the
-    # validated write.
-    old = gm.read(sigma, addr)
-    if old is not None and type(old.payload) is MapNode:
-        return "cannot assign into a mapping head"
-    sig = None if old is None else gm.overwrite(sigma, addr.index, old, rhs, env)
-    if sig is None:
-        return f"validated write to {addr} failed"
-    if type(getattr(rhs.payload, "value", None)) is int:
-        return sig, env, rest  # a concrete integer divides by nothing
-    return _with_divides((sig, env, rest), head, "assignment right side", (rhs,))
+    sig = gm.checked_writer(addr.index)(sigma, rhs, env)
+    if type(sig) is not MemoryState:
+        return sig or f"validated write to {addr} failed"
+    return sig, env, rest
 
 
 def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | str:
@@ -536,13 +596,14 @@ def _map_store(K, sigma, env, vmap: Vmap, rhs: MemoryValue, rest) -> tuple | str
     return "mapping insert failed"
 
 
-# One rule per statement class, keyed by exact type.
+# One compiler per statement class, keyed by exact type: each builds the
+# rule ``(K, sigma, env, rest)`` of a node from the node's data alone.
 _RULES = {
-    Snil: _exec_snil, Throw: _exec_throw, FunStop: _exec_fun_stop,
-    Contract: _exec_contract, Var: _exec_var, StructDecl: _exec_struct_decl,
-    FunCall: _exec_call, If: _exec_if, LoopWhile: _exec_while,
-    Fun: _exec_fun_decl, Assign: _exec_assign,
-    Returns: _exec_return, ModifierGuard: _exec_modifier_guard,
+    Snil: lambda _head: _goes_on, Throw: lambda _head: _throws, FunStop: _compile_fun_stop,
+    Contract: _compile_contract, Var: _compile_var, StructDecl: _compile_struct_decl,
+    FunCall: _compile_call, If: _compile_if, LoopWhile: _compile_while,
+    Fun: _compile_fun_decl, Assign: _compile_assign,
+    Returns: _compile_return, ModifierGuard: _compile_modifier_guard,
 }
 
 

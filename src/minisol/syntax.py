@@ -231,6 +231,8 @@ class LStatement:
     # Whether the statement divides (see ``divides_by_nonliteral``), found by
     # the statement layer on first need; never serialized.
     may_divide: bool | None = field(default=None, init=False, compare=False, repr=False)
+    # The node's rule, built by the statement layer on first dispatch; never serialized.
+    rule: object = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass

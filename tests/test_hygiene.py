@@ -7,7 +7,7 @@ list of a ``BlockVector``, only the expression layer and the symbolic module
 build arithmetic symbolic trees, no function of the statement layer
 but ``drive`` itself enters the dispatch loop ``drive``, only the
 expression layer stores the closure compiled on an expression node, and
-only the statement layer stores a statement's division mark.
+only the statement layer stores a statement's rule or division mark.
 
 A parameter that is threaded through but never read costs every caller
 an argument and hides which inputs a function really depends on; a field
@@ -528,9 +528,10 @@ def test_only_drive_enters_the_dispatch_loop():
 # An expression node's ``compiled`` closure is built by the expression layer
 # from node data alone, and forked paths share it; any other module that
 # stored one could make a node evaluate differently from its own data.
-# Likewise a statement's ``may_divide`` mark, which the statement layer
-# computes from the node and trusts to skip a division check: a mark stored
-# anywhere else could let a division by zero pass unchecked.
+# Likewise a statement's ``rule``, which the statement layer compiles from
+# the node alone, and its ``may_divide`` mark, which that layer computes from
+# the node and trusts to skip a division check: a mark stored anywhere else
+# could let a division by zero pass unchecked.
 def attribute_stores(source: str, attr: str, filename: str = "<source>") -> list:
     """(file, line) of each store to or deletion of an ``attr`` attribute."""
     return [(filename, n.lineno) for n in ast.walk(ast.parse(source))
@@ -573,3 +574,12 @@ def test_only_the_statement_layer_stores_division_marks():
 
 def test_mark_check_flags_planted_stores():
     assert planted_stores("may_divide") == [("<source>", i) for i in range(1, 7)]
+
+
+def test_only_the_statement_layer_stores_statement_rules():
+    assert stores_outside("rule", "stmts.py") == []
+    assert attribute_stores((SRC / "stmts.py").read_text(encoding="utf-8"), "rule") != []
+
+
+def test_rule_check_flags_planted_stores():
+    assert planted_stores("rule") == [("<source>", i) for i in range(1, 7)]

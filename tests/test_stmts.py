@@ -37,6 +37,7 @@ from minisol.syntax import (
     FunStop,
     If,
     LoopWhile,
+    ModifierGuard,
     Returns,
     Snil,
     StructDecl,
@@ -69,16 +70,30 @@ class TestEnvCheck:
         assert (run.stop, run.env.gas) == expected
 
 
-def test_every_statement_class_has_one_rule():
+def test_every_statement_class_has_one_rule(sigma):
     import inspect
     from minisol import stmts, syntax
     classes = [cls for _, cls in inspect.getmembers(syntax, inspect.isclass)
                if cls.__module__ == syntax.__name__ and issubclass(cls, syntax.LStatement)
                and cls is not syntax.LStatement]
     assert sorted(stmts._RULES, key=str) == sorted(classes, key=str)
-    # every rule takes exec_statement's arguments
-    assert all(len(inspect.signature(rule).parameters) == 5
-               for rule in stmts._RULES.values())
+    # every compiler takes the node, and every rule it builds exec_statement's
+    # arguments but the node: the rest are node data, as defaults
+    assert all(len(inspect.signature(compiler).parameters) == 1
+               for compiler in stmts._RULES.values())
+    x, f, cond = Evar(Address(7), Tuint()), Efun(Address(20), Tuint()), Econst(Vbool(True))
+    nodes = [Snil(), Throw(), FunStop(), FunStop(Address(3)), Contract(Address(1)),
+             Var(None, x), Var(None, Evar(None, Tuint())), StructDecl(Address(4)),
+             FunCall(f), FunCall(Efun(None, Tuint())), FunCall(x), If(cond), LoopWhile(cond),
+             Fun(Address(20)), Assign(x, cond), Assign(Evar(None, Tuint()), cond),
+             Assign(Econst(Vmap(Address(5), (cond,), Tbool(), Tuint())), cond),
+             Returns((x,)), ModifierGuard(sigma, FunCall(f)), ModifierGuard(None, FunCall(f))]
+    assert {type(n) for n in nodes} == set(classes)
+    for node in nodes:
+        rule = stmts._RULES[type(node)](node)
+        required = [p for p in inspect.signature(rule).parameters.values()
+                    if p.default is p.empty]
+        assert [p.name.lstrip("_") for p in required] == ["K", "sigma", "env", "rest"], node
 
 
 def formula_array_size(dims):
@@ -440,6 +455,116 @@ class TestScalarStores:
         assert r.reason == f"validated write to @{index} failed"
 
 
+class TestRulesHoldNoState:
+    """A statement's rule is compiled once and shared by every state, domain
+    and path that dispatches the node, so what it returns must be what a
+    freshly built node that has never been dispatched returns."""
+
+    N = Address(30)
+    OWNER, FOREIGN = Address(40), Address(41)
+
+    def nodes(self):
+        n = Evar(self.N, Tuint())
+        below = Ebop("<", n, Econst(Vint(5)))
+        return {
+            "assign": Assign(n, Ebop("+", n, Econst(Vint(1)))),  # n = n + 1
+            "if": If(below, (Assign(n, Econst(Vint(0))),), (Throw(),)),
+            "while": LoopWhile(below, (Assign(n, Ebop("+", n, Econst(Vint(1)))),)),
+        }
+
+    def cases(self, sigma, env):
+        def put(value, domain=env.domain, access=gm.PUBLIC):
+            return gm.write(sigma, self.N, MemoryValue(IntPayload(value), domain, access),
+                            "dir")
+        private = put(2, self.OWNER, gm.PRIVATE)
+        return {
+            "concrete": (20, put(2), env),
+            "another state": (20, put(6), env),
+            "owner on a private block": (20, private, Env(env.gas, self.OWNER)),
+            "foreign domain on it": (20, private, Env(env.gas, self.FOREIGN)),
+            "symbolic operand": (20, put(SymVar("x")), env),
+            "K = 1": (1, put(2), env),
+            "out-of-range target": (20, fresh_memory(20), env),
+        }
+
+    def test_one_node_gives_what_a_fresh_node_gives(self, sigma, env):
+        from minisol.stmts import StepResult, exec_statement
+        shared, rest = self.nodes(), (Snil(),)
+        got = {}
+        for case, (K, state, e) in self.cases(sigma, env).items():
+            fresh = self.nodes()
+            for kind, node in shared.items():
+                assert fresh[kind].rule is None
+                got[case, kind] = exec_statement(K, state, e, node, rest)
+                assert got[case, kind] == exec_statement(K, state, e, fresh[kind], rest), \
+                    (case, kind)
+        assert got["concrete", "assign"][0].blocks[30].payload == IntPayload(3)
+        assert got["concrete", "if"][2] == (*shared["if"].then, Snil())
+        assert got["another state", "if"][2] == (Throw(), Snil())
+        assert got["concrete", "while"][2] == (*shared["while"].body, shared["while"], Snil())
+        assert got["another state", "while"][2] == (Snil(),)
+        assert got["owner on a private block", "assign"][0].blocks[30] == MemoryValue(
+            IntPayload(3), self.OWNER, gm.PRIVATE)
+        for kind, what in (("assign", "assignment right side"), ("if", "branch condition"),
+                           ("while", "loop condition")):
+            for case in ("foreign domain on it", "K = 1", "out-of-range target"):
+                assert got[case, kind] == f"{what} failed to evaluate", (case, kind)
+        assert str(got["symbolic operand", "assign"][0].blocks[30].payload.value) == "(x + 1)"
+        for kind in ("if", "while"):
+            step = got["symbolic operand", kind]
+            assert type(step) is StepResult and len(step.splits) == 1
+        for node in shared.values():
+            assert node.rule.__closure__ is None  # no cells: node data are default arguments
+            assert not any(isinstance(d, (MemoryState, Env))
+                           for d in node.rule.__defaults__ or ())
+
+
+_ARR = Tarray(3, Tuint())
+
+
+def _foreign_private(sigma, env, ltype, index):
+    """``sigma`` with ``ltype`` declared at X by another domain and block
+    ``index`` of it private to that domain."""
+    owner = Address(5)
+    out = init_var(sigma, replace(env, domain=owner), gm.PUBLIC, ltype, X, K=10)
+    block = replace(out.blocks[index], domain=owner, access=gm.PRIVATE)
+    return gm.write(out, Address(index), block, "dir")
+
+
+@pytest.mark.parametrize("seed, head, error", [
+    (declared, Assign(Evar(X, Tuint()), Evar(None, Tuint())),
+     "assignment right side failed to evaluate"),
+    (declared, Assign(Econst(Varray(_ARR, (Econst(Vint(0)),), X)), Evar(None, Tuint())),
+     "assignment right side failed to evaluate"),
+    (declared, Assign(Econst(Vmap(Y, (Econst(Vint(0)),), Tuint(), Tuint())),
+                      Evar(None, Tuint())),
+     "assignment right side failed to evaluate"),
+    (declared, Assign(Evar(None, Tuint()), Econst(Vint(1))), "assignment target has no address"),
+    (declared, Assign(Ebop("+", Evar(X, Tuint()), Econst(Vint(1))), Econst(Vint(1))),
+     "assignment target has no address"),
+    (lambda s, e: init_var(s, e, gm.PUBLIC, _ARR, X, K=10),
+     Assign(Econst(Varray(_ARR, (Econst(Vint(3)),), X)), Econst(Vint(1))),
+     "assignment target has no address"),
+    (lambda s, e: init_var(s, e, gm.PUBLIC, Tmap(Tuint(), Tuint()), X),
+     Assign(Evar(X, Tmap(Tuint(), Tuint())), Econst(Vint(1))),
+     "cannot assign into a mapping head"),
+    (lambda s, e: _foreign_private(s, e, Tuint(), 0),
+     Assign(Evar(X, Tuint()), Econst(Vint(1))), "validated write to @0 failed"),
+    (lambda s, e: _foreign_private(s, e, _ARR, 2),
+     Assign(Econst(Varray(_ARR, (Econst(Vint(2)),), X)), Econst(Vint(1))),
+     "validated write to @2 failed"),
+    (declared, If(Evar(None, Tbool()), (Throw(),), ()), "branch condition failed to evaluate"),
+    (declared, LoopWhile(Econst(Vint(1)), (Throw(),)), "loop condition failed to evaluate"),
+], ids=["rhs-scalar", "rhs-element", "rhs-entry", "no-address", "operator-target",
+        "element-overflow", "mapping-head", "foreign-private", "foreign-private-element",
+        "branch", "loop"])
+def test_assign_and_branch_failures_keep_their_messages(sigma, env, seed, head, error):
+    # Each message, on each path of the rule that gives it; an out-of-range
+    # target is in TestScalarStores.
+    r = drive(200, seed(sigma, env), env, None, (head, Snil()))
+    assert (r.stop, r.error, r.remaining) == (ERROR, error, (head, Snil()))
+
+
 class TestLoops:
     def test_while_false_skips_body(self, sigma, env):
         seeded = declared(sigma, env)
@@ -772,7 +897,7 @@ class TestMappingStatements:
         monkeypatch.setattr(stmts, "eval_rvalue", counted)
         lhs = Econst(Vmap(m, (Evar(k, Tuint()),), Tuint(), Tuint()))
         assert run([Assign(lhs, Econst(Vint(1)))], seeded, env) is not None
-        assert len(calls) == 2  # the right side and the key
+        assert calls == [lhs.value.keys[0]]  # the right side runs its own closure
 
     def test_inner_and_outer_keys_are_linked_at_their_chain_tails(self, sigma, env):
         from minisol.exprs import eval_rvalue
